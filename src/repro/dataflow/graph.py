@@ -31,10 +31,11 @@ Flow control and failure:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.dataflow.channel import Channel, ChannelPolicy, ChannelStats
-from repro.dataflow.node import Node, NodeStats, timed_call
+from repro.dataflow.node import Node, NodeStats
 
 __all__ = [
     "Graph",
@@ -130,6 +131,22 @@ class _Edge:
         self.pending.extend(self.channel.extend_offer(items))
 
 
+class _Wiring:
+    """One node's edges, cached with the topological order: everything
+    a sweep needs without scanning the graph's edge list."""
+
+    __slots__ = ("in_edges", "out_edges", "out_by_port")
+
+    def __init__(self, node: Node, edges: list[_Edge]) -> None:
+        self.in_edges = [edge for edge in edges if edge.dst is node]
+        self.out_edges = [edge for edge in edges if edge.src is node]
+        # Every declared output port, wired or not, so a lookup miss
+        # means the node emitted on a port it does not have.
+        self.out_by_port: dict[str, list[_Edge]] = {port.name: [] for port in node.outputs}
+        for edge in self.out_edges:
+            self.out_by_port[edge.src_port].append(edge)
+
+
 class Graph:
     """A named set of nodes wired by typed channels.
 
@@ -143,6 +160,7 @@ class Graph:
         self._nodes: dict[str, Node] = {}
         self._edges: list[_Edge] = []
         self._order: list[Node] | None = None  # topo order, built lazily
+        self._wiring: dict[str, _Wiring] = {}  # per-node edges, built with _order
         self._ticks = 0
         self._closed = False
         self._failed: NodeFailure | None = None
@@ -159,7 +177,7 @@ class Graph:
         if node.name in self._nodes:
             raise GraphError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
-        self._order = None
+        self._rewired()
         return node
 
     def connect(
@@ -203,8 +221,13 @@ class Graph:
             dst=sink,
         )
         self._edges.append(_Edge(source, src_port, sink, dst_port, channel))
-        self._order = None
+        self._rewired()
         return channel
+
+    def _rewired(self) -> None:
+        """Drop the cached order and per-node wiring after a change."""
+        self._order = None
+        self._wiring = {}
 
     def _make_channel(
         self,
@@ -269,6 +292,7 @@ class Graph:
         if len(order) != len(self._nodes):
             cyclic = sorted(set(self._nodes) - {n.name for n in order})
             raise GraphError(f"graph has a cycle through nodes {cyclic}")
+        self._wiring = {node.name: _Wiring(node, self._edges) for node in order}
         self._order = order
         return order
 
@@ -315,36 +339,43 @@ class Graph:
         a stalled or idle node); a node exception closes the graph and
         re-raises as :class:`NodeFailure`.  Shared with the pipelined
         executor, which sweeps only its inline nodes this way."""
+        wiring = self._wiring[node.name]
         stalled = False
-        for edge in self._edges:
-            if edge.src is node and not edge.flush():
+        for edge in wiring.out_edges:
+            if edge.pending and not edge.flush():
                 stalled = True
         if stalled:
             node.metrics.record_stall()
             return 0
         inputs = {port.name: [] for port in node.inputs}
-        for edge in self._edges:
-            if edge.dst is node:
-                inputs[edge.dst_port].extend(edge.channel.drain())
-        items_in = sum(len(items) for items in inputs.values())
+        items_in = 0
+        for edge in wiring.in_edges:
+            # An input port has at most one channel (connect enforces it).
+            items = inputs[edge.dst_port] = edge.channel.drain()
+            items_in += len(items)
         if not node.is_source and items_in == 0:
             return 0
+        started = time.perf_counter()
         try:
-            outputs, elapsed = timed_call(lambda: node.process(inputs))
+            outputs = node.process(inputs)
         except Exception as exc:
             failure = self._to_failure(node, exc)
             self._failed = failure
             self.close()
             raise failure from exc
+        elapsed = time.perf_counter() - started
         outputs = outputs or {}
         items_out = 0
+        out_by_port = wiring.out_by_port
         for port_name, items in outputs.items():
-            node.output_port(port_name)  # validates the name
+            edges = out_by_port.get(port_name)
+            if edges is None:
+                node.output_port(port_name)  # raises KeyError naming the port
+                edges = ()  # declared after wiring: no channel to feed
             items = list(items)
             items_out += len(items)
-            for edge in self._edges:
-                if edge.src is node and edge.src_port == port_name:
-                    edge.emit(items)
+            for edge in edges:
+                edge.emit(items)
         node.metrics.record(items_in, items_out, elapsed)
         if self._tap is not None:
             self._tap(self._ticks, node, inputs, outputs, items_in, items_out)

@@ -23,7 +23,6 @@ instrumentation.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -236,11 +235,3 @@ class FunctionNode(Node):
         """Apply the wrapped function to this tick's items."""
         return {"out": list(self._fn(inputs["in"]))}
 
-
-def timed_call(fn: Callable[[], object]) -> tuple[object, float]:
-    """Run *fn* and return ``(result, elapsed_s)`` — the executor's
-    single timing primitive, kept here so alternative executors time
-    nodes identically."""
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started

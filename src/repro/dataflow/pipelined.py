@@ -43,7 +43,7 @@ from collections import deque
 
 from repro.dataflow.channel import Channel, ChannelPolicy
 from repro.dataflow.graph import Graph, GraphError, NodeFailure
-from repro.dataflow.node import Node, timed_call
+from repro.dataflow.node import Node
 from repro.dataflow.transport import ChannelClosedError, ThreadChannel
 
 __all__ = [
@@ -117,7 +117,8 @@ class PipelinedGraph(Graph):
             return
         self.validate()
         for node in self._thread_nodes():
-            in_edges = [edge for edge in self._edges if edge.dst is node]
+            wiring = self._wiring[node.name]
+            in_edges = wiring.in_edges
             if node.is_source:
                 raise GraphError(
                     f"thread-placed node {node.name!r} is a source; "
@@ -128,11 +129,10 @@ class PipelinedGraph(Graph):
                     f"thread-placed node {node.name!r} needs exactly one wired "
                     f"input port (its work queue), has {len(in_edges)}"
                 )
-            out_edges = [edge for edge in self._edges if edge.src is node]
             self._done[node.name] = 0
             thread = threading.Thread(
                 target=self._worker,
-                args=(node, in_edges[0], out_edges),
+                args=(node, in_edges[0], wiring.out_edges),
                 name=f"{self.name}:{node.name}",
                 daemon=True,
             )
@@ -155,7 +155,9 @@ class PipelinedGraph(Graph):
             try:
                 inputs = {port.name: [] for port in node.inputs}
                 inputs[port_name] = [item]
-                outputs, elapsed = timed_call(lambda: node.process(inputs))
+                started = time.perf_counter()
+                outputs = node.process(inputs)
+                elapsed = time.perf_counter() - started
                 outputs = dict(outputs or {})
                 items_out = 0
                 for out_port, items in outputs.items():
@@ -253,8 +255,7 @@ class PipelinedGraph(Graph):
         """``True`` when every worker has fully processed everything it
         ever dequeued (``done == gets`` on its input channel)."""
         for node in self._thread_nodes():
-            in_edges = [edge for edge in self._edges if edge.dst is node]
-            gets = in_edges[0].channel.flow[1]
+            gets = self._wiring[node.name].in_edges[0].channel.flow[1]
             if self._done.get(node.name, 0) != gets:
                 return False
         return True

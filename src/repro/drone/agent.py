@@ -33,6 +33,13 @@ __all__ = ["DroneAgent", "PatternExecution"]
 RING_POWER_BUDGET_W = 2.0
 RECOGNITION_COMPUTE_POWER_W = 3.0
 
+# Flight mode each pattern is flown in (communicative patterns: the rest).
+_PATTERN_MODES = {
+    PatternKind.TAKE_OFF: DroneMode.TAKING_OFF,
+    PatternKind.CRUISE: DroneMode.CRUISING,
+    PatternKind.LANDING: DroneMode.LANDING,
+}
+
 
 @dataclass
 class PatternExecution:
@@ -290,11 +297,7 @@ class DroneAgent:
         if self.modes.in_emergency:
             return
         kind = pattern.kind
-        target = {
-            PatternKind.TAKE_OFF: DroneMode.TAKING_OFF,
-            PatternKind.CRUISE: DroneMode.CRUISING,
-            PatternKind.LANDING: DroneMode.LANDING,
-        }.get(kind, DroneMode.COMMUNICATING)
+        target = _PATTERN_MODES.get(kind, DroneMode.COMMUNICATING)
         if self.modes.mode is target:
             return
         if self.modes.mode is DroneMode.PARKED and kind is PatternKind.TAKE_OFF:
@@ -317,15 +320,19 @@ class DroneAgent:
             if self.ring.mode is not RingMode.OFF:
                 self.ring.extinguish()
             return
-        self.ring.set_heading(self.state.heading_deg)
+        # One ring update per tick: the heading rides along with the
+        # course, or alone while hovering on the course already shown.
+        heading = self.state.heading_deg
         course = self.state.course_deg()
         if course is not None:
-            self.ring.set_navigation(course)
+            self.ring.set_navigation(course, heading_deg=heading)
         elif self.ring.mode is not RingMode.NAVIGATION:
             # Rotors on but hovering (or just cleared the power-on danger
             # default): show the navigation pattern on the current
             # heading so the drone is never dark or misleading in flight.
-            self.ring.set_navigation(self.state.heading_deg)
+            self.ring.set_navigation(heading, heading_deg=heading)
+        else:
+            self.ring.set_heading(heading)
 
     def _book_energy(self, world, dt: float) -> None:
         if not self.state.rotors_on:

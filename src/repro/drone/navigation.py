@@ -8,6 +8,7 @@ turns "be at P" into velocity commands for the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.drone.pid import PidController, PidGains
@@ -74,18 +75,18 @@ class WaypointFollower:
         """
         if self._target is None:
             return Vec3()
-        error = self._target - state.position
-        vx = self._pid_x.update(error.x, dt)
-        vy = self._pid_y.update(error.y, dt)
-        vz = self._pid_z.update(error.z, dt)
+        target, position = self._target, state.position
+        vx = self._pid_x.update(target.x - position.x, dt)
+        vy = self._pid_y.update(target.y - position.y, dt)
+        vz = self._pid_z.update(target.z - position.z, dt)
         # Clamp the combined horizontal speed (the per-axis clamps allow
         # sqrt(2) times the limit on diagonals).
-        horizontal = Vec3(vx, vy, 0.0).horizontal()
-        speed = horizontal.norm()
+        speed = math.hypot(vx, vy)
         limit = self.config.max_horizontal_speed_mps
         if speed > limit:
-            horizontal = horizontal * (limit / speed)
-        return Vec3(horizontal.x, horizontal.y, vz)
+            scale = limit / speed
+            vx, vy = vx * scale, vy * scale
+        return Vec3(vx, vy, vz)
 
     def arrived(self, state: BodyState) -> bool:
         """``True`` when the body is at the target, slow enough to dwell."""

@@ -59,6 +59,8 @@ class HumanAgent:
 
     def update(self, world, dt: float) -> None:
         """Apply due sign changes and walking motion."""
+        if not self._pending and self._walk_target is None:
+            return
         now = world.now_s
         due = [p for p in self._pending if p[0] <= now]
         if due:

@@ -147,17 +147,7 @@ class MissionExecutor:
             self._abort(world, "drone emergency")
             return self.phase
 
-        handler = {
-            MissionPhase.TAKING_OFF: self._tick_taking_off,
-            MissionPhase.TRANSIT: self._tick_transit,
-            MissionPhase.NEGOTIATING: self._tick_negotiating,
-            MissionPhase.DESCENDING: self._tick_descending,
-            MissionPhase.READING: self._tick_reading,
-            MissionPhase.CLIMBING: self._tick_climbing,
-            MissionPhase.RETURNING: self._tick_returning,
-            MissionPhase.LANDING: self._tick_landing,
-        }[self.phase]
-        handler(world)
+        _PHASE_HANDLERS[self.phase](self, world)
         return self.phase
 
     def pending_observation(self, world):
@@ -322,3 +312,16 @@ class MissionExecutor:
             return trap.position
         direction = offset / distance
         return trap.position - direction * READ_HOVER_OFFSET_M
+
+
+# The handler each active phase ticks with (see MissionExecutor.tick).
+_PHASE_HANDLERS = {
+    MissionPhase.TAKING_OFF: MissionExecutor._tick_taking_off,
+    MissionPhase.TRANSIT: MissionExecutor._tick_transit,
+    MissionPhase.NEGOTIATING: MissionExecutor._tick_negotiating,
+    MissionPhase.DESCENDING: MissionExecutor._tick_descending,
+    MissionPhase.READING: MissionExecutor._tick_reading,
+    MissionPhase.CLIMBING: MissionExecutor._tick_climbing,
+    MissionPhase.RETURNING: MissionExecutor._tick_returning,
+    MissionPhase.LANDING: MissionExecutor._tick_landing,
+}

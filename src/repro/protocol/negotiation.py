@@ -175,15 +175,7 @@ class NegotiationController:
             self._fail(world, "drone emergency")
             return self.state
 
-        handler = {
-            NegotiationState.APPROACHING: self._tick_approaching,
-            NegotiationState.POKING: self._tick_poking,
-            NegotiationState.AWAITING_ATTENTION: self._tick_awaiting_attention,
-            NegotiationState.REQUESTING: self._tick_requesting,
-            NegotiationState.AWAITING_ANSWER: self._tick_awaiting_answer,
-            NegotiationState.ACKNOWLEDGING: self._tick_acknowledging,
-        }[self.state]
-        handler(world)
+        _STATE_HANDLERS[self.state](self, world)
         return self.state
 
     def pending_observation(self, world) -> tuple[Vec3, HumanAgent] | None:
@@ -329,3 +321,14 @@ class NegotiationController:
             request_attempts=self._request_attempts,
             observations=self._observations,
         )
+
+
+# The handler each active state ticks with (see NegotiationController.tick).
+_STATE_HANDLERS = {
+    NegotiationState.APPROACHING: NegotiationController._tick_approaching,
+    NegotiationState.POKING: NegotiationController._tick_poking,
+    NegotiationState.AWAITING_ATTENTION: NegotiationController._tick_awaiting_attention,
+    NegotiationState.REQUESTING: NegotiationController._tick_requesting,
+    NegotiationState.AWAITING_ANSWER: NegotiationController._tick_awaiting_answer,
+    NegotiationState.ACKNOWLEDGING: NegotiationController._tick_acknowledging,
+}

@@ -126,12 +126,13 @@ class SafetyMonitor:
         # Separation: close and low over any human (unless that human
         # granted access via the negotiation protocol).
         if state.position.z < self.limits.safe_overflight_altitude_m:
-            for entity in world.entities:
+            here = state.position.horizontal()
+            for entity in world.iter_entities():
                 if not isinstance(entity, HumanAgent):
                     continue
                 if entity.name in self._waived:
                     continue
-                separation = state.position.horizontal().distance_to(entity.position)
+                separation = here.distance_to(entity.position)
                 if separation < self.limits.min_horizontal_separation_m:
                     return SafetyViolation(
                         rule="separation",

@@ -15,10 +15,11 @@ remaining 140° tail arc — rotated so the arcs stay aligned with the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from repro.geometry.rotation import degrees_difference, wrap_degrees
+from repro.geometry.rotation import TWO_PI, degrees_difference, wrap_degrees
 from repro.signaling.color import LightColor
 from repro.signaling.led import TriColourLed
 
@@ -38,6 +39,14 @@ class RingMode(Enum):
     NAVIGATION = auto()  # direction-coded red/green/white (Figure 1, bottom)
     DANGER = auto()  # all red (Figure 1, top) — the safe default
     ALL_GREEN = auto()  # proposed "all clear"; the paper found no consensus
+
+
+# Enum members as module constants: the LED update reads them per LED,
+# and a class attribute lookup on an Enum costs several times more.
+_NAVIGATION = RingMode.NAVIGATION
+_GREEN, _RED, _WHITE, _OFF = LightColor.GREEN, LightColor.RED, LightColor.WHITE, LightColor.OFF
+#: The one colour every working LED shows in each non-navigation mode.
+_MODE_COLORS = {RingMode.OFF: _OFF, RingMode.DANGER: _RED, RingMode.ALL_GREEN: _GREEN}
 
 
 @dataclass(frozen=True)
@@ -86,9 +95,13 @@ class AllRoundLightRing:
         if led_count < 3:
             raise ValueError("the ring needs at least three LEDs")
         self.leds = [TriColourLed(index=i) for i in range(led_count)]
+        self._bearings_deg = tuple(360.0 * i / led_count for i in range(led_count))
         self._mode = RingMode.DANGER if danger_is_default else RingMode.OFF
         self._course_deg = 0.0
         self._heading_deg = 0.0
+        # What the LEDs were last driven for: (mode, course relative to
+        # the body, per-LED state); see _apply.
+        self._driven: tuple | None = None
         self._apply()
 
     @property
@@ -105,7 +118,7 @@ class AllRoundLightRing:
         """Return LED *index*'s body-relative bearing in degrees."""
         if not 0 <= index < self.led_count:
             raise IndexError(f"LED index {index} out of range")
-        return 360.0 * index / self.led_count
+        return self._bearings_deg[index]
 
     def set_heading(self, heading_deg: float) -> None:
         """Update the airframe heading (degrees clockwise from north).
@@ -116,13 +129,17 @@ class AllRoundLightRing:
         self._heading_deg = wrap_degrees(heading_deg)
         self._apply()
 
-    def set_navigation(self, course_deg: float) -> None:
+    def set_navigation(self, course_deg: float, heading_deg: float | None = None) -> None:
         """Enter NAVIGATION mode for a controlled flight on *course_deg*.
 
         The course is the world-frame direction of controlled flight in
         degrees clockwise from north — the paper signals *intent*, which
         is why the flight controller (not an IMU) feeds this value.
+        Passing *heading_deg* updates the airframe heading in the same
+        call, so the LEDs are recomputed once rather than twice.
         """
+        if heading_deg is not None:
+            self._heading_deg = wrap_degrees(heading_deg)
         self._mode = RingMode.NAVIGATION
         self._course_deg = wrap_degrees(course_deg)
         self._apply()
@@ -174,31 +191,51 @@ class AllRoundLightRing:
         return LightColor.WHITE
 
     def _apply(self) -> None:
-        """Drive every LED according to the current mode."""
-        if self._mode is RingMode.OFF:
-            for led in self.leds:
-                led.off()
-            return
-        if self._mode is RingMode.DANGER:
-            self._set_all(LightColor.RED)
-            return
-        if self._mode is RingMode.ALL_GREEN:
-            self._set_all(LightColor.GREEN)
-            return
-        # NAVIGATION: colour arcs aligned with the course over ground.
-        course_relative_to_body = self._course_deg - self._heading_deg
-        for led in self.leds:
-            bearing_from_course = self.led_bearing_deg(led.index) - course_relative_to_body
-            color = self.navigation_color_for_bearing(bearing_from_course)
-            if not led.failed:
-                led.set(color)
+        """Drive every LED according to the current mode.
 
-    def _set_all(self, color: LightColor) -> None:
-        for led in self.leds:
-            if not led.failed:
-                led.set(color)
+        A no-op when the mode, the course relative to the body and every
+        LED's state (its colour, or ``None`` once failed) are what the
+        LEDs were last driven for — a hovering drone holds its lights
+        for free, while a failed, repaired or recoloured LED forces a
+        recompute.
+        """
+        mode = self._mode
+        leds = self.leds
+        relative = self._course_deg - self._heading_deg if mode is _NAVIGATION else None
+        states = [None if led.failed else led.color for led in leds]
+        if (mode, relative, states) == self._driven:
+            return
+        if mode is _NAVIGATION:
+            # Colour arcs aligned with the course over ground: each LED's
+            # course-relative bearing wrapped to (-180, 180] with
+            # degrees_difference's arithmetic, against the side arcs.
+            fmod, radians, degrees, pi = math.fmod, math.radians, math.degrees, math.pi
+            for index, bearing in enumerate(self._bearings_deg):
+                if states[index] is None:
+                    continue
+                wrapped = fmod(radians(bearing - relative) + pi, TWO_PI)
+                if wrapped <= 0.0:
+                    wrapped += TWO_PI
+                delta = degrees(wrapped - pi)
+                if 0.0 <= delta < NAV_SIDE_ARC_DEG:
+                    color = _GREEN
+                elif -NAV_SIDE_ARC_DEG <= delta < 0.0:
+                    color = _RED
+                else:
+                    color = _WHITE
+                led = leds[index]
+                led.color = states[index] = color
+                led.brightness = 1.0
+        else:
+            color = _MODE_COLORS[mode]
+            for index, led in enumerate(leds):
+                if states[index] is not None:
+                    led.color = states[index] = color
+                    if color is not _OFF:
+                        led.brightness = 1.0
+        self._driven = (mode, relative, states)
 
     def healthy_fraction(self) -> float:
         """Return the fraction of LEDs that have not failed."""
-        working = sum(1 for led in self.leds if not led.failed)
+        working = [led.failed for led in self.leds].count(False)
         return working / self.led_count

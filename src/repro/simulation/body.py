@@ -10,6 +10,7 @@ finite acceleration, overshoot-free convergence and wind disturbance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.geometry.rotation import degrees_difference, wrap_degrees
@@ -56,12 +57,10 @@ class BodyState:
 
     def course_deg(self) -> float | None:
         """Direction of travel (degrees from north), ``None`` when hovering."""
-        horizontal = self.velocity.horizontal()
-        if horizontal.norm() < 0.1:
+        velocity = self.velocity
+        if math.hypot(velocity.x, velocity.y) < 0.1:
             return None
-        import math
-
-        return wrap_degrees(90.0 - math.degrees(horizontal.angle()))
+        return wrap_degrees(90.0 - math.degrees(math.atan2(velocity.y, velocity.x)))
 
 
 class MultirotorBody:
@@ -99,15 +98,17 @@ class MultirotorBody:
 
     def command_velocity(self, velocity: Vec3) -> None:
         """Set the desired velocity (clamped to the envelope)."""
-        horizontal = velocity.horizontal()
-        h_speed = horizontal.norm()
-        if h_speed > self.limits.max_horizontal_speed_mps:
-            horizontal = horizontal * (self.limits.max_horizontal_speed_mps / h_speed)
+        limits = self.limits
+        x, y = velocity.x, velocity.y
+        h_speed = math.hypot(x, y)
+        if h_speed > limits.max_horizontal_speed_mps:
+            scale = limits.max_horizontal_speed_mps / h_speed
+            x, y = x * scale, y * scale
         v_speed = max(
-            -self.limits.max_vertical_speed_mps,
-            min(self.limits.max_vertical_speed_mps, velocity.z),
+            -limits.max_vertical_speed_mps,
+            min(limits.max_vertical_speed_mps, velocity.z),
         )
-        self._commanded_velocity = Vec3(horizontal.x, horizontal.y, v_speed)
+        self._commanded_velocity = Vec3(x, y, v_speed)
 
     def command_yaw_rate(self, yaw_rate_dps: float) -> None:
         """Set the desired yaw rate (clamped to the envelope)."""
@@ -134,26 +135,34 @@ class MultirotorBody:
         # First-order velocity response towards command, with accel limit.
         # Wind enters as an additive disturbance the controller only
         # partially rejects (30% feed-through, a low-cost-GPS figure).
+        # Per-axis floats in a fixed operation order: recorded transcripts
+        # depend on the exact rounding.
         wind_feedthrough = 0.3
-        target = self._commanded_velocity + wind_velocity * wind_feedthrough
-        alpha = min(1.0, dt / self.limits.velocity_time_constant_s)
-        desired_delta = (target - state.velocity) * alpha
-        max_delta = self.limits.max_acceleration_mps2 * dt
-        delta_norm = desired_delta.norm()
+        limits = self.limits
+        command, velocity = self._commanded_velocity, state.velocity
+        alpha = min(1.0, dt / limits.velocity_time_constant_s)
+        dx = (command.x + wind_velocity.x * wind_feedthrough - velocity.x) * alpha
+        dy = (command.y + wind_velocity.y * wind_feedthrough - velocity.y) * alpha
+        dz = (command.z + wind_velocity.z * wind_feedthrough - velocity.z) * alpha
+        max_delta = limits.max_acceleration_mps2 * dt
+        delta_norm = math.sqrt(dx * dx + dy * dy + dz * dz)
         if delta_norm > max_delta:
-            desired_delta = desired_delta * (max_delta / delta_norm)
-        state.velocity = state.velocity + desired_delta
+            scale = max_delta / delta_norm
+            dx, dy, dz = dx * scale, dy * scale, dz * scale
+        vx, vy, vz = velocity.x + dx, velocity.y + dy, velocity.z + dz
 
         # Integrate position; clamp at ground level.
-        new_position = state.position + state.velocity * dt
-        if new_position.z <= 0.0:
-            new_position = new_position.with_z(0.0)
-            if state.velocity.z < 0.0:
-                state.velocity = Vec3(state.velocity.x, state.velocity.y, 0.0)
+        position = state.position
+        z = position.z + vz * dt
+        if z <= 0.0:
+            z = 0.0
+            if vz < 0.0:
+                vz = 0.0
             state.on_ground = True
         else:
             state.on_ground = False
-        state.position = new_position
+        state.velocity = Vec3(vx, vy, vz)
+        state.position = Vec3(position.x + vx * dt, position.y + vy * dt, z)
 
         # Yaw integration.
         state.heading_deg = wrap_degrees(

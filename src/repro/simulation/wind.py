@@ -71,6 +71,7 @@ class WindModel:
     _gusts: list[GustEpisode] = field(init=False, repr=False)
     _next_gust_s: float = field(init=False, repr=False)
     _last_update_s: float = field(init=False, repr=False)
+    _mean: Vec3 = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mean_speed_mps < 0 or self.turbulence < 0 or self.gust_speed_mps < 0:
@@ -84,6 +85,7 @@ class WindModel:
         self._gusts = []
         self._next_gust_s = self._draw_gust_interval()
         self._last_update_s = 0.0
+        self._mean = self.mean_velocity()
 
     def _draw_gust_interval(self) -> float:
         if self.gust_rate_per_min <= 0:
@@ -135,10 +137,16 @@ class WindModel:
 
     def velocity_at(self, now_s: float) -> Vec3:
         """Return the total wind velocity at *now_s* (after :meth:`update`)."""
-        total = self.mean_velocity() + self._fluctuation
+        mean, fluctuation = self._mean, self._fluctuation
+        x = mean.x + fluctuation.x
+        y = mean.y + fluctuation.y
+        z = mean.z + fluctuation.z
         for gust in self._gusts:
-            total = total + gust.velocity_at(now_s)
-        return total
+            gust_velocity = gust.velocity_at(now_s)
+            x += gust_velocity.x
+            y += gust_velocity.y
+            z += gust_velocity.z
+        return Vec3(x, y, z)
 
     @property
     def active_gust_count(self) -> int:

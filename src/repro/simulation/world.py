@@ -9,7 +9,7 @@ world loop ignorant of their internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from repro.geometry.vec import Vec2, Vec3
 from repro.simulation.clock import SimClock
@@ -85,6 +85,11 @@ class World:
     def entities(self) -> list[Entity]:
         """All registered entities (insertion order)."""
         return list(self._entities.values())
+
+    def iter_entities(self) -> Iterator[Entity]:
+        """Iterate the registered entities (insertion order) without
+        copying them; no entity may be added while iterating."""
+        return iter(self._entities.values())
 
     @property
     def obstacles(self) -> list[StaticObstacle]:

@@ -307,3 +307,69 @@ class TestDot:
     def test_to_dot_marks_unbounded_capacity(self):
         graph = linear(EmitNode([1]), CollectNode(), capacity=None)
         assert "cap=∞" in graph.to_dot()
+
+
+class TestWiringCache:
+    """Per-node edge lists are cached with the topological order."""
+
+    def test_add_and_connect_after_a_tick_rewire_the_sweep(self):
+        graph = Graph()
+        source = graph.add(EmitNode([1, 2, 3]))
+        sink = graph.add(CollectNode())
+        graph.connect(source, "out", sink, "in")
+        graph.tick()
+        late = graph.add(CollectNode(name="late"))
+        graph.connect(source, "out", late, "in")
+        graph.tick()
+        graph.tick()
+        assert sink.items == [1, 2, 3]
+        assert late.items == [2, 3]
+
+    def test_unknown_output_port_still_named(self):
+        class Stray(Node):
+            outputs = (Port("out", int),)
+
+            def process(self, inputs):
+                return {"elsewhere": [1]}
+
+        graph = Graph()
+        graph.add(Stray("stray"))
+        with pytest.raises(KeyError, match="no output port 'elsewhere'"):
+            graph.tick()
+
+    def test_tap_sequence_and_backpressure_counts(self):
+        # Burst of three through a doubler over capacity-1 BLOCK wires:
+        # the producer stalls once, then idles; the tap sees every node
+        # invocation in schedule order with its exact items.
+        events = []
+
+        def tap(tick, node, inputs, outputs, items_in, items_out):
+            events.append((tick, node.name, inputs, outputs, items_in, items_out))
+
+        graph = Graph(tap=tap)
+        nodes = (
+            BurstNode([1, 2, 3]),
+            FunctionNode("double", lambda items: [2 * x for x in items], int, int),
+            CollectNode(),
+        )
+        for node in nodes:
+            graph.add(node)
+        for src, dst in zip(nodes, nodes[1:]):
+            graph.connect(src, src.outputs[0].name, dst, dst.inputs[0].name, capacity=1)
+        for _ in range(4):
+            graph.tick()
+        assert events == [
+            (0, "burst", {}, {"out": [1, 2, 3]}, 0, 3),
+            (0, "double", {"in": [1]}, {"out": [2]}, 1, 1),
+            (0, "collect", {"in": [2]}, {}, 1, 0),
+            (1, "double", {"in": [2]}, {"out": [4]}, 1, 1),
+            (1, "collect", {"in": [4]}, {}, 1, 0),
+            (2, "burst", {}, {"out": []}, 0, 0),
+            (2, "double", {"in": [3]}, {"out": [6]}, 1, 1),
+            (2, "collect", {"in": [6]}, {}, 1, 0),
+            (3, "burst", {}, {"out": []}, 0, 0),
+        ]
+        stats = graph.stats()
+        assert [n.stalled_ticks for n in stats.nodes] == [1, 0, 0]
+        assert [c.refusals for c in stats.channels] == [2, 0]
+        assert [n.ticks for n in stats.nodes] == [3, 3, 3]

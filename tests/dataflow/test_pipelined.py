@@ -296,3 +296,25 @@ class TestClose:
         assert graph.closed
         graph.close()
         assert sink.close_calls == 1
+
+
+class TestWiringCache:
+    def test_inline_sweep_and_workers_use_cached_wiring(self):
+        # Inline source and sink around a thread stage, plus an inline
+        # fan-out branch: the scheduler sweeps the inline nodes off the
+        # cached per-node edges while the worker owns its own.
+        source = EmitNode(list(range(6)), name="src")
+        worker = FunctionNode("double", lambda items: [i * 2 for i in items], placement="thread")
+        sink = CollectNode()
+        side = CollectNode(name="side")
+        graph = PipelinedGraph()
+        for node in (source, worker, sink, side):
+            graph.add(node)
+        graph.connect(source, "out", worker, "in", capacity=2)
+        graph.connect(worker, "out", sink, "in", capacity=2)
+        graph.connect(source, "out", side, "in", capacity=2)
+        with graph:
+            graph.drain(max_ticks=5000)
+            assert graph._workers_idle()
+        assert sink.items == [i * 2 for i in range(6)]
+        assert side.items == list(range(6))

@@ -1,10 +1,17 @@
 """Tests for the all-round light ring (paper Figure 1, R-DIR, R-SAFE-DEFAULT)."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.drone.agent import DroneAgent
+from repro.drone.patterns import TakeOffPattern
+from repro.geometry.vec import Vec2
 from repro.signaling import AllRoundLightRing, LightColor, RingMode
+from repro.simulation.world import World
 
 
 class TestDefaults:
@@ -125,3 +132,135 @@ class TestFailures:
         assert ring.led_bearing_deg(5) == 180.0
         with pytest.raises(IndexError):
             ring.led_bearing_deg(10)
+
+
+# -- single-pass parity ----------------------------------------------------------
+
+
+def _frozen_wrap_angle(angle_rad):
+    wrapped = math.fmod(angle_rad + math.pi, 2.0 * math.pi)
+    if wrapped <= 0.0:
+        wrapped += 2.0 * math.pi
+    return wrapped - math.pi
+
+
+def _frozen_wrap_degrees(angle_deg):
+    wrapped = math.fmod(angle_deg, 360.0)
+    if wrapped < 0.0:
+        wrapped += 360.0
+    if wrapped >= 360.0:
+        wrapped = 0.0
+    return wrapped
+
+
+def reference_colours(heading_deg, course_deg, led_count=10):
+    """The per-LED navigation formula the ring used before its
+    single-pass update (``led_bearing_deg`` minus the body-relative
+    course, through ``degrees_difference(…, 0.0)`` against the ±110°
+    arcs), frozen here as the parity reference."""
+    relative = _frozen_wrap_degrees(course_deg) - _frozen_wrap_degrees(heading_deg)
+    colours = []
+    for index in range(led_count):
+        bearing = 360.0 * index / led_count - relative
+        delta = math.degrees(_frozen_wrap_angle(math.radians(bearing) - math.radians(0.0)))
+        if 0.0 <= delta < 110.0:
+            colours.append(LightColor.GREEN)
+        elif -110.0 <= delta < 0.0:
+            colours.append(LightColor.RED)
+        else:
+            colours.append(LightColor.WHITE)
+    return tuple(colours)
+
+
+def _boundary_pairs():
+    """(heading, course) pairs that put some LED exactly on — or within
+    1e-12 / 1e-9 of — an arc boundary, plus wrap cases near 0/360."""
+    headings = (0.0, 1e-12, -1e-12, 360.0 - 1e-12, 359.9999999999, 250.0, 36.0)
+    edges = (0.0, 110.0, -110.0, 180.0, -180.0)
+    nudges = (0.0, 1e-12, -1e-12, 1e-9, -1e-9)
+    pairs = []
+    for heading in headings:
+        for bearing in range(0, 360, 36):
+            for edge in edges:
+                for nudge in nudges:
+                    pairs.append((heading, heading + bearing - edge + nudge))
+    near_wrap = (0.0, -0.0, 1e-12, -1e-12, 360.0, 360.0 - 1e-12, 720.0, -360.0, 180.0)
+    pairs += [(h, c) for h in near_wrap for c in near_wrap]
+    return pairs
+
+
+class TestSinglePassParity:
+    def test_arc_boundaries_and_wrap_cases(self):
+        ring = AllRoundLightRing()
+        for heading, course in _boundary_pairs():
+            ring.set_navigation(course, heading_deg=heading)
+            assert ring.snapshot().colors == reference_colours(heading, course), (
+                heading,
+                course,
+            )
+
+    def test_seeded_random_pairs(self):
+        rng = random.Random(20201)
+        reused, stepwise = AllRoundLightRing(), AllRoundLightRing()
+        for _ in range(20_000):
+            heading = rng.uniform(-720.0, 720.0)
+            course = rng.uniform(-720.0, 720.0)
+            expected = reference_colours(heading, course)
+            reused.set_navigation(course, heading_deg=heading)
+            assert reused.snapshot().colors == expected, (heading, course)
+            # The two-call form (heading, then course) lands on the same colours.
+            stepwise.set_heading(heading)
+            stepwise.set_navigation(course)
+            assert stepwise.snapshot().colors == expected, (heading, course)
+
+    def test_bearing_helpers_agree_with_the_ring(self):
+        ring = AllRoundLightRing()
+        rng = random.Random(7)
+        for _ in range(500):
+            heading, course = rng.uniform(0.0, 360.0), rng.uniform(0.0, 360.0)
+            ring.set_navigation(course, heading_deg=heading)
+            relative = course - heading
+            assert ring.snapshot().colors == tuple(
+                ring.navigation_color_for_bearing(ring.led_bearing_deg(i) - relative)
+                for i in range(ring.led_count)
+            )
+
+
+class TestHoverRecompute:
+    """The ring skips recomputing while nothing it shows can change."""
+
+    def hovering_drone(self):
+        world = World()
+        drone = DroneAgent("d", position=Vec2(0.0, 0.0))
+        world.add_entity(drone)
+        drone.fly_pattern(TakeOffPattern(3.0), world)
+        assert world.run_until(lambda w: drone.is_idle, timeout_s=30.0)
+        world.run_for(2.0)
+        assert drone.ring.mode is RingMode.NAVIGATION
+        assert drone.state.course_deg() is None  # hovering
+        return world, drone
+
+    def expected(self, drone):
+        return reference_colours(drone.state.heading_deg, drone.ring.snapshot().course_deg)
+
+    def test_failed_led_stays_dark_and_repaired_led_relights(self):
+        world, drone = self.hovering_drone()
+        led = drone.ring.leds[4]
+        lit = self.expected(drone)[4]
+        led.inject_failure()
+        world.step()
+        assert drone.ring.snapshot().colors[4] is LightColor.OFF
+        world.step()
+        assert drone.ring.snapshot().colors[4] is LightColor.OFF
+        led.repair()
+        world.step()
+        assert drone.ring.snapshot().colors[4] is lit
+        assert drone.ring.snapshot().colors == self.expected(drone)
+
+    def test_fail_and_repair_between_updates_relights(self):
+        world, drone = self.hovering_drone()
+        led = drone.ring.leds[7]
+        led.inject_failure()
+        led.repair()
+        world.step()
+        assert drone.ring.snapshot().colors == self.expected(drone)
