@@ -62,12 +62,10 @@ bench-throughput:
 bench-dynamic:
 	$(PYTHON) benchmarks/bench_dynamic_batch.py
 
-# Regenerate BENCH_fleet.json — covers BOTH fleet executors (gates:
-# batched sync fleet >= 3x the sequential per-mission/per-frame loop on
-# 16 missions with outcome parity and Oracle-parity on clean scenarios;
-# flight-recorder overhead <= 10%; the pipelined executor's speedup is
-# recorded ungated, its verdict/negotiation/escalation parity asserted
-# unconditionally; see docs/BENCHMARKS.md).
+# Regenerate BENCH_fleet.json (gates: batched fleet >= 3x the
+# sequential per-mission/per-frame loop on 16 missions with outcome
+# parity and Oracle-parity on clean scenarios; flight-recorder overhead
+# <= 10%; see docs/BENCHMARKS.md).
 bench-fleet:
 	$(PYTHON) benchmarks/bench_fleet.py
 

@@ -8,7 +8,7 @@ every observation rendered and classified individually with no
 memoisation and no batching (the "sequential per-mission/per-frame
 loop").
 
-Three sections:
+Sections:
 
 * **fleet_throughput** — wall-clock for the whole fleet, shared-batch
   scheduler vs sequential per-frame loop, with mission-by-mission
@@ -26,24 +26,6 @@ Three sections:
   pipeline graph (:mod:`repro.mission.pipeline`): one entry per
   dataflow node (``world`` … ``mission``), asserted present even in
   smoke mode so the bench-trend job can gate on stage coverage.
-* **pipelined** — the same fleet under ``executor="pipelined"``
-  (render/preprocess/match on worker threads, deferred-observation
-  embargo).  The relaxed-contract invariants are always asserted:
-  **verdict parity** (every observation query classified by both runs
-  resolves to the identical sign — collected off the ``match`` node),
-  **negotiation parity** (per-mission negotiation counters identical)
-  and **escalation parity**.  Whole-mission outcome parity is pinned
-  by the fuzz corpus (``tests/mission/test_fleet_pipelined.py``), not
-  gated here: at fleet scale the embargo's latency shift moves a
-  drone's trap approach a few sim-seconds, which can meet a different
-  phase of a worker's walk cycle — the artifact counts such missions
-  honestly (``missions_with_outcome_drift``) instead of pretending the
-  executor replays the sync run.  The speedup over sync is recorded
-  against the old ≥ 1.5× target but never enforced
-  (``gate_enforced: false``, reason in ``gate_waiver``): render,
-  preprocess and match are about a quarter of fleet node time, so
-  Amdahl's law caps perfect overlap near 1.3×, and a 2-core A/B
-  measured 0.78–0.83×.
 * **recorder** — the same batched fleet re-run with a
   :class:`~repro.recorder.FlightRecorder` attached: tick-loop overhead
   of recording (gate: ≤ 10 % over the bare fleet), outcome parity with
@@ -77,13 +59,6 @@ SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 FLEET_SIZE = 2 if SMOKE else 16
 PARITY_FLEET_SIZE = 2 if SMOKE else 8
 FLEET_SPEEDUP_GATE = 3.0
-PIPELINED_SPEEDUP_GATE = 1.5
-#: Why the pipelined speedup is recorded but never gated.
-PIPELINED_GATE_WAIVER = (
-    "Amdahl's law caps thread overlap of render/preprocess/match (about a "
-    "quarter of fleet node time) near 1.3x, below the 1.5x target; a 2-core "
-    "A/B measured 0.78-0.83x"
-)
 HOST = {"cpu_count": os.cpu_count() or 1, "python": platform.python_version()}
 RECORDER_OVERHEAD_GATE = 0.10
 FLEET_TIMEOUT_S = 3600.0
@@ -127,48 +102,6 @@ def mission_outcomes(report) -> dict:
     }
 
 
-def relaxed_outcomes(report) -> dict:
-    """Outcome tuples minus durations: the pipelined drift comparison.
-
-    The pipelined executor shifts observation latency by the pipeline
-    depth, so mission durations always differ from the sync run; the
-    remaining fields *usually* match, and missions where they do not
-    are counted into ``missions_with_outcome_drift``.
-    """
-    return {
-        name: outcome[:-1] for name, outcome in mission_outcomes(report).items()
-    }
-
-
-def negotiation_outcomes(report) -> dict:
-    """Per-mission negotiation counters: the pipelined-parity invariant."""
-    return {
-        name: (
-            r.negotiations,
-            r.negotiations_granted,
-            r.negotiations_denied,
-            r.negotiations_failed,
-        )
-        for name, r in report.reports.items()
-    }
-
-
-class _VerdictTap:
-    """Collects query → classified sign off the ``match`` node."""
-
-    def __init__(self):
-        self.verdicts = {}
-
-    def __call__(self, tick, node, inputs, outputs, items_in, items_out):
-        if node.name != "match":
-            return
-        for token in outputs.get("ticks", ()):
-            for batch in token.batches:
-                for query in batch.misses:
-                    _, sign = batch.perception.peek(query)
-                    self.verdicts[query] = sign.value if sign is not None else None
-
-
 def run_sequential_per_frame(count: int, base_seed: int, **kwargs) -> tuple[float, dict]:
     """The naive reference: missions one at a time, per-frame perception."""
     fleet = build_fleet(
@@ -189,7 +122,7 @@ def run_sequential_per_frame(count: int, base_seed: int, **kwargs) -> tuple[floa
     return elapsed, mission_outcomes(fleet.report())
 
 
-def run_batched_fleet(count: int, base_seed: int, tap=None, **kwargs):
+def run_batched_fleet(count: int, base_seed: int, **kwargs):
     """The engine under test: shared clock, shared batched perception."""
     fleet = build_fleet(
         FleetSpec(
@@ -200,8 +133,6 @@ def run_batched_fleet(count: int, base_seed: int, tap=None, **kwargs):
             **kwargs,
         )
     )
-    if tap is not None:
-        fleet.graph._tap = tap
     start = time.perf_counter()
     report = fleet.run(FLEET_TIMEOUT_S)
     elapsed = time.perf_counter() - start
@@ -210,42 +141,13 @@ def run_batched_fleet(count: int, base_seed: int, tap=None, **kwargs):
 
 def measure() -> dict:
     # -- throughput: batched fleet vs sequential per-frame loop ------------------
-    sync_tap = _VerdictTap()
-    batch_s, batch_report = run_batched_fleet(FLEET_SIZE, base_seed=100, tap=sync_tap)
+    batch_s, batch_report = run_batched_fleet(FLEET_SIZE, base_seed=100)
     seq_s, seq_outcomes = run_sequential_per_frame(FLEET_SIZE, base_seed=100)
     batch_outcomes = mission_outcomes(batch_report)
     assert batch_outcomes == seq_outcomes, (
         "batched fleet must replay the sequential per-frame run exactly"
     )
     speedup = seq_s / batch_s
-
-    # -- pipelined executor: relaxed-contract invariants + threaded speedup ------
-    pipe_tap = _VerdictTap()
-    pipelined_s, pipelined_report = run_batched_fleet(
-        FLEET_SIZE, base_seed=100, executor="pipelined", tap=pipe_tap
-    )
-    shared_queries = set(sync_tap.verdicts) & set(pipe_tap.verdicts)
-    verdict_disagreements = [
-        query
-        for query in shared_queries
-        if sync_tap.verdicts[query] != pipe_tap.verdicts[query]
-    ]
-    assert not verdict_disagreements, (
-        f"{len(verdict_disagreements)} queries classified differently by the "
-        f"pipelined run — the thread-shared caches tore"
-    )
-    assert negotiation_outcomes(pipelined_report) == negotiation_outcomes(
-        batch_report
-    ), "pipelined fleet must negotiate identically to the sync run"
-    assert (
-        pipelined_report.escalation_events == batch_report.escalation_events
-    ), "pipelined fleet must escalate identically to the sync run"
-    sync_relaxed = relaxed_outcomes(batch_report)
-    pipe_relaxed = relaxed_outcomes(pipelined_report)
-    drifted_missions = sorted(
-        name for name in sync_relaxed if sync_relaxed[name] != pipe_relaxed[name]
-    )
-    pipelined_speedup = batch_s / pipelined_s
 
     # -- oracle parity on clean scenarios ----------------------------------------
     clean = dict(winds=(CALM,), lightings=(NOON,))
@@ -369,23 +271,6 @@ def measure() -> dict:
             },
         },
         "nodes": {**graph, **HOST},
-        "pipelined": {
-            "sync_s": round(batch_s, 3),
-            "pipelined_s": round(pipelined_s, 3),
-            "speedup": round(pipelined_speedup, 2),
-            "gate": PIPELINED_SPEEDUP_GATE,
-            "cpu_count": HOST["cpu_count"],
-            "verdict_parity": True,
-            "negotiation_parity": True,
-            "escalation_parity": True,
-            "shared_queries": len(shared_queries),
-            "missions_with_outcome_drift": len(drifted_missions),
-            "drifted_missions": drifted_missions,
-            "pipelined_ticks": pipelined_report.ticks,
-            "sync_ticks": batch_report.ticks,
-            "gate_enforced": False,
-            "gate_waiver": PIPELINED_GATE_WAIVER,
-        },
         "recorder": recorder_section,
     }
 
@@ -411,9 +296,6 @@ def test_fleet_throughput_and_parity():
     ), "every pipeline node must have run"
     assert stats["recorder"]["outcome_parity"]
     assert stats["recorder"]["transcripts_identical"]
-    assert stats["pipelined"]["verdict_parity"]
-    assert stats["pipelined"]["negotiation_parity"]
-    assert stats["pipelined"]["escalation_parity"]
     if not SMOKE:
         assert stats["fleet_throughput"]["speedup"] >= FLEET_SPEEDUP_GATE
         assert stats["recorder"]["overhead_within_gate"], (
@@ -446,15 +328,6 @@ if __name__ == "__main__":
     nodes = stats["nodes"]["nodes"]
     split = "  ".join(f"{name} {entry['busy_s']:.2f}s" for name, entry in nodes.items())
     print(f"  node stages: {split}")
-    pl = stats["pipelined"]
-    print(
-        f"  pipelined executor: {pl['pipelined_s']:.1f} s vs {pl['sync_s']:.1f} s sync "
-        f"({pl['speedup']:.2f}x on {pl['cpu_count']} core(s), gate waived), "
-        f"verdict/negotiation/escalation "
-        f"parity: {pl['verdict_parity']}/{pl['negotiation_parity']}/"
-        f"{pl['escalation_parity']}, outcome drift: "
-        f"{pl['missions_with_outcome_drift']} mission(s)"
-    )
     r = stats["recorder"]
     print(
         f"  flight recorder: {r['recorded_s']:.1f} s recorded vs "

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.mission.fleet import mission_transcript
 from repro.mission.orchard import OrchardConfig
+from repro.mission.spec import FleetSpec
 from repro.mission.surveillance import build_surveillance_fleet
 from repro.simulation.longtail import sample_longtail
 from repro.testing.fuzz import Recognizers, execute_window
@@ -57,11 +58,13 @@ ORCHARD = OrchardConfig(
 def run_surveillance(base_seed: int):
     """One seeded surveillance fleet run; returns timing + outcomes."""
     fleet = build_surveillance_fleet(
-        GUARDS,
-        base_seed=base_seed,
-        config=ORCHARD,
-        intruders=INTRUDERS,
-        burst_spacing_s=1.5,
+        FleetSpec(
+            count=GUARDS,
+            base_seed=base_seed,
+            config=ORCHARD,
+            intruders=INTRUDERS,
+            burst_spacing_s=1.5,
+        )
     )
     start = time.perf_counter()
     report = fleet.run(FLEET_TIMEOUT_S)

@@ -16,11 +16,7 @@ nightly run) and
   that declares ``"gate_enforced": true`` (e.g. the latency-SLO
   section of ``bench_gateway.py``) must have every other boolean in
   that section ``true`` — smoke runs write ``gate_enforced: false``
-  and are exempt.  The ``pipelined`` section of ``bench_fleet.py``
-  never enforces its speedup gate (``gate_waiver`` says why), so only
-  its relaxed-contract invariants (``verdict_parity``,
-  ``negotiation_parity``, ``escalation_parity``) are load-bearing —
-  and those are covered by the parity rule above;
+  and are exempt;
 * **fails on lost pipeline stages**: every dataflow node named in a
   baseline artifact's ``nodes.nodes`` section (the per-stage metrics
   ``bench_fleet.py`` rolls up from the fleet pipeline graph) must still
@@ -171,8 +167,7 @@ def trend_table(results: list[tuple[str, dict, dict]]) -> str:
     )
     note = (
         "\nFresh smoke runs use reduced sizes — the trend column is "
-        "informational; parity fields are the gate.  The `pipelined.speedup` "
-        "row is never gated (see `gate_waiver` in the artifact).\n"
+        "informational; parity fields are the gate.\n"
     )
     return header + "\n".join(rows) + "\n" + note
 

@@ -3,19 +3,16 @@
 
 Builds a small oracle-perception fleet (cheap: no recogniser core),
 wires it through :func:`~repro.mission.pipeline.build_fleet_graph` and
-prints :meth:`~repro.dataflow.graph.Graph.to_dot` — node labels carry
-the placement hint, edge labels the channel dtype, capacity and
-full-channel policy.  With ``--placements`` the fleet is built for the
-``pipelined`` executor instead, rendering the forked thread topology
-(``lookup`` fans out to ``mission`` inline and to the
-``render → preprocess → match`` worker-thread stages).  The rendered
-topologies are committed into the "Dataflow runtime" and "Pipelined
-execution" sections of ``docs/ARCHITECTURE.md``; re-run this script and
-refresh those blocks whenever the pipeline shape changes.
+prints :meth:`~repro.dataflow.graph.Graph.to_dot` — edge labels carry
+the channel dtype, capacity and full-channel policy.  The rendered
+topology is committed into the "Dataflow runtime" section of
+``docs/ARCHITECTURE.md``; ``tests/core/test_docs_check.py`` fails when
+that block and this script's output disagree, so re-run it and refresh
+the block whenever the pipeline shape changes.
 
 Usage::
 
-    PYTHONPATH=src python scripts/graphviz_dataflow.py [--placements] [--output FILE]
+    PYTHONPATH=src python scripts/graphviz_dataflow.py [--output FILE]
 """
 
 from __future__ import annotations
@@ -28,14 +25,13 @@ from repro.mission.fleet import FleetSpec, build_fleet
 from repro.mission.orchard import OrchardConfig
 
 
-def fleet_dot(executor: str = "sync") -> str:
+def fleet_dot() -> str:
     """DOT for the fleet pipeline graph over a minimal fleet."""
     fleet = build_fleet(
         FleetSpec(
             count=2,
             config=OrchardConfig(rows=1, trees_per_row=2, traps_per_row=1, seed=0),
             perception="oracle",
-            executor=executor,
         )
     )
     try:
@@ -53,14 +49,8 @@ def main(argv: list[str]) -> int:
         default=None,
         help="write the DOT here instead of stdout",
     )
-    parser.add_argument(
-        "--placements",
-        action="store_true",
-        help="render the pipelined executor's forked thread topology "
-        "(thread-placed render/preprocess/match) instead of the sync chain",
-    )
     args = parser.parse_args(argv)
-    dot = fleet_dot(executor="pipelined" if args.placements else "sync")
+    dot = fleet_dot()
     if args.output is not None:
         args.output.write_text(dot)
         print(f"wrote {args.output}")

@@ -4,18 +4,11 @@ The fleet tick path used to be a lockstep monolith inside the
 scheduler; this package decomposes such pipelines into explicit
 :class:`~repro.dataflow.node.Node`\\ s joined by typed, bounded
 :class:`~repro.dataflow.channel.Channel`\\ s and executed by a
-:class:`~repro.dataflow.graph.Graph`.  Two executors share that
-construction API: the tick-synchronous :class:`Graph` (one
-deterministic sweep per tick — the byte-identical-transcript contract)
-and the :class:`~repro.dataflow.pipelined.PipelinedGraph`, which runs
-``placement="thread"`` nodes on worker threads joined by blocking
-:class:`~repro.dataflow.transport.ThreadChannel` transports so
-consecutive ticks overlap in the heavy stages (the *relaxed* contract).
-Nodes only see port items, so the same node body runs under either
-executor — placement is entirely a transport/executor decision.
-Per-node latency and per-channel queue-occupancy metrics are built into
-the runtime; see the "Dataflow runtime" and "Pipelined execution"
-sections of ``docs/ARCHITECTURE.md``.
+:class:`~repro.dataflow.graph.Graph`, which runs one deterministic,
+tick-synchronous sweep per tick on the caller's thread (the
+byte-identical-transcript contract).  Per-node latency and per-channel
+queue-occupancy metrics are built into the runtime; see the "Dataflow
+runtime" section of ``docs/ARCHITECTURE.md``.
 """
 
 from repro.dataflow.channel import (
@@ -26,14 +19,10 @@ from repro.dataflow.channel import (
 )
 from repro.dataflow.graph import Graph, GraphError, GraphStats, NodeFailure
 from repro.dataflow.node import FunctionNode, Node, NodeMetrics, NodeStats, Port
-from repro.dataflow.pipelined import PipelinedGraph
 from repro.dataflow.stages import DynamicDecodeNode, FrameChunk
-from repro.dataflow.transport import EMPTY, ChannelClosedError, ThreadChannel
 
 __all__ = [
-    "EMPTY",
     "Channel",
-    "ChannelClosedError",
     "ChannelFullError",
     "ChannelPolicy",
     "ChannelStats",
@@ -46,7 +35,5 @@ __all__ = [
     "NodeFailure",
     "NodeMetrics",
     "NodeStats",
-    "PipelinedGraph",
     "Port",
-    "ThreadChannel",
 ]

@@ -1,15 +1,10 @@
 """Bounded typed channels: the edges of the dataflow graph.
 
 A :class:`Channel` is a bounded FIFO joining one producer port to one
-consumer port.  The base class is the tick-synchronous transport: the
-:class:`~repro.dataflow.graph.Graph` executor moves items between nodes
-inside one scheduler thread, while the thread-backed transport
-(:class:`~repro.dataflow.transport.ThreadChannel`) extends the same
-interface with blocking hand-off for worker-thread placements.  All
-mutation and every counter snapshot happens under one internal lock, so
-a reader on another thread (the flight recorder's per-tick ``flow``
-read, the pipelined executor's stats roll-up) can never observe a
-half-updated counter pair.  What the channel owns is flow-control
+consumer port.  It is deliberately *not* a thread-safe queue: the
+tick-synchronous :class:`~repro.dataflow.graph.Graph` executor moves
+items between nodes inside one scheduler thread, and nothing else
+touches a graph.  What the channel *does* own is flow-control
 semantics and observability:
 
 * **Capacity** — at most ``capacity`` items are ever buffered
@@ -30,7 +25,6 @@ semantics and observability:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -115,44 +109,26 @@ class Channel:
         self._drops = 0
         self._refusals = 0
         self._high_water = 0
-        # One lock guards the buffer and every counter; ThreadChannel
-        # hangs its blocking conditions off the same lock.
-        self._lock = threading.Lock()
 
     # -- state -------------------------------------------------------------------------
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
     @property
     def occupancy(self) -> int:
         """Items currently buffered."""
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
     @property
     def empty(self) -> bool:
         """``True`` when nothing is buffered."""
-        with self._lock:
-            return not self._items
+        return not self._items
 
     @property
     def full(self) -> bool:
         """``True`` when the channel is at capacity."""
-        with self._lock:
-            return self._full_locked()
-
-    def _full_locked(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
-
-    # -- transport hooks (overridden by ThreadChannel) ---------------------------------
-
-    def _notify_data(self) -> None:
-        """Called (lock held) after an item lands in the buffer."""
-
-    def _notify_space(self) -> None:
-        """Called (lock held) after buffered items are consumed."""
 
     # -- producer side -----------------------------------------------------------------
 
@@ -162,19 +138,6 @@ class Channel:
                 f"channel {self.name!r} carries {self.dtype.__name__}, "
                 f"got {type(item).__name__}"
             )
-
-    def _offer_locked(self, item: Any) -> bool:
-        if self._full_locked():
-            if self.policy is ChannelPolicy.DROP:
-                self._drops += 1
-                return True
-            self._refusals += 1
-            return False
-        self._items.append(item)
-        self._puts += 1
-        self._high_water = max(self._high_water, len(self._items))
-        self._notify_data()
-        return True
 
     def offer(self, item: Any) -> bool:
         """Try to enqueue *item*; never raises on a full channel.
@@ -186,8 +149,16 @@ class Channel:
         backpressure signal the graph executor propagates upstream.
         """
         self._check_type(item)
-        with self._lock:
-            return self._offer_locked(item)
+        if self.full:
+            if self.policy is ChannelPolicy.DROP:
+                self._drops += 1
+                return True
+            self._refusals += 1
+            return False
+        self._items.append(item)
+        self._puts += 1
+        self._high_water = max(self._high_water, len(self._items))
+        return True
 
     def put(self, item: Any) -> None:
         """Enqueue *item*, raising :class:`ChannelFullError` when a
@@ -200,26 +171,18 @@ class Channel:
 
     # -- consumer side -----------------------------------------------------------------
 
-    def _get_locked(self) -> Any:
-        item = self._items.popleft()
-        self._gets += 1
-        self._notify_space()
-        return item
-
     def get(self) -> Any:
         """Dequeue the oldest item (raises ``IndexError`` when empty)."""
-        with self._lock:
-            return self._get_locked()
+        item = self._items.popleft()
+        self._gets += 1
+        return item
 
     def drain(self) -> list:
         """Dequeue and return everything currently buffered, in order."""
-        with self._lock:
-            items = list(self._items)
-            self._gets += len(items)
-            self._items.clear()
-            if items:
-                self._notify_space()
-            return items
+        items = list(self._items)
+        self._gets += len(items)
+        self._items.clear()
+        return items
 
     def clear(self) -> int:
         """Discard buffered items without counting them as consumed.
@@ -227,12 +190,9 @@ class Channel:
         Returns the number of items discarded — the graph's fail-path
         uses this to drain cleanly after a node failure.
         """
-        with self._lock:
-            count = len(self._items)
-            self._items.clear()
-            if count:
-                self._notify_space()
-            return count
+        count = len(self._items)
+        self._items.clear()
+        return count
 
     # -- observability -----------------------------------------------------------------
 
@@ -240,27 +200,23 @@ class Channel:
     def flow(self) -> tuple[int, int, int, int]:
         """``(puts, gets, drops, refusals)`` without building a
         :class:`ChannelStats` — the cheap per-tick read the flight
-        recorder's tap uses.  Read under the channel lock, so the four
-        counters are always a consistent snapshot even while another
-        thread is moving items."""
-        with self._lock:
-            return (self._puts, self._gets, self._drops, self._refusals)
+        recorder's tap uses."""
+        return (self._puts, self._gets, self._drops, self._refusals)
 
     @property
     def stats(self) -> ChannelStats:
-        """Snapshot the flow counters (consistent under concurrency)."""
-        with self._lock:
-            return ChannelStats(
-                name=self.name,
-                capacity=self.capacity,
-                policy=self.policy.value,
-                occupancy=len(self._items),
-                high_water=self._high_water,
-                puts=self._puts,
-                gets=self._gets,
-                drops=self._drops,
-                refusals=self._refusals,
-            )
+        """Snapshot the flow counters."""
+        return ChannelStats(
+            name=self.name,
+            capacity=self.capacity,
+            policy=self.policy.value,
+            occupancy=len(self._items),
+            high_water=self._high_water,
+            puts=self._puts,
+            gets=self._gets,
+            drops=self._drops,
+            refusals=self._refusals,
+        )
 
     def extend_offer(self, items: Iterable[Any]) -> list:
         """Offer each of *items* in order; returns the refused tail.

@@ -9,12 +9,6 @@ so one tick moves data the whole length of the pipeline, and a fleet
 tick stays a single deterministic sweep (the migration contract: a
 graph-scheduled fleet replays the legacy lockstep loop byte-for-byte).
 
-The executor is deliberately *schedule-synchronous but
-placement-agnostic*: nodes communicate only through channels, so a
-stage can later run in a thread, a worker process, or behind the
-recognition service without its neighbours changing — only this
-executor (and the channel transport) knows where a node runs.
-
 Flow control and failure:
 
 * a full ``BLOCK`` output channel stalls the producing node — its
@@ -82,7 +76,6 @@ class GraphStats:
             "ticks": self.ticks,
             "nodes": {
                 n.name: {
-                    "placement": n.placement,
                     "ticks": n.ticks,
                     "items_in": n.items_in,
                     "items_out": n.items_out,
@@ -212,13 +205,11 @@ class Graph:
                 raise GraphError(
                     f"input port {sink.name}.{dst_port} is already connected"
                 )
-        channel = self._make_channel(
+        channel = Channel(
             name=f"{source.name}.{src_port}->{sink.name}.{dst_port}",
             capacity=capacity,
             policy=policy,
             dtype=in_port.dtype,
-            src=source,
-            dst=sink,
         )
         self._edges.append(_Edge(source, src_port, sink, dst_port, channel))
         self._rewired()
@@ -228,23 +219,6 @@ class Graph:
         """Drop the cached order and per-node wiring after a change."""
         self._order = None
         self._wiring = {}
-
-    def _make_channel(
-        self,
-        name: str,
-        capacity: int | None,
-        policy: ChannelPolicy,
-        dtype: type,
-        src: Node,
-        dst: Node,
-    ) -> Channel:
-        """Transport-selection hook: build the channel backing one edge.
-
-        The base executor always uses the in-thread :class:`Channel`;
-        :class:`~repro.dataflow.pipelined.PipelinedGraph` overrides this
-        to pick a :class:`~repro.dataflow.transport.ThreadChannel` for
-        edges touching a thread-placed node."""
-        return Channel(name=name, capacity=capacity, policy=policy, dtype=dtype)
 
     def _resolve(self, node: Node | str) -> Node:
         if isinstance(node, str):
@@ -329,66 +303,49 @@ class Graph:
             raise GraphError(f"graph {self.name!r} is closed")
         moved = 0
         for node in self._topo_order():
-            moved += self._sweep_node(node)
+            wiring = self._wiring[node.name]
+            stalled = False
+            for edge in wiring.out_edges:
+                if edge.pending and not edge.flush():
+                    stalled = True
+            if stalled:
+                node.metrics.stalled_ticks += 1
+                continue
+            inputs = {port.name: [] for port in node.inputs}
+            items_in = 0
+            for edge in wiring.in_edges:
+                # An input port has at most one channel (connect enforces it).
+                items = inputs[edge.dst_port] = edge.channel.drain()
+                items_in += len(items)
+            if not node.is_source and items_in == 0:
+                continue
+            started = time.perf_counter()
+            try:
+                outputs = node.process(inputs)
+            except Exception as exc:
+                failure = NodeFailure(node.name, self._ticks, exc)
+                self._failed = failure
+                self.close()
+                raise failure from exc
+            elapsed = time.perf_counter() - started
+            outputs = outputs or {}
+            items_out = 0
+            out_by_port = wiring.out_by_port
+            for port_name, items in outputs.items():
+                edges = out_by_port.get(port_name)
+                if edges is None:
+                    node.output_port(port_name)  # raises KeyError naming the port
+                    edges = ()  # declared after wiring: no channel to feed
+                items = list(items)
+                items_out += len(items)
+                for edge in edges:
+                    edge.emit(items)
+            node.metrics.record(items_in, items_out, elapsed)
+            if self._tap is not None:
+                self._tap(self._ticks, node, inputs, outputs, items_in, items_out)
+            moved += items_in
         self._ticks += 1
         return moved
-
-    def _sweep_node(self, node: Node) -> int:
-        """One node's share of a scheduler sweep: flush refused output,
-        drain inputs, process, emit.  Returns the items consumed (0 for
-        a stalled or idle node); a node exception closes the graph and
-        re-raises as :class:`NodeFailure`.  Shared with the pipelined
-        executor, which sweeps only its inline nodes this way."""
-        wiring = self._wiring[node.name]
-        stalled = False
-        for edge in wiring.out_edges:
-            if edge.pending and not edge.flush():
-                stalled = True
-        if stalled:
-            node.metrics.record_stall()
-            return 0
-        inputs = {port.name: [] for port in node.inputs}
-        items_in = 0
-        for edge in wiring.in_edges:
-            # An input port has at most one channel (connect enforces it).
-            items = inputs[edge.dst_port] = edge.channel.drain()
-            items_in += len(items)
-        if not node.is_source and items_in == 0:
-            return 0
-        started = time.perf_counter()
-        try:
-            outputs = node.process(inputs)
-        except Exception as exc:
-            failure = self._to_failure(node, exc)
-            self._failed = failure
-            self.close()
-            raise failure from exc
-        elapsed = time.perf_counter() - started
-        outputs = outputs or {}
-        items_out = 0
-        out_by_port = wiring.out_by_port
-        for port_name, items in outputs.items():
-            edges = out_by_port.get(port_name)
-            if edges is None:
-                node.output_port(port_name)  # raises KeyError naming the port
-                edges = ()  # declared after wiring: no channel to feed
-            items = list(items)
-            items_out += len(items)
-            for edge in edges:
-                edge.emit(items)
-        node.metrics.record(items_in, items_out, elapsed)
-        if self._tap is not None:
-            self._tap(self._ticks, node, inputs, outputs, items_in, items_out)
-        return items_in
-
-    def _to_failure(self, node: Node, exc: BaseException) -> NodeFailure:
-        """Map a node exception onto the :class:`NodeFailure` to raise.
-
-        Hook for the pipelined executor: when an inline node fails
-        *because* a worker thread already failed (e.g. it was waiting on
-        results a dead worker will never produce), the worker's failure
-        — naming the actual culprit node — takes precedence."""
-        return NodeFailure(node.name, self._ticks, exc)
 
     def drain(self, max_ticks: int = 1000) -> int:
         """Tick until quiescent (no items moved); returns ticks used.
@@ -460,15 +417,13 @@ class Graph:
     def to_dot(self) -> str:
         """Render the wired topology as Graphviz DOT.
 
-        Node labels carry the placement hint; edge labels carry the
-        channel's dtype, capacity and full-channel policy — the output
-        committed into ``docs/ARCHITECTURE.md`` by
-        ``scripts/graphviz_dataflow.py``.
+        Edge labels carry the channel's dtype, capacity and
+        full-channel policy — the output committed into
+        ``docs/ARCHITECTURE.md`` by ``scripts/graphviz_dataflow.py``.
         """
         lines = [f'digraph "{self.name}" {{', "  rankdir=LR;", "  node [shape=box];"]
         for node in self._nodes.values():
-            label = f"{node.name}\\n[{node.placement}]"
-            lines.append(f'  "{node.name}" [label="{label}"];')
+            lines.append(f'  "{node.name}";')
         for edge in self._edges:
             capacity = "∞" if edge.channel.capacity is None else edge.channel.capacity
             label = (

@@ -4,12 +4,8 @@ A :class:`Node` is one stage of a pipeline: it declares typed input and
 output :class:`Port`\\ s, and its :meth:`~Node.process` maps one tick's
 input items onto output items.  Nodes never talk to each other directly
 — every edge is a :class:`~repro.dataflow.channel.Channel` wired by a
-:class:`~repro.dataflow.graph.Graph` — which is what makes the runtime
-*placement-agnostic*: a node body only sees port items, so the same
-node can run inline in the scheduler thread (today's tick-synchronous
-executor), in a worker thread or process, or behind the recognition
-service, without changing the node.  The advisory :attr:`Node.placement`
-records where a node is intended to run.
+:class:`~repro.dataflow.graph.Graph` — so a node body only sees port
+items and can be tested on its own.
 
 Every node owns a :class:`NodeMetrics`: invocation count, items in/out,
 cumulative and worst-case processing latency (the per-node analogue of
@@ -22,7 +18,6 @@ instrumentation.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -33,11 +28,6 @@ __all__ = [
     "NodeStats",
     "Port",
 ]
-
-#: Advisory placements a node may declare (today's executor runs every
-#: node inline; the others name where the stage is designed to move).
-PLACEMENTS = ("inline", "thread", "process", "service")
-
 
 @dataclass(frozen=True, slots=True)
 class Port:
@@ -58,7 +48,6 @@ class NodeStats:
     """Immutable snapshot of one node's runtime counters."""
 
     name: str
-    placement: str
     ticks: int
     items_in: int
     items_out: int
@@ -75,13 +64,7 @@ class NodeStats:
 
 
 class NodeMetrics:
-    """Mutable runtime counters behind a node's :class:`NodeStats`.
-
-    Updates and snapshots are lock-guarded: a pipelined executor records
-    a thread-placed node's invocations from its worker thread while the
-    scheduler thread snapshots stats (or the flight recorder reads them
-    mid-run), and neither side may ever see a torn counter set.
-    """
+    """Mutable runtime counters behind a node's :class:`NodeStats`."""
 
     def __init__(self) -> None:
         self.ticks = 0
@@ -90,36 +73,26 @@ class NodeMetrics:
         self.busy_s = 0.0
         self.max_tick_s = 0.0
         self.stalled_ticks = 0
-        self._lock = threading.Lock()
 
     def record(self, items_in: int, items_out: int, elapsed_s: float) -> None:
         """Account one completed :meth:`Node.process` invocation."""
-        with self._lock:
-            self.ticks += 1
-            self.items_in += items_in
-            self.items_out += items_out
-            self.busy_s += elapsed_s
-            self.max_tick_s = max(self.max_tick_s, elapsed_s)
+        self.ticks += 1
+        self.items_in += items_in
+        self.items_out += items_out
+        self.busy_s += elapsed_s
+        self.max_tick_s = max(self.max_tick_s, elapsed_s)
 
-    def record_stall(self) -> None:
-        """Account one tick in which backpressure stalled the node."""
-        with self._lock:
-            self.stalled_ticks += 1
-
-    def snapshot(self, name: str, placement: str) -> NodeStats:
-        """Freeze the counters into a :class:`NodeStats` (a consistent
-        snapshot even while another thread is recording)."""
-        with self._lock:
-            return NodeStats(
-                name=name,
-                placement=placement,
-                ticks=self.ticks,
-                items_in=self.items_in,
-                items_out=self.items_out,
-                busy_s=self.busy_s,
-                max_tick_s=self.max_tick_s,
-                stalled_ticks=self.stalled_ticks,
-            )
+    def snapshot(self, name: str) -> NodeStats:
+        """Freeze the counters into a :class:`NodeStats`."""
+        return NodeStats(
+            name=name,
+            ticks=self.ticks,
+            items_in=self.items_in,
+            items_out=self.items_out,
+            busy_s=self.busy_s,
+            max_tick_s=self.max_tick_s,
+            stalled_ticks=self.stalled_ticks,
+        )
 
 
 class Node:
@@ -134,24 +107,15 @@ class Node:
     ----------
     name:
         Unique name within the graph.
-    placement:
-        Advisory execution placement (one of ``inline``, ``thread``,
-        ``process``, ``service``); today's executor runs everything
-        inline, and the hint is surfaced in stats and DOT output.
     """
 
     inputs: tuple[Port, ...] = ()
     outputs: tuple[Port, ...] = ()
 
-    def __init__(self, name: str, placement: str = "inline") -> None:
+    def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("node name must be non-empty")
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
         self.name = name
-        self.placement = placement
         self.metrics = NodeMetrics()
 
     def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
@@ -182,7 +146,7 @@ class Node:
 
     def stats(self) -> NodeStats:
         """Snapshot this node's runtime counters."""
-        return self.metrics.snapshot(self.name, self.placement)
+        return self.metrics.snapshot(self.name)
 
     def __repr__(self) -> str:
         ins = ", ".join(p.name for p in self.inputs)
@@ -214,8 +178,6 @@ class FunctionNode(Node):
         items for one tick.
     in_type / out_type:
         Port dtypes (default untyped).
-    placement:
-        Advisory placement hint, as for :class:`Node`.
     """
 
     def __init__(
@@ -224,9 +186,8 @@ class FunctionNode(Node):
         fn: Callable[[list], Sequence],
         in_type: type = object,
         out_type: type = object,
-        placement: str = "inline",
     ) -> None:
-        super().__init__(name, placement=placement)
+        super().__init__(name)
         self.inputs = (Port("in", in_type),)
         self.outputs = (Port("out", out_type),)
         self._fn = fn

@@ -58,8 +58,6 @@ class DynamicDecodeNode(Node):
     elevation_deg / sample_hz:
         Stream parameters, as for
         :meth:`~repro.recognition.dynamic.DynamicSignRecognizer.open_stream`.
-    placement:
-        Advisory placement hint, as for :class:`~repro.dataflow.node.Node`.
     """
 
     inputs = (Port("chunks", FrameChunk),)
@@ -71,9 +69,8 @@ class DynamicDecodeNode(Node):
         recognizer: "DynamicSignRecognizer",
         elevation_deg: float | None = None,
         sample_hz: float | None = None,
-        placement: str = "inline",
     ) -> None:
-        super().__init__(name, placement=placement)
+        super().__init__(name)
         self._recognizer = recognizer
         self._elevation_deg = elevation_deg
         self._sample_hz = sample_hz

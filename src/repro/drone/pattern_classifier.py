@@ -5,7 +5,7 @@ The paper requires patterns to be "unmistakable flight patterns and thus
 only the flown trajectory (what a human collaborator observes), the
 pattern must be recoverable.  This classifier extracts simple motion
 features — vertical oscillations, yaw oscillations, horizontal loop
-closure, net displacement — and applies transparent rules; the
+closure, net travel — and applies transparent rules; the
 confusion-matrix test in ``tests/drone/test_pattern_classifier.py``
 checks every pattern maps to itself under calm and gusty wind.
 """
@@ -168,7 +168,7 @@ def classify_trajectory(samples: list[TrajectorySample]) -> PatternKind | None:
     ):
         return PatternKind.POKE
 
-    # Sustained displacement at height: CRUISE.
+    # Sustained horizontal travel at height: CRUISE.
     if f.net_horizontal_m >= 2.0 and f.loop_closure < 0.5 and abs(f.net_vertical_m) < 1.0:
         return PatternKind.CRUISE
 

@@ -40,7 +40,6 @@ varies layout, traps and personas.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -169,13 +168,6 @@ class FleetScheduler:
         recognition pass (set ``False`` to measure the unbatched
         scheduler — observations then resolve synchronously inside the
         ``mission`` stage).
-    executor:
-        ``"sync"`` (default) drives the linear tick-synchronous graph —
-        the byte-identical-transcript schedule.  ``"pipelined"`` drives
-        the forked :class:`~repro.dataflow.pipelined.PipelinedGraph`
-        whose render/preprocess/match stages run on worker threads
-        under the relaxed contract; *pipeline_lag* is its
-        deferred-observation depth in ticks.
     service:
         A :class:`~repro.service.RecognitionService` whose lifecycle
         this scheduler *owns* — started by :func:`build_fleet` in the
@@ -212,8 +204,6 @@ class FleetScheduler:
         gateway: RecognitionGateway | None = None,
         owned: Sequence = (),
         recorder=None,
-        executor: str = "sync",
-        pipeline_lag: int = 3,
     ) -> None:
         if not missions:
             raise ValueError("a fleet needs at least one mission")
@@ -223,16 +213,8 @@ class FleetScheduler:
         steps = {m.world.clock.time_step_s for m in missions}
         if len(steps) != 1:
             raise ValueError(f"fleet worlds must share one time step, got {steps}")
-        if recorder is not None and executor == "pipelined":
-            raise ValueError(
-                "flight recording requires the sync executor: the pipelined "
-                "executor's worker-stage telemetry is concurrent, so its "
-                "tick attribution is timing-dependent and a recording would "
-                "not replay byte-identically"
-            )
         self.missions = list(missions)
         self.batch_perception = batch_perception
-        self.executor = executor
         self.service = service
         self.gateway = gateway
         self.owned = tuple(owned)
@@ -248,8 +230,6 @@ class FleetScheduler:
             self.missions,
             batch_perception=batch_perception,
             tap=self._tap.graph_tap if self._tap is not None else None,
-            executor=executor,
-            pipeline_lag=pipeline_lag,
         )
         self._ticks = 0
         self._started = False
@@ -429,98 +409,24 @@ class FleetScheduler:
         return report
 
 
-#: Legacy keyword names accepted by the :func:`build_fleet` shim, in
-#: the order of the pre-spec signature.  ``negotiation_config`` maps to
-#: :attr:`FleetSpec.negotiation`.
-_LEGACY_FLEET_KWARGS = (
-    "base_seed",
-    "config",
-    "perception",
-    "winds",
-    "lightings",
-    "negotiation_config",
-    "batch_perception",
-    "per_frame",
-    "drone_home",
-    "workers",
-    "backend",
-    "executor",
-    "pipeline_lag",
-    "recorder",
-)
-
-
-def _legacy_spec(count, kwargs, builder: str, allowed, renames) -> FleetSpec:
-    """Build a :class:`FleetSpec` from a legacy keyword call, warning.
-
-    *renames* maps legacy keyword names onto spec field names (e.g.
-    ``negotiation_config`` → ``negotiation``).  Unknown keywords raise
-    ``TypeError`` exactly like the old signatures would.
-    """
-    if count is None and "count" in kwargs:
-        count = kwargs.pop("count")
-    if count is None:
-        raise TypeError(f"{builder}() missing required argument: 'count'")
-    unknown = set(kwargs) - set(allowed)
-    if unknown:
-        raise TypeError(
-            f"{builder}() got unexpected keyword argument(s) {sorted(unknown)}"
-        )
-    warnings.warn(
-        f"{builder}(count, ...) legacy keyword arguments are deprecated; "
-        f"pass a single repro.mission.FleetSpec instead "
-        f"(e.g. {builder}(FleetSpec(count={count!r}, ...)))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    fields = {renames.get(key, key): value for key, value in kwargs.items()}
-    return FleetSpec(count=count, **fields)
-
-
-def build_fleet(spec: "FleetSpec | int | None" = None, /, **kwargs) -> FleetScheduler:
-    """Build a ready-to-run fleet of trap-reading missions.
-
-    The one supported calling convention is a single
-    :class:`~repro.mission.spec.FleetSpec`::
+def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
+    """Build a ready-to-run fleet of trap-reading missions from *spec*::
 
         build_fleet(FleetSpec(count=16, base_seed=100))
-        build_fleet(FleetSpec(count=16, executor="pipelined"))
 
     Mission ``i`` draws orchard seed ``base_seed + i`` (distinct layout,
     traps and personas), wind ``winds[i % len(winds)]`` (the orchard's
     stochastic wind model is rebuilt at that strength) and lighting
     ``lightings[i % len(lightings)]`` (the photometric settings its
     perception renders under); see :class:`~repro.mission.spec.FleetSpec`
-    for every knob (perception kind, classifier backend, executor,
-    recorder...).  Mission outcomes are identical across classifier
-    backends by the sharding- and gateway-parity contracts, and across
-    executors by the sync/relaxed contract pair documented in
-    ``docs/ARCHITECTURE.md``.
-
-    The legacy keyword form (``build_fleet(16, base_seed=100, ...)``)
-    is kept as a :class:`DeprecationWarning` shim that builds the
-    equivalent spec — it produces an identical fleet (the contract test
-    asserts this) and will be removed in a future release.
+    for every knob (perception kind, classifier backend, recorder...).
+    Mission outcomes are identical across classifier backends by the
+    sharding- and gateway-parity contracts documented in
+    ``docs/ARCHITECTURE.md``.  Anything but a
+    :class:`~repro.mission.spec.FleetSpec` raises :class:`TypeError`.
     """
-    if isinstance(spec, FleetSpec):
-        if kwargs:
-            raise TypeError(
-                "pass either a FleetSpec or legacy keyword arguments, not both"
-            )
-        return _build_fleet_from_spec(spec)
-    return _build_fleet_from_spec(
-        _legacy_spec(
-            spec,
-            kwargs,
-            builder="build_fleet",
-            allowed=_LEGACY_FLEET_KWARGS,
-            renames={"negotiation_config": "negotiation"},
-        )
-    )
-
-
-def _build_fleet_from_spec(spec: FleetSpec) -> FleetScheduler:
-    """Construct the trap-reading fleet described by *spec*."""
+    if not isinstance(spec, FleetSpec):
+        raise TypeError(f"build_fleet() takes a FleetSpec, got {type(spec).__name__}")
     perception = spec.perception
     workers = spec.workers
     backend = spec.backend
@@ -645,8 +551,6 @@ def _build_fleet_from_spec(spec: FleetSpec) -> FleetScheduler:
             gateway=gateway,
             owned=owned,
             recorder=recorder,
-            executor=spec.executor,
-            pipeline_lag=spec.pipeline_lag,
         )
     except BaseException:
         # Backend resources (worker processes, the gateway thread) were

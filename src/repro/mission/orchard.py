@@ -2,7 +2,7 @@
 
 Builds a :class:`~repro.simulation.world.World` containing regular tree
 rows (static obstacles), fly traps hung along the rows, and humans with
-persona-weighted placement — the environment where "data collection will
+persona-weighted positions — the environment where "data collection will
 occur in the presence of humans who may be blocking access to the fly
 traps".
 """

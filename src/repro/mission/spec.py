@@ -5,24 +5,23 @@
 duplicate ~10 keyword arguments (seed, orchard config, scenario
 conditions, negotiation tunables, perception backend, workers,
 recorder...).  :class:`FleetSpec` is the single frozen dataclass that
-carries all of them — plus the ``executor`` selector introduced with
-the pipelined dataflow executor — so both builders take one spec:
+carries all of them, and a spec is the only argument either builder
+takes:
 
 >>> from repro.mission import FleetSpec, build_fleet
 >>> scheduler = build_fleet(FleetSpec(count=4, base_seed=100))
->>> pipelined = build_fleet(FleetSpec(count=4, executor="pipelined"))
 
-Legacy keyword calls (``build_fleet(4, base_seed=100)``) keep working
-through a :class:`DeprecationWarning` shim that constructs the
-equivalent spec — the contract test asserts shim/spec equivalence.
+Any other call form (``build_fleet(4, base_seed=100)``) raises
+:class:`TypeError`.
 
 Field applicability: the trap-reading fleet reads every field except
 the surveillance-only ones (``intruders``/``burst_start_s``/
 ``burst_spacing_s``/``laps``); the surveillance fleet ignores the
 trap-fleet-only ``perception``/``per_frame``/``backend`` knobs (guards
 always use the shared recogniser core, service-backed when
-``workers > 0``).  ``negotiation`` unifies what the legacy builders
-called ``negotiation_config`` and ``challenge_config``.
+``workers > 0``).  ``negotiation`` unifies what recording recipes
+call ``negotiation_config`` (trap fleet) and ``challenge_config``
+(surveillance fleet).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Sequence
 
 from repro.geometry.vec import Vec2
 from repro.mission.orchard import OrchardConfig
-from repro.mission.pipeline import FLEET_EXECUTORS
 from repro.protocol.negotiation import NegotiationConfig
 from repro.protocol.perception import Perception
 from repro.simulation.scenarios import (
@@ -93,19 +91,9 @@ class FleetSpec:
         ``"inprocess"``, ``"service"``, ``"gateway"``); trap fleet
         only — the surveillance fleet is service-backed iff
         ``workers > 0``.
-    executor:
-        Fleet pipeline executor: ``"sync"`` (byte-identical-transcript
-        schedule, the default) or ``"pipelined"`` (thread-placed
-        recognition stages under the relaxed contract; requires
-        ``batch_perception=True``).
-    pipeline_lag:
-        Deferred-observation depth of the pipelined executor, in fleet
-        ticks (>= 1; ignored under ``executor="sync"``).
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder` attached to
-        the scheduler (sync executor only: pipelined worker-stage
-        telemetry is concurrent, so a recording of it would not replay
-        byte-identically).
+        the scheduler.
     intruders / burst_start_s / burst_spacing_s / laps:
         Surveillance-fleet workload shape (ignored by the trap fleet):
         intruder *j* of mission *i* starts walking at
@@ -124,8 +112,6 @@ class FleetSpec:
     drone_home: Vec2 = DEFAULT_DRONE_HOME
     workers: int = 0
     backend: str = "auto"
-    executor: str = "sync"
-    pipeline_lag: int = 3
     recorder: object = field(default=None, compare=False)
     intruders: int = 2
     burst_start_s: float = 4.0
@@ -141,24 +127,6 @@ class FleetSpec:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {FLEET_BACKENDS}"
             )
-        if self.executor not in FLEET_EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {FLEET_EXECUTORS}"
-            )
-        if self.executor == "pipelined" and not self.batch_perception:
-            raise ValueError(
-                "executor='pipelined' requires batch_perception=True"
-            )
-        if self.executor == "pipelined" and self.recorder is not None:
-            raise ValueError(
-                "executor='pipelined' cannot carry a flight recorder: "
-                "concurrent worker-stage telemetry has timing-dependent "
-                "tick attribution, so the recording would not replay "
-                "byte-identically"
-            )
-        if self.pipeline_lag < 1:
-            raise ValueError("pipeline_lag must be >= 1")
         if self.intruders < 0:
             raise ValueError("intruder count must be non-negative")
         if self.burst_spacing_s < 0:

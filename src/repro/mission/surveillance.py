@@ -38,11 +38,7 @@ from repro.drone.patterns import CruisePattern, LandingPattern, TakeOffPattern
 from repro.geometry.vec import Vec2, Vec3
 from repro.human.agent import HumanAgent
 from repro.human.persona import VISITOR
-from repro.mission.fleet import (
-    FleetMission,
-    FleetScheduler,
-    _legacy_spec,
-)
+from repro.mission.fleet import FleetMission, FleetScheduler
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
 from repro.mission.spec import FleetSpec
 from repro.protocol.negotiation import (
@@ -419,34 +415,8 @@ def _patrol_rectangle(cfg: OrchardConfig, margin_m: float = 2.0) -> tuple[Vec2, 
     )
 
 
-#: Legacy keyword names accepted by the :func:`build_surveillance_fleet`
-#: shim, in the order of the pre-spec signature.  ``challenge_config``
-#: maps to :attr:`~repro.mission.spec.FleetSpec.negotiation`.
-_LEGACY_SURVEILLANCE_KWARGS = (
-    "base_seed",
-    "config",
-    "intruders",
-    "burst_start_s",
-    "burst_spacing_s",
-    "laps",
-    "winds",
-    "lightings",
-    "challenge_config",
-    "batch_perception",
-    "workers",
-    "executor",
-    "pipeline_lag",
-    "recorder",
-)
-
-
-def build_surveillance_fleet(
-    spec: "FleetSpec | int | None" = None, /, **kwargs
-) -> FleetScheduler:
-    """Build a ready-to-run fleet of guard missions.
-
-    The one supported calling convention is a single
-    :class:`~repro.mission.spec.FleetSpec`::
+def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
+    """Build a ready-to-run fleet of guard missions from *spec*::
 
         build_surveillance_fleet(FleetSpec(count=8, intruders=3))
 
@@ -461,8 +431,7 @@ def build_surveillance_fleet(
     ``burst_start_s + j * burst_spacing_s`` (via the world's event
     queue) — the whole burst lands within a few seconds, the bursty
     workload the benchmark measures.  The spec's ``negotiation`` field
-    carries what this builder's legacy signature called
-    ``challenge_config``; its trap-fleet-only knobs
+    carries the challenge tunables; its trap-fleet-only knobs
     (``perception``/``per_frame``/``backend``) are ignored here.
 
     Everything derives from ``base_seed``, so the same spec replays the
@@ -470,32 +439,13 @@ def build_surveillance_fleet(
     ``recorder`` (:class:`~repro.recorder.FlightRecorder`) is attached
     to the scheduler exactly as in
     :func:`~repro.mission.fleet.build_fleet`; escalations are captured
-    straight off each guard's event bus.
-
-    The legacy keyword form (``build_surveillance_fleet(8, laps=2)``)
-    is kept as a :class:`DeprecationWarning` shim that builds the
-    equivalent spec — it produces an identical fleet and will be
-    removed in a future release.
+    straight off each guard's event bus.  Anything but a
+    :class:`~repro.mission.spec.FleetSpec` raises :class:`TypeError`.
     """
-    if isinstance(spec, FleetSpec):
-        if kwargs:
-            raise TypeError(
-                "pass either a FleetSpec or legacy keyword arguments, not both"
-            )
-        return _build_surveillance_fleet_from_spec(spec)
-    return _build_surveillance_fleet_from_spec(
-        _legacy_spec(
-            spec,
-            kwargs,
-            builder="build_surveillance_fleet",
-            allowed=_LEGACY_SURVEILLANCE_KWARGS,
-            renames={"challenge_config": "negotiation"},
+    if not isinstance(spec, FleetSpec):
+        raise TypeError(
+            f"build_surveillance_fleet() takes a FleetSpec, got {type(spec).__name__}"
         )
-    )
-
-
-def _build_surveillance_fleet_from_spec(spec: FleetSpec) -> FleetScheduler:
-    """Construct the guard fleet described by *spec*."""
     base_seed = spec.base_seed
     intruders = spec.intruders
     workers = spec.workers
@@ -602,8 +552,6 @@ def _build_surveillance_fleet_from_spec(spec: FleetSpec) -> FleetScheduler:
             batch_perception=spec.batch_perception,
             service=service,
             recorder=recorder,
-            executor=spec.executor,
-            pipeline_lag=spec.pipeline_lag,
         )
     except BaseException:
         if service is not None:

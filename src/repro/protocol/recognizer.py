@@ -46,9 +46,6 @@ reference used by the envelope benchmarks) it is built to sit inside a
 from __future__ import annotations
 
 import math
-import threading
-import time
-import warnings
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -61,7 +58,7 @@ from repro.human.render import RenderSettings, render_frame
 from repro.human.signs import MarshallingSign
 from repro.protocol.perception import ObservationGeometry
 from repro.recognition.budget import BudgetReport, FrameBudget, StageTiming
-from repro.recognition.classifier import Classifier, resolve_classify_callable
+from repro.recognition.classifier import Classifier
 from repro.recognition.pipeline import (
     TORSO_CENTRE_HEIGHT_M,
     SaxSignRecognizer,
@@ -244,17 +241,7 @@ class PerceptionStats:
 
 class _PerceptionCore:
     """State shared by every view of one perception: recogniser, cache,
-    cumulative budget and counters.
-
-    Cache and in-flight bookkeeping are guarded by one re-entrant lock:
-    under the pipelined fleet executor the match stage fills the cache
-    from a worker thread while the scheduler thread looks queries up,
-    and in *deferred* mode the scheduler additionally tracks a set of
-    claimed-but-unreleased queries (see :meth:`claim_misses`) whose
-    answers stay embargoed until the pipeline formally releases them —
-    which is what makes pipelined observation latency an exact,
-    deterministic number of ticks rather than a race.
-    """
+    cumulative budget and counters."""
 
     def __init__(
         self,
@@ -263,17 +250,20 @@ class _PerceptionCore:
         per_frame: bool,
         max_cache_entries: int,
         classifier: Classifier | None = None,
-        service: "RecognitionService | None" = None,
     ) -> None:
         self.recognizer = recognizer
         self.memoize = memoize
         self.per_frame = per_frame
         self.max_cache_entries = max_cache_entries
         self.classifier = classifier
-        self.classify_callable = resolve_classify_callable(classifier)
-        self.service = (
-            service if service is not None else getattr(classifier, "service", None)
-        )
+        if classifier is None:
+            self.classify_batch = recognizer.database.classify_batch
+        elif hasattr(classifier, "classify_batch"):
+            self.classify_batch = classifier.classify_batch
+        else:
+            raise TypeError(
+                f"classifier must be a Classifier, got {type(classifier).__name__}"
+            )
         self.cache: OrderedDict[ObservationQuery, MarshallingSign | None] = OrderedDict()
         self.budget = FrameBudget(budget_s=recognizer.frame_budget_s)
         self.observations = 0
@@ -281,22 +271,15 @@ class _PerceptionCore:
         self.cache_hits = 0
         self.frames_classified = 0
         self.batch_calls = 0
-        # Guards cache + inflight; `resolved` is notified whenever the
-        # match stage fills cache entries (see _finish).
-        self.lock = threading.RLock()
-        self.resolved = threading.Condition(self.lock)
-        self.inflight: set[ObservationQuery] = set()
-        self.deferred = False
 
     # -- classification -------------------------------------------------------------
 
     def lookup(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:
         """Return ``(hit, sign)`` for *query* from the LRU cache."""
-        with self.lock:
-            if not self.memoize or query not in self.cache:
-                return False, None
-            self.cache.move_to_end(query)
-            return True, self.cache[query]
+        if not self.memoize or query not in self.cache:
+            return False, None
+        self.cache.move_to_end(query)
+        return True, self.cache[query]
 
     def miss_filter(
         self, queries: Sequence[ObservationQuery | None]
@@ -309,87 +292,16 @@ class _PerceptionCore:
         """
         if not self.memoize:
             return []
-        with self.lock:
-            misses: list[ObservationQuery] = []
-            seen: set[ObservationQuery] = set()
-            for query in queries:
-                if query is None or query in seen:
-                    continue
-                seen.add(query)
-                hit, _ = self.lookup(query)
-                if not hit:
-                    misses.append(query)
-            return misses
-
-    # -- deferred (pipelined) observation -------------------------------------------
-
-    def enable_deferred(self) -> None:
-        """Switch the core into deferred observation mode.
-
-        In deferred mode :meth:`RecognizerPerception.observe` answers
-        ``None`` for any query currently *claimed* by the pipeline (a
-        fresh sign reads like a not-yet-understood sign until the
-        pipelined stages resolve it) instead of classifying inline.
-        Requires memoisation (the pipeline's answers arrive through the
-        cache) and the batched pipeline (``per_frame`` resolves inline).
-        """
-        if not self.memoize:
-            raise ValueError("deferred observation requires memoize=True")
-        if self.per_frame:
-            raise ValueError("deferred observation requires the batched pipeline")
-        self.deferred = True
-
-    def claim_misses(
-        self, queries: Sequence[ObservationQuery | None]
-    ) -> list[ObservationQuery]:
-        """Deferred-mode seam: claim this tick's fresh cache misses.
-
-        Returns the deduplicated misses of *queries* that are not
-        already in flight, marking them in flight — from this moment
-        :meth:`RecognizerPerception.observe` embargoes their answers
-        until :meth:`release` (even if the worker caches them earlier),
-        so resolution latency is exact in ticks, not thread timing.
-        """
-        with self.lock:
-            claimed = []
-            for query in self.miss_filter(queries):
-                if query not in self.inflight:
-                    self.inflight.add(query)
-                    claimed.append(query)
-            return claimed
-
-    def await_resolved(
-        self,
-        queries: Sequence[ObservationQuery],
-        abort: "threading.Event | None" = None,
-        timeout_s: float | None = None,
-    ) -> bool:
-        """Block until every query in *queries* has a cached answer.
-
-        Returns ``True`` when all are resolved, ``False`` on *abort*
-        (e.g. the pipelined graph's failure event) or *timeout_s* —
-        callers treat ``False`` as "the pipeline is dead" and bail out
-        rather than waiting forever.
-        """
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        with self.resolved:
-            while True:
-                if all(query in self.cache for query in queries):
-                    return True
-                if abort is not None and abort.is_set():
-                    return False
-                if deadline is not None and time.monotonic() >= deadline:
-                    return False
-                self.resolved.wait(0.05)
-
-    def release(self, queries: Sequence[ObservationQuery]) -> None:
-        """Deferred-mode seam: lift the embargo on *queries* — their
-        cached answers become visible to :meth:`observe`."""
-        with self.lock:
-            for query in queries:
-                self.inflight.discard(query)
+        misses: list[ObservationQuery] = []
+        seen: set[ObservationQuery] = set()
+        for query in queries:
+            if query is None or query in seen:
+                continue
+            seen.add(query)
+            hit, _ = self.lookup(query)
+            if not hit:
+                misses.append(query)
+        return misses
 
     def classify(self, queries: Sequence[ObservationQuery]) -> list[MarshallingSign | None]:
         """Render and classify *queries* (already deduplicated misses).
@@ -454,16 +366,10 @@ class _PerceptionCore:
         does; unusable frames (no silhouette) read ``None``.
         """
         usable = [pre.series for pre in pres if pre.ok]
-        classifier = (
-            self.classify_callable
-            if self.classify_callable is not None
-            else self.recognizer.database.classify_batch
-        )
         with self.budget.stage("classify"):
             with self.budget.substage("sax_match"):
-                matches = iter(classifier(usable) if usable else [])
-            with self.lock:
-                self.batch_calls += 1
+                matches = iter(self.classify_batch(usable) if usable else [])
+            self.batch_calls += 1
         signs: list[MarshallingSign | None] = []
         for pre in pres:
             signs.append(_label_to_sign(next(matches).label) if pre.ok else None)
@@ -474,20 +380,14 @@ class _PerceptionCore:
         queries: Sequence[ObservationQuery],
         signs: list[MarshallingSign | None],
     ) -> list[MarshallingSign | None]:
-        """Account classified frames and fill the LRU cache.
-
-        Runs under the core lock (the pipelined match worker fills the
-        cache while the scheduler thread looks queries up) and notifies
-        :meth:`await_resolved` waiters."""
-        with self.lock:
-            self.frames_classified += len(queries)
-            self.budget.frame_count = max(1, self.frames_classified)
-            if self.memoize:
-                for query, sign in zip(queries, signs):
-                    self.cache[query] = sign
-                while len(self.cache) > self.max_cache_entries:
-                    self.cache.popitem(last=False)
-            self.resolved.notify_all()
+        """Account classified frames and fill the LRU cache."""
+        self.frames_classified += len(queries)
+        self.budget.frame_count = max(1, self.frames_classified)
+        if self.memoize:
+            for query, sign in zip(queries, signs):
+                self.cache[query] = sign
+            while len(self.cache) > self.max_cache_entries:
+                self.cache.popitem(last=False)
         return signs
 
     def _fold_substages(self, results) -> None:
@@ -558,12 +458,6 @@ class RecognizerPerception:
         ``classify_batch``.  Results are bit-identical (the sharding-
         and gateway-parity contracts), so this only changes *where* the
         matching work runs.  The caller owns the classifier lifecycle.
-    service:
-        **Deprecated** — pass
-        ``classifier=ServiceClassifier(service)`` instead.  Accepted
-        for one release as a :class:`DeprecationWarning` shim wrapping
-        the service in a
-        :class:`~repro.service.classifier.ServiceClassifier`.
     """
 
     def __init__(
@@ -576,20 +470,7 @@ class RecognizerPerception:
         pose_quantum_m: float = 0.05,
         max_cache_entries: int = 8192,
         classifier: Classifier | None = None,
-        service: "RecognitionService | None" = None,
     ) -> None:
-        if service is not None:
-            warnings.warn(
-                "RecognizerPerception(service=...) is deprecated; pass "
-                "classifier=ServiceClassifier(service) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if classifier is not None:
-                raise ValueError("pass either classifier= or service=, not both")
-            from repro.service.classifier import ServiceClassifier
-
-            classifier = ServiceClassifier(service)
         if recognizer is None:
             recognizer = SaxSignRecognizer()
             recognizer.enroll_canonical_views()
@@ -606,7 +487,6 @@ class RecognizerPerception:
             per_frame=per_frame,
             max_cache_entries=max_cache_entries,
             classifier=classifier,
-            service=service,
         )
 
     # -- views ----------------------------------------------------------------------
@@ -637,10 +517,9 @@ class RecognizerPerception:
 
     @property
     def service(self) -> "RecognitionService | None":
-        """The backing recognition service, when service-backed
-        (directly via the deprecated ``service=`` shim, or through a
-        :class:`~repro.service.classifier.ServiceClassifier`)."""
-        return self._core.service
+        """The backing recognition service, when the classifier is a
+        :class:`~repro.service.classifier.ServiceClassifier`."""
+        return getattr(self._core.classifier, "service", None)
 
     @property
     def core_key(self) -> int:
@@ -674,31 +553,13 @@ class RecognizerPerception:
     # -- Perception protocol ----------------------------------------------------------
 
     def observe(self, drone_position: Vec3, human: HumanAgent) -> MarshallingSign | None:
-        """Read the human's sign through the full batched pipeline.
-
-        In deferred (pipelined) mode a query the pipeline has claimed
-        but not yet released reads ``None`` — the observer behaves as if
-        the sign is not yet understood for exactly the pipeline depth in
-        ticks, which is the pipelined executor's relaxed-latency
-        contract.  A deferred-mode miss that was never claimed (e.g. the
-        predict stage did not anticipate this pose) falls back to inline
-        classification so no observation can block forever.
-        """
+        """Read the human's sign through the full batched pipeline."""
         core = self._core
         core.observations += 1
         query = self.query(drone_position, human)
         if query is None:
             core.gated += 1
             return None
-        if core.deferred:
-            with core.lock:
-                if query in core.inflight:
-                    return None  # embargoed until the pipeline releases it
-                hit, sign = core.lookup(query)
-            if hit:
-                core.cache_hits += 1
-                return sign
-            return core.classify([query])[0]
         hit, sign = core.lookup(query)
         if hit:
             core.cache_hits += 1
@@ -733,11 +594,6 @@ class RecognizerPerception:
         """``True`` in the scalar per-frame reference mode (no batching)."""
         return self._core.per_frame
 
-    @property
-    def memoize(self) -> bool:
-        """``True`` when classification results are cached (shared)."""
-        return self._core.memoize
-
     def pending_misses(
         self, queries: Sequence[ObservationQuery | None]
     ) -> list[ObservationQuery]:
@@ -764,40 +620,6 @@ class RecognizerPerception:
         service-backed)."""
         return self._core.match_preprocessed(misses, pres)
 
-    # -- deferred-mode seams (pipelined executor) -----------------------------------
-
-    @property
-    def deferred(self) -> bool:
-        """``True`` once the core runs in deferred observation mode."""
-        return self._core.deferred
-
-    def enable_deferred(self) -> None:
-        """Switch the shared core into deferred observation mode (see
-        :meth:`_PerceptionCore.enable_deferred`); done once by the
-        pipelined fleet builder, affects every view of the core."""
-        self._core.enable_deferred()
-
-    def claim_misses(
-        self, queries: Sequence[ObservationQuery | None]
-    ) -> list[ObservationQuery]:
-        """Node seam: claim this tick's fresh misses for the pipeline
-        (their answers are embargoed until :meth:`release_claims`)."""
-        return self._core.claim_misses(queries)
-
-    def await_resolved(
-        self,
-        queries: Sequence[ObservationQuery],
-        abort: "threading.Event | None" = None,
-        timeout_s: float | None = None,
-    ) -> bool:
-        """Node seam: block until the pipeline cached every query in
-        *queries* (``False`` on abort/timeout — the pipeline died)."""
-        return self._core.await_resolved(queries, abort=abort, timeout_s=timeout_s)
-
-    def release_claims(self, queries: Sequence[ObservationQuery]) -> None:
-        """Node seam: lift the embargo on resolved queries."""
-        self._core.release(queries)
-
     def peek(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:
         """Read *query*'s cached verdict without disturbing the cache.
 
@@ -805,11 +627,10 @@ class RecognizerPerception:
         order nor bumps any counter — the flight recorder's
         zero-intrusion read of what ``match`` just resolved.
         """
-        core = self._core
-        with core.lock:
-            if query in core.cache:
-                return True, core.cache[query]
-            return False, None
+        cache = self._core.cache
+        if query in cache:
+            return True, cache[query]
+        return False, None
 
     # -- reporting ----------------------------------------------------------------------
 

@@ -18,7 +18,6 @@ without double-counting; ``stage_fraction`` addresses either level.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,13 +41,6 @@ class FrameBudget:
     ``frame_count`` supports batched pipelines: stage timings then cover
     the whole batch and the budget check applies to the *amortised*
     per-frame cost, which is the quantity a frame-stream consumer pays.
-
-    Safe to share across threads (the pipelined fleet executor times the
-    render/preprocess/match stages from separate worker threads against
-    one shared budget): the open-stage stack is per-thread, so nesting
-    on one thread never corrupts another's sub-stage names, and the
-    timings list is lock-guarded so appends and report snapshots never
-    tear.
     """
 
     budget_s: float = 1.0 / 30.0  # the paper's 30 fps target
@@ -60,21 +52,11 @@ class FrameBudget:
             raise ValueError("budget must be positive")
         if self.frame_count < 1:
             raise ValueError("frame count must be >= 1")
-        self._local = threading.local()  # per-thread open-stage stack
-        self._lock = threading.Lock()  # guards `timings`
-
-    @property
-    def _active(self) -> list[str]:
-        """This thread's stack of currently open stage names."""
-        stack = getattr(self._local, "active", None)
-        if stack is None:
-            stack = self._local.active = []
-        return stack
+        self._active: list[str] = []  # stack of currently open stage names
 
     @property
     def current_stage(self) -> str | None:
-        """Name of the innermost stage currently being timed, if any
-        (on the calling thread)."""
+        """Name of the innermost stage currently being timed, if any."""
         return self._active[-1] if self._active else None
 
     @contextmanager
@@ -86,9 +68,7 @@ class FrameBudget:
             yield
         finally:
             self._active.pop()
-            timing = StageTiming(name, time.perf_counter() - start)
-            with self._lock:
-                self.timings.append(timing)
+            self.timings.append(StageTiming(name, time.perf_counter() - start))
 
     @contextmanager
     def substage(self, name: str) -> Iterator[None]:
@@ -110,8 +90,7 @@ class FrameBudget:
         Dotted sub-stages (``"preprocess.threshold"``) are excluded:
         their wall-clock already lies inside their parent stage.
         """
-        with self._lock:
-            return sum(t.duration_s for t in self.timings if "." not in t.stage)
+        return sum(t.duration_s for t in self.timings if "." not in t.stage)
 
     def per_frame_s(self) -> float:
         """Amortised time per frame."""
@@ -122,14 +101,11 @@ class FrameBudget:
         return self.per_frame_s() <= self.budget_s
 
     def report(self) -> "BudgetReport":
-        """Freeze the current timings into a report (a consistent
-        snapshot even while another thread is timing a stage)."""
-        with self._lock:
-            stages = tuple(self.timings)
+        """Freeze the current timings into a report."""
         return BudgetReport(
             budget_s=self.budget_s,
-            stages=stages,
-            total_s=sum(t.duration_s for t in stages if "." not in t.stage),
+            stages=tuple(self.timings),
+            total_s=self.total_s(),
             frame_count=self.frame_count,
         )
 

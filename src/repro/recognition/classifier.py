@@ -18,9 +18,7 @@ Callers (:class:`~repro.protocol.recognizer.RecognizerPerception`,
 :meth:`~repro.recognition.pipeline.SaxSignRecognizer.recognize_batch`,
 :func:`~repro.mission.fleet.build_fleet`) accept any implementation, so
 *where* the matching work runs — same interpreter, a local shard pool,
-or a remote gateway — is a deployment choice, not an API fork.  The
-legacy ``service=`` keyword survives as a :class:`DeprecationWarning`
-shim; see the migration note in ``docs/ARCHITECTURE.md``.
+or a remote gateway — is a deployment choice, not an API fork.
 
 All three implementations pass one shared contract suite
 (``tests/gateway/test_classifier_contract.py``).
@@ -39,7 +37,6 @@ __all__ = [
     "Classifier",
     "ClassifierStats",
     "InProcessClassifier",
-    "resolve_classify_callable",
 ]
 
 
@@ -140,35 +137,3 @@ class InProcessClassifier:
         """Mark the client closed (the shared database is untouched)."""
         self._closed = True
 
-
-def resolve_classify_callable(classifier):
-    """Normalise a classifier argument into a ``classify_batch`` callable.
-
-    The migration seam for APIs that historically accepted a bare
-    callable (``classifier=service.classify_batch``): a
-    :class:`Classifier`-shaped object resolves to its bound
-    ``classify_batch``; ``None`` resolves to ``None`` (caller default);
-    a bare callable is accepted but deprecated.
-    """
-    if classifier is None:
-        return None
-    classify = getattr(classifier, "classify_batch", None)
-    if classify is not None and not isinstance(classifier, SignDatabase):
-        return classify
-    if isinstance(classifier, SignDatabase):
-        return classifier.classify_batch
-    if callable(classifier):
-        import warnings
-
-        warnings.warn(
-            "passing a bare callable as classifier= is deprecated; pass a "
-            "Classifier (InProcessClassifier, ServiceClassifier, "
-            "GatewayClassifier) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return classifier
-    raise TypeError(
-        f"classifier must be a Classifier, a SignDatabase, or a callable; "
-        f"got {type(classifier).__name__}"
-    )

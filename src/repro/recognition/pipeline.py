@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.geometry.camera import observation_camera
 from repro.human.pose import pose_for_sign
 from repro.human.render import RenderSettings, render_frame
 from repro.human.signs import COMMUNICATIVE_SIGNS, MarshallingSign
 from repro.recognition.budget import BudgetReport, FrameBudget
-from repro.recognition.classifier import Classifier, resolve_classify_callable
+from repro.recognition.classifier import Classifier
 from repro.recognition.preprocess import (
     PreprocessSettings,
     preprocess_frame,
@@ -238,7 +238,7 @@ class SaxSignRecognizer:
         self,
         frames: Sequence[Image],
         elevation_deg: float | Sequence[float] | None = None,
-        classifier: "Classifier | Callable[[Sequence], list] | None" = None,
+        classifier: Classifier | None = None,
     ) -> list[Recognition]:
         """Recognise a batch of frames in one amortised pass.
 
@@ -267,15 +267,19 @@ class SaxSignRecognizer:
             pool or a
             :class:`~repro.gateway.client.GatewayClassifier`
             (bit-identical results, by the sharding- and gateway-parity
-            contracts).  A bare ``classify_batch``-shaped callable is
-            still accepted but deprecated.
+            contracts).  Anything else raises :class:`TypeError`.
         """
         frames = list(frames)
         if not self.database.labels:
             raise RuntimeError("no signs enrolled; call enroll_canonical_views() first")
-        classifier = resolve_classify_callable(classifier)
         if classifier is None:
-            classifier = self.database.classify_batch
+            classify_batch = self.database.classify_batch
+        elif hasattr(classifier, "classify_batch"):
+            classify_batch = classifier.classify_batch
+        else:
+            raise TypeError(
+                f"classifier must be a Classifier, got {type(classifier).__name__}"
+            )
         budget = FrameBudget(
             budget_s=self.frame_budget_s, frame_count=max(1, len(frames))
         )
@@ -285,7 +289,7 @@ class SaxSignRecognizer:
             )
         usable = [pre.series for pre in pres if pre.ok]
         with budget.stage("sax_match"):
-            matches = iter(classifier(usable) if usable else [])
+            matches = iter(classify_batch(usable) if usable else [])
         report = budget.report()
         results: list[Recognition] = []
         for pre in pres:

@@ -1,10 +1,12 @@
 """Self-describing recordings: record a run, replay it bit-exactly.
 
 A recording's ``header`` carries the exact *recipe* that produced the
-run — the :func:`~repro.mission.fleet.build_fleet` or
-:func:`~repro.mission.surveillance.build_surveillance_fleet` keyword
-arguments with dataclass configs flattened to dicts and wind/lighting
-conditions reduced to their registered names.  That makes every
+run — the :class:`~repro.mission.spec.FleetSpec` fields under the
+keyword names the fleet builders took before the spec existed
+(``negotiation_config`` / ``challenge_config`` for
+:attr:`~repro.mission.spec.FleetSpec.negotiation`), with dataclass
+configs flattened to dicts and wind/lighting conditions reduced to
+their registered names.  That makes every
 recording replayable with no side channel: :func:`replay` reads the
 recipe back, re-drives a fresh fleet with a fresh recorder attached,
 and byte-compares the two deterministic streams
@@ -54,8 +56,6 @@ _ALLOWED_KEYS = {
             "per_frame",
             "workers",
             "backend",
-            "executor",
-            "pipeline_lag",
         }
     ),
     "surveillance": frozenset(
@@ -72,8 +72,6 @@ _ALLOWED_KEYS = {
             "challenge_config",
             "batch_perception",
             "workers",
-            "executor",
-            "pipeline_lag",
         }
     ),
 }
@@ -142,13 +140,13 @@ def _decode_kwargs(builder: str, encoded: dict) -> dict:
 
 
 def make_recipe(builder: str, **kwargs) -> dict:
-    """Encode builder *kwargs* as a replayable recipe dict.
+    """Encode recipe *kwargs* as a replayable recipe dict.
 
     The seam for callers that drive :func:`~repro.mission.fleet.build_fleet`
     themselves (to own the timing or the fleet object) but still want a
     self-describing recording: build the recipe here, pass it to
     :meth:`~repro.recorder.recorder.FlightRecorder.write_header`, then
-    attach the recorder via ``build_fleet(recorder=...)``.
+    attach the recorder via ``FleetSpec(recorder=...)``.
     """
     if builder not in _ALLOWED_KEYS:
         raise ValueError(f"unknown recipe builder: {builder!r}")
@@ -199,7 +197,7 @@ def record_fleet_run(
 ) -> FleetReport:
     """Run :func:`~repro.mission.fleet.build_fleet` with a recorder.
 
-    *kwargs* are the ``build_fleet`` arguments (``count`` required);
+    *kwargs* are the recipe arguments (``count`` required);
     they are embedded as the recording's recipe, so the file at *path*
     (or the in-memory recording) is replayable as-is.
     """

@@ -36,8 +36,7 @@ class ServiceClassifier:
         caller before the first ``classify_batch``).
     owns_service:
         When ``True``, :meth:`close` stops the service; otherwise the
-        caller keeps the lifecycle (the default, matching the old
-        ``RecognizerPerception(service=...)`` semantics).
+        caller keeps the lifecycle (the default).
     tag:
         Request tag attached to every submission — surfaces in
         :attr:`~repro.service.service.ServiceStats.by_tag`.

@@ -183,7 +183,7 @@ class WalkDriftSpec:
             raise ValueError("drift speed must be positive")
 
     def offset_at(self, time_s: float) -> tuple[float, float]:
-        """Ground-plane displacement ``(dx, dy)`` at *time_s*."""
+        """Ground-plane offset ``(dx, dy)`` at *time_s*."""
         heading = math.radians(self.heading_deg)
         return (
             self.speed_mps * time_s * math.sin(heading),

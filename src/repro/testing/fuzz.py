@@ -59,6 +59,7 @@ from repro.human.persona import WORKER
 from repro.human.signs import COMMUNICATIVE_SIGNS, MarshallingSign
 from repro.mission.fleet import mission_transcript
 from repro.mission.orchard import OrchardConfig
+from repro.mission.spec import FleetSpec
 from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.recognizer import RecognizerPerception
 from repro.recognition.dynamic import DynamicSignRecognizer
@@ -390,10 +391,12 @@ def check_fleet_invariants(seed: int) -> list[InvariantViolation]:
 
     def _run():
         scheduler = build_surveillance_fleet(
-            count=1,
-            base_seed=base_seed,
-            config=_FLEET_CASE_CONFIG,
-            intruders=intruders,
+            FleetSpec(
+                count=1,
+                base_seed=base_seed,
+                config=_FLEET_CASE_CONFIG,
+                intruders=intruders,
+            )
         )
         report = scheduler.run(timeout_s=900.0)
         transcripts = [mission_transcript(m.world) for m in scheduler.missions]

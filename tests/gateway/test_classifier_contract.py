@@ -11,11 +11,12 @@ unchanged.
 import pytest
 
 from repro.gateway import GatewayClassifier, RecognitionGateway
+from repro.human.signs import COMMUNICATIVE_SIGNS, MarshallingSign
+from repro.protocol.recognizer import RecognizerPerception
 from repro.recognition.classifier import (
     Classifier,
     ClassifierStats,
     InProcessClassifier,
-    resolve_classify_callable,
 )
 from repro.service import RecognitionService, ServiceClassifier
 
@@ -70,27 +71,36 @@ class TestClassifierContract:
             classifier.classify_batch(queries[:1])
 
 
-class TestResolveClassifyCallable:
-    def test_none_passthrough(self):
-        assert resolve_classify_callable(None) is None
+class TestClassifierArgument:
+    """Callers take a Classifier (anything with ``classify_batch``); a
+    bare function is a ``TypeError`` at the call."""
 
-    def test_classifier_resolves_to_bound_method(self, database):
-        client = InProcessClassifier(database)
-        assert resolve_classify_callable(client) == client.classify_batch
+    def test_perception_rejects_bare_callable(self, canonical_recognizer):
+        with pytest.raises(TypeError, match="must be a Classifier"):
+            RecognizerPerception(
+                recognizer=canonical_recognizer,
+                classifier=canonical_recognizer.database.classify_batch,
+            )
 
-    def test_database_resolves_to_its_engine(self, database):
-        assert (
-            resolve_classify_callable(database) == database.classify_batch
+    def test_recognize_batch_rejects_bare_callable(self, canonical_recognizer, sign_frame):
+        frame = sign_frame(MarshallingSign.YES)
+        with pytest.raises(TypeError, match="must be a Classifier"):
+            canonical_recognizer.recognize_batch(
+                [frame], classifier=canonical_recognizer.database.classify_batch
+            )
+
+    def test_database_is_a_classifier(self, canonical_recognizer, sign_frame):
+        frames = [sign_frame(sign) for sign in COMMUNICATIVE_SIGNS]
+        database = canonical_recognizer.database
+        expected = canonical_recognizer.recognize_batch(frames)
+        got = canonical_recognizer.recognize_batch(frames, classifier=database)
+        assert [(r.label, r.distance) for r in got] == [
+            (r.label, r.distance) for r in expected
+        ]
+        perception = RecognizerPerception(
+            recognizer=canonical_recognizer, classifier=database
         )
-
-    def test_bare_callable_warns(self, database):
-        with pytest.warns(DeprecationWarning, match="bare callable"):
-            resolved = resolve_classify_callable(database.classify_batch)
-        assert resolved == database.classify_batch
-
-    def test_garbage_rejected(self):
-        with pytest.raises(TypeError, match="classifier must be"):
-            resolve_classify_callable(42)
+        assert perception.classifier is database
 
 
 class TestStatsDetail:

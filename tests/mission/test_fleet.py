@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.mission import MissionPhase, OrchardConfig
-from repro.mission.fleet import FleetScheduler, build_fleet, mission_transcript
+from repro.mission.fleet import FleetScheduler, FleetSpec, build_fleet, mission_transcript
 from repro.protocol import NegotiationConfig, RecognizerPerception
 from repro.simulation.scenarios import CALM, NOON
 
@@ -41,7 +41,14 @@ def outcomes(report):
 
 class TestBuildFleet:
     def test_missions_draw_distinct_scenarios(self):
-        fleet = build_fleet(4, base_seed=5, config=SMALL, perception="oracle")
+        fleet = build_fleet(
+            FleetSpec(
+                count=4,
+                base_seed=5,
+                config=SMALL,
+                perception="oracle",
+            )
+        )
         seeds = [m.orchard.config.seed for m in fleet.missions]
         assert seeds == [5, 6, 7, 8]
         assert len({m.name for m in fleet.missions}) == 4
@@ -51,31 +58,31 @@ class TestBuildFleet:
         assert len(set(lightings)) == 3  # scenario lighting axis cycles
 
     def test_recognizer_fleet_shares_one_core(self):
-        fleet = build_fleet(3, config=SMALL)
+        fleet = build_fleet(FleetSpec(count=3, config=SMALL))
         keys = {m.perception.core_key for m in fleet.missions}
         assert len(keys) == 1
         assert all(isinstance(m.perception, RecognizerPerception) for m in fleet.missions)
 
     def test_orchard_wind_follows_scenario_axis(self):
-        fleet = build_fleet(3, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=3, config=SMALL, perception="oracle"))
         for mission in fleet.missions:
             assert mission.orchard.config.wind_mean_mps == mission.wind.speed_mps
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            build_fleet(0)
+            build_fleet(FleetSpec(count=0))
         with pytest.raises(ValueError):
-            build_fleet(1, perception="telepathy")
+            build_fleet(FleetSpec(count=1, perception="telepathy"))
 
 
 class TestSchedulerLifecycle:
     def test_tick_before_start_raises(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         with pytest.raises(RuntimeError):
             fleet.tick()
 
     def test_start_twice_raises(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         fleet.start()
         with pytest.raises(RuntimeError):
             fleet.start()
@@ -85,7 +92,7 @@ class TestSchedulerLifecycle:
             FleetScheduler([])
 
     def test_shared_clock_advances_in_lockstep(self):
-        fleet = build_fleet(2, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=2, config=SMALL, perception="oracle"))
         fleet.start()
         for _ in range(10):
             fleet.tick()
@@ -94,7 +101,7 @@ class TestSchedulerLifecycle:
             assert mission.world.now_s == pytest.approx(fleet.now_s)
 
     def test_timeout_raises(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         with pytest.raises(TimeoutError):
             fleet.run(timeout_s=1.0)
 
@@ -102,8 +109,13 @@ class TestSchedulerLifecycle:
 class TestFleetRuns:
     def test_oracle_fleet_completes_all_missions(self):
         fleet = build_fleet(
-            2, base_seed=10, config=SMALL, perception="oracle",
-            negotiation_config=FAST_NEGOTIATION,
+            FleetSpec(
+                count=2,
+                base_seed=10,
+                config=SMALL,
+                perception="oracle",
+                negotiation=FAST_NEGOTIATION,
+            )
         )
         report = fleet.run()
         assert fleet.finished
@@ -117,14 +129,16 @@ class TestFleetRuns:
     def test_batched_fleet_replays_sequential_run(self):
         def build(per_frame):
             return build_fleet(
-                2,
-                base_seed=10,
-                config=SMALL,
-                negotiation_config=FAST_NEGOTIATION,
-                winds=(CALM,),
-                lightings=(NOON,),
-                per_frame=per_frame,
-                batch_perception=not per_frame,
+                FleetSpec(
+                    count=2,
+                    base_seed=10,
+                    config=SMALL,
+                    negotiation=FAST_NEGOTIATION,
+                    winds=(CALM,),
+                    lightings=(NOON,),
+                    per_frame=per_frame,
+                    batch_perception=not per_frame,
+                )
             )
 
         batched = build(per_frame=False)
@@ -140,20 +154,36 @@ class TestFleetRuns:
     def test_recognizer_fleet_matches_oracle_on_clean_scenarios(self):
         clean = dict(winds=(CALM,), lightings=(NOON,))
         recognizer_fleet = build_fleet(
-            2, base_seed=10, config=SMALL,
-            negotiation_config=FAST_NEGOTIATION, **clean,
+            FleetSpec(
+                count=2,
+                base_seed=10,
+                config=SMALL,
+                negotiation=FAST_NEGOTIATION,
+                **clean,
+            )
         )
         oracle_fleet = build_fleet(
-            2, base_seed=10, config=SMALL, perception="oracle",
-            negotiation_config=FAST_NEGOTIATION, **clean,
+            FleetSpec(
+                count=2,
+                base_seed=10,
+                config=SMALL,
+                perception="oracle",
+                negotiation=FAST_NEGOTIATION,
+                **clean,
+            )
         )
         assert outcomes(recognizer_fleet.run()) == outcomes(oracle_fleet.run())
 
     def test_fleet_report_carries_perception_accounting(self):
         fleet = build_fleet(
-            1, base_seed=10, config=SMALL,
-            negotiation_config=FAST_NEGOTIATION,
-            winds=(CALM,), lightings=(NOON,),
+            FleetSpec(
+                count=1,
+                base_seed=10,
+                config=SMALL,
+                negotiation=FAST_NEGOTIATION,
+                winds=(CALM,),
+                lightings=(NOON,),
+            )
         )
         report = fleet.run()
         assert report.perception_stats is not None
@@ -167,7 +197,7 @@ class TestFleetRuns:
 
 class TestPendingObservation:
     def test_none_outside_negotiation(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         mission = fleet.missions[0]
         assert mission.executor.pending_observation(mission.world) is None
         fleet.start()
@@ -177,8 +207,13 @@ class TestPendingObservation:
 
     def test_predicts_awaiting_state_queries(self):
         fleet = build_fleet(
-            1, base_seed=10, config=SMALL, perception="oracle",
-            negotiation_config=FAST_NEGOTIATION,
+            FleetSpec(
+                count=1,
+                base_seed=10,
+                config=SMALL,
+                perception="oracle",
+                negotiation=FAST_NEGOTIATION,
+            )
         )
         fleet.start()
         mission = fleet.missions[0]
@@ -202,7 +237,14 @@ class TestPendingObservation:
 
 class TestMissionTranscript:
     def test_transcript_is_json_round_trippable(self):
-        fleet = build_fleet(1, base_seed=3, config=SMALL, perception="oracle")
+        fleet = build_fleet(
+            FleetSpec(
+                count=1,
+                base_seed=3,
+                config=SMALL,
+                perception="oracle",
+            )
+        )
         fleet.run()
         transcript = mission_transcript(fleet.missions[0].world)
         assert transcript, "a completed mission logs events"

@@ -16,7 +16,7 @@ import pytest
 
 from repro.dataflow import NodeFailure
 from repro.mission import OrchardConfig
-from repro.mission.fleet import FleetScheduler, build_fleet, mission_transcript
+from repro.mission.fleet import FleetScheduler, FleetSpec, build_fleet, mission_transcript
 from repro.mission.pipeline import FLEET_STAGES, build_fleet_graph
 from repro.protocol import NegotiationConfig
 from repro.protocol.recognizer import RecognizerPerception
@@ -92,9 +92,9 @@ class TestLegacyParityFuzz:
 
     @pytest.mark.parametrize("seed", random.Random(0xD0F).sample(range(10_000), 10))
     def test_oracle_fleet_transcripts_identical(self, seed):
-        kwargs = dict(config=SMALL, perception="oracle", negotiation_config=FAST_NEGOTIATION)
-        legacy = build_fleet(2, base_seed=seed, **kwargs)
-        graphed = build_fleet(2, base_seed=seed, **kwargs)
+        kwargs = dict(config=SMALL, perception="oracle", negotiation=FAST_NEGOTIATION)
+        legacy = build_fleet(FleetSpec(count=2, base_seed=seed, **kwargs))
+        graphed = build_fleet(FleetSpec(count=2, base_seed=seed, **kwargs))
         run_legacy(legacy.missions)
         graphed.run()
         assert transcripts(graphed.missions) == transcripts(legacy.missions)
@@ -102,9 +102,9 @@ class TestLegacyParityFuzz:
 
     @pytest.mark.parametrize("seed", [7, 4242])
     def test_recognizer_fleet_transcripts_identical(self, seed):
-        kwargs = dict(config=SMALL, negotiation_config=FAST_NEGOTIATION)
-        legacy = build_fleet(2, base_seed=seed, **kwargs)
-        graphed = build_fleet(2, base_seed=seed, **kwargs)
+        kwargs = dict(config=SMALL, negotiation=FAST_NEGOTIATION)
+        legacy = build_fleet(FleetSpec(count=2, base_seed=seed, **kwargs))
+        graphed = build_fleet(FleetSpec(count=2, base_seed=seed, **kwargs))
         run_legacy(legacy.missions)
         report = graphed.run()
         assert transcripts(graphed.missions) == transcripts(legacy.missions)
@@ -120,18 +120,22 @@ class TestLegacyParityFuzz:
 
 class TestGraphShape:
     def test_fleet_graph_has_all_stages_in_wire_order(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         names = [node.name for node in fleet.graph.nodes]
         assert names == list(FLEET_STAGES)
 
     def test_build_fleet_graph_validates(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         graph = build_fleet_graph(fleet.missions)
         assert [n.name for n in graph.nodes] == list(FLEET_STAGES)
 
     def test_report_carries_per_node_metrics(self):
         fleet = build_fleet(
-            1, config=SMALL, negotiation_config=FAST_NEGOTIATION
+            FleetSpec(
+                count=1,
+                config=SMALL,
+                negotiation=FAST_NEGOTIATION,
+            )
         )
         report = fleet.run()
         stats = report.graph_stats
@@ -149,7 +153,7 @@ class TestGraphShape:
         assert all("mean_tick_ms" in entry for entry in as_dict["nodes"].values())
 
     def test_to_dot_names_every_stage(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         dot = fleet.graph.to_dot()
         for stage in FLEET_STAGES:
             assert f'"{stage}"' in dot
@@ -168,7 +172,7 @@ class _StubService:
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         service = _StubService()
         scheduler = FleetScheduler(fleet.missions, service=service)
         scheduler.close()
@@ -177,7 +181,7 @@ class TestLifecycle:
         assert service.stop_calls == 1
 
     def test_context_manager_closes_graph_and_service(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         service = _StubService()
         with FleetScheduler(fleet.missions, service=service) as scheduler:
             pass
@@ -186,7 +190,7 @@ class TestLifecycle:
         assert service.stop_calls == 1
 
     def test_node_raising_mid_tick_fails_loudly_and_releases(self):
-        fleet = build_fleet(1, config=SMALL, perception="oracle")
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         service = _StubService()
         scheduler = FleetScheduler(fleet.missions, service=service)
         scheduler.start()
@@ -205,7 +209,12 @@ class TestLifecycle:
 
     def test_run_closes_even_on_success(self):
         fleet = build_fleet(
-            1, config=SMALL, perception="oracle", negotiation_config=FAST_NEGOTIATION
+            FleetSpec(
+                count=1,
+                config=SMALL,
+                perception="oracle",
+                negotiation=FAST_NEGOTIATION,
+            )
         )
         fleet.run()
         assert fleet.closed

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.mission import OrchardConfig
-from repro.mission.fleet import build_fleet, mission_transcript
+from repro.mission.fleet import FleetSpec, build_fleet, mission_transcript
 from repro.protocol import NegotiationConfig
 from repro.simulation.scenarios import CALM, NOON
 
@@ -46,13 +46,15 @@ GOLDEN_NEGOTIATION = NegotiationConfig(observe_interval_s=0.1)
 def run_golden_mission(perception: str):
     """Run the golden mission under *perception*; returns its transcript."""
     fleet = build_fleet(
-        1,
-        base_seed=GOLDEN_SEED,
-        config=GOLDEN_CONFIG,
-        perception=perception,
-        negotiation_config=GOLDEN_NEGOTIATION,
-        winds=(CALM,),
-        lightings=(NOON,),
+        FleetSpec(
+            count=1,
+            base_seed=GOLDEN_SEED,
+            config=GOLDEN_CONFIG,
+            perception=perception,
+            negotiation=GOLDEN_NEGOTIATION,
+            winds=(CALM,),
+            lightings=(NOON,),
+        )
     )
     report = fleet.run()
     mission = fleet.missions[0]

@@ -1,11 +1,8 @@
-"""FleetSpec: validation, the unified builder API, and the legacy shims.
+"""FleetSpec: validation and the one builder calling convention.
 
-The spec satellite's contract: ``build_fleet(FleetSpec(...))`` and the
-legacy keyword call produce *identical* fleets (same transcripts, same
-outcomes), with the legacy path raising exactly one
-``DeprecationWarning``; ``build_surveillance_fleet`` mirrors both, with
-its legacy ``challenge_config`` mapping onto the unified
-``negotiation`` field.
+``build_fleet`` and ``build_surveillance_fleet`` take a single
+``FleetSpec`` and nothing else: the pre-spec keyword forms raise
+``TypeError``.
 """
 
 import warnings
@@ -19,9 +16,7 @@ from repro.mission import (
     OrchardConfig,
     build_fleet,
 )
-from repro.mission.fleet import mission_transcript
 from repro.mission.surveillance import build_surveillance_fleet
-from repro.protocol import NegotiationConfig
 from repro.simulation.scenarios import DEFAULT_LIGHTINGS, DEFAULT_WINDS
 
 SMALL = OrchardConfig(
@@ -34,30 +29,12 @@ SMALL = OrchardConfig(
     blocking_fraction=1.0,
     seed=0,
 )
-FAST_NEGOTIATION = NegotiationConfig(observe_interval_s=0.1)
-
-
-def transcripts(scheduler):
-    return {m.name: mission_transcript(m.world) for m in scheduler.missions}
-
-
-def outcomes(scheduler):
-    return {
-        m.name: (
-            m.report.traps_read,
-            tuple(getattr(m.report, "skipped_traps", ())),
-            m.report.negotiations,
-            round(m.report.duration_s, 6),
-        )
-        for m in scheduler.missions
-    }
 
 
 class TestValidation:
     def test_defaults(self):
         spec = FleetSpec(count=4)
         assert spec.base_seed == 0
-        assert spec.executor == "sync"
         assert spec.backend == "auto"
         assert spec.drone_home == DEFAULT_DRONE_HOME
         assert spec.winds == tuple(DEFAULT_WINDS)
@@ -69,10 +46,6 @@ class TestValidation:
             (dict(count=0), "at least one mission"),
             (dict(count=1, workers=-1), "non-negative"),
             (dict(count=1, backend="cluster"), "unknown backend"),
-            (dict(count=1, executor="async"), "unknown executor"),
-            (dict(count=1, executor="pipelined", batch_perception=False), "batch_perception"),
-            (dict(count=1, executor="pipelined", recorder=object()), "flight recorder"),
-            (dict(count=1, pipeline_lag=0), "pipeline_lag"),
             (dict(count=1, intruders=-1), "non-negative"),
             (dict(count=1, burst_spacing_s=-0.1), "non-negative"),
             (dict(count=1, laps=0), "at least one lap"),
@@ -97,58 +70,8 @@ class TestValidation:
         assert FleetSpec(count=1, recorder=object()) == FleetSpec(count=1)
 
 
-class TestShimEquivalence:
-    """Spec and legacy calls build identical fleets; shim warns once."""
-
-    def test_build_fleet_shim_matches_spec(self):
-        spec = FleetSpec(
-            count=2,
-            base_seed=5,
-            config=SMALL,
-            perception="oracle",
-            negotiation=FAST_NEGOTIATION,
-        )
-        via_spec = build_fleet(spec)
-        with pytest.warns(DeprecationWarning, match="FleetSpec"):
-            via_shim = build_fleet(
-                2,
-                base_seed=5,
-                config=SMALL,
-                perception="oracle",
-                negotiation_config=FAST_NEGOTIATION,
-            )
-        via_spec.run()
-        via_shim.run()
-        assert transcripts(via_shim) == transcripts(via_spec)
-        assert outcomes(via_shim) == outcomes(via_spec)
-
-    def test_surveillance_shim_maps_challenge_config(self):
-        spec = FleetSpec(
-            count=1,
-            base_seed=9,
-            intruders=1,
-            negotiation=FAST_NEGOTIATION,
-        )
-        via_spec = build_surveillance_fleet(spec)
-        with pytest.warns(DeprecationWarning, match="FleetSpec"):
-            via_shim = build_surveillance_fleet(
-                1,
-                base_seed=9,
-                intruders=1,
-                challenge_config=FAST_NEGOTIATION,
-            )
-        via_spec.run()
-        via_shim.run()
-        assert transcripts(via_shim) == transcripts(via_spec)
-        assert outcomes(via_shim) == outcomes(via_spec)
-
-    def test_count_accepted_as_legacy_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            fleet = build_fleet(count=1, config=SMALL, perception="oracle")
-        try:
-            assert len(fleet.missions) == 1
-        finally:
-            fleet.close()
+class TestCallingConvention:
+    """A FleetSpec is the only argument; the pre-spec forms are gone."""
 
     def test_spec_call_emits_no_warning(self):
         with warnings.catch_warnings():
@@ -156,14 +79,26 @@ class TestShimEquivalence:
             fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         fleet.close()
 
+    def test_bare_count_rejected(self):
+        with pytest.raises(TypeError, match="takes a FleetSpec"):
+            build_fleet(4)
+
+    def test_count_keyword_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build_fleet(count=4)
+
+    def test_surveillance_legacy_form_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build_surveillance_fleet(4, laps=2)
+
 
 class TestCallingConventionErrors:
     def test_spec_plus_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             build_fleet(FleetSpec(count=1), base_seed=3)
 
     def test_missing_count_rejected(self):
-        with pytest.raises(TypeError, match="count"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             build_fleet(base_seed=3)
 
     def test_unknown_legacy_keyword_rejected(self):
@@ -188,13 +123,6 @@ class TestSpecFieldRouting:
         finally:
             trap.close()
             guard.close()
-
-    def test_executor_routes_to_scheduler(self):
-        fleet = build_fleet(FleetSpec(count=1, config=SMALL, executor="pipelined"))
-        try:
-            assert fleet.executor == "pipelined"
-        finally:
-            fleet.close()
 
     def test_surveillance_ignores_trap_only_fields(self):
         # perception/per_frame/backend are trap-fleet knobs; the guard

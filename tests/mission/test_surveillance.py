@@ -6,6 +6,7 @@ from repro.drone import DroneAgent
 from repro.geometry import Vec2
 from repro.human import HumanAgent, Persona, TrainingLevel
 from repro.mission import (
+    FleetSpec,
     OrchardConfig,
     SurveillanceConfig,
     SurveillanceExecutor,
@@ -155,7 +156,12 @@ class TestSurveillanceFleet:
 
     def build(self):
         return build_surveillance_fleet(
-            2, base_seed=3, config=self.FLEET_ORCHARD, intruders=2
+            FleetSpec(
+                count=2,
+                base_seed=3,
+                config=self.FLEET_ORCHARD,
+                intruders=2,
+            )
         )
 
     def test_fleet_report_surfaces_escalations(self):
@@ -189,6 +195,6 @@ class TestSurveillanceFleet:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_surveillance_fleet(0)
+            build_surveillance_fleet(FleetSpec(count=0))
         with pytest.raises(ValueError):
-            build_surveillance_fleet(1, intruders=-1)
+            build_surveillance_fleet(FleetSpec(count=1, intruders=-1))

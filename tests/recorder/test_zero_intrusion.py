@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.mission.fleet import build_fleet, mission_transcript
+from repro.mission.fleet import FleetSpec, build_fleet, mission_transcript
 from repro.mission.orchard import OrchardConfig
 from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.negotiation import NegotiationConfig
@@ -104,27 +104,31 @@ def _outcome(fleet) -> tuple:
 
 def _build_fleet(seed: int, perception: str, recorder: FlightRecorder | None):
     return build_fleet(
-        1,
-        base_seed=seed,
-        config=SMOKE_CONFIG,
-        perception=perception,
-        negotiation_config=SMOKE_NEGOTIATION,
-        winds=(CALM,),
-        lightings=(NOON,),
-        recorder=recorder,
+        FleetSpec(
+            count=1,
+            base_seed=seed,
+            config=SMOKE_CONFIG,
+            perception=perception,
+            negotiation=SMOKE_NEGOTIATION,
+            winds=(CALM,),
+            lightings=(NOON,),
+            recorder=recorder,
+        )
     )
 
 
 def _build_surveillance(seed: int, recorder: FlightRecorder | None):
     return build_surveillance_fleet(
-        1,
-        base_seed=seed,
-        config=SMOKE_SURVEILLANCE,
-        intruders=2,
-        challenge_config=SMOKE_NEGOTIATION,
-        winds=(CALM,),
-        lightings=(NOON,),
-        recorder=recorder,
+        FleetSpec(
+            count=1,
+            base_seed=seed,
+            config=SMOKE_SURVEILLANCE,
+            intruders=2,
+            negotiation=SMOKE_NEGOTIATION,
+            winds=(CALM,),
+            lightings=(NOON,),
+            recorder=recorder,
+        )
     )
 
 

@@ -1,6 +1,6 @@
 """Service-backed perception and fleet scale-out parity.
 
-``build_fleet(..., workers=N)`` must replay the in-process fleet
+``build_fleet(FleetSpec(..., workers=N))`` must replay the in-process fleet
 *exactly* (mission outcomes, transcripts and perception counters) —
 the service only changes where the matching work runs.
 """
@@ -8,7 +8,7 @@ the service only changes where the matching work runs.
 import numpy as np
 import pytest
 
-from repro.mission.fleet import build_fleet, mission_transcript
+from repro.mission.fleet import FleetSpec, build_fleet, mission_transcript
 from repro.mission.orchard import OrchardConfig
 from repro.protocol.negotiation import NegotiationConfig
 from repro.protocol.recognizer import RecognizerPerception
@@ -68,15 +68,7 @@ class TestServiceBackedPerception:
                 elevation_deg=elevation,
                 classifier=ServiceClassifier(service),
             )
-            # The legacy bare-callable seam still works, but warns.
-            with pytest.warns(DeprecationWarning, match="bare callable"):
-                legacy = recognizer.recognize_batch(
-                    frames, elevation_deg=elevation, classifier=service.classify_batch
-                )
         assert [(r.label, r.distance, r.margin) for r in got] == [
-            (r.label, r.distance, r.margin) for r in expected
-        ]
-        assert [(r.label, r.distance, r.margin) for r in legacy] == [
             (r.label, r.distance, r.margin) for r in expected
         ]
 
@@ -96,14 +88,6 @@ class TestServiceBackedPerception:
                 classifier=ServiceClassifier(service),
             )
             assert backed.service is service
-            # The legacy service= keyword still wires the same backend,
-            # under a DeprecationWarning.
-            with pytest.warns(DeprecationWarning, match="service=.*deprecated"):
-                legacy = RecognizerPerception(
-                    recognizer=canonical_recognizer, service=service
-                )
-            assert legacy.service is service
-            assert isinstance(legacy.classifier, ServiceClassifier)
             positions = [
                 Vec3(human.position.x + 2.5, human.position.y, 4.0),
                 Vec3(human.position.x + 3.0, human.position.y + 0.5, 5.0),
@@ -118,21 +102,28 @@ class TestServiceBackedPerception:
 class TestFleetScaleOut:
     def test_workers_requires_recognizer_perception(self):
         with pytest.raises(ValueError, match="recognizer"):
-            build_fleet(1, perception="oracle", workers=2)
+            build_fleet(FleetSpec(count=1, perception="oracle", workers=2))
         with pytest.raises(ValueError, match="non-negative"):
-            build_fleet(1, workers=-1)
+            build_fleet(FleetSpec(count=1, workers=-1))
 
     def test_fleet_service_outcome_and_transcript_parity(self):
         in_process = build_fleet(
-            2, base_seed=11, config=SMALL_ORCHARD, negotiation_config=NEGOTIATION
+            FleetSpec(
+                count=2,
+                base_seed=11,
+                config=SMALL_ORCHARD,
+                negotiation=NEGOTIATION,
+            )
         )
         base_report = in_process.run(1800.0)
         scaled = build_fleet(
-            2,
-            base_seed=11,
-            config=SMALL_ORCHARD,
-            negotiation_config=NEGOTIATION,
-            workers=2,
+            FleetSpec(
+                count=2,
+                base_seed=11,
+                config=SMALL_ORCHARD,
+                negotiation=NEGOTIATION,
+                workers=2,
+            )
         )
         assert scaled.service is not None
         assert scaled.service.running
@@ -151,7 +142,13 @@ class TestFleetScaleOut:
         assert base_report.service_stats is None
 
     def test_close_is_safe_without_service(self):
-        fleet = build_fleet(1, config=SMALL_ORCHARD, negotiation_config=NEGOTIATION)
+        fleet = build_fleet(
+            FleetSpec(
+                count=1,
+                config=SMALL_ORCHARD,
+                negotiation=NEGOTIATION,
+            )
+        )
         fleet.close()  # no service: no-op
 
 
@@ -160,36 +157,49 @@ class TestFleetBackendSelection:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            build_fleet(1, backend="quantum")
+            build_fleet(FleetSpec(count=1, backend="quantum"))
 
     def test_service_backend_needs_workers(self):
         with pytest.raises(ValueError, match="workers >= 1"):
-            build_fleet(1, backend="service", workers=0)
+            build_fleet(FleetSpec(count=1, backend="service", workers=0))
 
     def test_inprocess_backend_rejects_workers(self):
         with pytest.raises(ValueError, match="shard workers"):
-            build_fleet(1, backend="inprocess", workers=2)
+            build_fleet(FleetSpec(count=1, backend="inprocess", workers=2))
 
     def test_gateway_backend_requires_recognizer_perception(self):
         with pytest.raises(ValueError, match="recognizer"):
-            build_fleet(1, perception="oracle", backend="gateway")
+            build_fleet(FleetSpec(count=1, perception="oracle", backend="gateway"))
 
     def test_auto_backend_follows_workers(self):
-        fleet = build_fleet(1, config=SMALL_ORCHARD, negotiation_config=NEGOTIATION)
+        fleet = build_fleet(
+            FleetSpec(
+                count=1,
+                config=SMALL_ORCHARD,
+                negotiation=NEGOTIATION,
+            )
+        )
         assert fleet.service is None and fleet.gateway is None
         fleet.close()
 
     def test_gateway_backend_outcome_and_transcript_parity(self):
         base = build_fleet(
-            1, base_seed=11, config=SMALL_ORCHARD, negotiation_config=NEGOTIATION
+            FleetSpec(
+                count=1,
+                base_seed=11,
+                config=SMALL_ORCHARD,
+                negotiation=NEGOTIATION,
+            )
         )
         base_report = base.run(1800.0)
         gated = build_fleet(
-            1,
-            base_seed=11,
-            config=SMALL_ORCHARD,
-            negotiation_config=NEGOTIATION,
-            backend="gateway",
+            FleetSpec(
+                count=1,
+                base_seed=11,
+                config=SMALL_ORCHARD,
+                negotiation=NEGOTIATION,
+                backend="gateway",
+            )
         )
         assert gated.gateway is not None
         assert gated.gateway.running
