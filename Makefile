@@ -110,9 +110,10 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload recognize-distinct --seed $(PERF_SEED) --trace 0
 	$(PYTHON) perfbench/run.py --workload recognize-distinct --seed $(PERF_SEED) --trace 1
 
-# Flight-recorder smoke: record a small fleet run, replay it (byte
-# compare), and self-diff the fresh recording against the original —
-# the record/replay/diff CLI pipeline end to end (see
+# Flight-recorder smoke: record a small trap fleet run and a small
+# recognizer-perceived guard fleet run, replay each (byte compare), and
+# self-diff the fresh recordings against the originals — the
+# record/replay/diff CLI pipeline end to end through both builders (see
 # docs/ARCHITECTURE.md "Flight recorder").  CI runs this in the
 # bench-smoke job; recordings land in FLIGHT_DIR.
 FLIGHT_DIR ?= flight-artifacts
@@ -125,6 +126,12 @@ flight-smoke:
 	$(PYTHON) scripts/flight_diff.py $(FLIGHT_DIR)/smoke.jsonl \
 		$(FLIGHT_DIR)/smoke-replay.jsonl
 	$(PYTHON) scripts/flight_record.py tail $(FLIGHT_DIR)/smoke.jsonl
+	$(PYTHON) scripts/flight_record.py record --out $(FLIGHT_DIR)/smoke-surveillance.jsonl \
+		--builder surveillance --missions 2 --smoke
+	$(PYTHON) scripts/flight_record.py replay $(FLIGHT_DIR)/smoke-surveillance.jsonl \
+		--out $(FLIGHT_DIR)/smoke-surveillance-replay.jsonl
+	$(PYTHON) scripts/flight_diff.py $(FLIGHT_DIR)/smoke-surveillance.jsonl \
+		$(FLIGHT_DIR)/smoke-surveillance-replay.jsonl
 
 # Seeded long-tail fuzz: randomized adversarial scenarios through the
 # full recognition + fleet stack, safety invariants asserted, failures

@@ -6,7 +6,7 @@ perceived by the *real* batched SAX pipeline
 it against the naive reference: the same missions run one at a time,
 every observation rendered and classified individually with no
 memoisation and no batching (the "sequential per-mission/per-frame
-loop").
+loop", :class:`~repro.testing.ScalarReferencePerception`).
 
 Sections:
 
@@ -54,6 +54,7 @@ from repro.mission.pipeline import FLEET_STAGES
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder import FlightRecorder, make_recipe, replay
 from repro.simulation.scenarios import CALM, NOON
+from repro.testing import ScalarReferencePerception
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 FLEET_SIZE = 2 if SMOKE else 16
@@ -103,21 +104,23 @@ def mission_outcomes(report) -> dict:
 
 
 def run_sequential_per_frame(count: int, base_seed: int, **kwargs) -> tuple[float, dict]:
-    """The naive reference: missions one at a time, per-frame perception."""
+    """The naive reference: missions one at a time, per-frame perception
+    (:class:`~repro.testing.ScalarReferencePerception`)."""
     fleet = build_fleet(
         FleetSpec(
             count=count,
             base_seed=base_seed,
             config=ORCHARD,
             negotiation=NEGOTIATION,
-            per_frame=True,
-            batch_perception=False,
             **kwargs,
         )
     )
+    for mission in fleet.missions:
+        reference = ScalarReferencePerception(mission.perception)
+        mission.perception = mission.executor.perception = reference
     start = time.perf_counter()
     for mission in fleet.missions:
-        FleetScheduler([mission], batch_perception=False).run(FLEET_TIMEOUT_S)
+        FleetScheduler([mission]).run(FLEET_TIMEOUT_S)
     elapsed = time.perf_counter() - start
     return elapsed, mission_outcomes(fleet.report())
 

@@ -54,16 +54,19 @@ SMOKE_NEGOTIATION = NegotiationConfig(observe_interval_s=0.1)
 
 
 def _record(args: argparse.Namespace) -> int:
-    kwargs: dict = {"count": args.missions, "base_seed": args.seed}
+    kwargs: dict = {
+        "count": args.missions,
+        "base_seed": args.seed,
+        "perception": args.perception,
+    }
     if args.workers:
         kwargs["workers"] = args.workers
+    if args.backend != "auto":
+        kwargs["backend"] = args.backend
     if args.smoke:
         kwargs["winds"] = (CALM,)
         kwargs["lightings"] = (NOON,)
     if args.builder == "fleet":
-        kwargs["perception"] = args.perception
-        if args.backend != "auto":
-            kwargs["backend"] = args.backend
         if args.smoke:
             kwargs["config"] = SMOKE_FLEET_CONFIG
             kwargs["negotiation_config"] = SMOKE_NEGOTIATION

@@ -35,13 +35,15 @@ Scenario diversity comes from :mod:`repro.simulation.scenarios`: each
 mission draws a wind condition (the stochastic flight-dynamics model of
 that strength) and a lighting condition (the photometric settings its
 perception renders under), on top of a per-mission orchard seed that
-varies layout, traps and personas.
+varies layout, traps and personas.  :func:`assemble_fleet` is that
+wiring, shared by :func:`build_fleet` and
+:func:`~repro.mission.surveillance.build_surveillance_fleet`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.dataflow.graph import Graph, GraphStats
 from repro.drone.agent import DroneAgent
@@ -162,22 +164,17 @@ class FleetScheduler:
     ----------
     missions:
         The fleet.  Executors must not be registered as world entities
-        (the scheduler drives them; :func:`build_fleet` wires this).
-    batch_perception:
-        Aggregate per-tick perception queries into one batched
-        recognition pass (set ``False`` to measure the unbatched
-        scheduler — observations then resolve synchronously inside the
-        ``mission`` stage).
+        (the scheduler drives them; :func:`assemble_fleet` wires this).
     service:
         A :class:`~repro.service.RecognitionService` whose lifecycle
-        this scheduler *owns* — started by :func:`build_fleet` in the
-        service backend; stopped when :meth:`run` finishes (or fails)
+        this scheduler *owns* — started by :func:`assemble_fleet` in
+        the service backend; stopped when :meth:`run` finishes (or fails)
         and by :meth:`close`.
     gateway:
         A running :class:`~repro.gateway.server.RecognitionGateway`
         whose :attr:`~repro.gateway.server.RecognitionGateway.stats`
         feed :attr:`FleetReport.gateway_stats` — wired by
-        :func:`build_fleet` in the gateway backend.  Its lifecycle is
+        :func:`assemble_fleet` in the gateway backend.  Its lifecycle is
         owned only when it also appears in *owned*.
     owned:
         Extra resources this scheduler owns (classifier clients, the
@@ -199,7 +196,6 @@ class FleetScheduler:
     def __init__(
         self,
         missions: Sequence[FleetMission],
-        batch_perception: bool = True,
         service: RecognitionService | None = None,
         gateway: RecognitionGateway | None = None,
         owned: Sequence = (),
@@ -214,7 +210,6 @@ class FleetScheduler:
         if len(steps) != 1:
             raise ValueError(f"fleet worlds must share one time step, got {steps}")
         self.missions = list(missions)
-        self.batch_perception = batch_perception
         self.service = service
         self.gateway = gateway
         self.owned = tuple(owned)
@@ -228,7 +223,6 @@ class FleetScheduler:
             self._tap = FleetRecorderTap(recorder, self.missions)
         self._graph = build_fleet_graph(
             self.missions,
-            batch_perception=batch_perception,
             tap=self._tap.graph_tap if self._tap is not None else None,
         )
         self._ticks = 0
@@ -409,93 +403,103 @@ class FleetScheduler:
         return report
 
 
-def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
-    """Build a ready-to-run fleet of trap-reading missions from *spec*::
+@dataclass
+class _Backend:
+    """A fleet's shared perception core and the resources behind it."""
 
-        build_fleet(FleetSpec(count=16, base_seed=100))
-
-    Mission ``i`` draws orchard seed ``base_seed + i`` (distinct layout,
-    traps and personas), wind ``winds[i % len(winds)]`` (the orchard's
-    stochastic wind model is rebuilt at that strength) and lighting
-    ``lightings[i % len(lightings)]`` (the photometric settings its
-    perception renders under); see :class:`~repro.mission.spec.FleetSpec`
-    for every knob (perception kind, classifier backend, recorder...).
-    Mission outcomes are identical across classifier backends by the
-    sharding- and gateway-parity contracts documented in
-    ``docs/ARCHITECTURE.md``.  Anything but a
-    :class:`~repro.mission.spec.FleetSpec` raises :class:`TypeError`.
-    """
-    if not isinstance(spec, FleetSpec):
-        raise TypeError(f"build_fleet() takes a FleetSpec, got {type(spec).__name__}")
-    perception = spec.perception
-    workers = spec.workers
-    backend = spec.backend
-    recorder = spec.recorder
-    per_frame = spec.per_frame
-    if backend == "auto":
-        backend = "service" if workers else "inprocess"
-    if backend == "service" and not workers:
-        raise ValueError("backend='service' needs workers >= 1")
-    if backend == "inprocess" and workers:
-        raise ValueError("backend='inprocess' cannot use shard workers")
-    if backend != "inprocess" and perception != "recognizer":
-        raise ValueError(f"backend={backend!r} requires the recognizer perception")
-    cfg = spec.config if spec.config is not None else OrchardConfig()
-    service_obs = gateway_obs = None
-    if recorder is not None:
-        # Imported lazily: repro.recorder.replay imports this module.
-        from repro.recorder.taps import gateway_observer, service_observer
-
-        service_obs = service_observer(recorder)
-        gateway_obs = gateway_observer(recorder)
     shared: RecognizerPerception | None = None
     service: RecognitionService | None = None
     gateway: RecognitionGateway | None = None
     owned: tuple = ()
-    if perception == "recognizer":
-        if backend == "service":
-            recognizer = SaxSignRecognizer()
-            recognizer.enroll_canonical_views()
-            service = RecognitionService(
-                recognizer.database, workers=workers, observer=service_obs
-            ).start()
-            shared = RecognizerPerception(
-                recognizer=recognizer,
-                per_frame=per_frame,
-                memoize=not per_frame,
-                classifier=ServiceClassifier(service, tag="fleet"),
-            )
-        elif backend == "gateway":
-            recognizer = SaxSignRecognizer()
-            recognizer.enroll_canonical_views()
-            if workers:
-                replica = ServiceClassifier(
-                    RecognitionService(
-                        recognizer.database, workers=workers, observer=service_obs
-                    ).start(),
-                    owns_service=True,
-                )
-            else:
-                replica = InProcessClassifier(recognizer.database)
-            gateway = RecognitionGateway([replica], own_backends=True, observer=gateway_obs)
-            try:
-                gateway.start()
-                host, port = gateway.address
-                client = GatewayClassifier(host, port, tenant="fleet")
-            except BaseException:
-                gateway.close()
-                raise
-            owned = (client, gateway)
-            shared = RecognizerPerception(
-                recognizer=recognizer,
-                per_frame=per_frame,
-                memoize=not per_frame,
-                classifier=client,
-            )
-        else:
-            shared = RecognizerPerception(
-                per_frame=per_frame, memoize=not per_frame
-            )
+
+    def view(self, perception: str | Perception, lighting: Lighting | None) -> Perception:
+        """One mission's perception: a lighting view of the shared core,
+        a fresh oracle, or the spec's own instance."""
+        if self.shared is not None:
+            if lighting is None:
+                return self.shared
+            return self.shared.with_render_settings(lighting.render_settings())
+        if perception == "oracle":
+            return OraclePerception()
+        return perception
+
+    def release(self) -> None:
+        """Stop what :func:`_start_backend` started (build failed)."""
+        if self.service is not None:
+            self.service.stop()
+        for resource in self.owned:
+            resource.close()
+
+
+def _start_backend(spec: FleetSpec, tag: str) -> _Backend:
+    """Start *spec*'s shared recogniser core on its classifier backend.
+
+    Only the recognizer perception has a shared core.  *tag* names the
+    fleet's requests on a service or gateway (service tag, tenant).
+    """
+    if spec.perception != "recognizer":
+        return _Backend()
+    backend = spec.resolved_backend
+    if backend == "inprocess":
+        return _Backend(shared=RecognizerPerception())
+    service_obs = gateway_obs = None
+    if spec.recorder is not None:
+        # Imported lazily: repro.recorder.replay imports this module.
+        from repro.recorder.taps import gateway_observer, service_observer
+
+        service_obs = service_observer(spec.recorder)
+        gateway_obs = gateway_observer(spec.recorder)
+    recognizer = SaxSignRecognizer()
+    recognizer.enroll_canonical_views()
+    if backend == "service":
+        service = RecognitionService(
+            recognizer.database, workers=spec.workers, observer=service_obs
+        ).start()
+        shared = RecognizerPerception(
+            recognizer=recognizer, classifier=ServiceClassifier(service, tag=tag)
+        )
+        return _Backend(shared=shared, service=service)
+    if spec.workers:
+        replica = ServiceClassifier(
+            RecognitionService(
+                recognizer.database, workers=spec.workers, observer=service_obs
+            ).start(),
+            owns_service=True,
+        )
+    else:
+        replica = InProcessClassifier(recognizer.database)
+    gateway = RecognitionGateway([replica], own_backends=True, observer=gateway_obs)
+    try:
+        gateway.start()
+        host, port = gateway.address
+        client = GatewayClassifier(host, port, tenant=tag)
+    except BaseException:
+        gateway.close()
+        raise
+    shared = RecognizerPerception(recognizer=recognizer, classifier=client)
+    return _Backend(shared=shared, gateway=gateway, owned=(client, gateway))
+
+
+def assemble_fleet(
+    spec: FleetSpec,
+    config: OrchardConfig,
+    name_prefix: str,
+    tag: str,
+    make_executor: Callable[[int, Orchard, DroneAgent, Perception], Any],
+) -> FleetScheduler:
+    """The wiring both fleet builders share.
+
+    Starts *spec*'s perception backend, then builds mission ``i``
+    (named ``f"{name_prefix}_{i:02d}"``) on orchard seed
+    ``base_seed + i``, wind ``winds[i % len(winds)]`` (the orchard's
+    stochastic wind model at that strength) and a
+    ``lightings[i % len(lightings)]`` view of the shared perception,
+    with a drone at ``spec.drone_home``.  *make_executor* receives the
+    mission index, orchard, drone and perception and returns the
+    executor driving that slot.  Backend resources are released when
+    any mission fails to build.
+    """
+    backend = _start_backend(spec, tag)
     try:
         winds = spec.winds
         lightings = spec.lightings
@@ -504,63 +508,62 @@ def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
             wind = winds[index % len(winds)] if winds else None
             lighting = lightings[index % len(lightings)] if lightings else None
             mission_cfg = replace(
-                cfg,
+                config,
                 seed=spec.base_seed + index,
-                wind_mean_mps=wind.speed_mps if wind is not None else cfg.wind_mean_mps,
+                wind_mean_mps=wind.speed_mps if wind is not None else config.wind_mean_mps,
             )
             orchard = generate_orchard(mission_cfg)
             drone = DroneAgent("drone", position=spec.drone_home)
             orchard.world.add_entity(drone)
-            mission_perception: Perception
-            if shared is not None:
-                settings = (
-                    lighting.render_settings() if lighting is not None else None
-                )
-                mission_perception = (
-                    shared.with_render_settings(settings)
-                    if settings is not None
-                    else shared
-                )
-            elif perception == "oracle":
-                mission_perception = OraclePerception()
-            elif isinstance(perception, str):
-                raise ValueError(f"unknown perception kind: {perception!r}")
-            else:
-                mission_perception = perception
-            executor = MissionExecutor(
-                orchard,
-                drone,
-                perception=mission_perception,
-                negotiation_config=spec.negotiation,
-            )
+            perception = backend.view(spec.perception, lighting)
             missions.append(
                 FleetMission(
-                    name=f"mission_{index:02d}",
+                    name=f"{name_prefix}_{index:02d}",
                     orchard=orchard,
                     drone=drone,
-                    executor=executor,
-                    perception=mission_perception,
+                    executor=make_executor(index, orchard, drone, perception),
+                    perception=perception,
                     wind=wind,
                     lighting=lighting,
                 )
             )
         return FleetScheduler(
             missions,
-            batch_perception=spec.batch_perception,
-            service=service,
-            gateway=gateway,
-            owned=owned,
-            recorder=recorder,
+            service=backend.service,
+            gateway=backend.gateway,
+            owned=backend.owned,
+            recorder=spec.recorder,
         )
     except BaseException:
-        # Backend resources (worker processes, the gateway thread) were
-        # already started above — don't leak them when mission
-        # construction fails.
-        if service is not None:
-            service.stop()
-        for resource in owned:
-            resource.close()
+        backend.release()
         raise
+
+
+def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
+    """Build a ready-to-run fleet of trap-reading missions from *spec*::
+
+        build_fleet(FleetSpec(count=16, base_seed=100))
+
+    Mission ``i`` draws orchard seed ``base_seed + i`` (distinct layout,
+    traps and personas), wind ``winds[i % len(winds)]`` and lighting
+    ``lightings[i % len(lightings)]`` (see :func:`assemble_fleet`); see
+    :class:`~repro.mission.spec.FleetSpec` for every knob (perception
+    kind, classifier backend, recorder...).  Mission outcomes are
+    identical across classifier backends by the sharding- and
+    gateway-parity contracts documented in ``docs/ARCHITECTURE.md``.
+    Anything but a :class:`~repro.mission.spec.FleetSpec` raises
+    :class:`TypeError`.
+    """
+    if not isinstance(spec, FleetSpec):
+        raise TypeError(f"build_fleet() takes a FleetSpec, got {type(spec).__name__}")
+
+    def make_executor(index, orchard, drone, perception) -> MissionExecutor:
+        return MissionExecutor(
+            orchard, drone, perception=perception, negotiation_config=spec.negotiation
+        )
+
+    config = spec.config if spec.config is not None else OrchardConfig()
+    return assemble_fleet(spec, config, "mission", "fleet", make_executor)
 
 
 def _canonical_value(value: Any) -> Any:

@@ -127,23 +127,20 @@ class PredictNode(Node):
     Replicates the legacy prefetch grouping exactly: only missions
     whose perception is a :class:`RecognizerPerception` contribute, and
     queries group by shared perception core (one
-    :class:`PerceptionBatch` per core, fleet order preserved).  With
-    batching disabled the tick passes through untouched and every
-    ``observe()`` resolves synchronously inside the ``mission`` stage.
+    :class:`PerceptionBatch` per core, fleet order preserved).  Any
+    other perception resolves synchronously inside the ``mission``
+    stage.
     """
 
     inputs = (Port("ticks", FleetTick),)
     outputs = (Port("ticks", FleetTick),)
 
-    def __init__(self, batch_perception: bool = True, name: str = "predict") -> None:
+    def __init__(self, name: str = "predict") -> None:
         super().__init__(name)
-        self.batch_perception = batch_perception
 
     def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
         """Predict and group this tick's observation queries."""
         for tick in inputs["ticks"]:
-            if not self.batch_perception:
-                continue
             grouped: dict[int, PerceptionBatch] = {}
             for mission in tick.missions:
                 perception = mission.perception
@@ -165,13 +162,7 @@ class PredictNode(Node):
 
 
 class LookupNode(Node):
-    """Reduce each batch's queries to deduplicated cache misses.
-
-    A per-frame (scalar-reference) core resolves its misses right here
-    through the legacy scalar loop — exactly what ``prefetch()`` does
-    for that mode — so the downstream batched stages only ever see
-    batch-mode work.
-    """
+    """Reduce each batch's queries to deduplicated cache misses."""
 
     inputs = (Port("ticks", FleetTick),)
     outputs = (Port("ticks", FleetTick),)
@@ -183,11 +174,7 @@ class LookupNode(Node):
         """Filter each perception batch down to its cache misses."""
         for tick in inputs["ticks"]:
             for batch in tick.batches:
-                if batch.perception.per_frame:
-                    batch.perception.prefetch(batch.queries)
-                    batch.misses = []
-                else:
-                    batch.misses = batch.perception.pending_misses(batch.queries)
+                batch.misses = batch.perception.pending_misses(batch.queries)
             tick.batches = [b for b in tick.batches if b.misses]
         return {"ticks": inputs["ticks"]}
 
@@ -276,7 +263,6 @@ class MissionTickNode(Node):
 
 def build_fleet_graph(
     missions: Sequence["FleetMission"],
-    batch_perception: bool = True,
     channel_capacity: int = 2,
     tap=None,
 ) -> Graph:
@@ -293,7 +279,7 @@ def build_fleet_graph(
     graph = Graph(name="fleet", tap=tap)
     nodes = [
         WorldStepNode(missions),
-        PredictNode(batch_perception=batch_perception),
+        PredictNode(),
         LookupNode(),
         RenderNode(),
         PreprocessNode(),

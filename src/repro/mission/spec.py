@@ -14,14 +14,14 @@ takes:
 Any other call form (``build_fleet(4, base_seed=100)``) raises
 :class:`TypeError`.
 
-Field applicability: the trap-reading fleet reads every field except
-the surveillance-only ones (``intruders``/``burst_start_s``/
-``burst_spacing_s``/``laps``); the surveillance fleet ignores the
-trap-fleet-only ``perception``/``per_frame``/``backend`` knobs (guards
-always use the shared recogniser core, service-backed when
-``workers > 0``).  ``negotiation`` unifies what recording recipes
-call ``negotiation_config`` (trap fleet) and ``challenge_config``
-(surveillance fleet).
+Field applicability: both builders read every field through the same
+backend and mission-slot wiring, except the surveillance-only workload
+shape (``intruders``/``burst_start_s``/``burst_spacing_s``/``laps``),
+which the trap-reading fleet ignores.  ``negotiation`` unifies what
+recording recipes call ``negotiation_config`` (trap fleet) and
+``challenge_config`` (surveillance fleet).  Every field is validated
+at construction, so both builders reject a bad spec the same way
+before any backend resource starts.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.simulation.scenarios import (
 __all__ = [
     "DEFAULT_DRONE_HOME",
     "FLEET_BACKENDS",
+    "FLEET_PERCEPTIONS",
     "FleetSpec",
 ]
 
@@ -51,6 +52,9 @@ DEFAULT_DRONE_HOME = Vec2(-6.0, -4.0)
 
 #: Recognised classifier backends (see ``build_fleet``).
 FLEET_BACKENDS = ("auto", "inprocess", "service", "gateway")
+
+#: Named perception kinds; a :class:`Perception` instance is also accepted.
+FLEET_PERCEPTIONS = ("recognizer", "oracle")
 
 
 @dataclass(frozen=True)
@@ -72,25 +76,22 @@ class FleetSpec:
         ``"recognizer"`` (shared batched core, per-mission lighting
         views), ``"oracle"``, or a concrete
         :class:`~repro.protocol.perception.Perception` instance used
-        directly for every mission.  Trap fleet only.
+        directly for every mission.
     winds / lightings:
         Scenario condition pools (cycled per mission index).
     negotiation:
         Protocol tunables — the trap fleet's ``negotiation_config``
         and the surveillance fleet's ``challenge_config``, unified.
-    batch_perception:
-        Aggregate per-tick queries into one batched recognition pass.
-    per_frame:
-        Scalar per-frame reference mode (trap fleet only).
     drone_home:
         Launch pad for every mission's drone.
     workers:
         Shard worker processes behind the service/gateway backends.
     backend:
         Where the shared core's ``sax_match`` runs (``"auto"``,
-        ``"inprocess"``, ``"service"``, ``"gateway"``); trap fleet
-        only — the surveillance fleet is service-backed iff
-        ``workers > 0``.
+        ``"inprocess"``, ``"service"``, ``"gateway"``); ``"auto"`` is
+        the service iff ``workers > 0`` (see :attr:`resolved_backend`).
+        Any backend but the in-process one needs the recognizer
+        perception.
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder` attached to
         the scheduler.
@@ -107,8 +108,6 @@ class FleetSpec:
     winds: Sequence[WindCondition] = DEFAULT_WINDS
     lightings: Sequence[Lighting] = DEFAULT_LIGHTINGS
     negotiation: NegotiationConfig | None = None
-    batch_perception: bool = True
-    per_frame: bool = False
     drone_home: Vec2 = DEFAULT_DRONE_HOME
     workers: int = 0
     backend: str = "auto"
@@ -121,14 +120,32 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("fleet needs at least one mission")
+        if isinstance(self.perception, str):
+            if self.perception not in FLEET_PERCEPTIONS:
+                raise ValueError(f"unknown perception kind: {self.perception!r}")
+        elif not isinstance(self.perception, Perception):
+            raise ValueError(
+                f"perception must be one of {FLEET_PERCEPTIONS} or a Perception,"
+                f" got {type(self.perception).__name__}"
+            )
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
         if self.backend not in FLEET_BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {FLEET_BACKENDS}"
             )
+        if self.backend == "service" and not self.workers:
+            raise ValueError("backend='service' needs workers >= 1")
+        if self.backend == "inprocess" and self.workers:
+            raise ValueError("backend='inprocess' cannot use shard workers")
+        if self.resolved_backend != "inprocess" and self.perception != "recognizer":
+            raise ValueError(
+                f"backend={self.resolved_backend!r} requires the recognizer perception"
+            )
         if self.intruders < 0:
             raise ValueError("intruder count must be non-negative")
+        if self.burst_start_s < 0:
+            raise ValueError("burst_start_s must be non-negative")
         if self.burst_spacing_s < 0:
             raise ValueError("burst_spacing_s must be non-negative")
         if self.laps < 1:
@@ -137,3 +154,11 @@ class FleetSpec:
         # regardless of list/tuple input.
         object.__setattr__(self, "winds", tuple(self.winds))
         object.__setattr__(self, "lightings", tuple(self.lightings))
+
+    @property
+    def resolved_backend(self) -> str:
+        """:attr:`backend` with ``"auto"`` resolved: the service when
+        there are shard workers, in-process otherwise."""
+        if self.backend == "auto":
+            return "service" if self.workers else "inprocess"
+        return self.backend

@@ -18,28 +18,29 @@ unanswered challenge raises an **escalation event** on a per-mission
 (``start`` / ``tick`` / ``pending_observation`` / ``finished`` /
 ``report``), so it drops into a :class:`~repro.mission.fleet.FleetMission`
 slot unchanged and its perception queries ride the same batched
-seven-stage dataflow graph; :func:`build_surveillance_fleet` mirrors
-:func:`~repro.mission.fleet.build_fleet` (shared recogniser core,
-per-mission lighting views, optional shard-worker service) while
-scheduling intruder bursts on each world's event queue.  Everything is
-seeded: the same fleet parameters replay the same patrols, challenges
-and escalations tick for tick, which ``benchmarks/bench_longtail.py``
-asserts unconditionally.
+seven-stage dataflow graph; :func:`build_surveillance_fleet` shares
+:func:`~repro.mission.fleet.build_fleet`'s wiring
+(:func:`~repro.mission.fleet.assemble_fleet`: perception kind,
+classifier backend, per-mission lighting views) and adds only the
+patrol loop and the intruder bursts scheduled on each world's event
+queue.  Everything is seeded: the same fleet parameters replay the same
+patrols, challenges and escalations tick for tick, which
+``benchmarks/bench_longtail.py`` asserts unconditionally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.drone.agent import DroneAgent
 from repro.drone.patterns import CruisePattern, LandingPattern, TakeOffPattern
 from repro.geometry.vec import Vec2, Vec3
 from repro.human.agent import HumanAgent
 from repro.human.persona import VISITOR
-from repro.mission.fleet import FleetMission, FleetScheduler
-from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
+from repro.mission.fleet import FleetScheduler, assemble_fleet
+from repro.mission.orchard import Orchard, OrchardConfig
 from repro.mission.spec import FleetSpec
 from repro.protocol.negotiation import (
     NegotiationConfig,
@@ -47,10 +48,7 @@ from repro.protocol.negotiation import (
     NegotiationState,
 )
 from repro.protocol.perception import OraclePerception, Perception
-from repro.protocol.recognizer import RecognizerPerception
 from repro.protocol.safety import SafetyLimits, SafetyMonitor
-from repro.recognition.pipeline import SaxSignRecognizer
-from repro.service import RecognitionService, ServiceClassifier
 from repro.simulation.events import EventEmitter, SimEvent
 
 __all__ = [
@@ -241,14 +239,7 @@ class SurveillanceExecutor:
             self._abort(world, "drone emergency")
             return self.phase
 
-        handler = {
-            SurveillancePhase.TAKING_OFF: self._tick_taking_off,
-            SurveillancePhase.PATROLLING: self._tick_patrolling,
-            SurveillancePhase.CHALLENGING: self._tick_challenging,
-            SurveillancePhase.RETURNING: self._tick_returning,
-            SurveillancePhase.LANDING: self._tick_landing,
-        }[self.phase]
-        handler(world)
+        _PHASE_HANDLERS[self.phase](self, world)
         return self.phase
 
     def pending_observation(self, world):
@@ -362,9 +353,11 @@ class SurveillanceExecutor:
             return None
         return min(candidates, key=lambda h: (h.position.distance_to(here), h.name))
 
-    def _all_humans(self) -> list[HumanAgent]:
+    def _all_humans(self) -> Iterator[HumanAgent]:
         """Every human in the world (roster members and intruders)."""
-        return [e for e in self.orchard.world.entities if isinstance(e, HumanAgent)]
+        for entity in self.orchard.world.iter_entities():
+            if isinstance(entity, HumanAgent):
+                yield entity
 
     def _begin_challenge(self, world, intruder: HumanAgent) -> None:
         self._challenged.add(intruder.name)
@@ -402,6 +395,16 @@ class SurveillanceExecutor:
         world.record(self.name, "surveillance_aborted", reason=reason)
 
 
+# The handler each active phase ticks with (see SurveillanceExecutor.tick).
+_PHASE_HANDLERS = {
+    SurveillancePhase.TAKING_OFF: SurveillanceExecutor._tick_taking_off,
+    SurveillancePhase.PATROLLING: SurveillanceExecutor._tick_patrolling,
+    SurveillancePhase.CHALLENGING: SurveillanceExecutor._tick_challenging,
+    SurveillancePhase.RETURNING: SurveillanceExecutor._tick_returning,
+    SurveillancePhase.LANDING: SurveillanceExecutor._tick_landing,
+}
+
+
 def _patrol_rectangle(cfg: OrchardConfig, margin_m: float = 2.0) -> tuple[Vec2, ...]:
     """A rectangular patrol loop around the orchard's tree grid."""
     x_max = (cfg.trees_per_row - 1) * cfg.tree_spacing_m + margin_m
@@ -420,25 +423,23 @@ def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
 
         build_surveillance_fleet(FleetSpec(count=8, intruders=3))
 
-    Mirrors :func:`~repro.mission.fleet.build_fleet`: mission ``i``
+    Wired like :func:`~repro.mission.fleet.build_fleet` (both go
+    through :func:`~repro.mission.fleet.assemble_fleet`): mission ``i``
     draws orchard seed ``base_seed + i``, wind ``winds[i % len]`` and a
-    lighting view of one shared
-    :class:`~repro.protocol.recognizer.RecognizerPerception` core (with
-    an optional shard-worker service when ``workers > 0``).  On top,
-    each mission gets :attr:`~repro.mission.spec.FleetSpec.intruders`
-    unauthorized humans staged outside the patrol rectangle; intruder
-    *j* starts walking toward the orchard interior at
+    lighting view of the spec's perception, on the spec's classifier
+    backend.  On top, each mission gets
+    :attr:`~repro.mission.spec.FleetSpec.intruders` unauthorized humans
+    staged outside the patrol rectangle; intruder *j* starts walking
+    toward the orchard interior at
     ``burst_start_s + j * burst_spacing_s`` (via the world's event
     queue) — the whole burst lands within a few seconds, the bursty
     workload the benchmark measures.  The spec's ``negotiation`` field
-    carries the challenge tunables; its trap-fleet-only knobs
-    (``perception``/``per_frame``/``backend``) are ignored here.
+    carries the challenge tunables.
 
     Everything derives from ``base_seed``, so the same spec replays the
     same patrols, challenges and escalations exactly.  An optional
     ``recorder`` (:class:`~repro.recorder.FlightRecorder`) is attached
-    to the scheduler exactly as in
-    :func:`~repro.mission.fleet.build_fleet`; escalations are captured
+    to the scheduler as for the trap fleet; escalations are captured
     straight off each guard's event bus.  Anything but a
     :class:`~repro.mission.spec.FleetSpec` raises :class:`TypeError`.
     """
@@ -446,10 +447,6 @@ def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
         raise TypeError(
             f"build_surveillance_fleet() takes a FleetSpec, got {type(spec).__name__}"
         )
-    base_seed = spec.base_seed
-    intruders = spec.intruders
-    workers = spec.workers
-    recorder = spec.recorder
     cfg = (
         spec.config
         if spec.config is not None
@@ -463,97 +460,40 @@ def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
             blocking_fraction=0.0,
         )
     )
-    service: RecognitionService | None = None
-    service_obs = None
-    if recorder is not None:
-        # Imported lazily: repro.recorder.replay imports this module.
-        from repro.recorder.taps import service_observer
+    waypoints = _patrol_rectangle(cfg)
+    centre = Vec2(
+        (cfg.trees_per_row - 1) * cfg.tree_spacing_m / 2.0,
+        (cfg.rows - 1) * cfg.row_spacing_m / 2.0,
+    )
 
-        service_obs = service_observer(recorder)
-    if workers:
-        recognizer = SaxSignRecognizer()
-        recognizer.enroll_canonical_views()
-        service = RecognitionService(
-            recognizer.database, workers=workers, observer=service_obs
-        ).start()
-        shared = RecognizerPerception(
-            recognizer=recognizer,
-            classifier=ServiceClassifier(service, tag="surveillance"),
+    def make_executor(index, orchard, drone, perception) -> SurveillanceExecutor:
+        # Stage the intruder burst: unauthorized visitors outside the
+        # patrol rectangle, released onto in-orchard targets in quick
+        # succession via the world event queue.
+        world = orchard.world
+        for j in range(spec.intruders):
+            stage = Vec2(-6.0 - 2.0 * j, centre.y + (j - spec.intruders / 2.0) * 2.0)
+            intruder = HumanAgent(
+                name=f"intruder_{j}",
+                persona=VISITOR,
+                position=stage,
+                seed=spec.base_seed * 1000 + index * 100 + j,
+            )
+            world.add_entity(intruder)
+            target = Vec2(centre.x + 1.5 * j, centre.y)
+            release_s = spec.burst_start_s + j * spec.burst_spacing_s
+
+            def _release(agent=intruder, destination=target) -> None:
+                agent.walk_to(destination)
+
+            world.events.schedule(release_s, _release)
+        return SurveillanceExecutor(
+            orchard,
+            drone,
+            config=SurveillanceConfig(waypoints=waypoints, laps=spec.laps),
+            perception=perception,
+            authorized={h.name for h in orchard.humans},
+            challenge_config=spec.negotiation,
         )
-    else:
-        shared = RecognizerPerception()
-    try:
-        waypoints = _patrol_rectangle(cfg)
-        winds = spec.winds
-        lightings = spec.lightings
-        missions: list[FleetMission] = []
-        for index in range(spec.count):
-            wind = winds[index % len(winds)] if winds else None
-            lighting = lightings[index % len(lightings)] if lightings else None
-            mission_cfg = replace(
-                cfg,
-                seed=base_seed + index,
-                wind_mean_mps=wind.speed_mps if wind is not None else cfg.wind_mean_mps,
-            )
-            orchard = generate_orchard(mission_cfg)
-            world = orchard.world
-            drone = DroneAgent("drone", position=spec.drone_home)
-            world.add_entity(drone)
-            # Stage the intruder burst: unauthorized visitors outside
-            # the patrol rectangle, released onto in-orchard targets in
-            # quick succession via the world event queue.
-            centre = Vec2(
-                (cfg.trees_per_row - 1) * cfg.tree_spacing_m / 2.0,
-                (cfg.rows - 1) * cfg.row_spacing_m / 2.0,
-            )
-            for j in range(intruders):
-                stage = Vec2(-6.0 - 2.0 * j, centre.y + (j - intruders / 2.0) * 2.0)
-                intruder = HumanAgent(
-                    name=f"intruder_{j}",
-                    persona=VISITOR,
-                    position=stage,
-                    seed=base_seed * 1000 + index * 100 + j,
-                )
-                world.add_entity(intruder)
-                target = Vec2(centre.x + 1.5 * j, centre.y)
-                release_s = spec.burst_start_s + j * spec.burst_spacing_s
 
-                def _release(agent=intruder, destination=target) -> None:
-                    agent.walk_to(destination)
-
-                world.events.schedule(release_s, _release)
-            settings = lighting.render_settings() if lighting is not None else None
-            mission_perception = (
-                shared.with_render_settings(settings)
-                if settings is not None
-                else shared
-            )
-            executor = SurveillanceExecutor(
-                orchard,
-                drone,
-                config=SurveillanceConfig(waypoints=waypoints, laps=spec.laps),
-                perception=mission_perception,
-                authorized={h.name for h in orchard.humans},
-                challenge_config=spec.negotiation,
-            )
-            missions.append(
-                FleetMission(
-                    name=f"guard_{index:02d}",
-                    orchard=orchard,
-                    drone=drone,
-                    executor=executor,
-                    perception=mission_perception,
-                    wind=wind,
-                    lighting=lighting,
-                )
-            )
-        return FleetScheduler(
-            missions,
-            batch_perception=spec.batch_perception,
-            service=service,
-            recorder=recorder,
-        )
-    except BaseException:
-        if service is not None:
-            service.stop()
-        raise
+    return assemble_fleet(spec, cfg, "guard", "surveillance", make_executor)

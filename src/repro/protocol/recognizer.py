@@ -37,8 +37,8 @@ reference used by the envelope benchmarks) it is built to sit inside a
   replays a sequential run exactly.
 * **Budget accounting** — one cumulative
   :class:`~repro.recognition.budget.FrameBudget` spans the perception's
-  lifetime; ``render`` and ``classify`` are top-level stages and the
-  recogniser's internal split is folded in as dotted sub-stages, so a
+  lifetime; ``render`` and ``classify`` are top-level stages with the
+  batched ``preprocess``/``sax_match`` split as dotted sub-stages, so a
   fleet run reports amortised per-frame cost like every other engine in
   the repo.
 """
@@ -57,11 +57,12 @@ from repro.human.pose import BodyDimensions, HumanPose, pose_for_sign
 from repro.human.render import RenderSettings, render_frame
 from repro.human.signs import MarshallingSign
 from repro.protocol.perception import ObservationGeometry
-from repro.recognition.budget import BudgetReport, FrameBudget, StageTiming
+from repro.recognition.budget import BudgetReport, FrameBudget
 from repro.recognition.classifier import Classifier
 from repro.recognition.pipeline import (
     TORSO_CENTRE_HEIGHT_M,
     SaxSignRecognizer,
+    label_to_sign,
     observation_elevation_deg,
 )
 from repro.recognition.preprocess import preprocess_frames
@@ -80,18 +81,6 @@ __all__ = [
 # Drone camera intrinsics used for every mission observation (matches
 # SaxPerception and the canonical enrolment views).
 _OBSERVATION_INTRINSICS = CameraIntrinsics(240, 240, 280.0)
-
-
-def _label_to_sign(label: str | None) -> MarshallingSign | None:
-    """Map a database label onto the built-in sign enum, exactly as
-    :attr:`~repro.recognition.pipeline.Recognition.sign` does (``None``
-    for rejections and custom labels)."""
-    if label is None:
-        return None
-    try:
-        return MarshallingSign(label)
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,14 +235,10 @@ class _PerceptionCore:
     def __init__(
         self,
         recognizer: SaxSignRecognizer,
-        memoize: bool,
-        per_frame: bool,
         max_cache_entries: int,
         classifier: Classifier | None = None,
     ) -> None:
         self.recognizer = recognizer
-        self.memoize = memoize
-        self.per_frame = per_frame
         self.max_cache_entries = max_cache_entries
         self.classifier = classifier
         if classifier is None:
@@ -276,7 +261,7 @@ class _PerceptionCore:
 
     def lookup(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:
         """Return ``(hit, sign)`` for *query* from the LRU cache."""
-        if not self.memoize or query not in self.cache:
+        if query not in self.cache:
             return False, None
         self.cache.move_to_end(query)
         return True, self.cache[query]
@@ -287,11 +272,8 @@ class _PerceptionCore:
         """The deduplicated cache misses of *queries*, in order.
 
         Drops ``None`` entries and already-cached queries (touching
-        their LRU slots exactly as a lookup would); empty when
-        memoisation is off, since there is no cache to fill.
+        their LRU slots exactly as a lookup would).
         """
-        if not self.memoize:
-            return []
         misses: list[ObservationQuery] = []
         seen: set[ObservationQuery] = set()
         for query in queries:
@@ -308,23 +290,11 @@ class _PerceptionCore:
 
         Composes the granular stage methods the fleet pipeline wires as
         dataflow nodes — :meth:`render_queries`,
-        :meth:`preprocess_rendered`, :meth:`match_preprocessed` — in
-        the default batched mode; the scalar
-        :meth:`SaxSignRecognizer.recognise` per frame when ``per_frame``
-        is set (the naive reference loop the fleet benchmark compares
-        against).
+        :meth:`preprocess_rendered`, :meth:`match_preprocessed`.
         """
         if not queries:
             return []
         frames = self.render_queries(queries)
-        if self.per_frame:
-            with self.budget.stage("classify"):
-                results = [
-                    self.recognizer.recognise(frame, elevation_deg=query.elevation_deg)
-                    for query, frame in zip(queries, frames)
-                ]
-            self._fold_substages(results)
-            return self._finish(queries, [result.sign for result in results])
         pres = self.preprocess_rendered(queries, frames)
         return self.match_preprocessed(queries, pres)
 
@@ -362,8 +332,9 @@ class _PerceptionCore:
         bit-identical by the sharding- and gateway-parity contracts),
         timed as the ``classify.sax_match`` sub-stage.  Per-frame
         verdicts map onto :class:`~repro.human.signs.MarshallingSign`
-        exactly as :attr:`~repro.recognition.pipeline.Recognition.sign`
-        does; unusable frames (no silhouette) read ``None``.
+        through :func:`~repro.recognition.pipeline.label_to_sign`, as
+        :attr:`~repro.recognition.pipeline.Recognition.sign` does;
+        unusable frames (no silhouette) read ``None``.
         """
         usable = [pre.series for pre in pres if pre.ok]
         with self.budget.stage("classify"):
@@ -372,39 +343,14 @@ class _PerceptionCore:
             self.batch_calls += 1
         signs: list[MarshallingSign | None] = []
         for pre in pres:
-            signs.append(_label_to_sign(next(matches).label) if pre.ok else None)
-        return self._finish(queries, signs)
-
-    def _finish(
-        self,
-        queries: Sequence[ObservationQuery],
-        signs: list[MarshallingSign | None],
-    ) -> list[MarshallingSign | None]:
-        """Account classified frames and fill the LRU cache."""
+            signs.append(label_to_sign(next(matches).label) if pre.ok else None)
         self.frames_classified += len(queries)
         self.budget.frame_count = max(1, self.frames_classified)
-        if self.memoize:
-            for query, sign in zip(queries, signs):
-                self.cache[query] = sign
-            while len(self.cache) > self.max_cache_entries:
-                self.cache.popitem(last=False)
+        for query, sign in zip(queries, signs):
+            self.cache[query] = sign
+        while len(self.cache) > self.max_cache_entries:
+            self.cache.popitem(last=False)
         return signs
-
-    def _fold_substages(self, results) -> None:
-        """Fold the recogniser's internal stage split into the
-        cumulative budget as dotted sub-stages of ``classify``."""
-        totals: dict[str, float] = {}
-        seen: set[int] = set()
-        for result in results:
-            if id(result.budget) in seen:  # batched results share one report
-                continue
-            seen.add(id(result.budget))
-            for timing in result.budget.stages:
-                if "." in timing.stage:
-                    continue
-                totals[timing.stage] = totals.get(timing.stage, 0.0) + timing.duration_s
-        for stage, duration in totals.items():
-            self.budget.timings.append(StageTiming(f"classify.{stage}", duration))
 
     def stats(self) -> PerceptionStats:
         """Snapshot the counters."""
@@ -436,13 +382,6 @@ class RecognizerPerception:
         lighting); defaults to baseline :class:`RenderSettings`.
     envelope:
         Geometry trust region; see :class:`RecognitionEnvelope`.
-    per_frame:
-        Run the scalar single-frame pipeline with no batching — the
-        naive reference loop benchmarked by ``bench_fleet.py``.
-        Normally combined with ``memoize=False``.
-    memoize:
-        Cache classification results keyed by the full observation
-        query (pose + quantised camera + lighting).
     pose_quantum_m:
         Camera-position grid step; 0 disables quantisation.
     max_cache_entries:
@@ -465,8 +404,6 @@ class RecognizerPerception:
         recognizer: SaxSignRecognizer | None = None,
         render_settings: RenderSettings | None = None,
         envelope: RecognitionEnvelope | None = None,
-        per_frame: bool = False,
-        memoize: bool = True,
         pose_quantum_m: float = 0.05,
         max_cache_entries: int = 8192,
         classifier: Classifier | None = None,
@@ -483,8 +420,6 @@ class RecognizerPerception:
         self.pose_quantum_m = pose_quantum_m
         self._core = _PerceptionCore(
             recognizer=recognizer,
-            memoize=memoize,
-            per_frame=per_frame,
             max_cache_entries=max_cache_entries,
             classifier=classifier,
         )
@@ -575,8 +510,7 @@ class RecognizerPerception:
         renders the misses and classifies them in a single
         ``preprocess_frames`` + ``classify_batch`` call, filling the
         cache so subsequent :meth:`observe` calls are pure lookups.
-        Returns the number of frames actually classified.  No-op when
-        memoisation is off (there is no cache to fill).
+        Returns the number of frames actually classified.
         """
         misses = self._core.miss_filter(queries)
         self._core.classify(misses)
@@ -589,16 +523,10 @@ class RecognizerPerception:
     # those nodes call.  classify()/prefetch() compose the very same
     # methods, so the graph path cannot diverge from the direct path.
 
-    @property
-    def per_frame(self) -> bool:
-        """``True`` in the scalar per-frame reference mode (no batching)."""
-        return self._core.per_frame
-
     def pending_misses(
         self, queries: Sequence[ObservationQuery | None]
     ) -> list[ObservationQuery]:
-        """Node seam: deduplicated cache misses of *queries*, in order
-        (empty when memoisation is off — nothing to prefetch)."""
+        """Node seam: deduplicated cache misses of *queries*, in order."""
         return self._core.miss_filter(queries)
 
     def render_batch(self, misses: Sequence[ObservationQuery]) -> list[Image]:

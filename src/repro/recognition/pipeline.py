@@ -43,6 +43,7 @@ __all__ = [
     "CANONICAL_ALTITUDE_M",
     "CANONICAL_DISTANCE_M",
     "ENROLMENT_AZIMUTHS_DEG",
+    "label_to_sign",
     "observation_elevation_deg",
 ]
 
@@ -66,6 +67,17 @@ def observation_elevation_deg(altitude_m: float, distance_m: float) -> float:
     return math.degrees(math.atan2(altitude_m - TORSO_CENTRE_HEIGHT_M, distance_m))
 
 
+def label_to_sign(label: str | None) -> MarshallingSign | None:
+    """Map a database label onto the built-in sign enum (``None`` for
+    rejections and custom labels)."""
+    if label is None:
+        return None
+    try:
+        return MarshallingSign(label)
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class Recognition:
     """Result of recognising one frame.
@@ -85,12 +97,7 @@ class Recognition:
     @property
     def sign(self) -> MarshallingSign | None:
         """The built-in sign, when the label is one."""
-        if self.label is None:
-            return None
-        try:
-            return MarshallingSign(self.label)
-        except ValueError:
-            return None
+        return label_to_sign(self.label)
 
     @property
     def recognised(self) -> bool:

@@ -42,38 +42,22 @@ __all__ = [
     "run_recipe",
 ]
 
+_SHARED_KEYS = frozenset(
+    {
+        "count",
+        "base_seed",
+        "config",
+        "perception",
+        "winds",
+        "lightings",
+        "workers",
+        "backend",
+    }
+)
 _ALLOWED_KEYS = {
-    "fleet": frozenset(
-        {
-            "count",
-            "base_seed",
-            "config",
-            "perception",
-            "winds",
-            "lightings",
-            "negotiation_config",
-            "batch_perception",
-            "per_frame",
-            "workers",
-            "backend",
-        }
-    ),
-    "surveillance": frozenset(
-        {
-            "count",
-            "base_seed",
-            "config",
-            "intruders",
-            "burst_start_s",
-            "burst_spacing_s",
-            "laps",
-            "winds",
-            "lightings",
-            "challenge_config",
-            "batch_perception",
-            "workers",
-        }
-    ),
+    "fleet": _SHARED_KEYS | {"negotiation_config"},
+    "surveillance": _SHARED_KEYS
+    | {"challenge_config", "intruders", "burst_start_s", "burst_spacing_s", "laps"},
 }
 
 _CONFIG_KEYS = frozenset({"config", "negotiation_config", "challenge_config"})

@@ -122,7 +122,9 @@ class FleetRecorderTap:
             data={
                 "missions": missions,
                 "time_step_s": scheduler.time_step_s,
-                "batch_perception": scheduler.batch_perception,
+                # Constant format field: recordings made while batching
+                # was switchable carry it, and they replay byte-identically.
+                "batch_perception": True,
             },
         )
 

@@ -1,7 +1,8 @@
-"""Property-based testing utilities: the long-tail fuzz harness.
+"""Testing utilities: the long-tail fuzz harness and reference paths.
 
 Dependency-free scenario fuzzing with greedy shrinking — see
-:mod:`repro.testing.fuzz`.
+:mod:`repro.testing.fuzz` — and the scalar perception reference the
+batched fleet path is checked against (:mod:`repro.testing.reference`).
 """
 
 from repro.testing.fuzz import (
@@ -23,6 +24,7 @@ from repro.testing.fuzz import (
     shrink_candidates,
     shrink_scenario,
 )
+from repro.testing.reference import ScalarReferencePerception
 
 __all__ = [
     "DYNAMIC_WINDOW",
@@ -32,6 +34,7 @@ __all__ = [
     "InvariantViolation",
     "MinimisedCase",
     "Recognizers",
+    "ScalarReferencePerception",
     "WindowResult",
     "case_bytes",
     "case_filename",

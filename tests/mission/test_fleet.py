@@ -8,6 +8,7 @@ from repro.mission import MissionPhase, OrchardConfig
 from repro.mission.fleet import FleetScheduler, FleetSpec, build_fleet, mission_transcript
 from repro.protocol import NegotiationConfig, RecognizerPerception
 from repro.simulation.scenarios import CALM, NOON
+from repro.testing import ScalarReferencePerception
 
 # Small, dense, deterministic-enough orchard: one row, both traps
 # blocked, so every mission negotiates.
@@ -127,7 +128,7 @@ class TestFleetRuns:
         assert report.negotiations >= 2  # every trap is blocked
 
     def test_batched_fleet_replays_sequential_run(self):
-        def build(per_frame):
+        def build():
             return build_fleet(
                 FleetSpec(
                     count=2,
@@ -136,16 +137,15 @@ class TestFleetRuns:
                     negotiation=FAST_NEGOTIATION,
                     winds=(CALM,),
                     lightings=(NOON,),
-                    per_frame=per_frame,
-                    batch_perception=not per_frame,
                 )
             )
 
-        batched = build(per_frame=False)
-        batched_report = batched.run()
-        sequential = build(per_frame=True)
+        batched_report = build().run()
+        sequential = build()
         for mission in sequential.missions:
-            FleetScheduler([mission], batch_perception=False).run()
+            reference = ScalarReferencePerception(mission.perception)
+            mission.perception = mission.executor.perception = reference
+            FleetScheduler([mission]).run()
         assert outcomes(batched_report) == outcomes(sequential.report())
         stats = batched_report.perception_stats
         assert stats.cache_hits > 0

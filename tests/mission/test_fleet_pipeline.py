@@ -38,7 +38,7 @@ FAST_NEGOTIATION = NegotiationConfig(observe_interval_s=0.1)
 LEGACY_TIMEOUT_TICKS = 400_000
 
 
-def run_legacy(missions, batch_perception=True):
+def run_legacy(missions):
     """The pre-dataflow fleet loop, verbatim: the parity reference."""
     for mission in missions:
         mission.executor.start(mission.world)
@@ -48,24 +48,23 @@ def run_legacy(missions, batch_perception=True):
             return
         for mission in active:
             mission.world.step()
-        if batch_perception:
-            grouped = {}
-            for mission in active:
-                perception = mission.perception
-                if not isinstance(perception, RecognizerPerception):
-                    continue
-                pending = mission.executor.pending_observation(mission.world)
-                if pending is None:
-                    continue
-                position, human = pending
-                query = perception.query(position, human)
-                if query is None:
-                    continue
-                grouped.setdefault(perception.core_key, (perception, []))[1].append(
-                    query
-                )
-            for perception, queries in grouped.values():
-                perception.prefetch(queries)
+        grouped = {}
+        for mission in active:
+            perception = mission.perception
+            if not isinstance(perception, RecognizerPerception):
+                continue
+            pending = mission.executor.pending_observation(mission.world)
+            if pending is None:
+                continue
+            position, human = pending
+            query = perception.query(position, human)
+            if query is None:
+                continue
+            grouped.setdefault(perception.core_key, (perception, []))[1].append(
+                query
+            )
+        for perception, queries in grouped.values():
+            perception.prefetch(queries)
         for mission in active:
             mission.executor.tick(mission.world)
     raise AssertionError("legacy fleet loop did not finish")

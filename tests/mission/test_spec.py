@@ -17,6 +17,7 @@ from repro.mission import (
     build_fleet,
 )
 from repro.mission.surveillance import build_surveillance_fleet
+from repro.protocol.perception import OraclePerception
 from repro.simulation.scenarios import DEFAULT_LIGHTINGS, DEFAULT_WINDS
 
 SMALL = OrchardConfig(
@@ -49,6 +50,13 @@ class TestValidation:
             (dict(count=1, intruders=-1), "non-negative"),
             (dict(count=1, burst_spacing_s=-0.1), "non-negative"),
             (dict(count=1, laps=0), "at least one lap"),
+            (dict(count=1, burst_start_s=-1), "non-negative"),
+            (dict(count=1, perception="sonar"), "unknown perception"),
+            (dict(count=1, perception=object()), "perception must be"),
+            (dict(count=1, backend="service"), "workers >= 1"),
+            (dict(count=1, backend="inprocess", workers=2), "shard workers"),
+            (dict(count=1, perception="oracle", backend="gateway"), "recognizer"),
+            (dict(count=1, perception="oracle", workers=2), "recognizer"),
         ],
     )
     def test_rejects_bad_fields(self, fields, match):
@@ -124,10 +132,11 @@ class TestSpecFieldRouting:
             trap.close()
             guard.close()
 
-    def test_surveillance_ignores_trap_only_fields(self):
-        # perception/per_frame/backend are trap-fleet knobs; the guard
-        # fleet builds regardless of their values.
-        fleet = build_surveillance_fleet(
-            FleetSpec(count=1, perception="oracle", per_frame=True, backend="auto")
-        )
-        fleet.close()
+    def test_surveillance_honours_perception(self):
+        fleet = build_surveillance_fleet(FleetSpec(count=2, perception="oracle"))
+        try:
+            for mission in fleet.missions:
+                assert isinstance(mission.perception, OraclePerception)
+                assert mission.executor.perception is mission.perception
+        finally:
+            fleet.close()

@@ -12,6 +12,7 @@ from repro.protocol import (
     RecognizerPerception,
 )
 from repro.simulation.scenarios import DUSK, NOON
+from repro.testing import ScalarReferencePerception
 
 CANONICAL = Vec3(0, 3, 5)
 
@@ -71,13 +72,13 @@ class TestRecognitionParity:
                 CANONICAL, human
             )
 
-    def test_per_frame_mode_matches_batched_mode(
+    def test_scalar_reference_parity(
         self, canonical_recognizer, standing_human_world
     ):
         world, human = standing_human_world()
         batched = RecognizerPerception(recognizer=canonical_recognizer)
-        scalar = RecognizerPerception(
-            recognizer=canonical_recognizer, per_frame=True, memoize=False
+        scalar = ScalarReferencePerception(
+            RecognizerPerception(recognizer=canonical_recognizer)
         )
         for sign in (MarshallingSign.ATTENTION, MarshallingSign.YES, MarshallingSign.IDLE):
             human.show_sign(sign, world)

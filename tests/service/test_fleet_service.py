@@ -10,6 +10,7 @@ import pytest
 
 from repro.mission.fleet import FleetSpec, build_fleet, mission_transcript
 from repro.mission.orchard import OrchardConfig
+from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.negotiation import NegotiationConfig
 from repro.protocol.recognizer import RecognizerPerception
 from repro.service import RecognitionService, ServiceClassifier
@@ -25,6 +26,15 @@ SMALL_ORCHARD = OrchardConfig(
     seed=0,
 )
 NEGOTIATION = NegotiationConfig(observe_interval_s=0.1)
+GUARD_ORCHARD = OrchardConfig(
+    rows=2,
+    trees_per_row=3,
+    traps_per_row=0,
+    workers=1,
+    visitors=0,
+    supervisor_present=False,
+    blocking_fraction=0.0,
+)
 
 
 def outcomes(report):
@@ -218,6 +228,35 @@ class TestFleetBackendSelection:
         assert dict(stats.errors) == {}
         assert "fleet" in stats.per_tenant
         assert base_report.gateway_stats is None
+
+    def test_gateway_guard_fleet_escalation_parity(self):
+        def run(backend):
+            fleet = build_surveillance_fleet(
+                FleetSpec(
+                    count=1,
+                    base_seed=3,
+                    config=GUARD_ORCHARD,
+                    intruders=2,
+                    backend=backend,
+                )
+            )
+            report = fleet.run(900.0)
+            escalations = [
+                (e.time_s, e.source, e.kind, sorted(e.detail.items()))
+                for e in report.escalation_events
+            ]
+            return fleet, report, escalations
+
+        base, base_report, base_escalations = run("inprocess")
+        gated, gateway_report, gateway_escalations = run("gateway")
+        assert base_escalations, "the intruder burst must escalate"
+        assert gateway_escalations == base_escalations
+        assert mission_transcript(gated.missions[0].world) == mission_transcript(
+            base.missions[0].world
+        )
+        stats = gateway_report.gateway_stats
+        assert stats.completed > 0
+        assert "surveillance" in stats.per_tenant
 
 
 class TestServiceOnCanonicalDatabase:
