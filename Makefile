@@ -53,7 +53,8 @@ coverage:
 	fi
 
 # Regenerate BENCH_throughput.json (gates: matcher >= 5x, end-to-end
-# >= 3x, distinct-frame >= 1.5x; see docs/BENCHMARKS.md).
+# >= 3x, distinct-frame >= 1.5x, render >= 1.5x with pixel_identical
+# asserted; see docs/BENCHMARKS.md).
 bench-throughput:
 	$(PYTHON) benchmarks/bench_throughput.py
 

@@ -16,6 +16,10 @@ Measures frames/sec of the batched engine against the scalar loop on
   frames, where duplicate-frame memoisation never fires — this isolates
   what stage vectorisation alone buys.  Gate: ≥ 1.5× (CI-safe floor;
   see ``docs/BENCHMARKS.md`` for the measured margin).
+* **render**: ``render_frame`` (one mask, one projection, cached noise
+  field) vs the per-capsule reference renderer in
+  ``repro.testing.reference`` over the distinct batch's poses and
+  cameras, with ``pixel_identical`` asserted on every run.  Gate: ≥ 1.5×.
 
 Set ``BENCH_SMOKE=1`` to run a tiny batch with the perf gates disabled
 (parity checks stay on) — the CI smoke job uses this so the script
@@ -28,19 +32,24 @@ Run as a script to write the ``BENCH_throughput.json`` artifact::
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
 from repro.geometry import observation_camera
 from repro.human import COMMUNICATIVE_SIGNS, RenderSettings, pose_for_sign, render_frame
 from repro.recognition.pipeline import observation_elevation_deg
+from repro.testing import reference
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 BATCH_SIZE = 16 if SMOKE else 64
 ELEVATION = observation_elevation_deg(5.0, 3.0)
+SETTINGS = RenderSettings(noise_sigma=0.02)
+HOST = {"cpu_count": os.cpu_count() or 1, "python": platform.python_version()}
 MATCHER_SPEEDUP_GATE = 5.0
 END_TO_END_SPEEDUP_GATE = 3.0
 DISTINCT_SPEEDUP_GATE = 1.5
+RENDER_SPEEDUP_GATE = 1.5
 
 
 def make_frames(count: int = BATCH_SIZE) -> list:
@@ -49,23 +58,24 @@ def make_frames(count: int = BATCH_SIZE) -> list:
     for sign in COMMUNICATIVE_SIGNS:
         for azimuth in (0.0, 15.0, 30.0, 50.0, 65.0):
             camera = observation_camera(5.0, 3.0, azimuth)
-            distinct.append(
-                render_frame(pose_for_sign(sign), camera, RenderSettings(noise_sigma=0.02))
-            )
+            distinct.append(render_frame(pose_for_sign(sign), camera, SETTINGS))
     return [distinct[i % len(distinct)] for i in range(count)]
+
+
+def distinct_scenes(count: int = BATCH_SIZE) -> list:
+    """*count* pairwise-distinct ``(pose, camera)`` pairs (unique azimuths)."""
+    return [
+        (
+            pose_for_sign(COMMUNICATIVE_SIGNS[i % len(COMMUNICATIVE_SIGNS)]),
+            observation_camera(5.0, 3.0, 70.0 * i / count),
+        )
+        for i in range(count)
+    ]
 
 
 def make_distinct_frames(count: int = BATCH_SIZE) -> list:
     """A batch of *count* pairwise-distinct frames (unique azimuths)."""
-    frames = []
-    for i in range(count):
-        sign = COMMUNICATIVE_SIGNS[i % len(COMMUNICATIVE_SIGNS)]
-        azimuth = 70.0 * i / count
-        camera = observation_camera(5.0, 3.0, azimuth)
-        frames.append(
-            render_frame(pose_for_sign(sign), camera, RenderSettings(noise_sigma=0.02))
-        )
-    return frames
+    return [render_frame(pose, camera, SETTINGS) for pose, camera in distinct_scenes(count)]
 
 
 def preprocessed_series(recognizer, frames) -> list:
@@ -113,6 +123,30 @@ def _end_to_end(recognizer, frames) -> dict:
     }
 
 
+def render_pixel_identical(scenes) -> bool:
+    """Every scene renders to the reference renderer's exact bytes."""
+    return all(
+        render_frame(pose, camera, SETTINGS).pixels.tobytes()
+        == reference.render_scene([pose], camera, SETTINGS).pixels.tobytes()
+        for pose, camera in scenes
+    )
+
+
+def measure_render(count: int = BATCH_SIZE) -> dict:
+    """``render_frame`` vs the per-capsule reference renderer."""
+    scenes = distinct_scenes(count)
+    reference_s = timed(
+        lambda: [reference.render_scene([pose], camera, SETTINGS) for pose, camera in scenes]
+    )
+    render_s = timed(lambda: [render_frame(pose, camera, SETTINGS) for pose, camera in scenes])
+    return {
+        "reference_fps": fps(reference_s, count),
+        "fps": fps(render_s, count),
+        "speedup": reference_s / render_s,
+        "pixel_identical": render_pixel_identical(scenes),
+    }
+
+
 def measure(recognizer) -> dict:
     frames = make_frames()
     distinct = make_distinct_frames()
@@ -129,6 +163,7 @@ def measure(recognizer) -> dict:
     return {
         "batch_size": BATCH_SIZE,
         "smoke": SMOKE,
+        "host": HOST,
         "enrolled_views": len(database),
         "matcher": {
             "scalar_fps": fps(scalar_match_s, BATCH_SIZE),
@@ -137,6 +172,7 @@ def measure(recognizer) -> dict:
         },
         "end_to_end": _end_to_end(recognizer, frames),
         "end_to_end_distinct": _end_to_end(recognizer, distinct),
+        "render": measure_render(),
     }
 
 
@@ -183,6 +219,18 @@ def test_end_to_end_distinct_throughput(benchmark, recognizer):
         assert speedup >= DISTINCT_SPEEDUP_GATE
 
 
+def test_render_throughput(benchmark):
+    """render_frame matches the reference renderer pixel for pixel and
+    clears >= 1.5x its frames/sec."""
+    scenes = distinct_scenes()
+    assert render_pixel_identical(scenes)
+    benchmark(lambda: [render_frame(pose, camera, SETTINGS) for pose, camera in scenes])
+    stats = measure_render()
+    benchmark.extra_info["speedup_vs_reference"] = round(stats["speedup"], 2)
+    if not SMOKE:
+        assert stats["speedup"] >= RENDER_SPEEDUP_GATE
+
+
 if __name__ == "__main__":
     from repro.recognition import SaxSignRecognizer
 
@@ -192,7 +240,11 @@ if __name__ == "__main__":
     artifact = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
     artifact.write_text(json.dumps(stats, indent=2) + "\n")
     m, e, d = stats["matcher"], stats["end_to_end"], stats["end_to_end_distinct"]
-    print(f"T-THRU ({BATCH_SIZE}-frame batch, {stats['enrolled_views']} views)")
+    r = stats["render"]
+    print(
+        f"T-THRU ({BATCH_SIZE}-frame batch, {stats['enrolled_views']} views, "
+        f"{HOST['cpu_count']} cores, Python {HOST['python']})"
+    )
     print(
         f"  matcher:         {m['scalar_fps']:8.0f} fps scalar -> {m['batch_fps']:8.0f} fps "
         f"batched  ({m['speedup']:.1f}x, gate >= {MATCHER_SPEEDUP_GATE:.0f}x)"
@@ -205,10 +257,17 @@ if __name__ == "__main__":
         f"  e2e (distinct):  {d['scalar_fps']:8.0f} fps scalar -> {d['batch_fps']:8.0f} fps "
         f"batched  ({d['speedup']:.2f}x, gate >= {DISTINCT_SPEEDUP_GATE:.1f}x)"
     )
+    print(
+        f"  render:          {r['reference_fps']:8.0f} fps ref    -> {r['fps']:8.0f} fps "
+        f"one-mask ({r['speedup']:.2f}x, gate >= {RENDER_SPEEDUP_GATE:.1f}x, "
+        f"pixel_identical={r['pixel_identical']})"
+    )
     print(f"  wrote {artifact.name}")
+    assert r["pixel_identical"], "render_frame drifted from the reference renderer"
     if SMOKE:
         print("  smoke mode: gates disabled")
     else:
         assert m["speedup"] >= MATCHER_SPEEDUP_GATE, "matcher throughput gate failed"
         assert e["speedup"] >= END_TO_END_SPEEDUP_GATE, "end-to-end throughput gate failed"
         assert d["speedup"] >= DISTINCT_SPEEDUP_GATE, "distinct-frame throughput gate failed"
+        assert r["speedup"] >= RENDER_SPEEDUP_GATE, "render throughput gate failed"

@@ -6,20 +6,34 @@ thick 2-D capsule whose pixel radius follows the perspective scale at
 the capsule's depth.  Produces either a clean binary mask (ground truth)
 or a noisy grayscale frame (dark signaller against a bright orchard
 background) for the full recognition pipeline.
+
+A frame costs one ``bool`` mask and one projection per pose: all of a
+pose's capsule endpoints go through a single
+:meth:`~repro.geometry.camera.PinholeCamera.project_points` call, and
+every capsule is painted in place into the frame's one mask inside its
+clipped window (:func:`~repro.vision.raster.paint_capsule`).  The
+sensor-noise field is a pure function of ``(seed, sigma, shape)``, so
+it is drawn once and cached read-only.  Frames are pixel-identical to
+the per-capsule reference renderer in :mod:`repro.testing.reference`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.geometry.camera import PinholeCamera
 from repro.human.pose import HumanPose
 from repro.vision.image import BinaryImage, Image
-from repro.vision.raster import merge_masks, raster_capsule
+from repro.vision.raster import paint_capsule
 
 __all__ = ["RenderSettings", "render_silhouette", "render_frame", "render_scene"]
+
+# Capsules with an endpoint at or nearer than this depth (metres) are
+# culled: they are behind or grazing the camera.
+_MIN_DEPTH_M = 0.05
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,33 +52,48 @@ class RenderSettings:
             raise ValueError("noise sigma must be non-negative")
 
 
+def _paint_pose(mask: np.ndarray, pose: HumanPose, camera: PinholeCamera) -> None:
+    """Paint every visible capsule of *pose* into *mask* in place."""
+    k = camera.intrinsics
+    capsules = pose.all_capsules()
+    endpoints = np.array(
+        [tuple(point) for start, end, _ in capsules for point in (start, end)],
+        dtype=np.float64,
+    )
+    pixels, depths = camera.project_points(endpoints)
+    pixels, depths = pixels.tolist(), depths.tolist()
+    for i, (_, _, radius) in enumerate(capsules):
+        d0, d1 = depths[2 * i], depths[2 * i + 1]
+        if d0 <= _MIN_DEPTH_M or d1 <= _MIN_DEPTH_M:
+            continue  # behind or grazing the camera
+        mid_depth = (d0 + d1) / 2
+        (c0, r0), (c1, r1) = pixels[2 * i], pixels[2 * i + 1]
+        paint_capsule(mask, (r0, c0), (r1, c1), k.focal_px * radius / mid_depth)
+
+
+def _scene_mask(poses, camera: PinholeCamera) -> np.ndarray:
+    k = camera.intrinsics
+    mask = np.zeros((k.height, k.width), dtype=bool)
+    for pose in poses:
+        _paint_pose(mask, pose, camera)
+    return mask
+
+
+@lru_cache(maxsize=4)
+def _noise_field(seed: int, sigma: float, shape: tuple[int, int]) -> np.ndarray:
+    """The read-only sensor-noise field for ``(seed, sigma, shape)``."""
+    field = np.random.default_rng(seed).normal(0.0, sigma, size=shape)
+    field.setflags(write=False)
+    return field
+
+
 def render_silhouette(pose: HumanPose, camera: PinholeCamera) -> BinaryImage:
     """Render the pose as a clean binary silhouette.
 
     Capsules behind the camera are culled; a pose entirely behind the
     camera or outside the frame yields an empty mask.
     """
-    k = camera.intrinsics
-    masks: list[BinaryImage] = []
-    for start, end, radius in pose.all_capsules():
-        endpoints = np.array([list(start), list(end)], dtype=np.float64)
-        pixels, depths = camera.project_points(endpoints)
-        if depths[0] <= 0.05 or depths[1] <= 0.05:
-            continue  # behind or grazing the camera
-        mid_depth = float(depths.mean())
-        pixel_radius = k.focal_px * radius / mid_depth
-        masks.append(
-            raster_capsule(
-                k.height,
-                k.width,
-                start=(float(pixels[0, 1]), float(pixels[0, 0])),  # (row, col)
-                end=(float(pixels[1, 1]), float(pixels[1, 0])),
-                radius=pixel_radius,
-            )
-        )
-    if not masks:
-        return BinaryImage.zeros(k.height, k.width)
-    return merge_masks(masks)
+    return BinaryImage(_scene_mask([pose], camera))
 
 
 def render_frame(
@@ -88,7 +117,7 @@ def render_scene(
 ) -> Image:
     """Render a frame containing any number of posed figures.
 
-    All silhouettes are merged into one foreground mask before the
+    All silhouettes are painted into one foreground mask before the
     photometric pass, so ``render_scene([pose], ...)`` is bit-identical
     to :func:`render_frame` — the long-tail scenario engine uses the
     multi-pose form to place a second, conflicting signaller in-frame.
@@ -96,12 +125,9 @@ def render_scene(
     cfg = settings if settings is not None else RenderSettings()
     if not poses:
         raise ValueError("need at least one pose to render")
-    mask = render_silhouette(poses[0], camera)
-    for pose in poses[1:]:
-        mask = mask.union(render_silhouette(pose, camera))
-    rng = np.random.default_rng(cfg.seed)
+    mask = _scene_mask(poses, camera)
     frame = np.full(mask.shape, cfg.background_intensity, dtype=np.float64)
-    frame[mask.pixels] = cfg.figure_intensity
+    frame[mask] = cfg.figure_intensity
     if cfg.noise_sigma > 0:
-        frame = frame + rng.normal(0.0, cfg.noise_sigma, size=frame.shape)
-    return Image(np.clip(frame, 0.0, 1.0))
+        frame += _noise_field(cfg.seed, cfg.noise_sigma, mask.shape)
+    return Image(np.clip(frame, 0.0, 1.0, out=frame))

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.geometry.camera import CameraIntrinsics, PinholeCamera
@@ -81,6 +82,11 @@ __all__ = [
 # Drone camera intrinsics used for every mission observation (matches
 # SaxPerception and the canonical enrolment views).
 _OBSERVATION_INTRINSICS = CameraIntrinsics(240, 240, 280.0)
+
+# A query's ``dim_key``: the BodyDimensions field values in declaration
+# order, the same tuple ``dataclasses.astuple`` gives without its
+# recursive deep copy.
+_dimension_key = attrgetter(*(f.name for f in fields(BodyDimensions)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +171,7 @@ class ObservationQuery:
             camera_y=cy,
             camera_z=cz,
             settings=settings,
-            dim_key=astuple(human.dimensions),
+            dim_key=_dimension_key(human.dimensions),
             dimensions=human.dimensions,
         )
 

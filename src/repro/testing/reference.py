@@ -1,13 +1,28 @@
-"""The naive perception reference the batched fleet path is checked against."""
+"""Naive reference paths the optimised engines are checked against.
+
+* :class:`ScalarReferencePerception` — the per-frame perception the
+  batched fleet path must agree with.
+* :func:`render_silhouette` / :func:`render_scene` — the per-capsule
+  renderer (one mask and one projection per capsule, a fresh noise
+  draw per frame) the one-mask renderer in :mod:`repro.human.render`
+  must match pixel for pixel.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.geometry.camera import PinholeCamera
 from repro.geometry.vec import Vec3
 from repro.human.agent import HumanAgent
+from repro.human.pose import HumanPose
+from repro.human.render import RenderSettings
 from repro.human.signs import MarshallingSign
 from repro.protocol.recognizer import RecognizerPerception
+from repro.vision.image import BinaryImage, Image
+from repro.vision.raster import merge_masks, raster_capsule
 
-__all__ = ["ScalarReferencePerception"]
+__all__ = ["ScalarReferencePerception", "render_scene", "render_silhouette"]
 
 
 class ScalarReferencePerception:
@@ -31,3 +46,57 @@ class ScalarReferencePerception:
             return None
         frame = query.render()
         return self.view.recognizer.recognise(frame, elevation_deg=query.elevation_deg).sign
+
+
+def render_silhouette(pose: HumanPose, camera: PinholeCamera) -> BinaryImage:
+    """Render the pose as a clean binary silhouette.
+
+    Capsules behind the camera are culled; a pose entirely behind the
+    camera or outside the frame yields an empty mask.
+    """
+    k = camera.intrinsics
+    masks: list[BinaryImage] = []
+    for start, end, radius in pose.all_capsules():
+        endpoints = np.array([list(start), list(end)], dtype=np.float64)
+        pixels, depths = camera.project_points(endpoints)
+        if depths[0] <= 0.05 or depths[1] <= 0.05:
+            continue  # behind or grazing the camera
+        mid_depth = float(depths.mean())
+        pixel_radius = k.focal_px * radius / mid_depth
+        masks.append(
+            raster_capsule(
+                k.height,
+                k.width,
+                start=(float(pixels[0, 1]), float(pixels[0, 0])),  # (row, col)
+                end=(float(pixels[1, 1]), float(pixels[1, 0])),
+                radius=pixel_radius,
+            )
+        )
+    if not masks:
+        return BinaryImage.zeros(k.height, k.width)
+    return merge_masks(masks)
+
+
+def render_scene(
+    poses: "list[HumanPose] | tuple[HumanPose, ...]",
+    camera: PinholeCamera,
+    settings: RenderSettings | None = None,
+) -> Image:
+    """Render a frame containing any number of posed figures.
+
+    All silhouettes are merged into one foreground mask before the
+    photometric pass, so ``render_scene([pose], ...)`` is bit-identical
+    to :func:`~repro.human.render.render_frame`.
+    """
+    cfg = settings if settings is not None else RenderSettings()
+    if not poses:
+        raise ValueError("need at least one pose to render")
+    mask = render_silhouette(poses[0], camera)
+    for pose in poses[1:]:
+        mask = mask.union(render_silhouette(pose, camera))
+    rng = np.random.default_rng(cfg.seed)
+    frame = np.full(mask.shape, cfg.background_intensity, dtype=np.float64)
+    frame[mask.pixels] = cfg.figure_intensity
+    if cfg.noise_sigma > 0:
+        frame = frame + rng.normal(0.0, cfg.noise_sigma, size=frame.shape)
+    return Image(np.clip(frame, 0.0, 1.0))

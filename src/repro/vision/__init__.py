@@ -51,7 +51,13 @@ from repro.vision.morphology import (
     opening,
     opening_stack,
 )
-from repro.vision.raster import merge_masks, raster_capsule, raster_disc, raster_polygon
+from repro.vision.raster import (
+    merge_masks,
+    paint_capsule,
+    raster_capsule,
+    raster_disc,
+    raster_polygon,
+)
 from repro.vision.signature import (
     SignatureKind,
     centroid_distance_signature,
@@ -98,6 +104,7 @@ __all__ = [
     "opening",
     "opening_stack",
     "merge_masks",
+    "paint_capsule",
     "raster_capsule",
     "raster_disc",
     "raster_polygon",

@@ -8,11 +8,13 @@ graphics dependency.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.vision.image import BinaryImage
 
-__all__ = ["raster_disc", "raster_capsule", "raster_polygon", "merge_masks"]
+__all__ = ["raster_disc", "raster_capsule", "paint_capsule", "raster_polygon", "merge_masks"]
 
 
 def raster_disc(height: int, width: int, centre: tuple[float, float], radius: float) -> BinaryImage:
@@ -32,10 +34,8 @@ def raster_capsule(
     radius: float,
 ) -> BinaryImage:
     """Rasterise a filled capsule (thick segment with round caps)."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
     mask = np.zeros((height, width), dtype=bool)
-    _paint_capsule(mask, start, end, radius)
+    paint_capsule(mask, start, end, radius)
     return BinaryImage(mask)
 
 
@@ -48,10 +48,10 @@ def _clipped_window(
 ) -> tuple[slice, slice] | None:
     """Return integer row/col slices covering a bounding box, or ``None``."""
     h, w = shape[0], shape[1]
-    r0 = max(0, int(np.floor(r_min)))
-    r1 = min(h, int(np.ceil(r_max)) + 1)
-    c0 = max(0, int(np.floor(c_min)))
-    c1 = min(w, int(np.ceil(c_max)) + 1)
+    r0 = max(0, math.floor(r_min))
+    r1 = min(h, math.ceil(r_max) + 1)
+    c0 = max(0, math.floor(c_min))
+    c1 = min(w, math.ceil(c_max) + 1)
     if r0 >= r1 or c0 >= c1:
         return None
     return slice(r0, r1), slice(c0, c1)
@@ -69,12 +69,21 @@ def _paint_disc(mask: np.ndarray, centre: tuple[float, float], radius: float) ->
     mask[rs, cs] |= inside
 
 
-def _paint_capsule(
+def paint_capsule(
     mask: np.ndarray,
     start: tuple[float, float],
     end: tuple[float, float],
     radius: float,
 ) -> None:
+    """Paint a filled capsule into the ``bool`` array *mask* in place.
+
+    *start* and *end* are ``(row, col)`` in pixels.  Only the capsule's
+    clipped bounding window is touched, and pixels already set stay
+    set, so painting several capsules into one mask equals the union of
+    their :func:`raster_capsule` masks.
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     r0, c0 = start
     r1, c1 = end
     window = _clipped_window(
