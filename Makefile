@@ -54,7 +54,8 @@ coverage:
 
 # Regenerate BENCH_throughput.json (gates: matcher >= 5x, end-to-end
 # >= 3x, distinct-frame >= 1.5x, render >= 1.5x with pixel_identical
-# asserted; see docs/BENCHMARKS.md).
+# asserted, windowed preprocess >= 2x with identical asserted; see
+# docs/BENCHMARKS.md).
 bench-throughput:
 	$(PYTHON) benchmarks/bench_throughput.py
 

@@ -31,6 +31,7 @@ Run as a script to write the ``BENCH_service.json`` artifact::
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -143,6 +144,7 @@ def measure() -> dict:
     return {
         "smoke": SMOKE,
         "cpu_count": CPU_COUNT,
+        "python": platform.python_version(),
         "workers": WORKERS,
         "labels": LABELS,
         "views_per_label": VIEWS_PER_LABEL,

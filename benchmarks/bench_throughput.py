@@ -20,6 +20,11 @@ Measures frames/sec of the batched engine against the scalar loop on
   field) vs the per-capsule reference renderer in
   ``repro.testing.reference`` over the distinct batch's poses and
   cameras, with ``pixel_identical`` asserted on every run.  Gate: ≥ 1.5×.
+* **preprocess**: ``preprocess_frames`` on the distinct batch's rendered
+  frames (windowed: each carries its render provenance) vs the same
+  pixels as provenance-free images (the full stacked path), with
+  ``identical`` — every ``PreprocessResult`` byte-equal — asserted on
+  every run.  Gate: ≥ 2×.
 
 Set ``BENCH_SMOKE=1`` to run a tiny batch with the perf gates disabled
 (parity checks stay on) — the CI smoke job uses this so the script
@@ -39,7 +44,9 @@ from pathlib import Path
 from repro.geometry import observation_camera
 from repro.human import COMMUNICATIVE_SIGNS, RenderSettings, pose_for_sign, render_frame
 from repro.recognition.pipeline import observation_elevation_deg
+from repro.recognition.preprocess import PreprocessSettings, preprocess_frames
 from repro.testing import reference
+from repro.vision import Image
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 BATCH_SIZE = 16 if SMOKE else 64
@@ -50,6 +57,7 @@ MATCHER_SPEEDUP_GATE = 5.0
 END_TO_END_SPEEDUP_GATE = 3.0
 DISTINCT_SPEEDUP_GATE = 1.5
 RENDER_SPEEDUP_GATE = 1.5
+PREPROCESS_SPEEDUP_GATE = 2.0
 
 
 def make_frames(count: int = BATCH_SIZE) -> list:
@@ -147,6 +155,36 @@ def measure_render(count: int = BATCH_SIZE) -> dict:
     }
 
 
+def _result_bytes(result) -> tuple:
+    """A ``PreprocessResult`` as comparable bytes."""
+    arrays = (
+        None if result.silhouette is None else result.silhouette.pixels,
+        None if result.contour is None else result.contour.points,
+        result.series,
+    )
+    return (result.reject_reason, *(None if a is None else (a.shape, a.tobytes()) for a in arrays))
+
+
+def measure_preprocess(count: int = BATCH_SIZE) -> dict:
+    """Windowed ``preprocess_frames`` vs the full path on the same pixels."""
+    frames = make_distinct_frames(count)
+    bare = [Image(frame.pixels) for frame in frames]
+    settings = PreprocessSettings()
+
+    def run(batch):
+        return preprocess_frames(batch, settings, elevation_deg=ELEVATION)
+
+    full_s = timed(lambda: run(bare))
+    windowed_s = timed(lambda: run(frames))
+    identical = [_result_bytes(r) for r in run(frames)] == [_result_bytes(r) for r in run(bare)]
+    return {
+        "full_fps": fps(full_s, count),
+        "windowed_fps": fps(windowed_s, count),
+        "speedup": full_s / windowed_s,
+        "identical": identical,
+    }
+
+
 def measure(recognizer) -> dict:
     frames = make_frames()
     distinct = make_distinct_frames()
@@ -173,6 +211,7 @@ def measure(recognizer) -> dict:
         "end_to_end": _end_to_end(recognizer, frames),
         "end_to_end_distinct": _end_to_end(recognizer, distinct),
         "render": measure_render(),
+        "preprocess": measure_preprocess(),
     }
 
 
@@ -231,6 +270,18 @@ def test_render_throughput(benchmark):
         assert stats["speedup"] >= RENDER_SPEEDUP_GATE
 
 
+def test_preprocess_throughput(benchmark):
+    """The windowed pre-processor matches the full path byte for byte
+    and clears >= 2x its frames/sec on the distinct batch."""
+    frames = make_distinct_frames()
+    benchmark(preprocess_frames, frames, elevation_deg=ELEVATION)
+    stats = measure_preprocess()
+    assert stats["identical"]
+    benchmark.extra_info["speedup_vs_full"] = round(stats["speedup"], 2)
+    if not SMOKE:
+        assert stats["speedup"] >= PREPROCESS_SPEEDUP_GATE
+
+
 if __name__ == "__main__":
     from repro.recognition import SaxSignRecognizer
 
@@ -240,7 +291,7 @@ if __name__ == "__main__":
     artifact = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
     artifact.write_text(json.dumps(stats, indent=2) + "\n")
     m, e, d = stats["matcher"], stats["end_to_end"], stats["end_to_end_distinct"]
-    r = stats["render"]
+    r, p = stats["render"], stats["preprocess"]
     print(
         f"T-THRU ({BATCH_SIZE}-frame batch, {stats['enrolled_views']} views, "
         f"{HOST['cpu_count']} cores, Python {HOST['python']})"
@@ -262,8 +313,14 @@ if __name__ == "__main__":
         f"one-mask ({r['speedup']:.2f}x, gate >= {RENDER_SPEEDUP_GATE:.1f}x, "
         f"pixel_identical={r['pixel_identical']})"
     )
+    print(
+        f"  preprocess:      {p['full_fps']:8.0f} fps full   -> {p['windowed_fps']:8.0f} fps "
+        f"windowed ({p['speedup']:.2f}x, gate >= {PREPROCESS_SPEEDUP_GATE:.1f}x, "
+        f"identical={p['identical']})"
+    )
     print(f"  wrote {artifact.name}")
     assert r["pixel_identical"], "render_frame drifted from the reference renderer"
+    assert p["identical"], "windowed preprocess drifted from the full path"
     if SMOKE:
         print("  smoke mode: gates disabled")
     else:
@@ -271,3 +328,4 @@ if __name__ == "__main__":
         assert e["speedup"] >= END_TO_END_SPEEDUP_GATE, "end-to-end throughput gate failed"
         assert d["speedup"] >= DISTINCT_SPEEDUP_GATE, "distinct-frame throughput gate failed"
         assert r["speedup"] >= RENDER_SPEEDUP_GATE, "render throughput gate failed"
+        assert p["speedup"] >= PREPROCESS_SPEEDUP_GATE, "preprocess throughput gate failed"

@@ -19,15 +19,12 @@ from repro.dataflow.channel import (
 )
 from repro.dataflow.graph import Graph, GraphError, GraphStats, NodeFailure
 from repro.dataflow.node import FunctionNode, Node, NodeMetrics, NodeStats, Port
-from repro.dataflow.stages import DynamicDecodeNode, FrameChunk
 
 __all__ = [
     "Channel",
     "ChannelFullError",
     "ChannelPolicy",
     "ChannelStats",
-    "DynamicDecodeNode",
-    "FrameChunk",
     "FunctionNode",
     "Graph",
     "GraphError",

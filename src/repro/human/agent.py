@@ -37,7 +37,8 @@ class HumanAgent:
     facing_deg:
         Body yaw, degrees clockwise from north (0 faces +y).
     seed:
-        Seed for the agent's private RNG.
+        Seed for the agent's private RNG.  The generator is seeded on
+        the first draw, so agents that never react pay for no RNG state.
     """
 
     name: str
@@ -48,7 +49,7 @@ class HumanAgent:
     dimensions: BodyDimensions = field(default_factory=BodyDimensions)
 
     def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
+        self._rng: random.Random | None = None
         self._current_sign = MarshallingSign.IDLE
         self._current_lean_deg = 0.0
         self._pending: list[tuple[float, MarshallingSign, float]] = []
@@ -126,7 +127,7 @@ class HumanAgent:
         IDLE (people do not hold marshalling poses indefinitely).
         Returns the sample so the protocol layer can log ground truth.
         """
-        sample = self.persona.sample_reaction(intended, self._rng)
+        sample = self.persona.sample_reaction(intended, self._random())
         if sample.sign.is_communicative:
             # A fresh reaction supersedes anything previously queued
             # (e.g. the scheduled relax-to-IDLE of an earlier sign).
@@ -144,7 +145,7 @@ class HumanAgent:
 
     def decide_space_request(self) -> MarshallingSign:
         """Decide YES/NO for the occupy-area request (persona policy)."""
-        return self.persona.decide_space_request(self._rng)
+        return self.persona.decide_space_request(self._random())
 
     def face_towards(self, point: Vec2) -> None:
         """Turn the body to face *point*."""
@@ -176,6 +177,12 @@ class HumanAgent:
         self._walk_target = None
 
     # -- internals ----------------------------------------------------------------
+
+    def _random(self) -> random.Random:
+        """The agent's private RNG, seeded from ``seed`` on first use."""
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
+        return self._rng
 
     def _apply_sign(self, sign: MarshallingSign, lean_deg: float, now_s: float, world) -> None:
         if sign is self._current_sign and abs(lean_deg - self._current_lean_deg) < 1e-9:

@@ -15,6 +15,11 @@ clipped window (:func:`~repro.vision.raster.paint_capsule`).  The
 sensor-noise field is a pure function of ``(seed, sigma, shape)``, so
 it is drawn once and cached read-only.  Frames are pixel-identical to
 the per-capsule reference renderer in :mod:`repro.testing.reference`.
+
+Each frame carries a :class:`~repro.vision.image.FrameProvenance`: the
+union of the painted capsules' clipped windows as its box, and the
+figure-free frame of the same settings as its backdrop — outside the
+box a frame is exactly ``clip(background + noise)``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from repro.geometry.camera import PinholeCamera
 from repro.human.pose import HumanPose
-from repro.vision.image import BinaryImage, Image
+from repro.vision.image import BinaryImage, FrameProvenance, Image
 from repro.vision.raster import paint_capsule
 
 __all__ = ["RenderSettings", "render_silhouette", "render_frame", "render_scene"]
@@ -52,8 +57,14 @@ class RenderSettings:
             raise ValueError("noise sigma must be non-negative")
 
 
-def _paint_pose(mask: np.ndarray, pose: HumanPose, camera: PinholeCamera) -> None:
-    """Paint every visible capsule of *pose* into *mask* in place."""
+def _paint_pose(
+    mask: np.ndarray, pose: HumanPose, camera: PinholeCamera, bounds: list[int]
+) -> None:
+    """Paint every visible capsule of *pose* into *mask* in place.
+
+    *bounds* (``[top, left, bottom, right]``) grows to cover every
+    painted capsule's window.
+    """
     k = camera.intrinsics
     capsules = pose.all_capsules()
     endpoints = np.array(
@@ -68,15 +79,25 @@ def _paint_pose(mask: np.ndarray, pose: HumanPose, camera: PinholeCamera) -> Non
             continue  # behind or grazing the camera
         mid_depth = (d0 + d1) / 2
         (c0, r0), (c1, r1) = pixels[2 * i], pixels[2 * i + 1]
-        paint_capsule(mask, (r0, c0), (r1, c1), k.focal_px * radius / mid_depth)
+        window = paint_capsule(mask, (r0, c0), (r1, c1), k.focal_px * radius / mid_depth)
+        if window is not None:
+            rows, cols = window
+            bounds[0] = min(bounds[0], rows.start)
+            bounds[1] = min(bounds[1], cols.start)
+            bounds[2] = max(bounds[2], rows.stop)
+            bounds[3] = max(bounds[3], cols.stop)
 
 
-def _scene_mask(poses, camera: PinholeCamera) -> np.ndarray:
+def _scene_mask(poses, camera: PinholeCamera) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """The scene's foreground mask and a ``(top, left, height, width)``
+    box containing all of it (zero-sized when nothing was painted)."""
     k = camera.intrinsics
     mask = np.zeros((k.height, k.width), dtype=bool)
+    bounds = [k.height, k.width, 0, 0]
     for pose in poses:
-        _paint_pose(mask, pose, camera)
-    return mask
+        _paint_pose(mask, pose, camera, bounds)
+    top, left, bottom, right = bounds
+    return mask, (top, left, max(0, bottom - top), max(0, right - left))
 
 
 @lru_cache(maxsize=4)
@@ -87,13 +108,30 @@ def _noise_field(seed: int, sigma: float, shape: tuple[int, int]) -> np.ndarray:
     return field
 
 
+@dataclass(frozen=True, slots=True)
+class _Backdrop:
+    """The figure-free frame of one photometric setting (a
+    :class:`~repro.vision.image.Backdrop`)."""
+
+    intensity: float
+    noise_sigma: float
+    seed: int
+    shape: tuple[int, int]
+
+    def pixels(self) -> np.ndarray:
+        frame = np.full(self.shape, self.intensity, dtype=np.float64)
+        if self.noise_sigma > 0:
+            frame += _noise_field(self.seed, self.noise_sigma, self.shape)
+        return np.clip(frame, 0.0, 1.0, out=frame)
+
+
 def render_silhouette(pose: HumanPose, camera: PinholeCamera) -> BinaryImage:
     """Render the pose as a clean binary silhouette.
 
     Capsules behind the camera are culled; a pose entirely behind the
     camera or outside the frame yields an empty mask.
     """
-    return BinaryImage(_scene_mask([pose], camera))
+    return BinaryImage(_scene_mask([pose], camera)[0])
 
 
 def render_frame(
@@ -125,9 +163,10 @@ def render_scene(
     cfg = settings if settings is not None else RenderSettings()
     if not poses:
         raise ValueError("need at least one pose to render")
-    mask = _scene_mask(poses, camera)
+    mask, box = _scene_mask(poses, camera)
     frame = np.full(mask.shape, cfg.background_intensity, dtype=np.float64)
     frame[mask] = cfg.figure_intensity
     if cfg.noise_sigma > 0:
         frame += _noise_field(cfg.seed, cfg.noise_sigma, mask.shape)
-    return Image(np.clip(frame, 0.0, 1.0, out=frame))
+    backdrop = _Backdrop(cfg.background_intensity, cfg.noise_sigma, cfg.seed, mask.shape)
+    return Image(np.clip(frame, 0.0, 1.0, out=frame), FrameProvenance(backdrop, box))

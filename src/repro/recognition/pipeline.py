@@ -152,12 +152,18 @@ class SaxSignRecognizer:
     ) -> None:
         """Enrol *sign* from a reference frame.
 
+        The frame goes through the batched pre-processor (bit-identical
+        to :func:`~repro.recognition.preprocess.preprocess_frame`), so a
+        rendered reference view takes its windowed path.
+
         Raises
         ------
         ValueError
             If no usable silhouette can be extracted from the frame.
         """
-        result = preprocess_frame(frame, self.preprocess_settings, elevation_deg=elevation_deg)
+        (result,) = preprocess_frames(
+            [frame], self.preprocess_settings, elevation_deg=elevation_deg
+        )
         if not result.ok:
             raise ValueError(f"cannot enrol {sign.value!r}: {result.reject_reason}")
         assert result.series is not None

@@ -18,6 +18,30 @@ Two code paths share these semantics (``docs/ARCHITECTURE.md``):
   conversion.  Per-frame results are bit-identical to the scalar path;
   parity tests enforce it.
 
+Windowed frames
+---------------
+A rendered frame carries a :class:`~repro.vision.image.FrameProvenance`:
+outside its ``box`` it equals a known backdrop (the figure-free
+``clip(background + noise)`` frame).  Blur, Otsu and closing then only
+need the box grown by the blur radius: :func:`preprocess_frames` keeps a
+small cache of *background plates* — per ``(backdrop, blur sigma,
+shape)`` the blurred backdrop's Otsu bin of every pixel (``uint8``), its
+integer histogram and its smallest bin — and for such a frame
+
+* blurs only the window, with the reference taps over reflected
+  neighbours (:func:`~repro.vision.filters.gaussian_blur_window`);
+* builds the frame's histogram as plate − plate window + window, exact
+  integer arithmetic, and takes Otsu's bin from it;
+* closes the window padded by the closing radius with background.
+
+Every pixel outside the window is plate, hence background, *provided*
+the plate's smallest bin lies above Otsu's bin; when it does not (a
+low-contrast backdrop whose noise could cross the threshold) the frame
+takes the full stacked path, as do frames without provenance (occluded,
+blurred, dropped or caller-built images), an empty box and tiny frames.
+No setting selects the path; the frame's provenance alone decides, and
+the result is bit-identical either way.
+
 Elevation rectification
 -----------------------
 The drone always knows its own altitude and the ground distance to its
@@ -34,17 +58,29 @@ import math
 import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.vision.components import largest_component, largest_components_stack
 from repro.vision.contour import Contour, trace_outer_contour, trace_outer_contour_fast
-from repro.vision.filters import gaussian_blur, gaussian_blur_stack
-from repro.vision.image import BinaryImage, Image, stack_pixels
+from repro.vision.filters import (
+    gaussian_blur,
+    gaussian_blur_stack,
+    gaussian_blur_window,
+    gaussian_kernel_1d,
+)
+from repro.vision.image import Backdrop, BinaryImage, Image, stack_pixels
 from repro.vision.morphology import closing, closing_stack
 from repro.vision.signature import SignatureKind, compute_signature, compute_signature_stack
-from repro.vision.threshold import threshold_otsu, threshold_otsu_stack
+from repro.vision.threshold import (
+    OTSU_BINS,
+    otsu_bins_stack,
+    otsu_dark_bins,
+    threshold_otsu,
+    threshold_otsu_stack,
+)
 
 if TYPE_CHECKING:
     from repro.recognition.budget import FrameBudget
@@ -233,6 +269,94 @@ def preprocess_frames(
     return results  # type: ignore[return-value]  # every slot is filled above
 
 
+@dataclass(frozen=True, slots=True)
+class _Plate:
+    """A backdrop's blurred Otsu binning, shared by every frame on it."""
+
+    bins: np.ndarray  # (H, W) uint8: the Otsu bin of each blurred pixel
+    histogram: np.ndarray  # (OTSU_BINS,) integer counts of ``bins``
+    min_bin: int
+
+
+@lru_cache(maxsize=8)
+def _plate(backdrop: Backdrop, blur_sigma: float, shape: tuple[int, int]) -> _Plate:
+    """The read-only plate of *backdrop* under a *blur_sigma* blur."""
+    pixels = backdrop.pixels()
+    if pixels.shape != shape:
+        raise ValueError(f"backdrop shape {pixels.shape} does not match frame shape {shape}")
+    stack = gaussian_blur_stack([pixels], blur_sigma) if blur_sigma > 0 else pixels[None]
+    histograms, bins = otsu_bins_stack(stack)
+    plate_bins, histogram = bins[0].astype(np.uint8), histograms[0]
+    plate_bins.setflags(write=False)
+    histogram.setflags(write=False)
+    return _Plate(plate_bins, histogram, int(plate_bins.min()))
+
+
+@dataclass(frozen=True, slots=True)
+class _Window:
+    """The blurred part of one frame that can differ from its plate."""
+
+    plate: _Plate
+    rows: tuple[int, int]
+    cols: tuple[int, int]
+    pixels: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _blur_margin(blur_sigma: float) -> int:
+    """How far a blur spreads a changed pixel: the kernel radius."""
+    return len(gaussian_kernel_1d(blur_sigma)) // 2 if blur_sigma > 0 else 0
+
+
+def _blur_window(frame: Image, cfg: PreprocessSettings) -> _Window | None:
+    """Blur the part of *frame* its provenance says can differ from the
+    backdrop, grown by the blur radius; ``None`` sends the frame down
+    the full path (no provenance, an empty box, a tiny frame)."""
+    provenance = frame.provenance
+    if provenance is None:
+        return None
+    top, left, height, width = provenance.box
+    h, w = frame.shape
+    margin = _blur_margin(cfg.blur_sigma)
+    if height == 0 or width == 0 or h < margin + 2 or w < margin + 2:
+        return None
+    rows = (max(0, top - margin), min(h, top + height + margin))
+    cols = (max(0, left - margin), min(w, left + width + margin))
+    plate = _plate(provenance.backdrop, cfg.blur_sigma, (h, w))
+    if cfg.blur_sigma > 0:
+        pixels = gaussian_blur_window(frame.pixels, cfg.blur_sigma, rows, cols)
+    else:
+        pixels = frame.pixels[rows[0] : rows[1], cols[0] : cols[1]]
+    return _Window(plate, rows, cols, pixels)
+
+
+def _threshold_window(window: _Window) -> np.ndarray | None:
+    """The window's dark-foreground mask under the whole frame's Otsu
+    threshold; ``None`` when a plate pixel could turn foreground."""
+    histograms, bins = otsu_bins_stack(window.pixels[None])
+    (r0, r1), (c0, c1) = window.rows, window.cols
+    plate = window.plate
+    covered = np.bincount(plate.bins[r0:r1, c0:c1].ravel(), minlength=OTSU_BINS)
+    dark = int(otsu_dark_bins((plate.histogram - covered + histograms[0])[None])[0])
+    if plate.min_bin <= dark:
+        return None
+    return bins[0] <= dark
+
+
+def _close_window(window: _Window, mask: np.ndarray, radius: int, out: np.ndarray) -> None:
+    """Write the window's closed *mask* into the all-background frame *out*."""
+    (r0, r1), (c0, c1) = window.rows, window.cols
+    if radius == 0:
+        out[r0:r1, c0:c1] = mask
+        return
+    h, w = out.shape
+    top, bottom = max(0, r0 - radius), min(h, r1 + radius)
+    left, right = max(0, c0 - radius), min(w, c1 + radius)
+    canvas = np.zeros((1, bottom - top, right - left), dtype=bool)
+    canvas[0, r0 - top : r1 - top, c0 - left : c1 - left] = mask
+    out[top:bottom, left:right] = closing_stack(canvas, radius)[0]
+
+
 def _preprocess_group(
     frames: list[Image],
     elevations: list[float | None],
@@ -243,15 +367,29 @@ def _preprocess_group(
 ) -> None:
     """Batch-process the same-shape *indices* subset of *frames* in place."""
     with _stage(budget, "blur"):
-        if cfg.blur_sigma > 0:
-            stack = gaussian_blur_stack([frames[i].pixels for i in indices], cfg.blur_sigma)
-        else:
-            stack = stack_pixels([frames[i] for i in indices])
+        blurred = [_blur_window(frames[i], cfg) for i in indices]
     with _stage(budget, "threshold"):
-        masks = threshold_otsu_stack(stack, foreground_dark=True)
+        dark = [None if window is None else _threshold_window(window) for window in blurred]
+    full = [k for k, mask in enumerate(dark) if mask is None]
+    if full:
+        with _stage(budget, "blur"):
+            if cfg.blur_sigma > 0:
+                stack = gaussian_blur_stack(
+                    [frames[indices[k]].pixels for k in full], cfg.blur_sigma
+                )
+            else:
+                stack = stack_pixels([frames[indices[k]] for k in full])
+        with _stage(budget, "threshold"):
+            full_masks = threshold_otsu_stack(stack, foreground_dark=True)
     with _stage(budget, "morphology"):
-        if cfg.closing_radius > 0:
-            masks = closing_stack(masks, cfg.closing_radius)
+        masks = np.zeros((len(indices), *frames[indices[0]].shape), dtype=bool)
+        if full:
+            if cfg.closing_radius > 0:
+                full_masks = closing_stack(full_masks, cfg.closing_radius)
+            masks[full] = full_masks
+        for window, mask, out in zip(blurred, dark, masks):
+            if mask is not None:
+                _close_window(window, mask, cfg.closing_radius, out)
     with _stage(budget, "components"):
         components = largest_components_stack(masks)
 

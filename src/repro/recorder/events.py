@@ -73,6 +73,48 @@ def is_deterministic(kind: str) -> bool:
     return kind in DETERMINISTIC_KINDS
 
 
+_pack_double = struct.Struct("<d").pack
+_canonical_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def _encode_float(value: float) -> str:
+    return _FLOAT_PREFIX + _pack_double(value).hex()
+
+
+def _encode_str(value: str) -> str:
+    if value.startswith((_FLOAT_PREFIX, _STRING_PREFIX)):
+        return _STRING_PREFIX + value
+    return value
+
+
+def _encode_dict(value: dict) -> dict:
+    return {str(key): encode_value(item) for key, item in value.items()}
+
+
+def _encode_sequence(value) -> list:
+    return [encode_value(item) for item in value]
+
+
+def _keep(value):
+    return value
+
+
+# Every record of a fleet run passes through encode_value, so exact
+# built-in types dispatch through one lookup; subclasses (numpy floats,
+# int enums, named tuples, ...) match by isinstance.  The type families
+# are disjoint, so the order of the entries does not matter.
+_ENCODERS = {
+    float: _encode_float,
+    str: _encode_str,
+    dict: _encode_dict,
+    list: _encode_sequence,
+    tuple: _encode_sequence,
+    int: _keep,
+    bool: _keep,
+    type(None): _keep,
+}
+
+
 def encode_value(value):
     """Recursively encode *value* into its canonical JSON-safe form.
 
@@ -80,18 +122,12 @@ def encode_value(value):
     for an encoded float gain an ``s:`` escape; tuples become lists.
     Dict keys must already be strings.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return _FLOAT_PREFIX + struct.pack("<d", value).hex()
-    if isinstance(value, str):
-        if value.startswith((_FLOAT_PREFIX, _STRING_PREFIX)):
-            return _STRING_PREFIX + value
-        return value
-    if isinstance(value, dict):
-        return {str(key): encode_value(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(item) for item in value]
+    encoder = _ENCODERS.get(type(value))
+    if encoder is not None:
+        return encoder(value)
+    for base, encoder in _ENCODERS.items():
+        if isinstance(value, base):
+            return encoder(value)
     raise TypeError(f"cannot record value of type {type(value).__name__}: {value!r}")
 
 
@@ -112,7 +148,7 @@ def decode_value(value):
 
 def canonical_line(record: dict) -> str:
     """Serialise an (already encoded) *record* as one canonical JSON line."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _canonical_encoder.encode(record)
 
 
 def parse_line(line: str) -> dict:

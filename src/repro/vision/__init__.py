@@ -35,11 +35,12 @@ from repro.vision.filters import (
     box_blur,
     gaussian_blur,
     gaussian_blur_stack,
+    gaussian_blur_window,
     gaussian_kernel_1d,
     gradient_magnitude,
     sobel_gradients,
 )
-from repro.vision.image import BinaryImage, Image, stack_pixels
+from repro.vision.image import Backdrop, BinaryImage, FrameProvenance, Image, stack_pixels
 from repro.vision.moments import CentralMoments, central_moments, hu_moments
 from repro.vision.morphology import (
     closing,
@@ -66,6 +67,8 @@ from repro.vision.signature import (
     cumulative_angle_signature,
 )
 from repro.vision.threshold import (
+    otsu_bins_stack,
+    otsu_dark_bins,
     otsu_threshold,
     otsu_threshold_stack,
     threshold_fixed,
@@ -86,10 +89,13 @@ __all__ = [
     "box_blur",
     "gaussian_blur",
     "gaussian_blur_stack",
+    "gaussian_blur_window",
     "gaussian_kernel_1d",
     "gradient_magnitude",
     "sobel_gradients",
+    "Backdrop",
     "BinaryImage",
+    "FrameProvenance",
     "Image",
     "stack_pixels",
     "CentralMoments",
@@ -113,6 +119,8 @@ __all__ = [
     "compute_signature",
     "compute_signature_stack",
     "cumulative_angle_signature",
+    "otsu_bins_stack",
+    "otsu_dark_bins",
     "otsu_threshold",
     "otsu_threshold_stack",
     "threshold_fixed",

@@ -8,6 +8,8 @@ Every filter has a *stack* variant operating on a ``(B, H, W)`` frame
 stack; because the per-tap accumulation runs in the same order on the
 same element values, stacked results are bit-identical per frame to the
 scalar functions (the batched pre-processor's parity contract).
+:func:`gaussian_blur_window` computes one rectangle of a Gaussian blur
+with the same taps, so it too equals that rectangle of the full blur.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "gaussian_kernel_1d",
     "gaussian_blur",
     "gaussian_blur_stack",
+    "gaussian_blur_window",
     "sobel_gradients",
     "gradient_magnitude",
 ]
@@ -157,6 +160,53 @@ def gaussian_blur_stack(
             target += tmp
     np.clip(out, 0.0, 1.0, out=out)
     return out
+
+
+def _reflect(positions: np.ndarray, size: int) -> np.ndarray:
+    """Map out-of-range indices back inside ``[0, size)`` like
+    ``np.pad(mode="reflect")`` (one bounce: needs overshoot < size)."""
+    positions = np.abs(positions)
+    return np.where(positions < size, positions, 2 * (size - 1) - positions)
+
+
+def gaussian_blur_window(
+    pixels: np.ndarray, sigma: float, rows: tuple[int, int], cols: tuple[int, int]
+) -> np.ndarray:
+    """Blur only ``pixels[rows[0]:rows[1], cols[0]:cols[1]]``.
+
+    Bit-identical to that window of ``gaussian_blur(Image(pixels),
+    sigma).pixels``: each output pixel accumulates the same taps, in the
+    same order, over the same reflected neighbours — the window's
+    margin is gathered with reflected indices at the frame edges instead
+    of padding the whole frame.  Needs a frame at least ``radius + 2``
+    pixels on each side, where one reflection bounce suffices.
+    """
+    kernel = gaussian_kernel_1d(sigma)
+    radius = len(kernel) // 2
+    h, w = pixels.shape
+    if h < radius + 2 or w < radius + 2:
+        raise ValueError("frame too small for a windowed blur")
+    (r0, r1), (c0, c1) = rows, cols
+    if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
+        raise ValueError("blur window must be a non-empty rectangle inside the frame")
+    n_rows, n_cols = r1 - r0, c1 - c0
+    if radius <= r0 and r1 + radius <= h and radius <= c0 and c1 + radius <= w:
+        source = pixels[r0 - radius : r1 + radius, c0 - radius : c1 + radius]
+    else:
+        source = pixels.take(_reflect(np.arange(r0 - radius, r1 + radius), h), axis=0)
+        source = source.take(_reflect(np.arange(c0 - radius, c1 + radius), w), axis=1)
+    taps = kernel.tolist()
+    horizontal = np.multiply(source[:, 0:n_cols], taps[0])
+    tmp = np.empty_like(horizontal)
+    for i in range(1, len(taps)):
+        np.multiply(source[:, i : i + n_cols], taps[i], out=tmp)
+        horizontal += tmp
+    out = np.multiply(horizontal[0:n_rows], taps[0])
+    tmp = tmp[0:n_rows]
+    for i in range(1, len(taps)):
+        np.multiply(horizontal[i : i + n_rows], taps[i], out=tmp)
+        out += tmp
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def sobel_gradients(image: Image) -> tuple[np.ndarray, np.ndarray]:

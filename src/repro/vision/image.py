@@ -8,16 +8,48 @@ Row index grows downwards (raster order), matching the camera model.
 
 :func:`stack_pixels` adapts a sequence of same-shape images to the
 ``(B, H, W)`` array layout the batched vision stages operate on.
+
+A rendered :class:`Image` may carry a :class:`FrameProvenance`: the
+promise that outside one ``box`` the frame equals a known, hashable
+*backdrop*.  Consumers may then process only the box (see the windowed
+path of :func:`repro.recognition.preprocess.preprocess_frames`); every
+derived image (crop, invert, any caller-built array) carries none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Protocol, Sequence
 
 import numpy as np
 
-__all__ = ["Image", "BinaryImage", "stack_pixels"]
+__all__ = ["Backdrop", "FrameProvenance", "Image", "BinaryImage", "stack_pixels"]
+
+
+class Backdrop(Protocol):
+    """A hashable description of a frame's static background.
+
+    Equal backdrops must render equal pixels: consumers cache work per
+    backdrop (keyed by the object itself) and reuse it across frames.
+    """
+
+    def pixels(self) -> np.ndarray:
+        """The ``(H, W)`` ``float64`` backdrop, intensities in ``[0, 1]``."""
+        ...
+
+
+@dataclass(frozen=True, slots=True)
+class FrameProvenance:
+    """What a frame is made of: a backdrop plus one changed window.
+
+    The contract: every pixel outside ``box`` equals the same pixel of
+    ``backdrop.pixels()`` exactly.  ``box`` is ``(top, left, height,
+    width)``; it may be a loose superset of the changed pixels, and a
+    zero height or width means nothing changed.
+    """
+
+    backdrop: Backdrop
+    box: tuple[int, int, int, int]
 
 
 def stack_pixels(images: "Sequence[Image]") -> np.ndarray:
@@ -37,9 +69,14 @@ def stack_pixels(images: "Sequence[Image]") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Image:
-    """An immutable grayscale image with intensities in ``[0, 1]``."""
+    """An immutable grayscale image with intensities in ``[0, 1]``.
+
+    ``provenance`` is optional metadata (see :class:`FrameProvenance`);
+    it takes no part in equality and never changes the pixels.
+    """
 
     pixels: np.ndarray
+    provenance: FrameProvenance | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels, dtype=np.float64)
@@ -47,6 +84,12 @@ class Image:
             raise ValueError(f"expected a 2-D array, got {px.ndim}-D")
         if px.size == 0:
             raise ValueError("image must be non-empty")
+        if self.provenance is not None:
+            top, left, height, width = self.provenance.box
+            if min(top, left, height, width) < 0 or top + height > px.shape[0] or (
+                left + width > px.shape[1]
+            ):
+                raise ValueError("provenance box exceeds image bounds")
         if float(px.min()) < -1e-9 or float(px.max()) > 1.0 + 1e-9:
             raise ValueError("grayscale intensities must lie in [0, 1]")
         px = np.clip(px, 0.0, 1.0)

@@ -70,17 +70,18 @@ def _separable_pass(stack: np.ndarray, radius: int, combine_any: bool) -> np.nda
     for erosion that makes foreground touching the border erode inward,
     as the scalar :func:`erode` documents.
     """
-    h, w = stack.shape[-2:]
-    lead = ((0, 0),) * (stack.ndim - 2)
+    *lead, h, w = stack.shape
     op = np.logical_or if combine_any else np.logical_and
-    padded = np.pad(stack, lead + ((radius, radius), (0, 0)), mode="constant", constant_values=False)
+    padded = np.zeros((*lead, h + 2 * radius, w), dtype=bool)
+    padded[..., radius : radius + h, :] = stack
     acc = padded[..., 0:h, :].copy()
     for d in range(1, 2 * radius + 1):
         op(acc, padded[..., d : d + h, :], out=acc)
-    padded = np.pad(acc, lead + ((0, 0), (radius, radius)), mode="constant", constant_values=False)
-    acc = padded[..., :, 0:w].copy()
+    padded = np.zeros((*lead, h, w + 2 * radius), dtype=bool)
+    padded[..., radius : radius + w] = acc
+    acc = padded[..., 0:w].copy()
     for d in range(1, 2 * radius + 1):
-        op(acc, padded[..., :, d : d + w], out=acc)
+        op(acc, padded[..., d : d + w], out=acc)
     return acc
 
 

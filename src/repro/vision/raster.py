@@ -57,16 +57,19 @@ def _clipped_window(
     return slice(r0, r1), slice(c0, c1)
 
 
-def _paint_disc(mask: np.ndarray, centre: tuple[float, float], radius: float) -> None:
+def _paint_disc(
+    mask: np.ndarray, centre: tuple[float, float], radius: float
+) -> tuple[slice, slice] | None:
     cy, cx = centre
     window = _clipped_window(mask.shape, cy - radius, cy + radius, cx - radius, cx + radius)
     if window is None:
-        return
+        return None
     rs, cs = window
     rows = np.arange(rs.start, rs.stop)[:, None]
     cols = np.arange(cs.start, cs.stop)[None, :]
     inside = (rows - cy) ** 2 + (cols - cx) ** 2 <= radius**2
     mask[rs, cs] |= inside
+    return window
 
 
 def paint_capsule(
@@ -74,13 +77,15 @@ def paint_capsule(
     start: tuple[float, float],
     end: tuple[float, float],
     radius: float,
-) -> None:
+) -> tuple[slice, slice] | None:
     """Paint a filled capsule into the ``bool`` array *mask* in place.
 
     *start* and *end* are ``(row, col)`` in pixels.  Only the capsule's
     clipped bounding window is touched, and pixels already set stay
     set, so painting several capsules into one mask equals the union of
-    their :func:`raster_capsule` masks.
+    their :func:`raster_capsule` masks.  Returns that window as
+    ``(rows, cols)`` slices (a superset of the painted pixels), or
+    ``None`` when the capsule lies wholly outside the mask.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -94,15 +99,14 @@ def paint_capsule(
         max(c0, c1) + radius,
     )
     if window is None:
-        return
+        return None
     rs, cs = window
     rows = np.arange(rs.start, rs.stop, dtype=np.float64)[:, None]
     cols = np.arange(cs.start, cs.stop, dtype=np.float64)[None, :]
     dr, dc = r1 - r0, c1 - c0
     seg_len_sq = dr * dr + dc * dc
     if seg_len_sq < 1e-12:
-        _paint_disc(mask, start, radius)
-        return
+        return _paint_disc(mask, start, radius)
     # Project every pixel onto the segment, clamp, and threshold distance.
     t = ((rows - r0) * dr + (cols - c0) * dc) / seg_len_sq
     t = np.clip(t, 0.0, 1.0)
@@ -110,6 +114,7 @@ def paint_capsule(
     nearest_c = c0 + t * dc
     inside = (rows - nearest_r) ** 2 + (cols - nearest_c) ** 2 <= radius**2
     mask[rs, cs] |= inside
+    return window
 
 
 def raster_polygon(height: int, width: int, vertices: np.ndarray) -> BinaryImage:

@@ -9,9 +9,17 @@ once: per-frame histograms come from one offset ``bincount`` (built to
 reproduce ``np.histogram``'s uniform-bin indexing exactly) and the
 between-class-variance search is vectorised over the batch axis, so
 each frame's threshold is bit-identical to :func:`otsu_threshold`.
+
+:func:`otsu_bins_stack` and :func:`otsu_dark_bins` expose the two
+halves of :func:`threshold_otsu_stack` — integer bin indices plus
+histograms, then the chosen bin — so a caller can assemble a frame's
+histogram from parts (integer counts add and subtract exactly) and
+still binarise exactly as the full frame would.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +29,8 @@ __all__ = [
     "threshold_fixed",
     "otsu_threshold",
     "otsu_threshold_stack",
+    "otsu_bins_stack",
+    "otsu_dark_bins",
     "threshold_otsu",
     "threshold_otsu_stack",
 ]
@@ -103,7 +113,6 @@ def _histogram_counts_stack(
     parity-critical index computation.
     """
     n_frames = stack.shape[0]
-    edges = np.linspace(0.0, 1.0, bins + 1)
     values = stack.reshape(n_frames, -1)
     indices = (values * bins).astype(np.intp)
     # Scalar Otsu consumes validated Image pixels; raw stacks get a
@@ -118,14 +127,27 @@ def _histogram_counts_stack(
         # every edge i/bins is exact, so trunc(v * bins) already places
         # v in [edges[i], edges[i+1]) — and the gather is the expensive
         # part of this function, so it is skipped when provably idle.
+        edges = np.linspace(0.0, 1.0, bins + 1)
         indices[values < edges[indices]] -= 1
         increment = (values >= edges[indices + 1]) & (indices != bins - 1)
         indices[increment] += 1
-    indices += np.arange(n_frames, dtype=np.intp)[:, None] * bins
+    if n_frames > 1:
+        indices += np.arange(n_frames, dtype=np.intp)[:, None] * bins
     counts = np.bincount(indices.ravel(), minlength=n_frames * bins).reshape(n_frames, bins)
     if return_offset_indices:
         return counts, indices
     return counts
+
+
+@lru_cache(maxsize=4)
+def _bin_centres(bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(centres, positions)`` of a uniform *bins* histogram."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    centres = (edges[:-1] + edges[1:]) / 2.0
+    positions = np.arange(bins)
+    centres.setflags(write=False)
+    positions.setflags(write=False)
+    return centres, positions
 
 
 def _otsu_best_bins(histograms: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +159,7 @@ def _otsu_best_bins(histograms: np.ndarray, bins: int) -> tuple[np.ndarray, np.n
     arithmetic mirrors :func:`otsu_threshold` element for element, so
     ``best`` matches the scalar plateau centring exactly.
     """
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    centres = (edges[:-1] + edges[1:]) / 2.0
+    centres, positions = _bin_centres(bins)
     totals = histograms.sum(axis=1)
     safe_totals = np.where(totals > 0, totals, 1)
     weights = histograms / safe_totals[:, None]
@@ -157,7 +178,7 @@ def _otsu_best_bins(histograms: np.ndarray, bins: int) -> tuple[np.ndarray, np.n
     # Plateau centring, batched: the plateau indices are exact integers,
     # so the masked integer sum / count reproduces ``plateau.mean()``.
     plateau = variance >= peaks[:, None] * (1.0 - 1e-9)
-    plateau_means = (plateau * np.arange(bins)).sum(axis=1) / plateau.sum(axis=1)
+    plateau_means = (plateau * positions).sum(axis=1) / plateau.sum(axis=1)
     best = np.round(plateau_means).astype(np.intp)
     return best, (totals > 0) & (peaks > 0.0)
 
@@ -179,6 +200,37 @@ def otsu_threshold_stack(stack: np.ndarray, bins: int = 256) -> np.ndarray:
     return np.where(valid, edges[best + 1], 0.5)
 
 
+#: Histogram resolution of the stacked Otsu binarisation.
+OTSU_BINS = 256
+
+
+def otsu_bins_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(histograms, bin_indices)`` of a ``(B, H, W)`` stack.
+
+    ``histograms`` is ``(B, OTSU_BINS)`` integer counts, row ``b``
+    equal to ``np.histogram(stack[b], OTSU_BINS, range=(0, 1))[0]``;
+    ``bin_indices`` is the ``(B, H, W)`` bin of every pixel.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a (B, H, W) stack, got {stack.ndim}-D")
+    histograms, indices = _histogram_counts_stack(stack, OTSU_BINS, return_offset_indices=True)
+    if len(stack) > 1:
+        indices -= np.arange(len(stack), dtype=np.intp)[:, None] * OTSU_BINS
+    return histograms, indices.reshape(stack.shape)
+
+
+def otsu_dark_bins(histograms: np.ndarray) -> np.ndarray:
+    """Otsu's split of each ``(OTSU_BINS,)`` histogram row, as a bin.
+
+    A pixel is dark (below Otsu's threshold) exactly when its bin index
+    is ``<=`` the returned bin; a flat or empty histogram maps to the
+    scalar fallback threshold 0.5, i.e. bin ``OTSU_BINS // 2 - 1``.
+    """
+    best, valid = _otsu_best_bins(histograms, OTSU_BINS)
+    return np.where(valid, best, OTSU_BINS // 2 - 1)
+
+
 def threshold_otsu_stack(stack: np.ndarray, foreground_dark: bool = False) -> np.ndarray:
     """Binarise a ``(B, H, W)`` stack with per-frame Otsu thresholds.
 
@@ -194,16 +246,13 @@ def threshold_otsu_stack(stack: np.ndarray, foreground_dark: bool = False) -> np
     histogram maps to the scalar fallback threshold 0.5, whose edge
     index is exactly ``bins // 2 - 1``.
     """
-    bins = 256
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
         raise ValueError(f"expected a (B, H, W) stack, got {stack.ndim}-D")
     n_frames, h, w = stack.shape
-    histograms, indices = _histogram_counts_stack(stack, bins, return_offset_indices=True)
-    best, valid = _otsu_best_bins(histograms, bins)
-    best = np.where(valid, best, bins // 2 - 1)
-    offsets = np.arange(n_frames, dtype=np.intp)[:, None] * bins
-    foreground = indices <= best[:, None] + offsets
+    histograms, indices = _histogram_counts_stack(stack, OTSU_BINS, return_offset_indices=True)
+    offsets = np.arange(n_frames, dtype=np.intp)[:, None] * OTSU_BINS
+    foreground = indices <= otsu_dark_bins(histograms)[:, None] + offsets
     if not foreground_dark:
         np.logical_not(foreground, out=foreground)
     return foreground.reshape(n_frames, h, w)

@@ -1,5 +1,7 @@
 """Tests for the human agent in the simulated world."""
 
+import random
+
 import pytest
 
 from repro.geometry import Vec2
@@ -109,3 +111,21 @@ class TestDecisions:
         outcomes = {agent.decide_space_request() for _ in range(100)}
         assert outcomes <= {MarshallingSign.YES, MarshallingSign.NO}
         assert MarshallingSign.YES in outcomes
+
+
+class TestLazyRng:
+    def test_no_rng_state_before_first_draw(self):
+        agent = HumanAgent("human", persona=WORKER, seed=4)
+        assert agent._rng is None
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_draws_match_an_eagerly_seeded_rng(self, seed):
+        world = World()
+        agent = make_agent(world, persona=WORKER, seed=seed)
+        eager = random.Random(seed)
+        intents = [MarshallingSign.ATTENTION, MarshallingSign.YES, MarshallingSign.NO] * 4
+        for intended in intents:
+            assert agent.react_to_request(intended, world) == WORKER.sample_reaction(
+                intended, eager
+            )
+            assert agent.decide_space_request() is WORKER.decide_space_request(eager)

@@ -28,10 +28,13 @@ from repro.vision import (
     erode_stack,
     gaussian_blur,
     gaussian_blur_stack,
+    gaussian_blur_window,
     largest_component,
     largest_components_stack,
     opening,
     opening_stack,
+    otsu_bins_stack,
+    otsu_dark_bins,
     otsu_threshold,
     otsu_threshold_stack,
     raster_disc,
@@ -82,6 +85,52 @@ class TestBlurStackParity:
             gaussian_blur_stack([])
         with pytest.raises(ValueError):
             gaussian_blur_stack(np.empty((0, 10, 10)))
+
+
+class TestBlurWindowParity:
+    @pytest.mark.parametrize("sigma", [0.6, 1.0, 2.5])
+    def test_every_window_equals_the_full_blur(self, sigma):
+        frame = random_gray_stack(5, n=1, h=21, w=17)[0]
+        full = gaussian_blur(Image(frame), sigma).pixels
+        rng = np.random.default_rng(int(sigma * 10))
+        windows = [((0, 21), (0, 17)), ((0, 1), (16, 17)), ((20, 21), (0, 3))]
+        for _ in range(40):
+            r0, r1 = sorted(rng.choice(22, 2, replace=False))
+            c0, c1 = sorted(rng.choice(18, 2, replace=False))
+            windows.append(((int(r0), int(r1)), (int(c0), int(c1))))
+        for rows, cols in windows:
+            window = gaussian_blur_window(frame, sigma, rows, cols)
+            expected = full[rows[0] : rows[1], cols[0] : cols[1]]
+            assert window.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_rejects_tiny_frames_and_bad_windows(self):
+        with pytest.raises(ValueError):
+            gaussian_blur_window(np.zeros((4, 20)), 1.0, (0, 2), (0, 2))
+        frame = np.zeros((10, 10))
+        for rows, cols in [((3, 3), (0, 5)), ((0, 5), (6, 11)), ((-1, 4), (0, 5))]:
+            with pytest.raises(ValueError):
+                gaussian_blur_window(frame, 1.0, rows, cols)
+
+
+class TestOtsuBins:
+    def test_histograms_and_bins_match_numpy(self):
+        stack = random_gray_stack(4)
+        stack[0, 0, :3] = (0.0, 1.0, 0.5)
+        histograms, bins = otsu_bins_stack(stack)
+        assert bins.shape == stack.shape
+        for b in range(len(stack)):
+            expected, _ = np.histogram(stack[b], bins=256, range=(0.0, 1.0))
+            assert np.array_equal(histograms[b], expected)
+            assert np.array_equal(np.bincount(bins[b].ravel(), minlength=256), expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dark_bins_binarise_like_threshold_otsu_stack(self, seed):
+        stack = random_gray_stack(seed)
+        stack[-1] = 0.5  # flat: the 0.5 fallback threshold
+        histograms, bins = otsu_bins_stack(stack)
+        dark = otsu_dark_bins(histograms)
+        masks = threshold_otsu_stack(stack, foreground_dark=True)
+        assert np.array_equal(bins <= dark[:, None, None], masks)
 
 
 class TestThresholdStackParity:

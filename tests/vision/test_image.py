@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.vision import BinaryImage, Image
+from repro.vision import BinaryImage, FrameProvenance, Image
 
 
 class TestImage:
@@ -65,6 +65,24 @@ class TestImage:
     def test_downsample_too_small(self):
         with pytest.raises(ValueError):
             Image.zeros(2, 2).downsample(5)
+
+
+class TestProvenance:
+    def test_defaults_to_none_and_derived_images_drop_it(self):
+        provenance = FrameProvenance(backdrop="plain", box=(1, 2, 3, 4))
+        image = Image(np.full((8, 8), 0.5), provenance)
+        assert image.provenance is provenance
+        assert Image(image.pixels).provenance is None
+        assert image.invert().provenance is None
+        assert image.crop(0, 0, 4, 4).provenance is None
+
+    @pytest.mark.parametrize("box", [(0, 0, 9, 8), (5, 0, 4, 8), (0, -1, 2, 2), (0, 6, 2, 3)])
+    def test_box_must_lie_inside_the_image(self, box):
+        with pytest.raises(ValueError):
+            Image(np.zeros((8, 8)), FrameProvenance(backdrop="plain", box=box))
+
+    def test_empty_box_is_allowed(self):
+        assert Image(np.zeros((8, 8)), FrameProvenance("plain", (8, 8, 0, 0))).provenance
 
 
 class TestBinaryImage:
