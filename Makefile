@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-service bench-longtail bench-gateway bench-smoke perfbench flight-smoke fuzz check
+.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-service bench-longtail bench-smoke perfbench flight-smoke fuzz check
 
 # Everything the ruff gate covers — named explicitly so benchmarks/ and
 # scripts/ can never silently drop out of the lint surface.  Update when
@@ -83,12 +83,6 @@ bench-service:
 bench-longtail:
 	$(PYTHON) benchmarks/bench_longtail.py
 
-# Regenerate BENCH_gateway.json (gates: p50/p99 latency SLOs and
-# no-shedding, enforced on full runs; verdict + window parity
-# unconditional; see docs/BENCHMARKS.md).
-bench-gateway:
-	$(PYTHON) benchmarks/bench_gateway.py
-
 # Reduced-size benchmark runs with perf gates disabled (parity checks
 # stay on) — the CI smoke job uses this so bench scripts cannot rot,
 # then diffs the artifacts against the committed baselines with
@@ -99,7 +93,6 @@ bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_fleet.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_service.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_longtail.py
-	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_gateway.py
 
 # The repository benchmark declared in BENCHMARK.json (perfbench/):
 # both workloads untraced (end-to-end metrics), then traced (per-layer

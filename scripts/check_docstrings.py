@@ -35,7 +35,6 @@ DEFAULT_PACKAGES = (
     "repro.mission",
     "repro.protocol",
     "repro.service",
-    "repro.gateway",
     "repro.dataflow",
     "repro.recorder",
     "repro.testing",

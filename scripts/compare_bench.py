@@ -13,10 +13,11 @@ nightly run) and
   ``outcomes_equal``) must still be present and ``true`` in the fresh
   artifact;
 * **fails on enforced-SLO violations**: any fresh-artifact section
-  that declares ``"gate_enforced": true`` (e.g. the latency-SLO
-  section of ``bench_gateway.py``) must have every other boolean in
-  that section ``true`` — smoke runs write ``gate_enforced: false``
-  and are exempt;
+  that declares ``"gate_enforced": true`` (e.g. the
+  ``sharded_vs_single`` section of ``bench_service.py``) must have
+  every other boolean in that section ``true`` — smoke runs and
+  under-provisioned hosts write ``gate_enforced: false`` and are
+  exempt;
 * **fails on lost pipeline stages**: every dataflow node named in a
   baseline artifact's ``nodes.nodes`` section (the per-stage metrics
   ``bench_fleet.py`` rolls up from the fleet pipeline graph) must still

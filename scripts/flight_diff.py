@@ -4,8 +4,8 @@
 Compares the deterministic streams of two recordings
 (:mod:`repro.recorder`) byte-for-byte and prints the first divergence
 with its node, tick and field context — a far sharper regression
-signal than aggregate benchmark JSON.  Ops events (service/gateway
-timing telemetry) are excluded from the comparison by design.
+signal than aggregate benchmark JSON.  Ops events (service timing
+telemetry) are excluded from the comparison by design.
 
 Exit codes: ``0`` identical, ``1`` divergent, ``2`` unreadable input.
 

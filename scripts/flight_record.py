@@ -61,8 +61,6 @@ def _record(args: argparse.Namespace) -> int:
     }
     if args.workers:
         kwargs["workers"] = args.workers
-    if args.backend != "auto":
-        kwargs["backend"] = args.backend
     if args.smoke:
         kwargs["winds"] = (CALM,)
         kwargs["lightings"] = (NOON,)
@@ -107,11 +105,6 @@ def main(argv: list[str] | None = None) -> int:
         "--perception", choices=("recognizer", "oracle"), default="recognizer"
     )
     record.add_argument("--workers", type=int, default=0)
-    record.add_argument(
-        "--backend",
-        choices=("auto", "inprocess", "service", "gateway"),
-        default="auto",
-    )
     record.add_argument(
         "--smoke",
         action="store_true",

@@ -13,7 +13,7 @@ from repro.mission.fleet import (
     build_fleet,
     mission_transcript,
 )
-from repro.mission.spec import DEFAULT_DRONE_HOME, FLEET_BACKENDS, FleetSpec
+from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.mission.flytrap import FlyTrap, TrapReading
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
 from repro.mission.pipeline import FleetTick, PerceptionBatch, build_fleet_graph
@@ -32,7 +32,6 @@ __all__ = [
     "render_map",
     "render_mission_summary",
     "DEFAULT_DRONE_HOME",
-    "FLEET_BACKENDS",
     "FleetSpec",
     "FleetMission",
     "FleetReport",

@@ -47,8 +47,6 @@ from typing import Any, Callable, Sequence
 
 from repro.dataflow.graph import Graph, GraphStats
 from repro.drone.agent import DroneAgent
-from repro.gateway.client import GatewayClassifier
-from repro.gateway.server import GatewayStats, RecognitionGateway
 from repro.mission.executor import MissionExecutor, MissionReport
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
 from repro.mission.pipeline import build_fleet_graph
@@ -56,7 +54,6 @@ from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import PerceptionStats, RecognizerPerception
 from repro.recognition.budget import BudgetReport
-from repro.recognition.classifier import InProcessClassifier
 from repro.recognition.pipeline import SaxSignRecognizer
 from repro.service import RecognitionService, ServiceClassifier, ServiceStats
 from repro.simulation.scenarios import Lighting, WindCondition
@@ -117,7 +114,6 @@ class FleetReport:
     perception_stats: PerceptionStats | None = None
     perception_budget: BudgetReport | None = None
     service_stats: ServiceStats | None = None
-    gateway_stats: GatewayStats | None = None
     graph_stats: GraphStats | None = None
     escalation_events: tuple = ()
     recording_path: str | None = None
@@ -167,19 +163,9 @@ class FleetScheduler:
         (the scheduler drives them; :func:`assemble_fleet` wires this).
     service:
         A :class:`~repro.service.RecognitionService` whose lifecycle
-        this scheduler *owns* — started by :func:`assemble_fleet` in
-        the service backend; stopped when :meth:`run` finishes (or fails)
-        and by :meth:`close`.
-    gateway:
-        A running :class:`~repro.gateway.server.RecognitionGateway`
-        whose :attr:`~repro.gateway.server.RecognitionGateway.stats`
-        feed :attr:`FleetReport.gateway_stats` — wired by
-        :func:`assemble_fleet` in the gateway backend.  Its lifecycle is
-        owned only when it also appears in *owned*.
-    owned:
-        Extra resources this scheduler owns (classifier clients, the
-        gateway): each is ``close()``\\ d (or ``stop()``\\ ped) by
-        :meth:`close`, in order, after the graph and service.
+        this scheduler *owns* — started by :func:`assemble_fleet` when
+        the spec has shard workers; stopped when :meth:`run` finishes (or
+        fails) and by :meth:`close`.
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder`: the scheduler
         attaches a read-only :class:`~repro.recorder.taps.FleetRecorderTap`
@@ -189,7 +175,7 @@ class FleetScheduler:
         byte-identical with or without it.
 
     The scheduler is a context manager: ``with`` guarantees
-    :meth:`close` (graph and owned resources released) even when a
+    :meth:`close` (graph and owned service released) even when a
     pipeline node raises mid-tick.
     """
 
@@ -197,8 +183,6 @@ class FleetScheduler:
         self,
         missions: Sequence[FleetMission],
         service: RecognitionService | None = None,
-        gateway: RecognitionGateway | None = None,
-        owned: Sequence = (),
         recorder=None,
     ) -> None:
         if not missions:
@@ -211,8 +195,6 @@ class FleetScheduler:
             raise ValueError(f"fleet worlds must share one time step, got {steps}")
         self.missions = list(missions)
         self.service = service
-        self.gateway = gateway
-        self.owned = tuple(owned)
         self.recorder = recorder
         self.time_step_s = steps.pop()
         self._tap = None
@@ -324,14 +306,13 @@ class FleetScheduler:
             self.close()
 
     def close(self) -> None:
-        """Close the pipeline graph, stop the owned recognition service
-        and release every other owned resource.  Idempotent.
+        """Close the pipeline graph and stop the owned recognition
+        service.  Idempotent.
 
-        Releases happen even when closing a graph node raises, so
-        graph-owned resources never leak.  Counters stay readable after
+        The service stops even when closing a graph node raises, so
+        owned resources never leak.  Counters stay readable after
         close — :meth:`report` still includes the final
-        :class:`~repro.service.ServiceStats`, gateway stats and graph
-        stats.
+        :class:`~repro.service.ServiceStats` and graph stats.
         """
         if self._closed:
             return
@@ -343,18 +324,10 @@ class FleetScheduler:
                 if self.service is not None:
                     self.service.stop()
             finally:
-                try:
-                    for resource in self.owned:
-                        release = getattr(resource, "close", None) or getattr(
-                            resource, "stop", None
-                        )
-                        if release is not None:
-                            release()
-                finally:
-                    # Sealed last, so straggling ops events from the
-                    # service/gateway teardown still land in the file.
-                    if self.recorder is not None:
-                        self.recorder.finalize()
+                # Sealed last, so straggling ops events from the
+                # service teardown still land in the file.
+                if self.recorder is not None:
+                    self.recorder.finalize()
 
     def __enter__(self) -> "FleetScheduler":
         """Context-manager entry: returns the scheduler."""
@@ -394,7 +367,6 @@ class FleetScheduler:
             perception_stats=stats,
             perception_budget=budget,
             service_stats=self.service.stats if self.service is not None else None,
-            gateway_stats=self.gateway.stats if self.gateway is not None else None,
             graph_stats=self._graph.stats(),
             recording_path=self.recorder.path if self.recorder is not None else None,
         )
@@ -409,8 +381,6 @@ class _Backend:
 
     shared: RecognizerPerception | None = None
     service: RecognitionService | None = None
-    gateway: RecognitionGateway | None = None
-    owned: tuple = ()
 
     def view(self, perception: str | Perception, lighting: Lighting | None) -> Perception:
         """One mission's perception: a lighting view of the shared core,
@@ -427,57 +397,34 @@ class _Backend:
         """Stop what :func:`_start_backend` started (build failed)."""
         if self.service is not None:
             self.service.stop()
-        for resource in self.owned:
-            resource.close()
 
 
 def _start_backend(spec: FleetSpec, tag: str) -> _Backend:
-    """Start *spec*'s shared recogniser core on its classifier backend.
+    """Start *spec*'s shared recogniser core: in process, or on a
+    :class:`~repro.service.RecognitionService` when ``spec.workers``.
 
     Only the recognizer perception has a shared core.  *tag* names the
-    fleet's requests on a service or gateway (service tag, tenant).
+    fleet's requests in the service's ``by_tag`` counters.
     """
     if spec.perception != "recognizer":
         return _Backend()
-    backend = spec.resolved_backend
-    if backend == "inprocess":
+    if not spec.workers:
         return _Backend(shared=RecognizerPerception())
-    service_obs = gateway_obs = None
+    observer = None
     if spec.recorder is not None:
         # Imported lazily: repro.recorder.replay imports this module.
-        from repro.recorder.taps import gateway_observer, service_observer
+        from repro.recorder.taps import service_observer
 
-        service_obs = service_observer(spec.recorder)
-        gateway_obs = gateway_observer(spec.recorder)
+        observer = service_observer(spec.recorder)
     recognizer = SaxSignRecognizer()
     recognizer.enroll_canonical_views()
-    if backend == "service":
-        service = RecognitionService(
-            recognizer.database, workers=spec.workers, observer=service_obs
-        ).start()
-        shared = RecognizerPerception(
-            recognizer=recognizer, classifier=ServiceClassifier(service, tag=tag)
-        )
-        return _Backend(shared=shared, service=service)
-    if spec.workers:
-        replica = ServiceClassifier(
-            RecognitionService(
-                recognizer.database, workers=spec.workers, observer=service_obs
-            ).start(),
-            owns_service=True,
-        )
-    else:
-        replica = InProcessClassifier(recognizer.database)
-    gateway = RecognitionGateway([replica], own_backends=True, observer=gateway_obs)
-    try:
-        gateway.start()
-        host, port = gateway.address
-        client = GatewayClassifier(host, port, tenant=tag)
-    except BaseException:
-        gateway.close()
-        raise
-    shared = RecognizerPerception(recognizer=recognizer, classifier=client)
-    return _Backend(shared=shared, gateway=gateway, owned=(client, gateway))
+    service = RecognitionService(
+        recognizer.database, workers=spec.workers, observer=observer
+    ).start()
+    shared = RecognizerPerception(
+        recognizer=recognizer, classifier=ServiceClassifier(service, tag=tag)
+    )
+    return _Backend(shared=shared, service=service)
 
 
 def assemble_fleet(
@@ -530,8 +477,6 @@ def assemble_fleet(
         return FleetScheduler(
             missions,
             service=backend.service,
-            gateway=backend.gateway,
-            owned=backend.owned,
             recorder=spec.recorder,
         )
     except BaseException:
@@ -548,9 +493,9 @@ def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
     traps and personas), wind ``winds[i % len(winds)]`` and lighting
     ``lightings[i % len(lightings)]`` (see :func:`assemble_fleet`); see
     :class:`~repro.mission.spec.FleetSpec` for every knob (perception
-    kind, classifier backend, recorder...).  Mission outcomes are
-    identical across classifier backends by the sharding- and
-    gateway-parity contracts documented in ``docs/ARCHITECTURE.md``.
+    kind, shard workers, recorder...).  Mission outcomes are identical
+    with and without shard workers by the sharding-parity contract
+    documented in ``docs/ARCHITECTURE.md``.
     Anything but a :class:`~repro.mission.spec.FleetSpec` raises
     :class:`TypeError`.
     """

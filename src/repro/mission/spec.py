@@ -3,7 +3,7 @@
 :func:`~repro.mission.fleet.build_fleet` and
 :func:`~repro.mission.surveillance.build_surveillance_fleet` used to
 duplicate ~10 keyword arguments (seed, orchard config, scenario
-conditions, negotiation tunables, perception backend, workers,
+conditions, negotiation tunables, perception kind, workers,
 recorder...).  :class:`FleetSpec` is the single frozen dataclass that
 carries all of them, and a spec is the only argument either builder
 takes:
@@ -42,16 +42,12 @@ from repro.simulation.scenarios import (
 
 __all__ = [
     "DEFAULT_DRONE_HOME",
-    "FLEET_BACKENDS",
     "FLEET_PERCEPTIONS",
     "FleetSpec",
 ]
 
 #: Default launch pad, shared by both fleet builders.
 DEFAULT_DRONE_HOME = Vec2(-6.0, -4.0)
-
-#: Recognised classifier backends (see ``build_fleet``).
-FLEET_BACKENDS = ("auto", "inprocess", "service", "gateway")
 
 #: Named perception kinds; a :class:`Perception` instance is also accepted.
 FLEET_PERCEPTIONS = ("recognizer", "oracle")
@@ -85,13 +81,10 @@ class FleetSpec:
     drone_home:
         Launch pad for every mission's drone.
     workers:
-        Shard worker processes behind the service/gateway backends.
-    backend:
-        Where the shared core's ``sax_match`` runs (``"auto"``,
-        ``"inprocess"``, ``"service"``, ``"gateway"``); ``"auto"`` is
-        the service iff ``workers > 0`` (see :attr:`resolved_backend`).
-        Any backend but the in-process one needs the recognizer
-        perception.
+        Where the shared core's ``sax_match`` runs: ``0`` keeps it in
+        process; ``N >= 1`` runs it on a
+        :class:`~repro.service.RecognitionService` with *N* shard
+        worker processes, which needs the recognizer perception.
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder` attached to
         the scheduler.
@@ -110,7 +103,6 @@ class FleetSpec:
     negotiation: NegotiationConfig | None = None
     drone_home: Vec2 = DEFAULT_DRONE_HOME
     workers: int = 0
-    backend: str = "auto"
     recorder: object = field(default=None, compare=False)
     intruders: int = 2
     burst_start_s: float = 4.0
@@ -130,18 +122,8 @@ class FleetSpec:
             )
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
-        if self.backend not in FLEET_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {FLEET_BACKENDS}"
-            )
-        if self.backend == "service" and not self.workers:
-            raise ValueError("backend='service' needs workers >= 1")
-        if self.backend == "inprocess" and self.workers:
-            raise ValueError("backend='inprocess' cannot use shard workers")
-        if self.resolved_backend != "inprocess" and self.perception != "recognizer":
-            raise ValueError(
-                f"backend={self.resolved_backend!r} requires the recognizer perception"
-            )
+        if self.workers and self.perception != "recognizer":
+            raise ValueError("shard workers require the recognizer perception")
         if self.intruders < 0:
             raise ValueError("intruder count must be non-negative")
         if self.burst_start_s < 0:
@@ -154,11 +136,3 @@ class FleetSpec:
         # regardless of list/tuple input.
         object.__setattr__(self, "winds", tuple(self.winds))
         object.__setattr__(self, "lightings", tuple(self.lightings))
-
-    @property
-    def resolved_backend(self) -> str:
-        """:attr:`backend` with ``"auto"`` resolved: the service when
-        there are shard workers, in-process otherwise."""
-        if self.backend == "auto":
-            return "service" if self.workers else "inprocess"
-        return self.backend

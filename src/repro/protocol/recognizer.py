@@ -334,8 +334,8 @@ class _PerceptionCore:
 
         One batched classifier call over the usable series (routed
         through the configured :class:`Classifier` backend — a shard
-        pool or a network gateway — when one is set; results stay
-        bit-identical by the sharding- and gateway-parity contracts),
+        pool — when one is set; results stay bit-identical by the
+        sharding-parity contract),
         timed as the ``classify.sax_match`` sub-stage.  Per-frame
         verdicts map onto :class:`~repro.human.signs.MarshallingSign`
         through :func:`~repro.recognition.pipeline.label_to_sign`, as
@@ -396,12 +396,10 @@ class RecognizerPerception:
         Optional :class:`~repro.recognition.classifier.Classifier`
         backend (e.g. a
         :class:`~repro.service.classifier.ServiceClassifier` over a
-        shard pool, or a
-        :class:`~repro.gateway.client.GatewayClassifier` over the
-        network gateway): the ``sax_match`` stage of every batched
+        shard pool): the ``sax_match`` stage of every batched
         classification is routed through it instead of the in-process
-        ``classify_batch``.  Results are bit-identical (the sharding-
-        and gateway-parity contracts), so this only changes *where* the
+        ``classify_batch``.  Results are bit-identical (the
+        sharding-parity contract), so this only changes *where* the
         matching work runs.  The caller owns the classifier lifecycle.
     """
 

@@ -1,14 +1,14 @@
 """The backend-agnostic classifier-client API.
 
-Every classification backend in the repo — the in-process batched
-engine, the sharded multi-process :class:`~repro.service.RecognitionService`
-and the network :class:`~repro.gateway.GatewayClassifier` — is reached
-through one small contract, the :class:`Classifier` protocol:
+Both classification backends in the repo — the in-process batched
+engine and the sharded multi-process
+:class:`~repro.service.RecognitionService` — are reached through one
+small contract, the :class:`Classifier` protocol:
 
 * ``classify_batch(queries) -> list[MatchResult]`` — bit-identical to
   :meth:`~repro.sax.database.SignDatabase.classify_batch` on the same
-  database, whatever the transport (the sharding- and gateway-parity
-  contracts in ``docs/ARCHITECTURE.md``);
+  database, whatever the transport (the sharding-parity contract in
+  ``docs/ARCHITECTURE.md``);
 * ``stats`` — a :class:`ClassifierStats` snapshot (client-side batch
   and frame counters plus backend-specific detail);
 * ``close()`` — release owned resources; idempotent, and further
@@ -17,11 +17,11 @@ through one small contract, the :class:`Classifier` protocol:
 Callers (:class:`~repro.protocol.recognizer.RecognizerPerception`,
 :meth:`~repro.recognition.pipeline.SaxSignRecognizer.recognize_batch`,
 :func:`~repro.mission.fleet.build_fleet`) accept any implementation, so
-*where* the matching work runs — same interpreter, a local shard pool,
-or a remote gateway — is a deployment choice, not an API fork.
+*where* the matching work runs — same interpreter or a local shard
+pool — is a deployment choice, not an API fork.
 
-All three implementations pass one shared contract suite
-(``tests/gateway/test_classifier_contract.py``).
+Both implementations pass one shared contract suite
+(``tests/service/test_classifier_contract.py``).
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ __all__ = [
 class ClassifierStats:
     """Client-side counters common to every :class:`Classifier`.
 
-    ``detail`` carries backend-specific observability (shard counters
-    for the service, shed/retry counters for the gateway client) as a
-    plain JSON-ready dict.
+    ``detail`` carries backend-specific observability (label count for
+    the in-process engine, shard and tag counters for the service) as
+    a plain JSON-ready dict.
     """
 
     kind: str

@@ -277,10 +277,8 @@ class SaxSignRecognizer:
             backend replacing the database's ``classify_batch`` — the
             seam that routes the ``sax_match`` stage through a
             :class:`~repro.service.classifier.ServiceClassifier` shard
-            pool or a
-            :class:`~repro.gateway.client.GatewayClassifier`
-            (bit-identical results, by the sharding- and gateway-parity
-            contracts).  Anything else raises :class:`TypeError`.
+            pool (bit-identical results, by the sharding-parity
+            contract).  Anything else raises :class:`TypeError`.
         """
         frames = list(frames)
         if not self.database.labels:

@@ -9,16 +9,15 @@ append-only, schema-versioned JSONL event log tapped off a running
   lines with every float hex-encoded (IEEE-754 bit-exact), split into a
   *deterministic* stream (ticks, observations, verdicts, negotiation
   transitions, escalations, the final report) and an *ops* stream
-  (service batch flushes, shard dispatches, gateway admissions — real
-  but timing-dependent);
+  (service batch flushes and shard dispatches — real but
+  timing-dependent);
 * :mod:`repro.recorder.recorder` — :class:`FlightRecorder`, the
   thread-safe append-only writer with an integrity footer;
 * :mod:`repro.recorder.taps` — the read-only taps: a
   :class:`~repro.dataflow.graph.Graph` node hook, world-log deltas,
   perception-counter deltas, an
   :class:`~repro.simulation.events.EventEmitter` subscription for
-  escalations, and observer callbacks for the recognition service and
-  gateway;
+  escalations, and an observer callback for the recognition service;
 * :mod:`repro.recorder.replay` — self-describing recordings: the
   header carries the exact :func:`~repro.mission.fleet.build_fleet` /
   :func:`~repro.mission.surveillance.build_surveillance_fleet` recipe,

@@ -18,8 +18,8 @@ Records belong to one of two streams, derived from ``kind``:
 * :data:`DETERMINISTIC_KINDS` — the replayable stream.  Two runs built
   from the same recipe must produce byte-identical deterministic
   streams; tier-1 tests enforce it.
-* :data:`OPS_KINDS` — service/gateway telemetry (batch flushes, shard
-  dispatches, admissions).  Real, but dependent on thread and process
+* :data:`OPS_KINDS` — recognition-service telemetry (batch flushes,
+  shard dispatches).  Real, but dependent on thread and process
   timing, so excluded from the byte-identity contract.
 
 ``seq`` numbers each stream independently, which keeps the
@@ -62,7 +62,7 @@ DETERMINISTIC_KINDS = frozenset(
 )
 
 #: Timing-dependent telemetry kinds, excluded from byte-identity checks.
-OPS_KINDS = frozenset({"service", "gateway"})
+OPS_KINDS = frozenset({"service"})
 
 _FLOAT_PREFIX = "f64:"
 _STRING_PREFIX = "s:"

@@ -3,8 +3,8 @@
 :class:`FlightRecorder` accumulates canonical record lines in memory
 and (optionally) appends them to a JSONL file as they happen, so a
 ``tail`` dashboard can follow a live run.  It is thread-safe: graph
-taps fire on the scheduler thread, while service and gateway observers
-fire on dispatcher / event-loop threads.
+taps fire on the scheduler thread, while the service observer fires
+on its dispatcher thread.
 
 The deterministic and ops streams are numbered independently (see
 :mod:`repro.recorder.events`), and :meth:`FlightRecorder.finalize`
@@ -76,7 +76,7 @@ class FlightRecorder:
             return tuple(line for kind, line in self._records if is_deterministic(kind))
 
     def ops_lines(self) -> tuple[str, ...]:
-        """The timing-dependent stream: service/gateway telemetry lines."""
+        """The timing-dependent stream: service telemetry lines."""
         with self._lock:
             return tuple(line for kind, line in self._records if kind in OPS_KINDS)
 

@@ -14,8 +14,8 @@ and byte-compares the two deterministic streams
 mismatch to node/tick/field).
 
 The determinism contract this leans on is the repo's oldest: the same
-fleet parameters replay the same missions tick for tick, across
-in-process, service and gateway backends alike.
+fleet parameters replay the same missions tick for tick, with and
+without shard workers alike.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ _SHARED_KEYS = frozenset(
         "winds",
         "lightings",
         "workers",
-        "backend",
     }
 )
 _ALLOWED_KEYS = {
@@ -228,7 +227,7 @@ def replay(
     Reads the recipe from the recording's header, runs a fresh fleet
     with a fresh recorder (written to *out* when given), and compares
     the two deterministic event streams byte-for-byte — the
-    replay-fidelity contract.  Ops events (service/gateway timing) are
+    replay-fidelity contract.  Ops events (service timing) are
     excluded by construction.
     """
     recipe = recipe_of(path)

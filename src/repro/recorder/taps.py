@@ -20,10 +20,9 @@ subscriptions only buffer.  The zero-intrusion fuzz suite
 (``tests/recorder/``) asserts recorder-on and recorder-off runs are
 byte-identical.
 
-:func:`service_observer` and :func:`gateway_observer` adapt the
-recorder to the :class:`~repro.service.RecognitionService` and
-:class:`~repro.gateway.server.RecognitionGateway` observer callbacks;
-their records land on the timing-dependent *ops* stream.
+:func:`service_observer` adapts the recorder to the
+:class:`~repro.service.RecognitionService` observer callback; its
+records land on the timing-dependent *ops* stream.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from repro.protocol.recognizer import ObservationQuery, RecognizerPerception
 from repro.recorder.events import canonical_line, encode_value
 from repro.recorder.recorder import FlightRecorder
 
-__all__ = ["FleetRecorderTap", "gateway_observer", "service_observer"]
+__all__ = ["FleetRecorderTap", "service_observer"]
 
 #: World-log kinds recorded as ``negotiation`` (protocol transitions).
 NEGOTIATION_KINDS = frozenset({"sign_observed", "protocol_state", "negotiation_started"})
@@ -332,13 +331,3 @@ def service_observer(recorder: FlightRecorder):
 
     return observe
 
-
-def gateway_observer(recorder: FlightRecorder):
-    """Adapter: a :class:`~repro.gateway.server.RecognitionGateway`
-    observer that records ``gateway`` ops events (admissions, sheds,
-    failovers)."""
-
-    def observe(event: str, data: dict) -> None:
-        recorder.record("gateway", node=event, data=data)
-
-    return observe

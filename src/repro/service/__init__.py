@@ -8,9 +8,8 @@ Public surface of the service subsystem:
   observability (including per-tag request attribution).
 * :class:`~repro.service.classifier.ServiceClassifier` — the service's
   face on the backend-agnostic
-  :class:`~repro.recognition.classifier.Classifier` protocol, including
-  the tagged :meth:`~repro.service.classifier.ServiceClassifier.submit_batch`
-  seam the network gateway multiplexes tenants through.
+  :class:`~repro.recognition.classifier.Classifier` protocol; its
+  request tag keeps per-caller attribution in ``by_tag``.
 * :func:`~repro.service.sharding.build_shards` /
   :func:`~repro.service.sharding.sharded_classify_batch` — shard-view
   construction over :class:`~repro.sax.database.SignDatabase` and the

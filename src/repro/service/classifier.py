@@ -4,16 +4,12 @@ Adapts a running :class:`~repro.service.service.RecognitionService`
 onto the :class:`~repro.recognition.classifier.Classifier` protocol, so
 callers that speak the backend-agnostic classifier-client API can route
 matching work through the multi-process shard pool without knowing the
-service exists.  It also exposes the *gateway-facing submit seam*:
-:meth:`ServiceClassifier.submit_batch` fans a batch out as individually
-tagged queue entries (one future per series), which is how the network
-gateway multiplexes many tenants into one coalescing queue while the
-service's ``by_tag`` counters keep per-tenant visibility.
+service exists.  A request tag keeps each caller's traffic attributable
+in the service's ``by_tag`` counters.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from typing import Sequence
 
 import numpy as np
@@ -33,10 +29,8 @@ class ServiceClassifier:
     ----------
     service:
         The backing service.  It must be running (or started by the
-        caller before the first ``classify_batch``).
-    owns_service:
-        When ``True``, :meth:`close` stops the service; otherwise the
-        caller keeps the lifecycle (the default).
+        caller before the first ``classify_batch``); the caller owns
+        its lifecycle.
     tag:
         Request tag attached to every submission — surfaces in
         :attr:`~repro.service.service.ServiceStats.by_tag`.
@@ -45,11 +39,9 @@ class ServiceClassifier:
     def __init__(
         self,
         service: RecognitionService,
-        owns_service: bool = False,
         tag: str | None = None,
     ) -> None:
         self.service = service
-        self.owns_service = owns_service
         self.tag = tag
         self._batches = 0
         self._frames = 0
@@ -65,30 +57,6 @@ class ServiceClassifier:
         self._batches += 1
         self._frames += len(results)
         return results
-
-    def submit_batch(
-        self,
-        queries: Sequence[np.ndarray] | np.ndarray,
-        tag: str | None = None,
-    ) -> list[Future]:
-        """Queue every series of *queries*; one future per series.
-
-        The gateway-facing seam: requests from different network
-        tenants coalesce into the same service batches, while *tag*
-        (defaulting to this classifier's tag) keeps them attributable
-        in the service's ``by_tag`` counters.  The trailing partial
-        batch is force-flushed, exactly like :meth:`classify_batch`.
-        """
-        if self._closed:
-            raise RuntimeError("classifier is closed")
-        futures = [
-            self.service.submit(series, tag=tag if tag is not None else self.tag)
-            for series in queries
-        ]
-        self.service.flush_pending()
-        self._batches += 1
-        self._frames += len(futures)
-        return futures
 
     @property
     def stats(self) -> ClassifierStats:
@@ -113,9 +81,5 @@ class ServiceClassifier:
         return self._closed
 
     def close(self) -> None:
-        """Mark closed; stop the service too when it is owned."""
-        if self._closed:
-            return
+        """Mark closed; the service keeps running (its caller stops it)."""
         self._closed = True
-        if self.owns_service:
-            self.service.stop()

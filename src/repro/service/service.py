@@ -428,7 +428,7 @@ class RecognitionService:
             :meth:`classify_batch` raises the distinct
             :class:`ServiceTimeoutError` for that phase.
         tag:
-            Attribution tag (e.g. a gateway tenant); counted in
+            Attribution tag (e.g. the calling fleet); counted in
             :attr:`ServiceStats.by_tag`.
 
         Raises
@@ -529,10 +529,11 @@ class RecognitionService:
     def flush_pending(self) -> None:
         """Force-dispatch whatever is queued right now (non-blocking).
 
-        The gateway-facing seam paired with :meth:`submit`: after a
-        client's last submission of a burst there is nothing to coalesce
-        *for*, so the trailing partial batch should go out immediately
-        instead of waiting out the deadline.  A no-op on an empty queue.
+        Paired with :meth:`submit`: after a caller's last submission of
+        a burst there is nothing to coalesce *for*, so the trailing
+        partial batch should go out immediately instead of waiting out
+        the deadline (:meth:`classify_batch` does this).  A no-op on an
+        empty queue.
         """
         with self._state_changed:
             if self._queue:

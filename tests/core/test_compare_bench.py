@@ -190,46 +190,47 @@ def test_artifacts_without_node_metrics_skip_node_table(tmp_path):
 
 SLO_ARTIFACT = {
     "smoke": False,
-    "parity": {"verdict_parity": True, "window_parity": True},
-    "slo": {
+    "sharded_vs_single": {
+        "single_s": 0.83,
+        "sharded_s": 0.41,
+        "speedup": 2.024,
+        "gate": 1.8,
         "gate_enforced": True,
-        "p50_within_slo": True,
-        "p99_within_slo": True,
-        "no_shedding": True,
-        "shed_rate": 0.0,
+        "gate_skip_reason": None,
+        "within_gate": True,
+        "parity": True,
     },
 }
 
 
 def test_enforced_slo_violation_fails(tmp_path, capsys):
     """gate_enforced: true promises every other boolean in the section."""
-    write(tmp_path / "base", "BENCH_gateway.json", SLO_ARTIFACT)
+    write(tmp_path / "base", "BENCH_service.json", SLO_ARTIFACT)
     broken = json.loads(json.dumps(SLO_ARTIFACT))
-    broken["slo"]["p99_within_slo"] = False
-    write(tmp_path / "fresh", "BENCH_gateway.json", broken)
+    broken["sharded_vs_single"]["within_gate"] = False
+    write(tmp_path / "fresh", "BENCH_service.json", broken)
     assert run(tmp_path) == 1
     out = capsys.readouterr().out
     assert "SLO violation" in out
-    assert "slo.p99_within_slo" in out
+    assert "sharded_vs_single.within_gate" in out
 
 
 def test_unenforced_slo_section_is_informational(tmp_path):
     """Smoke runs write gate_enforced: false — booleans may be false."""
-    write(tmp_path / "base", "BENCH_gateway.json", SLO_ARTIFACT)
+    write(tmp_path / "base", "BENCH_service.json", SLO_ARTIFACT)
     smoke = json.loads(json.dumps(SLO_ARTIFACT))
-    smoke["slo"]["gate_enforced"] = False
-    smoke["slo"]["p50_within_slo"] = False
-    smoke["slo"]["no_shedding"] = False
-    write(tmp_path / "fresh", "BENCH_gateway.json", smoke)
+    smoke["sharded_vs_single"]["gate_enforced"] = False
+    smoke["sharded_vs_single"]["within_gate"] = False
+    write(tmp_path / "fresh", "BENCH_service.json", smoke)
     assert run(tmp_path) == 0
 
 
 def test_slo_gate_reads_the_fresh_artifact_not_the_baseline(tmp_path):
     """An old baseline with a false boolean cannot fail a clean fresh run."""
     stale = json.loads(json.dumps(SLO_ARTIFACT))
-    stale["slo"]["no_shedding"] = False
-    write(tmp_path / "base", "BENCH_gateway.json", stale)
-    write(tmp_path / "fresh", "BENCH_gateway.json", SLO_ARTIFACT)
+    stale["sharded_vs_single"]["within_gate"] = False
+    write(tmp_path / "base", "BENCH_service.json", stale)
+    write(tmp_path / "fresh", "BENCH_service.json", SLO_ARTIFACT)
     assert run(tmp_path) == 0
 
 

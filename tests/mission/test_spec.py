@@ -36,7 +36,6 @@ class TestValidation:
     def test_defaults(self):
         spec = FleetSpec(count=4)
         assert spec.base_seed == 0
-        assert spec.backend == "auto"
         assert spec.drone_home == DEFAULT_DRONE_HOME
         assert spec.winds == tuple(DEFAULT_WINDS)
         assert spec.lightings == tuple(DEFAULT_LIGHTINGS)
@@ -46,17 +45,13 @@ class TestValidation:
         [
             (dict(count=0), "at least one mission"),
             (dict(count=1, workers=-1), "non-negative"),
-            (dict(count=1, backend="cluster"), "unknown backend"),
+            (dict(count=1, perception="oracle", workers=2), "recognizer"),
             (dict(count=1, intruders=-1), "non-negative"),
             (dict(count=1, burst_spacing_s=-0.1), "non-negative"),
             (dict(count=1, laps=0), "at least one lap"),
             (dict(count=1, burst_start_s=-1), "non-negative"),
             (dict(count=1, perception="sonar"), "unknown perception"),
             (dict(count=1, perception=object()), "perception must be"),
-            (dict(count=1, backend="service"), "workers >= 1"),
-            (dict(count=1, backend="inprocess", workers=2), "shard workers"),
-            (dict(count=1, perception="oracle", backend="gateway"), "recognizer"),
-            (dict(count=1, perception="oracle", workers=2), "recognizer"),
         ],
     )
     def test_rejects_bad_fields(self, fields, match):

@@ -110,7 +110,7 @@ def test_truncated_recording_reports_length_divergence(tmp_path):
 
 
 def test_ops_chatter_does_not_diverge(tmp_path):
-    """Service/gateway ops events are timing telemetry; recordings that
+    """Service ops events are timing telemetry; recordings that
     differ only there must still compare identical."""
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _write_recording(a, ops_chatter=0)

@@ -89,7 +89,7 @@ class TestFlightRecorder:
         recorder.record("tick", tick=0)
         recorder.record("service", node="batch_flush")
         recorder.record("tick", tick=1)
-        recorder.record("gateway", node="request")
+        recorder.record("service", node="shard_dispatch")
         det = [json.loads(line) for line in recorder.deterministic_lines()]
         ops = [json.loads(line) for line in recorder.ops_lines()]
         assert [record["seq"] for record in det] == [0, 1]

@@ -24,6 +24,7 @@ import pytest
 from repro.mission.orchard import OrchardConfig
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder import (
+    OPS_KINDS,
     FlightRecorder,
     read_lines,
     recipe_of,
@@ -99,7 +100,7 @@ def test_fixture_footer_digest_matches_stream(name):
     lines = [
         line
         for line in read_lines(str(_fixture_path(name)))
-        if json.loads(line)["kind"] not in ("service", "gateway")
+        if json.loads(line)["kind"] not in OPS_KINDS
     ]
     footer = json.loads(lines[-1])
     assert footer["kind"] == "end"
@@ -135,10 +136,10 @@ def test_double_record_in_one_process_is_byte_stable():
     assert first.deterministic_lines() == second.deterministic_lines()
 
 
-def test_gateway_backend_records_ops_and_replays(tmp_path):
-    """A gateway-backed fleet interleaves ops events without perturbing
+def test_service_backend_records_ops_and_replays(tmp_path):
+    """A service-backed fleet interleaves ops events without perturbing
     the deterministic stream."""
-    path = tmp_path / "gateway.jsonl"
+    path = tmp_path / "service.jsonl"
     record_fleet_run(
         str(path),
         count=1,
@@ -148,9 +149,9 @@ def test_gateway_backend_records_ops_and_replays(tmp_path):
         negotiation_config=FIXTURE_NEGOTIATION,
         winds=(CALM,),
         lightings=(NOON,),
-        backend="gateway",
+        workers=2,
     )
     kinds = {json.loads(line)["kind"] for line in read_lines(str(path))}
-    assert "gateway" in kinds, "expected gateway ops events in the recording"
+    assert "service" in kinds, "expected service ops events in the recording"
     result = replay(str(path))
     assert result.identical, result.describe()

@@ -1,16 +1,15 @@
-"""One contract suite, three backends.
+"""One contract suite, two backends.
 
 Every :class:`~repro.recognition.classifier.Classifier` implementation
-— in-process, shard-pool service, network gateway — must satisfy the
-same observable contract: bit-identical verdicts, empty-batch handling,
-honest stats counters and idempotent close.  The suite is parametrised
-over the implementations, so a new backend earns its place by passing
+— in-process and shard-pool service — must satisfy the same observable
+contract: bit-identical verdicts, empty-batch handling, honest stats
+counters and idempotent close.  The suite is parametrised over the
+implementations, so a new backend earns its place by passing
 unchanged.
 """
 
 import pytest
 
-from repro.gateway import GatewayClassifier, RecognitionGateway
 from repro.human.signs import COMMUNICATIVE_SIGNS, MarshallingSign
 from repro.protocol.recognizer import RecognizerPerception
 from repro.recognition.classifier import (
@@ -21,25 +20,14 @@ from repro.recognition.classifier import (
 from repro.service import RecognitionService, ServiceClassifier
 
 
-@pytest.fixture(params=["inprocess", "service", "gateway"])
+@pytest.fixture(params=["inprocess", "service"])
 def classifier(request, database):
     """One ready-to-use classifier per backend, torn down afterwards."""
     if request.param == "inprocess":
         yield InProcessClassifier(database)
         return
-    if request.param == "service":
-        service = RecognitionService(database, workers=2).start()
-        client = ServiceClassifier(service, owns_service=True)
-        yield client
-        client.close()
-        return
-    gateway = RecognitionGateway(
-        [InProcessClassifier(database)], own_backends=True
-    ).start()
-    client = GatewayClassifier(*gateway.address, tenant="contract")
-    yield client
-    client.close()
-    gateway.close()
+    with RecognitionService(database, workers=2) as service:
+        yield ServiceClassifier(service)
 
 
 class TestClassifierContract:
@@ -116,12 +104,3 @@ class TestStatsDetail:
             detail = client.stats.detail
             assert detail["by_tag"] == {"tenant-7": 3}
             assert detail["completed"] == 3
-
-    def test_gateway_detail_counts_retries(self, database, queries):
-        with RecognitionGateway(
-            [InProcessClassifier(database)], own_backends=True
-        ) as gateway:
-            with GatewayClassifier(*gateway.address, tenant="t") as client:
-                client.classify_batch(queries[:2])
-                detail = client.stats.detail
-                assert detail == {"tenant": "t", "retried": 0}

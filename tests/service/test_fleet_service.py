@@ -161,83 +161,18 @@ class TestFleetScaleOut:
         )
         fleet.close()  # no service: no-op
 
+    def test_guard_fleet_escalation_parity(self):
+        """Guard fleets escalate identically through the service's
+        classifier client as through the in-process matcher."""
 
-class TestFleetBackendSelection:
-    """``build_fleet(backend=...)`` validation and gateway parity."""
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            build_fleet(FleetSpec(count=1, backend="quantum"))
-
-    def test_service_backend_needs_workers(self):
-        with pytest.raises(ValueError, match="workers >= 1"):
-            build_fleet(FleetSpec(count=1, backend="service", workers=0))
-
-    def test_inprocess_backend_rejects_workers(self):
-        with pytest.raises(ValueError, match="shard workers"):
-            build_fleet(FleetSpec(count=1, backend="inprocess", workers=2))
-
-    def test_gateway_backend_requires_recognizer_perception(self):
-        with pytest.raises(ValueError, match="recognizer"):
-            build_fleet(FleetSpec(count=1, perception="oracle", backend="gateway"))
-
-    def test_auto_backend_follows_workers(self):
-        fleet = build_fleet(
-            FleetSpec(
-                count=1,
-                config=SMALL_ORCHARD,
-                negotiation=NEGOTIATION,
-            )
-        )
-        assert fleet.service is None and fleet.gateway is None
-        fleet.close()
-
-    def test_gateway_backend_outcome_and_transcript_parity(self):
-        base = build_fleet(
-            FleetSpec(
-                count=1,
-                base_seed=11,
-                config=SMALL_ORCHARD,
-                negotiation=NEGOTIATION,
-            )
-        )
-        base_report = base.run(1800.0)
-        gated = build_fleet(
-            FleetSpec(
-                count=1,
-                base_seed=11,
-                config=SMALL_ORCHARD,
-                negotiation=NEGOTIATION,
-                backend="gateway",
-            )
-        )
-        assert gated.gateway is not None
-        assert gated.gateway.running
-        gateway_report = gated.run(1800.0)
-        assert outcomes(gateway_report) == outcomes(base_report)
-        for base_mission, gw_mission in zip(base.missions, gated.missions):
-            assert mission_transcript(gw_mission.world) == mission_transcript(
-                base_mission.world
-            )
-        # run() closes the owned client and gateway; stats stay readable.
-        assert not gated.gateway.running
-        stats = gateway_report.gateway_stats
-        assert stats is not None
-        assert stats.completed > 0
-        assert stats.shed_total == 0
-        assert dict(stats.errors) == {}
-        assert "fleet" in stats.per_tenant
-        assert base_report.gateway_stats is None
-
-    def test_gateway_guard_fleet_escalation_parity(self):
-        def run(backend):
+        def run(workers):
             fleet = build_surveillance_fleet(
                 FleetSpec(
                     count=1,
                     base_seed=3,
                     config=GUARD_ORCHARD,
                     intruders=2,
-                    backend=backend,
+                    workers=workers,
                 )
             )
             report = fleet.run(900.0)
@@ -247,16 +182,32 @@ class TestFleetBackendSelection:
             ]
             return fleet, report, escalations
 
-        base, base_report, base_escalations = run("inprocess")
-        gated, gateway_report, gateway_escalations = run("gateway")
+        base, base_report, base_escalations = run(0)
+        served, service_report, service_escalations = run(2)
         assert base_escalations, "the intruder burst must escalate"
-        assert gateway_escalations == base_escalations
-        assert mission_transcript(gated.missions[0].world) == mission_transcript(
+        assert service_escalations == base_escalations
+        assert mission_transcript(served.missions[0].world) == mission_transcript(
             base.missions[0].world
         )
-        stats = gateway_report.gateway_stats
+        assert base_report.service_stats is None
+        stats = service_report.service_stats
         assert stats.completed > 0
-        assert "surveillance" in stats.per_tenant
+        assert "surveillance" in stats.by_tag
+
+
+class TestFleetBackendSelection:
+    """The classifier backend follows ``FleetSpec.workers``."""
+
+    def test_auto_backend_follows_workers(self):
+        fleet = build_fleet(
+            FleetSpec(
+                count=1,
+                config=SMALL_ORCHARD,
+                negotiation=NEGOTIATION,
+            )
+        )
+        assert fleet.service is None  # no workers: matched in process
+        fleet.close()
 
 
 class TestServiceOnCanonicalDatabase:

@@ -21,32 +21,6 @@ from repro.service import (
 )
 
 
-@pytest.fixture(scope="module")
-def database() -> SignDatabase:
-    rng = np.random.default_rng(0)
-    db = SignDatabase()
-    for index in range(6):
-        base = np.cumsum(rng.standard_normal(64))
-        for view in range(2):
-            db.add(
-                f"sign_{index}",
-                base + 0.05 * np.cumsum(rng.standard_normal(64)),
-                view=f"v{view}",
-            )
-    return db
-
-
-@pytest.fixture(scope="module")
-def queries(database) -> list[np.ndarray]:
-    rng = np.random.default_rng(1)
-    near = [
-        database.entry(label).series + 0.02 * rng.standard_normal(64)
-        for label in database.labels
-    ]
-    far = [np.cumsum(rng.standard_normal(64)) for _ in range(6)]
-    return near + far
-
-
 class TestLifecycle:
     def test_construction_rejects_bad_config(self, database):
         with pytest.raises(ValueError):
@@ -236,7 +210,7 @@ class TestTimeoutDisambiguation:
     """The two waiting phases time out with *distinct* errors.
 
     A queue-full timeout means the request was never accepted (safe to
-    retry elsewhere — the gateway sheds on it); a result-wait timeout
+    retry elsewhere); a result-wait timeout
     means the request was accepted but its verdict is late (retrying
     would duplicate work).  Conflating them misleads the caller.
     """
