@@ -103,6 +103,8 @@ class Channel:
         self.capacity = capacity
         self.policy = policy
         self.dtype = dtype
+        # Graph.tick drains, and appends to a channel with room, in place
+        # through these fields; offer()/drain() define what they mean.
         self._items: deque = deque()
         self._puts = 0
         self._gets = 0

@@ -124,20 +124,25 @@ class _Edge:
         self.pending.extend(self.channel.extend_offer(items))
 
 
-class _Wiring:
-    """One node's edges, cached with the topological order: everything
-    a sweep needs without scanning the graph's edge list."""
+class _Step:
+    """One node's place in the sweep, cached with the topological order:
+    everything :meth:`Graph.tick` needs without scanning the edge list."""
 
-    __slots__ = ("in_edges", "out_edges", "out_by_port")
+    __slots__ = ("node", "inputs", "out_edges", "out_by_port", "is_source")
 
     def __init__(self, node: Node, edges: list[_Edge]) -> None:
-        self.in_edges = [edge for edge in edges if edge.dst is node]
+        self.node = node
+        # (port name, channel) per declared input port, in port order;
+        # ``None`` for a port left unconnected (it reads as empty).
+        feeds = {edge.dst_port: edge.channel for edge in edges if edge.dst is node}
+        self.inputs = tuple((port.name, feeds.get(port.name)) for port in node.inputs)
         self.out_edges = [edge for edge in edges if edge.src is node]
         # Every declared output port, wired or not, so a lookup miss
         # means the node emitted on a port it does not have.
         self.out_by_port: dict[str, list[_Edge]] = {port.name: [] for port in node.outputs}
         for edge in self.out_edges:
             self.out_by_port[edge.src_port].append(edge)
+        self.is_source = node.is_source
 
 
 class Graph:
@@ -153,7 +158,7 @@ class Graph:
         self._nodes: dict[str, Node] = {}
         self._edges: list[_Edge] = []
         self._order: list[Node] | None = None  # topo order, built lazily
-        self._wiring: dict[str, _Wiring] = {}  # per-node edges, built with _order
+        self._sweep: list[_Step] | None = None  # per-node steps, built with _order
         self._ticks = 0
         self._closed = False
         self._failed: NodeFailure | None = None
@@ -216,9 +221,9 @@ class Graph:
         return channel
 
     def _rewired(self) -> None:
-        """Drop the cached order and per-node wiring after a change."""
+        """Drop the cached order and sweep after a change."""
         self._order = None
-        self._wiring = {}
+        self._sweep = None
 
     def _resolve(self, node: Node | str) -> Node:
         if isinstance(node, str):
@@ -266,7 +271,7 @@ class Graph:
         if len(order) != len(self._nodes):
             cyclic = sorted(set(self._nodes) - {n.name for n in order})
             raise GraphError(f"graph has a cycle through nodes {cyclic}")
-        self._wiring = {node.name: _Wiring(node, self._edges) for node in order}
+        self._sweep = [_Step(node, self._edges) for node in order]
         self._order = order
         return order
 
@@ -301,50 +306,91 @@ class Graph:
             ) from self._failed
         if self._closed:
             raise GraphError(f"graph {self.name!r} is closed")
+        sweep = self._sweep
+        if sweep is None:
+            self._topo_order()
+            sweep = self._sweep
+        tick, tap, clock = self._ticks, self._tap, time.perf_counter
         moved = 0
-        for node in self._topo_order():
-            wiring = self._wiring[node.name]
+        # Channel drain, metrics and the room-to-spare emit are inlined
+        # (the per-tick cost of a fleet sweep); a full channel still goes
+        # through _Edge.emit / Channel.extend_offer for BLOCK and DROP.
+        for step in sweep:
+            node = step.node
             stalled = False
-            for edge in wiring.out_edges:
+            for edge in step.out_edges:
                 if edge.pending and not edge.flush():
                     stalled = True
             if stalled:
                 node.metrics.stalled_ticks += 1
                 continue
-            inputs = {port.name: [] for port in node.inputs}
+            inputs = {}
             items_in = 0
-            for edge in wiring.in_edges:
+            for port_name, channel in step.inputs:
                 # An input port has at most one channel (connect enforces it).
-                items = inputs[edge.dst_port] = edge.channel.drain()
-                items_in += len(items)
-            if not node.is_source and items_in == 0:
+                buffered = channel._items if channel is not None else None
+                if buffered:
+                    items = list(buffered)
+                    buffered.clear()
+                    channel._gets += len(items)
+                    items_in += len(items)
+                else:
+                    items = []
+                inputs[port_name] = items
+            if items_in == 0 and not step.is_source:
                 continue
-            started = time.perf_counter()
+            started = clock()
             try:
                 outputs = node.process(inputs)
             except Exception as exc:
-                failure = NodeFailure(node.name, self._ticks, exc)
+                failure = NodeFailure(node.name, tick, exc)
                 self._failed = failure
                 self.close()
                 raise failure from exc
-            elapsed = time.perf_counter() - started
+            elapsed = clock() - started
             outputs = outputs or {}
             items_out = 0
-            out_by_port = wiring.out_by_port
+            out_by_port = step.out_by_port
             for port_name, items in outputs.items():
                 edges = out_by_port.get(port_name)
                 if edges is None:
                     node.output_port(port_name)  # raises KeyError naming the port
                     edges = ()  # declared after wiring: no channel to feed
-                items = list(items)
-                items_out += len(items)
+                if type(items) is not list:
+                    items = list(items)
+                count = len(items)
+                items_out += count
                 for edge in edges:
-                    edge.emit(items)
-            node.metrics.record(items_in, items_out, elapsed)
-            if self._tap is not None:
-                self._tap(self._ticks, node, inputs, outputs, items_in, items_out)
+                    channel = edge.channel
+                    buffered = channel._items
+                    capacity = channel.capacity
+                    room = not edge.pending and (
+                        capacity is None or len(buffered) + count <= capacity
+                    )
+                    dtype = channel.dtype
+                    if room and dtype is not object:
+                        for item in items:
+                            if not isinstance(item, dtype):
+                                room = False  # offer() raises naming the channel
+                                break
+                    if not room:
+                        edge.emit(items)
+                        continue
+                    buffered.extend(items)
+                    channel._puts += count
+                    if len(buffered) > channel._high_water:
+                        channel._high_water = len(buffered)
+            metrics = node.metrics
+            metrics.ticks += 1
+            metrics.items_in += items_in
+            metrics.items_out += items_out
+            metrics.busy_s += elapsed
+            if elapsed > metrics.max_tick_s:
+                metrics.max_tick_s = elapsed
+            if tap is not None:
+                tap(tick, node, inputs, outputs, items_in, items_out)
             moved += items_in
-        self._ticks += 1
+        self._ticks = tick + 1
         return moved
 
     def drain(self, max_ticks: int = 1000) -> int:

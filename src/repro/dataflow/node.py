@@ -64,7 +64,13 @@ class NodeStats:
 
 
 class NodeMetrics:
-    """Mutable runtime counters behind a node's :class:`NodeStats`."""
+    """Mutable runtime counters behind a node's :class:`NodeStats`.
+
+    :meth:`~repro.dataflow.graph.Graph.tick` updates them in place after
+    each :meth:`Node.process` call (and counts stalled ticks).
+    """
+
+    __slots__ = ("ticks", "items_in", "items_out", "busy_s", "max_tick_s", "stalled_ticks")
 
     def __init__(self) -> None:
         self.ticks = 0
@@ -73,14 +79,6 @@ class NodeMetrics:
         self.busy_s = 0.0
         self.max_tick_s = 0.0
         self.stalled_ticks = 0
-
-    def record(self, items_in: int, items_out: int, elapsed_s: float) -> None:
-        """Account one completed :meth:`Node.process` invocation."""
-        self.ticks += 1
-        self.items_in += items_in
-        self.items_out += items_out
-        self.busy_s += elapsed_s
-        self.max_tick_s = max(self.max_tick_s, elapsed_s)
 
     def snapshot(self, name: str) -> NodeStats:
         """Freeze the counters into a :class:`NodeStats`."""

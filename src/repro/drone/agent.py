@@ -10,6 +10,7 @@ trajectory for the pattern classifier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.drone.navigation import NavigationConfig, WaypointFollower
@@ -22,6 +23,7 @@ from repro.drone.patterns import (
     PatternStep,
 )
 from repro.drone.state_machine import DroneMode, FlightModeMachine
+from repro.geometry.rotation import wrap_degrees
 from repro.geometry.vec import Vec2, Vec3
 from repro.signaling.ring import AllRoundLightRing, RingMode
 from repro.simulation.battery import Battery, BatteryDepleted
@@ -32,6 +34,14 @@ __all__ = ["DroneAgent", "PatternExecution"]
 
 RING_POWER_BUDGET_W = 2.0
 RECOGNITION_COMPUTE_POWER_W = 3.0
+
+_PAYLOAD_W = RING_POWER_BUDGET_W + RECOGNITION_COMPUTE_POWER_W
+
+# Enum members as module constants: a class attribute read on an Enum
+# costs several times more, and these are read every tick.
+_EMERGENCY, _PARKED = DroneMode.EMERGENCY, DroneMode.PARKED
+_COMMUNICATING = DroneMode.COMMUNICATING
+_RING_NAVIGATION = RingMode.NAVIGATION
 
 # Flight mode each pattern is flown in (communicative patterns: the rest).
 _PATTERN_MODES = {
@@ -191,13 +201,19 @@ class DroneAgent:
 
     def update(self, world, dt: float) -> None:
         """Advance one tick: pattern steps, control loops, lights, energy."""
-        self._advance_pattern(world, dt)
-        self._run_control(dt)
+        state = self.body.state
+        if self._queue:
+            self._advance_pattern(world, dt, state)
+        # Only a pattern step starts or stops the rotors, so one read
+        # guards both control and energy.
+        rotors_on = state.rotors_on
+        if rotors_on:
+            self.body.command_velocity(self.follower.velocity_command(state, dt))
         self.body.step(dt, wind_velocity=world.wind.velocity_at(world.now_s))
-        self._update_lights()
-        self._book_energy(world, dt)
+        self._update_lights(state)
+        if rotors_on:
+            self._book_energy(world, state, dt)
         if self._record_trajectory:
-            state = self.state
             self._trajectory.append(
                 TrajectorySample(
                     time_s=world.now_s,
@@ -210,36 +226,33 @@ class DroneAgent:
 
     # -- internals ----------------------------------------------------------------------
 
-    def _advance_pattern(self, world, dt: float) -> None:
-        if not self._queue:
-            return
+    def _advance_pattern(self, world, dt: float, state: BodyState) -> None:
         execution = self._queue[0]
-        step = execution.current_step
-        if step is None:
+        steps = execution.steps
+        if execution.index >= len(steps):
             self._finish_pattern(world, execution)
             return
+        step = steps[execution.index]
 
         # Mode follows the pattern being flown.
         self._sync_mode(execution.pattern, world)
 
-        if step.target is not None:
-            self.follower.set_target(step.target)
+        target, follower = step.target, self.follower
+        if target is not None and target is not follower.target:
+            follower.set_target(target)
         if step.heading_deg is not None:
             self.body.command_heading(step.heading_deg, dt)
 
-        if step.target is None:
+        if target is None:
             arrived = True
         elif step.arrival_radius_m is not None:
-            arrived = (
-                self.state.position.distance_to(step.target) <= step.arrival_radius_m
-            )
+            position = state.position
+            dx, dy, dz = position.x - target.x, position.y - target.y, position.z - target.z
+            arrived = math.sqrt(dx * dx + dy * dy + dz * dz) <= step.arrival_radius_m
         else:
-            arrived = self.follower.arrived(self.state)
+            arrived = follower.arrived(state)
         heading_ok = step.heading_deg is None or (
-            abs(
-                (self.state.heading_deg - step.heading_deg + 180.0) % 360.0 - 180.0
-            )
-            <= 4.0
+            abs((state.heading_deg - step.heading_deg + 180.0) % 360.0 - 180.0) <= 4.0
         )
         if arrived and heading_ok:
             if execution.hold_remaining_s <= 0.0 and step.hold_s > 0.0:
@@ -294,55 +307,57 @@ class DroneAgent:
         world.record(self.name, "pattern_done", pattern=kind.value)
 
     def _sync_mode(self, pattern: FlightPattern, world) -> None:
-        if self.modes.in_emergency:
+        modes = self.modes
+        mode = modes.mode
+        if mode is _EMERGENCY:
             return
         kind = pattern.kind
-        target = _PATTERN_MODES.get(kind, DroneMode.COMMUNICATING)
-        if self.modes.mode is target:
+        target = _PATTERN_MODES.get(kind, _COMMUNICATING)
+        if mode is target:
             return
-        if self.modes.mode is DroneMode.PARKED and kind is PatternKind.TAKE_OFF:
+        if mode is _PARKED and kind is PatternKind.TAKE_OFF:
             self.body.start_rotors()
-            self.modes.transition(DroneMode.TAKING_OFF, world.now_s)
-        elif self.modes.can_transition(target):
-            self.modes.transition(target, world.now_s)
+            modes.transition(DroneMode.TAKING_OFF, world.now_s)
+        elif modes.can_transition(target):
+            modes.transition(target, world.now_s)
 
-    def _run_control(self, dt: float) -> None:
-        if not self.state.rotors_on:
+    def _update_lights(self, state: BodyState) -> None:
+        ring, mode = self.ring, self.modes.mode
+        if mode is _EMERGENCY:
+            ring.trigger_safety()
             return
-        command = self.follower.velocity_command(self.state, dt)
-        self.body.command_velocity(command)
-
-    def _update_lights(self) -> None:
-        if self.modes.in_emergency:
-            self.ring.trigger_safety()
-            return
-        if self.modes.mode is DroneMode.PARKED and not self.state.rotors_on:
-            if self.ring.mode is not RingMode.OFF:
-                self.ring.extinguish()
+        if mode is _PARKED and not state.rotors_on:
+            if ring.mode is not RingMode.OFF:
+                ring.extinguish()
             return
         # One ring update per tick: the heading rides along with the
         # course, or alone while hovering on the course already shown.
-        heading = self.state.heading_deg
-        course = self.state.course_deg()
-        if course is not None:
-            self.ring.set_navigation(course, heading_deg=heading)
-        elif self.ring.mode is not RingMode.NAVIGATION:
-            # Rotors on but hovering (or just cleared the power-on danger
-            # default): show the navigation pattern on the current
-            # heading so the drone is never dark or misleading in flight.
-            self.ring.set_navigation(heading, heading_deg=heading)
+        # The course is BodyState.course_deg, written out.
+        heading = state.heading_deg
+        velocity = state.velocity
+        vx, vy = velocity.x, velocity.y
+        if math.hypot(vx, vy) < 0.1:
+            if ring.mode is not _RING_NAVIGATION:
+                # Rotors on but hovering (or just cleared the power-on
+                # danger default): show the navigation pattern on the
+                # current heading so the drone is never dark or
+                # misleading in flight.
+                ring.set_navigation(heading, heading_deg=heading)
+            else:
+                ring.set_heading(heading)
         else:
-            self.ring.set_heading(heading)
+            course = wrap_degrees(90.0 - math.degrees(math.atan2(vy, vx)))
+            ring.set_navigation(course, heading_deg=heading)
 
-    def _book_energy(self, world, dt: float) -> None:
-        if not self.state.rotors_on:
-            return
-        payload = RING_POWER_BUDGET_W + RECOGNITION_COMPUTE_POWER_W
+    def _book_energy(self, world, state: BodyState, dt: float) -> None:
+        velocity = state.velocity
+        # Vec3.norm, written out.
+        speed = math.sqrt(velocity.x * velocity.x + velocity.y * velocity.y + velocity.z * velocity.z)
         try:
-            self.battery.flight_draw(self.state.velocity.norm(), dt, payload_w=payload)
+            self.battery.flight_draw(speed, dt, payload_w=_PAYLOAD_W)
         except BatteryDepleted:
             self.trigger_emergency(world, reason="battery depleted")
             return
-        if self.battery.low and not self.modes.in_emergency:
+        if self.battery.low and self.modes.mode is not _EMERGENCY:
             if self.modes.mode not in (DroneMode.LANDING, DroneMode.PARKED):
                 self.trigger_emergency(world, reason="battery low")

@@ -64,25 +64,32 @@ class PidController:
         """Advance the loop by *dt* with the given *error*; returns output."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        proportional = self.gains.kp * error
+        gains, limit = self.gains, self.output_limit
+        proportional = gains.kp * error
 
         derivative = 0.0
-        if self._previous_error is not None and self.gains.kd > 0:
-            derivative = self.gains.kd * (error - self._previous_error) / dt
+        previous = self._previous_error
+        if previous is not None and gains.kd > 0:
+            derivative = gains.kd * (error - previous) / dt
         self._previous_error = error
 
         # Conditional integration: only integrate when not saturated in
-        # the direction that would deepen saturation.
-        unsaturated = proportional + self._integral + derivative
-        saturating_up = unsaturated >= self.output_limit and error > 0
-        saturating_down = unsaturated <= -self.output_limit and error < 0
-        if self.gains.ki > 0 and not (saturating_up or saturating_down):
-            assert self.integral_limit is not None
-            self._integral += self.gains.ki * error * dt
-            self._integral = max(-self.integral_limit, min(self.integral_limit, self._integral))
+        # the direction that would deepen saturation.  The clamps below
+        # are max(-bound, min(bound, value)) written out, in that order.
+        integral = self._integral
+        unsaturated = proportional + integral + derivative
+        saturating_up = unsaturated >= limit and error > 0
+        saturating_down = unsaturated <= -limit and error < 0
+        if gains.ki > 0 and not (saturating_up or saturating_down):
+            bound = self.integral_limit
+            integral += gains.ki * error * dt
+            integral = integral if integral < bound else bound
+            integral = integral if integral > -bound else -bound
+            self._integral = integral
 
-        output = proportional + self._integral + derivative
-        return max(-self.output_limit, min(self.output_limit, output))
+        output = proportional + integral + derivative
+        output = output if output < limit else limit
+        return output if output > -limit else -limit
 
     @property
     def integral(self) -> float:

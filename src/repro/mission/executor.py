@@ -14,6 +14,7 @@ from enum import Enum
 
 from repro.drone.agent import DroneAgent
 from repro.drone.patterns import CruisePattern, LandingPattern, TakeOffPattern
+from repro.drone.state_machine import DroneMode
 from repro.geometry.vec import Vec2, Vec3
 from repro.mission.flytrap import FlyTrap, TrapReading
 from repro.mission.orchard import Orchard
@@ -107,7 +108,8 @@ class MissionExecutor:
     @property
     def finished(self) -> bool:
         """``True`` once the mission is done or aborted."""
-        return self.phase in (MissionPhase.DONE, MissionPhase.ABORTED)
+        phase = self.phase
+        return phase is _DONE or phase is _ABORTED
 
     def start(self, world) -> None:
         """Plan the route over due traps and take off."""
@@ -140,14 +142,15 @@ class MissionExecutor:
         and any perception the step will need is predicted by
         :meth:`pending_observation` so it can be batch-resolved first.
         """
-        if self.finished or self.phase is MissionPhase.IDLE:
-            return self.phase
+        phase = self.phase
+        if phase is _DONE or phase is _ABORTED or phase is _IDLE:
+            return phase
         self.safety.check(world)
-        if self.drone.modes.in_emergency:
+        if self.drone.modes.mode is _EMERGENCY:
             self._abort(world, "drone emergency")
             return self.phase
 
-        _PHASE_HANDLERS[self.phase](self, world)
+        _PHASE_HANDLERS[phase](self, world)
         return self.phase
 
     def pending_observation(self, world):
@@ -156,7 +159,7 @@ class MissionExecutor:
         Delegates to the active negotiation (the only mission component
         that observes); ``None`` in every other phase.
         """
-        if self.phase is not MissionPhase.NEGOTIATING or self._negotiation is None:
+        if self.phase is not _NEGOTIATING or self._negotiation is None:
             return None
         return self._negotiation.pending_observation(world)
 
@@ -313,6 +316,12 @@ class MissionExecutor:
         direction = offset / distance
         return trap.position - direction * READ_HOVER_OFFSET_M
 
+
+# Enum members as module constants: tick() and finished read them every
+# fleet tick, and a class attribute read on an Enum costs several times more.
+_IDLE, _DONE, _ABORTED = MissionPhase.IDLE, MissionPhase.DONE, MissionPhase.ABORTED
+_NEGOTIATING = MissionPhase.NEGOTIATING
+_EMERGENCY = DroneMode.EMERGENCY
 
 # The handler each active phase ticks with (see MissionExecutor.tick).
 _PHASE_HANDLERS = {

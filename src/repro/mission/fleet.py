@@ -226,12 +226,15 @@ class FleetScheduler:
     @property
     def finished(self) -> bool:
         """``True`` once every mission is done or aborted."""
-        return all(m.finished for m in self.missions)
+        for mission in self.missions:
+            if not mission.executor.finished:
+                return False
+        return True
 
     @property
     def active_missions(self) -> list[FleetMission]:
         """Missions still flying."""
-        return [m for m in self.missions if not m.finished]
+        return [m for m in self.missions if not m.executor.finished]
 
     @property
     def graph(self) -> Graph:

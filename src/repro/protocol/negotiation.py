@@ -28,6 +28,7 @@ from repro.drone.patterns import (
     RectanglePattern,
     TurnPattern,
 )
+from repro.drone.state_machine import DroneMode
 from repro.geometry.vec import Vec2, Vec3
 from repro.human.agent import HumanAgent
 from repro.human.signs import MarshallingSign
@@ -132,7 +133,8 @@ class NegotiationController:
     @property
     def finished(self) -> bool:
         """``True`` once the round concluded or failed."""
-        return self.state in (NegotiationState.CONCLUDED, NegotiationState.FAILED)
+        state = self.state
+        return state is _CONCLUDED or state is _FAILED
 
     def start(self, world) -> None:
         """Begin the round: approach the human at the safe distance."""
@@ -169,13 +171,14 @@ class NegotiationController:
         :meth:`pending_observation` predicts, so an external scheduler
         can batch-resolve perception before stepping.
         """
-        if self.finished or self.state is NegotiationState.IDLE:
-            return self.state
-        if self.drone.modes.in_emergency:
+        state = self.state
+        if state is _CONCLUDED or state is _FAILED or state is _IDLE:
+            return state
+        if self.drone.modes.mode is _EMERGENCY:
             self._fail(world, "drone emergency")
             return self.state
 
-        _STATE_HANDLERS[self.state](self, world)
+        _STATE_HANDLERS[state](self, world)
         return self.state
 
     def pending_observation(self, world) -> tuple[Vec3, HumanAgent] | None:
@@ -187,16 +190,15 @@ class NegotiationController:
         Fleet schedulers use this to aggregate all missions' queries
         into one batched recogniser pass per tick.
         """
-        if self.state not in (
-            NegotiationState.AWAITING_ATTENTION,
-            NegotiationState.AWAITING_ANSWER,
-        ):
+        state = self.state
+        if state is not _AWAITING_ATTENTION and state is not _AWAITING_ANSWER:
             return None
-        if self.drone.modes.in_emergency:
+        drone = self.drone
+        if drone.modes.mode is _EMERGENCY:
             return None
         if world.now_s < self._next_observation_s:
             return None
-        return self.drone.state.position, self.human
+        return drone.body.state.position, self.human
 
     # -- state handlers ----------------------------------------------------------------
 
@@ -322,6 +324,15 @@ class NegotiationController:
             observations=self._observations,
         )
 
+
+# Enum members as module constants: tick(), finished and
+# pending_observation read them every fleet tick, and a class attribute
+# read on an Enum costs several times more.
+_IDLE = NegotiationState.IDLE
+_CONCLUDED, _FAILED = NegotiationState.CONCLUDED, NegotiationState.FAILED
+_AWAITING_ATTENTION = NegotiationState.AWAITING_ATTENTION
+_AWAITING_ANSWER = NegotiationState.AWAITING_ANSWER
+_EMERGENCY = DroneMode.EMERGENCY
 
 # The handler each active state ticks with (see NegotiationController.tick).
 _STATE_HANDLERS = {

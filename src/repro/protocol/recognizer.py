@@ -571,6 +571,20 @@ class RecognizerPerception:
         """Counters for this perception (shared across views)."""
         return self._core.stats()
 
+    @property
+    def counters(self) -> tuple[int, int, int, int, int]:
+        """:attr:`stats` as a tuple in field order, without building a
+        :class:`PerceptionStats` — the cheap per-tick read the flight
+        recorder's tap uses."""
+        core = self._core
+        return (
+            core.observations,
+            core.gated,
+            core.cache_hits,
+            core.frames_classified,
+            core.batch_calls,
+        )
+
     def budget_report(self) -> BudgetReport:
         """Cumulative stage timings, amortised over classified frames."""
         return self._core.budget.report()

@@ -18,12 +18,16 @@ which satisfies the safety-first posture the paper argues for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.drone.agent import DroneAgent
+from repro.drone.state_machine import DroneMode
 from repro.human.agent import HumanAgent
 
 __all__ = ["SafetyLimits", "SafetyMonitor", "SafetyViolation"]
+
+_EMERGENCY = DroneMode.EMERGENCY
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,42 +107,47 @@ class SafetyMonitor:
         return violation
 
     def _first_violation(self, world) -> SafetyViolation | None:
-        state = self.drone.state
-        if self.drone.modes.in_emergency or not state.rotors_on:
+        drone = self.drone
+        state = drone.body.state
+        if drone.modes.mode is _EMERGENCY or not state.rotors_on:
             return None
+        limits = self.limits
 
         # Hardware: enough LEDs dead that signalling is unreliable.
-        failed_fraction = 1.0 - self.drone.ring.healthy_fraction()
-        if failed_fraction > self.limits.max_led_failure_fraction:
+        failed_fraction = 1.0 - drone.ring.healthy_fraction()
+        if failed_fraction > limits.max_led_failure_fraction:
             return SafetyViolation(
                 rule="led_failure",
                 detail=f"{failed_fraction:.0%} of ring LEDs failed",
             )
 
-        # Wind above the operational limit.
-        wind_speed = world.wind.velocity_at(world.now_s).norm()
-        if wind_speed > self.limits.max_wind_speed_mps:
+        # Wind above the operational limit (Vec3.norm, written out).
+        wind = world.wind.velocity_at(world.now_s)
+        wind_speed = math.sqrt(wind.x * wind.x + wind.y * wind.y + wind.z * wind.z)
+        if wind_speed > limits.max_wind_speed_mps:
             return SafetyViolation(
                 rule="wind_limit",
-                detail=f"wind {wind_speed:.1f} m/s exceeds {self.limits.max_wind_speed_mps} m/s",
+                detail=f"wind {wind_speed:.1f} m/s exceeds {limits.max_wind_speed_mps} m/s",
             )
 
         # Separation: close and low over any human (unless that human
         # granted access via the negotiation protocol).
-        if state.position.z < self.limits.safe_overflight_altitude_m:
-            here = state.position.horizontal()
+        position = state.position
+        if position.z < limits.safe_overflight_altitude_m:
             for entity in world.iter_entities():
                 if not isinstance(entity, HumanAgent):
                     continue
                 if entity.name in self._waived:
                     continue
-                separation = here.distance_to(entity.position)
-                if separation < self.limits.min_horizontal_separation_m:
+                # Vec2.distance_to from the drone's ground point, written out.
+                human = entity.position
+                separation = math.hypot(position.x - human.x, position.y - human.y)
+                if separation < limits.min_horizontal_separation_m:
                     return SafetyViolation(
                         rule="separation",
                         detail=(
                             f"{separation:.1f} m from {entity.name} at altitude "
-                            f"{state.position.z:.1f} m"
+                            f"{position.z:.1f} m"
                         ),
                     )
         return None

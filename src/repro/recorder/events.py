@@ -74,7 +74,11 @@ def is_deterministic(kind: str) -> bool:
 
 
 _pack_double = struct.Struct("<d").pack
-_canonical_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+# No circular-reference bookkeeping: records are trees (encode_value would
+# recurse forever on a cycle first, and the taps build theirs fresh).
+_canonical_encoder = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
+)
 
 
 def _encode_float(value: float) -> str:

@@ -42,7 +42,11 @@ NEGOTIATION_KINDS = frozenset({"sign_observed", "protocol_state", "negotiation_s
 
 def query_digest(payload: dict) -> str:
     """Short stable digest linking a verdict back to its observation."""
-    line = canonical_line(encode_value(payload))
+    return _encoded_digest(encode_value(payload))
+
+
+def _encoded_digest(encoded: dict) -> str:
+    line = canonical_line(encoded)
     return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
 
 
@@ -75,13 +79,18 @@ class FleetRecorderTap:
     def __init__(self, recorder: FlightRecorder, missions: Sequence) -> None:
         self._recorder = recorder
         self._missions = list(missions)
-        self._log_offsets = [len(m.world.log) for m in self._missions]
+        self._logs = [m.world.log for m in self._missions]
+        self._log_offsets = [len(log) for log in self._logs]
         self._has_bus = []
         self._bus_buffer: list[tuple[str, object]] = []
         self._core_labels: dict[int, str] = {}
         self._stats_prev: dict[str, tuple] = {}
         self._eventful = False
-        self._node_activity: dict[str, list[int]] = {}
+        # This tick's (items_in, items_out) per invoked node (a tuple
+        # encodes as the same JSON array as a list); reused.
+        self._node_activity: dict[str, tuple[int, int]] = {}
+        # Digests of the queries lookup recorded, until match reads them.
+        self._digests: dict[ObservationQuery, str] = {}
         self._report_recorded = False
         self._channels: tuple | None = None
         for mission in self._missions:
@@ -130,21 +139,25 @@ class FleetRecorderTap:
     def graph_tap(self, tick: int, node, inputs, outputs, items_in: int, items_out: int) -> None:
         """Graph observability hook: per-node activity plus the
         recognition traffic leaving ``lookup`` and ``match``."""
-        self._node_activity[node.name] = [items_in, items_out]
-        if node.name == "lookup":
+        name = node.name
+        self._node_activity[name] = (items_in, items_out)
+        if name == "lookup":
             for token in outputs.get("ticks", ()):
                 for batch in token.batches:
                     core = self._core_label(batch.perception)
                     for query in batch.misses:
-                        payload = _query_payload(query)
+                        # Encoded once for the digest and the record; the
+                        # digest (lowercase hex) is its own encoding.
+                        encoded = encode_value(_query_payload(query))
+                        digest = self._digests[query] = _encoded_digest(encoded)
                         self._eventful = True
-                        self._recorder.record(
+                        self._recorder.record_encoded(
                             "observation",
                             tick=tick,
                             node=core,
-                            data={"query": payload, "digest": query_digest(payload)},
+                            data={"query": encoded, "digest": digest},
                         )
-        elif node.name == "match":
+        elif name == "match":
             for token in outputs.get("ticks", ()):
                 for batch in token.batches:
                     core = self._core_label(batch.perception)
@@ -156,7 +169,7 @@ class FleetRecorderTap:
                             tick=tick,
                             node=core,
                             data={
-                                "digest": query_digest(_query_payload(query)),
+                                "digest": self._query_digest(query),
                                 "label": sign.value if sign is not None else None,
                                 "cached": cached,
                             },
@@ -165,13 +178,14 @@ class FleetRecorderTap:
     def on_tick(self, tick: int, graph) -> None:
         """Scheduler hook, after one graph sweep: world-log deltas,
         bus traffic, perception deltas and the tick summary record."""
-        for index, mission in enumerate(self._missions):
-            log = mission.world.log
-            size = len(log)
-            if size != self._log_offsets[index]:
-                for event in log.since(self._log_offsets[index]):
-                    self._record_world_event(tick, index, mission, event)
-                self._log_offsets[index] = size
+        sizes = list(map(len, self._logs))
+        if sizes != self._log_offsets:
+            for index, (log, offset) in enumerate(zip(self._logs, self._log_offsets)):
+                if sizes[index] != offset:
+                    mission = self._missions[index]
+                    for event in log.since(offset):
+                        self._record_world_event(tick, index, mission, event)
+            self._log_offsets = sizes
         for mission_name, event in self._bus_buffer:
             kind = "escalation" if event.kind == "escalation" else "bus"
             self._eventful = True
@@ -183,7 +197,7 @@ class FleetRecorderTap:
                     "t": event.time_s,
                     "source": event.source,
                     "kind": event.kind,
-                    "detail": _sorted_detail(event.detail),
+                    "detail": event.detail,  # the canonical encoder sorts keys
                 },
             )
         self._bus_buffer.clear()
@@ -191,13 +205,15 @@ class FleetRecorderTap:
         if perception:
             self._eventful = True
         if self._eventful:
-            data = {"nodes": dict(sorted(self._node_activity.items()))}
+            # Names over int tuples only: already canonical (a tuple
+            # encodes as a list, and the encoder sorts keys).
+            data = {"nodes": self._node_activity}
             if perception:
                 data["perception"] = perception
             data["channels"] = self._channel_counters(graph)
-            self._recorder.record("tick", tick=tick, data=data)
+            self._recorder.record_encoded("tick", tick=tick, data=data)
         self._eventful = False
-        self._node_activity = {}
+        self._node_activity.clear()
 
     def record_report(self, report) -> None:
         """Record the final ``report`` event (first call only)."""
@@ -257,6 +273,14 @@ class FleetRecorderTap:
 
         return listen
 
+    def _query_digest(self, query: ObservationQuery) -> str:
+        """The digest ``lookup`` recorded for *query* this tick (computed
+        afresh if it was not)."""
+        digest = self._digests.pop(query, None)
+        if digest is None:
+            digest = query_digest(_query_payload(query))
+        return digest
+
     def _core_label(self, perception: RecognizerPerception) -> str:
         key = perception.core_key
         label = self._core_labels.get(key)
@@ -283,21 +307,14 @@ class FleetRecorderTap:
                 "t": event.time_s,
                 "source": event.source,
                 "kind": event.kind,
-                "detail": _sorted_detail(event.detail),
+                "detail": event.detail,  # the canonical encoder sorts keys
             },
         )
 
     def _perception_deltas(self) -> dict:
         deltas: dict[str, dict[str, int]] = {}
         for label, perception in self._tracked_cores:
-            stats = perception.stats
-            snapshot = (
-                stats.observations,
-                stats.gated,
-                stats.cache_hits,
-                stats.frames_classified,
-                stats.batch_calls,
-            )
+            snapshot = perception.counters
             previous = self._stats_prev.get(label, (0, 0, 0, 0, 0))
             if snapshot != previous:
                 deltas[label] = {
@@ -314,11 +331,7 @@ class FleetRecorderTap:
         channels = self._channels
         if channels is None:
             channels = self._channels = graph.channels
-        return {channel.name: list(channel.flow) for channel in channels}
-
-
-def _sorted_detail(detail: dict) -> dict:
-    return {key: detail[key] for key in sorted(detail)}
+        return {channel.name: channel.flow for channel in channels}
 
 
 def service_observer(recorder: FlightRecorder):

@@ -202,9 +202,19 @@ class AllRoundLightRing:
         mode = self._mode
         leds = self.leds
         relative = self._course_deg - self._heading_deg if mode is _NAVIGATION else None
+        driven = self._driven
+        if (
+            driven is not None
+            and driven[0] is mode
+            and driven[1] == relative
+            and len(driven[2]) == len(leds)
+        ):
+            for led, state in zip(leds, driven[2]):
+                if (None if led.failed else led.color) is not state:
+                    break
+            else:
+                return
         states = [None if led.failed else led.color for led in leds]
-        if (mode, relative, states) == self._driven:
-            return
         if mode is _NAVIGATION:
             # Colour arcs aligned with the course over ground: each LED's
             # course-relative bearing wrapped to (-180, 180] with

@@ -104,11 +104,11 @@ class MultirotorBody:
         if h_speed > limits.max_horizontal_speed_mps:
             scale = limits.max_horizontal_speed_mps / h_speed
             x, y = x * scale, y * scale
-        v_speed = max(
-            -limits.max_vertical_speed_mps,
-            min(limits.max_vertical_speed_mps, velocity.z),
-        )
-        self._commanded_velocity = Vec3(x, y, v_speed)
+        # max(-limit, min(limit, z)), written out.
+        limit = limits.max_vertical_speed_mps
+        z = velocity.z
+        z = z if z < limit else limit
+        self._commanded_velocity = Vec3(x, y, z if z > -limit else -limit)
 
     def command_yaw_rate(self, yaw_rate_dps: float) -> None:
         """Set the desired yaw rate (clamped to the envelope)."""

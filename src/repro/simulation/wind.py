@@ -22,6 +22,9 @@ from repro.geometry.vec import Vec3
 
 __all__ = ["WindModel", "CalmWind", "GustEpisode"]
 
+#: Distinct update step lengths whose Gauss-Markov coefficients are kept.
+MAX_CACHED_STEPS = 64
+
 
 @dataclass
 class GustEpisode:
@@ -72,6 +75,8 @@ class WindModel:
     _next_gust_s: float = field(init=False, repr=False)
     _last_update_s: float = field(init=False, repr=False)
     _mean: Vec3 = field(init=False, repr=False)
+    _coefficients: dict[float, tuple[float, float]] = field(init=False, repr=False)
+    _memo: tuple[float, Vec3] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mean_speed_mps < 0 or self.turbulence < 0 or self.gust_speed_mps < 0:
@@ -86,6 +91,11 @@ class WindModel:
         self._next_gust_s = self._draw_gust_interval()
         self._last_update_s = 0.0
         self._mean = self.mean_velocity()
+        # Gauss-Markov (alpha, noise scale) per update step: a fixed-step
+        # clock repeats a handful of float step lengths, so this stays small.
+        self._coefficients = {}
+        # (time, velocity) of the last velocity_at answer; update() clears it.
+        self._memo = None
 
     def _draw_gust_interval(self) -> float:
         if self.gust_rate_per_min <= 0:
@@ -109,12 +119,19 @@ class WindModel:
         if dt == 0:
             return
         # Gauss-Markov: exponential decorrelation towards zero mean.
-        alpha = math.exp(-dt / self.correlation_time_s)
-        noise_scale = self.turbulence * math.sqrt(max(0.0, 1.0 - alpha * alpha))
+        coefficients = self._coefficients.get(dt)
+        if coefficients is None:
+            if len(self._coefficients) >= MAX_CACHED_STEPS:
+                self._coefficients.clear()
+            alpha = math.exp(-dt / self.correlation_time_s)
+            noise_scale = self.turbulence * math.sqrt(max(0.0, 1.0 - alpha * alpha))
+            coefficients = self._coefficients[dt] = (alpha, noise_scale)
+        alpha, noise_scale = coefficients
+        gauss, fluctuation = self._rng.gauss, self._fluctuation
         self._fluctuation = Vec3(
-            alpha * self._fluctuation.x + noise_scale * self._rng.gauss(0.0, 1.0),
-            alpha * self._fluctuation.y + noise_scale * self._rng.gauss(0.0, 1.0),
-            0.3 * (alpha * self._fluctuation.z + noise_scale * self._rng.gauss(0.0, 1.0)),
+            alpha * fluctuation.x + noise_scale * gauss(0.0, 1.0),
+            alpha * fluctuation.y + noise_scale * gauss(0.0, 1.0),
+            0.3 * (alpha * fluctuation.z + noise_scale * gauss(0.0, 1.0)),
         )
         # Spawn gust episodes by a Poisson process.
         while self._next_gust_s <= now_s:
@@ -132,21 +149,40 @@ class WindModel:
             )
             self._next_gust_s += self._draw_gust_interval()
         # Forget fully decayed gusts.
-        self._gusts = [g for g in self._gusts if now_s - g.start_s < 6.0 * g.tau_s]
+        if self._gusts:
+            self._gusts = [g for g in self._gusts if now_s - g.start_s < 6.0 * g.tau_s]
         self._last_update_s = now_s
+        self._memo = None
 
     def velocity_at(self, now_s: float) -> Vec3:
-        """Return the total wind velocity at *now_s* (after :meth:`update`)."""
+        """Return the total wind velocity at *now_s* (after :meth:`update`).
+
+        Answered once per time between updates: the drone and its safety
+        monitor both ask for the current tick's wind.
+        """
+        memo = self._memo
+        if memo is not None and memo[0] == now_s:
+            return memo[1]
         mean, fluctuation = self._mean, self._fluctuation
         x = mean.x + fluctuation.x
         y = mean.y + fluctuation.y
         z = mean.z + fluctuation.z
         for gust in self._gusts:
-            gust_velocity = gust.velocity_at(now_s)
-            x += gust_velocity.x
-            y += gust_velocity.y
-            z += gust_velocity.z
-        return Vec3(x, y, z)
+            # GustEpisode.velocity_at, component by component; a gust not
+            # yet started still adds its zero vector (-0.0 + 0.0 is 0.0).
+            if now_s < gust.start_s:
+                x += 0.0
+                y += 0.0
+                z += 0.0
+                continue
+            decay = math.exp(-(now_s - gust.start_s) / gust.tau_s)
+            velocity = gust.velocity
+            x += velocity.x * decay
+            y += velocity.y * decay
+            z += velocity.z * decay
+        velocity = Vec3(x, y, z)
+        self._memo = (now_s, velocity)
+        return velocity
 
     @property
     def active_gust_count(self) -> int:

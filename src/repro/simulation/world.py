@@ -74,6 +74,7 @@ class World:
         self.events = EventQueue()
         self.log = EventLog()
         self._entities: dict[str, Entity] = {}
+        self._stepped: tuple[Entity, ...] = ()  # _entities' values, for step()
         self._obstacles: list[StaticObstacle] = []
 
     @property
@@ -107,6 +108,7 @@ class World:
         if entity.name in self._entities:
             raise ValueError(f"duplicate entity name: {entity.name!r}")
         self._entities[entity.name] = entity
+        self._stepped = tuple(self._entities.values())
 
     def add_obstacle(self, obstacle: StaticObstacle) -> None:
         """Register a static obstacle."""
@@ -132,11 +134,13 @@ class World:
 
     def step(self) -> float:
         """Advance the world by one clock tick; returns the new time."""
-        dt = self.clock.time_step_s
-        now = self.clock.tick()
+        clock, events = self.clock, self.events
+        dt = clock.time_step_s
+        now = clock.tick()
         self.wind.update(now)
-        self.events.run_due(now)
-        for entity in list(self._entities.values()):
+        if events._heap:  # most ticks have nothing scheduled
+            events.run_due(now)
+        for entity in self._stepped:
             entity.update(self, dt)
         return now
 

@@ -337,6 +337,30 @@ class TestWiringCache:
         with pytest.raises(KeyError, match="no output port 'elsewhere'"):
             graph.tick()
 
+    def test_mistyped_emit_raises_naming_the_channel(self):
+        # The sweep's room-to-spare emit falls back to Channel.offer on a
+        # type error: items before the bad one are in, and offer names it.
+        class Mixed(Node):
+            outputs = (Port("out", int),)
+
+            def process(self, inputs):
+                return {"out": [1, "two", 3]}
+
+        class IntSink(Node):
+            inputs = (Port("in", int),)
+
+            def process(self, inputs):
+                return {}
+
+        graph = Graph()
+        source = graph.add(Mixed("mixed"))
+        sink = graph.add(IntSink("sink"))
+        channel = graph.connect(source, "out", sink, "in", capacity=None)
+        with pytest.raises(TypeError, match="carries int, got str"):
+            graph.tick()
+        assert channel.stats.puts == 1
+        assert channel.stats.high_water == 1
+
     def test_tap_sequence_and_backpressure_counts(self):
         # Burst of three through a doubler over capacity-1 BLOCK wires:
         # the producer stalls once, then idles; the tap sees every node

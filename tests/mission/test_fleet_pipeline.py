@@ -158,6 +158,34 @@ class TestGraphShape:
             assert f'"{stage}"' in dot
 
 
+class TestQuietFlowControl:
+    """The fleet graph is a linear chain that moves one token per tick and
+    drains it in the same sweep, so its flow-control paths never fire:
+    the evidence for keeping them off the fleet's hot path."""
+
+    def test_tfleet_run_never_stalls_refuses_or_drops(self):
+        # T-FLEET settings: dense orchard, 25 Hz observation.
+        fleet = build_fleet(
+            FleetSpec(
+                count=2,
+                base_seed=100,
+                config=SMALL,
+                negotiation=NegotiationConfig(observe_interval_s=0.04),
+            )
+        )
+        report = fleet.run()
+        stats = report.graph_stats
+        assert report.perception_stats.frames_classified > 0
+        assert len(stats.channels) == len(FLEET_STAGES) - 1
+        for channel in stats.channels:
+            assert channel.refusals == 0, channel.name
+            assert channel.drops == 0, channel.name
+            assert channel.high_water == 1, channel.name
+            assert channel.puts == channel.gets > 0, channel.name
+        for node in stats.nodes:
+            assert node.stalled_ticks == 0, node.name
+
+
 class _StubService:
     """Duck-typed stand-in for RecognitionService lifecycle tests."""
 
