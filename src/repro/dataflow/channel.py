@@ -103,8 +103,6 @@ class Channel:
         self.capacity = capacity
         self.policy = policy
         self.dtype = dtype
-        # Graph.tick drains, and appends to a channel with room, in place
-        # through these fields; offer()/drain() define what they mean.
         self._items: deque = deque()
         self._puts = 0
         self._gets = 0
@@ -181,9 +179,12 @@ class Channel:
 
     def drain(self) -> list:
         """Dequeue and return everything currently buffered, in order."""
-        items = list(self._items)
+        buffered = self._items
+        if not buffered:  # an idle input, read on every graph sweep
+            return []
+        items = list(buffered)
         self._gets += len(items)
-        self._items.clear()
+        buffered.clear()
         return items
 
     def clear(self) -> int:
@@ -227,7 +228,21 @@ class Channel:
         order is never violated; the caller re-offers the returned tail
         once the consumer has drained some room.
         """
-        items = list(items)
+        if type(items) is not list:
+            items = list(items)
+        buffered, capacity, dtype = self._items, self.capacity, self.dtype
+        if capacity is None or len(buffered) + len(items) <= capacity:
+            for item in items:
+                if dtype is not object and not isinstance(item, dtype):
+                    break  # offer() below raises naming the channel
+            else:
+                # Room for every item and every item well typed: what
+                # offer() does one by one, in bulk (a graph's every-tick case).
+                buffered.extend(items)
+                self._puts += len(items)
+                if len(buffered) > self._high_water:
+                    self._high_water = len(buffered)
+                return []
         for index, item in enumerate(items):
             if not self.offer(item):
                 return items[index:]

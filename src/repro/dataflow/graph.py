@@ -119,10 +119,6 @@ class _Edge:
             self.pending = self.channel.extend_offer(self.pending)
         return not self.pending
 
-    def emit(self, items) -> None:
-        """Offer *items*, buffering whatever the channel refuses."""
-        self.pending.extend(self.channel.extend_offer(items))
-
 
 class _Step:
     """One node's place in the sweep, cached with the topological order:
@@ -312,9 +308,6 @@ class Graph:
             sweep = self._sweep
         tick, tap, clock = self._ticks, self._tap, time.perf_counter
         moved = 0
-        # Channel drain, metrics and the room-to-spare emit are inlined
-        # (the per-tick cost of a fleet sweep); a full channel still goes
-        # through _Edge.emit / Channel.extend_offer for BLOCK and DROP.
         for step in sweep:
             node = step.node
             stalled = False
@@ -328,15 +321,8 @@ class Graph:
             items_in = 0
             for port_name, channel in step.inputs:
                 # An input port has at most one channel (connect enforces it).
-                buffered = channel._items if channel is not None else None
-                if buffered:
-                    items = list(buffered)
-                    buffered.clear()
-                    channel._gets += len(items)
-                    items_in += len(items)
-                else:
-                    items = []
-                inputs[port_name] = items
+                items = inputs[port_name] = channel.drain() if channel is not None else []
+                items_in += len(items)
             if items_in == 0 and not step.is_source:
                 continue
             started = clock()
@@ -358,28 +344,13 @@ class Graph:
                     edges = ()  # declared after wiring: no channel to feed
                 if type(items) is not list:
                     items = list(items)
-                count = len(items)
-                items_out += count
+                items_out += len(items)
                 for edge in edges:
-                    channel = edge.channel
-                    buffered = channel._items
-                    capacity = channel.capacity
-                    room = not edge.pending and (
-                        capacity is None or len(buffered) + count <= capacity
-                    )
-                    dtype = channel.dtype
-                    if room and dtype is not object:
-                        for item in items:
-                            if not isinstance(item, dtype):
-                                room = False  # offer() raises naming the channel
-                                break
-                    if not room:
-                        edge.emit(items)
-                        continue
-                    buffered.extend(items)
-                    channel._puts += count
-                    if len(buffered) > channel._high_water:
-                        channel._high_water = len(buffered)
+                    # Hold whatever a full BLOCK channel refuses; the
+                    # node stalls until flush() places it.
+                    refused = edge.channel.extend_offer(items)
+                    if refused:
+                        edge.pending.extend(refused)
             metrics = node.metrics
             metrics.ticks += 1
             metrics.items_in += items_in

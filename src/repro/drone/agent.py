@@ -39,8 +39,7 @@ _PAYLOAD_W = RING_POWER_BUDGET_W + RECOGNITION_COMPUTE_POWER_W
 
 # Enum members as module constants: a class attribute read on an Enum
 # costs several times more, and these are read every tick.
-_EMERGENCY, _PARKED = DroneMode.EMERGENCY, DroneMode.PARKED
-_COMMUNICATING = DroneMode.COMMUNICATING
+_PARKED, _COMMUNICATING = DroneMode.PARKED, DroneMode.COMMUNICATING
 _RING_NAVIGATION = RingMode.NAVIGATION
 
 # Flight mode each pattern is flown in (communicative patterns: the rest).
@@ -228,11 +227,10 @@ class DroneAgent:
 
     def _advance_pattern(self, world, dt: float, state: BodyState) -> None:
         execution = self._queue[0]
-        steps = execution.steps
-        if execution.index >= len(steps):
+        step = execution.current_step
+        if step is None:
             self._finish_pattern(world, execution)
             return
-        step = steps[execution.index]
 
         # Mode follows the pattern being flown.
         self._sync_mode(execution.pattern, world)
@@ -246,9 +244,7 @@ class DroneAgent:
         if target is None:
             arrived = True
         elif step.arrival_radius_m is not None:
-            position = state.position
-            dx, dy, dz = position.x - target.x, position.y - target.y, position.z - target.z
-            arrived = math.sqrt(dx * dx + dy * dy + dz * dz) <= step.arrival_radius_m
+            arrived = state.position.distance_to(target) <= step.arrival_radius_m
         else:
             arrived = follower.arrived(state)
         heading_ok = step.heading_deg is None or (
@@ -308,9 +304,9 @@ class DroneAgent:
 
     def _sync_mode(self, pattern: FlightPattern, world) -> None:
         modes = self.modes
-        mode = modes.mode
-        if mode is _EMERGENCY:
+        if modes.in_emergency:
             return
+        mode = modes.mode
         kind = pattern.kind
         target = _PATTERN_MODES.get(kind, _COMMUNICATING)
         if mode is target:
@@ -322,11 +318,11 @@ class DroneAgent:
             modes.transition(target, world.now_s)
 
     def _update_lights(self, state: BodyState) -> None:
-        ring, mode = self.ring, self.modes.mode
-        if mode is _EMERGENCY:
+        ring, modes = self.ring, self.modes
+        if modes.in_emergency:
             ring.trigger_safety()
             return
-        if mode is _PARKED and not state.rotors_on:
+        if modes.mode is _PARKED and not state.rotors_on:
             if ring.mode is not RingMode.OFF:
                 ring.extinguish()
             return
@@ -350,14 +346,11 @@ class DroneAgent:
             ring.set_navigation(course, heading_deg=heading)
 
     def _book_energy(self, world, state: BodyState, dt: float) -> None:
-        velocity = state.velocity
-        # Vec3.norm, written out.
-        speed = math.sqrt(velocity.x * velocity.x + velocity.y * velocity.y + velocity.z * velocity.z)
         try:
-            self.battery.flight_draw(speed, dt, payload_w=_PAYLOAD_W)
+            self.battery.flight_draw(state.velocity.norm(), dt, payload_w=_PAYLOAD_W)
         except BatteryDepleted:
             self.trigger_emergency(world, reason="battery depleted")
             return
-        if self.battery.low and self.modes.mode is not _EMERGENCY:
+        if self.battery.low and not self.modes.in_emergency:
             if self.modes.mode not in (DroneMode.LANDING, DroneMode.PARKED):
                 self.trigger_emergency(world, reason="battery low")

@@ -90,13 +90,8 @@ class WaypointFollower:
 
     def arrived(self, state: BodyState) -> bool:
         """``True`` when the body is at the target, slow enough to dwell."""
-        target = self._target
-        if target is None:
+        if self._target is None:
             return False
-        # Vec3.distance_to and Vec3.norm, written out.
-        position, velocity, config = state.position, state.velocity, self.config
-        dx, dy, dz = position.x - target.x, position.y - target.y, position.z - target.z
-        close = math.sqrt(dx * dx + dy * dy + dz * dz) <= config.arrival_radius_m
-        vx, vy, vz = velocity.x, velocity.y, velocity.z
-        slow = math.sqrt(vx * vx + vy * vy + vz * vz) <= config.arrival_speed_mps
+        close = state.position.distance_to(self._target) <= self.config.arrival_radius_m
+        slow = state.velocity.norm() <= self.config.arrival_speed_mps
         return close and slow

@@ -51,6 +51,10 @@ _ALLOWED: dict[DroneMode, frozenset[DroneMode]] = {
     DroneMode.EMERGENCY: frozenset({DroneMode.PARKED}),
 }
 
+# in_emergency is read several times per drone tick, and reading a
+# member off the Enum class costs about as much as the property itself.
+_EMERGENCY = DroneMode.EMERGENCY
+
 
 @dataclass
 class FlightModeMachine:
@@ -90,4 +94,4 @@ class FlightModeMachine:
     @property
     def in_emergency(self) -> bool:
         """``True`` while in EMERGENCY."""
-        return self.mode is DroneMode.EMERGENCY
+        return self.mode is _EMERGENCY

@@ -68,7 +68,8 @@ class Vec2:
 
     def distance_to(self, other: "Vec2") -> float:
         """Return the Euclidean distance to *other*."""
-        return (self - other).norm()
+        # (self - other).norm() without building the difference vector.
+        return math.hypot(self.x - other.x, self.y - other.y)
 
     def normalized(self) -> "Vec2":
         """Return a unit vector in the same direction.
@@ -162,7 +163,8 @@ class Vec3:
 
     def norm(self) -> float:
         """Return the Euclidean length."""
-        return math.sqrt(self.norm_sq())
+        x, y, z = self.x, self.y, self.z
+        return math.sqrt(x * x + y * y + z * z)
 
     def norm_sq(self) -> float:
         """Return the squared Euclidean length."""
@@ -170,7 +172,9 @@ class Vec3:
 
     def distance_to(self, other: "Vec3") -> float:
         """Return the Euclidean distance to *other*."""
-        return (self - other).norm()
+        # (self - other).norm() without building the difference vector.
+        dx, dy, dz = self.x - other.x, self.y - other.y, self.z - other.z
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
 
     def normalized(self) -> "Vec3":
         """Return a unit vector in the same direction.

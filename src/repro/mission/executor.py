@@ -14,7 +14,6 @@ from enum import Enum
 
 from repro.drone.agent import DroneAgent
 from repro.drone.patterns import CruisePattern, LandingPattern, TakeOffPattern
-from repro.drone.state_machine import DroneMode
 from repro.geometry.vec import Vec2, Vec3
 from repro.mission.flytrap import FlyTrap, TrapReading
 from repro.mission.orchard import Orchard
@@ -146,7 +145,7 @@ class MissionExecutor:
         if phase is _DONE or phase is _ABORTED or phase is _IDLE:
             return phase
         self.safety.check(world)
-        if self.drone.modes.mode is _EMERGENCY:
+        if self.drone.modes.in_emergency:
             self._abort(world, "drone emergency")
             return self.phase
 
@@ -321,7 +320,6 @@ class MissionExecutor:
 # fleet tick, and a class attribute read on an Enum costs several times more.
 _IDLE, _DONE, _ABORTED = MissionPhase.IDLE, MissionPhase.DONE, MissionPhase.ABORTED
 _NEGOTIATING = MissionPhase.NEGOTIATING
-_EMERGENCY = DroneMode.EMERGENCY
 
 # The handler each active phase ticks with (see MissionExecutor.tick).
 _PHASE_HANDLERS = {

@@ -226,15 +226,12 @@ class FleetScheduler:
     @property
     def finished(self) -> bool:
         """``True`` once every mission is done or aborted."""
-        for mission in self.missions:
-            if not mission.executor.finished:
-                return False
-        return True
+        return all(m.finished for m in self.missions)
 
     @property
     def active_missions(self) -> list[FleetMission]:
         """Missions still flying."""
-        return [m for m in self.missions if not m.executor.finished]
+        return [m for m in self.missions if not m.finished]
 
     @property
     def graph(self) -> Graph:

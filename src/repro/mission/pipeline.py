@@ -111,11 +111,11 @@ class WorldStepNode(Node):
 
     def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
         """Step active worlds; emit this tick's token."""
-        active = tuple(m for m in self._missions if not m.executor.finished)
+        active = tuple(m for m in self._missions if not m.finished)
         if not active:
             return {}
         for mission in active:
-            mission.orchard.world.step()
+            mission.world.step()
         tick = FleetTick(index=self._tick_index, missions=active)
         self._tick_index += 1
         return {"ticks": [tick]}
@@ -146,7 +146,7 @@ class PredictNode(Node):
                 perception = mission.perception
                 if not isinstance(perception, RecognizerPerception):
                     continue
-                pending = mission.executor.pending_observation(mission.orchard.world)
+                pending = mission.executor.pending_observation(mission.world)
                 if pending is None:
                     continue
                 position, human = pending
@@ -256,7 +256,7 @@ class MissionTickNode(Node):
         stepped = 0
         for tick in inputs["ticks"]:
             for mission in tick.missions:
-                mission.executor.tick(mission.orchard.world)
+                mission.executor.tick(mission.world)
                 stepped += 1
         return {"done": [stepped]}
 

@@ -28,7 +28,6 @@ from repro.drone.patterns import (
     RectanglePattern,
     TurnPattern,
 )
-from repro.drone.state_machine import DroneMode
 from repro.geometry.vec import Vec2, Vec3
 from repro.human.agent import HumanAgent
 from repro.human.signs import MarshallingSign
@@ -174,7 +173,7 @@ class NegotiationController:
         state = self.state
         if state is _CONCLUDED or state is _FAILED or state is _IDLE:
             return state
-        if self.drone.modes.mode is _EMERGENCY:
+        if self.drone.modes.in_emergency:
             self._fail(world, "drone emergency")
             return self.state
 
@@ -193,12 +192,11 @@ class NegotiationController:
         state = self.state
         if state is not _AWAITING_ATTENTION and state is not _AWAITING_ANSWER:
             return None
-        drone = self.drone
-        if drone.modes.mode is _EMERGENCY:
+        if self.drone.modes.in_emergency:
             return None
         if world.now_s < self._next_observation_s:
             return None
-        return drone.body.state.position, self.human
+        return self.drone.state.position, self.human
 
     # -- state handlers ----------------------------------------------------------------
 
@@ -332,7 +330,6 @@ _IDLE = NegotiationState.IDLE
 _CONCLUDED, _FAILED = NegotiationState.CONCLUDED, NegotiationState.FAILED
 _AWAITING_ATTENTION = NegotiationState.AWAITING_ATTENTION
 _AWAITING_ANSWER = NegotiationState.AWAITING_ANSWER
-_EMERGENCY = DroneMode.EMERGENCY
 
 # The handler each active state ticks with (see NegotiationController.tick).
 _STATE_HANDLERS = {

@@ -18,16 +18,12 @@ which satisfies the safety-first posture the paper argues for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.drone.agent import DroneAgent
-from repro.drone.state_machine import DroneMode
 from repro.human.agent import HumanAgent
 
 __all__ = ["SafetyLimits", "SafetyMonitor", "SafetyViolation"]
-
-_EMERGENCY = DroneMode.EMERGENCY
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,8 +104,8 @@ class SafetyMonitor:
 
     def _first_violation(self, world) -> SafetyViolation | None:
         drone = self.drone
-        state = drone.body.state
-        if drone.modes.mode is _EMERGENCY or not state.rotors_on:
+        state = drone.state
+        if drone.modes.in_emergency or not state.rotors_on:
             return None
         limits = self.limits
 
@@ -121,9 +117,8 @@ class SafetyMonitor:
                 detail=f"{failed_fraction:.0%} of ring LEDs failed",
             )
 
-        # Wind above the operational limit (Vec3.norm, written out).
-        wind = world.wind.velocity_at(world.now_s)
-        wind_speed = math.sqrt(wind.x * wind.x + wind.y * wind.y + wind.z * wind.z)
+        # Wind above the operational limit.
+        wind_speed = world.wind.velocity_at(world.now_s).norm()
         if wind_speed > limits.max_wind_speed_mps:
             return SafetyViolation(
                 rule="wind_limit",
@@ -134,14 +129,13 @@ class SafetyMonitor:
         # granted access via the negotiation protocol).
         position = state.position
         if position.z < limits.safe_overflight_altitude_m:
+            here = position.horizontal()
             for entity in world.iter_entities():
                 if not isinstance(entity, HumanAgent):
                     continue
                 if entity.name in self._waived:
                     continue
-                # Vec2.distance_to from the drone's ground point, written out.
-                human = entity.position
-                separation = math.hypot(position.x - human.x, position.y - human.y)
+                separation = here.distance_to(entity.position)
                 if separation < limits.min_horizontal_separation_m:
                     return SafetyViolation(
                         rule="separation",

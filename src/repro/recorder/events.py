@@ -91,12 +91,17 @@ def _encode_str(value: str) -> str:
     return value
 
 
+# The two container encoders keep an exact int without a call: it is
+# already canonical, and most of a tick record is int counters.
 def _encode_dict(value: dict) -> dict:
-    return {str(key): encode_value(item) for key, item in value.items()}
+    return {
+        str(key): item if type(item) is int else encode_value(item)
+        for key, item in value.items()
+    }
 
 
 def _encode_sequence(value) -> list:
-    return [encode_value(item) for item in value]
+    return [item if type(item) is int else encode_value(item) for item in value]
 
 
 def _keep(value):

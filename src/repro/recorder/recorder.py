@@ -89,23 +89,7 @@ class FlightRecorder:
         """
         if kind not in DETERMINISTIC_KINDS and kind not in OPS_KINDS:
             raise ValueError(f"unknown flight-record kind: {kind!r}")
-        self._write(kind, tick, node, encode_value(data or {}))
-
-    def record_encoded(self, kind: str, *, tick: int = -1, node: str = "", data: dict) -> None:
-        """:meth:`record` for a *data* payload already in encoded form.
-
-        *data* must serialise exactly as its
-        :func:`~repro.recorder.events.encode_value` would (say, string
-        keys over ints, lists or tuples of ints, and already-encoded
-        values), so the line is byte-identical to :meth:`record`'s; the
-        per-tick taps use this to skip re-encoding what they build
-        canonical.
-        """
-        if kind not in DETERMINISTIC_KINDS and kind not in OPS_KINDS:
-            raise ValueError(f"unknown flight-record kind: {kind!r}")
-        self._write(kind, tick, node, data)
-
-    def _write(self, kind: str, tick: int, node: str, payload: dict) -> None:
+        payload = encode_value(data or {})
         stream = "det" if is_deterministic(kind) else "ops"
         with self._lock:
             if self._finalized:

@@ -42,11 +42,7 @@ NEGOTIATION_KINDS = frozenset({"sign_observed", "protocol_state", "negotiation_s
 
 def query_digest(payload: dict) -> str:
     """Short stable digest linking a verdict back to its observation."""
-    return _encoded_digest(encode_value(payload))
-
-
-def _encoded_digest(encoded: dict) -> str:
-    line = canonical_line(encoded)
+    line = canonical_line(encode_value(payload))
     return hashlib.sha256(line.encode("utf-8")).hexdigest()[:16]
 
 
@@ -89,8 +85,6 @@ class FleetRecorderTap:
         # This tick's (items_in, items_out) per invoked node (a tuple
         # encodes as the same JSON array as a list); reused.
         self._node_activity: dict[str, tuple[int, int]] = {}
-        # Digests of the queries lookup recorded, until match reads them.
-        self._digests: dict[ObservationQuery, str] = {}
         self._report_recorded = False
         self._channels: tuple | None = None
         for mission in self._missions:
@@ -146,16 +140,13 @@ class FleetRecorderTap:
                 for batch in token.batches:
                     core = self._core_label(batch.perception)
                     for query in batch.misses:
-                        # Encoded once for the digest and the record; the
-                        # digest (lowercase hex) is its own encoding.
-                        encoded = encode_value(_query_payload(query))
-                        digest = self._digests[query] = _encoded_digest(encoded)
+                        payload = _query_payload(query)
                         self._eventful = True
-                        self._recorder.record_encoded(
+                        self._recorder.record(
                             "observation",
                             tick=tick,
                             node=core,
-                            data={"query": encoded, "digest": digest},
+                            data={"query": payload, "digest": query_digest(payload)},
                         )
         elif name == "match":
             for token in outputs.get("ticks", ()):
@@ -169,7 +160,7 @@ class FleetRecorderTap:
                             tick=tick,
                             node=core,
                             data={
-                                "digest": self._query_digest(query),
+                                "digest": query_digest(_query_payload(query)),
                                 "label": sign.value if sign is not None else None,
                                 "cached": cached,
                             },
@@ -205,13 +196,12 @@ class FleetRecorderTap:
         if perception:
             self._eventful = True
         if self._eventful:
-            # Names over int tuples only: already canonical (a tuple
-            # encodes as a list, and the encoder sorts keys).
+            # The canonical encoder sorts the node names.
             data = {"nodes": self._node_activity}
             if perception:
                 data["perception"] = perception
             data["channels"] = self._channel_counters(graph)
-            self._recorder.record_encoded("tick", tick=tick, data=data)
+            self._recorder.record("tick", tick=tick, data=data)
         self._eventful = False
         self._node_activity.clear()
 
@@ -272,14 +262,6 @@ class FleetRecorderTap:
             self._bus_buffer.append((mission_name, event))
 
         return listen
-
-    def _query_digest(self, query: ObservationQuery) -> str:
-        """The digest ``lookup`` recorded for *query* this tick (computed
-        afresh if it was not)."""
-        digest = self._digests.pop(query, None)
-        if digest is None:
-            digest = query_digest(_query_payload(query))
-        return digest
 
     def _core_label(self, perception: RecognizerPerception) -> str:
         key = perception.core_key

@@ -59,8 +59,7 @@ class Battery:
     @property
     def low(self) -> bool:
         """``True`` once the state of charge reaches the reserve."""
-        # state_of_charge, written out: read every flight tick.
-        return max(0.0, self.capacity_wh - self._used_wh) / self.capacity_wh <= self.reserve_fraction
+        return self.state_of_charge <= self.reserve_fraction
 
     @property
     def empty(self) -> bool:
@@ -79,7 +78,7 @@ class Battery:
         if power_w < 0 or duration_s < 0:
             raise ValueError("power and duration must be non-negative")
         energy_wh = power_w * duration_s / 3600.0
-        if energy_wh > max(0.0, self.capacity_wh - self._used_wh):  # remaining_wh
+        if energy_wh > self.remaining_wh:
             self._used_wh = self.capacity_wh
             raise BatteryDepleted(
                 f"requested {energy_wh:.2f} Wh with {self.remaining_wh:.2f} Wh remaining"

@@ -44,7 +44,7 @@ class SimClock:
     def tick(self) -> float:
         """Advance one step; returns the new time."""
         self._ticks += 1
-        return self._ticks * self.time_step_s  # now_s
+        return self.now_s
 
     def advance(self, duration_s: float) -> int:
         """Advance by at least *duration_s*; returns ticks consumed."""

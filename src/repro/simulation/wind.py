@@ -22,9 +22,6 @@ from repro.geometry.vec import Vec3
 
 __all__ = ["WindModel", "CalmWind", "GustEpisode"]
 
-#: Distinct update step lengths whose Gauss-Markov coefficients are kept.
-MAX_CACHED_STEPS = 64
-
 
 @dataclass
 class GustEpisode:
@@ -75,7 +72,6 @@ class WindModel:
     _next_gust_s: float = field(init=False, repr=False)
     _last_update_s: float = field(init=False, repr=False)
     _mean: Vec3 = field(init=False, repr=False)
-    _coefficients: dict[float, tuple[float, float]] = field(init=False, repr=False)
     _memo: tuple[float, Vec3] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -91,9 +87,6 @@ class WindModel:
         self._next_gust_s = self._draw_gust_interval()
         self._last_update_s = 0.0
         self._mean = self.mean_velocity()
-        # Gauss-Markov (alpha, noise scale) per update step: a fixed-step
-        # clock repeats a handful of float step lengths, so this stays small.
-        self._coefficients = {}
         # (time, velocity) of the last velocity_at answer; update() clears it.
         self._memo = None
 
@@ -119,14 +112,8 @@ class WindModel:
         if dt == 0:
             return
         # Gauss-Markov: exponential decorrelation towards zero mean.
-        coefficients = self._coefficients.get(dt)
-        if coefficients is None:
-            if len(self._coefficients) >= MAX_CACHED_STEPS:
-                self._coefficients.clear()
-            alpha = math.exp(-dt / self.correlation_time_s)
-            noise_scale = self.turbulence * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-            coefficients = self._coefficients[dt] = (alpha, noise_scale)
-        alpha, noise_scale = coefficients
+        alpha = math.exp(-dt / self.correlation_time_s)
+        noise_scale = self.turbulence * math.sqrt(max(0.0, 1.0 - alpha * alpha))
         gauss, fluctuation = self._rng.gauss, self._fluctuation
         self._fluctuation = Vec3(
             alpha * fluctuation.x + noise_scale * gauss(0.0, 1.0),
@@ -168,18 +155,10 @@ class WindModel:
         y = mean.y + fluctuation.y
         z = mean.z + fluctuation.z
         for gust in self._gusts:
-            # GustEpisode.velocity_at, component by component; a gust not
-            # yet started still adds its zero vector (-0.0 + 0.0 is 0.0).
-            if now_s < gust.start_s:
-                x += 0.0
-                y += 0.0
-                z += 0.0
-                continue
-            decay = math.exp(-(now_s - gust.start_s) / gust.tau_s)
-            velocity = gust.velocity
-            x += velocity.x * decay
-            y += velocity.y * decay
-            z += velocity.z * decay
+            gust_velocity = gust.velocity_at(now_s)
+            x += gust_velocity.x
+            y += gust_velocity.y
+            z += gust_velocity.z
         velocity = Vec3(x, y, z)
         self._memo = (now_s, velocity)
         return velocity

@@ -134,12 +134,10 @@ class World:
 
     def step(self) -> float:
         """Advance the world by one clock tick; returns the new time."""
-        clock, events = self.clock, self.events
-        dt = clock.time_step_s
-        now = clock.tick()
+        dt = self.clock.time_step_s
+        now = self.clock.tick()
         self.wind.update(now)
-        if events._heap:  # most ticks have nothing scheduled
-            events.run_due(now)
+        self.events.run_due(now)
         for entity in self._stepped:
             entity.update(self, dt)
         return now

@@ -84,6 +84,29 @@ class TestCapacityAndPolicy:
         assert refused == [3, 4]
         assert channel.drain() == [1, 2]
 
+    @pytest.mark.parametrize("capacity", [None, 0, 2, 3, 5])
+    @pytest.mark.parametrize("policy", list(ChannelPolicy))
+    def test_extend_offer_counts_exactly_as_offer(self, capacity, policy):
+        # extend_offer appends a whole batch at once when it fits; the
+        # buffer, refused tail and every counter must match item-by-item
+        # offers, across batches that fit, fill and overflow the channel.
+        bulk = Channel("bulk", capacity=capacity, policy=policy, dtype=int)
+        single = Channel("single", capacity=capacity, policy=policy, dtype=int)
+        for batch in ([1], [2, 3], [], [4, 5, 6], [7]):
+            refused = bulk.extend_offer(batch)
+            expected = []
+            for index, item in enumerate(batch):
+                if not single.offer(item):
+                    expected = batch[index:]
+                    break
+            assert refused == expected
+            assert bulk.occupancy == single.occupancy
+            assert bulk.stats.high_water == single.stats.high_water
+            assert bulk.flow == single.flow
+            if bulk.full:
+                assert bulk.drain() == single.drain()
+        assert bulk.drain() == single.drain()
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             Channel("c", capacity=-1)

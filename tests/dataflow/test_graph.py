@@ -338,7 +338,7 @@ class TestWiringCache:
             graph.tick()
 
     def test_mistyped_emit_raises_naming_the_channel(self):
-        # The sweep's room-to-spare emit falls back to Channel.offer on a
+        # Channel.extend_offer's bulk append falls back to offer() on a
         # type error: items before the bad one are in, and offer names it.
         class Mixed(Node):
             outputs = (Port("out", int),)

@@ -1,10 +1,9 @@
-"""WindModel's per-step coefficient cache and velocity memo are exact.
+"""WindModel's velocity memo is exact.
 
-``WindModel.update`` caches the Gauss-Markov ``(alpha, noise_scale)``
-per step length, and ``velocity_at`` memoises its answer for one time
-until the next update.  Both must reproduce the uncached model bit for
-bit: the reference below is the model as it read before either cache,
-driven with its own generator of the same seed.
+``WindModel.velocity_at`` memoises its answer for one time until the
+next update.  It must reproduce the unmemoised model bit for bit: the
+reference below is the model as it read before the memo, driven with
+its own generator of the same seed.
 """
 
 import math
@@ -25,7 +24,7 @@ PARAMS = dict(
 
 
 class UncachedWind:
-    """WindModel.update / velocity_at with no cache and no memo."""
+    """WindModel.update / velocity_at with no memo."""
 
     def __init__(self, mean_speed_mps, direction_deg, turbulence, gust_rate_per_min,
                  gust_speed_mps, correlation_time_s, seed):
@@ -40,7 +39,6 @@ class UncachedWind:
         self.last_update_s = 0.0
         angle = math.radians(90.0 - direction_deg)
         self.mean = Vec3(mean_speed_mps * math.cos(angle), mean_speed_mps * math.sin(angle), 0.0)
-        self.coefficients = None
 
     def update(self, now_s):
         dt = now_s - self.last_update_s
@@ -48,7 +46,6 @@ class UncachedWind:
             return
         alpha = math.exp(-dt / self.correlation_time_s)
         noise_scale = self.turbulence * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        self.coefficients = (dt, alpha, noise_scale)
         self.fluctuation = Vec3(
             alpha * self.fluctuation.x + noise_scale * self.rng.gauss(0.0, 1.0),
             alpha * self.fluctuation.y + noise_scale * self.rng.gauss(0.0, 1.0),
@@ -86,8 +83,7 @@ def bits(vector):
 
 def update_times():
     """50 Hz for a while, then 20 Hz, then irregular steps: the step
-    length changes mid-run and repeats in the last bits as it would on a
-    fixed-step clock (``k * dt`` differences)."""
+    length changes mid-run."""
     times = [k * 0.02 for k in range(1, 1501)]
     start = times[-1]
     times += [start + k * 0.05 for k in range(1, 601)]
@@ -99,15 +95,13 @@ def update_times():
     return times
 
 
-def test_cached_wind_matches_the_uncached_formula():
+def test_memoised_wind_matches_the_unmemoised_formula():
     model, reference = WindModel(**PARAMS), UncachedWind(**PARAMS)
     spawned = expired = 0
     previous_gusts = 0
     for now in update_times():
         model.update(now)
         reference.update(now)
-        dt, alpha, noise_scale = reference.coefficients
-        assert model._coefficients[dt] == (alpha, noise_scale)
         assert model.active_gust_count == len(reference.gusts)
         expected = bits(reference.velocity_at(now))
         # The drone and the safety monitor both ask for the tick's wind.
