@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Emit the wired fleet pipeline graph as Graphviz DOT.
+"""Emit the fleet pipeline's linear chain as Graphviz DOT.
 
 Builds a small oracle-perception fleet (cheap: no recogniser core),
-wires it through :func:`~repro.mission.pipeline.build_fleet_graph` and
-prints :meth:`~repro.dataflow.graph.Graph.to_dot` — edge labels carry
-the channel dtype, capacity and full-channel policy.  The rendered
-topology is committed into the "Dataflow runtime" section of
+whose :func:`~repro.mission.pipeline.build_fleet_graph` chain this
+prints through :meth:`~repro.dataflow.graph.Graph.to_dot` — one node
+per stage, one edge per channel, labelled with the channel's dtype and
+fixed capacity (the trailing ``block`` is a constant format field).
+The output is committed into the "Dataflow runtime" section of
 ``docs/ARCHITECTURE.md``; ``tests/core/test_docs_check.py`` fails when
 that block and this script's output disagree, so re-run it and refresh
-the block whenever the pipeline shape changes.
+the block whenever the chain changes.
 
 Usage::
 
@@ -26,7 +27,7 @@ from repro.mission.orchard import OrchardConfig
 
 
 def fleet_dot() -> str:
-    """DOT for the fleet pipeline graph over a minimal fleet."""
+    """DOT for the fleet pipeline chain over a minimal fleet."""
     fleet = build_fleet(
         FleetSpec(
             count=2,

@@ -23,12 +23,12 @@ a thin driver over that graph: one scheduler tick is one graph tick.
 
 Because the prefetched answers are bit-identical to what a synchronous
 call would compute (same pose, same quantised camera, same batched
-kernels) and the graph's topological schedule is
+kernels) and the chain's schedule is
 execution-order-identical to the old lockstep loop, a fleet run
 replays each mission *exactly* as a sequential run would —
 ``benchmarks/bench_fleet.py`` asserts this and gates the throughput
 win, and the golden mission transcripts pin it byte-for-byte.  The
-graph adds per-node latency and channel-occupancy metrics
+graph adds per-node latency and per-channel flow counters
 (``FleetReport.graph_stats``) on top.
 
 Scenario diversity comes from :mod:`repro.simulation.scenarios`: each
@@ -266,8 +266,8 @@ class FleetScheduler:
 
         A node raising mid-tick fails loudly
         (:class:`~repro.dataflow.graph.NodeFailure`) after the graph
-        has drained its channels and closed its nodes; the owned
-        recognition service is released too.
+        has emptied its channels and closed; the owned recognition
+        service is released too.
         """
         if not self._started:
             raise RuntimeError("call start() before tick()")
@@ -309,25 +309,23 @@ class FleetScheduler:
         """Close the pipeline graph and stop the owned recognition
         service.  Idempotent.
 
-        The service stops even when closing a graph node raises, so
-        owned resources never leak.  Counters stay readable after
-        close — :meth:`report` still includes the final
-        :class:`~repro.service.ServiceStats` and graph stats.
+        The recording is finalized even when stopping the service
+        raises.  Counters stay readable after close — :meth:`report`
+        still includes the final :class:`~repro.service.ServiceStats`
+        and graph stats.
         """
         if self._closed:
             return
         self._closed = True
+        self._graph.close()
         try:
-            self._graph.close()
+            if self.service is not None:
+                self.service.stop()
         finally:
-            try:
-                if self.service is not None:
-                    self.service.stop()
-            finally:
-                # Sealed last, so straggling ops events from the
-                # service teardown still land in the file.
-                if self.recorder is not None:
-                    self.recorder.finalize()
+            # Sealed last, so straggling ops events from the
+            # service teardown still land in the file.
+            if self.recorder is not None:
+                self.recorder.finalize()
 
     def __enter__(self) -> "FleetScheduler":
         """Context-manager entry: returns the scheduler."""

@@ -1,17 +1,18 @@
-"""The fleet tick pipeline as a dataflow graph.
+"""The fleet tick pipeline as a linear dataflow chain.
 
 This module decomposes what used to be the lockstep body of
 ``FleetScheduler.tick()`` — step worlds, predict queries, prefetch,
-step executors — into typed :mod:`repro.dataflow` nodes joined by
-bounded channels:
+step executors — into seven :mod:`repro.dataflow` nodes, one bounded,
+typed channel between each neighbouring pair:
 
 ```
 world ─▶ predict ─▶ lookup ─▶ render ─▶ preprocess ─▶ match ─▶ mission
 ```
 
-One :class:`FleetTick` token flows the whole length of the pipe per
-graph tick.  It carries the tick's active missions and, between the
-recognition stages, the per-perception-core
+One :class:`FleetTick` token flows the whole length of the chain per
+graph tick, so every channel holds at most one token (an emit past a
+channel's capacity would raise).  The token carries the tick's active
+missions and, between the recognition stages, the per-perception-core
 :class:`PerceptionBatch`\\ es being resolved: ``predict`` groups each
 mission's predicted observation query by shared perception core,
 ``lookup`` dedupes and drops cache hits, ``render`` / ``preprocess`` /
@@ -20,13 +21,13 @@ seams on :class:`~repro.protocol.recognizer.RecognizerPerception`),
 and ``mission`` steps every executor with its ``observe()`` answered
 from the just-filled cache.
 
-**Migration gate.**  The graph schedule is execution-order-identical
+**Migration gate.**  The chain's schedule is execution-order-identical
 to the legacy loop: worlds step before any query is predicted, every
 query resolves before any executor ticks, and missions keep fleet
 order at every stage — so a graph-scheduled fleet *replays* the legacy
 scheduler byte-for-byte (golden mission transcripts and
 ``bench_fleet.py`` outcome parity are the enforced contract).  What
-the graph adds is per-node latency and queue-occupancy metrics
+the graph adds is per-node latency and per-channel flow counters
 (:meth:`~repro.dataflow.graph.Graph.stats`, surfaced as
 ``FleetReport.graph_stats``).
 """
@@ -34,10 +35,10 @@ the graph adds is per-node latency and queue-occupancy metrics
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dataflow.graph import Graph
-from repro.dataflow.node import Node, Port
+from repro.dataflow.node import Node
 from repro.protocol.recognizer import ObservationQuery, RecognizerPerception
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -102,23 +103,21 @@ class WorldStepNode(Node):
     at the top of the tick (nothing once the fleet is finished).
     """
 
-    outputs = (Port("ticks", FleetTick),)
-
     def __init__(self, missions: Sequence, name: str = "world") -> None:
         super().__init__(name)
         self._missions = missions
         self._tick_index = 0
 
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, items: list) -> list:
         """Step active worlds; emit this tick's token."""
         active = tuple(m for m in self._missions if not m.finished)
         if not active:
-            return {}
+            return []
         for mission in active:
             mission.world.step()
         tick = FleetTick(index=self._tick_index, missions=active)
         self._tick_index += 1
-        return {"ticks": [tick]}
+        return [tick]
 
 
 class PredictNode(Node):
@@ -132,15 +131,9 @@ class PredictNode(Node):
     stage.
     """
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
-    def __init__(self, name: str = "predict") -> None:
-        super().__init__(name)
-
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list) -> list:
         """Predict and group this tick's observation queries."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             grouped: dict[int, PerceptionBatch] = {}
             for mission in tick.missions:
                 perception = mission.perception
@@ -158,62 +151,44 @@ class PredictNode(Node):
                     batch = grouped[perception.core_key] = PerceptionBatch(perception)
                 batch.queries.append(query)
             tick.batches = list(grouped.values())
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class LookupNode(Node):
     """Reduce each batch's queries to deduplicated cache misses."""
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
-    def __init__(self, name: str = "lookup") -> None:
-        super().__init__(name)
-
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list) -> list:
         """Filter each perception batch down to its cache misses."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for batch in tick.batches:
                 batch.misses = batch.perception.pending_misses(batch.queries)
             tick.batches = [b for b in tick.batches if b.misses]
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class RenderNode(Node):
     """Render every missed query's frame (the ``render`` budget stage)."""
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
-    def __init__(self, name: str = "render") -> None:
-        super().__init__(name)
-
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list) -> list:
         """Render this tick's cache-missed queries."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for batch in tick.batches:
                 batch.frames = batch.perception.render_batch(batch.misses)
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class PreprocessNode(Node):
     """Batched vision front-end over the rendered frames
     (``classify.preprocess`` budget sub-stage)."""
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
-    def __init__(self, name: str = "preprocess") -> None:
-        super().__init__(name)
-
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list) -> list:
         """Preprocess this tick's rendered frames."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for batch in tick.batches:
                 batch.pres = batch.perception.preprocess_batch(
                     batch.misses, batch.frames
                 )
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class MatchNode(Node):
@@ -221,18 +196,12 @@ class MatchNode(Node):
     budget sub-stage; routed through the shard-worker pool when the
     perception is service-backed)."""
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
-    def __init__(self, name: str = "match") -> None:
-        super().__init__(name)
-
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list) -> list:
         """Match this tick's preprocessed queries into the caches."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for batch in tick.batches:
                 batch.perception.match_batch(batch.misses, batch.pres)
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class MissionTickNode(Node):
@@ -242,53 +211,36 @@ class MissionTickNode(Node):
     ``observe()`` this tick issues is answered from the just-filled
     result cache — the property that makes the graph schedule replay
     the legacy lockstep loop exactly.  Emits the number of executors
-    stepped on ``done`` (left unwired by the fleet graph).
+    stepped; as the chain's last node, nothing reads it.
     """
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("done", int),)
-
-    def __init__(self, name: str = "mission") -> None:
-        super().__init__(name)
-
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list) -> list:
         """Step every executor carried by this tick."""
         stepped = 0
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for mission in tick.missions:
                 mission.executor.tick(mission.world)
                 stepped += 1
-        return {"done": [stepped]}
+        return [stepped]
 
 
-def build_fleet_graph(
-    missions: Sequence["FleetMission"],
-    channel_capacity: int = 2,
-    tap=None,
-) -> Graph:
-    """Wire the seven-stage fleet pipeline over *missions*.
+def build_fleet_graph(missions: Sequence["FleetMission"], tap=None) -> Graph:
+    """Build the seven-stage fleet chain over *missions*.
 
-    Returns a validated :class:`~repro.dataflow.graph.Graph` with the
-    linear topology whose nodes are named after :data:`FLEET_STAGES`
-    and whose channels all carry :class:`FleetTick` under backpressure
-    (``BLOCK`` policy) — the byte-identical-transcript schedule the
-    :class:`~repro.mission.fleet.FleetScheduler` drives.  *tap* is the
-    per-node observability hook forwarded to the graph (the flight
-    recorder's read-only attachment point).
+    Returns the linear :class:`~repro.dataflow.graph.Graph` whose nodes
+    are named after :data:`FLEET_STAGES` and whose channels each carry
+    at most one :class:`FleetTick` — the byte-identical-transcript
+    schedule the :class:`~repro.mission.fleet.FleetScheduler` drives.
+    *tap* is the per-node observability hook forwarded to the graph
+    (the flight recorder's read-only attachment point).
     """
-    graph = Graph(name="fleet", tap=tap)
     nodes = [
         WorldStepNode(missions),
-        PredictNode(),
-        LookupNode(),
-        RenderNode(),
-        PreprocessNode(),
-        MatchNode(),
-        MissionTickNode(),
+        PredictNode("predict"),
+        LookupNode("lookup"),
+        RenderNode("render"),
+        PreprocessNode("preprocess"),
+        MatchNode("match"),
+        MissionTickNode("mission"),
     ]
-    for node in nodes:
-        graph.add(node)
-    for src, dst in zip(nodes, nodes[1:]):
-        graph.connect(src, "ticks", dst, "ticks", capacity=channel_capacity)
-    graph.validate()
-    return graph
+    return Graph("fleet", nodes, FleetTick, "ticks", tap=tap)

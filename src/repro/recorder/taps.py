@@ -86,7 +86,6 @@ class FleetRecorderTap:
         # encodes as the same JSON array as a list); reused.
         self._node_activity: dict[str, tuple[int, int]] = {}
         self._report_recorded = False
-        self._channels: tuple | None = None
         for mission in self._missions:
             emitter = getattr(mission.executor, "emitter", None)
             self._has_bus.append(emitter is not None)
@@ -130,13 +129,13 @@ class FleetRecorderTap:
             },
         )
 
-    def graph_tap(self, tick: int, node, inputs, outputs, items_in: int, items_out: int) -> None:
+    def graph_tap(self, tick: int, node, inputs: list, outputs: list) -> None:
         """Graph observability hook: per-node activity plus the
         recognition traffic leaving ``lookup`` and ``match``."""
         name = node.name
-        self._node_activity[name] = (items_in, items_out)
+        self._node_activity[name] = (len(inputs), len(outputs))
         if name == "lookup":
-            for token in outputs.get("ticks", ()):
+            for token in outputs:
                 for batch in token.batches:
                     core = self._core_label(batch.perception)
                     for query in batch.misses:
@@ -149,7 +148,7 @@ class FleetRecorderTap:
                             data={"query": payload, "digest": query_digest(payload)},
                         )
         elif name == "match":
-            for token in outputs.get("ticks", ()):
+            for token in outputs:
                 for batch in token.batches:
                     core = self._core_label(batch.perception)
                     for query in batch.misses:
@@ -310,10 +309,9 @@ class FleetRecorderTap:
         return deltas
 
     def _channel_counters(self, graph) -> dict:
-        channels = self._channels
-        if channels is None:
-            channels = self._channels = graph.channels
-        return {channel.name: channel.flow for channel in channels}
+        # (puts, gets, drops, refusals): the last two are constant format
+        # fields, kept so committed recordings replay byte-identically.
+        return {channel.name: (channel.puts, channel.gets, 0, 0) for channel in graph.channels}
 
 
 def service_observer(recorder: FlightRecorder):

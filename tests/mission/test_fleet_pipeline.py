@@ -141,12 +141,12 @@ class TestGraphShape:
         assert stats is not None
         assert {n.name for n in stats.nodes} == set(FLEET_STAGES)
         assert stats.ticks == report.ticks
+        nodes = {node.name: node for node in stats.nodes}
         for stage in FLEET_STAGES:
-            node = stats.node(stage)
-            assert node.ticks > 0
-            assert node.busy_s >= 0.0
+            assert nodes[stage].ticks > 0
+            assert nodes[stage].busy_s >= 0.0
         # the recognition stages saw real work on a recogniser fleet
-        assert stats.node("match").ticks > 0
+        assert nodes["match"].ticks > 0
         as_dict = stats.as_dict()
         assert set(as_dict["nodes"]) == set(FLEET_STAGES)
         assert all("mean_tick_ms" in entry for entry in as_dict["nodes"].values())
@@ -160,8 +160,8 @@ class TestGraphShape:
 
 class TestQuietFlowControl:
     """The fleet graph is a linear chain that moves one token per tick and
-    drains it in the same sweep, so its flow-control paths never fire:
-    the evidence for keeping them off the fleet's hot path."""
+    drains it in the same sweep, so no channel ever holds more than one
+    token: the evidence that a fixed capacity of 2 never overflows."""
 
     def test_tfleet_run_never_stalls_refuses_or_drops(self):
         # T-FLEET settings: dense orchard, 25 Hz observation.
@@ -178,12 +178,8 @@ class TestQuietFlowControl:
         assert report.perception_stats.frames_classified > 0
         assert len(stats.channels) == len(FLEET_STAGES) - 1
         for channel in stats.channels:
-            assert channel.refusals == 0, channel.name
-            assert channel.drops == 0, channel.name
             assert channel.high_water == 1, channel.name
             assert channel.puts == channel.gets > 0, channel.name
-        for node in stats.nodes:
-            assert node.stalled_ticks == 0, node.name
 
 
 class _StubService:
