@@ -103,7 +103,7 @@ class WorldStepNode(Node):
     at the top of the tick (nothing once the fleet is finished).
     """
 
-    def __init__(self, missions: Sequence, name: str = "world") -> None:
+    def __init__(self, name: str, missions: Sequence) -> None:
         super().__init__(name)
         self._missions = missions
         self._tick_index = 0
@@ -235,7 +235,7 @@ def build_fleet_graph(missions: Sequence["FleetMission"], tap=None) -> Graph:
     (the flight recorder's read-only attachment point).
     """
     nodes = [
-        WorldStepNode(missions),
+        WorldStepNode("world", missions),
         PredictNode("predict"),
         LookupNode("lookup"),
         RenderNode("render"),
