@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow import Channel, GraphError
+from repro.dataflow import CHANNEL_CAPACITY, Channel, GraphError
 
 
 class TestFifo:
@@ -22,8 +22,48 @@ class TestFifo:
         assert stats.high_water == 2
         assert stats.capacity == 2
 
+    def test_drain_on_empty_counts_no_gets(self):
+        channel = Channel("c", int)
+        assert channel.drain() == []
+        assert channel.stats.gets == 0
+
+    def test_high_water_survives_drain(self):
+        channel = Channel("c", int)
+        channel.extend([1, 2])
+        channel.drain()
+        channel.extend([3])
+        assert channel.stats.high_water == 2
+        assert channel.stats.occupancy == 1
+
 
 class TestCapacity:
+    def test_capacity_is_the_module_constant(self):
+        assert Channel("c", int).capacity == CHANNEL_CAPACITY == 2
+
+    @pytest.mark.parametrize(
+        "buffered, emitted", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    )
+    def test_extend_within_capacity_buffers_and_counts(self, buffered, emitted):
+        channel = Channel("c", int)
+        channel.extend(list(range(buffered)))
+        channel.extend(list(range(100, 100 + emitted)))
+        stats = channel.stats
+        assert (stats.puts, stats.occupancy) == (buffered + emitted,) * 2
+        assert stats.high_water == buffered + emitted
+        assert channel.drain() == [*range(buffered), *range(100, 100 + emitted)]
+
+    @pytest.mark.parametrize("buffered, emitted", [(0, 3), (1, 2), (2, 1), (2, 2), (0, 5)])
+    def test_overflow_leaves_buffer_and_counters_unchanged(self, buffered, emitted):
+        channel = Channel("c", int)
+        channel.extend(list(range(buffered)))
+        before = channel.stats
+        with pytest.raises(
+            GraphError, match=f"{emitted} emitted onto {buffered} buffered, capacity 2"
+        ):
+            channel.extend(list(range(100, 100 + emitted)))
+        assert channel.stats == before
+        assert channel.drain() == list(range(buffered))
+
     def test_overflowing_extend_raises_naming_the_channel(self):
         channel = Channel("a.out->b.in", int)
         channel.extend([1])
@@ -41,6 +81,16 @@ class TestTyping:
             channel.extend([1, "nope"])
         # items before the mistyped one are in
         assert channel.drain() == [1]
+
+    @pytest.mark.parametrize("bad_index", [0, 1])
+    def test_mistyped_item_stops_the_emit_at_its_position(self, bad_index):
+        items = [1, 2]
+        items[bad_index] = 2.5
+        channel = Channel("a.out->b.in", int)
+        with pytest.raises(TypeError, match="channel 'a.out->b.in' carries int, got float"):
+            channel.extend(items)
+        assert channel.stats.puts == bad_index
+        assert channel.drain() == items[:bad_index]
 
     def test_object_dtype_disables_checking(self):
         channel = Channel("c", object)

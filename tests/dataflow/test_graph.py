@@ -69,6 +69,25 @@ class TestWiring:
         with pytest.raises(GraphError, match="uniquely named"):
             chain(EmitNode([], name="x"), CollectNode(name="x"))
 
+    def test_empty_chain_rejected(self):
+        with pytest.raises(GraphError, match="uniquely named"):
+            chain()
+
+    def test_node_name_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            CollectNode(name="")
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_chain_of_n_nodes_has_n_minus_one_channels(self, length):
+        nodes = [EmitNode([], name="n0")]
+        nodes += [DoubleNode(f"n{i}") for i in range(1, length)]
+        graph = chain(*nodes)
+        assert graph.nodes == tuple(nodes)
+        assert [c.name for c in graph.channels] == [
+            f"n{i}.items->n{i + 1}.items" for i in range(length - 1)
+        ]
+        assert {c.dtype for c in graph.channels} <= {int}
+
     def test_one_channel_joins_each_neighbouring_pair(self):
         graph = chain(EmitNode([]), DoubleNode("double"), CollectNode())
         assert [c.name for c in graph.channels] == [
@@ -79,6 +98,30 @@ class TestWiring:
 
 
 class TestExecution:
+    def test_base_node_process_is_abstract(self):
+        with pytest.raises(NotImplementedError):
+            Node("bare").process([])
+
+    def test_mean_tick_is_zero_before_any_tick(self):
+        graph = chain(EmitNode([1]), CollectNode())
+        assert graph.ticks == 0
+        assert [n.mean_tick_s for n in graph.stats().nodes] == [0.0, 0.0]
+
+    def test_ticks_count_completed_sweeps(self):
+        graph = chain(EmitNode([1]), CollectNode())
+        for _ in range(3):
+            graph.tick()
+        assert graph.ticks == graph.stats().ticks == 3
+        assert graph.stats().as_dict()["ticks"] == 3
+
+    def test_single_node_chain_runs_its_source(self):
+        source = EmitNode([1, 2])
+        graph = chain(source)
+        graph.tick()
+        graph.tick()
+        assert graph.channels == ()
+        assert node_stats(graph, "emit").items_out == 2
+
     def test_one_tick_moves_data_the_whole_pipe(self):
         # Chain order: source -> double -> sink all in ONE tick.
         sink = CollectNode()
@@ -128,6 +171,23 @@ class TestOverflow:
             graph.tick()
         assert sink.items == []
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_overflow_at_any_link_names_that_link(self, position):
+        # The node at *position* triples every item it receives (or, as
+        # the source, emits three), overflowing only its own out-channel.
+        class Triple(Node):
+            def process(self, items):
+                return [*items, *items, *items] if items else [1, 1, 1]
+
+        nodes = [EmitNode([1], name="n0"), DoubleNode("n1"), DoubleNode("n2"), CollectNode("n3")]
+        nodes[position] = Triple(f"n{position}")
+        graph = chain(*nodes)
+        link = f"n{position}.items->n{position + 1}.items"
+        with pytest.raises(GraphError, match=f"channel '{link}' overflows"):
+            graph.tick()
+        assert graph.channels[position].stats.puts == 0
+        assert node_stats(graph, "n3").ticks == 0
+
     def test_mistyped_emit_raises_naming_the_channel(self):
         # Items before the bad one are in; the check names the channel.
         class Mixed(Node):
@@ -165,6 +225,28 @@ class TestFailure:
         with pytest.raises(GraphError, match="already failed"):
             graph.tick()
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_failure_at_any_position_names_that_node(self, position):
+        seen = []
+        nodes = [EmitNode([1], name="n0"), DoubleNode("n1"), CollectNode("n2")]
+        nodes[position] = FailNode(f"n{position}")
+        graph = chain(*nodes, tap=lambda tick, node, inputs, outputs: seen.append(node.name))
+        with pytest.raises(NodeFailure, match=f"node 'n{position}' failed") as failure:
+            graph.tick()
+        assert failure.value.node_name == f"n{position}"
+        assert failure.value.tick == 0
+        # nodes upstream of the failure ran and were tapped; it was not
+        assert seen == [f"n{i}" for i in range(position)]
+        assert graph.closed
+        assert all(c.occupancy == 0 for c in graph.stats().channels)
+
+    def test_failure_chains_the_original_exception(self):
+        graph = self.build_failing()
+        with pytest.raises(NodeFailure, match="RuntimeError: boom") as failure:
+            graph.tick()
+        assert isinstance(failure.value.__cause__, RuntimeError)
+        assert str(failure.value.__cause__) == "boom"
+
     def test_close_is_idempotent(self):
         graph = self.build_failing()
         with pytest.raises(NodeFailure):
@@ -192,6 +274,20 @@ class TestDot:
         assert dot.startswith('digraph "graph" {')
         assert '  "emit";' in dot
         assert '"emit" -> "collect" [label="int cap=2 block"];' in dot
+
+    def test_to_dot_is_one_line_per_node_and_edge(self):
+        graph = chain(EmitNode([1]), DoubleNode("double"), CollectNode())
+        assert graph.to_dot() == (
+            'digraph "graph" {\n'
+            "  rankdir=LR;\n"
+            "  node [shape=box];\n"
+            '  "emit";\n'
+            '  "double";\n'
+            '  "collect";\n'
+            '  "emit" -> "double" [label="int cap=2 block"];\n'
+            '  "double" -> "collect" [label="int cap=2 block"];\n'
+            "}\n"
+        )
 
 
 class TestTap:

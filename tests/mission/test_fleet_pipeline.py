@@ -14,10 +14,10 @@ import random
 
 import pytest
 
-from repro.dataflow import NodeFailure
+from repro.dataflow import CHANNEL_CAPACITY, GraphError, NodeFailure
 from repro.mission import OrchardConfig
 from repro.mission.fleet import FleetScheduler, FleetSpec, build_fleet, mission_transcript
-from repro.mission.pipeline import FLEET_STAGES, build_fleet_graph
+from repro.mission.pipeline import FLEET_STAGES, FleetTick, build_fleet_graph
 from repro.protocol import NegotiationConfig
 from repro.protocol.recognizer import RecognizerPerception
 
@@ -151,6 +151,15 @@ class TestGraphShape:
         assert set(as_dict["nodes"]) == set(FLEET_STAGES)
         assert all("mean_tick_ms" in entry for entry in as_dict["nodes"].values())
 
+    @pytest.mark.parametrize("link", range(len(FLEET_STAGES) - 1))
+    def test_each_neighbouring_stage_pair_shares_one_tick_channel(self, link):
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
+        src, dst = FLEET_STAGES[link], FLEET_STAGES[link + 1]
+        channel = fleet.graph.channels[link]
+        assert channel.name == f"{src}.ticks->{dst}.ticks"
+        assert channel.dtype is FleetTick
+        assert channel.capacity == CHANNEL_CAPACITY
+
     def test_to_dot_names_every_stage(self):
         fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         dot = fleet.graph.to_dot()
@@ -228,6 +237,43 @@ class TestLifecycle:
         assert scheduler.graph.closed
         assert service.stop_calls == 1
         # channels drained cleanly despite the mid-tick failure
+        assert all(c.occupancy == 0 for c in scheduler.graph.stats().channels)
+
+    @pytest.mark.parametrize("stage", FLEET_STAGES)
+    def test_any_stage_raising_fails_loudly_and_releases(self, stage):
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
+        service = _StubService()
+        scheduler = FleetScheduler(fleet.missions, service=service)
+        scheduler.start()
+        node = scheduler.graph.nodes[FLEET_STAGES.index(stage)]
+
+        def explode(items):
+            raise RuntimeError(f"{stage} broke")
+
+        node.process = explode
+        with pytest.raises(NodeFailure, match=f"node '{stage}' failed on graph tick 0"):
+            scheduler.tick()
+        assert scheduler.closed
+        assert scheduler.graph.closed
+        assert service.stop_calls == 1
+        assert all(c.occupancy == 0 for c in scheduler.graph.stats().channels)
+
+    @pytest.mark.parametrize("stage", FLEET_STAGES[:-1])
+    def test_stage_emitting_past_capacity_names_its_channel_and_releases(self, stage):
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
+        service = _StubService()
+        scheduler = FleetScheduler(fleet.missions, service=service)
+        scheduler.start()
+        index = FLEET_STAGES.index(stage)
+        node = scheduler.graph.nodes[index]
+        process = node.process
+        node.process = lambda items: process(items) * (CHANNEL_CAPACITY + 1)
+        link = f"{stage}.ticks->{FLEET_STAGES[index + 1]}.ticks"
+        with pytest.raises(GraphError, match=f"channel '{link}' overflows"):
+            scheduler.tick()
+        assert scheduler.closed
+        assert scheduler.graph.closed
+        assert service.stop_calls == 1
         assert all(c.occupancy == 0 for c in scheduler.graph.stats().channels)
 
     def test_run_closes_even_on_success(self):
