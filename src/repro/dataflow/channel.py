@@ -8,8 +8,11 @@ What the channel owns is its invariants and its counters:
 * **Capacity** — a node's emit that would buffer more than
   :data:`CHANNEL_CAPACITY` items raises :class:`GraphError` naming the
   channel.  The fleet chain never comes close: its source emits at
-  most one token per tick and every node drains its input in the sweep
-  that filled it, so a channel holds at most one item.
+  most one token per tick and every node takes its input in the sweep
+  that emitted it, so a channel holds at most one item.  The sweep
+  hands items on with :meth:`Channel.pass_through`, which checks and
+  counts them as :meth:`~Channel.extend` then :meth:`~Channel.drain`
+  would, without buffering them.
 * **Typing** — every item is checked against the channel's ``dtype``
   on entry, so a mis-built chain fails at the channel boundary with the
   channel's name, not deep inside a downstream node.
@@ -89,6 +92,30 @@ class Channel:
             self.puts += 1
             if len(buffered) > self.high_water:
                 self.high_water = len(buffered)
+
+    def pass_through(self, items: list) -> list:
+        """Hand a node's emitted *items* straight on: :meth:`extend`
+        then :meth:`drain` in one step, without buffering them.
+
+        An emit that :meth:`extend` would refuse, or one arriving while
+        a refused emit's items are still buffered, goes through
+        ``extend``/``drain`` itself, so the error, what stays buffered
+        and the counters are exactly theirs.
+        """
+        if not self._items and len(items) <= self.capacity:
+            dtype = self.dtype
+            for item in items:
+                if not isinstance(item, dtype):
+                    break
+            else:
+                count = len(items)
+                self.puts += count
+                self.gets += count
+                if count > self.high_water:
+                    self.high_water = count
+                return items
+        self.extend(items)
+        return self.drain()
 
     def drain(self) -> list:
         """Dequeue and return everything buffered, in order."""

@@ -4,11 +4,12 @@ A :class:`Graph` is built in one call from an ordered list of
 :class:`~repro.dataflow.node.Node`\\ s; one bounded, typed, counted
 :class:`~repro.dataflow.channel.Channel` joins each neighbouring pair.
 :meth:`Graph.tick` runs one *tick-synchronous* sweep down the chain:
-the source runs, then every node drains the items its upstream
-neighbour just emitted, processes and emits — so one tick moves data
-the whole length of the chain, and a fleet tick stays a single
-deterministic sweep (a graph-scheduled fleet replays the legacy
-lockstep loop byte-for-byte).
+the source runs, then every node processes the items its upstream
+neighbour just emitted, handed on through the channel between them
+(:meth:`~repro.dataflow.channel.Channel.pass_through` checks and counts
+them without buffering) — so one tick moves data the whole length of
+the chain, and a fleet tick stays a single deterministic sweep (a
+graph-scheduled fleet replays the legacy lockstep loop byte-for-byte).
 
 Invariants and failure:
 
@@ -161,9 +162,12 @@ class Graph:
         if self._closed:
             raise GraphError(f"graph {self.name!r} is closed")
         tick, tap, clock = self._ticks, self._tap, time.perf_counter
+        # What the previous node handed on this tick.  Items reach a
+        # channel's buffer only when an emit was refused; an upstream
+        # node that handed nothing on leaves them to be drained here.
         items: list = []
         for node, inbound, outbound in self._sweep:
-            if inbound is not None:
+            if inbound is not None and not items:
                 items = inbound.drain()
                 if not items:
                     continue
@@ -176,8 +180,7 @@ class Graph:
                 self.close()
                 raise failure from exc
             elapsed = clock() - started
-            if outbound is not None:
-                outbound.extend(outputs)
+            handed = outbound.pass_through(outputs) if outbound is not None else []
             metrics = node.metrics
             metrics.ticks += 1
             metrics.items_in += len(items)
@@ -187,6 +190,7 @@ class Graph:
                 metrics.max_tick_s = elapsed
             if tap is not None:
                 tap(tick, node, items, outputs)
+            items = handed
         self._ticks = tick + 1
 
     def close(self) -> None:

@@ -42,11 +42,13 @@ _PAYLOAD_W = RING_POWER_BUDGET_W + RECOGNITION_COMPUTE_POWER_W
 _PARKED, _COMMUNICATING = DroneMode.PARKED, DroneMode.COMMUNICATING
 _RING_NAVIGATION = RingMode.NAVIGATION
 
-# Flight mode each pattern is flown in (communicative patterns: the rest).
+# Flight mode each pattern is flown in (communicative patterns: the
+# rest), keyed by the kind's name: a str key hashes in C, an Enum member
+# through Enum.__hash__ in Python.
 _PATTERN_MODES = {
-    PatternKind.TAKE_OFF: DroneMode.TAKING_OFF,
-    PatternKind.CRUISE: DroneMode.CRUISING,
-    PatternKind.LANDING: DroneMode.LANDING,
+    PatternKind.TAKE_OFF._name_: DroneMode.TAKING_OFF,
+    PatternKind.CRUISE._name_: DroneMode.CRUISING,
+    PatternKind.LANDING._name_: DroneMode.LANDING,
 }
 
 
@@ -308,7 +310,7 @@ class DroneAgent:
             return
         mode = modes.mode
         kind = pattern.kind
-        target = _PATTERN_MODES.get(kind, _COMMUNICATING)
+        target = _PATTERN_MODES.get(kind._name_, _COMMUNICATING)
         if mode is target:
             return
         if mode is _PARKED and kind is PatternKind.TAKE_OFF:

@@ -149,7 +149,7 @@ class MissionExecutor:
             self._abort(world, "drone emergency")
             return self.phase
 
-        _PHASE_HANDLERS[phase](self, world)
+        _PHASE_HANDLERS[phase._name_](self, world)
         return self.phase
 
     def pending_observation(self, world):
@@ -321,14 +321,19 @@ class MissionExecutor:
 _IDLE, _DONE, _ABORTED = MissionPhase.IDLE, MissionPhase.DONE, MissionPhase.ABORTED
 _NEGOTIATING = MissionPhase.NEGOTIATING
 
-# The handler each active phase ticks with (see MissionExecutor.tick).
+# The handler each active phase ticks with (see MissionExecutor.tick),
+# keyed by the member's name: a str key hashes in C, an Enum member
+# through Enum.__hash__ in Python.
 _PHASE_HANDLERS = {
-    MissionPhase.TAKING_OFF: MissionExecutor._tick_taking_off,
-    MissionPhase.TRANSIT: MissionExecutor._tick_transit,
-    MissionPhase.NEGOTIATING: MissionExecutor._tick_negotiating,
-    MissionPhase.DESCENDING: MissionExecutor._tick_descending,
-    MissionPhase.READING: MissionExecutor._tick_reading,
-    MissionPhase.CLIMBING: MissionExecutor._tick_climbing,
-    MissionPhase.RETURNING: MissionExecutor._tick_returning,
-    MissionPhase.LANDING: MissionExecutor._tick_landing,
+    phase._name_: handler
+    for phase, handler in (
+        (MissionPhase.TAKING_OFF, MissionExecutor._tick_taking_off),
+        (MissionPhase.TRANSIT, MissionExecutor._tick_transit),
+        (MissionPhase.NEGOTIATING, MissionExecutor._tick_negotiating),
+        (MissionPhase.DESCENDING, MissionExecutor._tick_descending),
+        (MissionPhase.READING, MissionExecutor._tick_reading),
+        (MissionPhase.CLIMBING, MissionExecutor._tick_climbing),
+        (MissionPhase.RETURNING, MissionExecutor._tick_returning),
+        (MissionPhase.LANDING, MissionExecutor._tick_landing),
+    )
 }

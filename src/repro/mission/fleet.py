@@ -49,7 +49,7 @@ from repro.dataflow.graph import Graph, GraphStats
 from repro.drone.agent import DroneAgent
 from repro.mission.executor import MissionExecutor, MissionReport
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
-from repro.mission.pipeline import build_fleet_graph
+from repro.mission.pipeline import build_fleet_graph, still_flying
 from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import PerceptionStats, RecognizerPerception
@@ -197,6 +197,8 @@ class FleetScheduler:
         self.service = service
         self.recorder = recorder
         self.time_step_s = steps.pop()
+        # The missions still flying at the last check (see still_flying).
+        self._active = tuple(self.missions)
         self._tap = None
         if recorder is not None:
             # Imported lazily: repro.recorder.replay imports this module.
@@ -226,12 +228,12 @@ class FleetScheduler:
     @property
     def finished(self) -> bool:
         """``True`` once every mission is done or aborted."""
-        return all(m.finished for m in self.missions)
+        return all(m.finished for m in self._active)
 
     @property
     def active_missions(self) -> list[FleetMission]:
         """Missions still flying."""
-        return [m for m in self.missions if not m.finished]
+        return list(self._flying())
 
     @property
     def graph(self) -> Graph:
@@ -279,7 +281,7 @@ class FleetScheduler:
         if self._tap is not None:
             self._tap.on_tick(self._ticks, self._graph)
         self._ticks += 1
-        return len(self.active_missions)
+        return len(self._flying())
 
     def run(self, timeout_s: float = DEFAULT_FLEET_TIMEOUT_S) -> FleetReport:
         """Run the fleet to completion and return the fleet report.
@@ -304,6 +306,11 @@ class FleetScheduler:
             return self.report()
         finally:
             self.close()
+
+    def _flying(self) -> tuple:
+        """The missions still flying, in fleet order."""
+        self._active = still_flying(self._active)
+        return self._active
 
     def close(self) -> None:
         """Close the pipeline graph and stop the owned recognition

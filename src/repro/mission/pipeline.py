@@ -56,6 +56,7 @@ __all__ = [
     "MatchNode",
     "MissionTickNode",
     "build_fleet_graph",
+    "still_flying",
 ]
 
 #: The pipeline stages in wire order (also the DOT/metrics ordering).
@@ -68,6 +69,18 @@ FLEET_STAGES = (
     "match",
     "mission",
 )
+
+
+def still_flying(missions: tuple) -> tuple:
+    """*missions* without the finished ones, in order.
+
+    Returns *missions* itself while none has finished.  A mission never
+    un-finishes, so callers keep the result and re-check only that.
+    """
+    for mission in missions:
+        if mission.finished:
+            return tuple(m for m in missions if not m.finished)
+    return missions
 
 
 @dataclass
@@ -100,17 +113,18 @@ class WorldStepNode(Node):
     """Source stage: advance every active mission's world one step.
 
     Emits one :class:`FleetTick` carrying the missions that were active
-    at the top of the tick (nothing once the fleet is finished).
+    at the top of the tick (nothing once the fleet is finished),
+    re-checking only the missions that were still flying last tick.
     """
 
     def __init__(self, name: str, missions: Sequence) -> None:
         super().__init__(name)
-        self._missions = missions
+        self._active = tuple(missions)
         self._tick_index = 0
 
     def process(self, items: list) -> list:
         """Step active worlds; emit this tick's token."""
-        active = tuple(m for m in self._missions if not m.finished)
+        active = self._active = still_flying(self._active)
         if not active:
             return []
         for mission in active:

@@ -177,7 +177,7 @@ class NegotiationController:
             self._fail(world, "drone emergency")
             return self.state
 
-        _STATE_HANDLERS[state](self, world)
+        _STATE_HANDLERS[state._name_](self, world)
         return self.state
 
     def pending_observation(self, world) -> tuple[Vec3, HumanAgent] | None:
@@ -331,12 +331,17 @@ _CONCLUDED, _FAILED = NegotiationState.CONCLUDED, NegotiationState.FAILED
 _AWAITING_ATTENTION = NegotiationState.AWAITING_ATTENTION
 _AWAITING_ANSWER = NegotiationState.AWAITING_ANSWER
 
-# The handler each active state ticks with (see NegotiationController.tick).
+# The handler each active state ticks with (see NegotiationController.tick),
+# keyed by the member's name: a str key hashes in C, an Enum member
+# through Enum.__hash__ in Python.
 _STATE_HANDLERS = {
-    NegotiationState.APPROACHING: NegotiationController._tick_approaching,
-    NegotiationState.POKING: NegotiationController._tick_poking,
-    NegotiationState.AWAITING_ATTENTION: NegotiationController._tick_awaiting_attention,
-    NegotiationState.REQUESTING: NegotiationController._tick_requesting,
-    NegotiationState.AWAITING_ANSWER: NegotiationController._tick_awaiting_answer,
-    NegotiationState.ACKNOWLEDGING: NegotiationController._tick_acknowledging,
+    state._name_: handler
+    for state, handler in (
+        (NegotiationState.APPROACHING, NegotiationController._tick_approaching),
+        (NegotiationState.POKING, NegotiationController._tick_poking),
+        (NegotiationState.AWAITING_ATTENTION, NegotiationController._tick_awaiting_attention),
+        (NegotiationState.REQUESTING, NegotiationController._tick_requesting),
+        (NegotiationState.AWAITING_ANSWER, NegotiationController._tick_awaiting_answer),
+        (NegotiationState.ACKNOWLEDGING, NegotiationController._tick_acknowledging),
+    )
 }

@@ -43,8 +43,14 @@ class RingMode(Enum):
 
 # Enum members as module constants: the LED update reads them per LED,
 # and a class attribute lookup on an Enum costs several times more.
-_NAVIGATION = RingMode.NAVIGATION
+_NAVIGATION, _OFF_MODE = RingMode.NAVIGATION, RingMode.OFF
 _GREEN, _RED, _WHITE, _OFF = LightColor.GREEN, LightColor.RED, LightColor.WHITE, LightColor.OFF
+#: Where the white tail arc ends, measured from dead ahead through the
+#: starboard side (the port arc's lower edge, plus a turn).
+_TAIL_END_DEG = 360.0 - NAV_SIDE_ARC_DEG
+#: How far inside the no-change interval a course must lie for the ring
+#: to skip recolouring: far above the ~1e-13° rounding of an LED's delta.
+_ARC_MARGIN_DEG = 1e-6
 #: The one colour every working LED shows in each non-navigation mode.
 _MODE_COLORS = {RingMode.OFF: _OFF, RingMode.DANGER: _RED, RingMode.ALL_GREEN: _GREEN}
 
@@ -100,7 +106,8 @@ class AllRoundLightRing:
         self._course_deg = 0.0
         self._heading_deg = 0.0
         # What the LEDs were last driven for: (mode, course relative to
-        # the body, per-LED state); see _apply.
+        # the body, per-LED state, and the open interval of relative
+        # courses showing the same colours); see _apply.
         self._driven: tuple | None = None
         self._apply()
 
@@ -193,10 +200,14 @@ class AllRoundLightRing:
     def _apply(self) -> None:
         """Drive every LED according to the current mode.
 
-        A no-op when the mode, the course relative to the body and every
-        LED's state (its colour, or ``None`` once failed) are what the
-        LEDs were last driven for — a hovering drone holds its lights
-        for free, while a failed, repaired or recoloured LED forces a
+        A no-op when the mode and every LED's state (its colour, or
+        ``None`` once failed) are what the LEDs were last driven for,
+        every working LED still shows the full brightness the mode
+        drives (OFF drives none), and, in NAVIGATION, the course
+        relative to the body is the one last driven or lies inside the
+        open interval around it where no working LED changes arc.  A
+        hovering or steadily flying drone holds its lights for free,
+        while a failed, repaired, recoloured or dimmed LED forces a
         recompute.
         """
         mode = self._mode
@@ -206,20 +217,31 @@ class AllRoundLightRing:
         if (
             driven is not None
             and driven[0] is mode
-            and driven[1] == relative
+            and (driven[1] == relative or driven[3] < relative < driven[4])
             and len(driven[2]) == len(leds)
         ):
+            full = mode is not _OFF_MODE
             for led, state in zip(leds, driven[2]):
-                if (None if led.failed else led.color) is not state:
+                if led.failed:
+                    if state is not None:
+                        break
+                elif led.color is not state or (full and led.brightness != 1.0):
                     break
             else:
                 return
         states = [None if led.failed else led.color for led in leds]
+        low = high = relative
         if mode is _NAVIGATION:
             # Colour arcs aligned with the course over ground: each LED's
             # course-relative bearing wrapped to (-180, 180] with
             # degrees_difference's arithmetic, against the side arcs.
+            # Raising the relative course lowers every delta, so each LED
+            # keeps its arc while the course rises by less than the
+            # delta's distance down to the arc's lower edge (``below``)
+            # and falls by less than its distance up to the upper edge
+            # (``above``); the white tail arc spans the ±180 wrap.
             fmod, radians, degrees, pi = math.fmod, math.radians, math.degrees, math.pi
+            rise = fall = math.inf
             for index, bearing in enumerate(self._bearings_deg):
                 if states[index] is None:
                     continue
@@ -229,13 +251,27 @@ class AllRoundLightRing:
                 delta = degrees(wrapped - pi)
                 if 0.0 <= delta < NAV_SIDE_ARC_DEG:
                     color = _GREEN
+                    below, above = delta, NAV_SIDE_ARC_DEG - delta
                 elif -NAV_SIDE_ARC_DEG <= delta < 0.0:
                     color = _RED
+                    below, above = delta + NAV_SIDE_ARC_DEG, -delta
                 else:
                     color = _WHITE
+                    if delta > 0.0:
+                        below, above = delta - NAV_SIDE_ARC_DEG, _TAIL_END_DEG - delta
+                    else:
+                        below, above = delta + _TAIL_END_DEG, -NAV_SIDE_ARC_DEG - delta
+                if below < rise:
+                    rise = below
+                if above < fall:
+                    fall = above
                 led = leds[index]
                 led.color = states[index] = color
                 led.brightness = 1.0
+            # The margin keeps the interval clear of any course whose
+            # rounded delta could land on the far side of an edge.
+            low = relative - fall + _ARC_MARGIN_DEG
+            high = relative + rise - _ARC_MARGIN_DEG
         else:
             color = _MODE_COLORS[mode]
             for index, led in enumerate(leds):
@@ -243,7 +279,7 @@ class AllRoundLightRing:
                     led.color = states[index] = color
                     if color is not _OFF:
                         led.brightness = 1.0
-        self._driven = (mode, relative, states)
+        self._driven = (mode, relative, states, low, high)
 
     def healthy_fraction(self) -> float:
         """Return the fraction of LEDs that have not failed."""

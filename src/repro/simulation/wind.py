@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from repro.geometry.rotation import TWO_PI
 from repro.geometry.vec import Vec3
 
 __all__ = ["WindModel", "CalmWind", "GustEpisode"]
@@ -114,11 +115,33 @@ class WindModel:
         # Gauss-Markov: exponential decorrelation towards zero mean.
         alpha = math.exp(-dt / self.correlation_time_s)
         noise_scale = self.turbulence * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        gauss, fluctuation = self._rng.gauss, self._fluctuation
+        # Three rng.gauss(0.0, 1.0) draws, written out: Box-Muller makes
+        # a pair per two uniforms and parks the second in gauss_next,
+        # which the first draw takes when set and the third leaves set
+        # when not — so the gust draws below still pair as they did.
+        rng = self._rng
+        uniform = rng.random
+        first = rng.gauss_next
+        if first is None:
+            x2pi = uniform() * TWO_PI
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+            first = math.cos(x2pi) * g2rad
+            second = math.sin(x2pi) * g2rad
+            x2pi = uniform() * TWO_PI
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+            third = math.cos(x2pi) * g2rad
+            rng.gauss_next = math.sin(x2pi) * g2rad
+        else:
+            x2pi = uniform() * TWO_PI
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+            second = math.cos(x2pi) * g2rad
+            third = math.sin(x2pi) * g2rad
+            rng.gauss_next = None
+        fluctuation = self._fluctuation
         self._fluctuation = Vec3(
-            alpha * fluctuation.x + noise_scale * gauss(0.0, 1.0),
-            alpha * fluctuation.y + noise_scale * gauss(0.0, 1.0),
-            0.3 * (alpha * fluctuation.z + noise_scale * gauss(0.0, 1.0)),
+            alpha * fluctuation.x + noise_scale * (0.0 + first * 1.0),
+            alpha * fluctuation.y + noise_scale * (0.0 + second * 1.0),
+            0.3 * (alpha * fluctuation.z + noise_scale * (0.0 + third * 1.0)),
         )
         # Spawn gust episodes by a Poisson process.
         while self._next_gust_s <= now_s:

@@ -104,3 +104,34 @@ class TestClear:
         channel.clear()
         assert channel.stats.occupancy == 0
         assert channel.stats.gets == 0
+
+
+def extend_then_drain(channel, items):
+    channel.extend(items)
+    return channel.drain()
+
+
+class TestPassThrough:
+    @pytest.mark.parametrize("buffered", [[], [7], [7, 8]])
+    @pytest.mark.parametrize(
+        "emitted", [[], [1], [1, 2], [1, 2, 3], [2.5], [1, 2.5], [2.5, 1], [1, 2, 2.5]]
+    )
+    def test_matches_extend_then_drain(self, buffered, emitted):
+        # Same items handed on, same error, same leftovers, same counters.
+        seen = []
+        for hand_on in (Channel.pass_through, extend_then_drain):
+            channel = Channel("a.out->b.in", int)
+            channel.extend(buffered)
+            try:
+                outcome = hand_on(channel, list(emitted))
+            except (GraphError, TypeError) as exc:
+                outcome = (type(exc), str(exc))
+            seen.append((outcome, channel.stats, channel.drain(), channel.stats))
+        assert seen[0] == seen[1]
+
+    def test_hands_on_the_emitted_list_itself(self):
+        channel = Channel("c", int)
+        items = [1, 2]
+        assert channel.pass_through(items) is items
+        stats = channel.stats
+        assert (stats.puts, stats.gets, stats.occupancy, stats.high_water) == (2, 2, 0, 2)

@@ -201,6 +201,45 @@ class TestOverflow:
         assert channel.stats.puts == 1
         assert channel.stats.high_water == 1
 
+    @pytest.mark.parametrize("next_emit", [[], [3]])
+    def test_items_left_by_a_mistyped_emit_reach_the_next_node(self, next_emit):
+        # A refused emit leaves the items before the bad one buffered;
+        # the next tick hands them on ahead of anything newly emitted.
+        class Scripted(Node):
+            def __init__(self, name, emits):
+                super().__init__(name)
+                self.emits = list(emits)
+
+            def process(self, items):
+                return self.emits.pop(0)
+
+        sink = CollectNode("sink")
+        graph = chain(Scripted("src", [[1, "two"], next_emit]), DoubleNode("double"), sink)
+        with pytest.raises(TypeError):
+            graph.tick()
+        graph.tick()
+        assert sink.items == [2, *(2 * item for item in next_emit)]
+        first, second = graph.channels
+        assert (first.stats.puts, first.stats.gets, first.stats.occupancy) == (
+            1 + len(next_emit),
+            1 + len(next_emit),
+            0,
+        )
+        assert second.stats.puts == second.stats.gets == 1 + len(next_emit)
+
+    def test_overflowing_emit_raises_before_that_nodes_tap(self):
+        calls = []
+        graph = chain(
+            EmitNode([1], name="n0"),
+            BurstNode([1, 2, 3], name="n1"),
+            CollectNode("n2"),
+            tap=lambda tick, node, inputs, outputs: calls.append(node.name),
+        )
+        with pytest.raises(GraphError, match="channel 'n1.items->n2.items' overflows"):
+            graph.tick()
+        assert calls == ["n0"]
+        assert node_stats(graph, "n1").ticks == 0
+
 
 class TestFailure:
     def build_failing(self):

@@ -106,6 +106,27 @@ class TestSchedulerLifecycle:
         with pytest.raises(TimeoutError):
             fleet.run(timeout_s=1.0)
 
+    def test_active_set_follows_a_mission_aborted_between_ticks(self):
+        fleet = build_fleet(FleetSpec(count=3, config=SMALL, perception="oracle"))
+        fleet.start()
+        for _ in range(5):
+            assert fleet.tick() == 3
+        first, second, third = fleet.missions
+        second.executor.phase = MissionPhase.ABORTED
+        assert not fleet.finished
+        assert fleet.active_missions == [first, third]
+        stepped = second.world.clock.ticks
+        assert fleet.tick() == 2
+        # The world stage no longer steps the aborted mission.
+        assert second.world.clock.ticks == stepped
+        assert first.world.clock.ticks == stepped + 1
+        first.executor.phase = MissionPhase.ABORTED
+        third.executor.phase = MissionPhase.ABORTED
+        assert fleet.finished
+        assert fleet.active_missions == []
+        assert fleet.tick() == 0
+        assert third.world.clock.ticks == stepped + 1
+
 
 class TestFleetRuns:
     def test_oracle_fleet_completes_all_missions(self):

@@ -11,6 +11,7 @@ from repro.drone.agent import DroneAgent
 from repro.drone.patterns import TakeOffPattern
 from repro.geometry.vec import Vec2
 from repro.signaling import AllRoundLightRing, LightColor, RingMode
+from repro.signaling.ring import NAV_SIDE_ARC_DEG
 from repro.simulation.world import World
 
 
@@ -100,6 +101,39 @@ class TestSafety:
         ring = AllRoundLightRing()
         ring.set_navigation(0.0)
         ring.extinguish()
+        assert ring.snapshot().count(LightColor.OFF) == 10
+
+
+class TestBrightness:
+    """Driving the ring restores full brightness even when the colours
+    it shows would not change."""
+
+    def test_trigger_safety_on_an_all_red_ring_restores_a_dimmed_led(self):
+        ring = AllRoundLightRing()  # powers up all red
+        ring.leds[3].set(LightColor.RED, 0.2)
+        ring.trigger_safety()
+        assert ring.snapshot().glyphs() == "R" * 10
+        assert [led.brightness for led in ring.leds] == [1.0] * 10
+
+    def test_unchanged_course_restores_a_dimmed_led(self):
+        ring = AllRoundLightRing()
+        ring.set_navigation(40.0)
+        led = ring.leds[2]
+        led.set(led.color, 0.2)
+        ring.set_navigation(40.0)
+        assert led.brightness == 1.0
+        # A course that keeps every LED on its arc restores it too.
+        led.set(led.color, 0.3)
+        ring.set_navigation(40.5)
+        assert led.brightness == 1.0
+        assert ring.snapshot().colors == reference_colours(0.0, 40.5)
+
+    def test_extinguished_ring_leaves_brightness_alone(self):
+        ring = AllRoundLightRing()
+        ring.extinguish()
+        ring.leds[1].brightness = 0.4
+        ring.extinguish()
+        assert ring.leds[1].brightness == 0.4
         assert ring.snapshot().count(LightColor.OFF) == 10
 
 
@@ -212,6 +246,55 @@ class TestSinglePassParity:
             stepwise.set_heading(heading)
             stepwise.set_navigation(course)
             assert stepwise.snapshot().colors == expected, (heading, course)
+
+    def test_sequential_walk_across_every_edge_and_the_wrap(self):
+        """One reused ring driven in small steps, so it mostly skips:
+        the relative course walks across each LED's arc edges (0 and
+        ±110°) and the course and heading across the 0/360 wrap, in
+        steps from 1e-12° to 5°, while LEDs fail, are repaired, dimmed
+        and recoloured between steps."""
+        rng = random.Random(1110)
+        ring = AllRoundLightRing()
+        skipped = updates = 0
+
+        def drive(course, heading, two_calls):
+            nonlocal skipped, updates
+            action = rng.random()
+            led = rng.choice(ring.leds)
+            if action < 0.04:
+                led.inject_failure()
+            elif action < 0.08:
+                led.repair()
+            elif action < 0.1 and not led.failed:
+                led.set(rng.choice(list(LightColor)), rng.choice((0.2, 1.0)))
+            before = ring._driven
+            if two_calls:
+                ring.set_heading(heading)
+                ring.set_navigation(course)
+            else:
+                ring.set_navigation(course, heading_deg=heading)
+            updates += 1
+            skipped += ring._driven is before
+            expected = tuple(
+                LightColor.OFF if led.failed else colour
+                for led, colour in zip(ring.leds, reference_colours(heading, course))
+            )
+            assert ring.snapshot().colors == expected, (heading, course)
+            assert all(led.brightness == 1.0 for led in ring.leds if not led.failed)
+
+        steps = (1e-12, 1e-9, 1e-7, 1e-6, 2e-6, 1e-3, 0.5, 5.0)
+        for heading in (0.0, 250.0, 359.9999999999):
+            for bearing in range(0, 360, 36):
+                for edge in (0.0, NAV_SIDE_ARC_DEG, -NAV_SIDE_ARC_DEG):
+                    for step in steps:
+                        for k in range(-6, 7):
+                            drive(heading + bearing - edge + k * step, heading, k % 2 == 0)
+        for step in steps:
+            for k in range(-6, 7):
+                # The course, then the heading, across 0/360.
+                drive(k * step, 90.0, False)
+                drive(200.0, k * step, k % 3 == 0)
+        assert skipped > updates // 4, (skipped, updates)
 
     def test_bearing_helpers_agree_with_the_ring(self):
         ring = AllRoundLightRing()
