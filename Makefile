@@ -34,8 +34,8 @@ lint:
 
 # Fail if any public function/class/method in repro.vision,
 # repro.recognition, repro.sax, repro.simulation, repro.mission,
-# repro.protocol, repro.service or repro.dataflow lacks a docstring
-# (see docs/ARCHITECTURE.md).
+# repro.protocol, repro.service, repro.recorder or repro.testing lacks
+# a docstring (see docs/ARCHITECTURE.md).
 docs-check:
 	$(PYTHON) scripts/check_docstrings.py
 
@@ -66,8 +66,9 @@ bench-dynamic:
 
 # Regenerate BENCH_fleet.json (gates: batched fleet >= 3x the
 # sequential per-mission/per-frame loop on 16 missions with outcome
-# parity and Oracle-parity on clean scenarios; flight-recorder overhead
-# <= 10%; see docs/BENCHMARKS.md).
+# parity and Oracle-parity on clean scenarios; time outside the fleet
+# stages <= 3% of batched wall; flight-recorder overhead <= 10%; see
+# docs/BENCHMARKS.md).
 bench-fleet:
 	$(PYTHON) benchmarks/bench_fleet.py
 

@@ -22,17 +22,20 @@ Sections:
   asserted, including in smoke mode.
 * **perception** — cache/batch counters and the cumulative FrameBudget
   split of the shared perception core.
-* **nodes** — per-stage latency and channel occupancy from the fleet
-  pipeline graph (:mod:`repro.mission.pipeline`): one entry per
-  dataflow node (``world`` … ``mission``), asserted present even in
-  smoke mode so the bench-trend job can gate on stage coverage.
+* **nodes** — per-stage calls and latency from the fleet stage loop
+  (:mod:`repro.mission.pipeline`): one entry per stage (``world`` …
+  ``mission``), asserted present even in smoke mode so the bench-trend
+  job can gate on stage coverage, plus ``scheduler_share``, the
+  share of batched wall time outside every stage's ``process`` call
+  ((batched wall − Σ stage busy) / batched wall: the loop's own cost,
+  ``start()`` planning and the final report; gate: ≤ 3 %).
 * **recorder** — the same batched fleet re-run with a
   :class:`~repro.recorder.FlightRecorder` attached: tick-loop overhead
   of recording (gate: ≤ 10 % over the bare fleet), outcome parity with
   the bare run (zero-intrusion at bench scale) and a full replay of the
   recording asserted byte-identical (``transcripts_identical``).
 
-Set ``BENCH_SMOKE=1`` for a reduced fleet with the perf gate disabled
+Set ``BENCH_SMOKE=1`` for a reduced fleet with the perf gates disabled
 (both parity checks stay on).  ``fleet_throughput`` and ``nodes``
 record the host's ``cpu_count`` and Python version next to the timings.
 
@@ -62,6 +65,7 @@ PARITY_FLEET_SIZE = 2 if SMOKE else 8
 FLEET_SPEEDUP_GATE = 3.0
 HOST = {"cpu_count": os.cpu_count() or 1, "python": platform.python_version()}
 RECORDER_OVERHEAD_GATE = 0.10
+SCHEDULER_SHARE_GATE = 0.03
 FLEET_TIMEOUT_S = 3600.0
 
 # Small dense orchards: every trap blocked by a worker, so each mission
@@ -236,7 +240,9 @@ def measure() -> dict:
     budget = batch_report.perception_budget
     graph = batch_report.graph_stats.as_dict()
     missing = [stage for stage in FLEET_STAGES if stage not in graph["nodes"]]
-    assert not missing, f"fleet graph metrics missing stages: {missing}"
+    assert not missing, f"fleet loop metrics missing stages: {missing}"
+    stage_busy_s = sum(stage.busy_s for stage in batch_report.graph_stats.nodes)
+    scheduler_share = (batch_s - stage_busy_s) / batch_s
     return {
         "smoke": SMOKE,
         "fleet_size": FLEET_SIZE,
@@ -273,7 +279,14 @@ def measure() -> dict:
                 for t in _summed_stages(budget)
             },
         },
-        "nodes": {**graph, **HOST},
+        "nodes": {
+            **graph,
+            "scheduler_share": round(scheduler_share, 4),
+            "scheduler_share_gate": SCHEDULER_SHARE_GATE,
+            "scheduler_share_within_gate": scheduler_share <= SCHEDULER_SHARE_GATE,
+            "gate_enforced": not SMOKE,
+            **HOST,
+        },
         "recorder": recorder_section,
     }
 
@@ -295,12 +308,16 @@ def test_fleet_throughput_and_parity():
     assert stats["oracle_parity"]["outcomes_equal"]
     assert set(stats["nodes"]["nodes"]) == set(FLEET_STAGES)
     assert all(
-        entry["ticks"] > 0 for entry in stats["nodes"]["nodes"].values()
-    ), "every pipeline node must have run"
+        entry["calls"] > 0 for entry in stats["nodes"]["nodes"].values()
+    ), "every fleet stage must have run"
     assert stats["recorder"]["outcome_parity"]
     assert stats["recorder"]["transcripts_identical"]
     if not SMOKE:
         assert stats["fleet_throughput"]["speedup"] >= FLEET_SPEEDUP_GATE
+        assert stats["nodes"]["scheduler_share_within_gate"], (
+            f"time outside the fleet stages {stats['nodes']['scheduler_share']:.1%}"
+            f" exceeds {SCHEDULER_SHARE_GATE:.0%}"
+        )
         assert stats["recorder"]["overhead_within_gate"], (
             f"flight recorder overhead {stats['recorder']['overhead_fraction']:.1%}"
             f" exceeds {RECORDER_OVERHEAD_GATE:.0%}"
@@ -330,7 +347,10 @@ if __name__ == "__main__":
     )
     nodes = stats["nodes"]["nodes"]
     split = "  ".join(f"{name} {entry['busy_s']:.2f}s" for name, entry in nodes.items())
-    print(f"  node stages: {split}")
+    print(
+        f"  stages: {split}  (outside stages: {stats['nodes']['scheduler_share']:.1%},"
+        f" gate <= {SCHEDULER_SHARE_GATE:.0%})"
+    )
     r = stats["recorder"]
     print(
         f"  flight recorder: {r['recorded_s']:.1f} s recorded vs "
@@ -343,4 +363,5 @@ if __name__ == "__main__":
         print("  smoke mode: perf gate disabled")
     else:
         assert t["speedup"] >= FLEET_SPEEDUP_GATE, "fleet throughput gate failed"
+        assert stats["nodes"]["scheduler_share_within_gate"], "scheduler share gate failed"
         assert r["overhead_within_gate"], "flight recorder overhead gate failed"

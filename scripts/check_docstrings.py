@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Docs gate: the public API of ``repro.vision``, ``repro.recognition``,
 ``repro.sax``, ``repro.simulation``, ``repro.mission``,
-``repro.protocol``, ``repro.service`` and ``repro.dataflow`` must be
-documented.
+``repro.protocol``, ``repro.service``, ``repro.recorder`` and
+``repro.testing`` must be documented.
 
 Checks, for every module in the covered packages:
 
@@ -35,7 +35,6 @@ DEFAULT_PACKAGES = (
     "repro.mission",
     "repro.protocol",
     "repro.service",
-    "repro.dataflow",
     "repro.recorder",
     "repro.testing",
 )

@@ -8,8 +8,9 @@ Three subcommands over :mod:`repro.recorder`:
   recording;
 * ``replay`` — re-drive the run a recording describes and byte-compare
   the fresh deterministic stream against it (exit ``1`` on
-  divergence);
-* ``tail`` — render a recording as a per-node fleet dashboard
+  divergence, ``2`` when the recording cannot be replayed, e.g. it is
+  of another schema);
+* ``tail`` — render a recording as a fleet dashboard
   (``--follow`` polls a file another process is still writing).
 
 Usage::
@@ -82,7 +83,11 @@ def _record(args: argparse.Namespace) -> int:
 
 
 def _replay(args: argparse.Namespace) -> int:
-    result = replay(args.recording, out=args.out, timeout_s=args.timeout_s)
+    try:
+        result = replay(args.recording, out=args.out, timeout_s=args.timeout_s)
+    except ValueError as exc:
+        print(f"flight-record: error: {exc}", file=sys.stderr)
+        return 2
     print(f"flight-record: {result.describe()}")
     return 0 if result.identical else 1
 

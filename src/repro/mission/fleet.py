@@ -6,8 +6,8 @@ registers the executor as a world entity and loops ``world.step()`` —
 one drone, one orchard, perception answered synchronously inside the
 loop.  A fleet of N such missions run that way costs N sequential
 per-frame recognitions.  This module restructures the mission layer as
-a *schedulable dataflow* instead: the fleet tick is a seven-stage
-:mod:`repro.dataflow` pipeline (:mod:`repro.mission.pipeline`) —
+a *schedulable loop* instead: the fleet tick calls seven stages in
+order (:mod:`repro.mission.pipeline`) —
 
 ``world → predict → lookup → render → preprocess → match → mission``
 
@@ -19,17 +19,16 @@ preprocessed and matched by **one** batched recogniser pass, and every
 executor then steps
 (:meth:`~repro.mission.executor.MissionExecutor.tick`), its ``observe``
 calls answered from the just-filled cache.  :class:`FleetScheduler` is
-a thin driver over that graph: one scheduler tick is one graph tick.
+a thin driver over that loop: one scheduler tick is one loop tick.
 
 Because the prefetched answers are bit-identical to what a synchronous
 call would compute (same pose, same quantised camera, same batched
-kernels) and the chain's schedule is
+kernels) and the loop's schedule is
 execution-order-identical to the old lockstep loop, a fleet run
 replays each mission *exactly* as a sequential run would —
 ``benchmarks/bench_fleet.py`` asserts this and gates the throughput
 win, and the golden mission transcripts pin it byte-for-byte.  The
-graph adds per-node latency and per-channel flow counters
-(``FleetReport.graph_stats``) on top.
+loop adds per-stage timing (``FleetReport.graph_stats``) on top.
 
 Scenario diversity comes from :mod:`repro.simulation.scenarios`: each
 mission draws a wind condition (the stochastic flight-dynamics model of
@@ -45,11 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
-from repro.dataflow.graph import Graph, GraphStats
 from repro.drone.agent import DroneAgent
 from repro.mission.executor import MissionExecutor, MissionReport
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
-from repro.mission.pipeline import build_fleet_graph, still_flying
+from repro.mission.pipeline import LoopStats, StageLoop, build_fleet_graph, still_flying
 from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import PerceptionStats, RecognizerPerception
@@ -114,7 +112,7 @@ class FleetReport:
     perception_stats: PerceptionStats | None = None
     perception_budget: BudgetReport | None = None
     service_stats: ServiceStats | None = None
-    graph_stats: GraphStats | None = None
+    graph_stats: LoopStats | None = None
     escalation_events: tuple = ()
     recording_path: str | None = None
 
@@ -148,9 +146,9 @@ class FleetScheduler:
     """Steps N independent missions on a shared clock.
 
     All mission worlds must share one fixed time step; the scheduler
-    wires them into the seven-stage fleet pipeline graph
+    wires them into the seven-stage fleet loop
     (:func:`~repro.mission.pipeline.build_fleet_graph`) and drives one
-    graph tick per fleet tick — worlds step, queries are predicted and
+    loop tick per fleet tick — worlds step, queries are predicted and
     grouped, and when the missions' perceptions are
     :class:`~repro.protocol.recognizer.RecognizerPerception` views of a
     shared core, every mission's perception query for the tick resolves
@@ -169,14 +167,14 @@ class FleetScheduler:
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder`: the scheduler
         attaches a read-only :class:`~repro.recorder.taps.FleetRecorderTap`
-        to the pipeline graph and world logs, records every tick's
+        to the stage loop and world logs, records every tick's
         events, and finalizes the recording on :meth:`close`.  The
         zero-intrusion contract guarantees the run itself is
         byte-identical with or without it.
 
     The scheduler is a context manager: ``with`` guarantees
-    :meth:`close` (graph and owned service released) even when a
-    pipeline node raises mid-tick.
+    :meth:`close` (loop and owned service released) even when a
+    stage raises mid-tick.
     """
 
     def __init__(
@@ -207,7 +205,7 @@ class FleetScheduler:
             self._tap = FleetRecorderTap(recorder, self.missions)
         self._graph = build_fleet_graph(
             self.missions,
-            tap=self._tap.graph_tap if self._tap is not None else None,
+            tap=self._tap.stage_tap if self._tap is not None else None,
         )
         self._ticks = 0
         self._started = False
@@ -236,8 +234,8 @@ class FleetScheduler:
         return list(self._flying())
 
     @property
-    def graph(self) -> Graph:
-        """The fleet pipeline graph this scheduler drives."""
+    def graph(self) -> StageLoop:
+        """The fleet stage loop this scheduler drives."""
         return self._graph
 
     @property
@@ -260,16 +258,16 @@ class FleetScheduler:
     def tick(self) -> int:
         """Advance the whole fleet by one shared-clock step.
 
-        Runs one sweep of the fleet pipeline graph: worlds step first
+        Runs one tick of the fleet stage loop: worlds step first
         (drones, humans, traps, wind), then all missions' predicted
         perception queries are batch-resolved through the recognition
         stages, then every executor steps.  Returns the number of
         still-active missions.
 
-        A node raising mid-tick fails loudly
-        (:class:`~repro.dataflow.graph.NodeFailure`) after the graph
-        has emptied its channels and closed; the owned recognition
-        service is released too.
+        A stage raising mid-tick fails loudly
+        (:class:`~repro.mission.pipeline.NodeFailure`, naming the stage
+        and tick) after the fleet has closed and released its owned
+        recognition service.
         """
         if not self._started:
             raise RuntimeError("call start() before tick()")
@@ -279,7 +277,7 @@ class FleetScheduler:
             self.close()
             raise
         if self._tap is not None:
-            self._tap.on_tick(self._ticks, self._graph)
+            self._tap.on_tick(self._ticks)
         self._ticks += 1
         return len(self._flying())
 
@@ -296,13 +294,15 @@ class FleetScheduler:
             if not self._started:
                 self.start()
             deadline = self.now_s + timeout_s
-            while not self.finished:
+            # tick() returns how many missions still fly.
+            flying = len(self._flying())
+            while flying:
                 if self.now_s >= deadline:
                     stuck = [m.name for m in self.active_missions]
                     raise TimeoutError(
                         f"fleet missions {stuck} did not finish within {timeout_s} s"
                     )
-                self.tick()
+                flying = self.tick()
             return self.report()
         finally:
             self.close()
@@ -313,13 +313,13 @@ class FleetScheduler:
         return self._active
 
     def close(self) -> None:
-        """Close the pipeline graph and stop the owned recognition
+        """Close the stage loop and stop the owned recognition
         service.  Idempotent.
 
         The recording is finalized even when stopping the service
         raises.  Counters stay readable after close — :meth:`report`
         still includes the final :class:`~repro.service.ServiceStats`
-        and graph stats.
+        and stage stats.
         """
         if self._closed:
             return

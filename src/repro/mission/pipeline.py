@@ -1,65 +1,61 @@
-"""The fleet tick pipeline as a linear dataflow chain.
+"""The fleet tick as a timed loop over seven stages.
 
 This module decomposes what used to be the lockstep body of
 ``FleetScheduler.tick()`` — step worlds, predict queries, prefetch,
-step executors — into seven :mod:`repro.dataflow` nodes, one bounded,
-typed channel between each neighbouring pair:
+step executors — into seven named :class:`Stage`\\ s that
+:meth:`StageLoop.tick` calls in order, each stage's output list passed
+straight to the next stage as its argument:
 
 ```
-world ─▶ predict ─▶ lookup ─▶ render ─▶ preprocess ─▶ match ─▶ mission
+world → predict → lookup → render → preprocess → match → mission
 ```
 
-One :class:`FleetTick` token flows the whole length of the chain per
-graph tick, so every channel holds at most one token (an emit past a
-channel's capacity would raise).  The token carries the tick's active
-missions and, between the recognition stages, the per-perception-core
-:class:`PerceptionBatch`\\ es being resolved: ``predict`` groups each
-mission's predicted observation query by shared perception core,
-``lookup`` dedupes and drops cache hits, ``render`` / ``preprocess`` /
-``match`` run the three stages of the batched recognition pass (the
-seams on :class:`~repro.protocol.recognizer.RecognizerPerception`),
-and ``mission`` steps every executor with its ``observe()`` answered
-from the just-filled cache.
+One :class:`FleetTick` token flows the whole loop per tick.  It carries
+the tick's active missions and, between the recognition stages, the
+per-perception-core :class:`PerceptionBatch`\\ es being resolved:
+``predict`` groups each mission's predicted observation query by
+shared perception core, ``lookup`` dedupes and drops cache hits,
+``render`` / ``preprocess`` / ``match`` run the three stages of the
+batched recognition pass (the seams on
+:class:`~repro.protocol.recognizer.RecognizerPerception`), and
+``mission`` steps every executor with its ``observe()`` answered from
+the just-filled cache.
 
-**Migration gate.**  The chain's schedule is execution-order-identical
-to the legacy loop: worlds step before any query is predicted, every
+**Parity contract.**  The loop is execution-order-identical to the
+legacy lockstep loop: worlds step before any query is predicted, every
 query resolves before any executor ticks, and missions keep fleet
-order at every stage — so a graph-scheduled fleet *replays* the legacy
-scheduler byte-for-byte (golden mission transcripts and
-``bench_fleet.py`` outcome parity are the enforced contract).  What
-the graph adds is per-node latency and per-channel flow counters
-(:meth:`~repro.dataflow.graph.Graph.stats`, surfaced as
+order at every stage — so a fleet *replays* the legacy scheduler
+byte-for-byte (golden mission transcripts and ``bench_fleet.py``
+outcome parity are the enforced contract).  What the loop adds is
+per-stage timing (:meth:`StageLoop.stats`, surfaced as
 ``FleetReport.graph_stats``).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.dataflow.graph import Graph
-from repro.dataflow.node import Node
 from repro.protocol.recognizer import ObservationQuery, RecognizerPerception
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.mission.fleet import FleetMission
 
 __all__ = [
-    "FleetTick",
-    "PerceptionBatch",
     "FLEET_STAGES",
-    "WorldStepNode",
-    "PredictNode",
-    "LookupNode",
-    "RenderNode",
-    "PreprocessNode",
-    "MatchNode",
-    "MissionTickNode",
+    "FleetTick",
+    "LoopStats",
+    "NodeFailure",
+    "PerceptionBatch",
+    "Stage",
+    "StageLoop",
+    "StageStats",
     "build_fleet_graph",
     "still_flying",
 ]
 
-#: The pipeline stages in wire order (also the DOT/metrics ordering).
+#: The loop's stages in call order (also the metrics ordering).
 FLEET_STAGES = (
     "world",
     "predict",
@@ -69,6 +65,161 @@ FLEET_STAGES = (
     "match",
     "mission",
 )
+
+
+class NodeFailure(RuntimeError):
+    """A stage raised during :meth:`StageLoop.tick`; names it and the tick."""
+
+    def __init__(self, stage: str, tick: int, cause: BaseException) -> None:
+        super().__init__(
+            f"stage {stage!r} failed on fleet tick {tick}: "
+            f"{type(cause).__name__}: {cause}"
+        )
+        self.stage = stage
+        self.tick = tick
+
+
+@dataclass(frozen=True, slots=True)
+class StageStats:
+    """Immutable snapshot of one stage's timing."""
+
+    name: str
+    calls: int
+    busy_s: float
+    max_tick_s: float
+
+    @property
+    def mean_tick_s(self) -> float:
+        """Mean ``process`` time per call."""
+        if self.calls == 0:
+            return 0.0
+        return self.busy_s / self.calls
+
+
+@dataclass(frozen=True)
+class LoopStats:
+    """Per-stage timing for one loop."""
+
+    ticks: int
+    nodes: tuple[StageStats, ...]
+
+    def as_dict(self) -> dict:
+        """JSON-ready view: per-stage calls and latency."""
+        return {
+            "ticks": self.ticks,
+            "nodes": {
+                s.name: {
+                    "calls": s.calls,
+                    "busy_s": round(s.busy_s, 6),
+                    "mean_tick_ms": round(s.mean_tick_s * 1e3, 4),
+                    "max_tick_ms": round(s.max_tick_s * 1e3, 4),
+                }
+                for s in self.nodes
+            },
+        }
+
+
+class Stage:
+    """One named stage of a :class:`StageLoop`.
+
+    Subclasses implement :meth:`process`.  The loop times each call and
+    keeps the totals on the stage: ``calls``, ``busy_s`` (time inside
+    ``process``) and ``max_tick_s`` (the slowest call).
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.calls = 0
+        self.busy_s = 0.0
+        self.max_tick_s = 0.0
+
+    def process(self, items: list) -> list:
+        """Map the previous stage's output list to this stage's."""
+        raise NotImplementedError
+
+    def stats(self) -> StageStats:
+        """Snapshot this stage's timing."""
+        return StageStats(self.name, self.calls, self.busy_s, self.max_tick_s)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.name!r}>"
+
+
+class StageLoop:
+    """Calls its stages in order, once per tick.
+
+    The first stage gets an empty list; every later stage gets the list
+    its predecessor returned.  A stage that returns an empty list ends
+    the tick, so nothing after it runs.  ``nodes`` and each stage's
+    ``process`` are looked up on every tick, so a tracer can wrap them
+    on the instance.
+
+    Parameters
+    ----------
+    stages:
+        The stages, in call order.
+    tap:
+        Observability hook, called as ``tap(tick, stage, outputs)``
+        after each stage.  It must be a pure reader (the flight
+        recorder's zero-intrusion contract) and must not raise.
+    """
+
+    def __init__(self, stages: Sequence[Stage], tap=None) -> None:
+        self.nodes = tuple(stages)
+        self._tap = tap
+        self._ticks = 0
+        self._closed = False
+        self._failed: NodeFailure | None = None
+
+    @property
+    def ticks(self) -> int:
+        """Completed ticks."""
+        return self._ticks
+
+    @property
+    def closed(self) -> bool:
+        """``True`` once :meth:`close` has run (or a stage failed)."""
+        return self._closed
+
+    def tick(self) -> None:
+        """Call every stage once, in order.
+
+        A stage exception closes the loop and re-raises as
+        :class:`NodeFailure`; ticking a closed or failed loop raises
+        ``RuntimeError``.
+        """
+        if self._failed is not None:
+            raise RuntimeError(f"fleet loop already failed: {self._failed}") from self._failed
+        if self._closed:
+            raise RuntimeError("fleet loop is closed")
+        tick, tap, clock = self._ticks, self._tap, time.perf_counter
+        items: list = []
+        for stage in self.nodes:
+            started = clock()
+            try:
+                items = stage.process(items)
+            except Exception as exc:
+                self._failed = NodeFailure(stage.name, tick, exc)
+                self._closed = True
+                raise self._failed from exc
+            elapsed = clock() - started
+            stage.calls += 1
+            stage.busy_s += elapsed
+            if elapsed > stage.max_tick_s:
+                stage.max_tick_s = elapsed
+            if tap is not None:
+                tap(tick, stage, items)
+            if not items:
+                break
+        self._ticks = tick + 1
+
+    def close(self) -> None:
+        """Refuse further ticks.  Idempotent; stats stay readable."""
+        self._closed = True
+
+    def stats(self) -> LoopStats:
+        """Per-stage timing."""
+        return LoopStats(self._ticks, tuple(stage.stats() for stage in self.nodes))
 
 
 def still_flying(missions: tuple) -> tuple:
@@ -87,7 +238,7 @@ def still_flying(missions: tuple) -> tuple:
 class PerceptionBatch:
     """One perception core's work for one fleet tick.
 
-    Filled stage by stage as the tick flows down the pipe: ``predict``
+    Filled stage by stage as the tick flows down the loop: ``predict``
     collects the queries, ``lookup`` reduces them to cache ``misses``,
     ``render`` attaches ``frames``, ``preprocess`` attaches ``pres``
     and ``match`` resolves them into the core's result cache.
@@ -102,18 +253,18 @@ class PerceptionBatch:
 
 @dataclass
 class FleetTick:
-    """The token that flows through the fleet pipeline each tick."""
+    """The token that flows through the fleet loop each tick."""
 
     index: int
     missions: tuple
     batches: list[PerceptionBatch] = field(default_factory=list)
 
 
-class WorldStepNode(Node):
-    """Source stage: advance every active mission's world one step.
+class WorldStage(Stage):
+    """First stage: advance every active mission's world one step.
 
-    Emits one :class:`FleetTick` carrying the missions that were active
-    at the top of the tick (nothing once the fleet is finished),
+    Returns one :class:`FleetTick` carrying the missions that were
+    active at the top of the tick (nothing once the fleet is finished),
     re-checking only the missions that were still flying last tick.
     """
 
@@ -123,7 +274,7 @@ class WorldStepNode(Node):
         self._tick_index = 0
 
     def process(self, items: list) -> list:
-        """Step active worlds; emit this tick's token."""
+        """Step active worlds; return this tick's token."""
         active = self._active = still_flying(self._active)
         if not active:
             return []
@@ -134,7 +285,7 @@ class WorldStepNode(Node):
         return [tick]
 
 
-class PredictNode(Node):
+class PredictStage(Stage):
     """Collect every mission's predicted perception query for the tick.
 
     Replicates the legacy prefetch grouping exactly: only missions
@@ -168,7 +319,7 @@ class PredictNode(Node):
         return ticks
 
 
-class LookupNode(Node):
+class LookupStage(Stage):
     """Reduce each batch's queries to deduplicated cache misses."""
 
     def process(self, ticks: list) -> list:
@@ -180,7 +331,7 @@ class LookupNode(Node):
         return ticks
 
 
-class RenderNode(Node):
+class RenderStage(Stage):
     """Render every missed query's frame (the ``render`` budget stage)."""
 
     def process(self, ticks: list) -> list:
@@ -191,7 +342,7 @@ class RenderNode(Node):
         return ticks
 
 
-class PreprocessNode(Node):
+class PreprocessStage(Stage):
     """Batched vision front-end over the rendered frames
     (``classify.preprocess`` budget sub-stage)."""
 
@@ -205,7 +356,7 @@ class PreprocessNode(Node):
         return ticks
 
 
-class MatchNode(Node):
+class MatchStage(Stage):
     """Batched SAX match + result-cache fill (``classify.sax_match``
     budget sub-stage; routed through the shard-worker pool when the
     perception is service-backed)."""
@@ -218,43 +369,38 @@ class MatchNode(Node):
         return ticks
 
 
-class MissionTickNode(Node):
-    """Sink stage: step every active mission's executor.
+class MissionStage(Stage):
+    """Last stage: step every active mission's executor.
 
-    Runs strictly after ``match`` (it sits downstream of it), so every
-    ``observe()`` this tick issues is answered from the just-filled
-    result cache — the property that makes the graph schedule replay
-    the legacy lockstep loop exactly.  Emits the number of executors
-    stepped; as the chain's last node, nothing reads it.
+    Runs strictly after ``match``, so every ``observe()`` this tick
+    issues is answered from the just-filled result cache — the property
+    that makes the loop replay the legacy lockstep loop exactly.
     """
 
     def process(self, ticks: list) -> list:
         """Step every executor carried by this tick."""
-        stepped = 0
         for tick in ticks:
             for mission in tick.missions:
                 mission.executor.tick(mission.world)
-                stepped += 1
-        return [stepped]
+        return ticks
 
 
-def build_fleet_graph(missions: Sequence["FleetMission"], tap=None) -> Graph:
-    """Build the seven-stage fleet chain over *missions*.
+def build_fleet_graph(missions: Sequence["FleetMission"], tap=None) -> StageLoop:
+    """Build the seven-stage fleet loop over *missions*.
 
-    Returns the linear :class:`~repro.dataflow.graph.Graph` whose nodes
-    are named after :data:`FLEET_STAGES` and whose channels each carry
-    at most one :class:`FleetTick` — the byte-identical-transcript
-    schedule the :class:`~repro.mission.fleet.FleetScheduler` drives.
-    *tap* is the per-node observability hook forwarded to the graph
-    (the flight recorder's read-only attachment point).
+    Returns the :class:`StageLoop` whose stages are named after
+    :data:`FLEET_STAGES` — the byte-identical-transcript schedule the
+    :class:`~repro.mission.fleet.FleetScheduler` drives.  *tap* is the
+    per-stage observability hook (the flight recorder's read-only
+    attachment point).
     """
-    nodes = [
-        WorldStepNode("world", missions),
-        PredictNode("predict"),
-        LookupNode("lookup"),
-        RenderNode("render"),
-        PreprocessNode("preprocess"),
-        MatchNode("match"),
-        MissionTickNode("mission"),
+    stages = [
+        WorldStage("world", missions),
+        PredictStage("predict"),
+        LookupStage("lookup"),
+        RenderStage("render"),
+        PreprocessStage("preprocess"),
+        MatchStage("match"),
+        MissionStage("mission"),
     ]
-    return Graph("fleet", nodes, FleetTick, "ticks", tap=tap)
+    return StageLoop(stages, tap=tap)

@@ -18,7 +18,7 @@ unanswered challenge raises an **escalation event** on a per-mission
 (``start`` / ``tick`` / ``pending_observation`` / ``finished`` /
 ``report``), so it drops into a :class:`~repro.mission.fleet.FleetMission`
 slot unchanged and its perception queries ride the same batched
-seven-stage dataflow graph; :func:`build_surveillance_fleet` shares
+seven-stage fleet loop; :func:`build_surveillance_fleet` shares
 :func:`~repro.mission.fleet.build_fleet`'s wiring
 (:func:`~repro.mission.fleet.assemble_fleet`: perception kind,
 shard workers, per-mission lighting views) and adds only the
@@ -139,7 +139,7 @@ class SurveillanceExecutor:
 
     Duck-types the :class:`~repro.mission.executor.MissionExecutor`
     step API, so a :class:`~repro.mission.fleet.FleetScheduler` drives
-    it through the shared dataflow graph unchanged.  A human whose name
+    it through the shared fleet stage loop unchanged.  A human whose name
     is not in *authorized* is an intruder: the first time one enters
     ``detection_radius_m`` of the drone, the patrol is preempted and a
     challenge (the Figure-3 protocol) runs.  Outcomes:

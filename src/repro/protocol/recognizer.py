@@ -294,8 +294,8 @@ class _PerceptionCore:
     def classify(self, queries: Sequence[ObservationQuery]) -> list[MarshallingSign | None]:
         """Render and classify *queries* (already deduplicated misses).
 
-        Composes the granular stage methods the fleet pipeline wires as
-        dataflow nodes — :meth:`render_queries`,
+        Composes the granular stage methods the fleet loop calls as
+        separate stages — :meth:`render_queries`,
         :meth:`preprocess_rendered`, :meth:`match_preprocessed`.
         """
         if not queries:
@@ -520,12 +520,12 @@ class RecognizerPerception:
         self._core.classify(misses)
         return len(misses)
 
-    # -- pipeline-node seams ------------------------------------------------------------
+    # -- fleet-stage seams --------------------------------------------------------------
     #
-    # The fleet dataflow graph (repro.mission.pipeline) decomposes
-    # prefetch() into one node per stage; these methods are the seams
-    # those nodes call.  classify()/prefetch() compose the very same
-    # methods, so the graph path cannot diverge from the direct path.
+    # The fleet stage loop (repro.mission.pipeline) decomposes
+    # prefetch() into one stage per step; these methods are the seams
+    # those stages call.  classify()/prefetch() compose the very same
+    # methods, so the loop cannot diverge from the direct path.
 
     def pending_misses(
         self, queries: Sequence[ObservationQuery | None]

@@ -14,7 +14,7 @@ append-only, schema-versioned JSONL event log tapped off a running
 * :mod:`repro.recorder.recorder` — :class:`FlightRecorder`, the
   thread-safe append-only writer with an integrity footer;
 * :mod:`repro.recorder.taps` — the read-only taps: a
-  :class:`~repro.dataflow.graph.Graph` node hook, world-log deltas,
+  :class:`~repro.mission.pipeline.StageLoop` stage hook, world-log deltas,
   perception-counter deltas, an
   :class:`~repro.simulation.events.EventEmitter` subscription for
   escalations, and an observer callback for the recognition service;
@@ -25,8 +25,8 @@ append-only, schema-versioned JSONL event log tapped off a running
   byte-identical;
 * :mod:`repro.recorder.diffing` — event-by-event diffing naming the
   first divergent node, tick and field (``scripts/flight_diff.py``);
-* :mod:`repro.recorder.tail` — a live per-node fleet dashboard
-  rendered from the same stream.
+* :mod:`repro.recorder.tail` — a live fleet dashboard (per-core
+  perception totals, per-mission events) rendered from the same stream.
 
 Two contracts are enforced by tier-1 tests and ``bench_fleet.py``:
 **zero intrusion** (recorder on vs off leaves every transcript,

@@ -24,7 +24,7 @@ class Divergence:
     index: int  #: position in the compared (deterministic) stream
     kind: str  #: record kind at the divergence ("" for length mismatch)
     tick: int  #: tick of the divergent record (-1 when not tick-scoped)
-    node: str  #: graph node / event source of the divergent record
+    node: str  #: mission / perception core of the divergent record
     path: str  #: dotted field path of the first unequal leaf
     value_a: object  #: decoded value on the A side (None when missing)
     value_b: object  #: decoded value on the B side (None when missing)

@@ -2,7 +2,7 @@
 
 Every record is one JSON line of the shape::
 
-    {"v": 1, "seq": N, "kind": K, "tick": T, "node": NAME, "data": {...}}
+    {"v": 2, "seq": N, "kind": K, "tick": T, "node": NAME, "data": {...}}
 
 serialised canonically (sorted keys, no whitespace) so byte equality of
 two lines is exactly semantic equality of two records.  Floats are the
@@ -42,14 +42,14 @@ __all__ = [
     "parse_line",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Replayable record kinds: byte-identical across runs of the same recipe.
 DETERMINISTIC_KINDS = frozenset(
     {
         "header",  # schema version + the recipe that produced the run
         "start",  # fleet composition at scheduler start
-        "tick",  # per-tick node/channel counters + perception deltas
+        "tick",  # per-core perception-counter deltas (only ticks that move them)
         "observation",  # a cache miss leaving the lookup stage
         "verdict",  # the classification a miss resolved to
         "negotiation",  # sign_observed / protocol_state transitions

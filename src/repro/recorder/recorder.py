@@ -2,7 +2,7 @@
 
 :class:`FlightRecorder` accumulates canonical record lines in memory
 and (optionally) appends them to a JSONL file as they happen, so a
-``tail`` dashboard can follow a live run.  It is thread-safe: graph
+``tail`` dashboard can follow a live run.  It is thread-safe: stage
 taps fire on the scheduler thread, while the service observer fires
 on its dispatcher thread.
 

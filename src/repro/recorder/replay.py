@@ -27,7 +27,7 @@ from repro.mission.orchard import OrchardConfig
 from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder.diffing import Divergence, deterministic_only, first_divergence
-from repro.recorder.events import decode_value, parse_line
+from repro.recorder.events import SCHEMA_VERSION, decode_value, parse_line
 from repro.recorder.recorder import FlightRecorder, read_lines
 from repro.simulation import longtail, scenarios
 from repro.simulation.scenarios import Lighting, WindCondition
@@ -137,11 +137,23 @@ def make_recipe(builder: str, **kwargs) -> dict:
 
 
 def recipe_of(path: str) -> dict:
-    """Read the recipe out of a recording's ``header`` record."""
+    """Read the recipe out of a recording's ``header`` record.
+
+    Raises ``ValueError`` when the header's schema is not
+    :data:`~repro.recorder.events.SCHEMA_VERSION`: such a recording
+    could never replay byte-identically.
+    """
     for line in read_lines(path):
         record = parse_line(line)
         if record.get("kind") == "header":
-            recipe = decode_value(record.get("data", {})).get("recipe")
+            header = decode_value(record.get("data", {}))
+            schema = header.get("schema")
+            if schema != SCHEMA_VERSION:
+                raise ValueError(
+                    f"recording {path} has schema {schema!r}; "
+                    f"this reader expects schema {SCHEMA_VERSION}"
+                )
+            recipe = header.get("recipe")
             if not isinstance(recipe, dict):
                 raise ValueError(f"recording {path} has no replayable recipe")
             return recipe
@@ -228,7 +240,8 @@ def replay(
     with a fresh recorder (written to *out* when given), and compares
     the two deterministic event streams byte-for-byte — the
     replay-fidelity contract.  Ops events (service timing) are
-    excluded by construction.
+    excluded by construction.  A recording of another schema raises
+    ``ValueError`` before any fleet is built.
     """
     recipe = recipe_of(path)
     fresh = FlightRecorder(out)

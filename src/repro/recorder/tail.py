@@ -1,7 +1,7 @@
 """Live fleet dashboard rendered from a flight-recording stream.
 
-``flight_record.py --tail`` (and the ``--follow`` mode) render a
-per-node, per-mission view of a recording as it is written — the
+``flight_record.py tail`` (and its ``--follow`` mode) render a
+per-core, per-mission view of a recording as it is written — the
 flight recorder doubles as the fleet's cockpit display.  The renderer
 is a pure function over decoded records
 (:func:`~repro.recorder.recorder.load_events`), so the same code path
@@ -20,9 +20,8 @@ from repro.recorder.recorder import load_events
 
 __all__ = ["main", "render_dashboard"]
 
-# Preferred display order for the fleet pipeline's stages; anything
-# else (custom graphs) is appended alphabetically.
-_STAGE_ORDER = ("world", "predict", "lookup", "render", "preprocess", "match", "mission")
+# The perception counters a tick record carries per core, in column order.
+_PERCEPTION_COUNTERS = ("observations", "gated", "cache_hits", "frames_classified", "batch_calls")
 
 
 def _fmt_row(columns: Sequence[str], widths: Sequence[int]) -> str:
@@ -32,17 +31,18 @@ def _fmt_row(columns: Sequence[str], widths: Sequence[int]) -> str:
 def render_dashboard(events: Sequence[dict]) -> str:
     """Render decoded flight records as a text dashboard.
 
-    Shows the recipe, tick progress, cumulative per-node throughput,
-    verdict-label counts, per-mission latest event and escalation
-    totals — whatever the stream contains so far.
+    Shows the recipe, tick progress, per-core perception totals (summed
+    from the ``tick`` records' deltas), verdict-label counts,
+    per-mission latest event and escalation totals — whatever the
+    stream contains so far.
     """
     recipe: dict | None = None
     missions: list[str] = []
     last_tick = -1
     tick_events = 0
-    node_totals: dict[str, list[int]] = {}
+    core_totals: dict[str, list[int]] = {}
     verdicts: dict[str, int] = {}
-    observations = 0
+    misses = 0
     escalations: dict[str, int] = {}
     last_event: dict[str, str] = {}
     report: dict | None = None
@@ -59,12 +59,12 @@ def render_dashboard(events: Sequence[dict]) -> str:
             missions = [entry["name"] for entry in data.get("missions", [])]
         elif kind == "tick":
             tick_events += 1
-            for name, (items_in, items_out) in data.get("nodes", {}).items():
-                totals = node_totals.setdefault(name, [0, 0])
-                totals[0] += items_in
-                totals[1] += items_out
+            for core, deltas in data.get("perception", {}).items():
+                totals = core_totals.setdefault(core, [0] * len(_PERCEPTION_COUNTERS))
+                for index, counter in enumerate(_PERCEPTION_COUNTERS):
+                    totals[index] += deltas.get(counter, 0)
         elif kind == "observation":
-            observations += 1
+            misses += 1
         elif kind == "verdict":
             label = data.get("label")
             verdicts[str(label)] = verdicts.get(str(label), 0) + 1
@@ -87,18 +87,15 @@ def render_dashboard(events: Sequence[dict]) -> str:
         )
     status = "ended" if ended else "recording"
     lines.append(
-        f"tick {max(last_tick, 0)} · {tick_events} eventful ticks ·"
-        f" {observations} observations · {status}"
+        f"tick {max(last_tick, 0)} · {tick_events} perception ticks ·"
+        f" {misses} cache misses · {status}"
     )
-    if node_totals:
-        widths = (10, 9, 9)
+    if core_totals:
+        widths = (6, 12, 5, 10, 17, 11)
         lines.append("")
-        lines.append(_fmt_row(("node", "items_in", "items_out"), widths))
-        ordered = [name for name in _STAGE_ORDER if name in node_totals]
-        ordered += sorted(set(node_totals) - set(_STAGE_ORDER))
-        for name in ordered:
-            items_in, items_out = node_totals[name]
-            lines.append(_fmt_row((name, items_in, items_out), widths))
+        lines.append(_fmt_row(("core", *_PERCEPTION_COUNTERS), widths))
+        for core, totals in core_totals.items():
+            lines.append(_fmt_row((core, *totals), widths))
     if verdicts:
         rendered = ", ".join(
             f"{label}={count}" for label, count in sorted(verdicts.items())
@@ -129,7 +126,7 @@ def render_dashboard(events: Sequence[dict]) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point: render (or follow) a recording as a dashboard."""
     parser = argparse.ArgumentParser(
-        description="Render a flight recording as a per-node fleet dashboard."
+        description="Render a flight recording as a fleet dashboard."
     )
     parser.add_argument("recording", help="path to a .jsonl flight recording")
     parser.add_argument(

@@ -1,15 +1,14 @@
 """Read-only taps that feed a :class:`FlightRecorder` from a live run.
 
 :class:`FleetRecorderTap` is the scheduler-side attachment: its
-:meth:`~FleetRecorderTap.graph_tap` rides the
-:class:`~repro.dataflow.graph.Graph` observability hook (called after
-each node processes) to capture cache misses leaving ``lookup`` and the
+:meth:`~FleetRecorderTap.stage_tap` rides the
+:class:`~repro.mission.pipeline.StageLoop` observability hook (called
+after each stage) to capture cache misses leaving ``lookup`` and the
 verdicts ``match`` resolved them to, while :meth:`~FleetRecorderTap.on_tick`
 — called by :class:`~repro.mission.fleet.FleetScheduler` after each
-graph sweep — captures world-log deltas (negotiation transitions,
-escalations, mission lifecycle), perception-counter deltas and a
-per-tick node/channel summary.  Surveillance escalations are also taken
-straight off each executor's
+loop tick — captures world-log deltas (negotiation transitions,
+escalations, mission lifecycle) and perception-counter deltas.
+Surveillance escalations are also taken straight off each executor's
 :class:`~repro.simulation.events.EventEmitter` via a wildcard
 subscription.
 
@@ -81,10 +80,6 @@ class FleetRecorderTap:
         self._bus_buffer: list[tuple[str, object]] = []
         self._core_labels: dict[int, str] = {}
         self._stats_prev: dict[str, tuple] = {}
-        self._eventful = False
-        # This tick's (items_in, items_out) per invoked node (a tuple
-        # encodes as the same JSON array as a list); reused.
-        self._node_activity: dict[str, tuple[int, int]] = {}
         self._report_recorded = False
         for mission in self._missions:
             emitter = getattr(mission.executor, "emitter", None)
@@ -123,24 +118,19 @@ class FleetRecorderTap:
             data={
                 "missions": missions,
                 "time_step_s": scheduler.time_step_s,
-                # Constant format field: recordings made while batching
-                # was switchable carry it, and they replay byte-identically.
-                "batch_perception": True,
             },
         )
 
-    def graph_tap(self, tick: int, node, inputs: list, outputs: list) -> None:
-        """Graph observability hook: per-node activity plus the
-        recognition traffic leaving ``lookup`` and ``match``."""
-        name = node.name
-        self._node_activity[name] = (len(inputs), len(outputs))
+    def stage_tap(self, tick: int, stage, outputs: list) -> None:
+        """Stage-loop observability hook: the recognition traffic
+        leaving ``lookup`` and ``match``."""
+        name = stage.name
         if name == "lookup":
             for token in outputs:
                 for batch in token.batches:
                     core = self._core_label(batch.perception)
                     for query in batch.misses:
                         payload = _query_payload(query)
-                        self._eventful = True
                         self._recorder.record(
                             "observation",
                             tick=tick,
@@ -153,7 +143,6 @@ class FleetRecorderTap:
                     core = self._core_label(batch.perception)
                     for query in batch.misses:
                         cached, sign = batch.perception.peek(query)
-                        self._eventful = True
                         self._recorder.record(
                             "verdict",
                             tick=tick,
@@ -165,9 +154,9 @@ class FleetRecorderTap:
                             },
                         )
 
-    def on_tick(self, tick: int, graph) -> None:
-        """Scheduler hook, after one graph sweep: world-log deltas,
-        bus traffic, perception deltas and the tick summary record."""
+    def on_tick(self, tick: int) -> None:
+        """Scheduler hook, after one loop tick: world-log deltas, bus
+        traffic, and a ``tick`` record when perception counters moved."""
         sizes = list(map(len, self._logs))
         if sizes != self._log_offsets:
             for index, (log, offset) in enumerate(zip(self._logs, self._log_offsets)):
@@ -178,7 +167,6 @@ class FleetRecorderTap:
             self._log_offsets = sizes
         for mission_name, event in self._bus_buffer:
             kind = "escalation" if event.kind == "escalation" else "bus"
-            self._eventful = True
             self._recorder.record(
                 kind,
                 tick=tick,
@@ -193,16 +181,7 @@ class FleetRecorderTap:
         self._bus_buffer.clear()
         perception = self._perception_deltas()
         if perception:
-            self._eventful = True
-        if self._eventful:
-            # The canonical encoder sorts the node names.
-            data = {"nodes": self._node_activity}
-            if perception:
-                data["perception"] = perception
-            data["channels"] = self._channel_counters(graph)
-            self._recorder.record("tick", tick=tick, data=data)
-        self._eventful = False
-        self._node_activity.clear()
+            self._recorder.record("tick", tick=tick, data={"perception": perception})
 
     def record_report(self, report) -> None:
         """Record the final ``report`` event (first call only)."""
@@ -279,7 +258,6 @@ class FleetRecorderTap:
             kind = "escalation"
         else:
             kind = "world"
-        self._eventful = True
         self._recorder.record(
             kind,
             tick=tick,
@@ -307,11 +285,6 @@ class FleetRecorderTap:
                 }
                 self._stats_prev[label] = snapshot
         return deltas
-
-    def _channel_counters(self, graph) -> dict:
-        # (puts, gets, drops, refusals): the last two are constant format
-        # fields, kept so committed recordings replay byte-identically.
-        return {channel.name: (channel.puts, channel.gets, 0, 0) for channel in graph.channels}
 
 
 def service_observer(recorder: FlightRecorder):

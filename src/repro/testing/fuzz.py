@@ -4,7 +4,7 @@ A dependency-free mini-Hypothesis specialised to this repo: scenarios
 are drawn from the seeded long-tail generator
 (:func:`~repro.simulation.longtail.sample_longtail`), executed through
 the *real* batched recognisers (and, for fleet cases, the full
-surveillance fleet dataflow graph), and checked against the safety
+surveillance fleet stage loop), and checked against the safety
 invariants the paper's protocol rests on:
 
 ``verdict_fold``
@@ -378,8 +378,8 @@ _FLEET_CASE_CONFIG = OrchardConfig(
 def check_fleet_invariants(seed: int) -> list[InvariantViolation]:
     """Run one seeded surveillance fleet case twice and check it.
 
-    Exercises the full fleet/graph stack: a guard mission with an
-    intruder burst, driven through the seven-stage dataflow pipeline
+    Exercises the full fleet stack: a guard mission with an
+    intruder burst, driven through the seven-stage fleet loop
     with batched recognition.  Checks ``no_crash``,
     ``escalation_explicit`` (every challenge ends in compliance or a
     named escalation) and ``transcript_determinism`` (two runs, same

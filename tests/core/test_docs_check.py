@@ -1,11 +1,8 @@
-"""Tier-1 docs gates: the docstring check and the committed fleet DOT.
+"""Tier-1 docs gate: the docstring check.
 
 Runs ``scripts/check_docstrings.py`` as the suite does, keeping the
-public API of :mod:`repro.vision` and :mod:`repro.recognition` fully
-documented, and checks that the fleet topology committed to the
-"Dataflow runtime" section of ``docs/ARCHITECTURE.md`` is exactly what
-``scripts/graphviz_dataflow.py`` prints — so the surface the document
-names cannot drift from the code without failing verification.
+public API of :mod:`repro.vision`, :mod:`repro.recognition` and the
+other checked packages fully documented.
 """
 
 import importlib.util
@@ -28,7 +25,6 @@ def _load_script(name: str):
 
 
 check_docstrings = _load_script("check_docstrings")
-graphviz_dataflow = _load_script("graphviz_dataflow")
 
 
 def test_default_packages_fully_documented(capsys):
@@ -57,13 +53,3 @@ def test_violations_are_detected():
         del sys.modules["repro_docscheck_probe"]
     assert problems == ["repro_docscheck_probe.undocumented: missing docstring"]
 
-
-def test_architecture_fleet_dot_matches_script():
-    """The "Dataflow runtime" DOT block is the script's output verbatim."""
-    text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
-    section = text.split("## Dataflow runtime", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```dot\n", 1)[1].split("```", 1)[0]
-    assert block == graphviz_dataflow.fleet_dot(), (
-        "docs/ARCHITECTURE.md fleet DOT is stale; refresh it from "
-        "`PYTHONPATH=src python scripts/graphviz_dataflow.py`"
-    )

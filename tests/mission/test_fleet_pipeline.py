@@ -1,25 +1,27 @@
-"""The fleet pipeline graph: legacy-loop parity and lifecycle.
+"""The fleet stage loop: legacy-loop parity and lifecycle.
 
-The migration contract for the dataflow rewrite: a graph-scheduled
+The migration contract for the staged fleet tick: a loop-scheduled
 fleet must replay the old lockstep loop *byte-for-byte*.  The legacy
 loop is implemented literally in this module (worlds step, queries are
 grouped by perception core and prefetched, executors tick) and fuzzed
 against :class:`~repro.mission.fleet.FleetScheduler` over random
-scenario seeds; lifecycle tests pin the new idempotent
+scenario seeds; lifecycle tests pin the idempotent
 :meth:`~repro.mission.fleet.FleetScheduler.close`, the context
-manager, and loud-but-clean node failure.
+manager, loud-but-clean stage failure at each of the seven stages,
+per-stage timing, and what the flight recorder sees of the loop.
 """
 
+import json
 import random
 
 import pytest
 
-from repro.dataflow import CHANNEL_CAPACITY, GraphError, NodeFailure
 from repro.mission import OrchardConfig
 from repro.mission.fleet import FleetScheduler, FleetSpec, build_fleet, mission_transcript
-from repro.mission.pipeline import FLEET_STAGES, FleetTick, build_fleet_graph
+from repro.mission.pipeline import FLEET_STAGES, NodeFailure, build_fleet_graph
 from repro.protocol import NegotiationConfig
 from repro.protocol.recognizer import RecognizerPerception
+from repro.recorder import FlightRecorder
 
 # Same small, dense orchard the fleet tests use: one row, both traps
 # blocked, so every mission negotiates.
@@ -125,8 +127,8 @@ class TestGraphShape:
 
     def test_build_fleet_graph_validates(self):
         fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        graph = build_fleet_graph(fleet.missions)
-        assert [n.name for n in graph.nodes] == list(FLEET_STAGES)
+        loop = build_fleet_graph(fleet.missions)
+        assert [n.name for n in loop.nodes] == list(FLEET_STAGES)
 
     def test_report_carries_per_node_metrics(self):
         fleet = build_fleet(
@@ -139,56 +141,14 @@ class TestGraphShape:
         report = fleet.run()
         stats = report.graph_stats
         assert stats is not None
-        assert {n.name for n in stats.nodes} == set(FLEET_STAGES)
+        assert [n.name for n in stats.nodes] == list(FLEET_STAGES)
         assert stats.ticks == report.ticks
-        nodes = {node.name: node for node in stats.nodes}
-        for stage in FLEET_STAGES:
-            assert nodes[stage].ticks > 0
-            assert nodes[stage].busy_s >= 0.0
-        # the recognition stages saw real work on a recogniser fleet
-        assert nodes["match"].ticks > 0
+        for node in stats.nodes:
+            assert node.calls > 0
+            assert node.busy_s >= 0.0
         as_dict = stats.as_dict()
-        assert set(as_dict["nodes"]) == set(FLEET_STAGES)
+        assert list(as_dict["nodes"]) == list(FLEET_STAGES)
         assert all("mean_tick_ms" in entry for entry in as_dict["nodes"].values())
-
-    @pytest.mark.parametrize("link", range(len(FLEET_STAGES) - 1))
-    def test_each_neighbouring_stage_pair_shares_one_tick_channel(self, link):
-        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        src, dst = FLEET_STAGES[link], FLEET_STAGES[link + 1]
-        channel = fleet.graph.channels[link]
-        assert channel.name == f"{src}.ticks->{dst}.ticks"
-        assert channel.dtype is FleetTick
-        assert channel.capacity == CHANNEL_CAPACITY
-
-    def test_to_dot_names_every_stage(self):
-        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        dot = fleet.graph.to_dot()
-        for stage in FLEET_STAGES:
-            assert f'"{stage}"' in dot
-
-
-class TestQuietFlowControl:
-    """The fleet graph is a linear chain that moves one token per tick and
-    drains it in the same sweep, so no channel ever holds more than one
-    token: the evidence that a fixed capacity of 2 never overflows."""
-
-    def test_tfleet_run_never_stalls_refuses_or_drops(self):
-        # T-FLEET settings: dense orchard, 25 Hz observation.
-        fleet = build_fleet(
-            FleetSpec(
-                count=2,
-                base_seed=100,
-                config=SMALL,
-                negotiation=NegotiationConfig(observe_interval_s=0.04),
-            )
-        )
-        report = fleet.run()
-        stats = report.graph_stats
-        assert report.perception_stats.frames_classified > 0
-        assert len(stats.channels) == len(FLEET_STAGES) - 1
-        for channel in stats.channels:
-            assert channel.high_water == 1, channel.name
-            assert channel.puts == channel.gets > 0, channel.name
 
 
 class _StubService:
@@ -200,6 +160,25 @@ class _StubService:
 
     def stop(self):
         self.stop_calls += 1
+
+
+def _started_scheduler():
+    """A started one-mission oracle fleet owning a stub service."""
+    fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
+    service = _StubService()
+    scheduler = FleetScheduler(fleet.missions, service=service)
+    scheduler.start()
+    return scheduler, service
+
+
+def _break(scheduler, stage):
+    """Make *stage* raise on its next call."""
+    node = scheduler.graph.nodes[FLEET_STAGES.index(stage)]
+
+    def explode(items):
+        raise RuntimeError(f"{stage} broke")
+
+    node.process = explode
 
 
 class TestLifecycle:
@@ -222,59 +201,64 @@ class TestLifecycle:
         assert service.stop_calls == 1
 
     def test_node_raising_mid_tick_fails_loudly_and_releases(self):
-        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        service = _StubService()
-        scheduler = FleetScheduler(fleet.missions, service=service)
-        scheduler.start()
+        scheduler, service = _started_scheduler()
 
         def explode(world):
             raise RuntimeError("executor broke")
 
         scheduler.missions[0].executor.tick = explode
-        with pytest.raises(NodeFailure, match="node 'mission' failed"):
+        with pytest.raises(NodeFailure, match="stage 'mission' failed"):
             scheduler.tick()
         assert scheduler.closed
         assert scheduler.graph.closed
         assert service.stop_calls == 1
-        # channels drained cleanly despite the mid-tick failure
-        assert all(c.occupancy == 0 for c in scheduler.graph.stats().channels)
 
     @pytest.mark.parametrize("stage", FLEET_STAGES)
     def test_any_stage_raising_fails_loudly_and_releases(self, stage):
-        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        service = _StubService()
-        scheduler = FleetScheduler(fleet.missions, service=service)
-        scheduler.start()
-        node = scheduler.graph.nodes[FLEET_STAGES.index(stage)]
-
-        def explode(items):
-            raise RuntimeError(f"{stage} broke")
-
-        node.process = explode
-        with pytest.raises(NodeFailure, match=f"node '{stage}' failed on graph tick 0"):
+        scheduler, service = _started_scheduler()
+        for _ in range(3):
             scheduler.tick()
+        _break(scheduler, stage)
+        with pytest.raises(
+            NodeFailure, match=f"stage '{stage}' failed on fleet tick 3: RuntimeError"
+        ) as failure:
+            scheduler.tick()
+        assert (failure.value.stage, failure.value.tick) == (stage, 3)
         assert scheduler.closed
         assert scheduler.graph.closed
         assert service.stop_calls == 1
-        assert all(c.occupancy == 0 for c in scheduler.graph.stats().channels)
+        assert scheduler.ticks == 3
 
-    @pytest.mark.parametrize("stage", FLEET_STAGES[:-1])
-    def test_stage_emitting_past_capacity_names_its_channel_and_releases(self, stage):
-        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        service = _StubService()
-        scheduler = FleetScheduler(fleet.missions, service=service)
-        scheduler.start()
-        index = FLEET_STAGES.index(stage)
-        node = scheduler.graph.nodes[index]
-        process = node.process
-        node.process = lambda items: process(items) * (CHANNEL_CAPACITY + 1)
-        link = f"{stage}.ticks->{FLEET_STAGES[index + 1]}.ticks"
-        with pytest.raises(GraphError, match=f"channel '{link}' overflows"):
+    @pytest.mark.parametrize("stage", FLEET_STAGES)
+    def test_ticking_a_failed_fleet_raises(self, stage):
+        scheduler, service = _started_scheduler()
+        _break(scheduler, stage)
+        with pytest.raises(NodeFailure):
+            scheduler.tick()
+        with pytest.raises(RuntimeError, match="already failed") as again:
+            scheduler.tick()
+        assert isinstance(again.value.__cause__, NodeFailure)
+        assert service.stop_calls == 1
+
+    def test_ticking_a_closed_fleet_raises(self):
+        scheduler, service = _started_scheduler()
+        scheduler.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            scheduler.tick()
+        assert service.stop_calls == 1
+
+    def test_interrupt_in_a_stage_propagates_unwrapped_and_closes(self):
+        scheduler, service = _started_scheduler()
+        node = scheduler.graph.nodes[FLEET_STAGES.index("render")]
+
+        def interrupt(items):
+            raise KeyboardInterrupt
+
+        node.process = interrupt
+        with pytest.raises(KeyboardInterrupt):
             scheduler.tick()
         assert scheduler.closed
-        assert scheduler.graph.closed
         assert service.stop_calls == 1
-        assert all(c.occupancy == 0 for c in scheduler.graph.stats().channels)
 
     def test_run_closes_even_on_success(self):
         fleet = build_fleet(
@@ -288,3 +272,142 @@ class TestLifecycle:
         fleet.run()
         assert fleet.closed
         assert fleet.graph.closed
+
+
+@pytest.fixture(scope="module")
+def recorded_run():
+    """A recorded 2-mission recogniser fleet run to completion."""
+    recorder = FlightRecorder()
+    fleet = build_fleet(
+        FleetSpec(
+            count=2,
+            base_seed=7,
+            config=SMALL,
+            negotiation=FAST_NEGOTIATION,
+            recorder=recorder,
+        )
+    )
+    report = fleet.run()
+    return fleet, report, recorder
+
+
+class TestStageMetrics:
+    @pytest.mark.parametrize("stage", FLEET_STAGES)
+    def test_every_stage_records_calls_busy_and_max(self, recorded_run, stage):
+        fleet, report, _ = recorded_run
+        stats = {n.name: n for n in report.graph_stats.nodes}[stage]
+        # The fleet never outlives its missions, so every stage runs
+        # once per tick.
+        assert stats.calls == report.ticks == fleet.graph.ticks
+        assert stats.busy_s > 0.0
+        assert 0.0 < stats.max_tick_s <= stats.busy_s
+        assert stats.mean_tick_s == pytest.approx(stats.busy_s / stats.calls)
+        entry = report.graph_stats.as_dict()["nodes"][stage]
+        assert entry["calls"] == stats.calls
+        assert entry["busy_s"] == round(stats.busy_s, 6)
+
+    def test_recorder_sees_lookup_misses_and_match_verdicts(self, recorded_run):
+        _, report, recorder = recorded_run
+        records = [json.loads(line) for line in recorder.deterministic_lines()]
+        observations = [r for r in records if r["kind"] == "observation"]
+        verdicts = [r for r in records if r["kind"] == "verdict"]
+        assert len(observations) == report.perception_stats.frames_classified > 0
+        # Every miss leaving lookup is resolved by match in the same tick,
+        # on the same core, in the same order.
+        assert [(r["tick"], r["node"], r["data"]["digest"]) for r in observations] == [
+            (r["tick"], r["node"], r["data"]["digest"]) for r in verdicts
+        ]
+        assert all(r["data"]["cached"] for r in verdicts)
+        assert any(r["data"]["label"] is not None for r in verdicts)
+
+
+class TestStageHandOff:
+    @pytest.mark.parametrize("stage", FLEET_STAGES)
+    def test_every_stage_hands_on_the_world_stage_token(self, stage):
+        fleet = build_fleet(FleetSpec(count=2, config=SMALL, perception="oracle"))
+        fleet.start()
+        seen = {}
+        loop = build_fleet_graph(
+            fleet.missions,
+            tap=lambda tick, node, outputs: seen.setdefault(tick, []).append(
+                (node.name, outputs)
+            ),
+        )
+        for _ in range(5):
+            loop.tick()
+        assert sorted(seen) == list(range(5))
+        for tick, calls in seen.items():
+            assert [name for name, _ in calls] == list(FLEET_STAGES)
+            handed = calls[0][1]
+            (token,) = handed
+            assert token.index == tick
+            assert token.missions == tuple(fleet.missions)
+            assert calls[FLEET_STAGES.index(stage)][1] is handed
+
+
+class TestPatchableLookups:
+    """``fleet.graph.tick`` and each stage's ``process`` are looked up on
+    every tick, so a wrapper set on the instance mid-run takes effect and
+    deleting it restores the class method (how the traced benchmark
+    times the loop)."""
+
+    @pytest.mark.parametrize("stage", FLEET_STAGES)
+    def test_stage_process_is_looked_up_every_tick(self, stage):
+        scheduler, _ = _started_scheduler()
+        scheduler.tick()
+        node = scheduler.graph.nodes[FLEET_STAGES.index(stage)]
+        attributes = set(vars(node))
+        original = node.process
+        calls = []
+
+        def wrapped(items):
+            calls.append(len(items))
+            return original(items)
+
+        node.process = wrapped
+        scheduler.tick()
+        scheduler.tick()
+        del node.process
+        scheduler.tick()
+        # the world stage is first, so it always gets the empty list
+        assert calls == ([0, 0] if stage == "world" else [1, 1])
+        assert set(vars(node)) == attributes
+        assert node.calls == 4
+
+    def test_scheduler_looks_up_graph_tick_every_tick(self):
+        scheduler, _ = _started_scheduler()
+        loop = scheduler.graph
+        original = loop.tick
+        calls = []
+
+        def wrapped():
+            calls.append(loop.ticks)
+            original()
+
+        loop.tick = wrapped
+        scheduler.tick()
+        scheduler.tick()
+        del loop.tick
+        scheduler.tick()
+        assert calls == [0, 1]
+        assert loop.ticks == scheduler.ticks == 3
+
+
+class TestFailureSealsTheRecording:
+    @pytest.mark.parametrize("stage", FLEET_STAGES)
+    def test_stage_failure_finalizes_the_recording(self, stage):
+        recorder = FlightRecorder()
+        fleet = build_fleet(
+            FleetSpec(count=1, config=SMALL, perception="oracle", recorder=recorder)
+        )
+        fleet.start()
+        fleet.tick()
+        _break(fleet, stage)
+        with pytest.raises(NodeFailure, match=f"stage '{stage}' failed on fleet tick 1"):
+            fleet.tick()
+        assert fleet.closed
+        assert recorder.finalized
+        lines = recorder.deterministic_lines()
+        footer = json.loads(lines[-1])
+        assert footer["kind"] == "end"
+        assert footer["data"]["events"] == len(lines) - 1

@@ -1,12 +1,11 @@
-"""Pin the fleet graph's DOT and its non-timing stats.
+"""Pin the fleet loop's non-timing stats.
 
 Two small fleets, one under oracle perception and one under the full
-recogniser, run to completion; the graph's ``to_dot()`` and
-``graph_stats.as_dict()`` (minus the wall-clock fields ``busy_s``,
-``mean_tick_ms`` and ``max_tick_ms``) must match the committed
-snapshots exactly.  A change to the dataflow runtime that keeps
-recordings byte-identical must keep these too.  To regenerate after an
-*intentional* change::
+recogniser, run to completion; ``graph_stats.as_dict()`` (minus the
+wall-clock fields ``busy_s``, ``mean_tick_ms`` and ``max_tick_ms``)
+must match the committed snapshots exactly.  A change to the stage
+loop that keeps recordings byte-identical must keep these too.  To
+regenerate after an *intentional* change::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/mission/test_graph_stats_pin.py
 
@@ -39,7 +38,7 @@ TIMING_FIELDS = ("busy_s", "mean_tick_ms", "max_tick_ms")
 
 
 def pinned_view(perception: str) -> dict:
-    """Fly a 2-mission fleet; return its DOT and timing-free stats."""
+    """Fly a 2-mission fleet; return its timing-free stats."""
     fleet = build_fleet(
         FleetSpec(
             count=2,
@@ -49,21 +48,20 @@ def pinned_view(perception: str) -> dict:
             negotiation=NegotiationConfig(observe_interval_s=0.1),
         )
     )
-    dot = fleet.graph.to_dot()
     stats = fleet.run().graph_stats.as_dict()
     for node in stats["nodes"].values():
         for field in TIMING_FIELDS:
             del node[field]
-    return {"dot": dot, "stats": stats}
+    return {"stats": stats}
 
 
 @pytest.mark.parametrize("perception", ["oracle", "recognizer"])
-def test_graph_dot_and_stats_match_snapshot(perception):
+def test_loop_stats_match_snapshot(perception):
     view = pinned_view(perception)
     pin_path = DATA_DIR / f"fleet_graph_stats_{perception}.json"
     if os.environ.get("REGEN_GOLDEN") == "1":
         pin_path.write_text(json.dumps(view, indent=1) + "\n")
     assert view == json.loads(pin_path.read_text()), (
-        f"{perception} fleet graph DOT or stats diverged from the snapshot; "
+        f"{perception} fleet loop stats diverged from the snapshot; "
         "if the change is intentional, regenerate with REGEN_GOLDEN=1"
     )

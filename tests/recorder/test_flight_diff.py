@@ -48,7 +48,7 @@ def _write_recording(path: Path, ops_chatter: int = 0) -> None:
             "detail": {"distance_m": 4.25, "phase": "takeoff"},
         },
     )
-    recorder.record("tick", tick=37, data={"nodes": {"world": [1, 1]}})
+    recorder.record("tick", tick=37, data={"perception": {"core0": {"observations": 1}}})
     recorder.finalize()
 
 

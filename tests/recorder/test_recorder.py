@@ -102,7 +102,7 @@ class TestFlightRecorder:
             recorder.write_header({"builder": "fleet", "kwargs": {"count": 1}})
             for _ in range(chatter):
                 recorder.record("service", node="batch_flush", data={"size": 4})
-            recorder.record("tick", tick=0, data={"nodes": {"world": [0, 1]}})
+            recorder.record("tick", tick=0, data={"perception": {"core0": {"gated": 1}}})
             recorder.finalize()
         assert plain.deterministic_lines() == noisy.deterministic_lines()
 

@@ -15,6 +15,7 @@ deterministic stream.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -25,6 +26,7 @@ from repro.mission.orchard import OrchardConfig
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder import (
     OPS_KINDS,
+    SCHEMA_VERSION,
     FlightRecorder,
     read_lines,
     recipe_of,
@@ -34,7 +36,19 @@ from repro.recorder import (
 )
 from repro.simulation.scenarios import CALM, NOON
 
-RECORDINGS = Path(__file__).resolve().parents[1] / "data" / "recordings"
+# The module, not the replay() function the package re-exports.
+replay_module = importlib.import_module("repro.recorder.replay")
+
+ROOT = Path(__file__).resolve().parents[2]
+RECORDINGS = ROOT / "tests" / "data" / "recordings"
+
+# Load the script in isolation rather than putting scripts/ on sys.path
+# (which would shadow same-named modules for the whole pytest session).
+_spec = importlib.util.spec_from_file_location(
+    "repro_scripts_flight_record", ROOT / "scripts" / "flight_record.py"
+)
+flight_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(flight_record)
 
 #: Small orchard shared by both committed fixtures — big enough to
 #: exercise traps, negotiation and (for the recognizer) the full
@@ -155,3 +169,50 @@ def test_service_backend_records_ops_and_replays(tmp_path):
     assert "service" in kinds, "expected service ops events in the recording"
     result = replay(str(path))
     assert result.identical, result.describe()
+
+
+def _foreign_schema_recording(tmp_path: Path, schema) -> Path:
+    """The oracle fixture with its header rewritten to *schema*.
+
+    For ``schema=1`` the header line is the one a schema-1 recorder
+    wrote: ``"v": 1`` and ``"schema": 1``.
+    """
+    lines = read_lines(str(_fixture_path("fleet_oracle")))
+    header = json.loads(lines[0])
+    header["data"]["schema"] = schema
+    if isinstance(schema, int):
+        header["v"] = schema
+    path = tmp_path / f"schema-{schema}.jsonl"
+    path.write_text(
+        "\n".join([json.dumps(header, sort_keys=True, separators=(",", ":")), *lines[1:]])
+        + "\n"
+    )
+    return path
+
+
+def _no_fleet(*args, **kwargs):
+    raise AssertionError("a foreign-schema recording must not drive a fleet")
+
+
+@pytest.mark.parametrize("schema", [1, 3, None])
+def test_replay_refuses_a_foreign_schema_before_driving_a_fleet(
+    schema, tmp_path, monkeypatch
+):
+    assert SCHEMA_VERSION == 2
+    path = _foreign_schema_recording(tmp_path, schema)
+    monkeypatch.setattr(replay_module, "build_fleet", _no_fleet)
+    fresh = tmp_path / "fresh.jsonl"
+    with pytest.raises(
+        ValueError, match=f"has schema {schema!r}; this reader expects schema 2"
+    ):
+        replay(str(path), out=str(fresh))
+    assert not fresh.exists()
+
+
+def test_replay_cli_refuses_a_schema_1_recording(tmp_path, monkeypatch, capsys):
+    path = _foreign_schema_recording(tmp_path, 1)
+    monkeypatch.setattr(replay_module, "build_fleet", _no_fleet)
+    assert flight_record.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "has schema 1; this reader expects schema 2" in captured.err
+    assert captured.out == ""

@@ -34,11 +34,12 @@ def _synthetic_recording(path: Path) -> None:
         node="core0",
         data={"digest": "ab" * 8, "label": "stop", "cached": False},
     )
-    recorder.record(
-        "tick",
-        tick=4,
-        data={"nodes": {"world": [2, 2], "lookup": [2, 2], "match": [1, 1]}},
-    )
+    for tick, core, deltas in (
+        (3, "core0", {"observations": 2, "cache_hits": 2}),
+        (4, "core0", {"observations": 1, "frames_classified": 1, "batch_calls": 1}),
+        (4, "core1", {"observations": 1, "gated": 1}),
+    ):
+        recorder.record("tick", tick=tick, data={"perception": {core: deltas}})
     recorder.record(
         "escalation",
         tick=9,
@@ -63,11 +64,17 @@ def test_dashboard_renders_every_section(tmp_path):
     _synthetic_recording(path)
     dashboard = render_dashboard(load_events(str(path)))
     assert "flight: fleet x2 (seed 9)" in dashboard
-    assert "1 observations" in dashboard
+    assert "1 cache misses" in dashboard
     assert "ended" in dashboard
+    assert "3 perception ticks" in dashboard
     lines = dashboard.splitlines()
-    node_rows = [line.split()[0] for line in lines if line.startswith(("world", "lookup", "match"))]
-    assert node_rows == ["world", "lookup", "match"]  # pipeline-stage order
+    header = next(line for line in lines if line.startswith("core "))
+    assert header.split() == [
+        "core", "observations", "gated", "cache_hits", "frames_classified", "batch_calls"
+    ]
+    core_rows = [line.split() for line in lines if line.startswith("core") and line != header]
+    # per-core totals summed over the tick records, in first-seen order
+    assert core_rows == [["core0", "3", "0", "2", "1", "1"], ["core1", "1", "1", "0", "0", "0"]]
     assert "verdicts: stop=1" in dashboard
     mission_row = next(line for line in lines if line.startswith("mission_01"))
     assert "1" in mission_row.split()  # escalation count
@@ -79,7 +86,7 @@ def test_dashboard_of_unfinished_stream_says_recording(tmp_path):
     path = tmp_path / "run.jsonl"
     recorder = FlightRecorder(str(path))
     recorder.write_header({"builder": "surveillance", "kwargs": {"count": 1}})
-    recorder.record("tick", tick=0, data={"nodes": {"world": [1, 1]}})
+    recorder.record("tick", tick=0, data={"perception": {"core0": {"observations": 1}}})
     # no finalize: simulates tailing a live file
     dashboard = render_dashboard(load_events(str(path)))
     assert "recording" in dashboard
@@ -94,6 +101,21 @@ def test_dashboard_renders_committed_fixture():
     assert "flight: fleet x2" in dashboard
     assert "ended" in dashboard
     assert "report:" in dashboard
+    # an oracle fleet has no perception core, so no core table
+    assert "0 perception ticks" in dashboard
+    assert not any(line.startswith("core") for line in dashboard.splitlines())
+
+
+def test_dashboard_sums_recognizer_fixture_ticks_to_its_report():
+    events = load_events(str(RECORDINGS / "fleet_recognizer.jsonl"))
+    report = next(e for e in events if e["kind"] == "report")["data"]["perception"]
+    row = next(
+        line for line in render_dashboard(events).splitlines() if line.startswith("core0")
+    )
+    assert [int(value) for value in row.split()[1:]] == [
+        report[counter]
+        for counter in ("observations", "gated", "cache_hits", "frames_classified", "batch_calls")
+    ]
 
 
 class TestCli:
