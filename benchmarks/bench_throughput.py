@@ -16,8 +16,9 @@ Measures frames/sec of the batched engine against the scalar loop on
   frames, where duplicate-frame memoisation never fires — this isolates
   what stage vectorisation alone buys.  Gate: ≥ 1.5× (CI-safe floor;
   see ``docs/BENCHMARKS.md`` for the measured margin).
-* **render**: ``render_frame`` (one mask, one projection, cached noise
-  field) vs the per-capsule reference renderer in
+* **render**: ``render_frame`` (one projection per pose, one capsule
+  pass, a copy of the cached backdrop with the photometric pass on the
+  painted pixels only) vs the per-capsule reference renderer in
   ``repro.testing.reference`` over the distinct batch's poses and
   cameras, with ``pixel_identical`` asserted on every run.  Gate: ≥ 1.5×.
 * **preprocess**: ``preprocess_frames`` on the distinct batch's rendered
@@ -310,7 +311,7 @@ if __name__ == "__main__":
     )
     print(
         f"  render:          {r['reference_fps']:8.0f} fps ref    -> {r['fps']:8.0f} fps "
-        f"one-mask ({r['speedup']:.2f}x, gate >= {RENDER_SPEEDUP_GATE:.1f}x, "
+        f"one-pass ({r['speedup']:.2f}x, gate >= {RENDER_SPEEDUP_GATE:.1f}x, "
         f"pixel_identical={r['pixel_identical']})"
     )
     print(

@@ -86,18 +86,25 @@ class PinholeCamera:
 
     def rotation_world_to_camera(self) -> np.ndarray:
         """Return the 3x3 rotation taking world vectors into the camera frame."""
-        forward = (self.target - self.position).normalized().as_array()
-        world_up = np.array([0.0, 0.0, 1.0])
-        right = np.cross(forward, world_up)
-        right_norm = np.linalg.norm(right)
+        forward = (self.target - self.position).normalized()
+        fx, fy, fz = forward.x, forward.y, forward.z
+        # right = forward x world-up (0, 0, 1) and down = forward x right,
+        # each product written out exactly as ``np.cross`` forms it.
+        right = np.array([fy * 1.0 - fz * 0.0, fz * 0.0 - fx * 1.0, fx * 0.0 - fy * 0.0])
+        right_norm = float(np.linalg.norm(right))
         if right_norm < 1e-12:
             # Looking straight up/down: pick an arbitrary but stable right axis.
-            right = np.array([1.0, 0.0, 0.0])
+            rx, ry, rz = 1.0, 0.0, 0.0
         else:
-            right = right / right_norm
-        down = np.cross(forward, right)
+            rx, ry, rz = (right / right_norm).tolist()
         # Rows are the camera axes expressed in world coordinates.
-        return np.stack([right, down, forward])
+        return np.array(
+            [
+                [rx, ry, rz],
+                [fy * rz - fz * ry, fz * rx - fx * rz, fx * ry - fy * rx],
+                [fx, fy, fz],
+            ]
+        )
 
     def project_points(self, points_world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project ``(n, 3)`` world points into pixel coordinates.
@@ -112,14 +119,19 @@ class PinholeCamera:
         pts = np.asarray(points_world, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
-        rot = self.rotation_world_to_camera()
-        cam = (pts - self.position.as_array()) @ rot.T
+        position = self.position
+        pts = pts - (position.x, position.y, position.z)
+        cam = pts @ self.rotation_world_to_camera().T
         depths = cam[:, 2]
-        safe = np.where(np.abs(depths) < 1e-12, 1e-12, depths)
+        safe = depths.copy()
+        safe[np.abs(depths) < 1e-12] = 1e-12
         k = self.intrinsics
-        cols = k.focal_px * cam[:, 0] / safe + k.cx
-        rows = k.focal_px * cam[:, 1] / safe + k.cy
-        return np.stack([cols, rows], axis=1), depths
+        focal = k.focal_px
+        pixels = np.empty((len(cam), 2))
+        np.multiply(focal, cam[:, :2], out=pixels)
+        pixels /= safe[:, None]
+        pixels += (k.cx, k.cy)
+        return pixels, depths
 
     def project_point(self, point: Vec3) -> tuple[float, float, float]:
         """Project a single point; returns ``(col, row, depth)``."""

@@ -204,14 +204,22 @@ def _build_pose(
 ) -> HumanPose:
     dims = dimensions if dimensions is not None else BodyDimensions()
     lateral = _lateral_axis(facing_deg)
-    up = Vec3(0.0, 0.0, 1.0)
     lean = math.radians(lean_deg)
+    cos_lean, sin_lean = math.cos(lean), math.sin(lean)
+    px, py, pz = position.x, position.y, position.z
+    lx, ly, lz = lateral.x, lateral.y, lateral.z
 
     def body_point(side_m: float, height_m: float) -> Vec3:
         """Map (lateral, vertical) frontal-plane coords to world."""
-        leaned_side = side_m * math.cos(lean) + height_m * math.sin(lean)
-        leaned_up = height_m * math.cos(lean) - side_m * math.sin(lean)
-        return position + lateral * leaned_side + up * leaned_up
+        leaned_side = side_m * cos_lean + height_m * sin_lean
+        leaned_up = height_m * cos_lean - side_m * sin_lean
+        # position + lateral * leaned_side + up * leaned_up, up = (0, 0, 1),
+        # one component at a time.
+        return Vec3(
+            px + lx * leaned_side + 0.0 * leaned_up,
+            py + ly * leaned_side + 0.0 * leaned_up,
+            pz + lz * leaned_side + 1.0 * leaned_up,
+        )
 
     right_angles, left_angles = arm_pairs
 
@@ -241,16 +249,13 @@ def _build_pose(
         (+1.0, "right", right_angles),
         (-1.0, "left", left_angles),
     ):
-        shoulder = body_point(side * dims.shoulder_half_width, dims.shoulder_height)
+        shoulder = chest_right if side > 0 else chest_left
         upper_rad = math.radians(upper_deg)
-        elbow = body_point(
-            side * (dims.shoulder_half_width + dims.upper_arm * math.sin(upper_rad)),
-            dims.shoulder_height - dims.upper_arm * math.cos(upper_rad),
-        )
-        fore_rad = math.radians(fore_deg)
-        # Forearm angle measured in the same frontal-plane convention.
         elbow_side = side * (dims.shoulder_half_width + dims.upper_arm * math.sin(upper_rad))
         elbow_height = dims.shoulder_height - dims.upper_arm * math.cos(upper_rad)
+        elbow = body_point(elbow_side, elbow_height)
+        fore_rad = math.radians(fore_deg)
+        # Forearm angle measured in the same frontal-plane convention.
         wrist_side = elbow_side + side * dims.forearm_and_hand * math.sin(fore_rad)
         wrist_height = elbow_height - dims.forearm_and_hand * math.cos(fore_rad)
         wrist = body_point(wrist_side, wrist_height)

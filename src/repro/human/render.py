@@ -7,19 +7,26 @@ the capsule's depth.  Produces either a clean binary mask (ground truth)
 or a noisy grayscale frame (dark signaller against a bright orchard
 background) for the full recognition pipeline.
 
-A frame costs one ``bool`` mask and one projection per pose: all of a
-pose's capsule endpoints go through a single
-:meth:`~repro.geometry.camera.PinholeCamera.project_points` call, and
-every capsule is painted in place into the frame's one mask inside its
-clipped window (:func:`~repro.vision.raster.paint_capsule`).  The
-sensor-noise field is a pure function of ``(seed, sigma, shape)``, so
-it is drawn once and cached read-only.  Frames are pixel-identical to
-the per-capsule reference renderer in :mod:`repro.testing.reference`.
+A frame does work only where its figures are:
+
+* each pose's capsule endpoints go through one
+  :meth:`~repro.geometry.camera.PinholeCamera.project_points` call, and
+  all visible capsules of the scene are tested in one vectorised pass
+  over their concatenated clipped windows
+  (:func:`~repro.vision.raster.capsule_pixels`);
+* the figure-free frame of a photometric setting — its *backdrop*,
+  ``clip(background + noise)`` — is built, range-checked and cached
+  read-only once, as is the sensor-noise field (a pure function of
+  ``(seed, sigma, shape)``);
+* a frame is a copy of that backdrop, and the photometric pass (figure
+  intensity plus noise, then clip) runs only on the painted pixels.
 
 Each frame carries a :class:`~repro.vision.image.FrameProvenance`: the
-union of the painted capsules' clipped windows as its box, and the
-figure-free frame of the same settings as its backdrop — outside the
-box a frame is exactly ``clip(background + noise)``.
+union of the capsules' clipped windows as its box, and the backdrop.
+Outside the box the frame *is* the backdrop, so
+:meth:`Image._over_backdrop <repro.vision.image.Image>` range-checks only
+the box.  Frames are pixel-identical to the per-capsule reference
+renderer in :mod:`repro.testing.reference`.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from repro.geometry.camera import PinholeCamera
 from repro.human.pose import HumanPose
 from repro.vision.image import BinaryImage, FrameProvenance, Image
-from repro.vision.raster import paint_capsule
+from repro.vision.raster import capsule_pixels
 
 __all__ = ["RenderSettings", "render_silhouette", "render_frame", "render_scene"]
 
@@ -57,47 +64,37 @@ class RenderSettings:
             raise ValueError("noise sigma must be non-negative")
 
 
-def _paint_pose(
-    mask: np.ndarray, pose: HumanPose, camera: PinholeCamera, bounds: list[int]
-) -> None:
-    """Paint every visible capsule of *pose* into *mask* in place.
-
-    *bounds* (``[top, left, bottom, right]``) grows to cover every
-    painted capsule's window.
-    """
-    k = camera.intrinsics
+def _pixel_capsules(
+    pose: HumanPose, camera: PinholeCamera
+) -> list[tuple[tuple[float, float], tuple[float, float], float]]:
+    """The ``((row, col), (row, col), radius)`` pixel capsules of *pose*
+    that lie in front of *camera*."""
+    focal = camera.intrinsics.focal_px
     capsules = pose.all_capsules()
     endpoints = np.array(
-        [tuple(point) for start, end, _ in capsules for point in (start, end)],
+        [(p.x, p.y, p.z) for start, end, _ in capsules for p in (start, end)],
         dtype=np.float64,
     )
     pixels, depths = camera.project_points(endpoints)
     pixels, depths = pixels.tolist(), depths.tolist()
+    visible = []
     for i, (_, _, radius) in enumerate(capsules):
         d0, d1 = depths[2 * i], depths[2 * i + 1]
         if d0 <= _MIN_DEPTH_M or d1 <= _MIN_DEPTH_M:
             continue  # behind or grazing the camera
-        mid_depth = (d0 + d1) / 2
         (c0, r0), (c1, r1) = pixels[2 * i], pixels[2 * i + 1]
-        window = paint_capsule(mask, (r0, c0), (r1, c1), k.focal_px * radius / mid_depth)
-        if window is not None:
-            rows, cols = window
-            bounds[0] = min(bounds[0], rows.start)
-            bounds[1] = min(bounds[1], cols.start)
-            bounds[2] = max(bounds[2], rows.stop)
-            bounds[3] = max(bounds[3], cols.stop)
+        visible.append(((r0, c0), (r1, c1), focal * radius / ((d0 + d1) / 2)))
+    return visible
 
 
-def _scene_mask(poses, camera: PinholeCamera) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """The scene's foreground mask and a ``(top, left, height, width)``
-    box containing all of it (zero-sized when nothing was painted)."""
+def _scene_pixels(poses, camera: PinholeCamera) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """The flat indices of the scene's foreground pixels (repeats
+    allowed) and a ``(top, left, height, width)`` box containing all of
+    them (zero-sized when no capsule reached the frame)."""
     k = camera.intrinsics
-    mask = np.zeros((k.height, k.width), dtype=bool)
-    bounds = [k.height, k.width, 0, 0]
-    for pose in poses:
-        _paint_pose(mask, pose, camera, bounds)
-    top, left, bottom, right = bounds
-    return mask, (top, left, max(0, bottom - top), max(0, right - left))
+    capsules = [capsule for pose in poses for capsule in _pixel_capsules(pose, camera)]
+    painted, (top, left, bottom, right) = capsule_pixels((k.height, k.width), capsules)
+    return painted, (top, left, max(0, bottom - top), max(0, right - left))
 
 
 @lru_cache(maxsize=4)
@@ -119,10 +116,17 @@ class _Backdrop:
     shape: tuple[int, int]
 
     def pixels(self) -> np.ndarray:
-        frame = np.full(self.shape, self.intensity, dtype=np.float64)
-        if self.noise_sigma > 0:
-            frame += _noise_field(self.seed, self.noise_sigma, self.shape)
-        return np.clip(frame, 0.0, 1.0, out=frame)
+        """The cached, read-only, range-checked backdrop frame."""
+        return _backdrop_pixels(self)
+
+
+@lru_cache(maxsize=4)
+def _backdrop_pixels(backdrop: _Backdrop) -> np.ndarray:
+    frame = np.full(backdrop.shape, backdrop.intensity, dtype=np.float64)
+    if backdrop.noise_sigma > 0:
+        frame += _noise_field(backdrop.seed, backdrop.noise_sigma, backdrop.shape)
+    # The public constructor's range check and clip, once per setting.
+    return Image(np.clip(frame, 0.0, 1.0, out=frame)).pixels
 
 
 def render_silhouette(pose: HumanPose, camera: PinholeCamera) -> BinaryImage:
@@ -131,7 +135,10 @@ def render_silhouette(pose: HumanPose, camera: PinholeCamera) -> BinaryImage:
     Capsules behind the camera are culled; a pose entirely behind the
     camera or outside the frame yields an empty mask.
     """
-    return BinaryImage(_scene_mask([pose], camera)[0])
+    k = camera.intrinsics
+    mask = np.zeros((k.height, k.width), dtype=bool)
+    mask.put(_scene_pixels([pose], camera)[0], True)
+    return BinaryImage(mask)
 
 
 def render_frame(
@@ -155,18 +162,21 @@ def render_scene(
 ) -> Image:
     """Render a frame containing any number of posed figures.
 
-    All silhouettes are painted into one foreground mask before the
-    photometric pass, so ``render_scene([pose], ...)`` is bit-identical
-    to :func:`render_frame` — the long-tail scenario engine uses the
+    All silhouettes are painted in one pass before the photometric
+    pass, so ``render_scene([pose], ...)`` is bit-identical to
+    :func:`render_frame` — the long-tail scenario engine uses the
     multi-pose form to place a second, conflicting signaller in-frame.
     """
     cfg = settings if settings is not None else RenderSettings()
     if not poses:
         raise ValueError("need at least one pose to render")
-    mask, box = _scene_mask(poses, camera)
-    frame = np.full(mask.shape, cfg.background_intensity, dtype=np.float64)
-    frame[mask] = cfg.figure_intensity
+    k = camera.intrinsics
+    shape = (k.height, k.width)
+    painted, box = _scene_pixels(poses, camera)
+    backdrop = _Backdrop(cfg.background_intensity, cfg.noise_sigma, cfg.seed, shape)
+    frame = backdrop.pixels().copy()
+    figure = np.full(painted.shape, cfg.figure_intensity, dtype=np.float64)
     if cfg.noise_sigma > 0:
-        frame += _noise_field(cfg.seed, cfg.noise_sigma, mask.shape)
-    backdrop = _Backdrop(cfg.background_intensity, cfg.noise_sigma, cfg.seed, mask.shape)
-    return Image(np.clip(frame, 0.0, 1.0, out=frame), FrameProvenance(backdrop, box))
+        figure += _noise_field(cfg.seed, cfg.noise_sigma, shape).take(painted)
+    frame.put(painted, np.clip(figure, 0.0, 1.0, out=figure))
+    return Image._over_backdrop(frame, FrameProvenance(backdrop, box))

@@ -47,7 +47,7 @@ from typing import Any, Callable, Sequence
 from repro.drone.agent import DroneAgent
 from repro.mission.executor import MissionExecutor, MissionReport
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
-from repro.mission.pipeline import LoopStats, StageLoop, build_fleet_graph, still_flying
+from repro.mission.pipeline import LoopStats, StageLoop, build_fleet_graph
 from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import PerceptionStats, RecognizerPerception
@@ -195,8 +195,6 @@ class FleetScheduler:
         self.service = service
         self.recorder = recorder
         self.time_step_s = steps.pop()
-        # The missions still flying at the last check (see still_flying).
-        self._active = tuple(self.missions)
         self._tap = None
         if recorder is not None:
             # Imported lazily: repro.recorder.replay imports this module.
@@ -207,6 +205,8 @@ class FleetScheduler:
             self.missions,
             tap=self._tap.stage_tap if self._tap is not None else None,
         )
+        # The world stage owns the one set of missions still flying.
+        self._world = self._graph.nodes[0]
         self._ticks = 0
         self._started = False
         self._closed = False
@@ -226,12 +226,12 @@ class FleetScheduler:
     @property
     def finished(self) -> bool:
         """``True`` once every mission is done or aborted."""
-        return all(m.finished for m in self._active)
+        return not self._world.settle()
 
     @property
     def active_missions(self) -> list[FleetMission]:
         """Missions still flying."""
-        return list(self._flying())
+        return list(self._world.settle())
 
     @property
     def graph(self) -> StageLoop:
@@ -279,7 +279,7 @@ class FleetScheduler:
         if self._tap is not None:
             self._tap.on_tick(self._ticks)
         self._ticks += 1
-        return len(self._flying())
+        return len(self._world.active)
 
     def run(self, timeout_s: float = DEFAULT_FLEET_TIMEOUT_S) -> FleetReport:
         """Run the fleet to completion and return the fleet report.
@@ -295,7 +295,7 @@ class FleetScheduler:
                 self.start()
             deadline = self.now_s + timeout_s
             # tick() returns how many missions still fly.
-            flying = len(self._flying())
+            flying = len(self._world.settle())
             while flying:
                 if self.now_s >= deadline:
                     stuck = [m.name for m in self.active_missions]
@@ -306,11 +306,6 @@ class FleetScheduler:
             return self.report()
         finally:
             self.close()
-
-    def _flying(self) -> tuple:
-        """The missions still flying, in fleet order."""
-        self._active = still_flying(self._active)
-        return self._active
 
     def close(self) -> None:
         """Close the stage loop and stop the owned recognition

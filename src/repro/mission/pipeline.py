@@ -264,18 +264,23 @@ class WorldStage(Stage):
     """First stage: advance every active mission's world one step.
 
     Returns one :class:`FleetTick` carrying the missions that were
-    active at the top of the tick (nothing once the fleet is finished),
-    re-checking only the missions that were still flying last tick.
+    active at the top of the tick (nothing once the fleet is finished).
+
+    Owns the fleet's one active set, :attr:`active`: the missions still
+    flying.  :class:`MissionStage` settles it once at the end of every
+    tick, after the executors step, and the scheduler reads it from
+    there; a mission finished between ticks (an external abort) leaves
+    it when the set is next settled.
     """
 
     def __init__(self, name: str, missions: Sequence) -> None:
         super().__init__(name)
-        self._active = tuple(missions)
+        self.active = tuple(missions)
         self._tick_index = 0
 
     def process(self, items: list) -> list:
         """Step active worlds; return this tick's token."""
-        active = self._active = still_flying(self._active)
+        active = self.active
         if not active:
             return []
         for mission in active:
@@ -283,6 +288,11 @@ class WorldStage(Stage):
         tick = FleetTick(index=self._tick_index, missions=active)
         self._tick_index += 1
         return [tick]
+
+    def settle(self) -> tuple:
+        """Drop finished missions from :attr:`active` and return it."""
+        self.active = still_flying(self.active)
+        return self.active
 
 
 class PredictStage(Stage):
@@ -370,18 +380,24 @@ class MatchStage(Stage):
 
 
 class MissionStage(Stage):
-    """Last stage: step every active mission's executor.
+    """Last stage: step every active mission's executor, then settle
+    the *world* stage's active set.
 
     Runs strictly after ``match``, so every ``observe()`` this tick
     issues is answered from the just-filled result cache — the property
     that makes the loop replay the legacy lockstep loop exactly.
     """
 
+    def __init__(self, name: str, world: WorldStage) -> None:
+        super().__init__(name)
+        self._world = world
+
     def process(self, ticks: list) -> list:
         """Step every executor carried by this tick."""
         for tick in ticks:
             for mission in tick.missions:
                 mission.executor.tick(mission.world)
+        self._world.settle()
         return ticks
 
 
@@ -394,13 +410,14 @@ def build_fleet_graph(missions: Sequence["FleetMission"], tap=None) -> StageLoop
     per-stage observability hook (the flight recorder's read-only
     attachment point).
     """
+    world = WorldStage("world", missions)
     stages = [
-        WorldStage("world", missions),
+        world,
         PredictStage("predict"),
         LookupStage("lookup"),
         RenderStage("render"),
         PreprocessStage("preprocess"),
         MatchStage("match"),
-        MissionStage("mission"),
+        MissionStage("mission", world),
     ]
     return StageLoop(stages, tap=tap)

@@ -3,12 +3,16 @@
 * :class:`ScalarReferencePerception` — the per-frame perception the
   batched fleet path must agree with.
 * :func:`render_silhouette` / :func:`render_scene` — the per-capsule
-  renderer (one mask and one projection per capsule, a fresh noise
-  draw per frame) the one-mask renderer in :mod:`repro.human.render`
-  must match pixel for pixel.
+  renderer (one mask, one projection and one window test per capsule,
+  a fresh noise draw and a whole-frame photometric pass per frame) the
+  one-pass renderer in :mod:`repro.human.render` must match pixel for
+  pixel.  :func:`raster_capsule` is its own capsule test, independent
+  of :func:`repro.vision.raster.capsule_pixels`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,9 +24,9 @@ from repro.human.render import RenderSettings
 from repro.human.signs import MarshallingSign
 from repro.protocol.recognizer import RecognizerPerception
 from repro.vision.image import BinaryImage, Image
-from repro.vision.raster import merge_masks, raster_capsule
+from repro.vision.raster import merge_masks
 
-__all__ = ["ScalarReferencePerception", "render_scene", "render_silhouette"]
+__all__ = ["ScalarReferencePerception", "raster_capsule", "render_scene", "render_silhouette"]
 
 
 class ScalarReferencePerception:
@@ -46,6 +50,72 @@ class ScalarReferencePerception:
             return None
         frame = query.render()
         return self.view.recognizer.recognise(frame, elevation_deg=query.elevation_deg).sign
+
+
+def _clipped_window(
+    shape: tuple[int, int], r_min: float, r_max: float, c_min: float, c_max: float
+) -> tuple[slice, slice] | None:
+    h, w = shape
+    r0 = max(0, math.floor(r_min))
+    r1 = min(h, math.ceil(r_max) + 1)
+    c0 = max(0, math.floor(c_min))
+    c1 = min(w, math.ceil(c_max) + 1)
+    if r0 >= r1 or c0 >= c1:
+        return None
+    return slice(r0, r1), slice(c0, c1)
+
+
+def _paint_disc(mask: np.ndarray, centre: tuple[float, float], radius: float) -> None:
+    cy, cx = centre
+    window = _clipped_window(mask.shape, cy - radius, cy + radius, cx - radius, cx + radius)
+    if window is None:
+        return
+    rs, cs = window
+    rows = np.arange(rs.start, rs.stop)[:, None]
+    cols = np.arange(cs.start, cs.stop)[None, :]
+    mask[rs, cs] |= (rows - cy) ** 2 + (cols - cx) ** 2 <= radius**2
+
+
+def raster_capsule(
+    height: int,
+    width: int,
+    start: tuple[float, float],
+    end: tuple[float, float],
+    radius: float,
+) -> BinaryImage:
+    """One capsule's mask, tested on its own window alone.
+
+    *start* and *end* are ``(row, col)`` in pixels.  A capsule shorter
+    than ``1e-6`` px is the disc about *start*.
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    mask = np.zeros((height, width), dtype=bool)
+    r0, c0 = start
+    r1, c1 = end
+    dr, dc = r1 - r0, c1 - c0
+    seg_len_sq = dr * dr + dc * dc
+    if seg_len_sq < 1e-12:
+        _paint_disc(mask, start, radius)
+        return BinaryImage(mask)
+    window = _clipped_window(
+        mask.shape,
+        min(r0, r1) - radius,
+        max(r0, r1) + radius,
+        min(c0, c1) - radius,
+        max(c0, c1) + radius,
+    )
+    if window is None:
+        return BinaryImage(mask)
+    rs, cs = window
+    rows = np.arange(rs.start, rs.stop, dtype=np.float64)[:, None]
+    cols = np.arange(cs.start, cs.stop, dtype=np.float64)[None, :]
+    t = ((rows - r0) * dr + (cols - c0) * dc) / seg_len_sq
+    t = np.clip(t, 0.0, 1.0)
+    nearest_r = r0 + t * dr
+    nearest_c = c0 + t * dc
+    mask[rs, cs] |= (rows - nearest_r) ** 2 + (cols - nearest_c) ** 2 <= radius**2
+    return BinaryImage(mask)
 
 
 def render_silhouette(pose: HumanPose, camera: PinholeCamera) -> BinaryImage:

@@ -53,6 +53,7 @@ from repro.vision.morphology import (
     opening_stack,
 )
 from repro.vision.raster import (
+    capsule_pixels,
     merge_masks,
     paint_capsule,
     raster_capsule,
@@ -109,6 +110,7 @@ __all__ = [
     "erode_stack",
     "opening",
     "opening_stack",
+    "capsule_pixels",
     "merge_masks",
     "paint_capsule",
     "raster_capsule",

@@ -226,6 +226,10 @@ def largest_components_stack(
             results.append(None if comp is None else (comp.mask.pixels, comp.area, comp.bbox))
         return results
 
+    structure = np.ones((3, 3), dtype=bool)
+    if n_frames == 1:
+        return [_largest_in_frame(stack[0], structure)]
+
     # Foreground bounding boxes, batched: labelling cost then scales
     # with the silhouettes, not the full frames.  Cropping keeps each
     # frame's raster order (rows/columns are only removed wholesale
@@ -250,8 +254,7 @@ def largest_components_stack(
         top, bottom, left, right = tops[b], bottoms[b], lefts[b], rights[b]
         canvas[b, : bottom - top, : right - left] = stack[b, top:bottom, left:right]
     labelled = ndimage.label(
-        canvas.reshape(n_frames * (crop_h + 1), crop_w),
-        structure=np.ones((3, 3), dtype=bool),
+        canvas.reshape(n_frames * (crop_h + 1), crop_w), structure=structure
     )[0].reshape(n_frames, crop_h + 1, crop_w)
     areas = np.bincount(labelled.ravel())
     # Raster-order labelling over vertically stacked frames means frame b
@@ -273,3 +276,38 @@ def largest_components_stack(
         bbox = (int(top), int(left), int(bottom - top), int(right - left))
         results.append((mask, int(areas[best]), bbox))
     return results
+
+
+def _largest_in_frame(
+    frame: np.ndarray, structure: np.ndarray
+) -> tuple[np.ndarray, int, tuple[int, int, int, int]] | None:
+    """:func:`largest_components_stack` for one ``(H, W)`` frame.
+
+    Scans columns only within the foreground rows and labels the
+    foreground's crop in place, with no canvas; when the crop holds one
+    component (the usual silhouette) its foreground is the mask.
+    """
+    from scipy import ndimage
+
+    h, w = frame.shape
+    row_any = frame.any(axis=1)
+    if not row_any.any():
+        return None
+    top = int(np.argmax(row_any))
+    bottom = h - int(np.argmax(row_any[::-1]))
+    col_any = frame[top:bottom].any(axis=0)
+    left = int(np.argmax(col_any))
+    right = w - int(np.argmax(col_any[::-1]))
+    crop = frame[top:bottom, left:right]
+    labelled, count = ndimage.label(crop, structure=structure)
+    mask = np.zeros((h, w), dtype=bool)
+    if count == 1:
+        mask[top:bottom, left:right] = crop
+        area = int(np.count_nonzero(crop))
+    else:
+        # First label of the largest area: scan order breaks ties.
+        areas = np.bincount(labelled.ravel())
+        best = 1 + int(np.argmax(areas[1:]))
+        mask[top:bottom, left:right] = labelled == best
+        area = int(areas[best])
+    return mask, area, (top, left, bottom - top, right - left)

@@ -194,16 +194,29 @@ _TRANSITIONS = _build_transition_table()
 def _neighbour_codes(pixels: np.ndarray) -> np.ndarray:
     """Pack each pixel's Moore-neighbour occupancies into a byte.
 
-    Bit ``i`` of ``codes[r, c]`` is set when the neighbour at
-    ``_MOORE_OFFSETS[i]`` is foreground; out-of-bounds neighbours read
-    as background.  One vectorised pass over eight shifted views.
+    *pixels* (``h x w``) is embedded in a one-pixel background border
+    and flattened with row stride ``w + 2``; entry ``p`` of the returned
+    flat ``uint8`` array (length ``(h + 2) * (w + 2)``) describes padded
+    pixel ``p``: bit ``i`` is set when the neighbour at
+    ``_MOORE_OFFSETS[i]`` is foreground.  Codes are exact for every
+    pixel of *pixels*; the border's own codes are unspecified.  The
+    eight neighbour planes are contiguous shifted slices of the one flat
+    buffer.
     """
     h, w = pixels.shape
-    padded = np.pad(pixels, 1, mode="constant", constant_values=False)
-    codes = np.zeros((h, w), dtype=np.uint8)
-    for bit, (dr, dc) in enumerate(_MOORE_OFFSETS):
-        view = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-        codes |= np.left_shift(view.astype(np.uint8), bit)
+    stride = w + 2
+    padded = np.zeros((h + 2, stride), dtype=np.uint8)
+    padded[1:-1, 1:-1] = pixels
+    flat = padded.ravel()
+    first, last = stride + 1, (h + 1) * stride - 1  # every pixel of *pixels*
+    planes = [flat[first + dr * stride + dc : last + dr * stride + dc] for dr, dc in _MOORE_OFFSETS]
+    codes = np.zeros(flat.size, dtype=np.uint8)
+    inner = codes[first:last]
+    # Horner over the 0/1 planes, highest bit first: code = 2 * code + plane.
+    inner[:] = planes[7]
+    for plane in planes[6::-1]:
+        inner += inner
+        inner += plane
     return codes
 
 
@@ -246,17 +259,21 @@ def trace_outer_contour_fast(
     right = region_left + len(fg_cols) - int(np.argmax(fg_cols[::-1]))
     h, w = bottom - top, right - left
     window = pixels[top:bottom, left:right]
+    # Positions are flat indices into the window in its one-pixel border
+    # (row stride w + 2); the border is background, so no step leaves it.
+    stride = w + 2
     codes = _neighbour_codes(window).tobytes()  # bytes index at C speed
-    deltas = tuple(dr * w + dc for dr, dc in _MOORE_OFFSETS)
+    deltas = tuple(dr * stride + dc for dr, dc in _MOORE_OFFSETS)
     transitions = _TRANSITIONS
 
     # Same start as the reference's row-major nonzero: top-most row,
     # left-most foreground pixel within it (column 0 of the window by
     # construction only when that pixel sits on the bbox edge).
-    start = int(np.argmax(window[0]))
+    start = stride + 1 + int(np.argmax(window[0]))
     current = start
     backtrack = 0  # west, as in the reference trace
     boundary = [start]
+    append = boundary.append
     moves_from_start: set[tuple[int, int]] = set()
 
     for _ in range(8 * h * w + 8):  # hard bound; each boundary pixel visited <= 8x
@@ -269,11 +286,11 @@ def trace_outer_contour_fast(
         if current == start:
             move = (nxt, backtrack)
             if move in moves_from_start:
-                return _contour_from_flat(boundary, w, top, left)
+                return _contour_from_flat(boundary, stride, top - 1, left - 1)
             moves_from_start.add(move)
         current = nxt
-        boundary.append(nxt)
-    return _contour_from_flat(boundary, w, top, left)
+        append(nxt)
+    return _contour_from_flat(boundary, stride, top - 1, left - 1)
 
 
 def _contour_from_flat(boundary: list[int], width: int, top: int, left: int) -> Contour | None:

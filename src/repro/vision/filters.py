@@ -196,17 +196,29 @@ def gaussian_blur_window(
         source = pixels.take(_reflect(np.arange(r0 - radius, r1 + radius), h), axis=0)
         source = source.take(_reflect(np.arange(c0 - radius, c1 + radius), w), axis=1)
     taps = kernel.tolist()
-    horizontal = np.multiply(source[:, 0:n_cols], taps[0])
-    tmp = np.empty_like(horizontal)
+    # Both passes run on the margin-padded window flattened row by row,
+    # so every tap is one contiguous slice.  A horizontal tap at a
+    # window column reads only its own row (column + tap < padded
+    # width); the passes also fill the padding columns, which the final
+    # crop drops.
+    width = n_cols + 2 * radius
+    flat = np.ascontiguousarray(source).ravel()
+    span = flat.size - 2 * radius
+    horizontal = np.empty(flat.size)
+    horizontal[span:] = 0.0  # the last row's padding, never a tap's output
+    acc = horizontal[:span]
+    np.multiply(flat[0:span], taps[0], out=acc)
+    tmp = np.empty(span)
     for i in range(1, len(taps)):
-        np.multiply(source[:, i : i + n_cols], taps[i], out=tmp)
-        horizontal += tmp
-    out = np.multiply(horizontal[0:n_rows], taps[0])
-    tmp = tmp[0:n_rows]
+        np.multiply(flat[i : i + span], taps[i], out=tmp)
+        acc += tmp
+    span = n_rows * width
+    out = np.multiply(horizontal[0:span], taps[0])
+    tmp = tmp[0:span]
     for i in range(1, len(taps)):
-        np.multiply(horizontal[i : i + n_rows], taps[i], out=tmp)
+        np.multiply(horizontal[i * width : i * width + span], taps[i], out=tmp)
         out += tmp
-    return np.clip(out, 0.0, 1.0, out=out)
+    return np.clip(out.reshape(n_rows, width)[:, :n_cols], 0.0, 1.0)
 
 
 def sobel_gradients(image: Image) -> tuple[np.ndarray, np.ndarray]:

@@ -67,6 +67,22 @@ def stack_pixels(images: "Sequence[Image]") -> np.ndarray:
     return np.stack([image.pixels for image in images])
 
 
+def _check_box(box: tuple[int, int, int, int], shape: tuple[int, ...]) -> None:
+    top, left, height, width = box
+    if min(top, left, height, width) < 0 or top + height > shape[0] or left + width > shape[1]:
+        raise ValueError("provenance box exceeds image bounds")
+
+
+def _check_range(pixels: np.ndarray, clip: bool = False) -> None:
+    """Reject intensities outside ``[0, 1]`` by more than ``1e-9``; with
+    *clip*, clip the tolerated overshoot in place."""
+    low, high = float(pixels.min()), float(pixels.max())
+    if low < -1e-9 or high > 1.0 + 1e-9:
+        raise ValueError("grayscale intensities must lie in [0, 1]")
+    if clip and (low < 0.0 or high > 1.0):
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+
+
 @dataclass(frozen=True)
 class Image:
     """An immutable grayscale image with intensities in ``[0, 1]``.
@@ -85,16 +101,32 @@ class Image:
         if px.size == 0:
             raise ValueError("image must be non-empty")
         if self.provenance is not None:
-            top, left, height, width = self.provenance.box
-            if min(top, left, height, width) < 0 or top + height > px.shape[0] or (
-                left + width > px.shape[1]
-            ):
-                raise ValueError("provenance box exceeds image bounds")
-        if float(px.min()) < -1e-9 or float(px.max()) > 1.0 + 1e-9:
-            raise ValueError("grayscale intensities must lie in [0, 1]")
+            _check_box(self.provenance.box, px.shape)
+        _check_range(px)
         px = np.clip(px, 0.0, 1.0)
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
+
+    @classmethod
+    def _over_backdrop(cls, pixels: np.ndarray, provenance: FrameProvenance) -> "Image":
+        """An image that is its provenance's backdrop outside the box.
+
+        The renderer's constructor.  *pixels* is a fresh, writable
+        ``float64`` frame equal to ``provenance.backdrop.pixels()``
+        outside ``provenance.box``, and that backdrop has already passed
+        this class's range check, once, when it was built.  So only the
+        box is range-checked (and clipped) here, in place; every pixel
+        of the image is still checked.
+        """
+        _check_box(provenance.box, pixels.shape)
+        top, left, height, width = provenance.box
+        if height and width:
+            _check_range(pixels[top : top + height, left : left + width], clip=True)
+        pixels.setflags(write=False)
+        image = object.__new__(cls)
+        object.__setattr__(image, "pixels", pixels)
+        object.__setattr__(image, "provenance", provenance)
+        return image
 
     @property
     def height(self) -> int:

@@ -3,26 +3,35 @@
 The human-pose renderer draws each limb of the signaller as a *capsule*
 (a thick line segment with round caps) in image space; these helpers
 turn geometric primitives into boolean masks without any external
-graphics dependency.
+graphics dependency.  Every capsule and disc goes through one code
+path, :func:`capsule_pixels`, which tests any number of capsules in a
+single vectorised pass over their concatenated clipped windows.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from repro.vision.image import BinaryImage
 
-__all__ = ["raster_disc", "raster_capsule", "paint_capsule", "raster_polygon", "merge_masks"]
+__all__ = [
+    "raster_disc",
+    "raster_capsule",
+    "paint_capsule",
+    "capsule_pixels",
+    "raster_polygon",
+    "merge_masks",
+]
 
 
 def raster_disc(height: int, width: int, centre: tuple[float, float], radius: float) -> BinaryImage:
     """Rasterise a filled disc; *centre* is ``(row, col)`` in pixels."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
     mask = np.zeros((height, width), dtype=bool)
-    _paint_disc(mask, centre, radius)
+    paint_capsule(mask, centre, centre, radius)
     return BinaryImage(mask)
 
 
@@ -39,37 +48,95 @@ def raster_capsule(
     return BinaryImage(mask)
 
 
-def _clipped_window(
+@lru_cache(maxsize=4)
+def _flat_index(shape: tuple[int, int]) -> np.ndarray:
+    """The read-only ``(H, W)`` grid of every pixel's flat (C-order) index."""
+    index = np.arange(shape[0] * shape[1]).reshape(shape)
+    index.setflags(write=False)
+    return index
+
+
+def capsule_pixels(
     shape: tuple[int, ...],
-    r_min: float,
-    r_max: float,
-    c_min: float,
-    c_max: float,
-) -> tuple[slice, slice] | None:
-    """Return integer row/col slices covering a bounding box, or ``None``."""
+    capsules: Iterable[tuple[tuple[float, float], tuple[float, float], float]],
+) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """The pixels of an ``(H, W)`` frame inside any of *capsules*.
+
+    Each capsule is ``(start, end, radius)`` with ``(row, col)``
+    endpoints in pixels.  A pixel is inside when its squared distance
+    to the segment (the pixel projected onto it, clamped to the
+    endpoints) is at most ``radius**2``; a capsule shorter than
+    ``1e-6`` px is the disc about *start*.  Only each capsule's clipped
+    bounding window is tested, and all windows are tested in one
+    vectorised pass.
+
+    Returns the flat (C-order) indices of the inside pixels — repeated
+    where windows overlap — and the ``(top, left, bottom, right)``
+    union of the clipped windows, a superset of those pixels.  When no
+    capsule reaches the frame the union is ``(H, W, 0, 0)``.
+    """
     h, w = shape[0], shape[1]
-    r0 = max(0, math.floor(r_min))
-    r1 = min(h, math.ceil(r_max) + 1)
-    c0 = max(0, math.floor(c_min))
-    c1 = min(w, math.ceil(c_max) + 1)
-    if r0 >= r1 or c0 >= c1:
-        return None
-    return slice(r0, r1), slice(c0, c1)
-
-
-def _paint_disc(
-    mask: np.ndarray, centre: tuple[float, float], radius: float
-) -> tuple[slice, slice] | None:
-    cy, cx = centre
-    window = _clipped_window(mask.shape, cy - radius, cy + radius, cx - radius, cx + radius)
-    if window is None:
-        return None
-    rs, cs = window
-    rows = np.arange(rs.start, rs.stop)[:, None]
-    cols = np.arange(cs.start, cs.stop)[None, :]
-    inside = (rows - cy) ** 2 + (cols - cx) ** 2 <= radius**2
-    mask[rs, cs] |= inside
-    return window
+    index = _flat_index((h, w))
+    pieces: list[np.ndarray] = []
+    params: list[tuple[float, float, float, float, float, float]] = []
+    areas: list[int] = []
+    top, left, bottom, right = h, w, 0, 0
+    for (r0, c0), (r1, c1), radius in capsules:
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        dr, dc = r1 - r0, c1 - c0
+        seg_len_sq = dr * dr + dc * dc
+        if seg_len_sq < 1e-12:
+            # The disc about *start*: a zero segment projects every pixel
+            # onto *start* itself.
+            r_lo, r_hi, c_lo, c_hi = r0 - radius, r0 + radius, c0 - radius, c0 + radius
+            dr = dc = 0.0
+            seg_len_sq = 1.0
+        else:
+            r_lo, r_hi = min(r0, r1) - radius, max(r0, r1) + radius
+            c_lo, c_hi = min(c0, c1) - radius, max(c0, c1) + radius
+        row0, row1 = max(0, math.floor(r_lo)), min(h, math.ceil(r_hi) + 1)
+        col0, col1 = max(0, math.floor(c_lo)), min(w, math.ceil(c_hi) + 1)
+        if row0 >= row1 or col0 >= col1:
+            continue
+        pieces.append(index[row0:row1, col0:col1].ravel())
+        params.append((r0, c0, dr, dc, seg_len_sq, radius**2))
+        areas.append((row1 - row0) * (col1 - col0))
+        top, left = min(top, row0), min(left, col0)
+        bottom, right = max(bottom, row1), max(right, col1)
+    if not pieces:
+        return np.empty(0, dtype=index.dtype), (top, left, bottom, right)
+    flat = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    r0, c0, dr, dc, seg_len_sq, radius_sq = np.repeat(
+        np.array(params, dtype=np.float64).T, areas, axis=1
+    )
+    # Each pixel's row and column, exactly: (index + 0.5) / w lies at
+    # least 0.5 / w inside (row, row + 1), far beyond the rounding error
+    # of any frame under 2**50 pixels, so its floor is the row.
+    cols = flat.astype(np.float64)
+    rows = cols + 0.5
+    rows *= 1.0 / w
+    np.floor(rows, out=rows)
+    cols -= rows * w
+    # Project every pixel onto its segment, clamp, and threshold the
+    # squared distance: ((rows - r0) * dr + (cols - c0) * dc) / |d|^2.
+    t = rows - r0
+    t *= dr
+    along = cols - c0
+    along *= dc
+    t += along
+    t /= seg_len_sq
+    np.clip(t, 0.0, 1.0, out=t)
+    nearest = t * dr
+    nearest += r0
+    rows -= nearest
+    rows *= rows
+    t *= dc
+    t += c0
+    cols -= t
+    cols *= cols
+    rows += cols
+    return flat.compress(rows <= radius_sq), (top, left, bottom, right)
 
 
 def paint_capsule(
@@ -85,36 +152,14 @@ def paint_capsule(
     set, so painting several capsules into one mask equals the union of
     their :func:`raster_capsule` masks.  Returns that window as
     ``(rows, cols)`` slices (a superset of the painted pixels), or
-    ``None`` when the capsule lies wholly outside the mask.
+    ``None`` when the capsule lies wholly outside the mask.  This is
+    :func:`capsule_pixels` on one capsule.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    r0, c0 = start
-    r1, c1 = end
-    window = _clipped_window(
-        mask.shape,
-        min(r0, r1) - radius,
-        max(r0, r1) + radius,
-        min(c0, c1) - radius,
-        max(c0, c1) + radius,
-    )
-    if window is None:
+    inside, (top, left, bottom, right) = capsule_pixels(mask.shape, [(start, end, radius)])
+    if top >= bottom:
         return None
-    rs, cs = window
-    rows = np.arange(rs.start, rs.stop, dtype=np.float64)[:, None]
-    cols = np.arange(cs.start, cs.stop, dtype=np.float64)[None, :]
-    dr, dc = r1 - r0, c1 - c0
-    seg_len_sq = dr * dr + dc * dc
-    if seg_len_sq < 1e-12:
-        return _paint_disc(mask, start, radius)
-    # Project every pixel onto the segment, clamp, and threshold distance.
-    t = ((rows - r0) * dr + (cols - c0) * dc) / seg_len_sq
-    t = np.clip(t, 0.0, 1.0)
-    nearest_r = r0 + t * dr
-    nearest_c = c0 + t * dc
-    inside = (rows - nearest_r) ** 2 + (cols - nearest_c) ** 2 <= radius**2
-    mask[rs, cs] |= inside
-    return window
+    mask.flat[inside] = True
+    return slice(top, bottom), slice(left, right)
 
 
 def raster_polygon(height: int, width: int, vertices: np.ndarray) -> BinaryImage:

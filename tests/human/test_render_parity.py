@@ -1,10 +1,13 @@
-"""The one-mask renderer is pixel-identical to the per-capsule reference.
+"""The one-pass renderer is pixel-identical to the per-capsule reference.
 
-:mod:`repro.human.render` paints every capsule into one mask, projects
-each pose once and reuses a cached noise field; the reference in
-:mod:`repro.testing.reference` rasterises one mask per capsule, projects
-each capsule on its own and redraws the noise every frame.  Every case
-here must produce the same bytes from both.
+:mod:`repro.human.render` projects each pose once, tests every capsule
+in one vectorised pass (:func:`repro.vision.raster.capsule_pixels`) and
+runs the photometric pass only on the painted pixels of a copy of the
+cached backdrop; the reference in :mod:`repro.testing.reference`
+rasterises one mask per capsule with its own copy of the one-capsule
+test, projects each capsule on its own, redraws the noise every frame
+and runs the photometric pass over the whole frame.  Every case here
+must produce the same bytes from both.
 """
 
 import math
@@ -27,7 +30,16 @@ from repro.human import (
 from repro.human import render
 from repro.simulation.scenarios import DEFAULT_LIGHTINGS
 from repro.testing import reference
-from repro.vision import merge_masks, paint_capsule, raster_capsule
+from repro.recognition.preprocess import preprocess_frames
+from repro.vision import (
+    FrameProvenance,
+    Image,
+    capsule_pixels,
+    merge_masks,
+    paint_capsule,
+    raster_capsule,
+    raster_disc,
+)
 
 SEED = 20261017
 RANDOM_CASES = 120
@@ -217,3 +229,227 @@ def test_zero_length_head_capsule_paints_like_reference():
 def test_paint_capsule_rejects_negative_radius():
     with pytest.raises(ValueError):
         paint_capsule(np.zeros((8, 8), dtype=bool), (1.0, 1.0), (4.0, 4.0), -1.0)
+
+
+# -- the one-pass capsule painter against the per-capsule reference ----------------
+
+
+def reference_union(shape, capsules):
+    """The union of the reference's one-capsule masks."""
+    height, width = shape
+    mask = np.zeros(shape, dtype=bool)
+    for start, end, radius in capsules:
+        mask |= reference.raster_capsule(height, width, start, end, radius).pixels
+    return mask
+
+
+def one_pass_mask(shape, capsules):
+    mask = np.zeros(shape, dtype=bool)
+    mask.put(capsule_pixels(shape, capsules)[0], True)
+    return mask
+
+
+def assert_pass_matches_reference(shape, capsules):
+    expected = reference_union(shape, capsules)
+    assert one_pass_mask(shape, capsules).tobytes() == expected.tobytes()
+    painted = np.zeros(shape, dtype=bool)
+    for start, end, radius in capsules:
+        paint_capsule(painted, start, end, radius)
+    assert painted.tobytes() == expected.tobytes()
+
+
+def test_zero_length_capsules_match_reference():
+    """Exactly zero length and shorter than the 1e-6 px disc cut-off:
+    the disc about *start*, with the disc's own window."""
+    rng = random.Random(SEED)
+    capsules = []
+    for _ in range(40):
+        row, col = rng.uniform(-8.0, 72.0), rng.uniform(-8.0, 56.0)
+        radius = rng.uniform(0.0, 9.0)
+        nudge = rng.choice([0.0, 1e-7, -3e-7, 9e-7])
+        capsules.append(((row, col), (row + nudge, col - nudge / 2), radius))
+    for capsule in capsules:
+        assert_pass_matches_reference((64, 48), [capsule])
+    assert_pass_matches_reference((64, 48), capsules)
+    # A disc keeps the disc's window, not the (here taller) segment's.
+    mask = np.zeros((64, 48), dtype=bool)
+    window = paint_capsule(mask, (10.0, 10.0), (10.0 + 9e-7, 10.0), 3.0)
+    assert window == (slice(7, 14), slice(7, 14))
+
+
+def test_integer_disc_matches_reference():
+    assert_pass_matches_reference((32, 32), [((16, 16), (16, 16), 5)])
+    assert raster_disc(32, 32, (16, 16), 5).pixels.tobytes() == (
+        reference.raster_capsule(32, 32, (16, 16), (16, 16), 5).pixels.tobytes()
+    )
+
+
+def test_zero_radius_capsules_match_reference():
+    """Radius 0 paints only pixel centres lying exactly on the segment."""
+    capsules = [
+        ((10.0, 10.0), (10.0, 30.0), 0.0),  # along a pixel row
+        ((5.0, 5.0), (25.0, 25.0), 0.0),  # through pixel centres diagonally
+        ((3.5, 2.25), (40.75, 17.5), 0.0),  # between pixel centres
+        ((20.0, 20.0), (20.0, 20.0), 0.0),  # a zero-radius disc on a centre
+        ((20.5, 7.5), (20.5, 7.5), 0.0),  # ... and off every centre
+    ]
+    for capsule in capsules:
+        assert_pass_matches_reference((48, 40), [capsule])
+    assert_pass_matches_reference((48, 40), capsules)
+    assert one_pass_mask((48, 40), capsules[:1]).sum() == 21
+
+
+@pytest.mark.parametrize(
+    "capsule",
+    [
+        ((-6.0, 10.0), (12.0, 30.0), 4.5),  # top edge
+        ((50.0, 5.0), (70.0, 33.0), 3.0),  # bottom edge
+        ((20.0, -9.0), (28.0, 11.0), 5.5),  # left edge
+        ((9.0, 30.0), (44.0, 47.5), 2.5),  # right edge
+        ((-3.0, -4.0), (3.0, 5.0), 6.0),  # top-left corner
+        ((60.0, 44.0), (61.0, 52.0), 6.0),  # bottom-right corner
+        ((-2.0, 20.0), (-2.0, 20.0), 5.0),  # a disc over the top edge
+        ((30.0, 50.0), (30.0, 50.0), 4.0),  # a disc over the right edge
+        ((-30.0, -30.0), (-20.0, -25.0), 3.0),  # wholly outside
+    ],
+)
+def test_capsules_clipped_at_each_frame_edge_match_reference(capsule):
+    assert_pass_matches_reference((64, 48), [capsule])
+
+
+def test_random_capsule_sets_match_reference():
+    rng = random.Random(SEED + 1)
+    for _ in range(60):
+        shape = (rng.randrange(8, 90), rng.randrange(8, 90))
+        capsules = []
+        for _ in range(rng.randrange(1, 12)):
+            start = (rng.uniform(-20.0, shape[0] + 20.0), rng.uniform(-20.0, shape[1] + 20.0))
+            end = start if rng.random() < 0.2 else (
+                rng.uniform(-20.0, shape[0] + 20.0),
+                rng.uniform(-20.0, shape[1] + 20.0),
+            )
+            capsules.append((start, end, rng.uniform(0.0, 12.0)))
+        assert_pass_matches_reference(shape, capsules)
+
+
+@pytest.mark.parametrize("shape", [(3, 1021), (1021, 3), (257, 641), (60, 49)])
+def test_wide_and_tall_frames_match_reference(shape):
+    """Pixel rows and columns come back exactly from flat indices on
+    frames of any aspect, first and last columns included (on a 49-wide
+    frame ``floor(49 * (1 / 49))`` is 0, not 1)."""
+    h, w = shape
+    capsules = [
+        ((-2.0, -2.0), (h + 2.0, w + 2.0), 1.5),
+        ((h / 2, w - 1.0), (h / 2, w - 1.0), 2.0),
+        ((0.0, 0.0), (h - 1.0, 0.0), 0.5),
+        ((h - 1.0, w / 3), (h - 1.0, w / 2), 0.0),
+    ]
+    assert_pass_matches_reference(shape, capsules)
+
+
+def test_capsule_pixels_window_union_and_empty_pass():
+    capsules = [((10.0, 10.0), (20.0, 12.0), 2.0), ((30.0, 40.0), (30.0, 40.0), 1.5)]
+    painted, bounds = capsule_pixels((48, 48), capsules)
+    assert bounds == (8, 8, 33, 43)
+    rows, cols = np.unravel_index(painted, (48, 48))
+    assert rows.min() >= 8 and rows.max() < 33 and cols.min() >= 8 and cols.max() < 43
+    painted, bounds = capsule_pixels((48, 48), [((-9.0, -9.0), (-5.0, -5.0), 1.0)])
+    assert painted.size == 0 and bounds == (48, 48, 0, 0)
+    with pytest.raises(ValueError):
+        capsule_pixels((8, 8), [((1.0, 1.0), (1.0, 1.0), -0.5)])
+
+
+def test_zero_radius_head_matches_reference():
+    camera = observation_camera(5.0, 3.0, 10.0)
+    pose = pose_for_sign(MarshallingSign.YES, dimensions=BodyDimensions(head_radius=0.0))
+    assert pose.all_capsules()[-1][2] == 0.0
+    assert_identical([pose], camera, RenderSettings())
+
+
+def test_poses_with_every_capsule_culled_match_reference():
+    """Two figures wholly behind the camera: an empty box, and a frame
+    that is the backdrop byte for byte."""
+    camera = PinholeCamera(Vec3(0.0, 2.0, 1.1), Vec3(0.0, 3.0, 1.1))
+    poses = [
+        pose_for_sign(MarshallingSign.YES),
+        pose_for_sign(MarshallingSign.NO, position=Vec3(0.4, 0.5, 0.0)),
+    ]
+    for pose in poses:
+        assert all(far <= 0.05 for _, far in capsule_depths(pose, camera))
+    settings = RenderSettings(noise_sigma=0.02)
+    assert_identical(poses, camera, settings)
+    frame = render_scene(poses, camera, settings)
+    k = camera.intrinsics
+    assert frame.provenance.box == (k.height, k.width, 0, 0)
+    assert frame.pixels.tobytes() == frame.provenance.backdrop.pixels().tobytes()
+
+
+# -- backdrop cache and the backdrop-plus-box constructor --------------------------
+
+
+def test_backdrop_and_noise_field_are_cached_once_and_shared():
+    render._noise_field.cache_clear()
+    render._backdrop_pixels.cache_clear()
+    camera = observation_camera(5.0, 3.0, 0.0)
+    settings = RenderSettings(noise_sigma=0.03, seed=11)
+    frames = [
+        render_frame(pose_for_sign(sign), camera, settings) for sign in MarshallingSign
+    ]
+    assert render._noise_field.cache_info().misses == 1
+    assert render._backdrop_pixels.cache_info().misses == 1
+    backdrops = {frame.provenance.backdrop for frame in frames}
+    assert len(backdrops) == 1
+    backdrop = backdrops.pop()
+    pixels = backdrop.pixels()
+    assert pixels is backdrop.pixels()
+    assert not pixels.flags.writeable
+    for frame in frames:
+        assert frame.provenance.backdrop.pixels() is pixels
+        assert not np.shares_memory(frame.pixels, pixels)
+    with pytest.raises(ValueError):
+        pixels[0, 0] = 0.5
+    # The background plates read the same array.
+    from repro.recognition import preprocess
+
+    preprocess._plate.cache_clear()
+    preprocess_frames(frames[:1])
+    assert render._backdrop_pixels.cache_info().misses == 1
+    assert render._backdrop_pixels.cache_info().hits >= len(frames) + 1
+
+
+def over_backdrop_frame(value, at):
+    """A 12x10 backdrop-plus-box frame with *value* written at *at*."""
+    pixels = np.full((12, 10), 0.5)
+    pixels[at] = value
+    return pixels, FrameProvenance("plain", (2, 3, 5, 4))
+
+
+@pytest.mark.parametrize("value", [-0.01, 1.01, 2.0, -np.inf, np.inf])
+def test_out_of_range_value_in_the_box_raises(value):
+    with pytest.raises(ValueError):
+        Image._over_backdrop(*over_backdrop_frame(value, (4, 5)))
+
+
+def test_box_constructor_clips_tolerated_overshoot_and_freezes():
+    pixels, provenance = over_backdrop_frame(1.0 + 5e-10, (6, 6))
+    public = Image(pixels.copy(), provenance)
+    image = Image._over_backdrop(pixels, provenance)
+    assert image.pixels[6, 6] == 1.0
+    assert not image.pixels.flags.writeable
+    assert image.provenance is provenance
+    assert image.pixels.tobytes() == public.pixels.tobytes()
+
+
+def test_box_constructor_checks_the_box_bounds():
+    with pytest.raises(ValueError):
+        Image._over_backdrop(np.full((12, 10), 0.5), FrameProvenance("plain", (8, 3, 5, 4)))
+
+
+def test_rendered_box_with_an_out_of_range_value_raises(monkeypatch):
+    """The box is range-checked on every frame: a backdrop that slipped
+    past its one check shows up in the box's unpainted pixels."""
+    camera = observation_camera(5.0, 3.0, 0.0)
+    pose = pose_for_sign(MarshallingSign.YES)
+    monkeypatch.setattr(render, "_backdrop_pixels", lambda backdrop: np.full(backdrop.shape, 1.5))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        render_frame(pose, camera)

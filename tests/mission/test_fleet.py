@@ -128,6 +128,30 @@ class TestSchedulerLifecycle:
         assert third.world.clock.ticks == stepped + 1
 
 
+    def test_tick_count_active_missions_and_finished_agree(self):
+        """One active set: the world stage's, settled at the end of each
+        tick.  With no query between ticks, tick()'s count must still
+        equal a direct scan; on the first tick after a mission finishes
+        and on the last tick, active_missions and finished agree too."""
+        fleet = build_fleet(FleetSpec(count=3, config=SMALL, perception="oracle"))
+        fleet.start()
+        world = fleet.graph.nodes[0]
+        flying, checked = len(fleet.missions), []
+        while flying:
+            before = sum(not m.finished for m in fleet.missions)
+            flying = fleet.tick()
+            still = [m for m in fleet.missions if not m.finished]
+            assert flying == len(still)
+            assert world.active == tuple(still)
+            if len(still) < before:
+                assert fleet.active_missions == still
+                assert fleet.finished == (not still)
+                checked.append(len(still))
+            assert fleet.ticks < 100_000
+        assert checked[0] > 0, "some mission must finish while others still fly"
+        assert checked[-1] == 0 and fleet.finished and fleet.active_missions == []
+
+
 class TestFleetRuns:
     def test_oracle_fleet_completes_all_missions(self):
         fleet = build_fleet(

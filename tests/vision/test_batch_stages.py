@@ -236,9 +236,28 @@ class TestComponentsStackParity:
     def test_random_stacks(self, seed):
         self.assert_matches_scalar(random_mask_stack(seed))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_single_frames(self, seed):
+        """A one-frame stack labels its crop directly (no canvas), with a
+        shortcut when the crop holds one component."""
+        stack = random_mask_stack(seed)
+        for frame in stack:
+            self.assert_matches_scalar(frame[None])
+            batched = largest_components_stack(frame[None])
+            assert batched[0] is None or batched[0][2] == BinaryImage(frame).bounding_box()
+
+    def test_single_frame_with_one_component(self):
+        frame = np.zeros((1, 12, 14), dtype=bool)
+        frame[0, 2:9, 3:5] = True
+        frame[0, 8, 3:12] = True
+        (mask, area, bbox), = largest_components_stack(frame)
+        assert np.array_equal(mask, frame[0]) and area == 7 * 2 + 7 and bbox == (2, 3, 7, 9)
+        self.assert_matches_scalar(frame)
+
     def test_empty_masks(self):
         stack = np.zeros((3, 10, 10), dtype=bool)
         assert largest_components_stack(stack) == [None, None, None]
+        assert largest_components_stack(stack[:1]) == [None]
 
     def test_mixed_empty_and_populated(self):
         stack = np.zeros((3, 12, 12), dtype=bool)
