@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-service bench-longtail bench-smoke perfbench flight-smoke fuzz check
+.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-longtail bench-smoke perfbench flight-smoke fuzz check
 
 # Everything the ruff gate covers — named explicitly so benchmarks/ and
 # scripts/ can never silently drop out of the lint surface.  Update when
@@ -34,8 +34,8 @@ lint:
 
 # Fail if any public function/class/method in repro.vision,
 # repro.recognition, repro.sax, repro.simulation, repro.mission,
-# repro.protocol, repro.service, repro.recorder or repro.testing lacks
-# a docstring (see docs/ARCHITECTURE.md).
+# repro.protocol, repro.recorder or repro.testing lacks a docstring
+# (see docs/ARCHITECTURE.md).
 docs-check:
 	$(PYTHON) scripts/check_docstrings.py
 
@@ -72,12 +72,6 @@ bench-dynamic:
 bench-fleet:
 	$(PYTHON) benchmarks/bench_fleet.py
 
-# Regenerate BENCH_service.json (gate: sharded service >= 1.8x the
-# single-process classify_batch on 4 workers, enforced on multi-core
-# hosts; verdict parity unconditional; see docs/BENCHMARKS.md).
-bench-service:
-	$(PYTHON) benchmarks/bench_service.py
-
 # Regenerate BENCH_longtail.json (surveillance fleet under bursty
 # intruder load + long-tail window throughput; determinism assertions
 # are unconditional; see docs/BENCHMARKS.md).
@@ -92,7 +86,6 @@ bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_throughput.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_dynamic_batch.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_fleet.py
-	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_service.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_longtail.py
 
 # The repository benchmark declared in BENCHMARK.json (perfbench/):

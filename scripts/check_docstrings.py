@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Docs gate: the public API of ``repro.vision``, ``repro.recognition``,
 ``repro.sax``, ``repro.simulation``, ``repro.mission``,
-``repro.protocol``, ``repro.service``, ``repro.recorder`` and
-``repro.testing`` must be documented.
+``repro.protocol``, ``repro.recorder`` and ``repro.testing`` must be
+documented.
 
 Checks, for every module in the covered packages:
 
@@ -34,7 +34,6 @@ DEFAULT_PACKAGES = (
     "repro.simulation",
     "repro.mission",
     "repro.protocol",
-    "repro.service",
     "repro.recorder",
     "repro.testing",
 )

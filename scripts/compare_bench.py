@@ -13,8 +13,8 @@ nightly run) and
   ``outcomes_equal``) must still be present and ``true`` in the fresh
   artifact;
 * **fails on enforced-SLO violations**: any fresh-artifact section
-  that declares ``"gate_enforced": true`` (e.g. the
-  ``sharded_vs_single`` section of ``bench_service.py``) must have
+  that declares ``"gate_enforced": true`` (e.g. the ``recorder``
+  section of ``bench_fleet.py``) must have
   every other boolean in that section ``true`` — smoke runs and
   under-provisioned hosts write ``gate_enforced: false`` and are
   exempt;

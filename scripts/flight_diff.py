@@ -4,10 +4,10 @@
 Compares the deterministic streams of two recordings
 (:mod:`repro.recorder`) byte-for-byte and prints the first divergence
 with its node, tick and field context — a far sharper regression
-signal than aggregate benchmark JSON.  Ops events (service timing
-telemetry) are excluded from the comparison by design.
+signal than aggregate benchmark JSON.
 
-Exit codes: ``0`` identical, ``1`` divergent, ``2`` unreadable input.
+Exit codes: ``0`` identical, ``1`` divergent, ``2`` unreadable input
+(a missing file, or a line that is not a record of a known kind).
 
 Usage::
 
@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from repro.recorder import first_divergence, read_lines
-from repro.recorder.diffing import deterministic_only
+from repro.recorder.diffing import checked_lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -32,14 +32,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("recording_b", help="candidate recording (.jsonl)")
     args = parser.parse_args(argv)
     try:
-        lines_a = read_lines(args.recording_a)
-        lines_b = read_lines(args.recording_b)
-    except OSError as exc:
+        lines_a = checked_lines(read_lines(args.recording_a))
+        lines_b = checked_lines(read_lines(args.recording_b))
+    except (OSError, ValueError) as exc:
         print(f"flight-diff: cannot read recording: {exc}", file=sys.stderr)
         return 2
     divergence = first_divergence(lines_a, lines_b)
     if divergence is None:
-        events = len(deterministic_only(lines_a))
+        events = len(lines_a)
         print(f"flight-diff: recordings identical ({events} deterministic events)")
         return 0
     print(f"flight-diff: {divergence.describe()}")

@@ -9,7 +9,7 @@ Three subcommands over :mod:`repro.recorder`:
 * ``replay`` — re-drive the run a recording describes and byte-compare
   the fresh deterministic stream against it (exit ``1`` on
   divergence, ``2`` when the recording cannot be replayed, e.g. it is
-  of another schema);
+  of another schema or holds a record of unknown kind);
 * ``tail`` — render a recording as a fleet dashboard
   (``--follow`` polls a file another process is still writing).
 
@@ -60,8 +60,6 @@ def _record(args: argparse.Namespace) -> int:
         "base_seed": args.seed,
         "perception": args.perception,
     }
-    if args.workers:
-        kwargs["workers"] = args.workers
     if args.smoke:
         kwargs["winds"] = (CALM,)
         kwargs["lightings"] = (NOON,)
@@ -109,7 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     record.add_argument(
         "--perception", choices=("recognizer", "oracle"), default="recognizer"
     )
-    record.add_argument("--workers", type=int, default=0)
     record.add_argument(
         "--smoke",
         action="store_true",

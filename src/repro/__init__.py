@@ -27,7 +27,6 @@ Subpackages
 ``repro.human``       personas, poses, marshalling signs, rendering
 ``repro.recognition`` the frame → SAX → sign pipeline and baselines
 ``repro.protocol``    the Figure-3 negotiation and the safety monitor
-``repro.service``     the sharded, queue-fed recognition service
 ``repro.userstories`` requirements derivation and traceability
 ``repro.mission``     orchard generation, route planning, execution
 ``repro.core``        the :class:`CollaborativeEnvironment` facade

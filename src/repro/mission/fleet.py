@@ -52,8 +52,6 @@ from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import PerceptionStats, RecognizerPerception
 from repro.recognition.budget import BudgetReport
-from repro.recognition.pipeline import SaxSignRecognizer
-from repro.service import RecognitionService, ServiceClassifier, ServiceStats
 from repro.simulation.scenarios import Lighting, WindCondition
 
 __all__ = [
@@ -111,7 +109,6 @@ class FleetReport:
     sim_duration_s: float
     perception_stats: PerceptionStats | None = None
     perception_budget: BudgetReport | None = None
-    service_stats: ServiceStats | None = None
     graph_stats: LoopStats | None = None
     escalation_events: tuple = ()
     recording_path: str | None = None
@@ -159,11 +156,6 @@ class FleetScheduler:
     missions:
         The fleet.  Executors must not be registered as world entities
         (the scheduler drives them; :func:`assemble_fleet` wires this).
-    service:
-        A :class:`~repro.service.RecognitionService` whose lifecycle
-        this scheduler *owns* — started by :func:`assemble_fleet` when
-        the spec has shard workers; stopped when :meth:`run` finishes (or
-        fails) and by :meth:`close`.
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder`: the scheduler
         attaches a read-only :class:`~repro.recorder.taps.FleetRecorderTap`
@@ -173,14 +165,13 @@ class FleetScheduler:
         byte-identical with or without it.
 
     The scheduler is a context manager: ``with`` guarantees
-    :meth:`close` (loop and owned service released) even when a
-    stage raises mid-tick.
+    :meth:`close` (loop released, recording sealed) even when a stage
+    raises mid-tick.
     """
 
     def __init__(
         self,
         missions: Sequence[FleetMission],
-        service: RecognitionService | None = None,
         recorder=None,
     ) -> None:
         if not missions:
@@ -192,7 +183,6 @@ class FleetScheduler:
         if len(steps) != 1:
             raise ValueError(f"fleet worlds must share one time step, got {steps}")
         self.missions = list(missions)
-        self.service = service
         self.recorder = recorder
         self.time_step_s = steps.pop()
         self._tap = None
@@ -266,8 +256,7 @@ class FleetScheduler:
 
         A stage raising mid-tick fails loudly
         (:class:`~repro.mission.pipeline.NodeFailure`, naming the stage
-        and tick) after the fleet has closed and released its owned
-        recognition service.
+        and tick) after the fleet has closed.
         """
         if not self._started:
             raise RuntimeError("call start() before tick()")
@@ -308,26 +297,17 @@ class FleetScheduler:
             self.close()
 
     def close(self) -> None:
-        """Close the stage loop and stop the owned recognition
-        service.  Idempotent.
+        """Close the stage loop and seal the recording.  Idempotent.
 
-        The recording is finalized even when stopping the service
-        raises.  Counters stay readable after close — :meth:`report`
-        still includes the final :class:`~repro.service.ServiceStats`
-        and stage stats.
+        Counters stay readable after close — :meth:`report` still
+        includes the final stage stats.
         """
         if self._closed:
             return
         self._closed = True
         self._graph.close()
-        try:
-            if self.service is not None:
-                self.service.stop()
-        finally:
-            # Sealed last, so straggling ops events from the
-            # service teardown still land in the file.
-            if self.recorder is not None:
-                self.recorder.finalize()
+        if self.recorder is not None:
+            self.recorder.finalize()
 
     def __enter__(self) -> "FleetScheduler":
         """Context-manager entry: returns the scheduler."""
@@ -366,7 +346,6 @@ class FleetScheduler:
             sim_duration_s=self.now_s,
             perception_stats=stats,
             perception_budget=budget,
-            service_stats=self.service.stats if self.service is not None else None,
             graph_stats=self._graph.stats(),
             recording_path=self.recorder.path if self.recorder is not None else None,
         )
@@ -375,113 +354,67 @@ class FleetScheduler:
         return report
 
 
-@dataclass
-class _Backend:
-    """A fleet's shared perception core and the resources behind it."""
-
-    shared: RecognizerPerception | None = None
-    service: RecognitionService | None = None
-
-    def view(self, perception: str | Perception, lighting: Lighting | None) -> Perception:
-        """One mission's perception: a lighting view of the shared core,
-        a fresh oracle, or the spec's own instance."""
-        if self.shared is not None:
-            if lighting is None:
-                return self.shared
-            return self.shared.with_render_settings(lighting.render_settings())
-        if perception == "oracle":
-            return OraclePerception()
-        return perception
-
-    def release(self) -> None:
-        """Stop what :func:`_start_backend` started (build failed)."""
-        if self.service is not None:
-            self.service.stop()
-
-
-def _start_backend(spec: FleetSpec, tag: str) -> _Backend:
-    """Start *spec*'s shared recogniser core: in process, or on a
-    :class:`~repro.service.RecognitionService` when ``spec.workers``.
-
-    Only the recognizer perception has a shared core.  *tag* names the
-    fleet's requests in the service's ``by_tag`` counters.
-    """
-    if spec.perception != "recognizer":
-        return _Backend()
-    if not spec.workers:
-        return _Backend(shared=RecognizerPerception())
-    observer = None
-    if spec.recorder is not None:
-        # Imported lazily: repro.recorder.replay imports this module.
-        from repro.recorder.taps import service_observer
-
-        observer = service_observer(spec.recorder)
-    recognizer = SaxSignRecognizer()
-    recognizer.enroll_canonical_views()
-    service = RecognitionService(
-        recognizer.database, workers=spec.workers, observer=observer
-    ).start()
-    shared = RecognizerPerception(
-        recognizer=recognizer, classifier=ServiceClassifier(service, tag=tag)
-    )
-    return _Backend(shared=shared, service=service)
+def _mission_perception(
+    perception: str | Perception,
+    shared: RecognizerPerception | None,
+    lighting: Lighting | None,
+) -> Perception:
+    """One mission's perception: a lighting view of the *shared* core,
+    a fresh oracle, or the spec's own instance."""
+    if shared is not None:
+        if lighting is None:
+            return shared
+        return shared.with_render_settings(lighting.render_settings())
+    if perception == "oracle":
+        return OraclePerception()
+    return perception
 
 
 def assemble_fleet(
     spec: FleetSpec,
     config: OrchardConfig,
     name_prefix: str,
-    tag: str,
     make_executor: Callable[[int, Orchard, DroneAgent, Perception], Any],
 ) -> FleetScheduler:
     """The wiring both fleet builders share.
 
-    Starts *spec*'s perception backend, then builds mission ``i``
-    (named ``f"{name_prefix}_{i:02d}"``) on orchard seed
-    ``base_seed + i``, wind ``winds[i % len(winds)]`` (the orchard's
-    stochastic wind model at that strength) and a
+    Builds *spec*'s shared recogniser core (recognizer perception
+    only), then mission ``i`` (named ``f"{name_prefix}_{i:02d}"``) on
+    orchard seed ``base_seed + i``, wind ``winds[i % len(winds)]`` (the
+    orchard's stochastic wind model at that strength) and a
     ``lightings[i % len(lightings)]`` view of the shared perception,
     with a drone at ``spec.drone_home``.  *make_executor* receives the
     mission index, orchard, drone and perception and returns the
-    executor driving that slot.  Backend resources are released when
-    any mission fails to build.
+    executor driving that slot.
     """
-    backend = _start_backend(spec, tag)
-    try:
-        winds = spec.winds
-        lightings = spec.lightings
-        missions: list[FleetMission] = []
-        for index in range(spec.count):
-            wind = winds[index % len(winds)] if winds else None
-            lighting = lightings[index % len(lightings)] if lightings else None
-            mission_cfg = replace(
-                config,
-                seed=spec.base_seed + index,
-                wind_mean_mps=wind.speed_mps if wind is not None else config.wind_mean_mps,
-            )
-            orchard = generate_orchard(mission_cfg)
-            drone = DroneAgent("drone", position=spec.drone_home)
-            orchard.world.add_entity(drone)
-            perception = backend.view(spec.perception, lighting)
-            missions.append(
-                FleetMission(
-                    name=f"{name_prefix}_{index:02d}",
-                    orchard=orchard,
-                    drone=drone,
-                    executor=make_executor(index, orchard, drone, perception),
-                    perception=perception,
-                    wind=wind,
-                    lighting=lighting,
-                )
-            )
-        return FleetScheduler(
-            missions,
-            service=backend.service,
-            recorder=spec.recorder,
+    shared = RecognizerPerception() if spec.perception == "recognizer" else None
+    winds = spec.winds
+    lightings = spec.lightings
+    missions: list[FleetMission] = []
+    for index in range(spec.count):
+        wind = winds[index % len(winds)] if winds else None
+        lighting = lightings[index % len(lightings)] if lightings else None
+        mission_cfg = replace(
+            config,
+            seed=spec.base_seed + index,
+            wind_mean_mps=wind.speed_mps if wind is not None else config.wind_mean_mps,
         )
-    except BaseException:
-        backend.release()
-        raise
+        orchard = generate_orchard(mission_cfg)
+        drone = DroneAgent("drone", position=spec.drone_home)
+        orchard.world.add_entity(drone)
+        perception = _mission_perception(spec.perception, shared, lighting)
+        missions.append(
+            FleetMission(
+                name=f"{name_prefix}_{index:02d}",
+                orchard=orchard,
+                drone=drone,
+                executor=make_executor(index, orchard, drone, perception),
+                perception=perception,
+                wind=wind,
+                lighting=lighting,
+            )
+        )
+    return FleetScheduler(missions, recorder=spec.recorder)
 
 
 def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
@@ -493,9 +426,7 @@ def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
     traps and personas), wind ``winds[i % len(winds)]`` and lighting
     ``lightings[i % len(lightings)]`` (see :func:`assemble_fleet`); see
     :class:`~repro.mission.spec.FleetSpec` for every knob (perception
-    kind, shard workers, recorder...).  Mission outcomes are identical
-    with and without shard workers by the sharding-parity contract
-    documented in ``docs/ARCHITECTURE.md``.
+    kind, conditions, recorder...).
     Anything but a :class:`~repro.mission.spec.FleetSpec` raises
     :class:`TypeError`.
     """
@@ -508,7 +439,7 @@ def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
         )
 
     config = spec.config if spec.config is not None else OrchardConfig()
-    return assemble_fleet(spec, config, "mission", "fleet", make_executor)
+    return assemble_fleet(spec, config, "mission", make_executor)
 
 
 def _canonical_value(value: Any) -> Any:

@@ -368,8 +368,7 @@ class PreprocessStage(Stage):
 
 class MatchStage(Stage):
     """Batched SAX match + result-cache fill (``classify.sax_match``
-    budget sub-stage; routed through the shard-worker pool when the
-    perception is service-backed)."""
+    budget sub-stage)."""
 
     def process(self, ticks: list) -> list:
         """Match this tick's preprocessed queries into the caches."""

@@ -3,10 +3,9 @@
 :func:`~repro.mission.fleet.build_fleet` and
 :func:`~repro.mission.surveillance.build_surveillance_fleet` used to
 duplicate ~10 keyword arguments (seed, orchard config, scenario
-conditions, negotiation tunables, perception kind, workers,
-recorder...).  :class:`FleetSpec` is the single frozen dataclass that
-carries all of them, and a spec is the only argument either builder
-takes:
+conditions, negotiation tunables, perception kind, recorder...).
+:class:`FleetSpec` is the single frozen dataclass that carries all of
+them, and a spec is the only argument either builder takes:
 
 >>> from repro.mission import FleetSpec, build_fleet
 >>> scheduler = build_fleet(FleetSpec(count=4, base_seed=100))
@@ -15,13 +14,13 @@ Any other call form (``build_fleet(4, base_seed=100)``) raises
 :class:`TypeError`.
 
 Field applicability: both builders read every field through the same
-backend and mission-slot wiring, except the surveillance-only workload
+perception and mission-slot wiring, except the surveillance-only workload
 shape (``intruders``/``burst_start_s``/``burst_spacing_s``/``laps``),
 which the trap-reading fleet ignores.  ``negotiation`` unifies what
 recording recipes call ``negotiation_config`` (trap fleet) and
 ``challenge_config`` (surveillance fleet).  Every field is validated
 at construction, so both builders reject a bad spec the same way
-before any backend resource starts.
+before any mission is built.
 """
 
 from __future__ import annotations
@@ -80,11 +79,6 @@ class FleetSpec:
         and the surveillance fleet's ``challenge_config``, unified.
     drone_home:
         Launch pad for every mission's drone.
-    workers:
-        Where the shared core's ``sax_match`` runs: ``0`` keeps it in
-        process; ``N >= 1`` runs it on a
-        :class:`~repro.service.RecognitionService` with *N* shard
-        worker processes, which needs the recognizer perception.
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder` attached to
         the scheduler.
@@ -102,7 +96,6 @@ class FleetSpec:
     lightings: Sequence[Lighting] = DEFAULT_LIGHTINGS
     negotiation: NegotiationConfig | None = None
     drone_home: Vec2 = DEFAULT_DRONE_HOME
-    workers: int = 0
     recorder: object = field(default=None, compare=False)
     intruders: int = 2
     burst_start_s: float = 4.0
@@ -120,10 +113,6 @@ class FleetSpec:
                 f"perception must be one of {FLEET_PERCEPTIONS} or a Perception,"
                 f" got {type(self.perception).__name__}"
             )
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
-        if self.workers and self.perception != "recognizer":
-            raise ValueError("shard workers require the recognizer perception")
         if self.intruders < 0:
             raise ValueError("intruder count must be non-negative")
         if self.burst_start_s < 0:

@@ -21,7 +21,7 @@ slot unchanged and its perception queries ride the same batched
 seven-stage fleet loop; :func:`build_surveillance_fleet` shares
 :func:`~repro.mission.fleet.build_fleet`'s wiring
 (:func:`~repro.mission.fleet.assemble_fleet`: perception kind,
-shard workers, per-mission lighting views) and adds only the
+per-mission lighting views) and adds only the
 patrol loop and the intruder bursts scheduled on each world's event
 queue.  Everything is seeded: the same fleet parameters replay the same
 patrols, challenges and escalations tick for tick, which
@@ -426,8 +426,7 @@ def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
     Wired like :func:`~repro.mission.fleet.build_fleet` (both go
     through :func:`~repro.mission.fleet.assemble_fleet`): mission ``i``
     draws orchard seed ``base_seed + i``, wind ``winds[i % len]`` and a
-    lighting view of the spec's perception, matched in process or on
-    the spec's shard workers.  On top, each mission gets
+    lighting view of the spec's perception.  On top, each mission gets
     :attr:`~repro.mission.spec.FleetSpec.intruders` unauthorized humans
     staged outside the patrol rectangle; intruder *j* starts walking
     toward the orchard interior at
@@ -496,4 +495,4 @@ def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
             challenge_config=spec.negotiation,
         )
 
-    return assemble_fleet(spec, cfg, "guard", "surveillance", make_executor)
+    return assemble_fleet(spec, cfg, "guard", make_executor)

@@ -49,7 +49,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.geometry.camera import CameraIntrinsics, PinholeCamera
 from repro.geometry.vec import Vec3
@@ -59,7 +59,6 @@ from repro.human.render import RenderSettings, render_frame
 from repro.human.signs import MarshallingSign
 from repro.protocol.perception import ObservationGeometry
 from repro.recognition.budget import BudgetReport, FrameBudget
-from repro.recognition.classifier import Classifier
 from repro.recognition.pipeline import (
     TORSO_CENTRE_HEIGHT_M,
     SaxSignRecognizer,
@@ -68,9 +67,6 @@ from repro.recognition.pipeline import (
 )
 from repro.recognition.preprocess import preprocess_frames
 from repro.vision.image import Image
-
-if TYPE_CHECKING:  # pragma: no cover — import would be cycle-free but lazy
-    from repro.service import RecognitionService
 
 __all__ = [
     "RecognitionEnvelope",
@@ -238,23 +234,9 @@ class _PerceptionCore:
     """State shared by every view of one perception: recogniser, cache,
     cumulative budget and counters."""
 
-    def __init__(
-        self,
-        recognizer: SaxSignRecognizer,
-        max_cache_entries: int,
-        classifier: Classifier | None = None,
-    ) -> None:
+    def __init__(self, recognizer: SaxSignRecognizer, max_cache_entries: int) -> None:
         self.recognizer = recognizer
         self.max_cache_entries = max_cache_entries
-        self.classifier = classifier
-        if classifier is None:
-            self.classify_batch = recognizer.database.classify_batch
-        elif hasattr(classifier, "classify_batch"):
-            self.classify_batch = classifier.classify_batch
-        else:
-            raise TypeError(
-                f"classifier must be a Classifier, got {type(classifier).__name__}"
-            )
         self.cache: OrderedDict[ObservationQuery, MarshallingSign | None] = OrderedDict()
         self.budget = FrameBudget(budget_s=recognizer.frame_budget_s)
         self.observations = 0
@@ -332,11 +314,10 @@ class _PerceptionCore:
     ) -> list[MarshallingSign | None]:
         """SAX-match preprocessed queries and fill the result cache.
 
-        One batched classifier call over the usable series (routed
-        through the configured :class:`Classifier` backend — a shard
-        pool — when one is set; results stay bit-identical by the
-        sharding-parity contract),
-        timed as the ``classify.sax_match`` sub-stage.  Per-frame
+        One batched
+        :meth:`~repro.sax.database.SignDatabase.classify_batch` call
+        over the usable series, timed as the ``classify.sax_match``
+        sub-stage.  Per-frame
         verdicts map onto :class:`~repro.human.signs.MarshallingSign`
         through :func:`~repro.recognition.pipeline.label_to_sign`, as
         :attr:`~repro.recognition.pipeline.Recognition.sign` does;
@@ -345,7 +326,8 @@ class _PerceptionCore:
         usable = [pre.series for pre in pres if pre.ok]
         with self.budget.stage("classify"):
             with self.budget.substage("sax_match"):
-                matches = iter(self.classify_batch(usable) if usable else [])
+                database = self.recognizer.database
+                matches = iter(database.classify_batch(usable) if usable else [])
             self.batch_calls += 1
         signs: list[MarshallingSign | None] = []
         for pre in pres:
@@ -392,15 +374,6 @@ class RecognizerPerception:
         Camera-position grid step; 0 disables quantisation.
     max_cache_entries:
         LRU capacity of the result cache.
-    classifier:
-        Optional :class:`~repro.recognition.classifier.Classifier`
-        backend (e.g. a
-        :class:`~repro.service.classifier.ServiceClassifier` over a
-        shard pool): the ``sax_match`` stage of every batched
-        classification is routed through it instead of the in-process
-        ``classify_batch``.  Results are bit-identical (the
-        sharding-parity contract), so this only changes *where* the
-        matching work runs.  The caller owns the classifier lifecycle.
     """
 
     def __init__(
@@ -410,7 +383,6 @@ class RecognizerPerception:
         envelope: RecognitionEnvelope | None = None,
         pose_quantum_m: float = 0.05,
         max_cache_entries: int = 8192,
-        classifier: Classifier | None = None,
     ) -> None:
         if recognizer is None:
             recognizer = SaxSignRecognizer()
@@ -422,11 +394,7 @@ class RecognizerPerception:
         )
         self.envelope = envelope if envelope is not None else RecognitionEnvelope()
         self.pose_quantum_m = pose_quantum_m
-        self._core = _PerceptionCore(
-            recognizer=recognizer,
-            max_cache_entries=max_cache_entries,
-            classifier=classifier,
-        )
+        self._core = _PerceptionCore(recognizer, max_cache_entries)
 
     # -- views ----------------------------------------------------------------------
 
@@ -448,17 +416,6 @@ class RecognizerPerception:
     def recognizer(self) -> SaxSignRecognizer:
         """The underlying shared recogniser."""
         return self._core.recognizer
-
-    @property
-    def classifier(self) -> Classifier | None:
-        """The configured classifier backend, when one is set."""
-        return self._core.classifier
-
-    @property
-    def service(self) -> "RecognitionService | None":
-        """The backing recognition service, when the classifier is a
-        :class:`~repro.service.classifier.ServiceClassifier`."""
-        return getattr(self._core.classifier, "service", None)
 
     @property
     def core_key(self) -> int:
@@ -548,8 +505,7 @@ class RecognizerPerception:
         self, misses: Sequence[ObservationQuery], pres: Sequence
     ) -> list[MarshallingSign | None]:
         """Node seam: batched SAX match + result-cache fill
-        (``classify.sax_match`` sub-stage; service-routed when
-        service-backed)."""
+        (``classify.sax_match`` sub-stage)."""
         return self._core.match_preprocessed(misses, pres)
 
     def peek(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:

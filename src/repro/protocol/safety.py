@@ -109,8 +109,11 @@ class SafetyMonitor:
             return None
         limits = self.limits
 
-        # Hardware: enough LEDs dead that signalling is unreliable.
-        failed_fraction = 1.0 - drone.ring.healthy_fraction()
+        # Hardware: enough LEDs dead that signalling is unreliable.  The
+        # failed count over the LED count, not 1 - healthy_fraction():
+        # 1 - 0.7 reads 0.30000000000000004 and would trip at the limit.
+        ring = drone.ring
+        failed_fraction = [led.failed for led in ring.leds].count(True) / ring.led_count
         if failed_fraction > limits.max_led_failure_fraction:
             return SafetyViolation(
                 rule="led_failure",

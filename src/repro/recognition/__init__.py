@@ -11,11 +11,6 @@ from repro.recognition.baselines import (
     TemplateCorrelationClassifier,
 )
 from repro.recognition.budget import BudgetReport, FrameBudget, StageTiming
-from repro.recognition.classifier import (
-    Classifier,
-    ClassifierStats,
-    InProcessClassifier,
-)
 from repro.recognition.dynamic import (
     DynamicObservation,
     DynamicRecognition,
@@ -50,9 +45,6 @@ from repro.recognition.preprocess import (
 
 __all__ = [
     "BaselineResult",
-    "Classifier",
-    "ClassifierStats",
-    "InProcessClassifier",
     "DynamicObservation",
     "DynamicRecognition",
     "DynamicSignRecognizer",

@@ -27,7 +27,6 @@ from repro.human.pose import pose_for_sign
 from repro.human.render import RenderSettings, render_frame
 from repro.human.signs import COMMUNICATIVE_SIGNS, MarshallingSign
 from repro.recognition.budget import BudgetReport, FrameBudget
-from repro.recognition.classifier import Classifier
 from repro.recognition.preprocess import (
     PreprocessSettings,
     preprocess_frame,
@@ -251,7 +250,6 @@ class SaxSignRecognizer:
         self,
         frames: Sequence[Image],
         elevation_deg: float | Sequence[float] | None = None,
-        classifier: Classifier | None = None,
     ) -> list[Recognition]:
         """Recognise a batch of frames in one amortised pass.
 
@@ -272,25 +270,10 @@ class SaxSignRecognizer:
         elevation_deg:
             A single elevation applied to every frame, or one elevation
             per frame.
-        classifier:
-            Optional :class:`~repro.recognition.classifier.Classifier`
-            backend replacing the database's ``classify_batch`` — the
-            seam that routes the ``sax_match`` stage through a
-            :class:`~repro.service.classifier.ServiceClassifier` shard
-            pool (bit-identical results, by the sharding-parity
-            contract).  Anything else raises :class:`TypeError`.
         """
         frames = list(frames)
         if not self.database.labels:
             raise RuntimeError("no signs enrolled; call enroll_canonical_views() first")
-        if classifier is None:
-            classify_batch = self.database.classify_batch
-        elif hasattr(classifier, "classify_batch"):
-            classify_batch = classifier.classify_batch
-        else:
-            raise TypeError(
-                f"classifier must be a Classifier, got {type(classifier).__name__}"
-            )
         budget = FrameBudget(
             budget_s=self.frame_budget_s, frame_count=max(1, len(frames))
         )
@@ -300,7 +283,7 @@ class SaxSignRecognizer:
             )
         usable = [pre.series for pre in pres if pre.ok]
         with budget.stage("sax_match"):
-            matches = iter(classify_batch(usable) if usable else [])
+            matches = iter(self.database.classify_batch(usable) if usable else [])
         report = budget.report()
         results: list[Recognition] = []
         for pre in pres:

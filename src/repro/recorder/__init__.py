@@ -6,18 +6,16 @@ append-only, schema-versioned JSONL event log tapped off a running
 :class:`~repro.mission.fleet.FleetScheduler` without perturbing it:
 
 * :mod:`repro.recorder.events` — the record schema: canonical JSON
-  lines with every float hex-encoded (IEEE-754 bit-exact), split into a
-  *deterministic* stream (ticks, observations, verdicts, negotiation
-  transitions, escalations, the final report) and an *ops* stream
-  (service batch flushes and shard dispatches — real but
-  timing-dependent);
+  lines with every float hex-encoded (IEEE-754 bit-exact), one
+  deterministic stream (ticks, observations, verdicts, negotiation
+  transitions, escalations, the final report);
 * :mod:`repro.recorder.recorder` — :class:`FlightRecorder`, the
-  thread-safe append-only writer with an integrity footer;
+  append-only writer with an integrity footer;
 * :mod:`repro.recorder.taps` — the read-only taps: a
   :class:`~repro.mission.pipeline.StageLoop` stage hook, world-log deltas,
-  perception-counter deltas, an
+  perception-counter deltas and an
   :class:`~repro.simulation.events.EventEmitter` subscription for
-  escalations, and an observer callback for the recognition service;
+  escalations;
 * :mod:`repro.recorder.replay` — self-describing recordings: the
   header carries the exact :func:`~repro.mission.fleet.build_fleet` /
   :func:`~repro.mission.surveillance.build_surveillance_fleet` recipe,
@@ -38,7 +36,6 @@ stream byte-for-byte).
 from repro.recorder.diffing import Divergence, first_divergence
 from repro.recorder.events import (
     DETERMINISTIC_KINDS,
-    OPS_KINDS,
     SCHEMA_VERSION,
     decode_value,
     encode_value,
@@ -59,7 +56,6 @@ __all__ = [
     "DETERMINISTIC_KINDS",
     "Divergence",
     "FlightRecorder",
-    "OPS_KINDS",
     "ReplayResult",
     "SCHEMA_VERSION",
     "decode_value",

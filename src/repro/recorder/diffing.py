@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.recorder.events import decode_value, is_deterministic, parse_line
+from repro.recorder.events import decode_value, parse_line
 
-__all__ = ["Divergence", "deterministic_only", "first_divergence"]
+__all__ = ["Divergence", "checked_lines", "first_divergence"]
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,14 @@ class Divergence:
         return f"{where}: field {self.path}: {self.value_a!r} != {self.value_b!r}"
 
 
-def deterministic_only(lines) -> list[str]:
-    """Filter record lines down to the deterministic (replayable) stream."""
-    kept = []
+def checked_lines(lines) -> list[str]:
+    """*lines* as a list, each checked by
+    :func:`~repro.recorder.events.parse_line` — a line that is not a
+    record of a known kind raises ``ValueError``."""
+    lines = list(lines)
     for line in lines:
-        record = parse_line(line)
-        if is_deterministic(str(record.get("kind", ""))):
-            kept.append(line)
-    return kept
+        parse_line(line)
+    return lines
 
 
 def _leaf_diff(value_a, value_b, path: str):
@@ -84,15 +84,17 @@ def _leaf_diff(value_a, value_b, path: str):
 
 
 def first_divergence(lines_a, lines_b) -> Divergence | None:
-    """Compare two recordings' deterministic streams; None if identical.
+    """Compare two recordings' record streams; None if identical.
 
-    *lines_a*/*lines_b* are sequences of canonical record lines (ops
-    records are filtered out here, so whole files can be passed as-is).
-    Comparison is byte-wise per line; on the first unequal line the two
-    records are parsed and recursively diffed to name the exact field.
+    *lines_a*/*lines_b* are sequences of canonical record lines (whole
+    files, as :func:`~repro.recorder.recorder.read_lines` returns them;
+    a caller that reads them from outside checks them first with
+    :func:`checked_lines`).  Comparison is byte-wise per line; on the
+    first unequal line the two records are parsed and recursively
+    diffed to name the exact field.
     """
-    stream_a = deterministic_only(lines_a)
-    stream_b = deterministic_only(lines_b)
+    stream_a = list(lines_a)
+    stream_b = list(lines_b)
     for index, (line_a, line_b) in enumerate(zip(stream_a, stream_b)):
         if line_a == line_b:
             continue

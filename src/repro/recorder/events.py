@@ -13,17 +13,11 @@ IEEE-754 little-endian bits, bit-exact by construction.  Strings that
 could collide with an encoded float (or with this escape itself) are
 escaped with an ``"s:"`` prefix.
 
-Records belong to one of two streams, derived from ``kind``:
-
-* :data:`DETERMINISTIC_KINDS` — the replayable stream.  Two runs built
-  from the same recipe must produce byte-identical deterministic
-  streams; tier-1 tests enforce it.
-* :data:`OPS_KINDS` — recognition-service telemetry (batch flushes,
-  shard dispatches).  Real, but dependent on thread and process
-  timing, so excluded from the byte-identity contract.
-
-``seq`` numbers each stream independently, which keeps the
-deterministic stream byte-stable no matter how ops events interleave.
+Every record kind is in :data:`DETERMINISTIC_KINDS`: the replayable
+stream.  Two runs built from the same recipe must produce
+byte-identical streams; tier-1 tests enforce it.  ``seq`` numbers the
+records in order, and :func:`parse_line` refuses a line of any other
+kind, so a recording cannot smuggle unchecked records past a replay.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ import struct
 
 __all__ = [
     "DETERMINISTIC_KINDS",
-    "OPS_KINDS",
     "SCHEMA_VERSION",
     "canonical_line",
     "decode_value",
@@ -60,9 +53,6 @@ DETERMINISTIC_KINDS = frozenset(
         "end",  # footer: deterministic event count + stream digest
     }
 )
-
-#: Timing-dependent telemetry kinds, excluded from byte-identity checks.
-OPS_KINDS = frozenset({"service"})
 
 _FLOAT_PREFIX = "f64:"
 _STRING_PREFIX = "s:"
@@ -161,8 +151,15 @@ def canonical_line(record: dict) -> str:
 
 
 def parse_line(line: str) -> dict:
-    """Parse one canonical line back into its raw (still-encoded) record."""
+    """Parse one canonical line back into its raw (still-encoded) record.
+
+    Raises ``ValueError`` for a line that is not an object or whose
+    ``kind`` is not one of :data:`DETERMINISTIC_KINDS`.
+    """
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError(f"flight record line is not an object: {line!r}")
+    kind = record.get("kind")
+    if not (isinstance(kind, str) and is_deterministic(kind)):
+        raise ValueError(f"unknown flight-record kind: {kind!r}")
     return record

@@ -14,8 +14,7 @@ and byte-compares the two deterministic streams
 mismatch to node/tick/field).
 
 The determinism contract this leans on is the repo's oldest: the same
-fleet parameters replay the same missions tick for tick, with and
-without shard workers alike.
+fleet parameters replay the same missions tick for tick.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.mission.fleet import FleetReport, FleetSpec, build_fleet
 from repro.mission.orchard import OrchardConfig
 from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.negotiation import NegotiationConfig
-from repro.recorder.diffing import Divergence, deterministic_only, first_divergence
+from repro.recorder.diffing import Divergence, checked_lines, first_divergence
 from repro.recorder.events import SCHEMA_VERSION, decode_value, parse_line
 from repro.recorder.recorder import FlightRecorder, read_lines
 from repro.simulation import longtail, scenarios
@@ -50,7 +49,6 @@ _SHARED_KEYS = frozenset(
         "perception",
         "winds",
         "lightings",
-        "workers",
     }
 )
 _ALLOWED_KEYS = {
@@ -239,15 +237,15 @@ def replay(
     Reads the recipe from the recording's header, runs a fresh fleet
     with a fresh recorder (written to *out* when given), and compares
     the two deterministic event streams byte-for-byte — the
-    replay-fidelity contract.  Ops events (service timing) are
-    excluded by construction.  A recording of another schema raises
-    ``ValueError`` before any fleet is built.
+    replay-fidelity contract.  A recording of another schema, or with
+    a line of unknown kind, raises ``ValueError`` before any fleet is
+    built.
     """
     recipe = recipe_of(path)
+    original = checked_lines(read_lines(path))
     fresh = FlightRecorder(out)
     report = run_recipe(recipe, fresh, timeout_s=timeout_s)
-    original = deterministic_only(read_lines(path))
-    divergence = first_divergence(original, fresh.deterministic_lines())
+    divergence = first_divergence(original, fresh.lines)
     return ReplayResult(
         recording_path=path,
         fresh_path=out,

@@ -18,10 +18,6 @@ promotion, no counters), world logs are sliced by offset, and emitter
 subscriptions only buffer.  The zero-intrusion fuzz suite
 (``tests/recorder/``) asserts recorder-on and recorder-off runs are
 byte-identical.
-
-:func:`service_observer` adapts the recorder to the
-:class:`~repro.service.RecognitionService` observer callback; its
-records land on the timing-dependent *ops* stream.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from repro.protocol.recognizer import ObservationQuery, RecognizerPerception
 from repro.recorder.events import canonical_line, encode_value
 from repro.recorder.recorder import FlightRecorder
 
-__all__ = ["FleetRecorderTap", "service_observer"]
+__all__ = ["FleetRecorderTap"]
 
 #: World-log kinds recorded as ``negotiation`` (protocol transitions).
 NEGOTIATION_KINDS = frozenset({"sign_observed", "protocol_state", "negotiation_started"})
@@ -285,15 +281,4 @@ class FleetRecorderTap:
                 }
                 self._stats_prev[label] = snapshot
         return deltas
-
-
-def service_observer(recorder: FlightRecorder):
-    """Adapter: a :class:`~repro.service.RecognitionService` observer
-    that records ``service`` ops events (batch flushes, shard
-    dispatches)."""
-
-    def observe(event: str, data: dict) -> None:
-        recorder.record("service", node=event, data=data)
-
-    return observe
 

@@ -26,6 +26,7 @@ from repro.sax.matching import (
     best_shift_mindist,
 )
 from repro.sax.normalize import z_normalize
+from repro.sax.paa import paa
 
 __all__ = ["SignEntry", "MatchResult", "SignDatabase"]
 
@@ -138,7 +139,6 @@ class SignDatabase:
         self._entries: dict[str, list[SignEntry]] = {}
         self._cache: _ViewCache | None = None
         self._cache_stale = True
-        self._version = 0
 
     def __len__(self) -> int:
         return sum(len(views) for views in self._entries.values())
@@ -150,16 +150,6 @@ class SignDatabase:
     def labels(self) -> list[str]:
         """Stored sign labels in insertion order."""
         return list(self._entries)
-
-    @property
-    def version(self) -> int:
-        """Enrolment version, bumped by every ``add``/``remove``.
-
-        Lets holders of derived state (the sharded recognition
-        service's worker snapshots) detect that the database changed
-        underneath them instead of silently drifting out of parity.
-        """
-        return self._version
 
     def add(self, label: str, series: np.ndarray, view: str = "canonical") -> SignEntry:
         """Register a reference series under *label*.
@@ -179,7 +169,6 @@ class SignDatabase:
         views[:] = [v for v in views if v.view != view]
         views.append(entry)
         self._cache_stale = True
-        self._version += 1
         return entry
 
     def remove(self, label: str, view: str | None = None) -> None:
@@ -202,37 +191,6 @@ class SignDatabase:
             else:
                 del self._entries[label]
         self._cache_stale = True
-        self._version += 1
-
-    def subset(self, labels: Sequence[str]) -> "SignDatabase":
-        """A new database holding only *labels* — shard-view construction.
-
-        The clone shares this database's SAX parameters and thresholds
-        and carries the selected labels *in this database's enrolment
-        order* (the order ``labels`` is passed in does not matter), with
-        every view of each label — a label's views must stay together
-        for the sharded service's prune replay to be bit-identical.
-        Entries are shared, not copied (they are immutable); the clone
-        builds its own view cache.
-
-        Raises
-        ------
-        KeyError
-            If any requested label is not stored.
-        """
-        missing = [label for label in labels if label not in self._entries]
-        if missing:
-            raise KeyError(f"labels not stored: {missing}")
-        clone = SignDatabase(
-            parameters=self.encoder.parameters,
-            acceptance_threshold=self.acceptance_threshold,
-            margin_threshold=self.margin_threshold,
-        )
-        wanted = set(labels)
-        for label, views in self._entries.items():
-            if label in wanted:
-                clone._entries[label] = list(views)
-        return clone
 
     def entries(self, label: str) -> list[SignEntry]:
         """Return all views stored for *label*.
@@ -298,18 +256,6 @@ class SignDatabase:
                 best_for_label = min(best_for_label, exact)
             scored.append((best_for_label, label))
         return scored
-
-    def decide_scored(self, scored: list[tuple[float, str]]) -> MatchResult:
-        """Turn a per-label ``(distance, label)`` list into a decision.
-
-        Public seam for the sharded recognition service
-        (:mod:`repro.service`): shard workers return
-        :meth:`score_batch` lists for their label subsets, the merge
-        layer reassembles them in global label order and decides here —
-        the same thresholding the in-process paths use, so sharded
-        answers cannot drift.  The list is sorted in place.
-        """
-        return self._decide(scored)
 
     def _decide(self, scored: list[tuple[float, str]]) -> MatchResult:
         """Turn per-label distances into an accept/reject decision.
@@ -411,15 +357,7 @@ class SignDatabase:
 
         The scoring stage of :meth:`classify_batch` without the final
         accept/reject decision: one ``(distance, label)`` pair per
-        enrolled label (in enrolment order) per query.  This is the
-        unit of work a shard worker computes in the sharded recognition
-        service — a shard scores its label subset here and the merge
-        layer concatenates the lists back into global label order
-        before :meth:`decide_scored`.  Per-label prune decisions only
-        ever involve views *of that label* (the aligned-shift cap means
-        a view whose bound could prune always triggers bound
-        computation within its own shard), so scoring a label subset is
-        bit-identical to scoring it as part of the full database.
+        enrolled label (in enrolment order) per query.
         """
         if not self._entries:
             raise RuntimeError("sign database is empty")
@@ -459,19 +397,15 @@ class SignDatabase:
         prune_gate = self.acceptance_threshold * 2.0
         results: list[list[tuple[float, str]]] = []
         shift_step, remainder = divmod(n, word_length)
-        # Queries are SAX-encoded lazily: the words feed only the MINDIST
-        # bound stage, which the aligned-shift cap skips for most queries.
-        encoded: dict[int, np.ndarray] = {}
 
+        # Queries are SAX-encoded only where needed: the words feed only
+        # the MINDIST bound stage, which the aligned-shift cap skips for
+        # most queries.  ``normalized`` already holds each query's
+        # z-normalised series, so its symbol indices are the encoder's
+        # PAA and breakpoint search, with no word built in between.
         def word_indices_for(row_indices: np.ndarray) -> np.ndarray:
-            return np.stack(
-                [
-                    encoded.setdefault(
-                        int(i), self.encoder.encode(batch[int(i)]).indices()
-                    )
-                    for i in row_indices
-                ]
-            )
+            reduced = np.stack([paa(normalized[i], word_length) for i in row_indices])
+            return self.encoder.indices_from_paa(reduced)
         for start in range(0, len(batch), _BATCH_CHUNK):
             chunk = normalized[start : start + _BATCH_CHUNK]
             spectra = np.fft.rfft(chunk, axis=1)

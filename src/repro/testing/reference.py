@@ -7,7 +7,10 @@
   a fresh noise draw and a whole-frame photometric pass per frame) the
   one-pass renderer in :mod:`repro.human.render` must match pixel for
   pixel.  :func:`raster_capsule` is its own capsule test, independent
-  of :func:`repro.vision.raster.capsule_pixels`.
+  of :func:`repro.vision.raster.capsule_pixels`, and
+  :func:`project_points` its own projection through
+  :func:`cross_rotation`, independent of
+  :meth:`~repro.geometry.camera.PinholeCamera.project_points`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ from repro.protocol.recognizer import RecognizerPerception
 from repro.vision.image import BinaryImage, Image
 from repro.vision.raster import merge_masks
 
-__all__ = ["ScalarReferencePerception", "raster_capsule", "render_scene", "render_silhouette"]
+__all__ = [
+    "ScalarReferencePerception",
+    "cross_rotation",
+    "project_points",
+    "raster_capsule",
+    "render_scene",
+    "render_silhouette",
+]
 
 
 class ScalarReferencePerception:
@@ -50,6 +60,38 @@ class ScalarReferencePerception:
             return None
         frame = query.render()
         return self.view.recognizer.recognise(frame, elevation_deg=query.elevation_deg).sign
+
+
+def cross_rotation(camera: PinholeCamera) -> np.ndarray:
+    """The world-to-camera rotation of *camera*, axes by ``np.cross``.
+
+    ``right = forward x up`` and ``down = forward x right``, stacked
+    with ``forward`` as rows; a vertical view takes the fixed right
+    axis ``(1, 0, 0)``.
+    """
+    forward = (camera.target - camera.position).normalized().as_array()
+    world_up = np.array([0.0, 0.0, 1.0])
+    right = np.cross(forward, world_up)
+    right_norm = np.linalg.norm(right)
+    if right_norm < 1e-12:
+        right = np.array([1.0, 0.0, 0.0])
+    else:
+        right = right / right_norm
+    down = np.cross(forward, right)
+    return np.stack([right, down, forward])
+
+
+def project_points(camera: PinholeCamera, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project ``(n, 3)`` world *points* through *camera*: ``(pixels,
+    depths)`` with pixels as ``(column, row)``, one ``np.where`` and
+    ``np.stack`` expression over :func:`cross_rotation`."""
+    cam = (points - camera.position.as_array()) @ cross_rotation(camera).T
+    depths = cam[:, 2]
+    safe = np.where(np.abs(depths) < 1e-12, 1e-12, depths)
+    k = camera.intrinsics
+    cols = k.focal_px * cam[:, 0] / safe + k.cx
+    rows = k.focal_px * cam[:, 1] / safe + k.cy
+    return np.stack([cols, rows], axis=1), depths
 
 
 def _clipped_window(
@@ -128,7 +170,7 @@ def render_silhouette(pose: HumanPose, camera: PinholeCamera) -> BinaryImage:
     masks: list[BinaryImage] = []
     for start, end, radius in pose.all_capsules():
         endpoints = np.array([list(start), list(end)], dtype=np.float64)
-        pixels, depths = camera.project_points(endpoints)
+        pixels, depths = project_points(camera, endpoints)
         if depths[0] <= 0.05 or depths[1] <= 0.05:
             continue  # behind or grazing the camera
         mid_depth = float(depths.mean())

@@ -15,6 +15,7 @@ with the same taps, so it too equals that rectangle of the full blur.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -88,6 +89,13 @@ def gaussian_kernel_1d(sigma: float, truncate: float = 3.0) -> np.ndarray:
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     return kernel / kernel.sum()
+
+
+@lru_cache(maxsize=8)
+def _gaussian_taps(sigma: float) -> tuple[float, ...]:
+    """:func:`gaussian_kernel_1d` as a read-only tuple of floats, built
+    once per *sigma*."""
+    return tuple(gaussian_kernel_1d(sigma).tolist())
 
 
 def gaussian_blur(image: Image, sigma: float = 1.0) -> Image:
@@ -181,8 +189,8 @@ def gaussian_blur_window(
     of padding the whole frame.  Needs a frame at least ``radius + 2``
     pixels on each side, where one reflection bounce suffices.
     """
-    kernel = gaussian_kernel_1d(sigma)
-    radius = len(kernel) // 2
+    taps = _gaussian_taps(sigma)
+    radius = len(taps) // 2
     h, w = pixels.shape
     if h < radius + 2 or w < radius + 2:
         raise ValueError("frame too small for a windowed blur")
@@ -195,7 +203,6 @@ def gaussian_blur_window(
     else:
         source = pixels.take(_reflect(np.arange(r0 - radius, r1 + radius), h), axis=0)
         source = source.take(_reflect(np.arange(c0 - radius, c1 + radius), w), axis=1)
-    taps = kernel.tolist()
     # Both passes run on the margin-padded window flattened row by row,
     # so every tap is one contiguous slice.  A horizontal tap at a
     # window column reads only its own row (column + tap < padded

@@ -34,7 +34,7 @@ BASELINE = {
     "smoke": False,
     "fleet_throughput": {"speedup": 5.2, "outcome_parity": True},
     "oracle_parity": {"outcomes_equal": True},
-    "sharded_vs_single": {"speedup": 2.4, "parity": True, "gate_enforced": False},
+    "batch_vs_scalar": {"speedup": 2.4, "parity": True, "gate_enforced": False},
 }
 
 
@@ -131,7 +131,7 @@ def test_repo_baselines_compare_clean_with_themselves(tmp_path):
     baselines = sorted(ROOT.glob("BENCH_*.json"))
     assert baselines, "repo should commit BENCH_*.json baselines"
     names = {path.name for path in baselines}
-    assert "BENCH_service.json" in names
+    assert "BENCH_fleet.json" in names
     for path in baselines:
         (fresh / path.name).write_text(path.read_text())
     assert compare_bench.main(
@@ -190,47 +190,46 @@ def test_artifacts_without_node_metrics_skip_node_table(tmp_path):
 
 SLO_ARTIFACT = {
     "smoke": False,
-    "sharded_vs_single": {
-        "single_s": 0.83,
-        "sharded_s": 0.41,
-        "speedup": 2.024,
-        "gate": 1.8,
+    "recorder": {
+        "baseline_s": 8.86,
+        "recorded_s": 9.58,
+        "overhead_fraction": 0.0815,
+        "overhead_gate": 0.1,
         "gate_enforced": True,
-        "gate_skip_reason": None,
-        "within_gate": True,
-        "parity": True,
+        "overhead_within_gate": True,
+        "outcome_parity": True,
     },
 }
 
 
 def test_enforced_slo_violation_fails(tmp_path, capsys):
     """gate_enforced: true promises every other boolean in the section."""
-    write(tmp_path / "base", "BENCH_service.json", SLO_ARTIFACT)
+    write(tmp_path / "base", "BENCH_fleet.json", SLO_ARTIFACT)
     broken = json.loads(json.dumps(SLO_ARTIFACT))
-    broken["sharded_vs_single"]["within_gate"] = False
-    write(tmp_path / "fresh", "BENCH_service.json", broken)
+    broken["recorder"]["overhead_within_gate"] = False
+    write(tmp_path / "fresh", "BENCH_fleet.json", broken)
     assert run(tmp_path) == 1
     out = capsys.readouterr().out
     assert "SLO violation" in out
-    assert "sharded_vs_single.within_gate" in out
+    assert "recorder.overhead_within_gate" in out
 
 
 def test_unenforced_slo_section_is_informational(tmp_path):
     """Smoke runs write gate_enforced: false — booleans may be false."""
-    write(tmp_path / "base", "BENCH_service.json", SLO_ARTIFACT)
+    write(tmp_path / "base", "BENCH_fleet.json", SLO_ARTIFACT)
     smoke = json.loads(json.dumps(SLO_ARTIFACT))
-    smoke["sharded_vs_single"]["gate_enforced"] = False
-    smoke["sharded_vs_single"]["within_gate"] = False
-    write(tmp_path / "fresh", "BENCH_service.json", smoke)
+    smoke["recorder"]["gate_enforced"] = False
+    smoke["recorder"]["overhead_within_gate"] = False
+    write(tmp_path / "fresh", "BENCH_fleet.json", smoke)
     assert run(tmp_path) == 0
 
 
 def test_slo_gate_reads_the_fresh_artifact_not_the_baseline(tmp_path):
     """An old baseline with a false boolean cannot fail a clean fresh run."""
     stale = json.loads(json.dumps(SLO_ARTIFACT))
-    stale["sharded_vs_single"]["within_gate"] = False
-    write(tmp_path / "base", "BENCH_service.json", stale)
-    write(tmp_path / "fresh", "BENCH_service.json", SLO_ARTIFACT)
+    stale["recorder"]["overhead_within_gate"] = False
+    write(tmp_path / "base", "BENCH_fleet.json", stale)
+    write(tmp_path / "fresh", "BENCH_fleet.json", SLO_ARTIFACT)
     assert run(tmp_path) == 0
 
 

@@ -2,10 +2,13 @@
 
 :meth:`PinholeCamera.rotation_world_to_camera` forms ``right = forward x
 up`` and ``down = forward x right`` without calling ``np.cross``; every
-rotation must equal, byte for byte, the ``np.cross`` formulation kept
-here.  ``np.linalg.norm`` stays on the right axis's length: a
-``math.sqrt`` of the summed squares differs from it in the last bit on
-about one camera in ten.
+rotation must equal, byte for byte, the ``np.cross`` formulation the
+reference renderer projects with
+(:func:`repro.testing.reference.cross_rotation`), and every projection
+its :func:`~repro.testing.reference.project_points`.
+``np.linalg.norm`` stays on the right axis's length: a ``math.sqrt`` of
+the summed squares differs from it in the last bit on about one camera
+in ten.
 """
 
 import math
@@ -15,22 +18,9 @@ import numpy as np
 import pytest
 
 from repro.geometry import PinholeCamera, Vec3, observation_camera
+from repro.testing.reference import cross_rotation, project_points
 
 SEED = 20261018
-
-
-def cross_rotation(camera: PinholeCamera) -> np.ndarray:
-    """The ``np.cross`` formulation of the world-to-camera rotation."""
-    forward = (camera.target - camera.position).normalized().as_array()
-    world_up = np.array([0.0, 0.0, 1.0])
-    right = np.cross(forward, world_up)
-    right_norm = np.linalg.norm(right)
-    if right_norm < 1e-12:
-        right = np.array([1.0, 0.0, 0.0])
-    else:
-        right = right / right_norm
-    down = np.cross(forward, right)
-    return np.stack([right, down, forward])
 
 
 def assert_same_bytes(camera: PinholeCamera) -> None:
@@ -84,17 +74,6 @@ def test_axes_are_orthonormal():
     assert math.isclose(np.linalg.det(rotation), 1.0)
 
 
-def stacked_projection(camera: PinholeCamera, points: np.ndarray):
-    """``project_points`` as one ``np.where`` and ``np.stack`` expression."""
-    cam = (points - camera.position.as_array()) @ cross_rotation(camera).T
-    depths = cam[:, 2]
-    safe = np.where(np.abs(depths) < 1e-12, 1e-12, depths)
-    k = camera.intrinsics
-    cols = k.focal_px * cam[:, 0] / safe + k.cx
-    rows = k.focal_px * cam[:, 1] / safe + k.cy
-    return np.stack([cols, rows], axis=1), depths
-
-
 def test_projection_matches_the_stacked_formulation():
     rng = random.Random(SEED)
     for _ in range(100):
@@ -103,6 +82,6 @@ def test_projection_matches_the_stacked_formulation():
         # One point on the camera plane, where the depth guard applies.
         points[0] = camera.position.as_array()
         pixels, depths = camera.project_points(points)
-        expected_pixels, expected_depths = stacked_projection(camera, points)
+        expected_pixels, expected_depths = project_points(camera, points)
         assert pixels.tobytes() == expected_pixels.tobytes()
         assert depths.tobytes() == expected_depths.tobytes()

@@ -4,10 +4,21 @@ import json
 
 import pytest
 
+from repro.drone.state_machine import DroneMode
+from repro.geometry import Vec2
+from repro.human.agent import HumanAgent
 from repro.mission import MissionPhase, OrchardConfig
-from repro.mission.fleet import FleetScheduler, FleetSpec, build_fleet, mission_transcript
+from repro.mission.fleet import (
+    DEFAULT_FLEET_TIMEOUT_S,
+    FleetScheduler,
+    FleetSpec,
+    build_fleet,
+    mission_transcript,
+)
 from repro.protocol import NegotiationConfig, RecognizerPerception
+from repro.signaling.led import LightColor
 from repro.simulation.scenarios import CALM, NOON
+from repro.simulation.wind import WindModel
 from repro.testing import ScalarReferencePerception
 
 # Small, dense, deterministic-enough orchard: one row, both traps
@@ -298,3 +309,167 @@ class TestMissionTranscript:
         kinds = {entry[2] for entry in transcript}
         assert "mission_started" in kinds
         assert "mission_done" in kinds or "mission_aborted" in kinds
+
+
+class TestSafetyInFlight:
+    """The safety rules acting on a running orchard fleet.
+
+    Each case flies a one-mission fleet until the drone is airborne,
+    injects one fault between two ticks, and checks the paper's
+    safety-first response: within one tick the ring is all red at full
+    brightness and the drone is in emergency; the mission then ends
+    ``ABORTED`` with the drone landed before the fleet timeout.
+    """
+
+    @staticmethod
+    def airborne():
+        fleet = build_fleet(
+            FleetSpec(
+                count=1,
+                base_seed=100,
+                config=SMALL,
+                negotiation=NegotiationConfig(observe_interval_s=0.04),
+            )
+        )
+        mission = fleet.missions[0]
+        drone = mission.drone
+        fleet.start()
+        while drone.state.position.z < 1.0:
+            fleet.tick()
+        assert drone.state.rotors_on and not drone.modes.in_emergency
+        assert not mission.executor.safety.violations
+        return fleet, mission
+
+    @staticmethod
+    def assert_emergency(mission, reason):
+        drone = mission.drone
+        working = [led for led in drone.ring.leds if not led.failed]
+        assert all(led.color is LightColor.RED and led.brightness == 1.0 for led in working)
+        assert drone.modes.in_emergency
+        assert drone.emergency_reason == reason
+
+    @staticmethod
+    def assert_aborts_and_lands(fleet, mission, safety_events):
+        drone = mission.drone
+        report = fleet.run()
+        assert mission.executor.phase is MissionPhase.ABORTED
+        assert report.reports[mission.name].safety_events == safety_events
+        # The fleet stops stepping a finished mission, so the landing the
+        # emergency queued is flown out on the mission's own world.
+        world = mission.world
+        while drone.modes.mode is not DroneMode.PARKED:
+            assert world.now_s < DEFAULT_FLEET_TIMEOUT_S
+            world.step()
+        assert drone.state.position.z == 0.0
+        assert not drone.state.rotors_on
+
+    @staticmethod
+    def steady_wind(speed_mps):
+        return WindModel(mean_speed_mps=speed_mps, turbulence=0.0, gust_rate_per_min=0.0)
+
+    def test_led_failure_mid_flight_trips_emergency_and_lands(self):
+        fleet, mission = self.airborne()
+        drone, executor = mission.drone, mission.executor
+
+        # More than the tolerated fraction fails between two ticks.
+        limit = executor.safety.limits.max_led_failure_fraction
+        failing = int(limit * len(drone.ring.leds)) + 1
+        assert failing / len(drone.ring.leds) > limit
+        for led in drone.ring.leds[:failing]:
+            led.inject_failure()
+        fleet.tick()
+
+        assert [v.rule for _, v in executor.safety.violations] == ["led_failure"]
+        working = [led for led in drone.ring.leds if not led.failed]
+        assert len(working) == len(drone.ring.leds) - failing
+        self.assert_emergency(mission, "led_failure")
+        self.assert_aborts_and_lands(fleet, mission, safety_events=1)
+
+    @pytest.mark.parametrize("failing", range(11))
+    def test_led_failures_trip_only_past_the_limit(self, failing):
+        fleet, mission = self.airborne()
+        drone, executor = mission.drone, mission.executor
+        assert len(drone.ring.leds) == 10
+        for led in drone.ring.leds[:failing]:
+            led.inject_failure()
+        fleet.tick()
+
+        tripped = failing / len(drone.ring.leds) > executor.safety.limits.max_led_failure_fraction
+        rules = [v.rule for _, v in executor.safety.violations]
+        assert rules == (["led_failure"] if tripped else [])
+        assert drone.modes.in_emergency is tripped
+        if tripped:
+            self.assert_emergency(mission, "led_failure")
+
+    @pytest.mark.parametrize("speed_mps", [8.5, 8.99, 9.01, 9.5, 14.0])
+    def test_wind_trips_only_past_the_limit(self, speed_mps):
+        fleet, mission = self.airborne()
+        mission.world.wind = self.steady_wind(speed_mps)
+        fleet.tick()
+
+        tripped = speed_mps > mission.executor.safety.limits.max_wind_speed_mps
+        rules = [v.rule for _, v in mission.executor.safety.violations]
+        assert rules == (["wind_limit"] if tripped else [])
+        assert mission.drone.modes.in_emergency is tripped
+        if tripped:
+            self.assert_emergency(mission, "wind_limit")
+
+    def test_wind_past_the_limit_lands_the_drone(self):
+        fleet, mission = self.airborne()
+        mission.world.wind = self.steady_wind(9.5)
+        fleet.tick()
+        self.assert_emergency(mission, "wind_limit")
+        self.assert_aborts_and_lands(fleet, mission, safety_events=1)
+
+    @pytest.mark.parametrize(
+        ("charge_above_reserve", "reason"),
+        [(0.01, None), (0.0, "battery low"), (None, "battery depleted")],
+        ids=["above-reserve", "at-reserve", "empty"],
+    )
+    def test_battery_emergencies_land_the_drone(self, charge_above_reserve, reason):
+        fleet, mission = self.airborne()
+        battery = mission.drone.battery
+        if charge_above_reserve is None:
+            drain_wh = battery.remaining_wh
+        else:
+            keep = battery.reserve_fraction + charge_above_reserve
+            drain_wh = battery.remaining_wh - battery.capacity_wh * keep
+        battery.draw(3600.0, drain_wh)  # 3600 W for drain_wh seconds
+        fleet.tick()
+
+        # The drone's own emergencies are not safety-monitor rules.
+        assert not mission.executor.safety.violations
+        if reason is None:
+            assert not mission.drone.modes.in_emergency
+            return
+        self.assert_emergency(mission, reason)
+        self.assert_aborts_and_lands(fleet, mission, safety_events=0)
+
+    @pytest.mark.parametrize("offset_m", [0.0, 1.0, 1.9, 2.1, 3.0])
+    def test_human_close_below_the_drone_trips_separation(self, offset_m):
+        fleet, mission = self.airborne()
+        drone, executor = mission.drone, mission.executor
+        limits = executor.safety.limits
+        assert drone.state.position.z < limits.safe_overflight_altitude_m
+        worker = next(e for e in mission.world.iter_entities() if isinstance(e, HumanAgent))
+        worker.position = drone.state.position.horizontal() + Vec2(offset_m, 0.0)
+        fleet.tick()
+
+        tripped = offset_m < limits.min_horizontal_separation_m
+        rules = [v.rule for _, v in executor.safety.violations]
+        assert rules == (["separation"] if tripped else [])
+        assert drone.modes.in_emergency is tripped
+        if tripped:
+            self.assert_emergency(mission, "separation")
+            self.assert_aborts_and_lands(fleet, mission, safety_events=1)
+
+    def test_a_waiving_human_below_the_drone_trips_nothing(self):
+        fleet, mission = self.airborne()
+        executor = mission.executor
+        worker = next(e for e in mission.world.iter_entities() if isinstance(e, HumanAgent))
+        executor.safety.waive_separation(worker.name)
+        worker.position = mission.drone.state.position.horizontal()
+        fleet.tick()
+
+        assert not executor.safety.violations
+        assert not mission.drone.modes.in_emergency

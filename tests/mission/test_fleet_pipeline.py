@@ -151,24 +151,17 @@ class TestGraphShape:
         assert all("mean_tick_ms" in entry for entry in as_dict["nodes"].values())
 
 
-class _StubService:
-    """Duck-typed stand-in for RecognitionService lifecycle tests."""
-
-    def __init__(self):
-        self.stop_calls = 0
-        self.stats = None
-
-    def stop(self):
-        self.stop_calls += 1
-
-
 def _started_scheduler():
-    """A started one-mission oracle fleet owning a stub service."""
+    """A started one-mission oracle fleet owning a recorder."""
     fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-    service = _StubService()
-    scheduler = FleetScheduler(fleet.missions, service=service)
+    recorder = FlightRecorder()
+    scheduler = FleetScheduler(fleet.missions, recorder=recorder)
     scheduler.start()
-    return scheduler, service
+    return scheduler, recorder
+
+
+def _footers(recorder):
+    return [line for line in recorder.lines if json.loads(line)["kind"] == "end"]
 
 
 def _break(scheduler, stage):
@@ -184,24 +177,24 @@ def _break(scheduler, stage):
 class TestLifecycle:
     def test_close_is_idempotent(self):
         fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        service = _StubService()
-        scheduler = FleetScheduler(fleet.missions, service=service)
+        recorder = FlightRecorder()
+        scheduler = FleetScheduler(fleet.missions, recorder=recorder)
         scheduler.close()
         scheduler.close()
         assert scheduler.closed
-        assert service.stop_calls == 1
+        assert len(_footers(recorder)) == 1
 
-    def test_context_manager_closes_graph_and_service(self):
+    def test_context_manager_closes_graph_and_recording(self):
         fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        service = _StubService()
-        with FleetScheduler(fleet.missions, service=service) as scheduler:
+        recorder = FlightRecorder()
+        with FleetScheduler(fleet.missions, recorder=recorder) as scheduler:
             pass
         assert scheduler.closed
         assert scheduler.graph.closed
-        assert service.stop_calls == 1
+        assert recorder.finalized
 
     def test_node_raising_mid_tick_fails_loudly_and_releases(self):
-        scheduler, service = _started_scheduler()
+        scheduler, recorder = _started_scheduler()
 
         def explode(world):
             raise RuntimeError("executor broke")
@@ -211,11 +204,11 @@ class TestLifecycle:
             scheduler.tick()
         assert scheduler.closed
         assert scheduler.graph.closed
-        assert service.stop_calls == 1
+        assert recorder.finalized
 
     @pytest.mark.parametrize("stage", FLEET_STAGES)
     def test_any_stage_raising_fails_loudly_and_releases(self, stage):
-        scheduler, service = _started_scheduler()
+        scheduler, recorder = _started_scheduler()
         for _ in range(3):
             scheduler.tick()
         _break(scheduler, stage)
@@ -226,29 +219,29 @@ class TestLifecycle:
         assert (failure.value.stage, failure.value.tick) == (stage, 3)
         assert scheduler.closed
         assert scheduler.graph.closed
-        assert service.stop_calls == 1
+        assert recorder.finalized
         assert scheduler.ticks == 3
 
     @pytest.mark.parametrize("stage", FLEET_STAGES)
     def test_ticking_a_failed_fleet_raises(self, stage):
-        scheduler, service = _started_scheduler()
+        scheduler, recorder = _started_scheduler()
         _break(scheduler, stage)
         with pytest.raises(NodeFailure):
             scheduler.tick()
         with pytest.raises(RuntimeError, match="already failed") as again:
             scheduler.tick()
         assert isinstance(again.value.__cause__, NodeFailure)
-        assert service.stop_calls == 1
+        assert recorder.finalized
 
     def test_ticking_a_closed_fleet_raises(self):
-        scheduler, service = _started_scheduler()
+        scheduler, recorder = _started_scheduler()
         scheduler.close()
         with pytest.raises(RuntimeError, match="closed"):
             scheduler.tick()
-        assert service.stop_calls == 1
+        assert recorder.finalized
 
     def test_interrupt_in_a_stage_propagates_unwrapped_and_closes(self):
-        scheduler, service = _started_scheduler()
+        scheduler, recorder = _started_scheduler()
         node = scheduler.graph.nodes[FLEET_STAGES.index("render")]
 
         def interrupt(items):
@@ -258,7 +251,7 @@ class TestLifecycle:
         with pytest.raises(KeyboardInterrupt):
             scheduler.tick()
         assert scheduler.closed
-        assert service.stop_calls == 1
+        assert recorder.finalized
 
     def test_run_closes_even_on_success(self):
         fleet = build_fleet(
@@ -308,7 +301,7 @@ class TestStageMetrics:
 
     def test_recorder_sees_lookup_misses_and_match_verdicts(self, recorded_run):
         _, report, recorder = recorded_run
-        records = [json.loads(line) for line in recorder.deterministic_lines()]
+        records = [json.loads(line) for line in recorder.lines]
         observations = [r for r in records if r["kind"] == "observation"]
         verdicts = [r for r in records if r["kind"] == "verdict"]
         assert len(observations) == report.perception_stats.frames_classified > 0
@@ -407,7 +400,7 @@ class TestFailureSealsTheRecording:
             fleet.tick()
         assert fleet.closed
         assert recorder.finalized
-        lines = recorder.deterministic_lines()
+        lines = recorder.lines
         footer = json.loads(lines[-1])
         assert footer["kind"] == "end"
         assert footer["data"]["events"] == len(lines) - 1

@@ -6,6 +6,7 @@
 """
 
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -44,8 +45,6 @@ class TestValidation:
         ("fields", "match"),
         [
             (dict(count=0), "at least one mission"),
-            (dict(count=1, workers=-1), "non-negative"),
-            (dict(count=1, perception="oracle", workers=2), "recognizer"),
             (dict(count=1, intruders=-1), "non-negative"),
             (dict(count=1, burst_spacing_s=-0.1), "non-negative"),
             (dict(count=1, laps=0), "at least one lap"),
@@ -71,6 +70,12 @@ class TestValidation:
 
     def test_recorder_excluded_from_equality(self):
         assert FleetSpec(count=1, recorder=object()) == FleetSpec(count=1)
+
+    def test_workers_is_not_a_field(self):
+        # Missions run in-process; there is no worker pool to size.
+        assert "workers" not in {f.name for f in fields(FleetSpec)}
+        with pytest.raises(TypeError, match="workers"):
+            FleetSpec(count=1, workers=2)
 
 
 class TestCallingConvention:

@@ -77,6 +77,16 @@ class TestHardwareRule:
         drone.ring.leds[0].inject_failure()
         assert monitor.check(world) is None
 
+    def test_failures_exactly_at_the_limit_tolerated(self):
+        # 3 of 10 failed is 30%, not more than the 30% limit.
+        world = World()
+        drone = airborne_drone(world)
+        monitor = SafetyMonitor(drone)
+        assert len(drone.ring.leds) == 10
+        for led in drone.ring.leds[:3]:
+            led.inject_failure()
+        assert monitor.check(world) is None
+
 
 class TestWindRule:
     def test_strong_wind_triggers(self):

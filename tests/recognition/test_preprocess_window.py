@@ -27,7 +27,8 @@ from repro.recognition import preprocess
 from repro.recognition.preprocess import PreprocessSettings, preprocess_frame, preprocess_frames
 from repro.simulation.longtail import OcclusionSpec, occlude_frame
 from repro.simulation.scenarios import DEFAULT_LIGHTINGS
-from repro.vision import FrameProvenance, Image, gaussian_blur_stack, paint_capsule
+from repro.vision import BinaryImage, FrameProvenance, Image, gaussian_blur_stack, paint_capsule
+from repro.vision.components import label_components_fast
 
 SEED = 20261017
 RANDOM_CASES = 120
@@ -284,6 +285,34 @@ def test_synthetic_windows_at_every_edge_match_full_path(placement, sigma, windo
     for cfg in cfgs:
         assert_windowed_identical([frame], cfg)
     assert len(windowed) == len(cfgs)
+
+
+TWO_COMPONENTS = {
+    "apart": [((10.0, 8.0), (25.0, 20.0), 4.0), ((30.0, 50.0), (48.0, 66.0), 5.0)],
+    "apart-at-edges": [((0.0, 0.0), (14.0, 12.0), 5.0), ((42.0, 62.0), (59.0, 79.0), 4.0)],
+    "equal-areas": [((15.0, 20.0), (15.0, 20.0), 6.0), ((40.0, 60.0), (40.0, 60.0), 6.0)],
+}
+
+
+@pytest.mark.parametrize("name", TWO_COMPONENTS)
+@pytest.mark.parametrize("sigma", [0.0, 0.03])
+def test_synthetic_window_with_two_components_matches_full_path(name, sigma, windowed):
+    """The window holds two figures: the windowed path keeps the same
+    one (the larger, or the first in scan order on a tie) with the same
+    box as the full path."""
+    backdrop = NoisyBackdrop((60, 80), level=0.8, sigma=sigma, seed=7)
+    frame = synthetic_frame(backdrop, TWO_COMPONENTS[name])
+    painted = BinaryImage(frame.pixels == 0.15)
+    assert len(label_components_fast(painted)) == 2
+    top, left, height, width = frame.provenance.box
+    at_edge = top == 0 or left == 0 or top + height == 60 or left + width == 80
+    assert at_edge == (name == "apart-at-edges")
+    cfgs = [*SETTINGS.values(), PreprocessSettings(blur_sigma=2.0, min_component_area_px=8)]
+    for cfg in cfgs:
+        assert_windowed_identical([frame], cfg)
+        silhouette = preprocess_frames([frame], cfg)[0].silhouette.pixels
+        assert 0 < silhouette.sum() < painted.pixels.sum()
+    assert len(windowed) == 2 * len(cfgs)
 
 
 def test_dark_backdrop_patch_forces_the_fallback(windowed):

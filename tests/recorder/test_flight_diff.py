@@ -5,8 +5,8 @@ inside one event's payload, and asserts
 :func:`~repro.recorder.first_divergence` (and the
 ``scripts/flight_diff.py`` CLI built on it) reports that event's kind,
 tick, node and dotted field path — not merely "files differ".  Also
-covers truncation (length divergence), ops-stream immunity and the CLI
-exit-code contract (0 identical / 1 divergent / 2 unreadable).
+covers truncation (length divergence) and the CLI exit-code contract
+(0 identical / 1 divergent / 2 unreadable or of unknown kind).
 """
 
 import importlib.util
@@ -29,14 +29,12 @@ flight_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(flight_diff)
 
 
-def _write_recording(path: Path, ops_chatter: int = 0) -> None:
+def _write_recording(path: Path) -> None:
     recorder = FlightRecorder(str(path))
     recorder.write_header({"builder": "fleet", "kwargs": {"count": 1}})
     recorder.record(
         "start", data={"missions": [{"name": "mission_00"}], "time_step_s": 0.02}
     )
-    for _ in range(ops_chatter):
-        recorder.record("service", node="batch_flush", data={"size": 8})
     recorder.record(
         "world",
         tick=37,
@@ -109,15 +107,6 @@ def test_truncated_recording_reports_length_divergence(tmp_path):
     assert divergence.kind == "tick"  # first record the truncated side lost
 
 
-def test_ops_chatter_does_not_diverge(tmp_path):
-    """Service ops events are timing telemetry; recordings that
-    differ only there must still compare identical."""
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    _write_recording(a, ops_chatter=0)
-    _write_recording(b, ops_chatter=5)
-    assert first_divergence(read_lines(str(a)), read_lines(str(b))) is None
-
-
 class TestCli:
     def test_identical_exits_zero(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -146,11 +135,22 @@ class TestCli:
         assert flight_diff.main([str(a), str(tmp_path / "missing.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_unknown_kind_exits_two(self, tmp_path, capsys):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        _write_recording(a)
+        lines = read_lines(str(a))
+        service = '{"data":{},"kind":"service","node":"batch_flush","seq":1,"tick":-1,"v":2}'
+        b.write_text("\n".join([lines[0], service, *lines[1:]]) + "\n")
+        assert flight_diff.main([str(a), str(b)]) == 2
+        assert "unknown flight-record kind: 'service'" in capsys.readouterr().err
 
-@pytest.mark.parametrize("bad", ["{not json", '{"v":1}\n[1]'])
-def test_differ_rejects_malformed_lines_gracefully(tmp_path, bad):
+
+@pytest.mark.parametrize("bad", ["{not json", '{"v":1}\n[1]', '{"kind":[1]}'])
+def test_differ_rejects_malformed_lines_gracefully(tmp_path, capsys, bad):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _write_recording(a)
     b.write_text(bad + "\n")
     with pytest.raises(ValueError):
         first_divergence(read_lines(str(a)), read_lines(str(b)))
+    assert flight_diff.main([str(a), str(b)]) == 2
+    assert "cannot read" in capsys.readouterr().err

@@ -1,11 +1,9 @@
-"""Flight-recorder core: codec, canonical lines, streams, integrity.
+"""Flight-recorder core: codec, canonical lines, the stream, integrity.
 
 Unit coverage for :mod:`repro.recorder.events` (bit-exact float
-hex-encoding, string escaping, canonical serialisation) and
-:mod:`repro.recorder.recorder` (independent stream numbering, the
-``end`` footer digest, post-finalize drops, file round-trips), plus
-the service observer adapter running against a ``workers=0``
-:class:`~repro.service.RecognitionService` (no processes involved).
+hex-encoding, string escaping, canonical serialisation, unknown kinds
+refused on read) and :mod:`repro.recorder.recorder` (stream numbering,
+the ``end`` footer digest, post-finalize drops, file round-trips).
 """
 
 import hashlib
@@ -13,12 +11,10 @@ import json
 import math
 import struct
 
-import numpy as np
 import pytest
 
 from repro.recorder import (
     DETERMINISTIC_KINDS,
-    OPS_KINDS,
     SCHEMA_VERSION,
     FlightRecorder,
     decode_value,
@@ -27,9 +23,6 @@ from repro.recorder import (
     read_lines,
 )
 from repro.recorder.events import canonical_line, is_deterministic, parse_line
-from repro.recorder.taps import service_observer
-from repro.sax.database import SignDatabase
-from repro.service import RecognitionService, ServiceClassifier
 
 
 class TestCodec:
@@ -66,54 +59,51 @@ class TestCodec:
             encode_value(object())
 
     def test_canonical_line_is_sorted_and_compact(self):
-        line = canonical_line({"b": 1, "a": {"z": 2, "y": 3}})
-        assert line == '{"a":{"y":3,"z":2},"b":1}'
-        assert parse_line(line) == {"a": {"y": 3, "z": 2}, "b": 1}
+        line = canonical_line({"b": 1, "kind": "tick", "a": {"z": 2, "y": 3}})
+        assert line == '{"a":{"y":3,"z":2},"b":1,"kind":"tick"}'
+        assert parse_line(line) == {"a": {"y": 3, "z": 2}, "b": 1, "kind": "tick"}
 
     def test_parse_line_rejects_non_objects(self):
         with pytest.raises(ValueError, match="not an object"):
             parse_line("[1,2,3]")
 
-    def test_stream_partition_is_total_and_disjoint(self):
-        assert not (DETERMINISTIC_KINDS & OPS_KINDS)
-        assert is_deterministic("tick") and not is_deterministic("service")
+    def test_every_written_kind_is_deterministic(self):
+        assert {"header", "tick", "end"} <= DETERMINISTIC_KINDS
+        assert all(is_deterministic(kind) for kind in DETERMINISTIC_KINDS)
+        assert not is_deterministic("service")
+
+    @pytest.mark.parametrize("kind", ["service", "ops", "telemetry", None, [1], {"a": 1}])
+    def test_parse_line_rejects_unknown_kinds(self, kind):
+        line = canonical_line(
+            {"v": SCHEMA_VERSION, "seq": 3, "kind": kind, "tick": 7, "node": "batch_flush",
+             "data": {"size": 4}}
+        )
+        with pytest.raises(ValueError, match="unknown flight-record kind"):
+            parse_line(line)
 
 
 class TestFlightRecorder:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown flight-record kind"):
-            FlightRecorder().record("telemetry")
+        for kind in ("telemetry", "service"):
+            with pytest.raises(ValueError, match="unknown flight-record kind"):
+                FlightRecorder().record(kind)
 
-    def test_streams_are_numbered_independently(self):
+    def test_records_are_numbered_in_order(self):
         recorder = FlightRecorder()
         recorder.record("tick", tick=0)
-        recorder.record("service", node="batch_flush")
+        recorder.record("world", tick=0, node="m0")
         recorder.record("tick", tick=1)
-        recorder.record("service", node="shard_dispatch")
-        det = [json.loads(line) for line in recorder.deterministic_lines()]
-        ops = [json.loads(line) for line in recorder.ops_lines()]
-        assert [record["seq"] for record in det] == [0, 1]
-        assert [record["seq"] for record in ops] == [0, 1]
-        assert len(recorder.lines) == 4
-
-    def test_ops_interleaving_leaves_deterministic_stream_byte_stable(self):
-        plain, noisy = FlightRecorder(), FlightRecorder()
-        for recorder, chatter in ((plain, 0), (noisy, 3)):
-            recorder.write_header({"builder": "fleet", "kwargs": {"count": 1}})
-            for _ in range(chatter):
-                recorder.record("service", node="batch_flush", data={"size": 4})
-            recorder.record("tick", tick=0, data={"perception": {"core0": {"gated": 1}}})
-            recorder.finalize()
-        assert plain.deterministic_lines() == noisy.deterministic_lines()
+        records = [json.loads(line) for line in recorder.lines]
+        assert [record["seq"] for record in records] == [0, 1, 2]
 
     def test_finalize_footer_counts_and_digests_deterministic_lines(self):
         recorder = FlightRecorder()
         recorder.write_header(None)
         recorder.record("tick", tick=0)
-        recorder.record("service", node="batch_flush")
+        recorder.record("world", tick=0, node="m0")
         recorder.finalize()
         assert recorder.finalized
-        lines = recorder.deterministic_lines()
+        lines = recorder.lines
         footer = json.loads(lines[-1])
         assert footer["kind"] == "end"
         assert footer["data"]["events"] == len(lines) - 1
@@ -129,7 +119,7 @@ class TestFlightRecorder:
         sealed = recorder.lines
         recorder.finalize()
         recorder.record("tick", tick=1)  # dropped silently
-        recorder.record("service", node="late")  # dropped silently
+        recorder.record("world", node="late")  # dropped silently
         assert recorder.lines == sealed
 
     def test_file_roundtrip(self, tmp_path):
@@ -148,39 +138,3 @@ class TestFlightRecorder:
     def test_in_memory_recorder_has_no_path(self):
         assert FlightRecorder().path is None
 
-
-@pytest.fixture(scope="module")
-def database() -> SignDatabase:
-    rng = np.random.default_rng(0)
-    db = SignDatabase()
-    for index in range(4):
-        base = np.cumsum(rng.standard_normal(64))
-        db.add(f"sign_{index}", base, view="v0")
-    return db
-
-
-class TestServiceObserver:
-    def test_batch_flushes_land_on_the_ops_stream(self, database):
-        recorder = FlightRecorder()
-        with RecognitionService(
-            database, workers=0, observer=service_observer(recorder)
-        ) as service:
-            client = ServiceClassifier(service)
-            client.classify_batch([database.entry(database.labels[0]).series])
-        ops = [json.loads(line) for line in recorder.ops_lines()]
-        flushes = [record for record in ops if record["node"] == "batch_flush"]
-        assert flushes, "expected at least one batch_flush ops event"
-        assert flushes[0]["kind"] == "service"
-        assert flushes[0]["data"]["size"] >= 1
-        assert flushes[0]["data"]["reason"] in ("size", "deadline", "forced", "drain")
-        assert not recorder.deterministic_lines()
-
-    def test_raising_observer_never_breaks_the_service(self, database):
-        def hostile(event, data):
-            raise RuntimeError("observer bug")
-
-        with RecognitionService(database, workers=0, observer=hostile) as service:
-            client = ServiceClassifier(service)
-            series = database.entry(database.labels[0]).series
-            results = client.classify_batch([series])
-        assert len(results) == 1

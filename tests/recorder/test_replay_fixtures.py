@@ -25,9 +25,9 @@ import pytest
 from repro.mission.orchard import OrchardConfig
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder import (
-    OPS_KINDS,
     SCHEMA_VERSION,
     FlightRecorder,
+    load_events,
     read_lines,
     recipe_of,
     record_fleet_run,
@@ -111,11 +111,7 @@ def test_fixture_replays_byte_identically(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_footer_digest_matches_stream(name):
-    lines = [
-        line
-        for line in read_lines(str(_fixture_path(name)))
-        if json.loads(line)["kind"] not in OPS_KINDS
-    ]
+    lines = read_lines(str(_fixture_path(name)))
     footer = json.loads(lines[-1])
     assert footer["kind"] == "end"
     assert footer["data"]["events"] == len(lines) - 1
@@ -147,28 +143,43 @@ def test_double_record_in_one_process_is_byte_stable():
     first, second = FlightRecorder(), FlightRecorder()
     run_recipe(recipe, first)
     run_recipe(recipe, second)
-    assert first.deterministic_lines() == second.deterministic_lines()
+    assert first.lines == second.lines
 
 
-def test_service_backend_records_ops_and_replays(tmp_path):
-    """A service-backed fleet interleaves ops events without perturbing
-    the deterministic stream."""
-    path = tmp_path / "service.jsonl"
-    record_fleet_run(
-        str(path),
-        count=1,
-        base_seed=3,
-        config=FIXTURE_CONFIG,
-        perception="recognizer",
-        negotiation_config=FIXTURE_NEGOTIATION,
-        winds=(CALM,),
-        lightings=(NOON,),
-        workers=2,
+def _no_fleet(*args, **kwargs):
+    raise AssertionError("a refused recording must not drive a fleet")
+
+
+def _recording_with_service_line(tmp_path: Path) -> Path:
+    """The oracle fixture with a schema-2 ``service`` record (the kind
+    recognition-service telemetry once used) spliced in after the
+    header."""
+    lines = read_lines(str(_fixture_path("fleet_oracle")))
+    service = json.dumps(
+        {"v": 2, "seq": 0, "kind": "service", "tick": -1, "node": "batch_flush",
+         "data": {"size": 4}},
+        sort_keys=True,
+        separators=(",", ":"),
     )
-    kinds = {json.loads(line)["kind"] for line in read_lines(str(path))}
-    assert "service" in kinds, "expected service ops events in the recording"
-    result = replay(str(path))
-    assert result.identical, result.describe()
+    path = tmp_path / "service-line.jsonl"
+    path.write_text("\n".join([lines[0], service, *lines[1:]]) + "\n")
+    return path
+
+
+def test_reader_refuses_a_service_line(tmp_path):
+    path = _recording_with_service_line(tmp_path)
+    with pytest.raises(ValueError, match="unknown flight-record kind: 'service'"):
+        load_events(str(path))
+
+
+def test_replay_refuses_a_service_line_before_driving_a_fleet(tmp_path, monkeypatch):
+    path = _recording_with_service_line(tmp_path)
+    monkeypatch.setattr(replay_module, "build_fleet", _no_fleet)
+    fresh = tmp_path / "fresh.jsonl"
+    with pytest.raises(ValueError, match="unknown flight-record kind: 'service'"):
+        replay(str(path), out=str(fresh))
+    assert not fresh.exists()
+    assert flight_record.main(["replay", str(path)]) == 2
 
 
 def _foreign_schema_recording(tmp_path: Path, schema) -> Path:
@@ -188,10 +199,6 @@ def _foreign_schema_recording(tmp_path: Path, schema) -> Path:
         + "\n"
     )
     return path
-
-
-def _no_fleet(*args, **kwargs):
-    raise AssertionError("a foreign-schema recording must not drive a fleet")
 
 
 @pytest.mark.parametrize("schema", [1, 3, None])

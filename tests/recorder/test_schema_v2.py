@@ -18,7 +18,6 @@ from repro.mission.fleet import FleetSpec, build_fleet
 from repro.mission.orchard import OrchardConfig
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder import (
-    OPS_KINDS,
     SCHEMA_VERSION,
     FlightRecorder,
     read_lines,
@@ -58,7 +57,7 @@ def recordings(tmp_path_factory):
         paths[f"guard_{perception}"] = path
     parsed = {}
     for name, path in paths.items():
-        lines = [line for line in read_lines(str(path)) if json.loads(line)["kind"] not in OPS_KINDS]
+        lines = read_lines(str(path))
         parsed[name] = (lines, [json.loads(line) for line in lines])
     return parsed
 
@@ -164,7 +163,7 @@ def test_fresh_fleet_writes_a_tick_record_exactly_when_counters_move(seed, perce
             expected_ticks.append(tick)
             previous = core.counters
     fleet.close()
-    records = [json.loads(line) for line in recorder.deterministic_lines()]
+    records = [json.loads(line) for line in recorder.lines]
     assert [r["tick"] for r in _ticks(records)] == expected_ticks
     if core is not None:
         assert expected_ticks

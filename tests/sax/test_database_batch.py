@@ -9,7 +9,7 @@ stay coherent through ``add``/``remove`` mutations.
 import numpy as np
 import pytest
 
-from repro.sax import SaxParameters, SignDatabase
+from repro.sax import SaxParameters, SignDatabase, paa, z_normalize
 
 
 def wave(freq: float, n: int = 128, phase: float = 0.0) -> np.ndarray:
@@ -97,6 +97,50 @@ class TestClassifyBatchParity:
         ]
         for query, result in zip(queries, db.classify_batch(queries)):
             assert result == db.classify(query)
+
+    @pytest.mark.parametrize(
+        ("word_length", "alphabet_size"),
+        [(8, 3), (8, 10), (12, 2), (16, 4), (16, 26), (20, 6), (24, 5), (32, 6), (36, 12)],
+    )
+    def test_bound_stage_parity_across_sax_parameters(
+        self, word_length, alphabet_size, monkeypatch
+    ):
+        """The batched bound stage takes each query's symbol indices
+        straight from its z-normalised series, where the scalar path
+        encodes a word.  Across word lengths that divide the series
+        length and ones that do not, and alphabets from binary to 26
+        symbols, the indices and the verdicts stay bit-identical."""
+        rng = np.random.default_rng(word_length * 100 + alphabet_size)
+        n = 96
+        db = SignDatabase(
+            SaxParameters(word_length=word_length, alphabet_size=alphabet_size),
+            acceptance_threshold=0.05,
+        )
+        def spiky():
+            return np.repeat(rng.choice([-1.0, 1.0], size=n // 4), 4)
+        for label in ("a", "b", "c"):
+            for view in range(2):
+                db.add(label, spiky() + 0.3 * rng.normal(size=n), view=f"v{view}")
+        queries = [
+            np.roll(spiky(), int(rng.integers(0, n))) + 0.1 * rng.normal(size=n)
+            for _ in range(20)
+        ]
+        for query in queries + [np.full(n, 0.5)]:
+            reduced = paa(z_normalize(query), word_length)
+            assert (
+                db.encoder.indices_from_paa(reduced).tolist()
+                == db.encoder.encode(query).indices().tolist()
+            )
+
+        searched = []
+        indices_from_paa = db.encoder.indices_from_paa
+        def counting(reduced):
+            searched.append(len(reduced))
+            return indices_from_paa(reduced)
+        monkeypatch.setattr(db.encoder, "indices_from_paa", counting)
+        for query, result in zip(queries, db.classify_batch(queries)):
+            assert result == db.classify(query)
+        assert searched, "the MINDIST bound stage never ran"
 
     def test_large_batch_spans_chunks(self):
         """Batches larger than the internal chunk size stay bit-identical."""

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.vision import filters
 from repro.vision import (
     BinaryImage,
     Image,
@@ -29,6 +30,7 @@ from repro.vision import (
     gaussian_blur,
     gaussian_blur_stack,
     gaussian_blur_window,
+    gaussian_kernel_1d,
     largest_component,
     largest_components_stack,
     opening,
@@ -102,6 +104,25 @@ class TestBlurWindowParity:
             window = gaussian_blur_window(frame, sigma, rows, cols)
             expected = full[rows[0] : rows[1], cols[0] : cols[1]]
             assert window.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.6, 1.0, 1.5, 2.5, 3.0])
+    def test_cached_taps_are_the_kernel_and_read_only(self, sigma):
+        taps = filters._gaussian_taps(sigma)
+        assert taps == tuple(gaussian_kernel_1d(sigma).tolist())
+        assert isinstance(taps, tuple)
+        assert filters._gaussian_taps(sigma) is taps
+
+    def test_windows_stay_exact_across_cache_evictions(self):
+        """More sigmas than the taps cache holds, twice over: an evicted
+        and rebuilt entry blurs exactly like the first one."""
+        frame = random_gray_stack(7, n=1, h=40, w=40)[0]
+        sigmas = [0.5 + 0.25 * i for i in range(filters._gaussian_taps.cache_info().maxsize + 4)]
+        rows, cols = (0, 40), (3, 29)
+        for _ in range(2):
+            for sigma in sigmas:
+                expected = gaussian_blur(Image(frame), sigma).pixels[:, 3:29]
+                window = gaussian_blur_window(frame, sigma, rows, cols)
+                assert window.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_rejects_tiny_frames_and_bad_windows(self):
         with pytest.raises(ValueError):
