@@ -100,10 +100,11 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload recognize-distinct --seed $(PERF_SEED) --trace 1
 
 # Flight-recorder smoke: record a small trap fleet run and a small
-# recognizer-perceived guard fleet run, replay each (byte compare), and
-# self-diff the fresh recordings against the originals — the
-# record/replay/diff CLI pipeline end to end through both builders (see
-# docs/ARCHITECTURE.md "Flight recorder").  CI runs this in the
+# recognizer-perceived guard fleet run, replay each (byte compare),
+# self-diff the fresh recordings against the originals and render each
+# as a tail dashboard (the guard run's carries escalations) — the
+# record/replay/diff/tail CLI pipeline end to end through both builders
+# (see docs/ARCHITECTURE.md "Flight recorder").  CI runs this in the
 # bench-smoke job; recordings land in FLIGHT_DIR.
 FLIGHT_DIR ?= flight-artifacts
 flight-smoke:
@@ -121,6 +122,7 @@ flight-smoke:
 		--out $(FLIGHT_DIR)/smoke-surveillance-replay.jsonl
 	$(PYTHON) scripts/flight_diff.py $(FLIGHT_DIR)/smoke-surveillance.jsonl \
 		$(FLIGHT_DIR)/smoke-surveillance-replay.jsonl
+	$(PYTHON) scripts/flight_record.py tail $(FLIGHT_DIR)/smoke-surveillance.jsonl
 
 # Seeded long-tail fuzz: randomized adversarial scenarios through the
 # full recognition + fleet stack, safety invariants asserted, failures

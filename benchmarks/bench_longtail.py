@@ -5,7 +5,7 @@ Two sections:
 * **surveillance** — a guard-drone fleet patrolling the orchard while a
   burst of intruders walks in.  Every intruder must be intercepted and
   every challenge must resolve explicitly (compliance or a named
-  escalation event on the bus — never silence), and two runs from the
+  escalation event in the world log — never silence), and two runs from the
   same seed must produce identical mission transcripts and escalation
   streams.  Both assertions are **unconditional**: they hold in smoke
   mode too, because they are correctness properties, not perf gates.

@@ -51,7 +51,6 @@ from repro.mission.pipeline import LoopStats, StageLoop, build_fleet_graph
 from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import PerceptionStats, RecognizerPerception
-from repro.recognition.budget import BudgetReport
 from repro.simulation.scenarios import Lighting, WindCondition
 
 __all__ = [
@@ -99,16 +98,15 @@ class FleetMission:
 class FleetReport:
     """Outcome of one fleet run.
 
-    ``escalation_events`` carries every surveillance escalation raised
-    on a mission's :class:`~repro.simulation.events.EventEmitter` bus
-    (empty for trap-reading fleets), in ``(time, mission)`` order.
+    ``escalation_events`` carries every surveillance escalation the
+    missions logged (empty for trap-reading fleets), in ``(time,
+    mission)`` order.
     """
 
     reports: dict[str, MissionReport]
     ticks: int
     sim_duration_s: float
     perception_stats: PerceptionStats | None = None
-    perception_budget: BudgetReport | None = None
     graph_stats: LoopStats | None = None
     escalation_events: tuple = ()
     recording_path: str | None = None
@@ -158,9 +156,9 @@ class FleetScheduler:
         (the scheduler drives them; :func:`assemble_fleet` wires this).
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder`: the scheduler
-        attaches a read-only :class:`~repro.recorder.taps.FleetRecorderTap`
-        to the stage loop and world logs, records every tick's
-        events, and finalizes the recording on :meth:`close`.  The
+        hands each finished loop tick to a read-only
+        :class:`~repro.recorder.taps.FleetRecorderTap`, which records
+        the tick's events, and finalizes the recording on :meth:`close`.  The
         zero-intrusion contract guarantees the run itself is
         byte-identical with or without it.
 
@@ -191,10 +189,7 @@ class FleetScheduler:
             from repro.recorder.taps import FleetRecorderTap
 
             self._tap = FleetRecorderTap(recorder, self.missions)
-        self._graph = build_fleet_graph(
-            self.missions,
-            tap=self._tap.stage_tap if self._tap is not None else None,
-        )
+        self._graph = build_fleet_graph(self.missions)
         # The world stage owns the one set of missions still flying.
         self._world = self._graph.nodes[0]
         self._ticks = 0
@@ -261,12 +256,12 @@ class FleetScheduler:
         if not self._started:
             raise RuntimeError("call start() before tick()")
         try:
-            self._graph.tick()
+            tokens = self._graph.tick()
         except BaseException:
             self.close()
             raise
         if self._tap is not None:
-            self._tap.on_tick(self._ticks)
+            self._tap.on_tick(self._ticks, tokens)
         self._ticks += 1
         return len(self._world.active)
 
@@ -320,18 +315,16 @@ class FleetScheduler:
     def report(self) -> FleetReport:
         """Summarise the fleet's current state.
 
-        Perception stats/budget are read from the first
+        Perception stats are read from the first
         :class:`RecognizerPerception` found — fleet-wide totals under
         the :func:`build_fleet` wiring, where every mission is a view
         of one shared core.  A hand-built fleet mixing *distinct*
         perception cores gets the first core's counters only.
         """
         stats = None
-        budget = None
         for mission in self.missions:
             if isinstance(mission.perception, RecognizerPerception):
                 stats = mission.perception.stats
-                budget = mission.perception.budget_report()
                 break
         escalations: list = []
         for mission in self.missions:
@@ -345,7 +338,6 @@ class FleetScheduler:
             ticks=self._ticks,
             sim_duration_s=self.now_s,
             perception_stats=stats,
-            perception_budget=budget,
             graph_stats=self._graph.stats(),
             recording_path=self.recorder.path if self.recorder is not None else None,
         )

@@ -152,21 +152,12 @@ class StageLoop:
     its predecessor returned.  A stage that returns an empty list ends
     the tick, so nothing after it runs.  ``nodes`` and each stage's
     ``process`` are looked up on every tick, so a tracer can wrap them
-    on the instance.
-
-    Parameters
-    ----------
-    stages:
-        The stages, in call order.
-    tap:
-        Observability hook, called as ``tap(tick, stage, outputs)``
-        after each stage.  It must be a pure reader (the flight
-        recorder's zero-intrusion contract) and must not raise.
+    on the instance.  :meth:`tick` returns what the last stage called
+    returned, so a reader inspects a tick once, after it ends.
     """
 
-    def __init__(self, stages: Sequence[Stage], tap=None) -> None:
+    def __init__(self, stages: Sequence[Stage]) -> None:
         self.nodes = tuple(stages)
-        self._tap = tap
         self._ticks = 0
         self._closed = False
         self._failed: NodeFailure | None = None
@@ -181,8 +172,8 @@ class StageLoop:
         """``True`` once :meth:`close` has run (or a stage failed)."""
         return self._closed
 
-    def tick(self) -> None:
-        """Call every stage once, in order.
+    def tick(self) -> list:
+        """Call every stage once, in order; return the last output.
 
         A stage exception closes the loop and re-raises as
         :class:`NodeFailure`; ticking a closed or failed loop raises
@@ -192,7 +183,7 @@ class StageLoop:
             raise RuntimeError(f"fleet loop already failed: {self._failed}") from self._failed
         if self._closed:
             raise RuntimeError("fleet loop is closed")
-        tick, tap, clock = self._ticks, self._tap, time.perf_counter
+        tick, clock = self._ticks, time.perf_counter
         items: list = []
         for stage in self.nodes:
             started = clock()
@@ -207,11 +198,10 @@ class StageLoop:
             stage.busy_s += elapsed
             if elapsed > stage.max_tick_s:
                 stage.max_tick_s = elapsed
-            if tap is not None:
-                tap(tick, stage, items)
             if not items:
                 break
         self._ticks = tick + 1
+        return items
 
     def close(self) -> None:
         """Refuse further ticks.  Idempotent; stats stay readable."""
@@ -255,7 +245,6 @@ class PerceptionBatch:
 class FleetTick:
     """The token that flows through the fleet loop each tick."""
 
-    index: int
     missions: tuple
     batches: list[PerceptionBatch] = field(default_factory=list)
 
@@ -276,7 +265,6 @@ class WorldStage(Stage):
     def __init__(self, name: str, missions: Sequence) -> None:
         super().__init__(name)
         self.active = tuple(missions)
-        self._tick_index = 0
 
     def process(self, items: list) -> list:
         """Step active worlds; return this tick's token."""
@@ -285,9 +273,7 @@ class WorldStage(Stage):
             return []
         for mission in active:
             mission.world.step()
-        tick = FleetTick(index=self._tick_index, missions=active)
-        self._tick_index += 1
-        return [tick]
+        return [FleetTick(active)]
 
     def settle(self) -> tuple:
         """Drop finished missions from :attr:`active` and return it."""
@@ -342,7 +328,7 @@ class LookupStage(Stage):
 
 
 class RenderStage(Stage):
-    """Render every missed query's frame (the ``render`` budget stage)."""
+    """Render every missed query's frame."""
 
     def process(self, ticks: list) -> list:
         """Render this tick's cache-missed queries."""
@@ -353,8 +339,7 @@ class RenderStage(Stage):
 
 
 class PreprocessStage(Stage):
-    """Batched vision front-end over the rendered frames
-    (``classify.preprocess`` budget sub-stage)."""
+    """Batched vision front-end over the rendered frames."""
 
     def process(self, ticks: list) -> list:
         """Preprocess this tick's rendered frames."""
@@ -367,8 +352,7 @@ class PreprocessStage(Stage):
 
 
 class MatchStage(Stage):
-    """Batched SAX match + result-cache fill (``classify.sax_match``
-    budget sub-stage)."""
+    """Batched SAX match + result-cache fill."""
 
     def process(self, ticks: list) -> list:
         """Match this tick's preprocessed queries into the caches."""
@@ -400,14 +384,12 @@ class MissionStage(Stage):
         return ticks
 
 
-def build_fleet_graph(missions: Sequence["FleetMission"], tap=None) -> StageLoop:
+def build_fleet_graph(missions: Sequence["FleetMission"]) -> StageLoop:
     """Build the seven-stage fleet loop over *missions*.
 
     Returns the :class:`StageLoop` whose stages are named after
     :data:`FLEET_STAGES` — the byte-identical-transcript schedule the
-    :class:`~repro.mission.fleet.FleetScheduler` drives.  *tap* is the
-    per-stage observability hook (the flight recorder's read-only
-    attachment point).
+    :class:`~repro.mission.fleet.FleetScheduler` drives.
     """
     world = WorldStage("world", missions)
     stages = [
@@ -419,4 +401,4 @@ def build_fleet_graph(missions: Sequence["FleetMission"], tap=None) -> StageLoop
         MatchStage("match"),
         MissionStage("mission", world),
     ]
-    return StageLoop(stages, tap=tap)
+    return StageLoop(stages)

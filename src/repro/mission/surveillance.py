@@ -8,8 +8,8 @@ not on the authorized roster (an **intruder**) is intercepted and
 *challenged* through the paper's Figure-3 protocol — the same
 attention-poke / space-request exchange, reused as "identify yourself
 and yield".  A granted request is compliance; a denial or an
-unanswered challenge raises an **escalation event** on a per-mission
-:class:`~repro.simulation.events.EventEmitter` bus, which
+unanswered challenge raises an **escalation event**: one entry in the
+mission's world log, kept on the mission report, which
 :meth:`~repro.mission.fleet.FleetScheduler.report` surfaces in
 :class:`~repro.mission.fleet.FleetReport.escalation_events`.
 
@@ -49,7 +49,7 @@ from repro.protocol.negotiation import (
 )
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.safety import SafetyLimits, SafetyMonitor
-from repro.simulation.events import EventEmitter, SimEvent
+from repro.simulation.events import SimEvent
 
 __all__ = [
     "SurveillancePhase",
@@ -145,15 +145,15 @@ class SurveillanceExecutor:
     challenge (the Figure-3 protocol) runs.  Outcomes:
 
     * **granted** — the intruder complied; they halt in place and the
-      patrol resumes (``intruder_compliant`` on the bus, no escalation);
+      patrol resumes (``intruder_compliant`` is logged, no escalation);
     * **denied** — explicit refusal: ``escalation`` event with reason
       ``non_compliant``;
     * **failed** — attention never gained or no readable answer:
       ``escalation`` with reason ``unresponsive``.
 
-    Escalations are emitted on :attr:`emitter` (and mirrored into the
-    world log for transcripts); each intruder is challenged at most
-    once per mission.
+    Every outcome is logged in the world log; escalations are also
+    kept on :attr:`report`.  Each intruder is challenged at most once
+    per mission.
     """
 
     def __init__(
@@ -165,7 +165,6 @@ class SurveillanceExecutor:
         authorized: Sequence[str] | None = None,
         safety_limits: SafetyLimits | None = None,
         challenge_config: NegotiationConfig | None = None,
-        emitter: EventEmitter | None = None,
     ) -> None:
         self.orchard = orchard
         self.drone = drone
@@ -180,7 +179,6 @@ class SurveillanceExecutor:
         self.challenge_config = (
             challenge_config if challenge_config is not None else GUARD_CHALLENGE_CONFIG
         )
-        self.emitter = emitter if emitter is not None else EventEmitter()
         self.home = drone.state.position.horizontal()
         self.phase = SurveillancePhase.IDLE
         self.report = SurveillanceReport()
@@ -202,7 +200,7 @@ class SurveillanceExecutor:
     @property
     def escalation_events(self) -> tuple[SimEvent, ...]:
         """Escalations raised so far (the fleet report collects these)."""
-        return tuple(self.emitter.of_kind("escalation"))
+        return tuple(self.report.escalations)
 
     def start(self, world) -> None:
         """Take off and begin the patrol loop."""
@@ -300,7 +298,7 @@ class SurveillanceExecutor:
         if outcome.state is NegotiationState.CONCLUDED and outcome.space_granted:
             self.report.compliant += 1
             intruder.stop_walking()
-            self._emit(world, "intruder_compliant", human=intruder.name)
+            world.record(self.name, "intruder_compliant", human=intruder.name)
         elif outcome.state is NegotiationState.CONCLUDED:
             self._escalate(world, intruder, "non_compliant")
         else:
@@ -373,20 +371,12 @@ class SurveillanceExecutor:
         )
         self._challenge.start(world)
         self.phase = SurveillancePhase.CHALLENGING
-        self._emit(world, "intruder_detected", human=intruder.name)
-
-    def _emit(self, world, kind: str, **detail) -> SimEvent:
-        """Publish *kind* on the bus and mirror it into the world log."""
-        event = SimEvent(
-            time_s=world.now_s, source=self.name, kind=kind, detail=dict(detail)
-        )
-        self.emitter.emit(event)
-        world.record(self.name, kind, **detail)
-        return event
+        world.record(self.name, "intruder_detected", human=intruder.name)
 
     def _escalate(self, world, intruder: HumanAgent, reason: str) -> None:
-        event = self._emit(world, "escalation", human=intruder.name, reason=reason)
-        self.report.escalations.append(event)
+        self.report.escalations.append(
+            world.record(self.name, "escalation", human=intruder.name, reason=reason)
+        )
 
     def _abort(self, world, reason: str) -> None:
         self.report.duration_s = world.now_s - self._started_at_s
@@ -438,8 +428,8 @@ def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
     Everything derives from ``base_seed``, so the same spec replays the
     same patrols, challenges and escalations exactly.  An optional
     ``recorder`` (:class:`~repro.recorder.FlightRecorder`) is attached
-    to the scheduler as for the trap fleet; escalations are captured
-    straight off each guard's event bus.  Anything but a
+    to the scheduler as for the trap fleet; escalations are recorded
+    from each guard's world log like every other event.  Anything but a
     :class:`~repro.mission.spec.FleetSpec` raises :class:`TypeError`.
     """
     if not isinstance(spec, FleetSpec):

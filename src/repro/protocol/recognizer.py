@@ -35,12 +35,10 @@ reference used by the envelope benchmarks) it is built to sit inside a
   single ``preprocess_frames`` + ``classify_batch`` pass; per-frame
   results are bit-identical to the scalar path, so a batched fleet
   replays a sequential run exactly.
-* **Budget accounting** — one cumulative
-  :class:`~repro.recognition.budget.FrameBudget` spans the perception's
-  lifetime; ``render`` and ``classify`` are top-level stages with the
-  batched ``preprocess``/``sax_match`` split as dotted sub-stages, so a
-  fleet run reports amortised per-frame cost like every other engine in
-  the repo.
+
+The perception keeps counters, not timers: in a fleet, the stage loop
+(:mod:`repro.mission.pipeline`) times the ``render``, ``preprocess``
+and ``match`` seams as stages of their own.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from repro.human.pose import BodyDimensions, HumanPose, pose_for_sign
 from repro.human.render import RenderSettings, render_frame
 from repro.human.signs import MarshallingSign
 from repro.protocol.perception import ObservationGeometry
-from repro.recognition.budget import BudgetReport, FrameBudget
 from repro.recognition.pipeline import (
     TORSO_CENTRE_HEIGHT_M,
     SaxSignRecognizer,
@@ -231,14 +228,13 @@ class PerceptionStats:
 
 
 class _PerceptionCore:
-    """State shared by every view of one perception: recogniser, cache,
-    cumulative budget and counters."""
+    """State shared by every view of one perception: recogniser, cache
+    and counters."""
 
     def __init__(self, recognizer: SaxSignRecognizer, max_cache_entries: int) -> None:
         self.recognizer = recognizer
         self.max_cache_entries = max_cache_entries
         self.cache: OrderedDict[ObservationQuery, MarshallingSign | None] = OrderedDict()
-        self.budget = FrameBudget(budget_s=recognizer.frame_budget_s)
         self.observations = 0
         self.gated = 0
         self.cache_hits = 0
@@ -287,9 +283,8 @@ class _PerceptionCore:
         return self.match_preprocessed(queries, pres)
 
     def render_queries(self, queries: Sequence[ObservationQuery]) -> list[Image]:
-        """Render every query's frame, timed as the ``render`` stage."""
-        with self.budget.stage("render"):
-            return [query.render() for query in queries]
+        """Render every query's frame."""
+        return [query.render() for query in queries]
 
     def preprocess_rendered(
         self, queries: Sequence[ObservationQuery], frames: Sequence[Image]
@@ -297,17 +292,15 @@ class _PerceptionCore:
         """Run the batched vision front-end over rendered query frames.
 
         One :func:`~repro.recognition.preprocess.preprocess_frames`
-        call over the whole batch, timed as the ``classify.preprocess``
-        sub-stage; returns the per-frame ``PreprocessResult`` list.
+        call over the whole batch; returns the per-frame
+        ``PreprocessResult`` list.
         """
         elevations = [query.elevation_deg for query in queries]
-        with self.budget.stage("classify"):
-            with self.budget.substage("preprocess"):
-                return preprocess_frames(
-                    frames,
-                    self.recognizer.preprocess_settings,
-                    elevation_deg=elevations,
-                )
+        return preprocess_frames(
+            frames,
+            self.recognizer.preprocess_settings,
+            elevation_deg=elevations,
+        )
 
     def match_preprocessed(
         self, queries: Sequence[ObservationQuery], pres: Sequence
@@ -316,24 +309,20 @@ class _PerceptionCore:
 
         One batched
         :meth:`~repro.sax.database.SignDatabase.classify_batch` call
-        over the usable series, timed as the ``classify.sax_match``
-        sub-stage.  Per-frame
+        over the usable series.  Per-frame
         verdicts map onto :class:`~repro.human.signs.MarshallingSign`
         through :func:`~repro.recognition.pipeline.label_to_sign`, as
         :attr:`~repro.recognition.pipeline.Recognition.sign` does;
         unusable frames (no silhouette) read ``None``.
         """
         usable = [pre.series for pre in pres if pre.ok]
-        with self.budget.stage("classify"):
-            with self.budget.substage("sax_match"):
-                database = self.recognizer.database
-                matches = iter(database.classify_batch(usable) if usable else [])
-            self.batch_calls += 1
+        database = self.recognizer.database
+        matches = iter(database.classify_batch(usable) if usable else [])
+        self.batch_calls += 1
         signs: list[MarshallingSign | None] = []
         for pre in pres:
             signs.append(label_to_sign(next(matches).label) if pre.ok else None)
         self.frames_classified += len(queries)
-        self.budget.frame_count = max(1, self.frames_classified)
         for query, sign in zip(queries, signs):
             self.cache[query] = sign
         while len(self.cache) > self.max_cache_entries:
@@ -401,7 +390,7 @@ class RecognizerPerception:
     def with_render_settings(self, render_settings: RenderSettings) -> "RecognizerPerception":
         """A view of this perception under different lighting.
 
-        The returned instance shares the recogniser, cache, budget and
+        The returned instance shares the recogniser, cache and
         counters — a fleet gives each mission its own lighting view
         while all observations flow through one batched core.
         """
@@ -491,21 +480,19 @@ class RecognizerPerception:
         return self._core.miss_filter(queries)
 
     def render_batch(self, misses: Sequence[ObservationQuery]) -> list[Image]:
-        """Node seam: render every missed query's frame (``render`` stage)."""
+        """Node seam: render every missed query's frame."""
         return self._core.render_queries(misses)
 
     def preprocess_batch(
         self, misses: Sequence[ObservationQuery], frames: Sequence[Image]
     ) -> list:
-        """Node seam: batched vision front-end over rendered frames
-        (``classify.preprocess`` sub-stage)."""
+        """Node seam: batched vision front-end over rendered frames."""
         return self._core.preprocess_rendered(misses, frames)
 
     def match_batch(
         self, misses: Sequence[ObservationQuery], pres: Sequence
     ) -> list[MarshallingSign | None]:
-        """Node seam: batched SAX match + result-cache fill
-        (``classify.sax_match`` sub-stage)."""
+        """Node seam: batched SAX match + result-cache fill."""
         return self._core.match_preprocessed(misses, pres)
 
     def peek(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:
@@ -531,7 +518,7 @@ class RecognizerPerception:
     def counters(self) -> tuple[int, int, int, int, int]:
         """:attr:`stats` as a tuple in field order, without building a
         :class:`PerceptionStats` — the cheap per-tick read the flight
-        recorder's tap uses."""
+        recorder uses."""
         core = self._core
         return (
             core.observations,
@@ -540,7 +527,3 @@ class RecognizerPerception:
             core.frames_classified,
             core.batch_calls,
         )
-
-    def budget_report(self) -> BudgetReport:
-        """Cumulative stage timings, amortised over classified frames."""
-        return self._core.budget.report()

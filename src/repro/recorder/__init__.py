@@ -11,11 +11,9 @@ append-only, schema-versioned JSONL event log tapped off a running
   transitions, escalations, the final report);
 * :mod:`repro.recorder.recorder` — :class:`FlightRecorder`, the
   append-only writer with an integrity footer;
-* :mod:`repro.recorder.taps` — the read-only taps: a
-  :class:`~repro.mission.pipeline.StageLoop` stage hook, world-log deltas,
-  perception-counter deltas and an
-  :class:`~repro.simulation.events.EventEmitter` subscription for
-  escalations;
+* :mod:`repro.recorder.taps` — the read-only tap the scheduler calls
+  once per fleet tick: the tick's cache misses and verdicts, world-log
+  deltas and perception-counter deltas;
 * :mod:`repro.recorder.replay` — self-describing recordings: the
   header carries the exact :func:`~repro.mission.fleet.build_fleet` /
   :func:`~repro.mission.surveillance.build_surveillance_fleet` recipe,

@@ -47,8 +47,7 @@ DETERMINISTIC_KINDS = frozenset(
         "verdict",  # the classification a miss resolved to
         "negotiation",  # sign_observed / protocol_state transitions
         "world",  # any other world-log event (mission lifecycle &c.)
-        "bus",  # surveillance EventEmitter traffic (non-escalation)
-        "escalation",  # surveillance escalations off the event bus
+        "escalation",  # surveillance escalations from the world log
         "report",  # final FleetReport counters
         "end",  # footer: deterministic event count + stream digest
     }
@@ -65,7 +64,7 @@ def is_deterministic(kind: str) -> bool:
 
 _pack_double = struct.Struct("<d").pack
 # No circular-reference bookkeeping: records are trees (encode_value would
-# recurse forever on a cycle first, and the taps build theirs fresh).
+# recurse forever on a cycle first, and the tap builds its own fresh).
 _canonical_encoder = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
 )

@@ -1,10 +1,11 @@
 """The append-only flight-recorder writer.
 
 :class:`FlightRecorder` accumulates canonical record lines in memory
-and (optionally) appends them to a JSONL file as they happen, so a
-``tail`` dashboard can follow a live run.  Every record comes from the
-scheduler's own thread (stage taps and tick hooks), so the writer
-takes no lock.
+and (optionally) appends them to a JSONL file as they happen.  The
+fleet's tap writes a tick's lines in one burst and then calls
+:meth:`FlightRecorder.flush`, so a ``tail`` dashboard follows a live
+run tick by tick.  Every record comes from the scheduler's own thread,
+so the writer takes no lock.
 
 Records are numbered in append order, and
 :meth:`FlightRecorder.finalize` appends an ``end`` footer carrying the
@@ -36,8 +37,9 @@ class FlightRecorder:
     ----------
     path:
         Optional file path; when given, every record line is appended
-        (and flushed) to it as it is recorded, and :attr:`path` is
-        surfaced on the run's ``FleetReport``.
+        to it as it is recorded (reaching the file on :meth:`flush` or
+        :meth:`finalize`), and :attr:`path` is surfaced on the run's
+        ``FleetReport``.
     """
 
     def __init__(self, path: str | None = None):
@@ -87,6 +89,12 @@ class FlightRecorder:
         """Record the ``header`` event: schema version plus *recipe*."""
         self.record("header", data={"schema": SCHEMA_VERSION, "recipe": recipe})
 
+    def flush(self) -> None:
+        """Push the lines appended so far to the file (no-op in memory
+        or once finalized)."""
+        if self._file is not None:
+            self._file.flush()
+
     def finalize(self) -> None:
         """Seal the recording with an ``end`` footer and close the file.
 
@@ -118,7 +126,6 @@ class FlightRecorder:
         self._lines.append(line)
         if self._file is not None:
             self._file.write(line + "\n")
-            self._file.flush()
 
 
 def read_lines(path: str) -> list[str]:

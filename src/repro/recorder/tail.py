@@ -71,7 +71,7 @@ def render_dashboard(events: Sequence[dict]) -> str:
         elif kind == "escalation":
             mission = str(record.get("node", ""))
             escalations[mission] = escalations.get(mission, 0) + 1
-        elif kind in ("world", "negotiation", "bus"):
+        elif kind in ("world", "negotiation"):
             mission = str(record.get("node", ""))
             last_event[mission] = f"{data.get('kind', '?')} @ t={data.get('t', 0.0):.2f}"
         elif kind == "report":

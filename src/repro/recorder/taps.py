@@ -1,23 +1,18 @@
-"""Read-only taps that feed a :class:`FlightRecorder` from a live run.
+"""The read-only tap that feeds a :class:`FlightRecorder` from a live run.
 
-:class:`FleetRecorderTap` is the scheduler-side attachment: its
-:meth:`~FleetRecorderTap.stage_tap` rides the
-:class:`~repro.mission.pipeline.StageLoop` observability hook (called
-after each stage) to capture cache misses leaving ``lookup`` and the
-verdicts ``match`` resolved them to, while :meth:`~FleetRecorderTap.on_tick`
-— called by :class:`~repro.mission.fleet.FleetScheduler` after each
-loop tick — captures world-log deltas (negotiation transitions,
-escalations, mission lifecycle) and perception-counter deltas.
-Surveillance escalations are also taken straight off each executor's
-:class:`~repro.simulation.events.EventEmitter` via a wildcard
-subscription.
+:class:`FleetRecorderTap` attaches to a
+:class:`~repro.mission.fleet.FleetScheduler` once per fleet tick: after
+the stage loop's tick has ended, :meth:`~FleetRecorderTap.on_tick`
+reads the tick's token (the cache misses ``lookup`` left on it and the
+verdicts ``match`` resolved them to), the world-log deltas (negotiation
+transitions, escalations, mission lifecycle) and the perception-counter
+deltas, and flushes the recording once if the tick wrote anything.
 
-Every tap is a pure reader: verdicts are read through
+The tap is a pure reader: verdicts are read through
 :meth:`~repro.protocol.recognizer.RecognizerPerception.peek` (no LRU
-promotion, no counters), world logs are sliced by offset, and emitter
-subscriptions only buffer.  The zero-intrusion fuzz suite
-(``tests/recorder/``) asserts recorder-on and recorder-off runs are
-byte-identical.
+promotion, no counters) and world logs are sliced by offset.  The
+zero-intrusion fuzz suite (``tests/recorder/``) asserts recorder-on and
+recorder-off runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -72,16 +67,9 @@ class FleetRecorderTap:
         self._missions = list(missions)
         self._logs = [m.world.log for m in self._missions]
         self._log_offsets = [len(log) for log in self._logs]
-        self._has_bus = []
-        self._bus_buffer: list[tuple[str, object]] = []
         self._core_labels: dict[int, str] = {}
         self._stats_prev: dict[str, tuple] = {}
         self._report_recorded = False
-        for mission in self._missions:
-            emitter = getattr(mission.executor, "emitter", None)
-            self._has_bus.append(emitter is not None)
-            if emitter is not None:
-                emitter.subscribe("", self._bus_listener(mission.name))
         # Resolve the distinct perception cores once (labelled in
         # mission order) — on_tick reads their counters every tick, so
         # the per-tick loop must not re-discover them.
@@ -117,67 +105,56 @@ class FleetRecorderTap:
             },
         )
 
-    def stage_tap(self, tick: int, stage, outputs: list) -> None:
-        """Stage-loop observability hook: the recognition traffic
-        leaving ``lookup`` and ``match``."""
-        name = stage.name
-        if name == "lookup":
-            for token in outputs:
-                for batch in token.batches:
-                    core = self._core_label(batch.perception)
-                    for query in batch.misses:
-                        payload = _query_payload(query)
-                        self._recorder.record(
-                            "observation",
-                            tick=tick,
-                            node=core,
-                            data={"query": payload, "digest": query_digest(payload)},
-                        )
-        elif name == "match":
-            for token in outputs:
-                for batch in token.batches:
-                    core = self._core_label(batch.perception)
-                    for query in batch.misses:
-                        cached, sign = batch.perception.peek(query)
-                        self._recorder.record(
-                            "verdict",
-                            tick=tick,
-                            node=core,
-                            data={
-                                "digest": query_digest(_query_payload(query)),
-                                "label": sign.value if sign is not None else None,
-                                "cached": cached,
-                            },
-                        )
+    def on_tick(self, tick: int, tokens: list) -> None:
+        """Scheduler hook, after one loop tick has ended.
 
-    def on_tick(self, tick: int) -> None:
-        """Scheduler hook, after one loop tick: world-log deltas, bus
-        traffic, and a ``tick`` record when perception counters moved."""
+        Records, in order: the cache misses on the tick's *tokens* (as
+        ``observation`` lines, then their verdicts as ``verdict``
+        lines), the world-log deltas, and a ``tick`` record when the
+        perception counters moved.  Flushes once if anything was written.
+        """
+        record = self._recorder.record
+        batches = [
+            (self._core_label(batch.perception), batch)
+            for token in tokens
+            for batch in token.batches
+        ]
+        for core, batch in batches:
+            for query in batch.misses:
+                payload = _query_payload(query)
+                record(
+                    "observation",
+                    tick=tick,
+                    node=core,
+                    data={"query": payload, "digest": query_digest(payload)},
+                )
+        for core, batch in batches:
+            for query in batch.misses:
+                cached, sign = batch.perception.peek(query)
+                record(
+                    "verdict",
+                    tick=tick,
+                    node=core,
+                    data={
+                        "digest": query_digest(_query_payload(query)),
+                        "label": sign.value if sign is not None else None,
+                        "cached": cached,
+                    },
+                )
+        wrote = bool(batches)
         sizes = list(map(len, self._logs))
         if sizes != self._log_offsets:
-            for index, (log, offset) in enumerate(zip(self._logs, self._log_offsets)):
-                if sizes[index] != offset:
-                    mission = self._missions[index]
-                    for event in log.since(offset):
-                        self._record_world_event(tick, index, mission, event)
+            for mission, log, offset in zip(self._missions, self._logs, self._log_offsets):
+                for event in log.since(offset):
+                    self._record_world_event(tick, mission, event)
             self._log_offsets = sizes
-        for mission_name, event in self._bus_buffer:
-            kind = "escalation" if event.kind == "escalation" else "bus"
-            self._recorder.record(
-                kind,
-                tick=tick,
-                node=mission_name,
-                data={
-                    "t": event.time_s,
-                    "source": event.source,
-                    "kind": event.kind,
-                    "detail": event.detail,  # the canonical encoder sorts keys
-                },
-            )
-        self._bus_buffer.clear()
+            wrote = True
         perception = self._perception_deltas()
         if perception:
-            self._recorder.record("tick", tick=tick, data={"perception": perception})
+            record("tick", tick=tick, data={"perception": perception})
+            wrote = True
+        if wrote:
+            self._recorder.flush()
 
     def record_report(self, report) -> None:
         """Record the final ``report`` event (first call only)."""
@@ -231,12 +208,6 @@ class FleetRecorderTap:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _bus_listener(self, mission_name: str):
-        def listen(event) -> None:
-            self._bus_buffer.append((mission_name, event))
-
-        return listen
-
     def _core_label(self, perception: RecognizerPerception) -> str:
         key = perception.core_key
         label = self._core_labels.get(key)
@@ -245,9 +216,7 @@ class FleetRecorderTap:
             self._core_labels[key] = label
         return label
 
-    def _record_world_event(self, tick: int, index: int, mission, event) -> None:
-        if event.kind == "escalation" and self._has_bus[index]:
-            return  # captured off the event bus already
+    def _record_world_event(self, tick: int, mission, event) -> None:
         if event.kind in NEGOTIATION_KINDS:
             kind = "negotiation"
         elif event.kind == "escalation":

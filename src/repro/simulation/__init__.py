@@ -39,7 +39,7 @@ from repro.simulation.longtail import (
 )
 from repro.simulation.body import BodyLimits, BodyState, MultirotorBody
 from repro.simulation.clock import SimClock
-from repro.simulation.events import EventEmitter, EventLog, EventQueue, SimEvent
+from repro.simulation.events import EventLog, EventQueue, SimEvent
 from repro.simulation.sensors import CameraMount, StateEstimator
 from repro.simulation.wind import CalmWind, GustEpisode, WindModel
 from repro.simulation.world import Entity, StaticObstacle, World
@@ -79,7 +79,6 @@ __all__ = [
     "BodyState",
     "MultirotorBody",
     "SimClock",
-    "EventEmitter",
     "EventLog",
     "EventQueue",
     "SimEvent",

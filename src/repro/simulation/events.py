@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-__all__ = ["SimEvent", "EventQueue", "EventLog", "EventEmitter"]
+__all__ = ["SimEvent", "EventQueue", "EventLog"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,84 +77,6 @@ class EventQueue:
         if not self._heap:
             return None
         return self._heap[0][0]
-
-
-class EventEmitter:
-    """A tiny synchronous publish/subscribe bus keyed by event kind.
-
-    The surveillance missions raise escalation events through one of
-    these so the fleet layer (and tests) can observe them without the
-    executor knowing who listens.  Semantics are deliberately minimal
-    and deterministic:
-
-    * listeners for a kind fire **in subscription order**;
-    * a listener subscribed to the empty kind ``""`` hears everything,
-      after the kind-specific listeners;
-    * a raising listener is logged as an ``emitter_error`` in
-      :attr:`errors` and the remaining listeners still run — the bus
-      never lets one bad observer take down the mission;
-    * every emitted event is appended to :attr:`history` so a late
-      reader (e.g. :meth:`FleetScheduler.report`) sees the full stream.
-    """
-
-    def __init__(self) -> None:
-        self._listeners: dict[str, list[tuple[int, Callable[[SimEvent], None]]]] = {}
-        self._counter = itertools.count()
-        self.history: list[SimEvent] = []
-        self.errors: list[tuple[SimEvent, Exception]] = []
-
-    def subscribe(self, kind: str, listener: Callable[[SimEvent], None]) -> int:
-        """Register *listener* for events of *kind* (``""`` = all kinds).
-
-        Returns a handle for :meth:`unsubscribe`.
-        """
-        handle = next(self._counter)
-        self._listeners.setdefault(kind, []).append((handle, listener))
-        return handle
-
-    def unsubscribe(self, handle: int) -> bool:
-        """Remove the listener registered under *handle*.
-
-        Returns ``True`` if something was removed, ``False`` if the
-        handle was unknown or already unsubscribed.
-        """
-        for kind, listeners in self._listeners.items():
-            for k, (h, _) in enumerate(listeners):
-                if h == handle:
-                    del listeners[k]
-                    return True
-        return False
-
-    def listener_count(self, kind: str | None = None) -> int:
-        """Number of live listeners, optionally for one *kind*."""
-        if kind is not None:
-            return len(self._listeners.get(kind, []))
-        return sum(len(listeners) for listeners in self._listeners.values())
-
-    def emit(self, event: SimEvent) -> int:
-        """Publish *event*: record it, then notify listeners in order.
-
-        Kind-specific listeners fire first (in subscription order),
-        then wildcard (``""``) listeners.  A listener that raises is
-        captured into :attr:`errors` and does not stop delivery.
-        Returns the number of listeners notified without error.
-        """
-        self.history.append(event)
-        delivered = 0
-        pending = list(self._listeners.get(event.kind, []))
-        if event.kind != "":
-            pending += self._listeners.get("", [])
-        for _, listener in pending:
-            try:
-                listener(event)
-                delivered += 1
-            except Exception as exc:  # noqa: BLE001 - bus isolates listeners
-                self.errors.append((event, exc))
-        return delivered
-
-    def of_kind(self, kind: str) -> list[SimEvent]:
-        """All emitted events of *kind*, in emission order."""
-        return [e for e in self.history if e.kind == kind]
 
 
 class EventLog:

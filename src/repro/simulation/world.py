@@ -13,7 +13,7 @@ from typing import Iterator, Protocol, runtime_checkable
 
 from repro.geometry.vec import Vec2, Vec3
 from repro.simulation.clock import SimClock
-from repro.simulation.events import EventLog, EventQueue
+from repro.simulation.events import EventLog, EventQueue, SimEvent
 from repro.simulation.wind import CalmWind, WindModel
 
 __all__ = ["Entity", "StaticObstacle", "World"]
@@ -128,9 +128,9 @@ class World:
         """Return entities satisfying *predicate*."""
         return [e for e in self._entities.values() if predicate(e)]
 
-    def record(self, source: str, kind: str, **detail) -> None:
-        """Log an event at the current time."""
-        self.log.record(self.now_s, source, kind, **detail)
+    def record(self, source: str, kind: str, **detail) -> SimEvent:
+        """Log an event at the current time and return it."""
+        return self.log.record(self.now_s, source, kind, **detail)
 
     def step(self) -> float:
         """Advance the world by one clock tick; returns the new time."""

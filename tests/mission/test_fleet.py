@@ -242,13 +242,13 @@ class TestFleetRuns:
             )
         )
         report = fleet.run()
-        assert report.perception_stats is not None
-        assert report.perception_budget is not None
-        assert report.perception_budget.frame_count == (
-            report.perception_stats.frames_classified
-        )
-        stages = {t.stage for t in report.perception_budget.stages}
-        assert {"render", "classify"} <= stages
+        stats = report.perception_stats
+        assert stats is not None and stats.frames_classified > 0
+        # The recognition stages time every classified frame; the
+        # perception itself keeps counters only.
+        busy = {node.name: node.busy_s for node in report.graph_stats.nodes}
+        assert all(busy[stage] > 0.0 for stage in ("render", "preprocess", "match"))
+        assert not hasattr(report, "perception_budget")
 
 
 class TestPendingObservation:

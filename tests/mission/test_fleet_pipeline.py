@@ -319,23 +319,26 @@ class TestStageHandOff:
     def test_every_stage_hands_on_the_world_stage_token(self, stage):
         fleet = build_fleet(FleetSpec(count=2, config=SMALL, perception="oracle"))
         fleet.start()
-        seen = {}
-        loop = build_fleet_graph(
-            fleet.missions,
-            tap=lambda tick, node, outputs: seen.setdefault(tick, []).append(
-                (node.name, outputs)
-            ),
-        )
+        loop = build_fleet_graph(fleet.missions)
+        calls = []
+        for node in loop.nodes:
+
+            def wrapped(items, process=node.process, name=node.name):
+                outputs = process(items)
+                calls.append((name, outputs))
+                return outputs
+
+            node.process = wrapped
         for _ in range(5):
-            loop.tick()
-        assert sorted(seen) == list(range(5))
-        for tick, calls in seen.items():
+            calls.clear()
+            returned = loop.tick()
             assert [name for name, _ in calls] == list(FLEET_STAGES)
             handed = calls[0][1]
             (token,) = handed
-            assert token.index == tick
             assert token.missions == tuple(fleet.missions)
             assert calls[FLEET_STAGES.index(stage)][1] is handed
+            # the tick returns the token, which is what the recorder reads
+            assert returned is handed
 
 
 class TestPatchableLookups:
@@ -375,7 +378,7 @@ class TestPatchableLookups:
 
         def wrapped():
             calls.append(loop.ticks)
-            original()
+            return original()
 
         loop.tick = wrapped
         scheduler.tick()
@@ -395,6 +398,7 @@ class TestFailureSealsTheRecording:
         )
         fleet.start()
         fleet.tick()
+        before = recorder.lines
         _break(fleet, stage)
         with pytest.raises(NodeFailure, match=f"stage '{stage}' failed on fleet tick 1"):
             fleet.tick()
@@ -404,3 +408,6 @@ class TestFailureSealsTheRecording:
         footer = json.loads(lines[-1])
         assert footer["kind"] == "end"
         assert footer["data"]["events"] == len(lines) - 1
+        # The recorder reads a tick only once it has ended, so the
+        # failed tick left no line before the footer.
+        assert lines[:-1] == before

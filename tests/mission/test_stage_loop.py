@@ -1,4 +1,5 @@
-"""The stage loop on its own: call order, timing, failure and the tap."""
+"""The stage loop on its own: call order, timing, failure and what a tick
+returns."""
 
 import time
 
@@ -133,13 +134,17 @@ class TestExecution:
         assert set(entry) == {"calls", "busy_s", "mean_tick_ms", "max_tick_ms"}
 
     def test_busy_time_brackets_only_the_stage_call(self):
-        # A slow tap runs between stage calls but is not stage time.
-        loop = StageLoop(
-            [EmitStage([1]), CollectStage()],
-            tap=lambda tick, stage, outputs: time.sleep(0.02),
-        )
+        # A slow stage's time is its own, not its neighbours'.
+        class Slow(Stage):
+            def process(self, items):
+                time.sleep(0.02)
+                return items
+
+        loop = StageLoop([EmitStage([1]), Slow("slow"), CollectStage()])
         loop.tick()
-        assert all(s.busy_s < 0.01 for s in loop.stats().nodes)
+        assert stage_stats(loop, "slow").busy_s >= 0.02
+        assert stage_stats(loop, "emit").busy_s < 0.01
+        assert stage_stats(loop, "collect").busy_s < 0.01
 
     def test_as_dict_rounds_timing_per_stage(self):
         stage = CollectStage()
@@ -177,17 +182,18 @@ class TestFailure:
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_failure_at_any_position_names_that_stage(self, position):
-        seen = []
         stages = [EmitStage([1], name="n0"), DoubleStage("n1"), CollectStage("n2")]
         stages[position] = FailStage(f"n{position}")
-        loop = StageLoop(stages, tap=lambda tick, stage, outputs: seen.append(stage.name))
+        loop = StageLoop(stages)
         with pytest.raises(NodeFailure, match=f"stage 'n{position}' failed") as failure:
             loop.tick()
         assert failure.value.stage == f"n{position}"
         assert failure.value.tick == 0
-        # stages before the failure ran and were tapped; it was not
-        assert seen == [f"n{i}" for i in range(position)]
-        assert stage_stats(loop, f"n{position}").calls == 0
+        # stages before the failure ran once; it and those after did not
+        assert [s.calls for s in loop.stats().nodes] == [
+            1 if i < position else 0 for i in range(3)
+        ]
+        assert loop.ticks == 0
         assert loop.closed
 
     def test_failure_chains_the_original_exception(self):
@@ -230,27 +236,27 @@ class TestFailure:
         assert stage_stats(loop, "collect").calls == 1
 
 
-class TestTap:
-    def test_tap_sees_every_call_in_order(self):
-        # The tap sees every stage call in order with its exact output;
-        # stages after an empty output are not called.
-        events = []
+class TestTickResult:
+    def test_tick_returns_the_last_output(self):
+        # A tick returns what its last called stage returned; stages
+        # after an empty output are not called.
+        loop = StageLoop([EmitStage([1, 2]), DoubleStage("double")])
+        assert [loop.tick() for _ in range(3)] == [[2], [4], []]
+        assert [s.calls for s in loop.stats().nodes] == [3, 2]
 
-        def tap(tick, stage, outputs):
-            events.append((tick, stage.name, list(outputs)))
+    def test_tick_returns_the_last_stage_list_itself(self):
+        returned = []
 
-        loop = StageLoop(
-            [EmitStage([1, 2]), DoubleStage("double"), CollectStage()], tap=tap
-        )
-        for _ in range(3):
-            loop.tick()
-        assert events == [
-            (0, "emit", [1]),
-            (0, "double", [2]),
-            (0, "collect", []),
-            (1, "emit", [2]),
-            (1, "double", [4]),
-            (1, "collect", []),
-            (2, "emit", []),
-        ]
-        assert [s.calls for s in loop.stats().nodes] == [3, 2, 2]
+        class Keep(Stage):
+            def process(self, items):
+                returned.append(list(items))
+                return returned[-1]
+
+        loop = StageLoop([EmitStage([5]), Keep("keep")])
+        assert loop.tick() is returned[0]
+
+    def test_a_collecting_last_stage_returns_nothing(self):
+        sink = CollectStage()
+        loop = StageLoop([EmitStage([3]), DoubleStage("double"), sink])
+        assert loop.tick() == []
+        assert sink.items == [6]

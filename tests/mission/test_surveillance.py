@@ -16,7 +16,6 @@ from repro.mission import (
 )
 from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol import OraclePerception
-from repro.simulation import EventEmitter
 
 ORCHARD = OrchardConfig(
     rows=2, trees_per_row=3, traps_per_row=0, workers=1, visitors=0,
@@ -43,7 +42,7 @@ def persona_with(grants: float, notices: float = 1.0) -> Persona:
     )
 
 
-def build_guard(persona: Persona, emitter: EventEmitter | None = None):
+def build_guard(persona: Persona):
     """One guard mission with a single scripted intruder in its path."""
     orchard = generate_orchard(ORCHARD)
     drone = DroneAgent("drone", position=Vec2(-4, -4))
@@ -56,7 +55,6 @@ def build_guard(persona: Persona, emitter: EventEmitter | None = None):
         config=PATROL,
         perception=OraclePerception(),
         authorized={h.name for h in orchard.humans},
-        emitter=emitter,
     )
     orchard.world.add_entity(executor)
     return orchard, executor, intruder
@@ -85,7 +83,8 @@ class TestChallengeOutcomes:
         assert executor.report.compliant == 1
         assert executor.report.escalation_count == 0
         assert not intruder.is_walking
-        assert executor.emitter.of_kind("intruder_compliant")
+        (compliant,) = orchard.world.log.of_kind("intruder_compliant")
+        assert compliant.detail == {"human": "lurker"}
 
     def test_denier_escalates_as_non_compliant(self):
         orchard, executor, _ = build_guard(persona_with(grants=0.0))
@@ -127,14 +126,16 @@ class TestChallengeOutcomes:
         assert executor.report.challenges == 0
         assert executor.report.laps_completed == 1
 
-    def test_escalation_reaches_subscribers_in_order(self):
-        emitter = EventEmitter()
-        seen: list[str] = []
-        emitter.subscribe("escalation", lambda e: seen.append(e.detail["reason"]))
-        orchard, executor, _ = build_guard(persona_with(grants=0.0), emitter=emitter)
+    def test_escalation_is_logged_once_and_reported(self):
+        orchard, executor, _ = build_guard(persona_with(grants=0.0))
         executor.start(orchard.world)
         assert orchard.world.run_until(lambda w: executor.finished, timeout_s=900)
-        assert seen == ["non_compliant"]
+        (logged,) = orchard.world.log.of_kind("escalation")
+        # The report keeps the world log's own event, not a copy.
+        assert executor.escalation_events == (logged,)
+        assert executor.escalation_events[0] is logged
+        assert logged.source == executor.name
+        assert logged.detail == {"human": "lurker", "reason": "non_compliant"}
 
 
 class TestSurveillanceReport:

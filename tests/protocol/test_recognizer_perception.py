@@ -156,15 +156,3 @@ class TestLightingViews:
         dusk_view.observe(CANONICAL, human)
         assert perception.stats.frames_classified == 2  # no cross-lighting hit
 
-
-class TestBudget:
-    def test_cumulative_budget_spans_observations(self, perception, standing_human_world):
-        world, human = standing_human_world(sign=MarshallingSign.YES)
-        for dx in (0.0, 0.5, 1.0):
-            perception.observe(Vec3(dx, 3, 5), human)
-        report = perception.budget_report()
-        assert report.frame_count == 3
-        stages = {t.stage for t in report.stages}
-        assert "render" in stages
-        assert "classify" in stages
-        assert any(s.startswith("classify.") for s in stages)

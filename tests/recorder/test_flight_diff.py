@@ -144,6 +144,19 @@ class TestCli:
         assert flight_diff.main([str(a), str(b)]) == 2
         assert "unknown flight-record kind: 'service'" in capsys.readouterr().err
 
+    def test_bus_kind_exits_two(self, tmp_path, capsys):
+        # A surveillance-bus line from an older recording is refused too.
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        _write_recording(a)
+        lines = read_lines(str(a))
+        bus = (
+            '{"data":{"detail":{},"kind":"intruder_detected","source":"guard_drone",'
+            '"t":"f64:0000000000000000"},"kind":"bus","node":"guard_00","seq":1,"tick":0,"v":2}'
+        )
+        b.write_text("\n".join([lines[0], bus, *lines[1:]]) + "\n")
+        assert flight_diff.main([str(a), str(b)]) == 2
+        assert "unknown flight-record kind: 'bus'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("bad", ["{not json", '{"v":1}\n[1]', '{"kind":[1]}'])
 def test_differ_rejects_malformed_lines_gracefully(tmp_path, capsys, bad):

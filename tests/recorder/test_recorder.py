@@ -3,7 +3,8 @@
 Unit coverage for :mod:`repro.recorder.events` (bit-exact float
 hex-encoding, string escaping, canonical serialisation, unknown kinds
 refused on read) and :mod:`repro.recorder.recorder` (stream numbering,
-the ``end`` footer digest, post-finalize drops, file round-trips).
+the ``end`` footer digest, post-finalize drops, file round-trips, one
+flush per fleet tick that wrote a line).
 """
 
 import hashlib
@@ -13,6 +14,8 @@ import struct
 
 import pytest
 
+from repro.mission.fleet import FleetSpec, build_fleet
+from repro.mission.orchard import OrchardConfig
 from repro.recorder import (
     DETERMINISTIC_KINDS,
     SCHEMA_VERSION,
@@ -71,8 +74,9 @@ class TestCodec:
         assert {"header", "tick", "end"} <= DETERMINISTIC_KINDS
         assert all(is_deterministic(kind) for kind in DETERMINISTIC_KINDS)
         assert not is_deterministic("service")
+        assert not is_deterministic("bus")
 
-    @pytest.mark.parametrize("kind", ["service", "ops", "telemetry", None, [1], {"a": 1}])
+    @pytest.mark.parametrize("kind", ["service", "ops", "bus", "telemetry", None, [1], {"a": 1}])
     def test_parse_line_rejects_unknown_kinds(self, kind):
         line = canonical_line(
             {"v": SCHEMA_VERSION, "seq": 3, "kind": kind, "tick": 7, "node": "batch_flush",
@@ -84,7 +88,7 @@ class TestCodec:
 
 class TestFlightRecorder:
     def test_unknown_kind_rejected(self):
-        for kind in ("telemetry", "service"):
+        for kind in ("telemetry", "service", "bus"):
             with pytest.raises(ValueError, match="unknown flight-record kind"):
                 FlightRecorder().record(kind)
 
@@ -138,3 +142,61 @@ class TestFlightRecorder:
     def test_in_memory_recorder_has_no_path(self):
         assert FlightRecorder().path is None
 
+    def test_records_reach_the_file_on_flush(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        recorder = FlightRecorder(str(path))
+        recorder.write_header({"builder": "fleet"})
+        recorder.record("world", tick=0, node="m0", data={"t": 0.0})
+        assert path.read_text() == ""  # buffered, not flushed per record
+        recorder.flush()
+        assert read_lines(str(path)) == list(recorder.lines)
+        recorder.finalize()
+        recorder.flush()  # a sealed recorder has nothing to push
+        assert read_lines(str(path)) == list(recorder.lines)
+
+    def test_in_memory_flush_is_a_no_op(self):
+        recorder = FlightRecorder()
+        recorder.record("world", tick=0, node="m0")
+        recorder.flush()
+        assert len(recorder.lines) == 1
+
+
+class TestFlushOncePerTick:
+    def test_a_live_recording_is_on_disk_after_every_tick(self, tmp_path):
+        # What `flight_record.py tail --follow` relies on: after every
+        # fleet tick the file holds every line written so far, and a
+        # tick flushes once if it wrote a line, else not at all.
+        path = tmp_path / "live.jsonl"
+        recorder = FlightRecorder(str(path))
+        recorder.write_header({"builder": "fleet"})
+        flushes = []
+        flush = recorder.flush
+
+        def counting_flush():
+            flushes.append(len(recorder.lines))
+            flush()
+
+        recorder.flush = counting_flush
+        fleet = build_fleet(
+            FleetSpec(
+                count=2,
+                config=OrchardConfig(
+                    rows=1, trees_per_row=3, traps_per_row=1, workers=1, visitors=0,
+                    supervisor_present=False, blocking_fraction=1.0,
+                ),
+                perception="oracle",
+                recorder=recorder,
+            )
+        )
+        fleet.start()
+        silent = 0
+        for _ in range(300):
+            written, flushed = len(recorder.lines), len(flushes)
+            fleet.tick()
+            assert read_lines(str(path)) == list(recorder.lines)
+            wrote = len(recorder.lines) > written
+            assert len(flushes) - flushed == (1 if wrote else 0)
+            silent += not wrote
+        assert 0 < silent < 300
+        fleet.close()
+        assert read_lines(str(path)) == list(recorder.lines)

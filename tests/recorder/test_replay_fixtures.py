@@ -182,6 +182,39 @@ def test_replay_refuses_a_service_line_before_driving_a_fleet(tmp_path, monkeypa
     assert flight_record.main(["replay", str(path)]) == 2
 
 
+def _recording_with_bus_line(tmp_path: Path) -> Path:
+    """The oracle fixture with a schema-2 ``bus`` record (the kind the
+    surveillance event bus once wrote, repeating a world-log event)
+    spliced in after the header."""
+    lines = read_lines(str(_fixture_path("fleet_oracle")))
+    bus = json.dumps(
+        {"v": 2, "seq": 0, "kind": "bus", "tick": 3, "node": "guard_00",
+         "data": {"t": "f64:0000000000000000", "source": "guard_drone",
+                  "kind": "intruder_detected", "detail": {"human": "intruder_0"}}},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    path = tmp_path / "bus-line.jsonl"
+    path.write_text("\n".join([lines[0], bus, *lines[1:]]) + "\n")
+    return path
+
+
+def test_reader_refuses_a_bus_line(tmp_path):
+    path = _recording_with_bus_line(tmp_path)
+    with pytest.raises(ValueError, match="unknown flight-record kind: 'bus'"):
+        load_events(str(path))
+
+
+def test_replay_refuses_a_bus_line_before_driving_a_fleet(tmp_path, monkeypatch):
+    path = _recording_with_bus_line(tmp_path)
+    monkeypatch.setattr(replay_module, "build_fleet", _no_fleet)
+    fresh = tmp_path / "fresh.jsonl"
+    with pytest.raises(ValueError, match="unknown flight-record kind: 'bus'"):
+        replay(str(path), out=str(fresh))
+    assert not fresh.exists()
+    assert flight_record.main(["replay", str(path)]) == 2
+
+
 def _foreign_schema_recording(tmp_path: Path, schema) -> Path:
     """The oracle fixture with its header rewritten to *schema*.
 

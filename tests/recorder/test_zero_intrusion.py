@@ -6,12 +6,12 @@ runs must agree on every observable the rest of the suite treats as
 ground truth: the full per-mission world-log transcripts
 (:func:`~repro.mission.fleet.mission_transcript`), the
 :class:`~repro.mission.fleet.FleetReport` counters, the escalation
-stream and the perception statistics.  Any recorder tap that promotes
-an LRU entry, consumes a log, or perturbs scheduling shows up here as
-a transcript diff.
+stream and the perception statistics.  A recorder that promotes an
+LRU entry, consumes a log, or perturbs scheduling shows up here as a
+transcript diff.
 
 Seeds cover both perceptions of the trap-reading fleet plus the
-surveillance fleet (bus-driven escalations), at smoke sizes.
+surveillance fleet (world-log escalations), at smoke sizes.
 """
 
 import random

@@ -1,9 +1,8 @@
-"""Tests for the simulation clock, event queue, event log and emitter."""
+"""Tests for the simulation clock, event queue and event log."""
 
 import pytest
 
-from repro.simulation import EventEmitter, EventLog, EventQueue, SimClock
-from repro.simulation.events import SimEvent
+from repro.simulation import EventLog, EventQueue, SimClock
 
 
 class TestSimClock:
@@ -111,62 +110,3 @@ class TestEventLog:
         assert log.last() is None
         assert log.last("anything") is None
 
-
-def _event(kind: str, **detail) -> SimEvent:
-    return SimEvent(time_s=0.0, source="test", kind=kind, detail=detail)
-
-
-class TestEventEmitter:
-    def test_delivers_in_subscription_order(self):
-        emitter = EventEmitter()
-        seen: list[str] = []
-        emitter.subscribe("escalation", lambda e: seen.append("first"))
-        emitter.subscribe("escalation", lambda e: seen.append("second"))
-        delivered = emitter.emit(_event("escalation"))
-        assert delivered == 2
-        assert seen == ["first", "second"]
-
-    def test_wildcard_hears_everything_after_specific(self):
-        emitter = EventEmitter()
-        seen: list[str] = []
-        emitter.subscribe("", lambda e: seen.append(f"any:{e.kind}"))
-        emitter.subscribe("a", lambda e: seen.append("specific:a"))
-        emitter.emit(_event("a"))
-        emitter.emit(_event("b"))
-        assert seen == ["specific:a", "any:a", "any:b"]
-
-    def test_unsubscribe(self):
-        emitter = EventEmitter()
-        seen: list[str] = []
-        handle = emitter.subscribe("k", lambda e: seen.append("x"))
-        assert emitter.listener_count("k") == 1
-        assert emitter.unsubscribe(handle)
-        assert not emitter.unsubscribe(handle)
-        emitter.emit(_event("k"))
-        assert seen == []
-        assert emitter.listener_count() == 0
-
-    def test_survives_raising_listener(self):
-        emitter = EventEmitter()
-        seen: list[str] = []
-
-        def bad(event):
-            raise RuntimeError("observer bug")
-
-        emitter.subscribe("k", bad)
-        emitter.subscribe("k", lambda e: seen.append("after"))
-        delivered = emitter.emit(_event("k"))
-        assert delivered == 1
-        assert seen == ["after"]
-        ((event, exc),) = emitter.errors
-        assert event.kind == "k"
-        assert isinstance(exc, RuntimeError)
-
-    def test_history_and_of_kind(self):
-        emitter = EventEmitter()
-        emitter.emit(_event("a"))
-        emitter.emit(_event("b", reason="x"))
-        emitter.emit(_event("a"))
-        assert len(emitter.history) == 3
-        assert [e.kind for e in emitter.of_kind("a")] == ["a", "a"]
-        assert emitter.of_kind("b")[0].detail["reason"] == "x"
