@@ -99,12 +99,14 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload recognize-distinct --seed $(PERF_SEED) --trace 0
 	$(PYTHON) perfbench/run.py --workload recognize-distinct --seed $(PERF_SEED) --trace 1
 
-# Flight-recorder smoke: record a small trap fleet run and a small
-# recognizer-perceived guard fleet run, replay each (byte compare),
-# self-diff the fresh recordings against the originals and render each
-# as a tail dashboard (the guard run's carries escalations) — the
-# record/replay/diff/tail CLI pipeline end to end through both builders
-# (see docs/ARCHITECTURE.md "Flight recorder").  CI runs this in the
+# Flight-recorder smoke: record a small oracle trap fleet run, a small
+# recognizer trap fleet run (its core0 observation, verdict and tick
+# lines) and a small recognizer-perceived guard fleet run, replay each
+# (byte compare), self-diff the fresh recordings against the originals
+# and render each as a tail dashboard (the guard run's carries
+# escalations) — the record/replay/diff/tail CLI pipeline end to end
+# through both builders and both perception kinds (see
+# docs/ARCHITECTURE.md "Flight recorder").  CI runs this in the
 # bench-smoke job; recordings land in FLIGHT_DIR.
 FLIGHT_DIR ?= flight-artifacts
 flight-smoke:
@@ -116,6 +118,13 @@ flight-smoke:
 	$(PYTHON) scripts/flight_diff.py $(FLIGHT_DIR)/smoke.jsonl \
 		$(FLIGHT_DIR)/smoke-replay.jsonl
 	$(PYTHON) scripts/flight_record.py tail $(FLIGHT_DIR)/smoke.jsonl
+	$(PYTHON) scripts/flight_record.py record --out $(FLIGHT_DIR)/smoke-recognizer.jsonl \
+		--builder fleet --missions 2 --perception recognizer --smoke
+	$(PYTHON) scripts/flight_record.py replay $(FLIGHT_DIR)/smoke-recognizer.jsonl \
+		--out $(FLIGHT_DIR)/smoke-recognizer-replay.jsonl
+	$(PYTHON) scripts/flight_diff.py $(FLIGHT_DIR)/smoke-recognizer.jsonl \
+		$(FLIGHT_DIR)/smoke-recognizer-replay.jsonl
+	$(PYTHON) scripts/flight_record.py tail $(FLIGHT_DIR)/smoke-recognizer.jsonl
 	$(PYTHON) scripts/flight_record.py record --out $(FLIGHT_DIR)/smoke-surveillance.jsonl \
 		--builder surveillance --missions 2 --smoke
 	$(PYTHON) scripts/flight_record.py replay $(FLIGHT_DIR)/smoke-surveillance.jsonl \

@@ -13,6 +13,8 @@ True
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.drone.agent import DroneAgent
 from repro.geometry.vec import Vec2
 from repro.human.agent import HumanAgent
@@ -57,9 +59,8 @@ class CollaborativeEnvironment:
     def build_orchard(
         config: OrchardConfig | None = None,
         seed: int | None = None,
-        use_full_recognition: bool = False,
         drone_home: Vec2 | None = None,
-        perception: str | Perception | None = None,
+        perception: str | Perception = "oracle",
     ) -> "CollaborativeEnvironment":
         """Build a ready-to-run environment.
 
@@ -68,16 +69,13 @@ class CollaborativeEnvironment:
         config:
             Orchard layout; ``seed`` is a shorthand that overrides the
             config seed.
-        use_full_recognition:
-            When ``True``, sign perception runs the full SAX camera
-            pipeline on every observation (slow, faithful); when
-            ``False`` (default) the calibrated envelope oracle is used.
         drone_home:
             Where the drone starts and returns; defaults to just outside
             the first row.
         perception:
-            Overrides ``use_full_recognition`` when given: ``"oracle"``,
-            ``"sax"`` (single-frame pipeline), ``"recognizer"`` (the
+            ``"oracle"`` (the calibrated envelope oracle, the default),
+            ``"sax"`` (the full single-frame SAX camera pipeline on
+            every observation: slow, faithful), ``"recognizer"`` (the
             batched, envelope-gated
             :class:`~repro.protocol.recognizer.RecognizerPerception`),
             or any :class:`~repro.protocol.perception.Perception`
@@ -85,25 +83,11 @@ class CollaborativeEnvironment:
         """
         cfg = config if config is not None else OrchardConfig()
         if seed is not None:
-            cfg = OrchardConfig(
-                rows=cfg.rows,
-                trees_per_row=cfg.trees_per_row,
-                row_spacing_m=cfg.row_spacing_m,
-                tree_spacing_m=cfg.tree_spacing_m,
-                traps_per_row=cfg.traps_per_row,
-                workers=cfg.workers,
-                visitors=cfg.visitors,
-                supervisor_present=cfg.supervisor_present,
-                blocking_fraction=cfg.blocking_fraction,
-                wind_mean_mps=cfg.wind_mean_mps,
-                seed=seed,
-            )
+            cfg = replace(cfg, seed=seed)
         orchard = generate_orchard(cfg)
         home = drone_home if drone_home is not None else Vec2(-6.0, -4.0)
         drone = DroneAgent("drone", position=home)
         orchard.world.add_entity(drone)
-        if perception is None:
-            perception = "sax" if use_full_recognition else "oracle"
         chosen: Perception
         if perception == "oracle":
             chosen = OraclePerception()

@@ -16,7 +16,7 @@ from repro.mission.fleet import (
 from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.mission.flytrap import FlyTrap, TrapReading
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
-from repro.mission.pipeline import FleetTick, PerceptionBatch, build_fleet_graph
+from repro.mission.pipeline import FleetTick, build_fleet_graph
 from repro.mission.planner import RoutePlan, plan_route, tour_length
 from repro.mission.surveillance import (
     SurveillanceConfig,
@@ -37,7 +37,6 @@ __all__ = [
     "FleetReport",
     "FleetScheduler",
     "FleetTick",
-    "PerceptionBatch",
     "build_fleet",
     "build_fleet_graph",
     "mission_transcript",

@@ -140,14 +140,14 @@ class FleetReport:
 class FleetScheduler:
     """Steps N independent missions on a shared clock.
 
-    All mission worlds must share one fixed time step; the scheduler
-    wires them into the seven-stage fleet loop
+    All mission worlds must share one fixed time step, and the
+    missions' :class:`~repro.protocol.recognizer.RecognizerPerception`\\ s
+    must all be views of one core.  The scheduler wires them into the
+    seven-stage fleet loop
     (:func:`~repro.mission.pipeline.build_fleet_graph`) and drives one
-    loop tick per fleet tick — worlds step, queries are predicted and
-    grouped, and when the missions' perceptions are
-    :class:`~repro.protocol.recognizer.RecognizerPerception` views of a
-    shared core, every mission's perception query for the tick resolves
-    through a single batched recogniser pass before the executors step.
+    loop tick per fleet tick — worlds step, queries are predicted, every
+    mission's perception query for the tick resolves through a single
+    batched recogniser pass, and the executors step.
 
     Parameters
     ----------
@@ -180,6 +180,11 @@ class FleetScheduler:
         steps = {m.world.clock.time_step_s for m in missions}
         if len(steps) != 1:
             raise ValueError(f"fleet worlds must share one time step, got {steps}")
+        recognizers = [
+            m.perception for m in missions if isinstance(m.perception, RecognizerPerception)
+        ]
+        if len({p.core_key for p in recognizers}) > 1:
+            raise ValueError("fleet recognizer perceptions must be views of one core")
         self.missions = list(missions)
         self.recorder = recorder
         self.time_step_s = steps.pop()
@@ -188,7 +193,9 @@ class FleetScheduler:
             # Imported lazily: repro.recorder.replay imports this module.
             from repro.recorder.taps import FleetRecorderTap
 
-            self._tap = FleetRecorderTap(recorder, self.missions)
+            self._tap = FleetRecorderTap(
+                recorder, self.missions, recognizers[0] if recognizers else None
+            )
         self._graph = build_fleet_graph(self.missions)
         # The world stage owns the one set of missions still flying.
         self._world = self._graph.nodes[0]
@@ -256,12 +263,12 @@ class FleetScheduler:
         if not self._started:
             raise RuntimeError("call start() before tick()")
         try:
-            tokens = self._graph.tick()
+            token = self._graph.tick()
         except BaseException:
             self.close()
             raise
         if self._tap is not None:
-            self._tap.on_tick(self._ticks, tokens)
+            self._tap.on_tick(self._ticks, token)
         self._ticks += 1
         return len(self._world.active)
 
@@ -313,14 +320,7 @@ class FleetScheduler:
         self.close()
 
     def report(self) -> FleetReport:
-        """Summarise the fleet's current state.
-
-        Perception stats are read from the first
-        :class:`RecognizerPerception` found — fleet-wide totals under
-        the :func:`build_fleet` wiring, where every mission is a view
-        of one shared core.  A hand-built fleet mixing *distinct*
-        perception cores gets the first core's counters only.
-        """
+        """Summarise the fleet's current state."""
         stats = None
         for mission in self.missions:
             if isinstance(mission.perception, RecognizerPerception):
@@ -347,19 +347,15 @@ class FleetScheduler:
 
 
 def _mission_perception(
-    perception: str | Perception,
-    shared: RecognizerPerception | None,
-    lighting: Lighting | None,
+    shared: RecognizerPerception | None, lighting: Lighting | None
 ) -> Perception:
     """One mission's perception: a lighting view of the *shared* core,
-    a fresh oracle, or the spec's own instance."""
-    if shared is not None:
-        if lighting is None:
-            return shared
-        return shared.with_render_settings(lighting.render_settings())
-    if perception == "oracle":
+    or a fresh oracle when there is none."""
+    if shared is None:
         return OraclePerception()
-    return perception
+    if lighting is None:
+        return shared
+    return shared.with_render_settings(lighting.render_settings())
 
 
 def assemble_fleet(
@@ -394,7 +390,7 @@ def assemble_fleet(
         orchard = generate_orchard(mission_cfg)
         drone = DroneAgent("drone", position=spec.drone_home)
         orchard.world.add_entity(drone)
-        perception = _mission_perception(spec.perception, shared, lighting)
+        perception = _mission_perception(shared, lighting)
         missions.append(
             FleetMission(
                 name=f"{name_prefix}_{index:02d}",

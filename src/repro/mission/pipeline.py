@@ -3,7 +3,7 @@
 This module decomposes what used to be the lockstep body of
 ``FleetScheduler.tick()`` — step worlds, predict queries, prefetch,
 step executors — into seven named :class:`Stage`\\ s that
-:meth:`StageLoop.tick` calls in order, each stage's output list passed
+:meth:`StageLoop.tick` calls in order, each stage's output token passed
 straight to the next stage as its argument:
 
 ```
@@ -11,10 +11,9 @@ world → predict → lookup → render → preprocess → match → mission
 ```
 
 One :class:`FleetTick` token flows the whole loop per tick.  It carries
-the tick's active missions and, between the recognition stages, the
-per-perception-core :class:`PerceptionBatch`\\ es being resolved:
-``predict`` groups each mission's predicted observation query by
-shared perception core, ``lookup`` dedupes and drops cache hits,
+the tick's active missions and the fleet's one perception core's work
+for the tick: ``predict`` appends each mission's predicted observation
+query in fleet order, ``lookup`` dedupes and drops cache hits,
 ``render`` / ``preprocess`` / ``match`` run the three stages of the
 batched recognition pass (the seams on
 :class:`~repro.protocol.recognizer.RecognizerPerception`), and
@@ -47,7 +46,6 @@ __all__ = [
     "FleetTick",
     "LoopStats",
     "NodeFailure",
-    "PerceptionBatch",
     "Stage",
     "StageLoop",
     "StageStats",
@@ -133,8 +131,8 @@ class Stage:
         self.busy_s = 0.0
         self.max_tick_s = 0.0
 
-    def process(self, items: list) -> list:
-        """Map the previous stage's output list to this stage's."""
+    def process(self, token):
+        """Map the previous stage's output token to this stage's."""
         raise NotImplementedError
 
     def stats(self) -> StageStats:
@@ -148,11 +146,11 @@ class Stage:
 class StageLoop:
     """Calls its stages in order, once per tick.
 
-    The first stage gets an empty list; every later stage gets the list
-    its predecessor returned.  A stage that returns an empty list ends
-    the tick, so nothing after it runs.  ``nodes`` and each stage's
-    ``process`` are looked up on every tick, so a tracer can wrap them
-    on the instance.  :meth:`tick` returns what the last stage called
+    The first stage gets ``None``; every later stage gets the token its
+    predecessor returned.  A stage that returns ``None`` ends the tick,
+    so nothing after it runs.  ``nodes`` and each stage's ``process``
+    are looked up on every tick, so a tracer can wrap them on the
+    instance.  :meth:`tick` returns what the last stage called
     returned, so a reader inspects a tick once, after it ends.
     """
 
@@ -172,7 +170,7 @@ class StageLoop:
         """``True`` once :meth:`close` has run (or a stage failed)."""
         return self._closed
 
-    def tick(self) -> list:
+    def tick(self):
         """Call every stage once, in order; return the last output.
 
         A stage exception closes the loop and re-raises as
@@ -184,11 +182,11 @@ class StageLoop:
         if self._closed:
             raise RuntimeError("fleet loop is closed")
         tick, clock = self._ticks, time.perf_counter
-        items: list = []
+        token = None
         for stage in self.nodes:
             started = clock()
             try:
-                items = stage.process(items)
+                token = stage.process(token)
             except Exception as exc:
                 self._failed = NodeFailure(stage.name, tick, exc)
                 self._closed = True
@@ -198,10 +196,10 @@ class StageLoop:
             stage.busy_s += elapsed
             if elapsed > stage.max_tick_s:
                 stage.max_tick_s = elapsed
-            if not items:
+            if token is None:
                 break
         self._ticks = tick + 1
-        return items
+        return token
 
     def close(self) -> None:
         """Refuse further ticks.  Idempotent; stats stay readable."""
@@ -225,35 +223,29 @@ def still_flying(missions: tuple) -> tuple:
 
 
 @dataclass
-class PerceptionBatch:
-    """One perception core's work for one fleet tick.
+class FleetTick:
+    """The token that flows through the fleet loop each tick.
 
-    Filled stage by stage as the tick flows down the loop: ``predict``
-    collects the queries, ``lookup`` reduces them to cache ``misses``,
-    ``render`` attaches ``frames``, ``preprocess`` attaches ``pres``
-    and ``match`` resolves them into the core's result cache.
+    Filled stage by stage: ``world`` sets the active ``missions``,
+    ``predict`` the fleet's ``perception`` and its ``queries``,
+    ``lookup`` reduces them to cache ``misses``, ``render`` attaches
+    ``frames``, ``preprocess`` attaches ``pres`` and ``match`` resolves
+    them into the perception's result cache.
     """
 
-    perception: RecognizerPerception
+    missions: tuple
+    perception: RecognizerPerception | None = None
     queries: list[ObservationQuery] = field(default_factory=list)
     misses: list[ObservationQuery] = field(default_factory=list)
     frames: list = field(default_factory=list)
     pres: list = field(default_factory=list)
 
 
-@dataclass
-class FleetTick:
-    """The token that flows through the fleet loop each tick."""
-
-    missions: tuple
-    batches: list[PerceptionBatch] = field(default_factory=list)
-
-
 class WorldStage(Stage):
     """First stage: advance every active mission's world one step.
 
     Returns one :class:`FleetTick` carrying the missions that were
-    active at the top of the tick (nothing once the fleet is finished).
+    active at the top of the tick (``None`` once the fleet is finished).
 
     Owns the fleet's one active set, :attr:`active`: the missions still
     flying.  :class:`MissionStage` settles it once at the end of every
@@ -266,14 +258,14 @@ class WorldStage(Stage):
         super().__init__(name)
         self.active = tuple(missions)
 
-    def process(self, items: list) -> list:
+    def process(self, token) -> FleetTick | None:
         """Step active worlds; return this tick's token."""
         active = self.active
         if not active:
-            return []
+            return None
         for mission in active:
             mission.world.step()
-        return [FleetTick(active)]
+        return FleetTick(active)
 
     def settle(self) -> tuple:
         """Drop finished missions from :attr:`active` and return it."""
@@ -284,82 +276,69 @@ class WorldStage(Stage):
 class PredictStage(Stage):
     """Collect every mission's predicted perception query for the tick.
 
-    Replicates the legacy prefetch grouping exactly: only missions
-    whose perception is a :class:`RecognizerPerception` contribute, and
-    queries group by shared perception core (one
-    :class:`PerceptionBatch` per core, fleet order preserved).  Any
-    other perception resolves synchronously inside the ``mission``
-    stage.
+    Replicates the legacy prefetch exactly: only missions whose
+    perception is a :class:`RecognizerPerception` contribute, in fleet
+    order.  Any other perception resolves synchronously inside the
+    ``mission`` stage.
     """
 
-    def process(self, ticks: list) -> list:
-        """Predict and group this tick's observation queries."""
-        for tick in ticks:
-            grouped: dict[int, PerceptionBatch] = {}
-            for mission in tick.missions:
-                perception = mission.perception
-                if not isinstance(perception, RecognizerPerception):
-                    continue
-                pending = mission.executor.pending_observation(mission.world)
-                if pending is None:
-                    continue
-                position, human = pending
-                query = perception.query(position, human)
-                if query is None:
-                    continue
-                batch = grouped.get(perception.core_key)
-                if batch is None:
-                    batch = grouped[perception.core_key] = PerceptionBatch(perception)
-                batch.queries.append(query)
-            tick.batches = list(grouped.values())
-        return ticks
+    def process(self, tick: FleetTick) -> FleetTick:
+        """Predict this tick's observation queries."""
+        queries = tick.queries
+        for mission in tick.missions:
+            perception = mission.perception
+            if not isinstance(perception, RecognizerPerception):
+                continue
+            pending = mission.executor.pending_observation(mission.world)
+            if pending is None:
+                continue
+            position, human = pending
+            query = perception.query(position, human)
+            if query is None:
+                continue
+            tick.perception = perception
+            queries.append(query)
+        return tick
 
 
 class LookupStage(Stage):
-    """Reduce each batch's queries to deduplicated cache misses."""
+    """Reduce the tick's queries to deduplicated cache misses."""
 
-    def process(self, ticks: list) -> list:
-        """Filter each perception batch down to its cache misses."""
-        for tick in ticks:
-            for batch in tick.batches:
-                batch.misses = batch.perception.pending_misses(batch.queries)
-            tick.batches = [b for b in tick.batches if b.misses]
-        return ticks
+    def process(self, tick: FleetTick) -> FleetTick:
+        """Filter the tick's queries down to their cache misses."""
+        if tick.queries:
+            tick.misses = tick.perception.pending_misses(tick.queries)
+        return tick
 
 
 class RenderStage(Stage):
     """Render every missed query's frame."""
 
-    def process(self, ticks: list) -> list:
+    def process(self, tick: FleetTick) -> FleetTick:
         """Render this tick's cache-missed queries."""
-        for tick in ticks:
-            for batch in tick.batches:
-                batch.frames = batch.perception.render_batch(batch.misses)
-        return ticks
+        if tick.misses:
+            tick.frames = tick.perception.render_batch(tick.misses)
+        return tick
 
 
 class PreprocessStage(Stage):
     """Batched vision front-end over the rendered frames."""
 
-    def process(self, ticks: list) -> list:
+    def process(self, tick: FleetTick) -> FleetTick:
         """Preprocess this tick's rendered frames."""
-        for tick in ticks:
-            for batch in tick.batches:
-                batch.pres = batch.perception.preprocess_batch(
-                    batch.misses, batch.frames
-                )
-        return ticks
+        if tick.misses:
+            tick.pres = tick.perception.preprocess_batch(tick.misses, tick.frames)
+        return tick
 
 
 class MatchStage(Stage):
     """Batched SAX match + result-cache fill."""
 
-    def process(self, ticks: list) -> list:
-        """Match this tick's preprocessed queries into the caches."""
-        for tick in ticks:
-            for batch in tick.batches:
-                batch.perception.match_batch(batch.misses, batch.pres)
-        return ticks
+    def process(self, tick: FleetTick) -> FleetTick:
+        """Match this tick's preprocessed queries into the cache."""
+        if tick.misses:
+            tick.perception.match_batch(tick.misses, tick.pres)
+        return tick
 
 
 class MissionStage(Stage):
@@ -375,13 +354,12 @@ class MissionStage(Stage):
         super().__init__(name)
         self._world = world
 
-    def process(self, ticks: list) -> list:
+    def process(self, tick: FleetTick) -> FleetTick:
         """Step every executor carried by this tick."""
-        for tick in ticks:
-            for mission in tick.missions:
-                mission.executor.tick(mission.world)
+        for mission in tick.missions:
+            mission.executor.tick(mission.world)
         self._world.settle()
-        return ticks
+        return tick
 
 
 def build_fleet_graph(missions: Sequence["FleetMission"]) -> StageLoop:

@@ -31,7 +31,6 @@ from typing import Sequence
 from repro.geometry.vec import Vec2
 from repro.mission.orchard import OrchardConfig
 from repro.protocol.negotiation import NegotiationConfig
-from repro.protocol.perception import Perception
 from repro.simulation.scenarios import (
     DEFAULT_LIGHTINGS,
     DEFAULT_WINDS,
@@ -48,7 +47,7 @@ __all__ = [
 #: Default launch pad, shared by both fleet builders.
 DEFAULT_DRONE_HOME = Vec2(-6.0, -4.0)
 
-#: Named perception kinds; a :class:`Perception` instance is also accepted.
+#: Perception kinds a fleet can be built with.
 FLEET_PERCEPTIONS = ("recognizer", "oracle")
 
 
@@ -68,10 +67,8 @@ class FleetSpec:
         Orchard layout/config template; each builder's default when
         ``None``.
     perception:
-        ``"recognizer"`` (shared batched core, per-mission lighting
-        views), ``"oracle"``, or a concrete
-        :class:`~repro.protocol.perception.Perception` instance used
-        directly for every mission.
+        ``"recognizer"`` (one shared batched core, per-mission lighting
+        views) or ``"oracle"``.
     winds / lightings:
         Scenario condition pools (cycled per mission index).
     negotiation:
@@ -91,7 +88,7 @@ class FleetSpec:
     count: int
     base_seed: int = 0
     config: OrchardConfig | None = None
-    perception: str | Perception = "recognizer"
+    perception: str = "recognizer"
     winds: Sequence[WindCondition] = DEFAULT_WINDS
     lightings: Sequence[Lighting] = DEFAULT_LIGHTINGS
     negotiation: NegotiationConfig | None = None
@@ -105,14 +102,8 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("fleet needs at least one mission")
-        if isinstance(self.perception, str):
-            if self.perception not in FLEET_PERCEPTIONS:
-                raise ValueError(f"unknown perception kind: {self.perception!r}")
-        elif not isinstance(self.perception, Perception):
-            raise ValueError(
-                f"perception must be one of {FLEET_PERCEPTIONS} or a Perception,"
-                f" got {type(self.perception).__name__}"
-            )
+        if self.perception not in FLEET_PERCEPTIONS:
+            raise ValueError(f"unknown perception kind: {self.perception!r}")
         if self.intruders < 0:
             raise ValueError("intruder count must be non-negative")
         if self.burst_start_s < 0:

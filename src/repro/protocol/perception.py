@@ -3,8 +3,9 @@
 Two implementations of one interface:
 
 * :class:`SaxPerception` — the real pipeline: render the human's current
-  pose through the drone's camera, run the full SAX recogniser.  Used by
-  the recognition-centric benchmarks (Figure 4 and the envelopes).
+  pose through the drone's camera, run the full SAX recogniser on that
+  one frame.  It is the environment's ``"sax"`` perception kind
+  (:meth:`~repro.core.environment.CollaborativeEnvironment.build_orchard`).
 * :class:`OraclePerception` — a geometric stand-in that returns the true
   sign whenever the viewing geometry is inside the *calibrated*
   recognition envelope (altitude band, azimuth dead angle, range limit)

@@ -7,8 +7,8 @@ through the drone's camera and classifies the frame via
 :func:`~repro.recognition.preprocess.preprocess_frames` +
 :meth:`~repro.sax.database.SignDatabase.classify_batch`.  Unlike
 :class:`~repro.protocol.perception.SaxPerception` (the single-frame
-reference used by the envelope benchmarks) it is built to sit inside a
-*fleet* of concurrent missions:
+pipeline behind the environment's ``"sax"`` perception kind) it is
+built to sit inside a *fleet* of concurrent missions:
 
 * **Trust envelope** — queries outside the pipeline's *measured*
   reliable zone (:class:`RecognitionEnvelope`) return ``None`` without
@@ -24,17 +24,18 @@ reference used by the envelope benchmarks) it is built to sit inside a
   the Oracle-parity contract in ``docs/ARCHITECTURE.md`` makes this
   precise.
 * **Pose-quantised memoisation** — the camera pose is snapped to a
-  small grid (``pose_quantum_m``) before rendering, making repeated
+  5 cm grid (:data:`POSE_QUANTUM_M`) before rendering, making repeated
   observations of a hovering drone watching a held sign *identical*
   queries; their classification is answered from an LRU cache instead
   of re-rendering.  Quantisation is part of the perception's semantics
   (applied on every path), so cached and uncached answers can never
   disagree.
-* **Cross-mission batching** — :meth:`prefetch` resolves any number of
-  distinct queries (typically one per mission per fleet tick) through a
-  single ``preprocess_frames`` + ``classify_batch`` pass; per-frame
-  results are bit-identical to the scalar path, so a batched fleet
-  replays a sequential run exactly.
+* **Cross-mission batching** — the seams :meth:`pending_misses`,
+  :meth:`render_batch`, :meth:`preprocess_batch` and :meth:`match_batch`
+  resolve any number of distinct queries (typically one per mission per
+  fleet tick) through a single ``preprocess_frames`` +
+  ``classify_batch`` pass; per-frame results are bit-identical to the
+  scalar path, so a batched fleet replays a sequential run exactly.
 
 The perception keeps counters, not timers: in a fleet, the stage loop
 (:mod:`repro.mission.pipeline`) times the ``render``, ``preprocess``
@@ -66,6 +67,7 @@ from repro.recognition.preprocess import preprocess_frames
 from repro.vision.image import Image
 
 __all__ = [
+    "POSE_QUANTUM_M",
     "RecognitionEnvelope",
     "ObservationQuery",
     "PerceptionStats",
@@ -80,6 +82,9 @@ _OBSERVATION_INTRINSICS = CameraIntrinsics(240, 240, 280.0)
 # order, the same tuple ``dataclasses.astuple`` gives without its
 # recursive deep copy.
 _dimension_key = attrgetter(*(f.name for f in fields(BodyDimensions)))
+
+#: Camera-position grid step (m) every observation query snaps to.
+POSE_QUANTUM_M = 0.05
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,32 +142,23 @@ class ObservationQuery:
 
     @staticmethod
     def build(
-        drone_position: Vec3,
-        human: HumanAgent,
-        settings: RenderSettings,
-        pose_quantum_m: float,
+        drone_position: Vec3, human: HumanAgent, settings: RenderSettings
     ) -> "ObservationQuery":
         """Build the query for observing *human* from *drone_position*.
 
-        The camera position is snapped to the ``pose_quantum_m`` grid;
-        everything else is taken from the human's current state.
+        The camera position is snapped to the :data:`POSE_QUANTUM_M`
+        grid; everything else is taken from the human's current state.
         """
-        if pose_quantum_m > 0:
-            q = pose_quantum_m
-            cx = round(drone_position.x / q) * q
-            cy = round(drone_position.y / q) * q
-            cz = round(drone_position.z / q) * q
-        else:
-            cx, cy, cz = drone_position.x, drone_position.y, drone_position.z
+        q = POSE_QUANTUM_M
         return ObservationQuery(
             sign=human.current_sign,
             lean_deg=human.current_lean_deg,
             human_x=human.position.x,
             human_y=human.position.y,
             facing_deg=human.facing_deg,
-            camera_x=cx,
-            camera_y=cy,
-            camera_z=cz,
+            camera_x=round(drone_position.x / q) * q,
+            camera_y=round(drone_position.y / q) * q,
+            camera_z=round(drone_position.z / q) * q,
             settings=settings,
             dim_key=_dimension_key(human.dimensions),
             dimensions=human.dimensions,
@@ -241,104 +237,6 @@ class _PerceptionCore:
         self.frames_classified = 0
         self.batch_calls = 0
 
-    # -- classification -------------------------------------------------------------
-
-    def lookup(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:
-        """Return ``(hit, sign)`` for *query* from the LRU cache."""
-        if query not in self.cache:
-            return False, None
-        self.cache.move_to_end(query)
-        return True, self.cache[query]
-
-    def miss_filter(
-        self, queries: Sequence[ObservationQuery | None]
-    ) -> list[ObservationQuery]:
-        """The deduplicated cache misses of *queries*, in order.
-
-        Drops ``None`` entries and already-cached queries (touching
-        their LRU slots exactly as a lookup would).
-        """
-        misses: list[ObservationQuery] = []
-        seen: set[ObservationQuery] = set()
-        for query in queries:
-            if query is None or query in seen:
-                continue
-            seen.add(query)
-            hit, _ = self.lookup(query)
-            if not hit:
-                misses.append(query)
-        return misses
-
-    def classify(self, queries: Sequence[ObservationQuery]) -> list[MarshallingSign | None]:
-        """Render and classify *queries* (already deduplicated misses).
-
-        Composes the granular stage methods the fleet loop calls as
-        separate stages — :meth:`render_queries`,
-        :meth:`preprocess_rendered`, :meth:`match_preprocessed`.
-        """
-        if not queries:
-            return []
-        frames = self.render_queries(queries)
-        pres = self.preprocess_rendered(queries, frames)
-        return self.match_preprocessed(queries, pres)
-
-    def render_queries(self, queries: Sequence[ObservationQuery]) -> list[Image]:
-        """Render every query's frame."""
-        return [query.render() for query in queries]
-
-    def preprocess_rendered(
-        self, queries: Sequence[ObservationQuery], frames: Sequence[Image]
-    ) -> list:
-        """Run the batched vision front-end over rendered query frames.
-
-        One :func:`~repro.recognition.preprocess.preprocess_frames`
-        call over the whole batch; returns the per-frame
-        ``PreprocessResult`` list.
-        """
-        elevations = [query.elevation_deg for query in queries]
-        return preprocess_frames(
-            frames,
-            self.recognizer.preprocess_settings,
-            elevation_deg=elevations,
-        )
-
-    def match_preprocessed(
-        self, queries: Sequence[ObservationQuery], pres: Sequence
-    ) -> list[MarshallingSign | None]:
-        """SAX-match preprocessed queries and fill the result cache.
-
-        One batched
-        :meth:`~repro.sax.database.SignDatabase.classify_batch` call
-        over the usable series.  Per-frame
-        verdicts map onto :class:`~repro.human.signs.MarshallingSign`
-        through :func:`~repro.recognition.pipeline.label_to_sign`, as
-        :attr:`~repro.recognition.pipeline.Recognition.sign` does;
-        unusable frames (no silhouette) read ``None``.
-        """
-        usable = [pre.series for pre in pres if pre.ok]
-        database = self.recognizer.database
-        matches = iter(database.classify_batch(usable) if usable else [])
-        self.batch_calls += 1
-        signs: list[MarshallingSign | None] = []
-        for pre in pres:
-            signs.append(label_to_sign(next(matches).label) if pre.ok else None)
-        self.frames_classified += len(queries)
-        for query, sign in zip(queries, signs):
-            self.cache[query] = sign
-        while len(self.cache) > self.max_cache_entries:
-            self.cache.popitem(last=False)
-        return signs
-
-    def stats(self) -> PerceptionStats:
-        """Snapshot the counters."""
-        return PerceptionStats(
-            observations=self.observations,
-            gated=self.gated,
-            cache_hits=self.cache_hits,
-            frames_classified=self.frames_classified,
-            batch_calls=self.batch_calls,
-        )
-
 
 class RecognizerPerception:
     """Batched, envelope-gated, memoising full-pipeline perception.
@@ -347,7 +245,9 @@ class RecognizerPerception:
     protocol, so it drops into
     :class:`~repro.protocol.negotiation.NegotiationController` and
     :class:`~repro.mission.executor.MissionExecutor` wherever an
-    :class:`~repro.protocol.perception.OraclePerception` would.
+    :class:`~repro.protocol.perception.OraclePerception` would.  Every
+    query is gated by :attr:`envelope` and snapped to the
+    :data:`POSE_QUANTUM_M` grid.
 
     Parameters
     ----------
@@ -357,20 +257,17 @@ class RecognizerPerception:
     render_settings:
         Photometric conditions of this view's renders (per-mission
         lighting); defaults to baseline :class:`RenderSettings`.
-    envelope:
-        Geometry trust region; see :class:`RecognitionEnvelope`.
-    pose_quantum_m:
-        Camera-position grid step; 0 disables quantisation.
     max_cache_entries:
         LRU capacity of the result cache.
     """
+
+    #: Geometry trust region; see :class:`RecognitionEnvelope`.
+    envelope = RecognitionEnvelope()
 
     def __init__(
         self,
         recognizer: SaxSignRecognizer | None = None,
         render_settings: RenderSettings | None = None,
-        envelope: RecognitionEnvelope | None = None,
-        pose_quantum_m: float = 0.05,
         max_cache_entries: int = 8192,
     ) -> None:
         if recognizer is None:
@@ -381,8 +278,6 @@ class RecognizerPerception:
         self.render_settings = (
             render_settings if render_settings is not None else RenderSettings()
         )
-        self.envelope = envelope if envelope is not None else RecognitionEnvelope()
-        self.pose_quantum_m = pose_quantum_m
         self._core = _PerceptionCore(recognizer, max_cache_entries)
 
     # -- views ----------------------------------------------------------------------
@@ -396,8 +291,6 @@ class RecognizerPerception:
         """
         twin = RecognizerPerception.__new__(RecognizerPerception)
         twin.render_settings = render_settings
-        twin.envelope = self.envelope
-        twin.pose_quantum_m = self.pose_quantum_m
         twin._core = self._core
         return twin
 
@@ -425,9 +318,7 @@ class RecognizerPerception:
         torso = human.position3() + Vec3(0.0, 0.0, TORSO_CENTRE_HEIGHT_M)
         if drone_position.is_close(torso, tol=1e-6):
             return None
-        query = ObservationQuery.build(
-            drone_position, human, self.render_settings, self.pose_quantum_m
-        )
+        query = ObservationQuery.build(drone_position, human, self.render_settings)
         if query.camera_position.is_close(query.torso_target, tol=1e-6):
             return None
         geometry = ObservationGeometry.between(query.camera_position, human)
@@ -445,13 +336,12 @@ class RecognizerPerception:
         if query is None:
             core.gated += 1
             return None
-        hit, sign = core.lookup(query)
-        if hit:
+        cache = core.cache
+        if query in cache:
+            cache.move_to_end(query)
             core.cache_hits += 1
-            return sign
-        return core.classify([query])[0]
-
-    # -- fleet batching ----------------------------------------------------------------
+            return cache[query]
+        return self._resolve([query])[0]
 
     def prefetch(self, queries: Sequence[ObservationQuery | None]) -> int:
         """Resolve many queries through one batched recogniser pass.
@@ -462,44 +352,92 @@ class RecognizerPerception:
         cache so subsequent :meth:`observe` calls are pure lookups.
         Returns the number of frames actually classified.
         """
-        misses = self._core.miss_filter(queries)
-        self._core.classify(misses)
+        misses = self.pending_misses(queries)
+        if misses:
+            self._resolve(misses)
         return len(misses)
+
+    def _resolve(self, misses: Sequence[ObservationQuery]) -> list[MarshallingSign | None]:
+        frames = self.render_batch(misses)
+        return self.match_batch(misses, self.preprocess_batch(misses, frames))
 
     # -- fleet-stage seams --------------------------------------------------------------
     #
-    # The fleet stage loop (repro.mission.pipeline) decomposes
-    # prefetch() into one stage per step; these methods are the seams
-    # those stages call.  classify()/prefetch() compose the very same
-    # methods, so the loop cannot diverge from the direct path.
+    # The fleet stage loop (repro.mission.pipeline) calls one seam per
+    # stage; observe() and prefetch() compose the very same seams, so
+    # the loop cannot diverge from the direct path.
 
     def pending_misses(
         self, queries: Sequence[ObservationQuery | None]
     ) -> list[ObservationQuery]:
-        """Node seam: deduplicated cache misses of *queries*, in order."""
-        return self._core.miss_filter(queries)
+        """The deduplicated cache misses of *queries*, in order.
+
+        Drops ``None`` entries and already-cached queries, promoting the
+        cached ones in the LRU order exactly as :meth:`observe` would.
+        """
+        cache = self._core.cache
+        misses: list[ObservationQuery] = []
+        seen: set[ObservationQuery] = set()
+        for query in queries:
+            if query is None or query in seen:
+                continue
+            seen.add(query)
+            if query in cache:
+                cache.move_to_end(query)
+            else:
+                misses.append(query)
+        return misses
 
     def render_batch(self, misses: Sequence[ObservationQuery]) -> list[Image]:
-        """Node seam: render every missed query's frame."""
-        return self._core.render_queries(misses)
+        """Render every missed query's frame."""
+        return [query.render() for query in misses]
 
     def preprocess_batch(
         self, misses: Sequence[ObservationQuery], frames: Sequence[Image]
     ) -> list:
-        """Node seam: batched vision front-end over rendered frames."""
-        return self._core.preprocess_rendered(misses, frames)
+        """Run the batched vision front-end over rendered query frames.
+
+        One :func:`~repro.recognition.preprocess.preprocess_frames`
+        call over the whole batch; returns the per-frame
+        ``PreprocessResult`` list.
+        """
+        return preprocess_frames(
+            frames,
+            self._core.recognizer.preprocess_settings,
+            elevation_deg=[query.elevation_deg for query in misses],
+        )
 
     def match_batch(
         self, misses: Sequence[ObservationQuery], pres: Sequence
     ) -> list[MarshallingSign | None]:
-        """Node seam: batched SAX match + result-cache fill."""
-        return self._core.match_preprocessed(misses, pres)
+        """SAX-match preprocessed queries and fill the result cache.
+
+        One batched
+        :meth:`~repro.sax.database.SignDatabase.classify_batch` call
+        over the usable series.  Per-frame verdicts map onto
+        :class:`~repro.human.signs.MarshallingSign` through
+        :func:`~repro.recognition.pipeline.label_to_sign`, as
+        :attr:`~repro.recognition.pipeline.Recognition.sign` does;
+        unusable frames (no silhouette) read ``None``.
+        """
+        core = self._core
+        usable = [pre.series for pre in pres if pre.ok]
+        matches = iter(core.recognizer.database.classify_batch(usable) if usable else [])
+        core.batch_calls += 1
+        signs = [label_to_sign(next(matches).label) if pre.ok else None for pre in pres]
+        core.frames_classified += len(misses)
+        cache = core.cache
+        for query, sign in zip(misses, signs):
+            cache[query] = sign
+        while len(cache) > core.max_cache_entries:
+            cache.popitem(last=False)
+        return signs
 
     def peek(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:
         """Read *query*'s cached verdict without disturbing the cache.
 
-        Unlike ``lookup`` this neither promotes the entry in the LRU
-        order nor bumps any counter — the flight recorder's
+        Unlike :meth:`pending_misses` this neither promotes the entry
+        in the LRU order nor bumps any counter — the flight recorder's
         zero-intrusion read of what ``match`` just resolved.
         """
         cache = self._core.cache
@@ -512,7 +450,7 @@ class RecognizerPerception:
     @property
     def stats(self) -> PerceptionStats:
         """Counters for this perception (shared across views)."""
-        return self._core.stats()
+        return PerceptionStats(*self.counters)
 
     @property
     def counters(self) -> tuple[int, int, int, int, int]:

@@ -83,13 +83,6 @@ def _encode_kwargs(builder: str, kwargs: dict) -> dict:
             encoded[key] = asdict(value) if value is not None else None
         elif key in _CONDITION_KEYS:
             encoded[key] = [condition.name for condition in value]
-        elif key == "perception":
-            if not isinstance(value, str):
-                raise ValueError(
-                    "recordable runs need a named perception ('recognizer'/'oracle'),"
-                    " not a perception instance"
-                )
-            encoded[key] = value
         elif isinstance(value, (bool, int, float, str)) or value is None:
             encoded[key] = value
         else:

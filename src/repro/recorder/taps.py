@@ -5,8 +5,9 @@
 the stage loop's tick has ended, :meth:`~FleetRecorderTap.on_tick`
 reads the tick's token (the cache misses ``lookup`` left on it and the
 verdicts ``match`` resolved them to), the world-log deltas (negotiation
-transitions, escalations, mission lifecycle) and the perception-counter
-deltas, and flushes the recording once if the tick wrote anything.
+transitions, escalations, mission lifecycle) and the fleet perception's
+counter deltas, and flushes the recording once if the tick wrote
+anything.
 
 The tap is a pure reader: verdicts are read through
 :meth:`~repro.protocol.recognizer.RecognizerPerception.peek` (no LRU
@@ -25,6 +26,9 @@ from repro.recorder.events import canonical_line, encode_value
 from repro.recorder.recorder import FlightRecorder
 
 __all__ = ["FleetRecorderTap"]
+
+#: The ``node`` of every perception record: a fleet has one perception core.
+CORE_NODE = "core0"
 
 #: World-log kinds recorded as ``negotiation`` (protocol transitions).
 NEGOTIATION_KINDS = frozenset({"sign_observed", "protocol_state", "negotiation_started"})
@@ -60,27 +64,23 @@ class FleetRecorderTap:
 
     Built by :class:`~repro.mission.fleet.FleetScheduler` when a
     recorder is attached; not normally constructed by hand.
+    *perception* is any view of the fleet's one perception core, or
+    ``None`` when no mission recognises signs.
     """
 
-    def __init__(self, recorder: FlightRecorder, missions: Sequence) -> None:
+    def __init__(
+        self,
+        recorder: FlightRecorder,
+        missions: Sequence,
+        perception: RecognizerPerception | None,
+    ) -> None:
         self._recorder = recorder
         self._missions = list(missions)
         self._logs = [m.world.log for m in self._missions]
         self._log_offsets = [len(log) for log in self._logs]
-        self._core_labels: dict[int, str] = {}
-        self._stats_prev: dict[str, tuple] = {}
+        self._perception = perception
+        self._counters = (0, 0, 0, 0, 0)
         self._report_recorded = False
-        # Resolve the distinct perception cores once (labelled in
-        # mission order) — on_tick reads their counters every tick, so
-        # the per-tick loop must not re-discover them.
-        self._tracked_cores: list[tuple[str, RecognizerPerception]] = []
-        for mission in self._missions:
-            perception = mission.perception
-            if (
-                isinstance(perception, RecognizerPerception)
-                and perception.core_key not in self._core_labels
-            ):
-                self._tracked_cores.append((self._core_label(perception), perception))
 
     # -- capture points ----------------------------------------------------------------
 
@@ -105,43 +105,37 @@ class FleetRecorderTap:
             },
         )
 
-    def on_tick(self, tick: int, tokens: list) -> None:
+    def on_tick(self, tick: int, token) -> None:
         """Scheduler hook, after one loop tick has ended.
 
-        Records, in order: the cache misses on the tick's *tokens* (as
+        Records, in order: the cache misses on the tick's *token* (as
         ``observation`` lines, then their verdicts as ``verdict``
         lines), the world-log deltas, and a ``tick`` record when the
         perception counters moved.  Flushes once if anything was written.
         """
         record = self._recorder.record
-        batches = [
-            (self._core_label(batch.perception), batch)
-            for token in tokens
-            for batch in token.batches
-        ]
-        for core, batch in batches:
-            for query in batch.misses:
-                payload = _query_payload(query)
-                record(
-                    "observation",
-                    tick=tick,
-                    node=core,
-                    data={"query": payload, "digest": query_digest(payload)},
-                )
-        for core, batch in batches:
-            for query in batch.misses:
-                cached, sign = batch.perception.peek(query)
-                record(
-                    "verdict",
-                    tick=tick,
-                    node=core,
-                    data={
-                        "digest": query_digest(_query_payload(query)),
-                        "label": sign.value if sign is not None else None,
-                        "cached": cached,
-                    },
-                )
-        wrote = bool(batches)
+        misses = token.misses if token is not None else ()
+        for query in misses:
+            payload = _query_payload(query)
+            record(
+                "observation",
+                tick=tick,
+                node=CORE_NODE,
+                data={"query": payload, "digest": query_digest(payload)},
+            )
+        for query in misses:
+            cached, sign = token.perception.peek(query)
+            record(
+                "verdict",
+                tick=tick,
+                node=CORE_NODE,
+                data={
+                    "digest": query_digest(_query_payload(query)),
+                    "label": sign.value if sign is not None else None,
+                    "cached": cached,
+                },
+            )
+        wrote = bool(misses)
         sizes = list(map(len, self._logs))
         if sizes != self._log_offsets:
             for mission, log, offset in zip(self._missions, self._logs, self._log_offsets):
@@ -208,14 +202,6 @@ class FleetRecorderTap:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _core_label(self, perception: RecognizerPerception) -> str:
-        key = perception.core_key
-        label = self._core_labels.get(key)
-        if label is None:
-            label = f"core{len(self._core_labels)}"
-            self._core_labels[key] = label
-        return label
-
     def _record_world_event(self, tick: int, mission, event) -> None:
         if event.kind in NEGOTIATION_KINDS:
             kind = "negotiation"
@@ -236,18 +222,19 @@ class FleetRecorderTap:
         )
 
     def _perception_deltas(self) -> dict:
-        deltas: dict[str, dict[str, int]] = {}
-        for label, perception in self._tracked_cores:
-            snapshot = perception.counters
-            previous = self._stats_prev.get(label, (0, 0, 0, 0, 0))
-            if snapshot != previous:
-                deltas[label] = {
-                    "observations": snapshot[0] - previous[0],
-                    "gated": snapshot[1] - previous[1],
-                    "cache_hits": snapshot[2] - previous[2],
-                    "frames_classified": snapshot[3] - previous[3],
-                    "batch_calls": snapshot[4] - previous[4],
-                }
-                self._stats_prev[label] = snapshot
-        return deltas
-
+        if self._perception is None:
+            return {}
+        snapshot = self._perception.counters
+        previous = self._counters
+        if snapshot == previous:
+            return {}
+        self._counters = snapshot
+        return {
+            CORE_NODE: {
+                "observations": snapshot[0] - previous[0],
+                "gated": snapshot[1] - previous[1],
+                "cache_hits": snapshot[2] - previous[2],
+                "frames_classified": snapshot[3] - previous[3],
+                "batch_calls": snapshot[4] - previous[4],
+            }
+        }

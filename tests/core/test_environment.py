@@ -23,11 +23,18 @@ class TestBuildOrchard:
         env = CollaborativeEnvironment.build_orchard(config=config)
         assert len(env.orchard.traps) == 2
 
-    def test_full_recognition_option(self):
+    def test_sax_perception_kind(self):
         from repro.protocol import SaxPerception
 
-        env = CollaborativeEnvironment.build_orchard(seed=0, use_full_recognition=True)
+        env = CollaborativeEnvironment.build_orchard(seed=0, perception="sax")
         assert isinstance(env.perception, SaxPerception)
+
+    def test_seed_shorthand_keeps_the_rest_of_the_config(self):
+        config = OrchardConfig(rows=2, trees_per_row=3, traps_per_row=1, wind_mean_mps=0.5)
+        env = CollaborativeEnvironment.build_orchard(config=config, seed=9)
+        assert env.orchard.config == OrchardConfig(
+            rows=2, trees_per_row=3, traps_per_row=1, wind_mean_mps=0.5, seed=9
+        )
 
 
 class TestRunMission:

@@ -103,6 +103,14 @@ class TestSchedulerLifecycle:
         with pytest.raises(ValueError):
             FleetScheduler([])
 
+    def test_perceptions_from_two_cores_rejected(self, canonical_recognizer):
+        fleet = build_fleet(FleetSpec(count=2, config=SMALL, perception="oracle"))
+        for mission in fleet.missions:
+            perception = RecognizerPerception(recognizer=canonical_recognizer)
+            mission.perception = mission.executor.perception = perception
+        with pytest.raises(ValueError, match="views of one core"):
+            FleetScheduler(fleet.missions)
+
     def test_shared_clock_advances_in_lockstep(self):
         fleet = build_fleet(FleetSpec(count=2, config=SMALL, perception="oracle"))
         fleet.start()

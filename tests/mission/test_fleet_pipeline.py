@@ -168,7 +168,7 @@ def _break(scheduler, stage):
     """Make *stage* raise on its next call."""
     node = scheduler.graph.nodes[FLEET_STAGES.index(stage)]
 
-    def explode(items):
+    def explode(token):
         raise RuntimeError(f"{stage} broke")
 
     node.process = explode
@@ -244,7 +244,7 @@ class TestLifecycle:
         scheduler, recorder = _started_scheduler()
         node = scheduler.graph.nodes[FLEET_STAGES.index("render")]
 
-        def interrupt(items):
+        def interrupt(token):
             raise KeyboardInterrupt
 
         node.process = interrupt
@@ -323,10 +323,10 @@ class TestStageHandOff:
         calls = []
         for node in loop.nodes:
 
-            def wrapped(items, process=node.process, name=node.name):
-                outputs = process(items)
-                calls.append((name, outputs))
-                return outputs
+            def wrapped(token, process=node.process, name=node.name):
+                output = process(token)
+                calls.append((name, output))
+                return output
 
             node.process = wrapped
         for _ in range(5):
@@ -334,8 +334,7 @@ class TestStageHandOff:
             returned = loop.tick()
             assert [name for name, _ in calls] == list(FLEET_STAGES)
             handed = calls[0][1]
-            (token,) = handed
-            assert token.missions == tuple(fleet.missions)
+            assert handed.missions == tuple(fleet.missions)
             assert calls[FLEET_STAGES.index(stage)][1] is handed
             # the tick returns the token, which is what the recorder reads
             assert returned is handed
@@ -356,17 +355,17 @@ class TestPatchableLookups:
         original = node.process
         calls = []
 
-        def wrapped(items):
-            calls.append(len(items))
-            return original(items)
+        def wrapped(token):
+            calls.append(token is None)
+            return original(token)
 
         node.process = wrapped
         scheduler.tick()
         scheduler.tick()
         del node.process
         scheduler.tick()
-        # the world stage is first, so it always gets the empty list
-        assert calls == ([0, 0] if stage == "world" else [1, 1])
+        # the world stage is first, so it always gets None
+        assert calls == ([True, True] if stage == "world" else [False, False])
         assert set(vars(node)) == attributes
         assert node.calls == 4
 

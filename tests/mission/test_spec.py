@@ -50,7 +50,7 @@ class TestValidation:
             (dict(count=1, laps=0), "at least one lap"),
             (dict(count=1, burst_start_s=-1), "non-negative"),
             (dict(count=1, perception="sonar"), "unknown perception"),
-            (dict(count=1, perception=object()), "perception must be"),
+            (dict(count=1, perception=OraclePerception()), "unknown perception kind"),
         ],
     )
     def test_rejects_bad_fields(self, fields, match):

@@ -9,53 +9,39 @@ from repro.mission.pipeline import NodeFailure, Stage, StageLoop
 
 
 class EmitStage(Stage):
-    """First stage returning one preloaded item per tick."""
+    """First stage returning one preloaded token per tick, then ``None``."""
 
-    def __init__(self, items, name="emit"):
+    def __init__(self, tokens, name="emit"):
         super().__init__(name)
-        self._items = list(items)
+        self._tokens = list(tokens)
 
-    def process(self, items):
-        if not self._items:
-            return []
-        return [self._items.pop(0)]
-
-
-class BurstStage(Stage):
-    """First stage returning *all* preloaded items on its first tick."""
-
-    def __init__(self, items, name="burst"):
-        super().__init__(name)
-        self._items = list(items)
-
-    def process(self, items):
-        items, self._items = self._items, []
-        return items
+    def process(self, token):
+        return self._tokens.pop(0) if self._tokens else None
 
 
 class DoubleStage(Stage):
-    """Doubles every item."""
+    """Doubles its token."""
 
-    def process(self, items):
-        return [2 * x for x in items]
+    def process(self, token):
+        return 2 * token
 
 
 class CollectStage(Stage):
-    """Last stage collecting everything it receives."""
+    """Last stage collecting every token it receives; ends the tick."""
 
     def __init__(self, name="collect"):
         super().__init__(name)
         self.items = []
 
-    def process(self, items):
-        self.items.extend(items)
-        return []
+    def process(self, token):
+        self.items.append(token)
+        return None
 
 
 class FailStage(Stage):
     """Raises on the first call."""
 
-    def process(self, items):
+    def process(self, token):
         raise RuntimeError("boom")
 
 
@@ -70,7 +56,7 @@ class TestExecution:
 
     def test_base_stage_process_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            Stage("bare").process([])
+            Stage("bare").process(None)
 
     def test_mean_tick_is_zero_before_any_tick(self):
         loop = StageLoop([EmitStage([1]), CollectStage()])
@@ -96,34 +82,36 @@ class TestExecution:
         loop.tick()
         assert sink.items == [6]
 
-    def test_an_empty_output_ends_the_tick(self):
+    def test_a_none_output_ends_the_tick(self):
         loop = StageLoop([EmitStage([1]), CollectStage()])
         loop.tick()
         loop.tick()  # emit returns nothing; collect must not be called
         assert stage_stats(loop, "collect").calls == 1
         assert stage_stats(loop, "emit").calls == 2
 
-    def test_output_list_is_the_next_stage_argument(self):
+    def test_output_token_is_the_next_stage_argument(self):
         seen = []
 
         class Record(Stage):
-            def process(self, items):
-                seen.append(items)
-                return items
+            def process(self, token):
+                seen.append(token)
+                return token
 
-        emitted = [1, 2, 3]
+        emitted = object()
 
         class Source(Stage):
-            def process(self, items):
+            def process(self, token):
+                seen.append(token)
                 return emitted
 
         loop = StageLoop([Source("source"), Record("record")])
         loop.tick()
-        assert seen == [emitted]
-        assert seen[0] is emitted
+        # the first stage gets None, the next one the token itself
+        assert seen == [None, emitted]
+        assert seen[1] is emitted
 
     def test_timing_counts_calls_busy_and_max(self):
-        loop = StageLoop([BurstStage([1, 2]), CollectStage()])
+        loop = StageLoop([EmitStage([1, 2]), CollectStage()])
         loop.tick()
         collect = stage_stats(loop, "collect")
         assert collect.calls == 1
@@ -136,9 +124,9 @@ class TestExecution:
     def test_busy_time_brackets_only_the_stage_call(self):
         # A slow stage's time is its own, not its neighbours'.
         class Slow(Stage):
-            def process(self, items):
+            def process(self, token):
                 time.sleep(0.02)
-                return items
+                return token
 
         loop = StageLoop([EmitStage([1]), Slow("slow"), CollectStage()])
         loop.tick()
@@ -160,7 +148,7 @@ class TestExecution:
 
 class TestFailure:
     def build_failing(self):
-        return StageLoop([BurstStage([1]), FailStage("fail"), CollectStage()])
+        return StageLoop([EmitStage([1]), FailStage("fail"), CollectStage()])
 
     def test_stage_failure_raises_and_names_the_stage_and_tick(self):
         loop = self.build_failing()
@@ -206,7 +194,7 @@ class TestFailure:
     @pytest.mark.parametrize("error", [ValueError("bad"), KeyError("k"), ZeroDivisionError()])
     def test_any_exception_type_is_wrapped_and_chained(self, error):
         class Raise(Stage):
-            def process(self, items):
+            def process(self, token):
                 raise error
 
         loop = StageLoop([EmitStage([1]), Raise("raise")])
@@ -239,17 +227,17 @@ class TestFailure:
 class TestTickResult:
     def test_tick_returns_the_last_output(self):
         # A tick returns what its last called stage returned; stages
-        # after an empty output are not called.
+        # after a None output are not called.
         loop = StageLoop([EmitStage([1, 2]), DoubleStage("double")])
-        assert [loop.tick() for _ in range(3)] == [[2], [4], []]
+        assert [loop.tick() for _ in range(3)] == [2, 4, None]
         assert [s.calls for s in loop.stats().nodes] == [3, 2]
 
-    def test_tick_returns_the_last_stage_list_itself(self):
+    def test_tick_returns_the_last_stage_token_itself(self):
         returned = []
 
         class Keep(Stage):
-            def process(self, items):
-                returned.append(list(items))
+            def process(self, token):
+                returned.append([token])
                 return returned[-1]
 
         loop = StageLoop([EmitStage([5]), Keep("keep")])
@@ -258,5 +246,5 @@ class TestTickResult:
     def test_a_collecting_last_stage_returns_nothing(self):
         sink = CollectStage()
         loop = StageLoop([EmitStage([3]), DoubleStage("double"), sink])
-        assert loop.tick() == []
+        assert loop.tick() is None
         assert sink.items == [6]
