@@ -10,8 +10,8 @@ every commensurately sampled periodic signal produces), at three levels:
   periodic window.  **Gate: ≥ 3×.**
 * **window (distinct)**: the same comparison on a window of 64
   pairwise-distinct frames (8 Hz sampling is incommensurate with the
-  period until frame 64), isolating what stage vectorisation alone
-  buys.  Gate: ≥ 1.2× (CI-safe floor; blur+Otsu are the memory-bound
+  period until frame 64), isolating what the fast stages and the
+  batched matcher alone buy.  Gate: ≥ 1.2× (CI-safe floor; blur+Otsu are the memory-bound
   limit, see ``docs/BENCHMARKS.md``).
 * **stream**: chunked ``DynamicSignStream.feed`` (8-frame chunks) vs
   one-shot ``recognize_window`` — verdicts must match exactly and the
@@ -192,7 +192,7 @@ def test_window_throughput(benchmark, dynamic_recognizer):
 
 
 def test_window_distinct_throughput(benchmark, dynamic_recognizer):
-    """Stage vectorisation keeps the window ahead even with no repeats."""
+    """The fast stages keep the window ahead even with no repeats."""
     frames, times = make_window(sample_hz=8.0)
     assert_window_parity(dynamic_recognizer, frames, times)
     scalar_s = timed(lambda: scalar_decode(dynamic_recognizer, frames, times))

@@ -9,12 +9,12 @@ Measures frames/sec of the batched engine against the scalar loop on
 * **end-to-end**: ``SaxSignRecognizer.recognize_batch`` vs a loop of
   ``recognise`` on the standard benchmark batch (15 distinct sign/azimuth
   views cycled to 64 frames, as enrolment sweeps and view grids produce).
-  The batched front-end pre-processes each distinct frame object once
-  and the whole stack flows through the vectorised vision stages.
+  The batched front-end pre-processes each distinct frame object once,
+  on the window its render provenance names.
   Gate: ≥ 3×.
 * **end-to-end (distinct)**: the same comparison on 64 pairwise-distinct
   frames, where duplicate-frame memoisation never fires — this isolates
-  what stage vectorisation alone buys.  Gate: ≥ 1.5× (CI-safe floor;
+  what the windowed front-end and batched matcher alone buy.  Gate: ≥ 1.5× (CI-safe floor;
   see ``docs/BENCHMARKS.md`` for the measured margin).
 * **render**: ``render_frame`` (one projection per pose, one capsule
   pass, a copy of the cached backdrop with the photometric pass on the
@@ -23,9 +23,9 @@ Measures frames/sec of the batched engine against the scalar loop on
   cameras, with ``pixel_identical`` asserted on every run.  Gate: ≥ 1.5×.
 * **preprocess**: ``preprocess_frames`` on the distinct batch's rendered
   frames (windowed: each carries its render provenance) vs the same
-  pixels as provenance-free images (the full stacked path), with
-  ``identical`` — every ``PreprocessResult`` byte-equal — asserted on
-  every run.  Gate: ≥ 2×.
+  pixels as provenance-free images (each frame's window is the whole
+  frame), with ``identical`` — every ``PreprocessResult`` byte-equal —
+  asserted on every run.  Gate: ≥ 2×.
 
 Set ``BENCH_SMOKE=1`` to run a tiny batch with the perf gates disabled
 (parity checks stay on) — the CI smoke job uses this so the script
@@ -167,7 +167,7 @@ def _result_bytes(result) -> tuple:
 
 
 def measure_preprocess(count: int = BATCH_SIZE) -> dict:
-    """Windowed ``preprocess_frames`` vs the full path on the same pixels."""
+    """Provenance windows vs whole-frame windows on the same pixels."""
     frames = make_distinct_frames(count)
     bare = [Image(frame.pixels) for frame in frames]
     settings = PreprocessSettings()
@@ -272,8 +272,8 @@ def test_render_throughput(benchmark):
 
 
 def test_preprocess_throughput(benchmark):
-    """The windowed pre-processor matches the full path byte for byte
-    and clears >= 2x its frames/sec on the distinct batch."""
+    """Provenance windows match whole-frame windows byte for byte and
+    clear >= 2x their frames/sec on the distinct batch."""
     frames = make_distinct_frames()
     benchmark(preprocess_frames, frames, elevation_deg=ELEVATION)
     stats = measure_preprocess()
@@ -321,7 +321,7 @@ if __name__ == "__main__":
     )
     print(f"  wrote {artifact.name}")
     assert r["pixel_identical"], "render_frame drifted from the reference renderer"
-    assert p["identical"], "windowed preprocess drifted from the full path"
+    assert p["identical"], "windowed preprocess drifted from the whole-frame window"
     if SMOKE:
         print("  smoke mode: gates disabled")
     else:

@@ -14,7 +14,7 @@ Two code paths share these semantics (see ``docs/ARCHITECTURE.md``):
   per frame plus :meth:`DynamicSignRecognizer.decode` over the window;
 * the **streaming batch engine** —
   :meth:`DynamicSignRecognizer.recognize_window` feeds the whole
-  observation window through the vectorised
+  observation window through the windowed
   :func:`~repro.recognition.preprocess.preprocess_frames` front-end and
   one :meth:`~repro.sax.database.SignDatabase.classify_batch` call, and
   :meth:`DynamicSignRecognizer.open_stream` /
@@ -365,7 +365,7 @@ class DynamicSignRecognizer:
         """Enrol every keyframe of *sign* from synthetic views.
 
         Rendering stays per-view, but all keyframe × azimuth reference
-        frames pre-process as one batch through the vectorised
+        frames pre-process as one batch through the windowed
         front-end (bit-identical to the scalar path, and the database
         sees the exact same add order as before).
         """
@@ -459,8 +459,8 @@ class DynamicSignRecognizer:
         """Classify a whole frame window in one batched pass.
 
         The window flows through
-        :func:`~repro.recognition.preprocess.preprocess_frames` (one
-        vectorised pass over the frame stack) and a single
+        :func:`~repro.recognition.preprocess.preprocess_frames` (each
+        distinct frame pre-processed once, on its window) and a single
         :meth:`~repro.sax.database.SignDatabase.classify_batch` call;
         observation *i* is bit-identical to
         ``classify_frame(frames[i], times[i], elevation_deg)``.

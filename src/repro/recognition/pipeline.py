@@ -255,8 +255,8 @@ class SaxSignRecognizer:
 
         Batch-first end to end: pre-processing is one
         :func:`~repro.recognition.preprocess.preprocess_frames` call
-        (the frame stack flows through the vectorised vision stages
-        together), and SAX matching is a single batched database call
+        (each distinct frame runs once through the windowed fast
+        stages), and SAX matching is a single batched database call
         scoring every usable series against the enrolment-time FFT
         cache.  Per-frame results are bit-identical to calling
         :meth:`recognise` on each frame.  All returned

@@ -11,15 +11,15 @@ signature.
 Two code paths share these semantics (``docs/ARCHITECTURE.md``):
 
 * :func:`preprocess_frame` — the scalar reference, one frame at a time.
-* :func:`preprocess_frames` — the batched front-end: a ``(B, H, W)``
-  frame stack flows through the ``*_stack`` vision stages (blur,
-  threshold, morphology, components) in whole-batch NumPy ops, contours
-  come from the transition-table trace, and signatures are one stacked
-  conversion.  Per-frame results are bit-identical to the scalar path;
-  parity tests enforce it.
+* :func:`preprocess_frames` — the fast path: each distinct frame of a
+  batch runs through the same per-frame chain on one *window* of the
+  frame, using the fast vision stages (windowed blur, bin-index Otsu,
+  separable closing, bounding-box labelling, transition-table trace).
+  Per-frame results are bit-identical to the reference; parity tests
+  enforce it.
 
-Windowed frames
----------------
+Windows
+-------
 A rendered frame carries a :class:`~repro.vision.image.FrameProvenance`:
 outside its ``box`` it equals a known backdrop (the figure-free
 ``clip(background + noise)`` frame).  Blur, Otsu and closing then only
@@ -32,15 +32,19 @@ integer histogram and its smallest bin — and for such a frame
   neighbours (:func:`~repro.vision.filters.gaussian_blur_window`);
 * builds the frame's histogram as plate − plate window + window, exact
   integer arithmetic, and takes Otsu's bin from it;
-* closes the window padded by the closing radius with background.
+* closes the window padded by the closing radius with background, and
+  labels and traces only that.
 
 Every pixel outside the window is plate, hence background, *provided*
-the plate's smallest bin lies above Otsu's bin; when it does not (a
-low-contrast backdrop whose noise could cross the threshold) the frame
-takes the full stacked path, as do frames without provenance (occluded,
-blurred, dropped or caller-built images), an empty box and tiny frames.
-No setting selects the path; the frame's provenance alone decides, and
-the result is bit-identical either way.
+the plate's smallest bin lies above Otsu's bin.  When it does not (a
+low-contrast backdrop whose noise could cross the threshold) the window
+is the whole frame, with no plate, as it is for frames without
+provenance (occluded, blurred, dropped or caller-built images) or with
+an empty box.  Frames smaller than the blur radius + 2 on a side take
+the whole-frame window with the reference blur.  No setting selects
+the window; the frame's provenance alone decides, and the result is
+bit-identical either way.  The full-frame silhouette is written once,
+when the frame's component is known.
 
 Elevation rectification
 -----------------------
@@ -63,24 +67,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.vision.components import largest_component, largest_components_stack
+from repro.vision.components import largest_component, largest_component_fast
 from repro.vision.contour import Contour, trace_outer_contour, trace_outer_contour_fast
-from repro.vision.filters import (
-    gaussian_blur,
-    gaussian_blur_stack,
-    gaussian_blur_window,
-    gaussian_kernel_1d,
-)
-from repro.vision.image import Backdrop, BinaryImage, Image, stack_pixels
-from repro.vision.morphology import closing, closing_stack
-from repro.vision.signature import SignatureKind, compute_signature, compute_signature_stack
-from repro.vision.threshold import (
-    OTSU_BINS,
-    otsu_bins_stack,
-    otsu_dark_bins,
-    threshold_otsu,
-    threshold_otsu_stack,
-)
+from repro.vision.filters import gaussian_blur, gaussian_blur_window, gaussian_kernel_1d
+from repro.vision.image import Backdrop, BinaryImage, Image
+from repro.vision.morphology import closing, closing_fast
+from repro.vision.signature import SignatureKind, compute_signature
+from repro.vision.threshold import OTSU_BINS, otsu_bins, otsu_dark_bin, threshold_otsu
 
 if TYPE_CHECKING:
     from repro.recognition.budget import FrameBudget
@@ -219,14 +212,12 @@ def preprocess_frames(
     elevation_deg: float | Sequence[float] | None = None,
     budget: "FrameBudget | None" = None,
 ) -> list[PreprocessResult]:
-    """Run the pre-processing chain on a whole frame batch at once.
+    """Run the pre-processing chain on every frame of a batch.
 
-    The batched counterpart of :func:`preprocess_frame`: frames of equal
-    shape are stacked into a ``(B, H, W)`` array and flow through the
-    vectorised vision stages together (mixed shapes are grouped by shape
-    and each group is batched).  Entry ``i`` of the result is
-    bit-identical to ``preprocess_frame(frames[i], settings,
-    elevation_deg=elevations[i])``.
+    The fast counterpart of :func:`preprocess_frame`: each distinct
+    frame runs through one windowed chain (see *Windows* above).  Entry
+    ``i`` of the result is bit-identical to ``preprocess_frame(frames[i],
+    settings, elevation_deg=elevations[i])``.
 
     Duplicate frames are memoised: slots holding the same ``Image``
     *object* at the same elevation share one :class:`PreprocessResult`
@@ -240,33 +231,38 @@ def preprocess_frames(
         (see :func:`broadcast_elevations`).
     budget:
         Optional :class:`~repro.recognition.budget.FrameBudget`; when
-        given, each internal stage is timed as a sub-stage of whatever
-        stage the caller has open (``"preprocess.threshold"``, … inside
-        the pipeline's ``"preprocess"``; plain top-level stages when
-        called directly).
+        given, each internal stage is timed once for the whole batch as
+        a sub-stage of whatever stage the caller has open
+        (``"preprocess.threshold"``, … inside the pipeline's
+        ``"preprocess"``; plain top-level stages when called directly).
     """
     cfg = settings if settings is not None else PreprocessSettings()
     frames = list(frames)
     elevations = broadcast_elevations(elevation_deg, len(frames))
-    results: list[PreprocessResult | None] = [None] * len(frames)
     # Duplicate frames (the same Image object at the same elevation —
     # common in cycled benchmark batches and repeated view sweeps) are
     # pre-processed once; their slots share one PreprocessResult.
-    seen: dict[tuple[int, float | None], int] = {}
-    duplicates: list[tuple[int, int]] = []
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for index, frame in enumerate(frames):
-        key = (id(frame), elevations[index])
-        representative = seen.setdefault(key, index)
-        if representative != index:
-            duplicates.append((index, representative))
-        else:
-            by_shape.setdefault(frame.shape, []).append(index)
-    for indices in by_shape.values():
-        _preprocess_group(frames, elevations, indices, cfg, budget, results)
-    for index, representative in duplicates:
-        results[index] = results[representative]
-    return results  # type: ignore[return-value]  # every slot is filled above
+    keys = [(id(frame), elevation) for frame, elevation in zip(frames, elevations)]
+    todo = dict(zip(keys, zip(frames, elevations)))
+    with _stage(budget, "blur"):
+        windows = [_blur_window(frame, cfg) for frame, _ in todo.values()]
+    with _stage(budget, "threshold"):
+        masks = [
+            _threshold_window(frame, window, cfg)
+            for (frame, _), window in zip(todo.values(), windows)
+        ]
+    with _stage(budget, "morphology"):
+        regions = [_close_window(window, mask, cfg.closing_radius) for window, mask in masks]
+    with _stage(budget, "components"):
+        components = [_largest_component(*region) for region in regions]
+    with _stage(budget, "contour"):
+        traced = [
+            _trace(frame.shape, component, elevation, cfg)
+            for (frame, elevation), component in zip(todo.values(), components)
+        ]
+    with _stage(budget, "signature"):
+        done = dict(zip(todo, [_with_series(result, cfg) for result in traced]))
+    return [done[key] for key in keys]
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,9 +280,10 @@ def _plate(backdrop: Backdrop, blur_sigma: float, shape: tuple[int, int]) -> _Pl
     pixels = backdrop.pixels()
     if pixels.shape != shape:
         raise ValueError(f"backdrop shape {pixels.shape} does not match frame shape {shape}")
-    stack = gaussian_blur_stack([pixels], blur_sigma) if blur_sigma > 0 else pixels[None]
-    histograms, bins = otsu_bins_stack(stack)
-    plate_bins, histogram = bins[0].astype(np.uint8), histograms[0]
+    if blur_sigma > 0:
+        pixels = gaussian_blur_window(pixels, blur_sigma, (0, shape[0]), (0, shape[1]))
+    histogram, bins = otsu_bins(pixels)
+    plate_bins = bins.astype(np.uint8)
     plate_bins.setflags(write=False)
     histogram.setflags(write=False)
     return _Plate(plate_bins, histogram, int(plate_bins.min()))
@@ -294,11 +291,16 @@ def _plate(backdrop: Backdrop, blur_sigma: float, shape: tuple[int, int]) -> _Pl
 
 @dataclass(frozen=True, slots=True)
 class _Window:
-    """The blurred part of one frame that can differ from its plate."""
+    """The blurred ``frame[rows, cols]`` the chain works on.
 
-    plate: _Plate
+    With a plate, every pixel outside the window is plate; without one
+    the window is the whole frame.
+    """
+
+    plate: _Plate | None
     rows: tuple[int, int]
     cols: tuple[int, int]
+    shape: tuple[int, int]
     pixels: np.ndarray
 
 
@@ -308,120 +310,107 @@ def _blur_margin(blur_sigma: float) -> int:
     return len(gaussian_kernel_1d(blur_sigma)) // 2 if blur_sigma > 0 else 0
 
 
-def _blur_window(frame: Image, cfg: PreprocessSettings) -> _Window | None:
+def _blur_window(frame: Image, cfg: PreprocessSettings, whole: bool = False) -> _Window:
     """Blur the part of *frame* its provenance says can differ from the
-    backdrop, grown by the blur radius; ``None`` sends the frame down
-    the full path (no provenance, an empty box, a tiny frame)."""
-    provenance = frame.provenance
-    if provenance is None:
-        return None
-    top, left, height, width = provenance.box
+    backdrop, grown by the blur radius; the whole frame, with no plate,
+    when *whole* is set or the frame has no provenance, an empty box or
+    is tiny."""
     h, w = frame.shape
     margin = _blur_margin(cfg.blur_sigma)
-    if height == 0 or width == 0 or h < margin + 2 or w < margin + 2:
-        return None
-    rows = (max(0, top - margin), min(h, top + height + margin))
-    cols = (max(0, left - margin), min(w, left + width + margin))
-    plate = _plate(provenance.backdrop, cfg.blur_sigma, (h, w))
-    if cfg.blur_sigma > 0:
-        pixels = gaussian_blur_window(frame.pixels, cfg.blur_sigma, rows, cols)
-    else:
+    tiny = h < margin + 2 or w < margin + 2
+    provenance = None if whole or tiny else frame.provenance
+    plate, rows, cols = None, (0, h), (0, w)
+    if provenance is not None and provenance.box[2] and provenance.box[3]:
+        top, left, height, width = provenance.box
+        rows = (max(0, top - margin), min(h, top + height + margin))
+        cols = (max(0, left - margin), min(w, left + width + margin))
+        plate = _plate(provenance.backdrop, cfg.blur_sigma, (h, w))
+    if cfg.blur_sigma == 0:
         pixels = frame.pixels[rows[0] : rows[1], cols[0] : cols[1]]
-    return _Window(plate, rows, cols, pixels)
+    elif tiny:  # np.pad's multi-bounce reflection: the reference blur
+        pixels = gaussian_blur(frame, cfg.blur_sigma).pixels
+    else:
+        pixels = gaussian_blur_window(frame.pixels, cfg.blur_sigma, rows, cols)
+    return _Window(plate, rows, cols, (h, w), pixels)
 
 
-def _threshold_window(window: _Window) -> np.ndarray | None:
+def _threshold_window(
+    frame: Image, window: _Window, cfg: PreprocessSettings
+) -> tuple[_Window, np.ndarray]:
     """The window's dark-foreground mask under the whole frame's Otsu
-    threshold; ``None`` when a plate pixel could turn foreground."""
-    histograms, bins = otsu_bins_stack(window.pixels[None])
-    (r0, r1), (c0, c1) = window.rows, window.cols
+    threshold.  When a plate pixel could turn foreground, the window is
+    replaced by the whole frame (returned with its mask)."""
+    histogram, bins = otsu_bins(window.pixels)
     plate = window.plate
-    covered = np.bincount(plate.bins[r0:r1, c0:c1].ravel(), minlength=OTSU_BINS)
-    dark = int(otsu_dark_bins((plate.histogram - covered + histograms[0])[None])[0])
-    if plate.min_bin <= dark:
-        return None
-    return bins[0] <= dark
+    if plate is not None:
+        (r0, r1), (c0, c1) = window.rows, window.cols
+        covered = np.bincount(plate.bins[r0:r1, c0:c1].ravel(), minlength=OTSU_BINS)
+        histogram = plate.histogram - covered + histogram
+    dark = otsu_dark_bin(histogram)
+    if plate is not None and plate.min_bin <= dark:
+        return _threshold_window(frame, _blur_window(frame, cfg, whole=True), cfg)
+    return window, bins <= dark
 
 
-def _close_window(window: _Window, mask: np.ndarray, radius: int, out: np.ndarray) -> None:
-    """Write the window's closed *mask* into the all-background frame *out*."""
+def _close_window(window: _Window, mask: np.ndarray, radius: int) -> tuple[np.ndarray, int, int]:
+    """Close the window's *mask* padded by *radius* with background.
+
+    Returns ``(closed, top, left)``: the closed region and its origin in
+    the frame; the whole closed frame is background outside it.
+    """
     (r0, r1), (c0, c1) = window.rows, window.cols
-    if radius == 0:
-        out[r0:r1, c0:c1] = mask
-        return
-    h, w = out.shape
+    h, w = window.shape
     top, bottom = max(0, r0 - radius), min(h, r1 + radius)
     left, right = max(0, c0 - radius), min(w, c1 + radius)
-    canvas = np.zeros((1, bottom - top, right - left), dtype=bool)
-    canvas[0, r0 - top : r1 - top, c0 - left : c1 - left] = mask
-    out[top:bottom, left:right] = closing_stack(canvas, radius)[0]
+    canvas = np.zeros((bottom - top, right - left), dtype=bool)
+    canvas[r0 - top : r1 - top, c0 - left : c1 - left] = mask
+    return closing_fast(canvas, radius), top, left
 
 
-def _preprocess_group(
-    frames: list[Image],
-    elevations: list[float | None],
-    indices: list[int],
+def _largest_component(
+    region: np.ndarray, top: int, left: int
+) -> tuple[np.ndarray, int, tuple[int, int, int, int]] | None:
+    """The region's largest component, its box moved into frame
+    coordinates."""
+    component = largest_component_fast(region)
+    if component is None:
+        return None
+    crop, area, (row, col, height, width) = component
+    return crop, area, (top + row, left + col, height, width)
+
+
+def _trace(
+    shape: tuple[int, int],
+    component: tuple[np.ndarray, int, tuple[int, int, int, int]] | None,
+    elevation_deg: float | None,
     cfg: PreprocessSettings,
-    budget: "FrameBudget | None",
-    results: list[PreprocessResult | None],
-) -> None:
-    """Batch-process the same-shape *indices* subset of *frames* in place."""
-    with _stage(budget, "blur"):
-        blurred = [_blur_window(frames[i], cfg) for i in indices]
-    with _stage(budget, "threshold"):
-        dark = [None if window is None else _threshold_window(window) for window in blurred]
-    full = [k for k, mask in enumerate(dark) if mask is None]
-    if full:
-        with _stage(budget, "blur"):
-            if cfg.blur_sigma > 0:
-                stack = gaussian_blur_stack(
-                    [frames[indices[k]].pixels for k in full], cfg.blur_sigma
-                )
-            else:
-                stack = stack_pixels([frames[indices[k]] for k in full])
-        with _stage(budget, "threshold"):
-            full_masks = threshold_otsu_stack(stack, foreground_dark=True)
-    with _stage(budget, "morphology"):
-        masks = np.zeros((len(indices), *frames[indices[0]].shape), dtype=bool)
-        if full:
-            if cfg.closing_radius > 0:
-                full_masks = closing_stack(full_masks, cfg.closing_radius)
-            masks[full] = full_masks
-        for window, mask, out in zip(blurred, dark, masks):
-            if mask is not None:
-                _close_window(window, mask, cfg.closing_radius, out)
-    with _stage(budget, "components"):
-        components = largest_components_stack(masks)
+) -> PreprocessResult:
+    """Write the component into the frame's silhouette and trace it; a
+    result without a series is ready, one with a contour still needs
+    its series."""
+    if component is None:
+        return PreprocessResult(None, None, None, reject_reason="no foreground")
+    crop, area, box = component
+    top, left, height, width = box
+    mask = np.zeros(shape, dtype=bool)
+    mask[top : top + height, left : left + width] = crop
+    silhouette = BinaryImage(mask)
+    if area < cfg.min_component_area_px:
+        return PreprocessResult(silhouette, None, None, reject_reason="silhouette too small")
+    contour = trace_outer_contour_fast(silhouette, bbox=box)
+    if contour is None or len(contour) < 8:
+        return PreprocessResult(silhouette, None, None, reject_reason="degenerate contour")
+    if elevation_deg is not None:
+        contour = rectify_contour(contour, elevation_deg)
+    return PreprocessResult(silhouette, contour, None)
 
-    contours: list[Contour] = []
-    accepted: list[tuple[int, BinaryImage, Contour]] = []
-    with _stage(budget, "contour"):
-        for slot, component in zip(indices, components):
-            if component is None:
-                results[slot] = PreprocessResult(None, None, None, reject_reason="no foreground")
-                continue
-            mask, area, bbox = component
-            silhouette = BinaryImage(mask)
-            if area < cfg.min_component_area_px:
-                results[slot] = PreprocessResult(
-                    silhouette, None, None, reject_reason="silhouette too small"
-                )
-                continue
-            contour = trace_outer_contour_fast(silhouette, bbox=bbox)
-            if contour is None or len(contour) < 8:
-                results[slot] = PreprocessResult(
-                    silhouette, None, None, reject_reason="degenerate contour"
-                )
-                continue
-            if elevations[slot] is not None:
-                contour = rectify_contour(contour, elevations[slot])
-            contours.append(contour)
-            accepted.append((slot, silhouette, contour))
-    with _stage(budget, "signature"):
-        if contours:
-            series = compute_signature_stack(contours, cfg.signature_kind, cfg.signature_length)
-            for (slot, silhouette, contour), row in zip(accepted, series):
-                results[slot] = PreprocessResult(silhouette, contour, row.copy())
+
+def _with_series(result: PreprocessResult, cfg: PreprocessSettings) -> PreprocessResult:
+    """Add the signature series to a traced result."""
+    if result.contour is None:
+        return result
+    series = compute_signature(result.contour, cfg.signature_kind, cfg.signature_length)
+    return PreprocessResult(result.silhouette, result.contour, series)
 
 
 def _mask_to_result(

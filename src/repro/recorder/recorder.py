@@ -1,8 +1,10 @@
 """The append-only flight-recorder writer.
 
-:class:`FlightRecorder` accumulates canonical record lines in memory
-and (optionally) appends them to a JSONL file as they happen.  The
-fleet's tap writes a tick's lines in one burst and then calls
+:class:`FlightRecorder` appends canonical record lines to a JSONL file
+as they happen, or keeps them in memory when it has no file.  A
+file-backed recorder holds no line list: it hashes each line as it
+appends it, and its :attr:`~FlightRecorder.lines` reads the file back.
+The fleet's tap writes a tick's lines in one burst and then calls
 :meth:`FlightRecorder.flush`, so a ``tail`` dashboard follows a live
 run tick by tick.  Every record comes from the scheduler's own thread,
 so the writer takes no lock.
@@ -38,17 +40,21 @@ class FlightRecorder:
     path:
         Optional file path; when given, every record line is appended
         to it as it is recorded (reaching the file on :meth:`flush` or
-        :meth:`finalize`), and :attr:`path` is surfaced on the run's
-        ``FleetReport``.
+        :meth:`finalize`), no line is kept in memory, and :attr:`path`
+        is surfaced on the run's ``FleetReport``.
     """
 
     def __init__(self, path: str | None = None):
-        self._lines: list[str] = []  # canonical lines, in append order
+        self._digest = hashlib.sha256()  # over every line before the footer
+        self._count = 0
         self._finalized = False
         self._path = str(path) if path is not None else None
         self._file: IO[str] | None = None
+        self._lines: list[str] | None = None  # in-memory recorders only
         if self._path is not None:
             self._file = open(self._path, "w", encoding="utf-8")
+        else:
+            self._lines = []
 
     @property
     def path(self) -> str | None:
@@ -62,8 +68,16 @@ class FlightRecorder:
 
     @property
     def lines(self) -> tuple[str, ...]:
-        """All record lines, in append order: the replayable stream."""
-        return tuple(self._lines)
+        """All record lines, in append order: the replayable stream.
+
+        A file-backed recorder pushes its buffered lines to the file
+        and reads them back.
+        """
+        if self._lines is not None:
+            return tuple(self._lines)
+        if self._file is not None:
+            self._file.flush()
+        return tuple(read_lines(self._path))
 
     def record(self, kind: str, *, tick: int = -1, node: str = "", data: dict | None = None) -> None:
         """Append one record; payload values are canonically encoded.
@@ -77,7 +91,7 @@ class FlightRecorder:
             return
         record = {
             "v": SCHEMA_VERSION,
-            "seq": len(self._lines),
+            "seq": self._count,
             "kind": kind,
             "tick": tick,
             "node": node,
@@ -103,18 +117,13 @@ class FlightRecorder:
         """
         if self._finalized:
             return
-        digest = hashlib.sha256()
-        for line in self._lines:
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        count = len(self._lines)
         record = {
             "v": SCHEMA_VERSION,
-            "seq": count,
+            "seq": self._count,
             "kind": "end",
             "tick": -1,
             "node": "",
-            "data": {"events": count, "sha256": digest.hexdigest()},
+            "data": {"events": self._count, "sha256": self._digest.hexdigest()},
         }
         self._append(canonical_line(record))
         self._finalized = True
@@ -123,9 +132,13 @@ class FlightRecorder:
             self._file = None
 
     def _append(self, line: str) -> None:
-        self._lines.append(line)
-        if self._file is not None:
-            self._file.write(line + "\n")
+        text = line + "\n"
+        self._digest.update(text.encode("utf-8"))
+        self._count += 1
+        if self._lines is None:
+            self._file.write(text)
+        else:
+            self._lines.append(line)
 
 
 def read_lines(path: str) -> list[str]:

@@ -7,15 +7,18 @@ Pipeline order (see :mod:`repro.recognition.preprocess`):
 clean (:mod:`morphology`) → largest region (:mod:`components`) →
 outer contour (:mod:`contour`) → 1-D shape signature (:mod:`signature`).
 
-Every stage has two code paths with bit-identical per-frame results
-(see ``docs/ARCHITECTURE.md``):
+Stages the pre-processor runs have two code paths with bit-identical
+results (see ``docs/ARCHITECTURE.md``):
 
-* **scalar** — one :class:`Image`/:class:`BinaryImage` at a time; the
-  readable reference implementations.
-* **batch** — ``*_stack`` functions over ``(B, H, W)`` frame stacks
-  (plus :func:`trace_outer_contour_fast`), which the batched
-  pre-processor composes to amortise NumPy dispatch over whole frame
-  batches.
+* **reference** — one :class:`Image`/:class:`BinaryImage` at a time;
+  the readable implementations :func:`repro.recognition.preprocess.preprocess_frame`
+  composes.
+* **fast** — :func:`gaussian_blur_window`, :func:`otsu_bins` /
+  :func:`otsu_dark_bin`, :func:`closing_fast`,
+  :func:`largest_component_fast` and :func:`trace_outer_contour_fast`
+  on raw arrays, which
+  :func:`~repro.recognition.preprocess.preprocess_frames` composes on
+  one window of each frame.
 """
 
 from repro.vision.components import (
@@ -23,7 +26,7 @@ from repro.vision.components import (
     label_components,
     label_components_fast,
     largest_component,
-    largest_components_stack,
+    largest_component_fast,
 )
 from repro.vision.contour import (
     Contour,
@@ -34,23 +37,19 @@ from repro.vision.contour import (
 from repro.vision.filters import (
     box_blur,
     gaussian_blur,
-    gaussian_blur_stack,
     gaussian_blur_window,
     gaussian_kernel_1d,
     gradient_magnitude,
     sobel_gradients,
 )
-from repro.vision.image import Backdrop, BinaryImage, FrameProvenance, Image, stack_pixels
+from repro.vision.image import Backdrop, BinaryImage, FrameProvenance, Image
 from repro.vision.moments import CentralMoments, central_moments, hu_moments
 from repro.vision.morphology import (
     closing,
-    closing_stack,
+    closing_fast,
     dilate,
-    dilate_stack,
     erode,
-    erode_stack,
     opening,
-    opening_stack,
 )
 from repro.vision.raster import (
     capsule_pixels,
@@ -64,17 +63,14 @@ from repro.vision.signature import (
     SignatureKind,
     centroid_distance_signature,
     compute_signature,
-    compute_signature_stack,
     cumulative_angle_signature,
 )
 from repro.vision.threshold import (
-    otsu_bins_stack,
-    otsu_dark_bins,
+    otsu_bins,
+    otsu_dark_bin,
     otsu_threshold,
-    otsu_threshold_stack,
     threshold_fixed,
     threshold_otsu,
-    threshold_otsu_stack,
 )
 
 __all__ = [
@@ -82,14 +78,13 @@ __all__ = [
     "label_components",
     "label_components_fast",
     "largest_component",
-    "largest_components_stack",
+    "largest_component_fast",
     "Contour",
     "resample_closed_curve",
     "trace_outer_contour",
     "trace_outer_contour_fast",
     "box_blur",
     "gaussian_blur",
-    "gaussian_blur_stack",
     "gaussian_blur_window",
     "gaussian_kernel_1d",
     "gradient_magnitude",
@@ -98,18 +93,14 @@ __all__ = [
     "BinaryImage",
     "FrameProvenance",
     "Image",
-    "stack_pixels",
     "CentralMoments",
     "central_moments",
     "hu_moments",
     "closing",
-    "closing_stack",
+    "closing_fast",
     "dilate",
-    "dilate_stack",
     "erode",
-    "erode_stack",
     "opening",
-    "opening_stack",
     "capsule_pixels",
     "merge_masks",
     "paint_capsule",
@@ -119,13 +110,10 @@ __all__ = [
     "SignatureKind",
     "centroid_distance_signature",
     "compute_signature",
-    "compute_signature_stack",
     "cumulative_angle_signature",
-    "otsu_bins_stack",
-    "otsu_dark_bins",
+    "otsu_bins",
+    "otsu_dark_bin",
     "otsu_threshold",
-    "otsu_threshold_stack",
     "threshold_fixed",
     "threshold_otsu",
-    "threshold_otsu_stack",
 ]

@@ -4,11 +4,10 @@ Two-pass union-find labelling with 8-connectivity.  The recognition
 pre-processor keeps only the largest component: the signaller's
 silhouette, discarding stray foreground (leaves, other objects).
 
-:func:`largest_components_stack` extracts the largest component of
-every mask in a ``(B, H, W)`` stack with a *single* labelling call: the
-frames are stacked vertically with background separator rows, so SciPy
-labels the whole batch in one C pass and areas fall out of one
-``bincount``.
+:func:`largest_component_fast` is the pre-processor's labeller: it
+labels only the foreground's bounding box of a raw boolean array and
+returns the largest component on that box, which is all the contour
+trace needs.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ __all__ = [
     "label_components",
     "label_components_fast",
     "largest_component",
-    "largest_components_stack",
+    "largest_component_fast",
 ]
 
 
@@ -191,123 +190,45 @@ def largest_component(image: BinaryImage) -> ConnectedComponent | None:
     return components[0] if components else None
 
 
-def largest_components_stack(
-    stack: np.ndarray,
-) -> list[tuple[np.ndarray, int, tuple[int, int, int, int]] | None]:
-    """Largest component of every frame in a ``(B, H, W)`` stack.
-
-    One stacked SciPy labelling call covers the whole batch: frames are
-    separated by background rows so components cannot bridge them, and
-    SciPy assigns labels in raster order, which makes each frame's label
-    range contiguous.  Entry ``b`` is ``None`` when frame ``b`` has no
-    foreground; otherwise it is ``(mask, area, bbox)`` where the mask
-    equals ``largest_component(BinaryImage(stack[b])).mask.pixels``
-    exactly (area ties resolve to the first component in scan order on
-    both paths) and ``bbox = (top, left, height, width)`` is a window
-    guaranteed to contain all of the mask's foreground — suitable as
-    the search hint of
-    :func:`~repro.vision.contour.trace_outer_contour_fast`.  Falls back
-    to per-frame :func:`largest_component` when SciPy is unavailable.
-    """
-    stack = np.asarray(stack)
-    if stack.ndim != 3:
-        raise ValueError(f"expected a (B, H, W) stack, got {stack.ndim}-D")
-    if stack.dtype != np.bool_:
-        stack = stack.astype(bool)
-    n_frames, h, w = stack.shape
-    if n_frames == 0:
-        return []
-    try:
-        from scipy import ndimage
-    except ImportError:  # pragma: no cover - scipy is installed in CI
-        results: list[tuple[np.ndarray, int, tuple[int, int, int, int]] | None] = []
-        for frame in stack:
-            comp = largest_component(BinaryImage(frame))
-            results.append(None if comp is None else (comp.mask.pixels, comp.area, comp.bbox))
-        return results
-
-    structure = np.ones((3, 3), dtype=bool)
-    if n_frames == 1:
-        return [_largest_in_frame(stack[0], structure)]
-
-    # Foreground bounding boxes, batched: labelling cost then scales
-    # with the silhouettes, not the full frames.  Cropping keeps each
-    # frame's raster order (rows/columns are only removed wholesale
-    # before/after all foreground), so component scan order — and with
-    # it the area tie-break — is unchanged.
-    row_any = stack.any(axis=2)
-    col_any = stack.any(axis=1)
-    nonempty = row_any.any(axis=1)
-    if not nonempty.any():
-        return [None] * n_frames
-    tops = np.argmax(row_any, axis=1)
-    bottoms = h - np.argmax(row_any[:, ::-1], axis=1)
-    lefts = np.argmax(col_any, axis=1)
-    rights = w - np.argmax(col_any[:, ::-1], axis=1)
-    crop_h = int((bottoms - tops)[nonempty].max())
-    crop_w = int((rights - lefts)[nonempty].max())
-
-    # One background separator row per frame stops components bridging
-    # vertically stacked crops in the single labelling call.
-    canvas = np.zeros((n_frames, crop_h + 1, crop_w), dtype=bool)
-    for b in np.nonzero(nonempty)[0]:
-        top, bottom, left, right = tops[b], bottoms[b], lefts[b], rights[b]
-        canvas[b, : bottom - top, : right - left] = stack[b, top:bottom, left:right]
-    labelled = ndimage.label(
-        canvas.reshape(n_frames * (crop_h + 1), crop_w), structure=structure
-    )[0].reshape(n_frames, crop_h + 1, crop_w)
-    areas = np.bincount(labelled.ravel())
-    # Raster-order labelling over vertically stacked frames means frame b
-    # owns the contiguous label range (max label before it, its own max].
-    frame_max = labelled.reshape(n_frames, -1).max(axis=1)
-    prev_max = np.concatenate([[0], np.maximum.accumulate(frame_max)[:-1]])
-    results = []
-    for b in range(n_frames):
-        low, high = int(prev_max[b]) + 1, int(frame_max[b])
-        if high < low:
-            results.append(None)
-            continue
-        best = low + int(np.argmax(areas[low : high + 1]))
-        top, bottom, left, right = tops[b], bottoms[b], lefts[b], rights[b]
-        mask = np.zeros((h, w), dtype=bool)
-        mask[top:bottom, left:right] = (
-            labelled[b, : bottom - top, : right - left] == best
-        )
-        bbox = (int(top), int(left), int(bottom - top), int(right - left))
-        results.append((mask, int(areas[best]), bbox))
-    return results
-
-
-def _largest_in_frame(
-    frame: np.ndarray, structure: np.ndarray
+def largest_component_fast(
+    pixels: np.ndarray,
 ) -> tuple[np.ndarray, int, tuple[int, int, int, int]] | None:
-    """:func:`largest_components_stack` for one ``(H, W)`` frame.
+    """Largest 8-connected component of a boolean ``(H, W)`` array.
 
-    Scans columns only within the foreground rows and labels the
-    foreground's crop in place, with no canvas; when the crop holds one
-    component (the usual silhouette) its foreground is the mask.
+    ``None`` when *pixels* has no foreground; otherwise ``(crop, area,
+    box)``.  ``box = (top, left, height, width)`` bounds all of the
+    array's foreground, and ``crop`` is the component's mask over that
+    box: pasted at ``box`` into an all-background frame it equals
+    ``largest_component(BinaryImage(pixels)).mask.pixels`` exactly (area
+    ties resolve to the first component in scan order in both).  The
+    box is also a valid search hint for
+    :func:`~repro.vision.contour.trace_outer_contour_fast`.
+
+    Scans columns only within the foreground rows and labels the box in
+    place, with no full-size label array; when the box holds one
+    component (the usual silhouette) its foreground is the mask.  Falls
+    back to :func:`largest_component` when SciPy is unavailable.
     """
-    from scipy import ndimage
-
-    h, w = frame.shape
-    row_any = frame.any(axis=1)
+    h, w = pixels.shape
+    row_any = pixels.any(axis=1)
     if not row_any.any():
         return None
     top = int(np.argmax(row_any))
     bottom = h - int(np.argmax(row_any[::-1]))
-    col_any = frame[top:bottom].any(axis=0)
+    col_any = pixels[top:bottom].any(axis=0)
     left = int(np.argmax(col_any))
     right = w - int(np.argmax(col_any[::-1]))
-    crop = frame[top:bottom, left:right]
-    labelled, count = ndimage.label(crop, structure=structure)
-    mask = np.zeros((h, w), dtype=bool)
+    box = (top, left, bottom - top, right - left)
+    crop = pixels[top:bottom, left:right]
+    try:
+        from scipy import ndimage
+    except ImportError:  # pragma: no cover - scipy is installed in CI
+        component = largest_component(BinaryImage(crop))
+        return component.mask.pixels, component.area, box
+    labelled, count = ndimage.label(crop, structure=np.ones((3, 3), dtype=bool))
     if count == 1:
-        mask[top:bottom, left:right] = crop
-        area = int(np.count_nonzero(crop))
-    else:
-        # First label of the largest area: scan order breaks ties.
-        areas = np.bincount(labelled.ravel())
-        best = 1 + int(np.argmax(areas[1:]))
-        mask[top:bottom, left:right] = labelled == best
-        area = int(areas[best])
-    return mask, area, (top, left, bottom - top, right - left)
+        return crop, int(np.count_nonzero(crop)), box
+    # First label of the largest area: scan order breaks ties.
+    areas = np.bincount(labelled.ravel())
+    best = 1 + int(np.argmax(areas[1:]))
+    return labelled == best, int(areas[best]), box

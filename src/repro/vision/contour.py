@@ -12,7 +12,7 @@ Two implementations share these semantics:
   searches the Moore neighbourhood clockwise with per-pixel bounds
   checks (Python dispatch on all eight neighbours).
 * :func:`trace_outer_contour_fast` — a border-following rewrite for the
-  batched pipeline: one vectorised scan packs each pixel's eight
+  fast pre-processor: one vectorised scan packs each pixel's eight
   neighbour occupancies into a byte, and the walk becomes lookups into a
   precomputed ``(code, backtrack) → (direction, backtrack')`` transition
   table over flat indices.  A property test asserts it returns exactly
@@ -236,7 +236,7 @@ def trace_outer_contour_fast(
     bbox:
         Optional ``(top, left, height, width)`` window known to contain
         *all* foreground (e.g. from
-        :func:`~repro.vision.components.largest_components_stack`);
+        :func:`~repro.vision.components.largest_component_fast`);
         restricts the bounding-box scan to that window so callers that
         already located the silhouette skip the full-frame sweep.
     """

@@ -4,20 +4,16 @@ Implemented with separable convolutions on NumPy arrays — the only image
 smoothing the recognition pre-processor needs before thresholding.
 Borders use *reflect* padding so filtered images keep their size.
 
-Every filter has a *stack* variant operating on a ``(B, H, W)`` frame
-stack; because the per-tap accumulation runs in the same order on the
-same element values, stacked results are bit-identical per frame to the
-scalar functions (the batched pre-processor's parity contract).
 :func:`gaussian_blur_window` computes one rectangle of a Gaussian blur
-with the same taps, so it too equals that rectangle of the full blur.
+with the same taps, in the same order, over the same reflected
+neighbours, so it equals that rectangle of :func:`gaussian_blur`
+bit for bit (the windowed pre-processor's parity contract).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 
 from repro.vision.image import Image
@@ -26,7 +22,6 @@ __all__ = [
     "box_blur",
     "gaussian_kernel_1d",
     "gaussian_blur",
-    "gaussian_blur_stack",
     "gaussian_blur_window",
     "sobel_gradients",
     "gradient_magnitude",
@@ -34,27 +29,22 @@ __all__ = [
 
 
 def _convolve_separable(pixels: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Convolve the last two axes with a symmetric 1-D *kernel*.
-
-    Accepts a single ``(H, W)`` image or a ``(B, H, W)`` stack; leading
-    axes are carried through untouched, and the accumulation order over
-    kernel taps is identical either way (bit-identical results).
-    """
+    """Convolve an ``(H, W)`` array with a symmetric 1-D *kernel* along
+    rows, then along columns."""
     radius = len(kernel) // 2
-    h, w = pixels.shape[-2:]
-    lead = ((0, 0),) * (pixels.ndim - 2)
-    padded = np.pad(pixels, lead + ((0, 0), (radius, radius)), mode="reflect")
+    h, w = pixels.shape
+    padded = np.pad(pixels, ((0, 0), (radius, radius)), mode="reflect")
     horizontal = np.empty_like(pixels)
     for i, k in enumerate(kernel):
-        sl = padded[..., :, i : i + w]
+        sl = padded[:, i : i + w]
         if i == 0:
             horizontal = k * sl
         else:
             horizontal = horizontal + k * sl
-    padded = np.pad(horizontal, lead + ((radius, radius), (0, 0)), mode="reflect")
+    padded = np.pad(horizontal, ((radius, radius), (0, 0)), mode="reflect")
     vertical = np.empty_like(pixels)
     for i, k in enumerate(kernel):
-        sl = padded[..., i : i + h, :]
+        sl = padded[i : i + h, :]
         if i == 0:
             vertical = k * sl
         else:
@@ -102,72 +92,6 @@ def gaussian_blur(image: Image, sigma: float = 1.0) -> Image:
     """Return the image smoothed by an isotropic Gaussian."""
     kernel = gaussian_kernel_1d(sigma)
     return Image(np.clip(_convolve_separable(image.pixels, kernel), 0.0, 1.0))
-
-
-def gaussian_blur_stack(
-    stack: "np.ndarray | Sequence[np.ndarray]", sigma: float = 1.0
-) -> np.ndarray:
-    """Gaussian-blur a frame stack into a ``(B, H, W)`` array.
-
-    Accepts a ``(B, H, W)`` array or a sequence of same-shape ``(H, W)``
-    arrays (saving the input-stacking copy).  Frame ``b`` of the result
-    is bit-identical to ``gaussian_blur(Image(stack[b]), sigma).pixels``:
-    the tap loop runs in the reference order with the reference padding,
-    only the buffer management differs.  Per-frame arrays fit the cache
-    where one ``(B, H, W)`` temporary per tap would not, so the passes
-    run frame by frame over preallocated scratch buffers (measurably
-    faster than whole-stack temporaries at VGA-class resolutions).
-    """
-    if isinstance(stack, np.ndarray):
-        if stack.ndim != 3:
-            raise ValueError(f"expected a (B, H, W) stack, got {stack.ndim}-D")
-        frames: Sequence[np.ndarray] = np.asarray(stack, dtype=np.float64)
-    else:
-        frames = [np.asarray(frame, dtype=np.float64) for frame in stack]
-        if any(f.ndim != 2 or f.shape != frames[0].shape for f in frames[1:]):
-            raise ValueError("expected same-shape (H, W) frames")
-    if len(frames) == 0:
-        raise ValueError("need at least one frame to blur")
-    if frames[0].ndim != 2:
-        raise ValueError("expected (H, W) frames")
-    kernel = gaussian_kernel_1d(sigma)
-    radius = len(kernel) // 2
-    n_frames = len(frames)
-    h, w = frames[0].shape
-    out = np.empty((n_frames, h, w))
-    if h < radius + 2 or w < radius + 2:
-        # Tiny frames need np.pad's multi-bounce reflection; take the
-        # reference path per frame.
-        for b in range(n_frames):
-            out[b] = _convolve_separable(frames[b], kernel)
-        np.clip(out, 0.0, 1.0, out=out)
-        return out
-
-    pad_h = np.empty((h, w + 2 * radius))
-    pad_v = np.empty((h + 2 * radius, w))
-    acc = np.empty((h, w))
-    tmp = np.empty((h, w))
-    for b in range(n_frames):
-        frame = frames[b]
-        # Reflect-pad columns (np.pad "reflect": edge not repeated).
-        pad_h[:, radius : radius + w] = frame
-        pad_h[:, :radius] = frame[:, radius:0:-1]
-        pad_h[:, radius + w :] = frame[:, w - 2 : w - 2 - radius : -1]
-        np.multiply(pad_h[:, 0:w], kernel[0], out=acc)
-        for i in range(1, len(kernel)):
-            np.multiply(pad_h[:, i : i + w], kernel[i], out=tmp)
-            acc += tmp
-        # Reflect-pad rows of the horizontal pass, then the vertical pass.
-        pad_v[radius : radius + h, :] = acc
-        pad_v[:radius, :] = acc[radius:0:-1, :]
-        pad_v[radius + h :, :] = acc[h - 2 : h - 2 - radius : -1, :]
-        target = out[b]
-        np.multiply(pad_v[0:h, :], kernel[0], out=target)
-        for i in range(1, len(kernel)):
-            np.multiply(pad_v[i : i + h, :], kernel[i], out=tmp)
-            target += tmp
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
 
 
 def _reflect(positions: np.ndarray, size: int) -> np.ndarray:

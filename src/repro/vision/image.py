@@ -6,9 +6,6 @@ An :class:`Image` is a thin, validated wrapper over a ``float64`` array in
 ``[0, 1]`` (grayscale) and :class:`BinaryImage` over a ``bool`` array.
 Row index grows downwards (raster order), matching the camera model.
 
-:func:`stack_pixels` adapts a sequence of same-shape images to the
-``(B, H, W)`` array layout the batched vision stages operate on.
-
 A rendered :class:`Image` may carry a :class:`FrameProvenance`: the
 promise that outside one ``box`` the frame equals a known, hashable
 *backdrop*.  Consumers may then process only the box (see the windowed
@@ -19,11 +16,11 @@ derived image (crop, invert, any caller-built array) carries none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
-__all__ = ["Backdrop", "FrameProvenance", "Image", "BinaryImage", "stack_pixels"]
+__all__ = ["Backdrop", "FrameProvenance", "Image", "BinaryImage"]
 
 
 class Backdrop(Protocol):
@@ -50,21 +47,6 @@ class FrameProvenance:
 
     backdrop: Backdrop
     box: tuple[int, int, int, int]
-
-
-def stack_pixels(images: "Sequence[Image]") -> np.ndarray:
-    """Stack same-shape grayscale images into a ``(B, H, W)`` array.
-
-    The batched vision stages (:func:`~repro.vision.filters.gaussian_blur_stack`,
-    :func:`~repro.vision.threshold.threshold_otsu_stack`, …) consume this
-    layout.  Raises ``ValueError`` on an empty sequence or mixed shapes.
-    """
-    if not images:
-        raise ValueError("need at least one image to stack")
-    shapes = {image.shape for image in images}
-    if len(shapes) > 1:
-        raise ValueError(f"cannot stack mixed shapes: {sorted(shapes)}")
-    return np.stack([image.pixels for image in images])
 
 
 def _check_box(box: tuple[int, int, int, int], shape: tuple[int, ...]) -> None:

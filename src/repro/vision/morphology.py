@@ -4,9 +4,9 @@ Uses a square (Chebyshev) structuring element of configurable radius.
 The recognition pre-processor applies a small *closing* to heal
 single-pixel gaps between limb capsules before contour tracing.
 
-The *stack* variants apply the same operator to a whole ``(B, H, W)``
-mask stack; morphology is pixel-wise boolean algebra over shifted
-views, so stacked results are exactly the per-frame results.
+:func:`closing_fast` is the same closing as two separable row and
+column sweeps on a raw boolean array; morphology is pixel-wise boolean
+algebra over shifted views, so its result is exactly :func:`closing`'s.
 """
 
 from __future__ import annotations
@@ -17,49 +17,28 @@ from repro.vision.image import BinaryImage
 
 __all__ = [
     "dilate",
-    "dilate_stack",
     "erode",
-    "erode_stack",
     "opening",
-    "opening_stack",
     "closing",
-    "closing_stack",
+    "closing_fast",
 ]
 
 
 def _shifted_stack(pixels: np.ndarray, radius: int, pad_value: bool) -> np.ndarray:
-    """Return an array stacking all window shifts of the last two axes.
-
-    Accepts a single ``(H, W)`` mask or a ``(B, H, W)`` stack; the shift
-    axis is prepended either way.
-    """
-    lead = ((0, 0),) * (pixels.ndim - 2)
-    padded = np.pad(
-        pixels, lead + ((radius, radius),) * 2, mode="constant", constant_values=pad_value
-    )
-    h, w = pixels.shape[-2:]
+    """Return an array stacking all window shifts of an ``(H, W)`` mask."""
+    padded = np.pad(pixels, radius, mode="constant", constant_values=pad_value)
+    h, w = pixels.shape
     size = 2 * radius + 1
-    shifts = np.empty((size * size, *pixels.shape), dtype=bool)
+    shifts = np.empty((size * size, h, w), dtype=bool)
     idx = 0
     for dy in range(size):
         for dx in range(size):
-            shifts[idx] = padded[..., dy : dy + h, dx : dx + w]
+            shifts[idx] = padded[dy : dy + h, dx : dx + w]
             idx += 1
     return shifts
 
 
-def _check_stack(stack: np.ndarray, radius: int) -> np.ndarray:
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    stack = np.asarray(stack)
-    if stack.ndim != 3:
-        raise ValueError(f"expected a (B, H, W) stack, got {stack.ndim}-D")
-    if stack.dtype != np.bool_:
-        stack = stack.astype(bool)
-    return stack
-
-
-def _separable_pass(stack: np.ndarray, radius: int, combine_any: bool) -> np.ndarray:
+def _separable_pass(pixels: np.ndarray, radius: int, combine_any: bool) -> np.ndarray:
     """Row then column sweep of a square-window OR (dilate) / AND (erode).
 
     The square (Chebyshev) structuring element is separable, and boolean
@@ -70,45 +49,33 @@ def _separable_pass(stack: np.ndarray, radius: int, combine_any: bool) -> np.nda
     for erosion that makes foreground touching the border erode inward,
     as the scalar :func:`erode` documents.
     """
-    *lead, h, w = stack.shape
+    h, w = pixels.shape
     op = np.logical_or if combine_any else np.logical_and
-    padded = np.zeros((*lead, h + 2 * radius, w), dtype=bool)
-    padded[..., radius : radius + h, :] = stack
-    acc = padded[..., 0:h, :].copy()
+    padded = np.zeros((h + 2 * radius, w), dtype=bool)
+    padded[radius : radius + h] = pixels
+    acc = padded[0:h].copy()
     for d in range(1, 2 * radius + 1):
-        op(acc, padded[..., d : d + h, :], out=acc)
-    padded = np.zeros((*lead, h, w + 2 * radius), dtype=bool)
-    padded[..., radius : radius + w] = acc
-    acc = padded[..., 0:w].copy()
+        op(acc, padded[d : d + h], out=acc)
+    padded = np.zeros((h, w + 2 * radius), dtype=bool)
+    padded[:, radius : radius + w] = acc
+    acc = padded[:, 0:w].copy()
     for d in range(1, 2 * radius + 1):
-        op(acc, padded[..., d : d + w], out=acc)
+        op(acc, padded[:, d : d + w], out=acc)
     return acc
 
 
-def dilate_stack(stack: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Dilate every mask of a ``(B, H, W)`` boolean stack."""
-    stack = _check_stack(stack, radius)
+def closing_fast(pixels: np.ndarray, radius: int = 1) -> np.ndarray:
+    """:func:`closing` of a boolean ``(H, W)`` array, by separable sweeps.
+
+    Returns exactly ``closing(BinaryImage(pixels), radius).pixels`` (the
+    fast pre-processor's closing), without wrapping either mask.
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     if radius == 0:
-        return stack
-    return _separable_pass(stack, radius, combine_any=True)
-
-
-def erode_stack(stack: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Erode every mask of a ``(B, H, W)`` boolean stack."""
-    stack = _check_stack(stack, radius)
-    if radius == 0:
-        return stack
-    return _separable_pass(stack, radius, combine_any=False)
-
-
-def opening_stack(stack: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Open (erode then dilate) every mask of a ``(B, H, W)`` stack."""
-    return dilate_stack(erode_stack(stack, radius), radius)
-
-
-def closing_stack(stack: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Close (dilate then erode) every mask of a ``(B, H, W)`` stack."""
-    return erode_stack(dilate_stack(stack, radius), radius)
+        return pixels
+    dilated = _separable_pass(pixels, radius, combine_any=True)
+    return _separable_pass(dilated, radius, combine_any=False)
 
 
 def dilate(image: BinaryImage, radius: int = 1) -> BinaryImage:

@@ -22,14 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from repro.vision.contour import Contour, resample_closed_curve
+from repro.vision.contour import Contour
 
 __all__ = [
     "SignatureKind",
     "centroid_distance_signature",
     "cumulative_angle_signature",
     "compute_signature",
-    "compute_signature_stack",
 ]
 
 DEFAULT_SIGNATURE_LENGTH = 256
@@ -92,41 +91,4 @@ def compute_signature(
         return centroid_distance_signature(contour, length)
     if kind is SignatureKind.CUMULATIVE_ANGLE:
         return cumulative_angle_signature(contour, length)
-    raise ValueError(f"unknown signature kind: {kind!r}")
-
-
-def compute_signature_stack(
-    contours: list[Contour],
-    kind: SignatureKind = SignatureKind.CENTROID_DISTANCE,
-    length: int = DEFAULT_SIGNATURE_LENGTH,
-) -> np.ndarray:
-    """Signatures of many contours as one ``(K, length)`` array.
-
-    Contours have varying point counts, so resampling runs per contour
-    (a C-level interpolation each); the series conversion itself is then
-    one vectorised pass over the ``(K, length, 2)`` point stack.  Row
-    ``k`` is bit-identical to ``compute_signature(contours[k], kind,
-    length)`` — the reductions run over the same axis elements in the
-    same order as the scalar functions.
-    """
-    if length < 3:
-        raise ValueError("signature length must be >= 3")
-    if not contours:
-        return np.empty((0, length))
-    # resample_closed_curve directly: identical values to
-    # ``contour.resampled(length).points`` without re-validating each
-    # resampled array through the Contour constructor.
-    pts = np.stack([resample_closed_curve(contour.points, length) for contour in contours])
-    if kind is SignatureKind.CENTROID_DISTANCE:
-        deltas = pts - pts.mean(axis=1, keepdims=True)
-        return np.hypot(deltas[..., 0], deltas[..., 1])
-    if kind is SignatureKind.CUMULATIVE_ANGLE:
-        diffs = np.roll(pts, -1, axis=1) - pts
-        angles = np.arctan2(diffs[..., 0], diffs[..., 1])
-        unwound = np.unwrap(angles, axis=1)
-        ramp = np.linspace(0.0, 2.0 * np.pi, length, endpoint=False)
-        res_pos = unwound - unwound[:, :1] - ramp
-        res_neg = unwound - unwound[:, :1] + ramp
-        prefer_pos = np.abs(res_pos).sum(axis=1) <= np.abs(res_neg).sum(axis=1)
-        return np.where(prefer_pos[:, None], res_pos, res_neg)
     raise ValueError(f"unknown signature kind: {kind!r}")

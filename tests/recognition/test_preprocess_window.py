@@ -1,10 +1,11 @@
-"""The windowed pre-processing path is bit-identical to the full path.
+"""The windowed pre-processing path is bit-identical to the reference.
 
 A rendered frame carries a :class:`~repro.vision.image.FrameProvenance`
 (backdrop + changed box), and :func:`preprocess_frames` then blurs,
-thresholds and closes only that box against a cached background plate.
-Every case here must produce the same :class:`PreprocessResult` bytes
-as the full stacked path, which a frame without provenance takes.
+thresholds, closes, labels and traces only that box against a cached
+background plate.  Every case here must produce the same
+:class:`PreprocessResult` bytes as the scalar :func:`preprocess_frame`
+and as the whole-frame window, which a frame without provenance takes.
 """
 
 import random
@@ -25,9 +26,9 @@ from repro.human import (
 )
 from repro.recognition import preprocess
 from repro.recognition.preprocess import PreprocessSettings, preprocess_frame, preprocess_frames
-from repro.simulation.longtail import OcclusionSpec, occlude_frame
+from repro.simulation.longtail import OcclusionSpec, occlude_frame, temporal_blur
 from repro.simulation.scenarios import DEFAULT_LIGHTINGS
-from repro.vision import BinaryImage, FrameProvenance, Image, gaussian_blur_stack, paint_capsule
+from repro.vision import BinaryImage, FrameProvenance, Image, gaussian_blur, paint_capsule
 from repro.vision.components import label_components_fast
 
 SEED = 20261017
@@ -38,25 +39,28 @@ SETTINGS = {
     "no-blur": PreprocessSettings(blur_sigma=0.0),
     "no-closing": PreprocessSettings(closing_radius=0),
     "closing-2": PreprocessSettings(closing_radius=2),
+    "no-blur-no-closing": PreprocessSettings(blur_sigma=0.0, closing_radius=0),
 }
 
 
 @pytest.fixture
 def windowed(monkeypatch):
-    """Count the frames that took the windowed path."""
+    """Count the frames that were closed on a provenance window (a
+    window with a plate), not on the whole frame."""
     calls = []
     close_window = preprocess._close_window
 
-    def counting(window, mask, radius, out):
-        calls.append(window)
-        close_window(window, mask, radius, out)
+    def counting(window, mask, radius):
+        if window.plate is not None:
+            calls.append(window)
+        return close_window(window, mask, radius)
 
     monkeypatch.setattr(preprocess, "_close_window", counting)
     return calls
 
 
 def bare(frame: Image) -> Image:
-    """The same pixels with no provenance: the full path's input."""
+    """The same pixels with no provenance: the whole-frame window's input."""
     return Image(frame.pixels)
 
 
@@ -75,16 +79,17 @@ def assert_same(fast, slow):
 
 
 def assert_windowed_identical(frames, cfg, elevation=ELEVATION):
-    """Frames with provenance match their bare copies, batched and alone."""
+    """Frames match their bare copies and the scalar reference."""
     fast = preprocess_frames(frames, cfg, elevation_deg=elevation)
     assert_same(fast, preprocess_frames([bare(f) for f in frames], cfg, elevation_deg=elevation))
-    assert_same(fast[:1], [preprocess_frame(frames[0], cfg, elevation_deg=elevation)])
+    assert_same(fast, [preprocess_frame(f, cfg, elevation_deg=elevation) for f in frames])
 
 
 def assert_all_settings_identical(frames, windowed):
     """Parity under every setting; with blur on, every frame whose box
     is non-empty takes the windowed path (without blur, raw sensor
-    noise may legitimately reach the dark side and force the fallback)."""
+    noise may legitimately reach the dark side and force the whole
+    frame)."""
     expected = sum(1 for f in frames if f.provenance.box[2] and f.provenance.box[3])
     for cfg in SETTINGS.values():
         windowed.clear()
@@ -121,17 +126,17 @@ def random_case(rng: random.Random):
 
 
 @pytest.mark.parametrize("index", range(RANDOM_CASES))
-def test_random_scenes_match_full_path(index, windowed):
+def test_random_scenes_match_reference(index, windowed):
     rng = random.Random(SEED + index)
     assert_all_settings_identical([render_frame(*random_case(rng))], windowed)
 
 
-def test_random_scene_batch_matches_full_path(windowed):
+def test_random_scene_batch_matches_reference(windowed):
     rng = random.Random(SEED)
     assert_all_settings_identical([render_frame(*random_case(rng)) for _ in range(24)], windowed)
 
 
-def test_noise_free_frames_match_full_path(windowed):
+def test_noise_free_frames_match_reference(windowed):
     camera = observation_camera(5.0, 3.0, 10.0)
     frames = [
         render_frame(pose_for_sign(sign), camera, RenderSettings(noise_sigma=0.0))
@@ -142,7 +147,7 @@ def test_noise_free_frames_match_full_path(windowed):
     assert len(windowed) == len(frames) * len(SETTINGS)
 
 
-def test_two_pose_scenes_match_full_path(windowed):
+def test_two_pose_scenes_match_reference(windowed):
     camera = observation_camera(5.0, 4.0, 15.0)
     first = pose_for_sign(MarshallingSign.YES, position=Vec3(-0.6, 0.0, 0.0))
     second = pose_for_sign(MarshallingSign.NO, position=Vec3(0.7, 0.4, 0.0), facing_deg=30.0)
@@ -154,7 +159,7 @@ def test_two_pose_scenes_match_full_path(windowed):
     assert_all_settings_identical(frames, windowed)
 
 
-def test_frames_clipped_by_every_edge_match_full_path(windowed):
+def test_frames_clipped_by_every_edge_match_reference(windowed):
     intrinsics = CameraIntrinsics(120, 160, 280.0)
     camera = observation_camera(1.1, 1.0, 0.0, intrinsics=intrinsics)
     frame = render_frame(pose_for_sign(MarshallingSign.YES), camera, RenderSettings())
@@ -171,17 +176,26 @@ def test_pose_behind_the_camera_has_an_empty_box(windowed):
     assert height == 0 and width == 0
     for cfg in SETTINGS.values():
         assert_windowed_identical([frame], cfg)
-    assert not windowed  # nothing changed: the full path handles it
+    assert not windowed  # nothing changed: the whole frame is the window
 
 
-def test_caller_built_image_takes_the_full_path(windowed):
+@pytest.mark.parametrize("cfg", SETTINGS.values(), ids=SETTINGS.keys())
+@pytest.mark.parametrize("source", ["caller-built", "occluded", "blurred"])
+def test_frames_without_provenance_take_the_whole_frame(source, cfg, windowed):
     frame = render_frame(pose_for_sign(MarshallingSign.NO), observation_camera(5.0, 3.0, 0.0))
-    assert bare(frame).provenance is None
-    assert_windowed_identical([bare(frame)], PreprocessSettings())
+    if source == "caller-built":
+        frame = bare(frame)
+    elif source == "occluded":
+        frame = occlude_frame(frame, OcclusionSpec(side="right", fraction=0.25))
+    else:
+        shifted = render_frame(pose_for_sign(MarshallingSign.NO), observation_camera(5.0, 3.0, 4.0))
+        frame = temporal_blur([frame, shifted], taps=2)[-1]
+    assert frame.provenance is None
+    assert_windowed_identical([frame], cfg)
     assert not windowed
 
 
-def test_mixed_batches_match_full_path(windowed):
+def test_mixed_batches_match_reference(windowed):
     camera = observation_camera(5.0, 3.0, 20.0)
     rendered = [
         render_frame(pose_for_sign(sign), camera, lighting.render_settings())
@@ -197,20 +211,22 @@ def test_mixed_batches_match_full_path(windowed):
         fast = preprocess_frames(frames, cfg, elevation_deg=elevations)
         slow = preprocess_frames([bare(f) for f in frames], cfg, elevation_deg=elevations)
         assert_same(fast, slow)
+        reference = [preprocess_frame(f, cfg, elevation_deg=e) for f, e in zip(frames, elevations)]
+        assert_same(fast, reference)
         assert fast[-1] is fast[0]  # the duplicate-frame memo still holds
         if cfg.blur_sigma > 0:
             assert len(windowed) == len(rendered) - 1
 
 
-def test_low_contrast_backdrop_falls_back_to_the_full_path(windowed):
+@pytest.mark.parametrize("cfg", SETTINGS.values(), ids=SETTINGS.keys())
+def test_low_contrast_backdrop_falls_back_to_the_whole_frame(cfg, windowed):
     """Backdrop noise that reaches Otsu's dark side defeats the plate:
-    the frame must take the full path, whose largest component may lie
-    outside the box."""
+    the frame's window must become the whole frame, whose largest
+    component may lie outside the box."""
     settings = RenderSettings(background_intensity=0.5, figure_intensity=0.42, noise_sigma=0.12)
     camera = observation_camera(7.0, 6.0, 0.0)
     frames = [render_frame(pose_for_sign(sign), camera, settings) for sign in MarshallingSign]
-    for cfg in (PreprocessSettings(), PreprocessSettings(blur_sigma=0.0)):
-        assert_windowed_identical(frames, cfg)
+    assert_windowed_identical(frames, cfg)
     assert not windowed
 
 
@@ -268,7 +284,7 @@ PLACEMENTS = {
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("sigma", [0.0, 0.03])
-def test_synthetic_windows_at_every_edge_match_full_path(placement, sigma, windowed):
+def test_synthetic_windows_at_every_edge_match_reference(placement, sigma, windowed):
     backdrop = NoisyBackdrop((60, 80), level=0.8, sigma=sigma, seed=len(placement))
     frame = synthetic_frame(backdrop, PLACEMENTS[placement])
     top, left, height, width = frame.provenance.box
@@ -296,10 +312,13 @@ TWO_COMPONENTS = {
 
 @pytest.mark.parametrize("name", TWO_COMPONENTS)
 @pytest.mark.parametrize("sigma", [0.0, 0.03])
-def test_synthetic_window_with_two_components_matches_full_path(name, sigma, windowed):
-    """The window holds two figures: the windowed path keeps the same
-    one (the larger, or the first in scan order on a tie) with the same
-    box as the full path."""
+@pytest.mark.parametrize("provenance", [True, False], ids=["window", "whole-frame"])
+def test_synthetic_window_with_two_components_matches_reference(
+    name, sigma, provenance, windowed
+):
+    """The frame holds two figures: both windows keep the same one (the
+    larger, or the first in scan order on a tie) with the same box as
+    the reference."""
     backdrop = NoisyBackdrop((60, 80), level=0.8, sigma=sigma, seed=7)
     frame = synthetic_frame(backdrop, TWO_COMPONENTS[name])
     painted = BinaryImage(frame.pixels == 0.15)
@@ -307,20 +326,23 @@ def test_synthetic_window_with_two_components_matches_full_path(name, sigma, win
     top, left, height, width = frame.provenance.box
     at_edge = top == 0 or left == 0 or top + height == 60 or left + width == 80
     assert at_edge == (name == "apart-at-edges")
+    if not provenance:
+        frame = bare(frame)
     cfgs = [*SETTINGS.values(), PreprocessSettings(blur_sigma=2.0, min_component_area_px=8)]
     for cfg in cfgs:
         assert_windowed_identical([frame], cfg)
         silhouette = preprocess_frames([frame], cfg)[0].silhouette.pixels
         assert 0 < silhouette.sum() < painted.pixels.sum()
-    assert len(windowed) == 2 * len(cfgs)
+    assert len(windowed) == (2 * len(cfgs) if provenance else 0)
 
 
-def test_dark_backdrop_patch_forces_the_fallback(windowed):
+def test_dark_backdrop_patch_forces_the_whole_frame(windowed):
     backdrop = NoisyBackdrop((60, 80), level=0.8, sigma=0.02, seed=3, shadow=True)
     frame = synthetic_frame(backdrop, PLACEMENTS["bottom-left"])
     for cfg in SETTINGS.values():
         fast = preprocess_frames([frame], cfg)
         assert_same(fast, preprocess_frames([bare(frame)], cfg))
+        assert_same(fast, [preprocess_frame(frame, cfg)])
         # The shadow is the largest component, far outside the box.
         silhouette = fast[0].silhouette.pixels
         assert silhouette[5:27, -35:-5].all() and not silhouette[:, :30].any()
@@ -336,8 +358,10 @@ def test_blur_window_covers_every_changed_pixel(cfg, placement):
     backdrop = NoisyBackdrop((60, 80), level=0.8, sigma=0.03, seed=1)
     frame = synthetic_frame(backdrop, PLACEMENTS[placement])
     window = preprocess._blur_window(frame, cfg)
+    assert window.plate is not None
     if cfg.blur_sigma > 0:
-        full, plate = gaussian_blur_stack([frame.pixels, backdrop.pixels()], cfg.blur_sigma)
+        full = gaussian_blur(Image(frame.pixels), cfg.blur_sigma).pixels
+        plate = gaussian_blur(Image(backdrop.pixels()), cfg.blur_sigma).pixels
     else:
         full, plate = frame.pixels, backdrop.pixels()
     (r0, r1), (c0, c1) = window.rows, window.cols

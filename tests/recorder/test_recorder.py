@@ -154,6 +154,29 @@ class TestFlightRecorder:
         recorder.flush()  # a sealed recorder has nothing to push
         assert read_lines(str(path)) == list(recorder.lines)
 
+    def test_file_backed_footer_equals_the_in_memory_footer(self, tmp_path):
+        # The file-backed recorder hashes each line as it appends it and
+        # keeps none; its footer must still be the in-memory one.
+        path = tmp_path / "run.jsonl"
+        on_file, in_memory = FlightRecorder(str(path)), FlightRecorder()
+        for recorder in (on_file, in_memory):
+            recorder.write_header({"builder": "fleet", "kwargs": {"count": 2}})
+            for tick in range(3):
+                recorder.record("tick", tick=tick)
+                recorder.record("world", tick=tick, node="m0", data={"t": tick * 0.25})
+            recorder.finalize()
+        assert on_file._lines is None
+        assert on_file.lines == in_memory.lines
+        assert read_lines(str(path))[-1] == in_memory.lines[-1]
+
+    def test_file_backed_lines_read_the_file_back(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        recorder = FlightRecorder(str(path))
+        recorder.record("tick", tick=0)
+        assert recorder.lines == tuple(read_lines(str(path)))
+        recorder.record("world", tick=0, node="m0")
+        assert len(recorder.lines) == 2
+
     def test_in_memory_flush_is_a_no_op(self):
         recorder = FlightRecorder()
         recorder.record("world", tick=0, node="m0")
