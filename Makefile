@@ -60,7 +60,7 @@ bench-throughput:
 	$(PYTHON) benchmarks/bench_throughput.py
 
 # Regenerate BENCH_dynamic_batch.json (gates: window >= 3x, distinct
-# window >= 1.2x, stream overhead <= 2x; see docs/BENCHMARKS.md).
+# window >= 1.2x; see docs/BENCHMARKS.md).
 bench-dynamic:
 	$(PYTHON) benchmarks/bench_dynamic_batch.py
 

@@ -1,9 +1,9 @@
-"""T-DYN — streaming dynamic-sign engine vs the scalar reference loop.
+"""T-DYN — batched dynamic-sign windows vs the scalar reference loop.
 
 Measures the batched window decoder on 64-frame observation windows
 (wave-off sampled at 10 Hz: its 1.6 s period is exactly 16 frames, so
 the window revisits 16 distinct poses — the repeated-frame structure
-every commensurately sampled periodic signal produces), at three levels:
+every commensurately sampled periodic signal produces), at two levels:
 
 * **window**: ``DynamicSignRecognizer.recognize_window`` vs the scalar
   loop (``classify_frame`` per frame + ``decode``) on the standard
@@ -13,10 +13,6 @@ every commensurately sampled periodic signal produces), at three levels:
   period until frame 64), isolating what the fast stages and the
   batched matcher alone buy.  Gate: ≥ 1.2× (CI-safe floor; blur+Otsu are the memory-bound
   limit, see ``docs/BENCHMARKS.md``).
-* **stream**: chunked ``DynamicSignStream.feed`` (8-frame chunks) vs
-  one-shot ``recognize_window`` — verdicts must match exactly and the
-  incremental decoder must not regress the one-shot cost by more than
-  2× (it never re-decodes the prefix).
 
 Set ``BENCH_SMOKE=1`` to run tiny windows with the perf gates disabled
 (parity checks stay on) — the CI smoke job uses this so the script
@@ -41,8 +37,6 @@ SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 WINDOW_FRAMES = 16 if SMOKE else 64
 WINDOW_SPEEDUP_GATE = 3.0
 DISTINCT_SPEEDUP_GATE = 1.2
-STREAM_OVERHEAD_GATE = 2.0
-CHUNK = 8
 
 SCENARIO = Scenario(
     persona=SUPERVISOR,
@@ -106,17 +100,6 @@ def assert_window_parity(rec, frames, times) -> None:
     )
 
 
-def stream_chunked(rec, frames, times):
-    """Feed the window through a stream in CHUNK-frame chunks."""
-    stream = rec.open_stream(elevation_deg=SCENARIO.elevation_deg)
-    recognition = None
-    for start in range(0, len(frames), CHUNK):
-        recognition = stream.feed(
-            frames[start : start + CHUNK], times[start : start + CHUNK]
-        )
-    return recognition
-
-
 def _compare(rec, frames, times) -> dict:
     scalar_s = timed(lambda: scalar_decode(rec, frames, times))
     batch_s = timed(
@@ -131,41 +114,17 @@ def _compare(rec, frames, times) -> dict:
 
 
 def measure(rec) -> dict:
-    """All three comparisons; returns the artifact dict."""
+    """Both comparisons; returns the artifact dict."""
     periodic = make_window(sample_hz=10.0)  # 16 distinct poses, cycled
     distinct = make_window(sample_hz=8.0)  # no pose repeats inside 64
     rec.recognize_window(periodic[0][:1], elevation_deg=SCENARIO.elevation_deg)  # warm caches
     assert_window_parity(rec, *periodic)
     assert_window_parity(rec, *distinct)
-
-    one_shot = rec.recognize_window(
-        periodic[0], periodic[1], elevation_deg=SCENARIO.elevation_deg
-    )
-    chunked = stream_chunked(rec, *periodic)
-    assert (chunked.sign_name, chunked.cycles_seen) == (
-        one_shot.sign_name,
-        one_shot.cycles_seen,
-    )
-    assert [o.label for o in chunked.observations] == [
-        o.label for o in one_shot.observations
-    ]
-    window_s = timed(
-        lambda: rec.recognize_window(
-            periodic[0], periodic[1], elevation_deg=SCENARIO.elevation_deg
-        )
-    )
-    stream_s = timed(lambda: stream_chunked(rec, *periodic))
     return {
         "window_frames": WINDOW_FRAMES,
         "smoke": SMOKE,
         "window": _compare(rec, *periodic),
         "window_distinct": _compare(rec, *distinct),
-        "stream": {
-            "chunk": CHUNK,
-            "window_s": window_s,
-            "chunked_s": stream_s,
-            "overhead": stream_s / window_s if window_s > 0 else float("inf"),
-        },
     }
 
 
@@ -213,40 +172,12 @@ def test_window_distinct_throughput(benchmark, dynamic_recognizer):
         assert speedup >= DISTINCT_SPEEDUP_GATE
 
 
-def test_stream_matches_window(benchmark, dynamic_recognizer):
-    """Chunked streaming equals one-shot decode without prefix re-decode."""
-    frames, times = make_window(sample_hz=10.0)
-    one_shot = dynamic_recognizer.recognize_window(
-        frames, times, elevation_deg=SCENARIO.elevation_deg
-    )
-    chunked = benchmark.pedantic(
-        stream_chunked,
-        args=(dynamic_recognizer, frames, times),
-        rounds=1,
-        iterations=1,
-    )
-    assert (chunked.sign_name, chunked.cycles_seen) == (
-        one_shot.sign_name,
-        one_shot.cycles_seen,
-    )
-    assert chunked.observations == one_shot.observations
-    window_s = timed(
-        lambda: dynamic_recognizer.recognize_window(
-            frames, times, elevation_deg=SCENARIO.elevation_deg
-        )
-    )
-    stream_s = timed(lambda: stream_chunked(dynamic_recognizer, frames, times))
-    benchmark.extra_info["overhead_vs_one_shot"] = round(stream_s / window_s, 2)
-    if not SMOKE:
-        assert stream_s <= STREAM_OVERHEAD_GATE * window_s
-
-
 if __name__ == "__main__":
     rec = make_recognizer()
     stats = measure(rec)
     artifact = Path(__file__).resolve().parent.parent / "BENCH_dynamic_batch.json"
     artifact.write_text(json.dumps(stats, indent=2) + "\n")
-    w, d, s = stats["window"], stats["window_distinct"], stats["stream"]
+    w, d = stats["window"], stats["window_distinct"]
     mode = " (smoke mode: gates disabled)" if SMOKE else ""
     print(f"T-DYN ({WINDOW_FRAMES}-frame windows){mode}")
     print(
@@ -257,12 +188,7 @@ if __name__ == "__main__":
         f"  window (dist.):  {d['scalar_fps']:8.0f} fps scalar -> {d['batch_fps']:8.0f} fps "
         f"batched  ({d['speedup']:.2f}x, gate >= {DISTINCT_SPEEDUP_GATE:.1f}x)"
     )
-    print(
-        f"  stream ({s['chunk']}-frame chunks): {s['overhead']:.2f}x one-shot cost "
-        f"(gate <= {STREAM_OVERHEAD_GATE:.0f}x)"
-    )
     print(f"  wrote {artifact.name}")
     if not SMOKE:
         assert w["speedup"] >= WINDOW_SPEEDUP_GATE, "window throughput gate failed"
         assert d["speedup"] >= DISTINCT_SPEEDUP_GATE, "distinct window gate failed"
-        assert s["overhead"] <= STREAM_OVERHEAD_GATE, "stream overhead gate failed"

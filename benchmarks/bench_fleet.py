@@ -23,8 +23,8 @@ Sections:
 * **perception** — cache/batch counters of the shared perception core
   and the fleet's per-frame recognition cost: the ``render``,
   ``preprocess`` and ``match`` stages' busy time over
-  ``frames_classified``, checked against the recogniser's
-  ``frame_budget_s`` (``budget_within``).
+  ``frames_classified``, checked against the recognisers'
+  ``FRAME_BUDGET_S`` (``budget_within``).
 * **nodes** — per-stage calls and latency from the fleet stage loop
   (:mod:`repro.mission.pipeline`): one entry per stage (``world`` …
   ``mission``), asserted present even in smoke mode so the bench-trend
@@ -60,7 +60,7 @@ from repro.mission.fleet import FleetScheduler, FleetSpec, build_fleet
 from repro.mission.orchard import OrchardConfig
 from repro.mission.pipeline import FLEET_STAGES
 from repro.protocol.negotiation import NegotiationConfig
-from repro.recognition import SaxSignRecognizer
+from repro.recognition import FRAME_BUDGET_S
 from repro.recorder import FlightRecorder, make_recipe, replay
 from repro.simulation.scenarios import CALM, NOON
 from repro.testing import ScalarReferencePerception
@@ -76,8 +76,6 @@ SCHEDULER_SHARE_GATE = 0.03
 FLEET_TIMEOUT_S = 3600.0
 #: The stages that render, preprocess and match the fleet's frames.
 RECOGNITION_STAGES = ("render", "preprocess", "match")
-#: Per-frame budget of the recogniser a fleet's perception builds.
-FRAME_BUDGET_S = SaxSignRecognizer().frame_budget_s
 
 # Small dense orchards: every trap blocked by a worker, so each mission
 # runs several negotiations — the perception-heavy regime the fleet

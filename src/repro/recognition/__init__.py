@@ -10,13 +10,11 @@ from repro.recognition.baselines import (
     HuMomentClassifier,
     TemplateCorrelationClassifier,
 )
-from repro.recognition.budget import BudgetReport, FrameBudget, StageTiming
+from repro.recognition.budget import FRAME_BUDGET_S, BudgetReport, FrameBudget, StageTiming
 from repro.recognition.dynamic import (
     DynamicObservation,
     DynamicRecognition,
     DynamicSignRecognizer,
-    DynamicSignStream,
-    DynamicWindowDecoder,
 )
 from repro.recognition.evaluation import (
     AltitudeEnvelope,
@@ -48,10 +46,9 @@ __all__ = [
     "DynamicObservation",
     "DynamicRecognition",
     "DynamicSignRecognizer",
-    "DynamicSignStream",
-    "DynamicWindowDecoder",
     "HuMomentClassifier",
     "TemplateCorrelationClassifier",
+    "FRAME_BUDGET_S",
     "BudgetReport",
     "FrameBudget",
     "StageTiming",

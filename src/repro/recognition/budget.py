@@ -3,17 +3,14 @@
 The paper reports 38 ms (0°) and 27 ms (65°) per frame and argues the
 approach can reach 30–60 fps after optimisation.  Absolute numbers are
 hardware-bound, so the library instead *measures* each stage and checks
-the result against a configurable frame budget — the reproducible claim
-is "comfortably within a real-time budget on unoptimised Python", and
-the latency benchmark reports the same stage split the paper discusses
+the result against the frame budget — the reproducible claim is
+"comfortably within a real-time budget on unoptimised Python", and the
+latency benchmark reports the same stage split the paper discusses
 (pre-processing dominant, SAX conversion + string search cheap).
 
-Stages form a two-level hierarchy through dotted names: a stage timed
-as ``"preprocess.threshold"`` is a *sub-stage* nested inside the
-wall-clock of its parent ``"preprocess"``.  Totals and the budget check
-count only top-level stages (a parent already covers its children), so
-the batched vision front-end can publish its internal stage split
-without double-counting; ``stage_fraction`` addresses either level.
+The stages are flat (``preprocess``, ``sax_match``): the budget times
+what a recogniser call spends in each, not the vision front-end's
+internals.
 """
 
 from __future__ import annotations
@@ -23,7 +20,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["StageTiming", "FrameBudget", "BudgetReport"]
+__all__ = ["FRAME_BUDGET_S", "StageTiming", "FrameBudget", "BudgetReport"]
+
+#: Real-time budget per frame: the paper's 30 fps target.
+FRAME_BUDGET_S = 1.0 / 30.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +43,7 @@ class FrameBudget:
     per-frame cost, which is the quantity a frame-stream consumer pays.
     """
 
-    budget_s: float = 1.0 / 30.0  # the paper's 30 fps target
+    budget_s: float = FRAME_BUDGET_S
     timings: list[StageTiming] = field(default_factory=list)
     frame_count: int = 1
 
@@ -52,45 +52,19 @@ class FrameBudget:
             raise ValueError("budget must be positive")
         if self.frame_count < 1:
             raise ValueError("frame count must be >= 1")
-        self._active: list[str] = []  # stack of currently open stage names
-
-    @property
-    def current_stage(self) -> str | None:
-        """Name of the innermost stage currently being timed, if any."""
-        return self._active[-1] if self._active else None
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
         """Context manager timing one stage."""
         start = time.perf_counter()
-        self._active.append(name)
         try:
             yield
         finally:
-            self._active.pop()
             self.timings.append(StageTiming(name, time.perf_counter() - start))
 
-    @contextmanager
-    def substage(self, name: str) -> Iterator[None]:
-        """Time a sub-stage of whatever stage is currently open.
-
-        Recorded as ``"<parent>.<name>"`` inside a :meth:`stage` block
-        (nested inside the parent's wall-clock, excluded from totals);
-        recorded as a plain top-level stage when no stage is open, so a
-        direct caller still gets a meaningful total.
-        """
-        parent = self.current_stage
-        full_name = f"{parent}.{name}" if parent else name
-        with self.stage(full_name):
-            yield
-
     def total_s(self) -> float:
-        """Total measured time across top-level stages (whole batch).
-
-        Dotted sub-stages (``"preprocess.threshold"``) are excluded:
-        their wall-clock already lies inside their parent stage.
-        """
-        return sum(t.duration_s for t in self.timings if "." not in t.stage)
+        """Total measured time across all stages (whole batch)."""
+        return sum(t.duration_s for t in self.timings)
 
     def per_frame_s(self) -> float:
         """Amortised time per frame."""

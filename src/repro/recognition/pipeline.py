@@ -118,8 +118,9 @@ class SaxSignRecognizer:
         Per-sample-normalised distance above which a frame is rejected.
     preprocess_settings:
         Pre-processing tunables (shared by enrolment and queries).
-    frame_budget_s:
-        Real-time budget per frame (default: 30 fps).
+
+    Every stage is timed against
+    :data:`~repro.recognition.budget.FRAME_BUDGET_S` (30 fps).
     """
 
     def __init__(
@@ -128,7 +129,6 @@ class SaxSignRecognizer:
         acceptance_threshold: float = 0.55,
         margin_threshold: float = 0.08,
         preprocess_settings: PreprocessSettings | None = None,
-        frame_budget_s: float = 1.0 / 30.0,
     ) -> None:
         self.preprocess_settings = (
             preprocess_settings if preprocess_settings is not None else PreprocessSettings()
@@ -138,21 +138,22 @@ class SaxSignRecognizer:
             acceptance_threshold=acceptance_threshold,
             margin_threshold=margin_threshold,
         )
-        self.frame_budget_s = frame_budget_s
 
     # -- enrolment ----------------------------------------------------------------
 
     def enroll_sign(
         self,
-        sign: MarshallingSign,
+        sign: MarshallingSign | str,
         frame: Image,
         elevation_deg: float | None = None,
         view: str = "canonical",
     ) -> None:
         """Enrol *sign* from a reference frame.
 
-        The frame goes through the batched pre-processor (bit-identical
-        to :func:`~repro.recognition.preprocess.preprocess_frame`), so a
+        *sign* is a built-in sign or a custom label (a dynamic sign
+        enrols its keyframes as ``"wave_off#0"``, …).  The frame goes
+        through the batched pre-processor (bit-identical to
+        :func:`~repro.recognition.preprocess.preprocess_frame`), so a
         rendered reference view takes its windowed path.
 
         Raises
@@ -160,13 +161,14 @@ class SaxSignRecognizer:
         ValueError
             If no usable silhouette can be extracted from the frame.
         """
+        label = sign.value if isinstance(sign, MarshallingSign) else sign
         (result,) = preprocess_frames(
             [frame], self.preprocess_settings, elevation_deg=elevation_deg
         )
         if not result.ok:
-            raise ValueError(f"cannot enrol {sign.value!r}: {result.reject_reason}")
+            raise ValueError(f"cannot enrol {label!r}: {result.reject_reason}")
         assert result.series is not None
-        self.database.add(sign.value, result.series, view=view)
+        self.database.add(label, result.series, view=view)
 
     def enroll_canonical_views(
         self,
@@ -210,7 +212,7 @@ class SaxSignRecognizer:
         """
         if not self.database.labels:
             raise RuntimeError("no signs enrolled; call enroll_canonical_views() first")
-        budget = FrameBudget(budget_s=self.frame_budget_s)
+        budget = FrameBudget()
 
         with budget.stage("preprocess"):
             pre = preprocess_frame(frame, self.preprocess_settings, elevation_deg=elevation_deg)
@@ -262,8 +264,7 @@ class SaxSignRecognizer:
         :meth:`recognise` on each frame.  All returned
         :class:`Recognition`\\ s share one batch-level
         :class:`BudgetReport` whose budget check applies to the
-        amortised per-frame cost; the pre-processor's internal split is
-        recorded as dotted sub-stages (``"preprocess.threshold"``, …).
+        amortised per-frame cost.
 
         Parameters
         ----------
@@ -274,12 +275,10 @@ class SaxSignRecognizer:
         frames = list(frames)
         if not self.database.labels:
             raise RuntimeError("no signs enrolled; call enroll_canonical_views() first")
-        budget = FrameBudget(
-            budget_s=self.frame_budget_s, frame_count=max(1, len(frames))
-        )
+        budget = FrameBudget(frame_count=max(1, len(frames)))
         with budget.stage("preprocess"):
             pres = preprocess_frames(
-                frames, self.preprocess_settings, elevation_deg=elevation_deg, budget=budget
+                frames, self.preprocess_settings, elevation_deg=elevation_deg
             )
         usable = [pre.series for pre in pres if pre.ok]
         with budget.stage("sax_match"):
@@ -300,9 +299,6 @@ class SaxSignRecognizer:
             else:
                 results.append(self._recognition_from_match(next(matches), report))
         return results
-
-    # British-spelling alias, matching :meth:`recognise`.
-    recognise_batch = recognize_batch
 
     def recognise_observation(
         self,

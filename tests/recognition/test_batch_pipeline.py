@@ -84,10 +84,10 @@ class TestRecognizeBatchParity:
         with pytest.raises(RuntimeError):
             SaxSignRecognizer().recognize_batch([frame_of(MarshallingSign.YES)])
 
-    def test_british_spelling_alias(self, recognizer):
+    def test_scalar_elevation_equals_per_frame_list(self, recognizer):
         frames = [frame_of(MarshallingSign.YES)]
         assert (
-            recognizer.recognise_batch(frames, elevation_deg=ELEVATION)[0].label
+            recognizer.recognize_batch(frames, elevation_deg=[ELEVATION])[0].label
             == recognizer.recognize_batch(frames, elevation_deg=ELEVATION)[0].label
         )
 

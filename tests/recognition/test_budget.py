@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.recognition import BudgetReport, FrameBudget, StageTiming
+from repro.recognition import FRAME_BUDGET_S, BudgetReport, FrameBudget, StageTiming
 
 
 class TestFrameBudget:
@@ -47,64 +47,9 @@ class TestFrameBudget:
         with pytest.raises(ValueError):
             FrameBudget(budget_s=0.0)
 
-
-class TestHierarchicalStages:
-    def test_dotted_substages_excluded_from_total(self):
-        budget = FrameBudget(budget_s=1.0)
-        with budget.stage("preprocess"):
-            with budget.stage("preprocess.threshold"):
-                time.sleep(0.004)
-            with budget.stage("preprocess.contour"):
-                time.sleep(0.004)
-        parent = next(t for t in budget.timings if t.stage == "preprocess")
-        # Children are recorded but only the parent counts toward totals.
-        assert len(budget.timings) == 3
-        assert budget.total_s() == pytest.approx(parent.duration_s)
-        assert budget.report().total_s == pytest.approx(parent.duration_s)
-
-    def test_substage_fraction_addressable(self):
-        report = BudgetReport(
-            budget_s=1.0,
-            stages=(
-                StageTiming("preprocess.threshold", 0.015),
-                StageTiming("preprocess", 0.020),
-                StageTiming("sax_match", 0.005),
-            ),
-            total_s=0.025,
-        )
-        assert report.stage_fraction("preprocess.threshold") == pytest.approx(0.6)
-        assert report.stage_fraction("preprocess") == pytest.approx(0.8)
-
-    def test_budget_check_ignores_substage_time(self):
-        budget = FrameBudget(budget_s=0.05)
-        with budget.stage("preprocess"):
-            with budget.stage("preprocess.slow"):
-                time.sleep(0.03)
-        assert budget.within_budget()
-
-    def test_substage_adopts_open_parent(self):
-        budget = FrameBudget(budget_s=1.0)
-        with budget.stage("preprocess"):
-            with budget.substage("threshold"):
-                pass
-        assert [t.stage for t in budget.timings] == ["preprocess.threshold", "preprocess"]
-
-    def test_substage_without_parent_is_top_level(self):
-        budget = FrameBudget(budget_s=1.0)
-        with budget.substage("threshold"):
-            time.sleep(0.002)
-        assert [t.stage for t in budget.timings] == ["threshold"]
-        assert budget.total_s() > 0.0
-
-    def test_current_stage_tracks_nesting(self):
-        budget = FrameBudget(budget_s=1.0)
-        assert budget.current_stage is None
-        with budget.stage("outer"):
-            assert budget.current_stage == "outer"
-            with budget.stage("outer.inner"):
-                assert budget.current_stage == "outer.inner"
-            assert budget.current_stage == "outer"
-        assert budget.current_stage is None
+    def test_default_budget_is_thirty_fps(self):
+        assert FRAME_BUDGET_S == pytest.approx(1.0 / 30.0)
+        assert FrameBudget().budget_s == FRAME_BUDGET_S
 
 
 class TestBudgetReport:

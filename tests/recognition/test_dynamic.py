@@ -34,12 +34,20 @@ class TestEnrolment:
         assert set(recognizer.enrolled_signs) == {"wave_off", "move_upward"}
 
     def test_keyframes_in_database(self, recognizer):
-        assert "wave_off#0" in recognizer.database
-        assert "move_upward#1" in recognizer.database
+        assert "wave_off#0" in recognizer.recognizer.database
+        assert "move_upward#1" in recognizer.recognizer.database
 
     def test_min_cycles_validation(self):
         with pytest.raises(ValueError):
             DynamicSignRecognizer(min_cycles=0)
+
+    def test_unenrolled_recognizer_names_enroll(self):
+        unenrolled = DynamicSignRecognizer()
+        frame = renderer_for(WAVE_OFF)(0.0)
+        with pytest.raises(RuntimeError, match=r"call enroll\(\) first"):
+            unenrolled.classify_frame(frame, 0.0, ELEVATION)
+        with pytest.raises(RuntimeError, match=r"call enroll\(\) first"):
+            unenrolled.recognize_window([frame], elevation_deg=ELEVATION)
 
 
 class TestRecognition:
@@ -150,3 +158,20 @@ class TestDecoder:
     def test_empty_window(self, recognizer):
         result = recognizer.decode([])
         assert not result.recognised
+
+    @pytest.mark.parametrize("repeats", [1, 2, 3])
+    def test_verdict_after_each_cycle(self, recognizer, repeats):
+        labels = ["wave_off#0", "wave_off#1"] * repeats
+        result = recognizer.decode(self.obs(labels))
+        assert result.cycles_seen == repeats
+        assert result.recognised == (repeats >= recognizer.min_cycles)
+        assert list(result.observations) == self.obs(labels)
+
+    def test_mixed_signs_and_unreadable_frames(self, recognizer):
+        labels = (
+            ["wave_off#0", "wave_off#1", None, "move_upward#0"] * 6
+            + ["wave_off#0", "wave_off#1"]
+        )
+        result = recognizer.decode(self.obs(labels))
+        assert (result.sign_name, result.cycles_seen) == ("wave_off", 7)
+        assert list(result.observations) == self.obs(labels)

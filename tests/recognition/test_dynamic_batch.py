@@ -1,9 +1,9 @@
-"""Streaming dynamic-sign engine: batch/stream parity and edge cases.
+"""Batched dynamic-sign windows: parity with the scalar chain and edge cases.
 
-The scalar path (``classify_frame`` per frame + ``decode``) is the
-reference; everything here checks that the batched window and chunked
-stream paths reproduce it bit-identically, including the awkward
-windows: empty, shorter than a keyframe cycle, and riddled with
+The scalar chain (``preprocess_frame`` + ``SignDatabase.classify`` per
+frame, then ``decode``) is the reference; everything here checks that
+``recognize_window`` reproduces it bit-identically, including the
+awkward windows: empty, shorter than a keyframe cycle, and riddled with
 unreadable frames mid-cycle.
 """
 
@@ -11,12 +11,9 @@ import pytest
 
 from repro.geometry import observation_camera
 from repro.human import MOVE_UPWARD, WAVE_OFF, RenderSettings, render_frame
-from repro.recognition import (
-    DynamicObservation,
-    DynamicSignRecognizer,
-    DynamicWindowDecoder,
-)
+from repro.recognition import DynamicObservation, DynamicSignRecognizer
 from repro.recognition.pipeline import observation_elevation_deg
+from repro.recognition.preprocess import preprocess_frame
 from repro.vision import Image
 
 CAMERA = observation_camera(5.0, 3.0, 0.0)
@@ -38,10 +35,12 @@ def window_for(sign, frame_count, hz=HZ):
 
 
 def scalar_reference(recognizer, frames, times):
-    observations = [
-        recognizer.classify_frame(frame, t, ELEVATION)
-        for frame, t in zip(frames, times)
-    ]
+    keyframes = recognizer.recognizer
+    observations = []
+    for frame, t in zip(frames, times):
+        pre = preprocess_frame(frame, keyframes.preprocess_settings, elevation_deg=ELEVATION)
+        label = keyframes.database.classify(pre.series).label if pre.ok else None
+        observations.append(DynamicObservation(time_s=t, label=label))
     return recognizer.decode(observations)
 
 
@@ -64,14 +63,6 @@ class TestWindowParity:
         assert batched.observations == scalar.observations
         assert batched.sign_name == "move_upward"
 
-    def test_window_budget_substages(self, recognizer):
-        frames, times = window_for(WAVE_OFF, 16)
-        result = recognizer.recognize_window(frames, times, elevation_deg=ELEVATION)
-        stages = {timing.stage for timing in result.budget.stages}
-        assert {"preprocess", "sax_match", "decode"} <= stages
-        assert "preprocess.threshold" in stages  # dotted vision sub-stages
-        assert result.budget.frame_count == 16
-
     def test_sample_hz_timestamps(self, recognizer):
         frames, _ = window_for(WAVE_OFF, 8)
         result = recognizer.recognize_window(frames, sample_hz=HZ, elevation_deg=ELEVATION)
@@ -89,7 +80,6 @@ class TestEdgeCases:
         assert not result.recognised
         assert result.cycles_seen == 0
         assert result.observations == ()
-        assert result.budget is not None
 
     def test_window_shorter_than_keyframe_cycle(self, recognizer):
         # A quarter wave-off period: the pose never leaves keyframe #0,
@@ -122,90 +112,12 @@ class TestEdgeCases:
         assert not result.recognised
 
 
-class TestChunkedDecode:
-    @pytest.mark.parametrize("chunk", [1, 5, 8, 17, 64])
-    def test_chunked_stream_equals_whole_window(self, recognizer, chunk):
-        frames, times = window_for(WAVE_OFF, 64)
-        whole = recognizer.recognize_window(frames, times, elevation_deg=ELEVATION)
-        stream = recognizer.open_stream(elevation_deg=ELEVATION)
-        result = None
-        for start in range(0, len(frames), chunk):
-            result = stream.feed(frames[start : start + chunk], times[start : start + chunk])
-        assert result.observations == whole.observations
-        assert (result.sign_name, result.cycles_seen) == (
-            whole.sign_name,
-            whole.cycles_seen,
-        )
-        assert stream.frames_fed == 64
-
-    def test_stream_memo_reuses_repeated_frames(self, recognizer):
-        # The same frame objects fed again classify from the memo and
-        # still produce scalar-identical labels.
-        frames, times = window_for(WAVE_OFF, 16)
-        stream = recognizer.open_stream(elevation_deg=ELEVATION, sample_hz=HZ)
-        first = stream.feed(frames)
-        again = stream.feed(frames)  # same objects, stream clock advances
-        scalar_labels = [
-            recognizer.classify_frame(f, t, ELEVATION).label
-            for f, t in zip(frames, times)
-        ]
-        assert [o.label for o in first.observations] == scalar_labels
-        assert [o.label for o in again.observations[16:]] == scalar_labels
-        assert [o.time_s for o in again.observations[16:]] == [
-            (16 + k) / HZ for k in range(16)
-        ]
-
-    def test_decode_stream_matches_decode(self, recognizer):
-        labels = (
-            ["wave_off#0", "wave_off#1", None, "move_upward#0"] * 6
-            + ["wave_off#0", "wave_off#1"]
-        )
-        observations = [
-            DynamicObservation(time_s=float(k), label=label)
-            for k, label in enumerate(labels)
-        ]
-        whole = recognizer.decode(observations)
-        chunked = recognizer.decode_stream(
-            [observations[:7], observations[7:9], [], observations[9:]]
-        )
-        assert (chunked.sign_name, chunked.cycles_seen) == (
-            whole.sign_name,
-            whole.cycles_seen,
-        )
-        assert chunked.observations == whole.observations
-
-    def test_incremental_decoder_midway_verdicts(self, recognizer):
-        decoder = recognizer.decoder()
-        cycle = ["wave_off#0", "wave_off#1"]
-        for repeat in range(1, 4):
-            decoder.extend(
-                DynamicObservation(time_s=float(repeat), label=label) for label in cycle
-            )
-            expected_prefix = [
-                DynamicObservation(time_s=float(r), label=label)
-                for r in range(1, repeat + 1)
-                for label in cycle
-            ]
-            verdict = decoder.result()
-            assert verdict.cycles_seen == repeat
-            assert verdict.recognised == (repeat >= recognizer.min_cycles)
-            assert list(verdict.observations) == expected_prefix
-
-    def test_decoder_rejects_bad_min_cycles(self):
-        with pytest.raises(ValueError):
-            DynamicWindowDecoder({}, min_cycles=0)
-
-
 class TestBatchedEnrolment:
     def test_enrolment_matches_reference_database(self, recognizer):
-        # Batched enrolment must fill the database exactly like the
-        # scalar per-frame path (same labels, same SAX words).
-        reference = DynamicSignRecognizer()
+        # Enrolment must fill the wrapped recogniser's database exactly
+        # like the scalar per-frame path (same labels, same SAX words).
+        reference = DynamicSignRecognizer().recognizer
         for sign in (WAVE_OFF, MOVE_UPWARD):
-            from repro.recognition.pipeline import observation_elevation_deg as _el
-            from repro.recognition.preprocess import preprocess_frame
-
-            elevation = _el(5.0, 3.0)
             for index in range(sign.n_keyframes):
                 for azimuth in (0.0, 30.0):
                     camera = observation_camera(5.0, 3.0, azimuth)
@@ -213,9 +125,9 @@ class TestBatchedEnrolment:
                         sign.keyframe_pose(index), camera, RenderSettings(noise_sigma=0.0)
                     )
                     result = preprocess_frame(
-                        frame, reference.preprocess_settings, elevation_deg=elevation
+                        frame, reference.preprocess_settings, elevation_deg=ELEVATION
                     )
                     reference.database.add(
                         f"{sign.name}#{index}", result.series, view=f"az{azimuth:.0f}"
                     )
-        assert recognizer.database.word_table() == reference.database.word_table()
+        assert recognizer.recognizer.database.word_table() == reference.database.word_table()

@@ -21,7 +21,6 @@ from repro.human import (
     pose_for_sign,
     render_frame,
 )
-from repro.recognition.budget import FrameBudget
 from repro.recognition.pipeline import observation_elevation_deg
 from repro.recognition.preprocess import (
     PreprocessSettings,
@@ -194,33 +193,3 @@ class TestBroadcastElevations:
         assert broadcast_elevations([1.0, 2.0], 2) == [1.0, 2.0]
         with pytest.raises(ValueError):
             broadcast_elevations([1.0], 2)
-
-
-class TestBudgetSubStages:
-    def test_substages_recorded_under_parent(self):
-        budget = FrameBudget(frame_count=2)
-        frames = [sign_frame(), sign_frame(MarshallingSign.NO)]
-        with budget.stage("preprocess"):
-            preprocess_frames(frames, elevation_deg=ELEVATION, budget=budget)
-        names = [t.stage for t in budget.timings]
-        assert "preprocess" in names
-        assert "preprocess.threshold" in names and "preprocess.contour" in names
-        # Sub-stages do not double-count: the total is the parent alone.
-        parent = next(t for t in budget.timings if t.stage == "preprocess")
-        assert budget.total_s() == pytest.approx(parent.duration_s)
-        report = budget.report()
-        assert 0.0 < report.stage_fraction("preprocess.threshold") < 1.0
-
-    def test_direct_budget_records_top_level_stages(self):
-        # Without an open parent stage the sub-stages land top-level, so
-        # a direct caller's total and budget check stay meaningful.
-        budget = FrameBudget(frame_count=1)
-        preprocess_frames([sign_frame()], elevation_deg=ELEVATION, budget=budget)
-        names = [t.stage for t in budget.timings]
-        assert "threshold" in names and "contour" in names
-        assert all("." not in name for name in names)
-        assert budget.total_s() > 0.0
-
-    def test_budget_optional(self):
-        frames = [sign_frame()]
-        assert preprocess_frames(frames, elevation_deg=ELEVATION)[0].ok
