@@ -51,6 +51,26 @@ class TestFrameBudget:
         assert FRAME_BUDGET_S == pytest.approx(1.0 / 30.0)
         assert FrameBudget().budget_s == FRAME_BUDGET_S
 
+    def test_dotted_name_is_an_ordinary_stage(self):
+        # Stages are flat: a dotted name is not a sub-stage and counts.
+        budget = FrameBudget(budget_s=1.0)
+        budget.timings[:] = [
+            StageTiming("preprocess", 0.020),
+            StageTiming("preprocess.threshold", 0.010),
+        ]
+        assert budget.total_s() == pytest.approx(0.030)
+        assert budget.report().stage_fraction("preprocess.threshold") == pytest.approx(1 / 3)
+
+    def test_report_is_a_snapshot(self):
+        budget = FrameBudget(budget_s=1.0)
+        with budget.stage("first"):
+            pass
+        report = budget.report()
+        with budget.stage("second"):
+            time.sleep(0.002)
+        assert [t.stage for t in report.stages] == ["first"]
+        assert report.total_s < budget.total_s()
+
 
 class TestBudgetReport:
     def make_report(self) -> BudgetReport:
@@ -83,6 +103,10 @@ class TestBudgetReport:
         )
         assert "OVER" in report.summary()
         assert not report.within_budget
+
+    def test_stage_fraction_of_empty_report(self):
+        report = BudgetReport(budget_s=0.033, stages=(), total_s=0.0)
+        assert report.stage_fraction("preprocess") == 0.0
 
     def test_paper_stage_split(self):
         """The paper's observation: pre-processing dominates while the

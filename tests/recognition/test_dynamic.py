@@ -11,8 +11,10 @@ from repro.human import (
     pose_for_sign,
     render_frame,
 )
-from repro.recognition import DynamicObservation, DynamicSignRecognizer
+from repro.recognition import DynamicObservation, DynamicSignRecognizer, SaxSignRecognizer
 from repro.recognition.pipeline import observation_elevation_deg
+from repro.recognition.preprocess import PreprocessSettings
+from repro.sax.encoder import SaxParameters
 
 CAMERA = observation_camera(5.0, 3.0, 0.0)
 ELEVATION = observation_elevation_deg(5.0, 3.0)
@@ -40,6 +42,22 @@ class TestEnrolment:
     def test_min_cycles_validation(self):
         with pytest.raises(ValueError):
             DynamicSignRecognizer(min_cycles=0)
+
+    def test_settings_reach_wrapped_recognizer(self):
+        settings = PreprocessSettings()
+        parameters = SaxParameters(word_length=16, alphabet_size=5)
+        dynamic = DynamicSignRecognizer(
+            sax_parameters=parameters,
+            acceptance_threshold=0.4,
+            preprocess_settings=settings,
+        )
+        wrapped = dynamic.recognizer
+        assert wrapped.preprocess_settings is settings
+        assert wrapped.database.encoder.parameters == parameters
+        assert wrapped.database.acceptance_threshold == 0.4
+        # Dynamic signs default to a looser margin than static ones.
+        assert wrapped.database.margin_threshold == 0.05
+        assert SaxSignRecognizer().database.margin_threshold > 0.05
 
     def test_unenrolled_recognizer_names_enroll(self):
         unenrolled = DynamicSignRecognizer()

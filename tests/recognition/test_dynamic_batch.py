@@ -73,6 +73,68 @@ class TestWindowParity:
         with pytest.raises(ValueError):
             recognizer.recognize_window(frames, times=[0.0, 1.0], elevation_deg=ELEVATION)
 
+    def test_default_times_are_frame_indices(self, recognizer):
+        frames, _ = window_for(WAVE_OFF, 5)
+        result = recognizer.recognize_window(frames, elevation_deg=ELEVATION)
+        assert [o.time_s for o in result.observations] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_explicit_times_win_over_sample_hz(self, recognizer):
+        frames, _ = window_for(WAVE_OFF, 3)
+        times = [10.0, 10.5, 11.0]
+        result = recognizer.recognize_window(
+            frames, times=times, sample_hz=HZ, elevation_deg=ELEVATION
+        )
+        assert [o.time_s for o in result.observations] == times
+
+    @pytest.mark.parametrize("sample_hz", [0.0, -8.0])
+    def test_nonpositive_sample_hz_rejected(self, recognizer, sample_hz):
+        frames, _ = window_for(WAVE_OFF, 2)
+        with pytest.raises(ValueError):
+            recognizer.recognize_window(frames, sample_hz=sample_hz, elevation_deg=ELEVATION)
+
+    def test_per_frame_elevations_equal_scalar_elevation(self, recognizer):
+        frames, times = window_for(WAVE_OFF, 16)
+        scalar = recognizer.recognize_window(frames, times, elevation_deg=ELEVATION)
+        listed = recognizer.recognize_window(
+            frames, times, elevation_deg=[ELEVATION] * len(frames)
+        )
+        assert listed.observations == scalar.observations
+
+
+class TestChunkedWindows:
+    @pytest.mark.parametrize("chunk", [1, 5, 8, 17, 64])
+    def test_chunked_windows_equal_whole_window(self, recognizer, chunk):
+        # Each frame's label depends on that frame alone, so windows read
+        # chunk by chunk and decoded together give the whole-window verdict.
+        frames, times = window_for(WAVE_OFF, 64)
+        whole = recognizer.recognize_window(frames, times, elevation_deg=ELEVATION)
+        observations = []
+        for start in range(0, len(frames), chunk):
+            part = recognizer.recognize_window(
+                frames[start : start + chunk],
+                times[start : start + chunk],
+                elevation_deg=ELEVATION,
+            )
+            observations.extend(part.observations)
+        assert tuple(observations) == whole.observations
+        result = recognizer.decode(observations)
+        assert (result.sign_name, result.cycles_seen) == (
+            whole.sign_name,
+            whole.cycles_seen,
+        )
+
+    def test_repeated_frames_label_like_scalar(self, recognizer):
+        # The same frame objects twice in one window are read once by the
+        # batched front end; every copy still gets the scalar label.
+        frames, _ = window_for(WAVE_OFF, 16)
+        result = recognizer.recognize_window(frames + frames, sample_hz=HZ, elevation_deg=ELEVATION)
+        scalar_labels = [
+            recognizer.classify_frame(f, k / HZ, ELEVATION).label
+            for k, f in enumerate(frames)
+        ]
+        assert [o.label for o in result.observations] == scalar_labels * 2
+        assert [o.time_s for o in result.observations] == [k / HZ for k in range(32)]
+
 
 class TestEdgeCases:
     def test_empty_window(self, recognizer):
