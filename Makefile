@@ -72,9 +72,9 @@ bench-dynamic:
 bench-fleet:
 	$(PYTHON) benchmarks/bench_fleet.py
 
-# Regenerate BENCH_longtail.json (surveillance fleet under bursty
-# intruder load + long-tail window throughput; determinism assertions
-# are unconditional; see docs/BENCHMARKS.md).
+# Regenerate BENCH_longtail.json (long-tail window throughput through
+# the real recognisers; the replay-determinism assertion is
+# unconditional; see docs/BENCHMARKS.md).
 bench-longtail:
 	$(PYTHON) benchmarks/bench_longtail.py
 
@@ -99,46 +99,39 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload recognize-distinct --seed $(PERF_SEED) --trace 0
 	$(PYTHON) perfbench/run.py --workload recognize-distinct --seed $(PERF_SEED) --trace 1
 
-# Flight-recorder smoke: record a small oracle trap fleet run, a small
-# recognizer trap fleet run (its core0 observation, verdict and tick
-# lines) and a small recognizer-perceived guard fleet run, replay each
-# (byte compare), self-diff the fresh recordings against the originals
-# and render each as a tail dashboard (the guard run's carries
-# escalations) — the record/replay/diff/tail CLI pipeline end to end
-# through both builders and both perception kinds (see
-# docs/ARCHITECTURE.md "Flight recorder").  CI runs this in the
-# bench-smoke job; recordings land in FLIGHT_DIR.
+# Flight-recorder smoke: record a small oracle trap fleet run and a
+# small recognizer trap fleet run (its core0 observation, verdict and
+# tick lines), replay each (byte compare), self-diff the fresh
+# recordings against the originals and render each as a tail
+# dashboard — the record/replay/diff/tail CLI pipeline end to end
+# through both perception kinds (see docs/ARCHITECTURE.md "Flight
+# recorder").  CI runs this in the bench-smoke job; recordings land in
+# FLIGHT_DIR.
 FLIGHT_DIR ?= flight-artifacts
 flight-smoke:
 	mkdir -p $(FLIGHT_DIR)
 	$(PYTHON) scripts/flight_record.py record --out $(FLIGHT_DIR)/smoke.jsonl \
-		--builder fleet --missions 2 --perception oracle --smoke
+		--missions 2 --perception oracle --smoke
 	$(PYTHON) scripts/flight_record.py replay $(FLIGHT_DIR)/smoke.jsonl \
 		--out $(FLIGHT_DIR)/smoke-replay.jsonl
 	$(PYTHON) scripts/flight_diff.py $(FLIGHT_DIR)/smoke.jsonl \
 		$(FLIGHT_DIR)/smoke-replay.jsonl
 	$(PYTHON) scripts/flight_record.py tail $(FLIGHT_DIR)/smoke.jsonl
 	$(PYTHON) scripts/flight_record.py record --out $(FLIGHT_DIR)/smoke-recognizer.jsonl \
-		--builder fleet --missions 2 --perception recognizer --smoke
+		--missions 2 --perception recognizer --smoke
 	$(PYTHON) scripts/flight_record.py replay $(FLIGHT_DIR)/smoke-recognizer.jsonl \
 		--out $(FLIGHT_DIR)/smoke-recognizer-replay.jsonl
 	$(PYTHON) scripts/flight_diff.py $(FLIGHT_DIR)/smoke-recognizer.jsonl \
 		$(FLIGHT_DIR)/smoke-recognizer-replay.jsonl
 	$(PYTHON) scripts/flight_record.py tail $(FLIGHT_DIR)/smoke-recognizer.jsonl
-	$(PYTHON) scripts/flight_record.py record --out $(FLIGHT_DIR)/smoke-surveillance.jsonl \
-		--builder surveillance --missions 2 --smoke
-	$(PYTHON) scripts/flight_record.py replay $(FLIGHT_DIR)/smoke-surveillance.jsonl \
-		--out $(FLIGHT_DIR)/smoke-surveillance-replay.jsonl
-	$(PYTHON) scripts/flight_diff.py $(FLIGHT_DIR)/smoke-surveillance.jsonl \
-		$(FLIGHT_DIR)/smoke-surveillance-replay.jsonl
-	$(PYTHON) scripts/flight_record.py tail $(FLIGHT_DIR)/smoke-surveillance.jsonl
 
 # Seeded long-tail fuzz: randomized adversarial scenarios through the
 # full recognition + fleet stack, safety invariants asserted, failures
 # auto-minimised into fuzz-artifacts/ (exit 1 on any violation).  The
 # same FUZZ_SEED reproduces the same scenarios, verdicts and minimised
-# case bytes; tier-1 replays only the committed corpus in
-# tests/data/longtail/ — the open-ended search runs nightly.
+# case bytes; tier-1 replays the committed corpus in
+# tests/data/longtail/ and checks one orchard trap fleet case — the
+# open-ended search runs nightly.
 FUZZ_SEED ?= 0
 FUZZ_ITERATIONS ?= 25
 fuzz:

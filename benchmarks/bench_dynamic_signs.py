@@ -43,7 +43,6 @@ def decode_signal(recognizer, sign):
         renderer,
         duration_s=3.0 * sign.period_s,
         sample_hz=8.0,
-        camera=CAMERA,
         elevation_deg=ELEVATION,
     )
 
@@ -69,7 +68,7 @@ def test_static_never_false_triggers(benchmark, dynamic_recognizer):
             pose_for_sign(MarshallingSign.YES), CAMERA, SETTINGS
         )
         return dynamic_recognizer.observe_sequence(
-            renderer, duration_s=5.0, sample_hz=8.0, camera=CAMERA,
+            renderer, duration_s=5.0, sample_hz=8.0,
             elevation_deg=ELEVATION,
         )
 

@@ -3,9 +3,8 @@
 
 Three subcommands over :mod:`repro.recorder`:
 
-* ``record`` — build and run a fleet (trap-reading or surveillance)
-  with a flight recorder attached, writing a replayable ``.jsonl``
-  recording;
+* ``record`` — build and run a trap-reading fleet with a flight
+  recorder attached, writing a replayable ``.jsonl`` recording;
 * ``replay`` — re-drive the run a recording describes and byte-compare
   the fresh deterministic stream against it (exit ``1`` on
   divergence, ``2`` when the recording cannot be replayed, e.g. it is
@@ -16,7 +15,7 @@ Three subcommands over :mod:`repro.recorder`:
 Usage::
 
     PYTHONPATH=src python scripts/flight_record.py record --out run.jsonl \\
-        --builder fleet --missions 2 --perception oracle --smoke
+        --missions 2 --perception oracle --smoke
     PYTHONPATH=src python scripts/flight_record.py replay run.jsonl
     PYTHONPATH=src python scripts/flight_record.py tail run.jsonl --follow
 """
@@ -28,11 +27,11 @@ import sys
 
 from repro.mission.orchard import OrchardConfig
 from repro.protocol.negotiation import NegotiationConfig
-from repro.recorder import record_fleet_run, record_surveillance_run, replay
+from repro.recorder import record_fleet_run, replay
 from repro.recorder import tail as tail_mode
 from repro.simulation.scenarios import CALM, NOON
 
-#: Small, fast configurations used by ``--smoke`` (CI-sized runs).
+#: Small, fast configuration used by ``--smoke`` (CI-sized runs).
 SMOKE_FLEET_CONFIG = OrchardConfig(
     rows=1,
     trees_per_row=3,
@@ -41,15 +40,6 @@ SMOKE_FLEET_CONFIG = OrchardConfig(
     visitors=0,
     supervisor_present=False,
     blocking_fraction=1.0,
-)
-SMOKE_SURVEILLANCE_CONFIG = OrchardConfig(
-    rows=2,
-    trees_per_row=3,
-    traps_per_row=0,
-    workers=1,
-    visitors=0,
-    supervisor_present=False,
-    blocking_fraction=0.0,
 )
 SMOKE_NEGOTIATION = NegotiationConfig(observe_interval_s=0.1)
 
@@ -63,19 +53,12 @@ def _record(args: argparse.Namespace) -> int:
     if args.smoke:
         kwargs["winds"] = (CALM,)
         kwargs["lightings"] = (NOON,)
-    if args.builder == "fleet":
-        if args.smoke:
-            kwargs["config"] = SMOKE_FLEET_CONFIG
-            kwargs["negotiation_config"] = SMOKE_NEGOTIATION
-        report = record_fleet_run(args.out, timeout_s=args.timeout_s, **kwargs)
-    else:
-        if args.smoke:
-            kwargs["config"] = SMOKE_SURVEILLANCE_CONFIG
-        report = record_surveillance_run(args.out, timeout_s=args.timeout_s, **kwargs)
+        kwargs["config"] = SMOKE_FLEET_CONFIG
+        kwargs["negotiation_config"] = SMOKE_NEGOTIATION
+    report = record_fleet_run(args.out, timeout_s=args.timeout_s, **kwargs)
     print(
         f"flight-record: {args.out}: {report.ticks} ticks,"
-        f" {report.missions} missions, {report.traps_read} traps read,"
-        f" {report.escalations} escalations"
+        f" {report.missions} missions, {report.traps_read} traps read"
     )
     return 0
 
@@ -99,9 +82,6 @@ def main(argv: list[str] | None = None) -> int:
 
     record = commands.add_parser("record", help="run a fleet with a recorder attached")
     record.add_argument("--out", required=True, help="recording path (.jsonl)")
-    record.add_argument(
-        "--builder", choices=("fleet", "surveillance"), default="fleet"
-    )
     record.add_argument("--missions", type=int, default=2)
     record.add_argument("--seed", type=int, default=0)
     record.add_argument(

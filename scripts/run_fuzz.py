@@ -2,7 +2,7 @@
 
 The ``make fuzz`` entry point.  Draws scenarios from the seeded
 long-tail generator, checks every safety invariant through the real
-recognition stack (plus fleet-level surveillance cases), shrinks any
+recognition stack (plus orchard trap fleet cases), shrinks any
 failure to a minimal reproduction and writes it as canonical JSON under
 ``--out``.  Exit status 1 when any invariant was violated — the nightly
 job uploads the minimised cases as artifacts and fails loudly.
@@ -37,7 +37,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--iterations", type=int, default=25, help="scenario windows to check"
     )
     parser.add_argument(
-        "--fleet-cases", type=int, default=1, help="surveillance fleet cases to check"
+        "--fleet-cases", type=int, default=1, help="orchard trap fleet cases to check"
     )
     parser.add_argument(
         "--out",

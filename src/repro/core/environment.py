@@ -25,7 +25,7 @@ from repro.protocol.negotiation import (
     NegotiationController,
     NegotiationOutcome,
 )
-from repro.protocol.perception import OraclePerception, Perception, SaxPerception
+from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import RecognizerPerception
 from repro.protocol.safety import SafetyLimits
 from repro.simulation.events import EventLog
@@ -74,9 +74,8 @@ class CollaborativeEnvironment:
             the first row.
         perception:
             ``"oracle"`` (the calibrated envelope oracle, the default),
-            ``"sax"`` (the full single-frame SAX camera pipeline on
-            every observation: slow, faithful), ``"recognizer"`` (the
-            batched, envelope-gated
+            ``"recognizer"`` (the full camera pipeline: the batched,
+            envelope-gated
             :class:`~repro.protocol.recognizer.RecognizerPerception`),
             or any :class:`~repro.protocol.perception.Perception`
             instance.
@@ -91,8 +90,6 @@ class CollaborativeEnvironment:
         chosen: Perception
         if perception == "oracle":
             chosen = OraclePerception()
-        elif perception == "sax":
-            chosen = SaxPerception()
         elif perception == "recognizer":
             chosen = RecognizerPerception()
         elif isinstance(perception, str):

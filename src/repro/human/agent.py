@@ -167,15 +167,6 @@ class HumanAgent:
         """``True`` while en route to a walk target."""
         return self._walk_target is not None
 
-    def stop_walking(self) -> None:
-        """Abandon the current walk target, stopping in place.
-
-        Surveillance challenges use this: a complying intruder halts
-        where the guard drone intercepts them rather than finishing the
-        walk they were on.  No-op when not walking.
-        """
-        self._walk_target = None
-
     # -- internals ----------------------------------------------------------------
 
     def _random(self) -> random.Random:

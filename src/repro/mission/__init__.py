@@ -18,13 +18,6 @@ from repro.mission.flytrap import FlyTrap, TrapReading
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
 from repro.mission.pipeline import FleetTick, build_fleet_graph
 from repro.mission.planner import RoutePlan, plan_route, tour_length
-from repro.mission.surveillance import (
-    SurveillanceConfig,
-    SurveillanceExecutor,
-    SurveillancePhase,
-    SurveillanceReport,
-    build_surveillance_fleet,
-)
 from repro.mission.visualize import MapStyle, render_map, render_mission_summary
 
 __all__ = [
@@ -51,9 +44,4 @@ __all__ = [
     "RoutePlan",
     "plan_route",
     "tour_length",
-    "SurveillanceConfig",
-    "SurveillanceExecutor",
-    "SurveillancePhase",
-    "SurveillanceReport",
-    "build_surveillance_fleet",
 ]

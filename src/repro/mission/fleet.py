@@ -34,15 +34,14 @@ Scenario diversity comes from :mod:`repro.simulation.scenarios`: each
 mission draws a wind condition (the stochastic flight-dynamics model of
 that strength) and a lighting condition (the photometric settings its
 perception renders under), on top of a per-mission orchard seed that
-varies layout, traps and personas.  :func:`assemble_fleet` is that
-wiring, shared by :func:`build_fleet` and
-:func:`~repro.mission.surveillance.build_surveillance_fleet`.
+varies layout, traps and personas.  :func:`build_fleet` is that
+wiring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.drone.agent import DroneAgent
 from repro.mission.executor import MissionExecutor, MissionReport
@@ -96,19 +95,13 @@ class FleetMission:
 
 @dataclass(frozen=True)
 class FleetReport:
-    """Outcome of one fleet run.
-
-    ``escalation_events`` carries every surveillance escalation the
-    missions logged (empty for trap-reading fleets), in ``(time,
-    mission)`` order.
-    """
+    """Outcome of one fleet run."""
 
     reports: dict[str, MissionReport]
     ticks: int
     sim_duration_s: float
     perception_stats: PerceptionStats | None = None
     graph_stats: LoopStats | None = None
-    escalation_events: tuple = ()
     recording_path: str | None = None
 
     @property
@@ -131,11 +124,6 @@ class FleetReport:
         """Total safety violations across the fleet."""
         return sum(r.safety_events for r in self.reports.values())
 
-    @property
-    def escalations(self) -> int:
-        """Total surveillance escalations across the fleet."""
-        return len(self.escalation_events)
-
 
 class FleetScheduler:
     """Steps N independent missions on a shared clock.
@@ -153,7 +141,7 @@ class FleetScheduler:
     ----------
     missions:
         The fleet.  Executors must not be registered as world entities
-        (the scheduler drives them; :func:`assemble_fleet` wires this).
+        (the scheduler drives them; :func:`build_fleet` wires this).
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder`: the scheduler
         hands each finished loop tick to a read-only
@@ -326,14 +314,7 @@ class FleetScheduler:
             if isinstance(mission.perception, RecognizerPerception):
                 stats = mission.perception.stats
                 break
-        escalations: list = []
-        for mission in self.missions:
-            events = getattr(mission.executor, "escalation_events", None)
-            if events:
-                escalations.extend(events)
-        escalations.sort(key=lambda e: e.time_s)
         report = FleetReport(
-            escalation_events=tuple(escalations),
             reports={m.name: m.report for m in self.missions},
             ticks=self._ticks,
             sim_duration_s=self.now_s,
@@ -358,23 +339,24 @@ def _mission_perception(
     return shared.with_render_settings(lighting.render_settings())
 
 
-def assemble_fleet(
-    spec: FleetSpec,
-    config: OrchardConfig,
-    name_prefix: str,
-    make_executor: Callable[[int, Orchard, DroneAgent, Perception], Any],
-) -> FleetScheduler:
-    """The wiring both fleet builders share.
+def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
+    """Build a ready-to-run fleet of trap-reading missions from *spec*::
+
+        build_fleet(FleetSpec(count=16, base_seed=100))
 
     Builds *spec*'s shared recogniser core (recognizer perception
-    only), then mission ``i`` (named ``f"{name_prefix}_{i:02d}"``) on
-    orchard seed ``base_seed + i``, wind ``winds[i % len(winds)]`` (the
-    orchard's stochastic wind model at that strength) and a
-    ``lightings[i % len(lightings)]`` view of the shared perception,
-    with a drone at ``spec.drone_home``.  *make_executor* receives the
-    mission index, orchard, drone and perception and returns the
-    executor driving that slot.
+    only), then mission ``i`` (named ``f"mission_{i:02d}"``) on orchard
+    seed ``base_seed + i`` (distinct layout, traps and personas), wind
+    ``winds[i % len(winds)]`` (the orchard's stochastic wind model at
+    that strength) and a ``lightings[i % len(lightings)]`` view of the
+    shared perception, with a drone at ``spec.drone_home``; see
+    :class:`~repro.mission.spec.FleetSpec` for every knob.
+    Anything but a :class:`~repro.mission.spec.FleetSpec` raises
+    :class:`TypeError`.
     """
+    if not isinstance(spec, FleetSpec):
+        raise TypeError(f"build_fleet() takes a FleetSpec, got {type(spec).__name__}")
+    config = spec.config if spec.config is not None else OrchardConfig()
     shared = RecognizerPerception() if spec.perception == "recognizer" else None
     winds = spec.winds
     lightings = spec.lightings
@@ -393,41 +375,21 @@ def assemble_fleet(
         perception = _mission_perception(shared, lighting)
         missions.append(
             FleetMission(
-                name=f"{name_prefix}_{index:02d}",
+                name=f"mission_{index:02d}",
                 orchard=orchard,
                 drone=drone,
-                executor=make_executor(index, orchard, drone, perception),
+                executor=MissionExecutor(
+                    orchard,
+                    drone,
+                    perception=perception,
+                    negotiation_config=spec.negotiation,
+                ),
                 perception=perception,
                 wind=wind,
                 lighting=lighting,
             )
         )
     return FleetScheduler(missions, recorder=spec.recorder)
-
-
-def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
-    """Build a ready-to-run fleet of trap-reading missions from *spec*::
-
-        build_fleet(FleetSpec(count=16, base_seed=100))
-
-    Mission ``i`` draws orchard seed ``base_seed + i`` (distinct layout,
-    traps and personas), wind ``winds[i % len(winds)]`` and lighting
-    ``lightings[i % len(lightings)]`` (see :func:`assemble_fleet`); see
-    :class:`~repro.mission.spec.FleetSpec` for every knob (perception
-    kind, conditions, recorder...).
-    Anything but a :class:`~repro.mission.spec.FleetSpec` raises
-    :class:`TypeError`.
-    """
-    if not isinstance(spec, FleetSpec):
-        raise TypeError(f"build_fleet() takes a FleetSpec, got {type(spec).__name__}")
-
-    def make_executor(index, orchard, drone, perception) -> MissionExecutor:
-        return MissionExecutor(
-            orchard, drone, perception=perception, negotiation_config=spec.negotiation
-        )
-
-    config = spec.config if spec.config is not None else OrchardConfig()
-    return assemble_fleet(spec, config, "mission", make_executor)
 
 
 def _canonical_value(value: Any) -> Any:

@@ -1,26 +1,17 @@
 """FleetSpec: one declarative description of a fleet to build.
 
-:func:`~repro.mission.fleet.build_fleet` and
-:func:`~repro.mission.surveillance.build_surveillance_fleet` used to
-duplicate ~10 keyword arguments (seed, orchard config, scenario
-conditions, negotiation tunables, perception kind, recorder...).
-:class:`FleetSpec` is the single frozen dataclass that carries all of
-them, and a spec is the only argument either builder takes:
+:class:`FleetSpec` is the single frozen dataclass that carries every
+fleet knob (seed, orchard config, scenario conditions, negotiation
+tunables, perception kind, recorder...), and a spec is the only
+argument :func:`~repro.mission.fleet.build_fleet` takes:
 
 >>> from repro.mission import FleetSpec, build_fleet
 >>> scheduler = build_fleet(FleetSpec(count=4, base_seed=100))
 
 Any other call form (``build_fleet(4, base_seed=100)``) raises
-:class:`TypeError`.
-
-Field applicability: both builders read every field through the same
-perception and mission-slot wiring, except the surveillance-only workload
-shape (``intruders``/``burst_start_s``/``burst_spacing_s``/``laps``),
-which the trap-reading fleet ignores.  ``negotiation`` unifies what
-recording recipes call ``negotiation_config`` (trap fleet) and
-``challenge_config`` (surveillance fleet).  Every field is validated
-at construction, so both builders reject a bad spec the same way
-before any mission is built.
+:class:`TypeError`.  ``negotiation`` is what recording recipes call
+``negotiation_config``.  Every field is validated at construction, so
+a bad spec is rejected before any mission is built.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ __all__ = [
     "FleetSpec",
 ]
 
-#: Default launch pad, shared by both fleet builders.
+#: Default launch pad of every mission's drone.
 DEFAULT_DRONE_HOME = Vec2(-6.0, -4.0)
 
 #: Perception kinds a fleet can be built with.
@@ -62,27 +53,23 @@ class FleetSpec:
         ``base_seed + i``, wind ``winds[i % len(winds)]`` and lighting
         ``lightings[i % len(lightings)]``.
     base_seed:
-        Seed offset for the per-mission orchards (and intruder walks).
+        Seed offset for the per-mission orchards.
     config:
-        Orchard layout/config template; each builder's default when
-        ``None``.
+        Orchard layout/config template; :class:`OrchardConfig`'s
+        defaults when ``None``.
     perception:
         ``"recognizer"`` (one shared batched core, per-mission lighting
         views) or ``"oracle"``.
     winds / lightings:
         Scenario condition pools (cycled per mission index).
     negotiation:
-        Protocol tunables — the trap fleet's ``negotiation_config``
-        and the surveillance fleet's ``challenge_config``, unified.
+        Protocol tunables for every mission's negotiation
+        (:class:`~repro.protocol.negotiation.NegotiationConfig`).
     drone_home:
         Launch pad for every mission's drone.
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder` attached to
         the scheduler.
-    intruders / burst_start_s / burst_spacing_s / laps:
-        Surveillance-fleet workload shape (ignored by the trap fleet):
-        intruder *j* of mission *i* starts walking at
-        ``burst_start_s + j * burst_spacing_s``.
     """
 
     count: int
@@ -94,24 +81,12 @@ class FleetSpec:
     negotiation: NegotiationConfig | None = None
     drone_home: Vec2 = DEFAULT_DRONE_HOME
     recorder: object = field(default=None, compare=False)
-    intruders: int = 2
-    burst_start_s: float = 4.0
-    burst_spacing_s: float = 1.5
-    laps: int = 1
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("fleet needs at least one mission")
         if self.perception not in FLEET_PERCEPTIONS:
             raise ValueError(f"unknown perception kind: {self.perception!r}")
-        if self.intruders < 0:
-            raise ValueError("intruder count must be non-negative")
-        if self.burst_start_s < 0:
-            raise ValueError("burst_start_s must be non-negative")
-        if self.burst_spacing_s < 0:
-            raise ValueError("burst_spacing_s must be non-negative")
-        if self.laps < 1:
-            raise ValueError("need at least one lap")
         # Normalise the condition pools so equal specs compare equal
         # regardless of list/tuple input.
         object.__setattr__(self, "winds", tuple(self.winds))

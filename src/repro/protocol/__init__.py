@@ -15,7 +15,6 @@ from repro.protocol.perception import (
     ObservationGeometry,
     OraclePerception,
     Perception,
-    SaxPerception,
 )
 from repro.protocol.recognizer import (
     ObservationQuery,
@@ -37,7 +36,6 @@ __all__ = [
     "PerceptionStats",
     "RecognitionEnvelope",
     "RecognizerPerception",
-    "SaxPerception",
     "SafetyLimits",
     "SafetyMonitor",
     "SafetyViolation",

@@ -1,11 +1,7 @@
 """Perception models: how the drone reads the human's sign.
 
-Two implementations of one interface:
+The :class:`Perception` interface and its geometric implementation:
 
-* :class:`SaxPerception` — the real pipeline: render the human's current
-  pose through the drone's camera, run the full SAX recogniser on that
-  one frame.  It is the environment's ``"sax"`` perception kind
-  (:meth:`~repro.core.environment.CollaborativeEnvironment.build_orchard`).
 * :class:`OraclePerception` — a geometric stand-in that returns the true
   sign whenever the viewing geometry is inside the *calibrated*
   recognition envelope (altitude band, azimuth dead angle, range limit)
@@ -13,6 +9,9 @@ Two implementations of one interface:
   mission-scale simulations where thousands of observations occur.  Its
   envelope parameters default to the values measured from the SAX
   pipeline, so protocol-level results transfer.
+
+The full camera pipeline (render, preprocess, SAX match) behind the
+same interface is :class:`~repro.protocol.recognizer.RecognizerPerception`.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ from typing import Protocol, runtime_checkable
 from repro.geometry.rotation import degrees_difference
 from repro.geometry.vec import Vec3
 from repro.human.agent import HumanAgent
-from repro.human.render import RenderSettings, render_frame
 from repro.human.signs import MarshallingSign
-from repro.recognition.pipeline import SaxSignRecognizer, observation_elevation_deg
 
-__all__ = ["Perception", "OraclePerception", "SaxPerception", "ObservationGeometry"]
+__all__ = ["Perception", "OraclePerception", "ObservationGeometry"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,42 +87,3 @@ class OraclePerception:
             return None
         sign = human.current_sign
         return sign if sign.is_communicative else None
-
-
-class SaxPerception:
-    """Full-pipeline perception through the drone camera."""
-
-    def __init__(
-        self,
-        recognizer: SaxSignRecognizer | None = None,
-        render_settings: RenderSettings | None = None,
-    ) -> None:
-        if recognizer is None:
-            recognizer = SaxSignRecognizer()
-            recognizer.enroll_canonical_views()
-        elif not recognizer.enrolled_signs:
-            recognizer.enroll_canonical_views()
-        self.recognizer = recognizer
-        self.render_settings = (
-            render_settings if render_settings is not None else RenderSettings()
-        )
-
-    def observe(self, drone_position: Vec3, human: HumanAgent) -> MarshallingSign | None:
-        """Render the scene and run the SAX recogniser."""
-        torso = human.position3() + Vec3(0.0, 0.0, 1.1)
-        if drone_position.is_close(torso, tol=1e-6):
-            return None
-        from repro.geometry.camera import CameraIntrinsics, PinholeCamera
-
-        camera = PinholeCamera(
-            position=drone_position,
-            target=torso,
-            intrinsics=CameraIntrinsics(240, 240, 280.0),
-        )
-        frame = render_frame(human.current_pose(), camera, self.render_settings)
-        geometry = ObservationGeometry.between(drone_position, human)
-        elevation = observation_elevation_deg(
-            geometry.altitude_m, max(geometry.horizontal_distance_m, 0.1)
-        )
-        recognition = self.recognizer.recognise(frame, elevation_deg=elevation)
-        return recognition.sign

@@ -5,10 +5,9 @@
 batched recognition stack: it renders the interlocutor's current pose
 through the drone's camera and classifies the frame via
 :func:`~repro.recognition.preprocess.preprocess_frames` +
-:meth:`~repro.sax.database.SignDatabase.classify_batch`.  Unlike
-:class:`~repro.protocol.perception.SaxPerception` (the single-frame
-pipeline behind the environment's ``"sax"`` perception kind) it is
-built to sit inside a *fleet* of concurrent missions:
+:meth:`~repro.sax.database.SignDatabase.classify_batch`.  It is the
+environment's ``"recognizer"`` perception kind, and it is built to sit
+inside a *fleet* of concurrent missions:
 
 * **Trust envelope** — queries outside the pipeline's *measured*
   reliable zone (:class:`RecognitionEnvelope`) return ``None`` without
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 # Drone camera intrinsics used for every mission observation (matches
-# SaxPerception and the canonical enrolment views).
+# the canonical enrolment views).
 _OBSERVATION_INTRINSICS = CameraIntrinsics(240, 240, 280.0)
 
 # A query's ``dim_key``: the BodyDimensions field values in declaration

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.geometry.camera import PinholeCamera, observation_camera
+from repro.geometry.camera import observation_camera
 from repro.human.dynamic import DynamicSign
 from repro.human.render import RenderSettings, render_frame
 from repro.recognition.pipeline import SaxSignRecognizer, observation_elevation_deg
@@ -213,7 +213,6 @@ class DynamicSignRecognizer:
         sign_renderer: Callable[[float], Image],
         duration_s: float,
         sample_hz: float,
-        camera: PinholeCamera,
         elevation_deg: float | None = None,
     ) -> DynamicRecognition:
         """Sample ``sign_renderer(t) -> Image`` at *sample_hz* and decode.

@@ -8,25 +8,24 @@ append-only, schema-versioned JSONL event log tapped off a running
 * :mod:`repro.recorder.events` — the record schema: canonical JSON
   lines with every float hex-encoded (IEEE-754 bit-exact), one
   deterministic stream (ticks, observations, verdicts, negotiation
-  transitions, escalations, the final report);
+  transitions, the final report);
 * :mod:`repro.recorder.recorder` — :class:`FlightRecorder`, the
   append-only writer with an integrity footer;
 * :mod:`repro.recorder.taps` — the read-only tap the scheduler calls
   once per fleet tick: the tick's cache misses and verdicts, world-log
   deltas and perception-counter deltas;
 * :mod:`repro.recorder.replay` — self-describing recordings: the
-  header carries the exact :func:`~repro.mission.fleet.build_fleet` /
-  :func:`~repro.mission.surveillance.build_surveillance_fleet` recipe,
-  so :func:`replay` can re-drive the run and prove the fresh recording
-  byte-identical;
+  header carries the exact :func:`~repro.mission.fleet.build_fleet`
+  recipe, so :func:`replay` can re-drive the run and prove the fresh
+  recording byte-identical;
 * :mod:`repro.recorder.diffing` — event-by-event diffing naming the
   first divergent node, tick and field (``scripts/flight_diff.py``);
 * :mod:`repro.recorder.tail` — a live fleet dashboard (per-core
   perception totals, per-mission events) rendered from the same stream.
 
 Two contracts are enforced by tier-1 tests and ``bench_fleet.py``:
-**zero intrusion** (recorder on vs off leaves every transcript,
-report counter and escalation stream byte-identical) and **replay
+**zero intrusion** (recorder on vs off leaves every transcript and
+report counter byte-identical) and **replay
 fidelity** (replaying a recording reproduces its deterministic event
 stream byte-for-byte).
 """
@@ -44,7 +43,6 @@ from repro.recorder.replay import (
     make_recipe,
     recipe_of,
     record_fleet_run,
-    record_surveillance_run,
     replay,
     run_recipe,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "read_lines",
     "recipe_of",
     "record_fleet_run",
-    "record_surveillance_run",
     "render_dashboard",
     "replay",
     "run_recipe",

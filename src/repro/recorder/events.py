@@ -47,7 +47,6 @@ DETERMINISTIC_KINDS = frozenset(
         "verdict",  # the classification a miss resolved to
         "negotiation",  # sign_observed / protocol_state transitions
         "world",  # any other world-log event (mission lifecycle &c.)
-        "escalation",  # surveillance escalations from the world log
         "report",  # final FleetReport counters
         "end",  # footer: deterministic event count + stream digest
     }

@@ -2,8 +2,8 @@
 
 A recording's ``header`` carries the exact *recipe* that produced the
 run — the :class:`~repro.mission.spec.FleetSpec` fields under the
-keyword names the fleet builders took before the spec existed
-(``negotiation_config`` / ``challenge_config`` for
+keyword names the fleet builder took before the spec existed
+(``negotiation_config`` for
 :attr:`~repro.mission.spec.FleetSpec.negotiation`), with dataclass
 configs flattened to dicts and wind/lighting conditions reduced to
 their registered names.  That makes every
@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass
 
 from repro.mission.fleet import FleetReport, FleetSpec, build_fleet
 from repro.mission.orchard import OrchardConfig
-from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder.diffing import Divergence, checked_lines, first_divergence
 from repro.recorder.events import SCHEMA_VERSION, decode_value, parse_line
@@ -36,12 +35,13 @@ __all__ = [
     "make_recipe",
     "recipe_of",
     "record_fleet_run",
-    "record_surveillance_run",
     "replay",
     "run_recipe",
 ]
 
-_SHARED_KEYS = frozenset(
+#: The one recipe builder: :func:`~repro.mission.fleet.build_fleet`.
+_BUILDER = "fleet"
+_RECIPE_KEYS = frozenset(
     {
         "count",
         "base_seed",
@@ -49,15 +49,11 @@ _SHARED_KEYS = frozenset(
         "perception",
         "winds",
         "lightings",
+        "negotiation_config",
     }
 )
-_ALLOWED_KEYS = {
-    "fleet": _SHARED_KEYS | {"negotiation_config"},
-    "surveillance": _SHARED_KEYS
-    | {"challenge_config", "intruders", "burst_start_s", "burst_spacing_s", "laps"},
-}
 
-_CONFIG_KEYS = frozenset({"config", "negotiation_config", "challenge_config"})
+_CONFIG_KEYS = frozenset({"config", "negotiation_config"})
 _CONDITION_KEYS = frozenset({"winds", "lightings"})
 
 
@@ -73,12 +69,16 @@ def _condition_registries() -> tuple[dict[str, WindCondition], dict[str, Lightin
     return winds, lightings
 
 
-def _encode_kwargs(builder: str, kwargs: dict) -> dict:
-    allowed = _ALLOWED_KEYS[builder]
+def _check_builder(builder) -> None:
+    if builder != _BUILDER:
+        raise ValueError(f"unknown recipe builder: {builder!r}")
+
+
+def _encode_kwargs(kwargs: dict) -> dict:
     encoded = {}
     for key, value in kwargs.items():
-        if key not in allowed:
-            raise ValueError(f"{key!r} is not a recordable {builder} recipe argument")
+        if key not in _RECIPE_KEYS:
+            raise ValueError(f"{key!r} is not a recordable {_BUILDER} recipe argument")
         if key in _CONFIG_KEYS:
             encoded[key] = asdict(value) if value is not None else None
         elif key in _CONDITION_KEYS:
@@ -90,17 +90,15 @@ def _encode_kwargs(builder: str, kwargs: dict) -> dict:
     return encoded
 
 
-def _decode_kwargs(builder: str, encoded: dict) -> dict:
-    if builder not in _ALLOWED_KEYS:
-        raise ValueError(f"unknown recipe builder: {builder!r}")
+def _decode_kwargs(encoded: dict) -> dict:
     winds, lightings = _condition_registries()
     decoded = {}
     for key, value in encoded.items():
-        if key not in _ALLOWED_KEYS[builder]:
-            raise ValueError(f"{key!r} is not a {builder} recipe argument")
+        if key not in _RECIPE_KEYS:
+            raise ValueError(f"{key!r} is not a {_BUILDER} recipe argument")
         if key == "config" and value is not None:
             decoded[key] = OrchardConfig(**value)
-        elif key in ("negotiation_config", "challenge_config") and value is not None:
+        elif key == "negotiation_config" and value is not None:
             decoded[key] = NegotiationConfig(**value)
         elif key in _CONDITION_KEYS:
             registry = winds if key == "winds" else lightings
@@ -122,17 +120,16 @@ def make_recipe(builder: str, **kwargs) -> dict:
     :meth:`~repro.recorder.recorder.FlightRecorder.write_header`, then
     attach the recorder via ``FleetSpec(recorder=...)``.
     """
-    if builder not in _ALLOWED_KEYS:
-        raise ValueError(f"unknown recipe builder: {builder!r}")
-    return {"builder": builder, "kwargs": _encode_kwargs(builder, kwargs)}
+    _check_builder(builder)
+    return {"builder": builder, "kwargs": _encode_kwargs(kwargs)}
 
 
 def recipe_of(path: str) -> dict:
     """Read the recipe out of a recording's ``header`` record.
 
     Raises ``ValueError`` when the header's schema is not
-    :data:`~repro.recorder.events.SCHEMA_VERSION`: such a recording
-    could never replay byte-identically.
+    :data:`~repro.recorder.events.SCHEMA_VERSION`, or its builder is not
+    ``"fleet"``: such a recording could never replay byte-identically.
     """
     for line in read_lines(path):
         record = parse_line(line)
@@ -147,6 +144,7 @@ def recipe_of(path: str) -> dict:
             recipe = header.get("recipe")
             if not isinstance(recipe, dict):
                 raise ValueError(f"recording {path} has no replayable recipe")
+            _check_builder(recipe.get("builder"))
             return recipe
     raise ValueError(f"recording {path} has no header record")
 
@@ -156,23 +154,16 @@ def run_recipe(
 ) -> FleetReport:
     """Build and run the fleet a *recipe* describes, recording into
     *recorder* (header included).  Returns the run's report."""
-    builder = recipe.get("builder")
-    kwargs = _decode_kwargs(str(builder), dict(recipe.get("kwargs", {})))
+    _check_builder(recipe.get("builder"))
+    kwargs = _decode_kwargs(dict(recipe.get("kwargs", {})))
     if "count" not in kwargs:
         raise ValueError("recipe kwargs must include 'count'")
     recorder.write_header(recipe)
-    # Recipe keys keep the legacy builder names (committed recordings
-    # replay unchanged); map the negotiation aliases onto the unified
-    # FleetSpec field and build through the spec API directly.
-    fields = {
-        ("negotiation" if key in ("negotiation_config", "challenge_config") else key): value
-        for key, value in kwargs.items()
-    }
-    spec = FleetSpec(recorder=recorder, **fields)
-    if builder == "fleet":
-        fleet = build_fleet(spec)
-    else:
-        fleet = build_surveillance_fleet(spec)
+    # Recipe keys keep the legacy builder name for the negotiation
+    # tunables (committed recordings replay unchanged).
+    if "negotiation_config" in kwargs:
+        kwargs["negotiation"] = kwargs.pop("negotiation_config")
+    fleet = build_fleet(FleetSpec(recorder=recorder, **kwargs))
     if timeout_s is not None:
         return fleet.run(timeout_s=timeout_s)
     return fleet.run()
@@ -188,16 +179,6 @@ def record_fleet_run(
     (or the in-memory recording) is replayable as-is.
     """
     return run_recipe(make_recipe("fleet", **kwargs), FlightRecorder(path), timeout_s=timeout_s)
-
-
-def record_surveillance_run(
-    path: str | None, timeout_s: float | None = None, **kwargs
-) -> FleetReport:
-    """Run :func:`~repro.mission.surveillance.build_surveillance_fleet`
-    with a recorder; mirrors :func:`record_fleet_run`."""
-    return run_recipe(
-        make_recipe("surveillance", **kwargs), FlightRecorder(path), timeout_s=timeout_s
-    )
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,8 @@ def render_dashboard(events: Sequence[dict]) -> str:
     """Render decoded flight records as a text dashboard.
 
     Shows the recipe, tick progress, per-core perception totals (summed
-    from the ``tick`` records' deltas), verdict-label counts,
-    per-mission latest event and escalation totals — whatever the
-    stream contains so far.
+    from the ``tick`` records' deltas), verdict-label counts and each
+    mission's latest event — whatever the stream contains so far.
     """
     recipe: dict | None = None
     missions: list[str] = []
@@ -43,7 +42,6 @@ def render_dashboard(events: Sequence[dict]) -> str:
     core_totals: dict[str, list[int]] = {}
     verdicts: dict[str, int] = {}
     misses = 0
-    escalations: dict[str, int] = {}
     last_event: dict[str, str] = {}
     report: dict | None = None
     ended = False
@@ -68,9 +66,6 @@ def render_dashboard(events: Sequence[dict]) -> str:
         elif kind == "verdict":
             label = data.get("label")
             verdicts[str(label)] = verdicts.get(str(label), 0) + 1
-        elif kind == "escalation":
-            mission = str(record.get("node", ""))
-            escalations[mission] = escalations.get(mission, 0) + 1
         elif kind in ("world", "negotiation"):
             mission = str(record.get("node", ""))
             last_event[mission] = f"{data.get('kind', '?')} @ t={data.get('t', 0.0):.2f}"
@@ -104,21 +99,15 @@ def render_dashboard(events: Sequence[dict]) -> str:
         lines.append(f"verdicts: {rendered}")
     if missions:
         lines.append("")
-        widths = (12, 12, 44)
-        lines.append(_fmt_row(("mission", "escalations", "last event"), widths))
+        widths = (12, 44)
+        lines.append(_fmt_row(("mission", "last event"), widths))
         for name in missions:
-            lines.append(
-                _fmt_row(
-                    (name, escalations.get(name, 0), last_event.get(name, "-")),
-                    widths,
-                )
-            )
+            lines.append(_fmt_row((name, last_event.get(name, "-")), widths))
     if report is not None:
         lines.append("")
         lines.append(
             f"report: {report.get('ticks')} ticks,"
-            f" {report.get('sim_duration_s', 0.0):.1f} s simulated,"
-            f" {report.get('escalations', 0)} escalations"
+            f" {report.get('sim_duration_s', 0.0):.1f} s simulated"
         )
     return "\n".join(lines) + "\n"
 

@@ -5,7 +5,7 @@
 the stage loop's tick has ended, :meth:`~FleetRecorderTap.on_tick`
 reads the tick's token (the cache misses ``lookup`` left on it and the
 verdicts ``match`` resolved them to), the world-log deltas (negotiation
-transitions, escalations, mission lifecycle) and the fleet perception's
+transitions, mission lifecycle) and the fleet perception's
 counter deltas, and flushes the recording once if the tick wrote
 anything.
 
@@ -157,27 +157,16 @@ class FleetRecorderTap:
         self._report_recorded = True
         missions = {}
         for name, mission_report in sorted(report.reports.items()):
-            outcome = {
+            missions[name] = {
                 "traps_read": mission_report.traps_read,
                 "negotiations": mission_report.negotiations,
                 "safety_events": mission_report.safety_events,
                 "duration_s": mission_report.duration_s,
+                "negotiations_granted": mission_report.negotiations_granted,
+                "negotiations_denied": mission_report.negotiations_denied,
+                "negotiations_failed": mission_report.negotiations_failed,
+                "skipped_traps": list(mission_report.skipped_traps),
             }
-            for extra in (
-                "negotiations_granted",
-                "negotiations_denied",
-                "negotiations_failed",
-                "laps_completed",
-                "challenges",
-                "compliant",
-            ):
-                value = getattr(mission_report, extra, None)
-                if value is not None:
-                    outcome[extra] = value
-            skipped = getattr(mission_report, "skipped_traps", None)
-            if skipped is not None:
-                outcome["skipped_traps"] = list(skipped)
-            missions[name] = outcome
         stats = report.perception_stats
         self._recorder.record(
             "report",
@@ -185,7 +174,8 @@ class FleetRecorderTap:
                 "ticks": report.ticks,
                 "sim_duration_s": report.sim_duration_s,
                 "missions": missions,
-                "escalations": report.escalations,
+                # A schema-2 key that committed recordings carry; trap fleets never escalate.
+                "escalations": 0,
                 "perception": (
                     {
                         "observations": stats.observations,
@@ -203,14 +193,8 @@ class FleetRecorderTap:
     # -- internals ---------------------------------------------------------------------
 
     def _record_world_event(self, tick: int, mission, event) -> None:
-        if event.kind in NEGOTIATION_KINDS:
-            kind = "negotiation"
-        elif event.kind == "escalation":
-            kind = "escalation"
-        else:
-            kind = "world"
         self._recorder.record(
-            kind,
+            "negotiation" if event.kind in NEGOTIATION_KINDS else "world",
             tick=tick,
             node=mission.name,
             data={

@@ -4,7 +4,7 @@ A dependency-free mini-Hypothesis specialised to this repo: scenarios
 are drawn from the seeded long-tail generator
 (:func:`~repro.simulation.longtail.sample_longtail`), executed through
 the *real* batched recognisers (and, for fleet cases, the full
-surveillance fleet stage loop), and checked against the safety
+orchard trap fleet stage loop), and checked against the safety
 invariants the paper's protocol rests on:
 
 ``verdict_fold``
@@ -27,10 +27,11 @@ invariants the paper's protocol rests on:
 ``deterministic_replay``
     Executing the same scenario twice yields byte-identical frames and
     identical labels (the window *signature* matches).
-``transcript_determinism`` / ``escalation_explicit`` (fleet cases)
-    Two runs of the same seeded surveillance fleet produce identical
-    mission transcripts, and every challenge resolves explicitly —
-    compliance or a named escalation event, never silence.
+``transcript_determinism`` / ``negotiation_explicit`` (fleet cases)
+    Two runs of the same seeded orchard trap fleet produce identical
+    mission transcripts, and every negotiation ends explicitly —
+    granted, denied or failed, never left open (a mission a safety
+    rule aborted may leave the one round it was running open).
 
 Any failing scenario is **shrunk** by greedy axis-by-axis minimisation
 (:func:`shrink_scenario`): candidates drop whole perturbation layers or
@@ -57,10 +58,10 @@ from repro.human.agent import HumanAgent
 from repro.human.dynamic import MOVE_UPWARD, WAVE_OFF
 from repro.human.persona import WORKER
 from repro.human.signs import COMMUNICATIVE_SIGNS, MarshallingSign
-from repro.mission.fleet import mission_transcript
+from repro.mission.executor import MissionPhase
+from repro.mission.fleet import build_fleet, mission_transcript
 from repro.mission.orchard import OrchardConfig
 from repro.mission.spec import FleetSpec
-from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.recognizer import RecognizerPerception
 from repro.recognition.dynamic import DynamicSignRecognizer
 from repro.recognition.pipeline import SaxSignRecognizer
@@ -362,49 +363,50 @@ def check_envelope_invariant(
     return []
 
 
-#: Orchard layout for fleet fuzz cases — small so a double run (the
-#: determinism check) stays cheap.
+#: Orchard of a fleet fuzz case: one row of 4 trees, 2 traps and 2
+#: workers blocking them, so every mission negotiates — small enough
+#: that the double run (the determinism check) stays cheap.
 _FLEET_CASE_CONFIG = OrchardConfig(
-    rows=2,
-    trees_per_row=3,
-    traps_per_row=0,
-    workers=1,
+    rows=1,
+    trees_per_row=4,
+    traps_per_row=2,
+    workers=2,
     visitors=0,
     supervisor_present=False,
-    blocking_fraction=0.0,
+    blocking_fraction=1.0,
 )
+#: Missions per fleet fuzz case: two share one recogniser core.
+_FLEET_CASE_MISSIONS = 2
 
 
 def check_fleet_invariants(seed: int) -> list[InvariantViolation]:
-    """Run one seeded surveillance fleet case twice and check it.
+    """Run one seeded orchard trap fleet case twice and check it.
 
-    Exercises the full fleet stack: a guard mission with an
-    intruder burst, driven through the seven-stage fleet loop
-    with batched recognition.  Checks ``no_crash``,
-    ``escalation_explicit`` (every challenge ends in compliance or a
-    named escalation) and ``transcript_determinism`` (two runs, same
-    seed, identical canonical transcripts and escalation streams).
+    Exercises the full fleet stack: a two-mission trap-reading fleet
+    with recognizer perception, driven through the seven-stage fleet
+    loop with batched recognition.  Checks ``no_crash``,
+    ``negotiation_explicit`` (every negotiation is granted, denied or
+    failed; a mission a safety rule aborted may leave the one round it
+    was running open) and ``transcript_determinism`` (two runs, same
+    seed, identical canonical transcripts).
     """
-    rng = random.Random(f"fuzz-fleet:{seed}")
-    intruders = rng.choice((1, 2))
-    base_seed = rng.randrange(1 << 16)
+    base_seed = random.Random(f"fuzz-fleet:{seed}").randrange(1 << 16)
 
     def _run():
-        scheduler = build_surveillance_fleet(
+        scheduler = build_fleet(
             FleetSpec(
-                count=1,
+                count=_FLEET_CASE_MISSIONS,
                 base_seed=base_seed,
                 config=_FLEET_CASE_CONFIG,
-                intruders=intruders,
             )
         )
-        report = scheduler.run(timeout_s=900.0)
+        scheduler.run(timeout_s=900.0)
         transcripts = [mission_transcript(m.world) for m in scheduler.missions]
-        return report, transcripts
+        return scheduler.missions, transcripts
 
     try:
-        report_a, transcripts_a = _run()
-        report_b, transcripts_b = _run()
+        missions, transcripts_a = _run()
+        _, transcripts_b = _run()
     except Exception as exc:  # noqa: BLE001 - the invariant is "no crash"
         return [
             InvariantViolation(
@@ -413,27 +415,27 @@ def check_fleet_invariants(seed: int) -> list[InvariantViolation]:
             )
         ]
     violations: list[InvariantViolation] = []
-    for name, mission_report in report_a.reports.items():
-        unresolved = (
-            mission_report.challenges
-            - mission_report.compliant
-            - mission_report.escalation_count
+    for mission in missions:
+        report = mission.report
+        resolved = (
+            report.negotiations_granted
+            + report.negotiations_denied
+            + report.negotiations_failed
         )
-        if unresolved != 0:
+        unresolved = report.negotiations - resolved
+        cut_short = 1 if mission.executor.phase is MissionPhase.ABORTED else 0
+        if not 0 <= unresolved <= cut_short:
             violations.append(
                 InvariantViolation(
-                    invariant="escalation_explicit",
+                    invariant="negotiation_explicit",
                     detail=(
-                        f"fleet seed={seed} mission={name}: "
-                        f"{mission_report.challenges} challenges, "
-                        f"{mission_report.compliant} compliant, "
-                        f"{mission_report.escalation_count} escalations"
+                        f"fleet seed={seed} mission={mission.name} "
+                        f"({mission.executor.phase.name}): "
+                        f"{report.negotiations} negotiations, {resolved} resolved"
                     ),
                 )
             )
-    if transcripts_a != transcripts_b or [
-        (e.time_s, e.kind, e.detail) for e in report_a.escalation_events
-    ] != [(e.time_s, e.kind, e.detail) for e in report_b.escalation_events]:
+    if transcripts_a != transcripts_b:
         violations.append(
             InvariantViolation(
                 invariant="transcript_determinism",
@@ -662,7 +664,7 @@ class FuzzHarness:
     """Seeded fuzz driver: sample → check → shrink → serialise.
 
     ``iterations`` long-tail scenario windows plus ``fleet_cases``
-    surveillance fleet runs, all derived from ``seed``.  Violations are
+    orchard trap fleet runs, all derived from ``seed``.  Violations are
     shrunk (:func:`shrink_scenario`) with a predicate that re-checks
     the *violated* invariant only, so shrinking is as cheap as the
     failing check.  ``invariant_checks`` is the overridable list of

@@ -1,5 +1,7 @@
 """Tests for the CollaborativeEnvironment facade."""
 
+import pytest
+
 from repro import CollaborativeEnvironment
 from repro.mission import OrchardConfig
 
@@ -23,11 +25,10 @@ class TestBuildOrchard:
         env = CollaborativeEnvironment.build_orchard(config=config)
         assert len(env.orchard.traps) == 2
 
-    def test_sax_perception_kind(self):
-        from repro.protocol import SaxPerception
-
-        env = CollaborativeEnvironment.build_orchard(seed=0, perception="sax")
-        assert isinstance(env.perception, SaxPerception)
+    def test_sax_perception_kind_is_refused(self):
+        # The single-frame "sax" kind is gone; "recognizer" is the camera pipeline.
+        with pytest.raises(ValueError, match="unknown perception kind: 'sax'"):
+            CollaborativeEnvironment.build_orchard(seed=0, perception="sax")
 
     def test_seed_shorthand_keeps_the_rest_of_the_config(self):
         config = OrchardConfig(rows=2, trees_per_row=3, traps_per_row=1, wind_mean_mps=0.5)

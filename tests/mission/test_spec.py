@@ -1,8 +1,7 @@
 """FleetSpec: validation and the one builder calling convention.
 
-``build_fleet`` and ``build_surveillance_fleet`` take a single
-``FleetSpec`` and nothing else: the pre-spec keyword forms raise
-``TypeError``.
+``build_fleet`` takes a single ``FleetSpec`` and nothing else: the
+pre-spec keyword forms raise ``TypeError``.
 """
 
 import warnings
@@ -17,7 +16,6 @@ from repro.mission import (
     OrchardConfig,
     build_fleet,
 )
-from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.perception import OraclePerception
 from repro.simulation.scenarios import DEFAULT_LIGHTINGS, DEFAULT_WINDS
 
@@ -45,10 +43,6 @@ class TestValidation:
         ("fields", "match"),
         [
             (dict(count=0), "at least one mission"),
-            (dict(count=1, intruders=-1), "non-negative"),
-            (dict(count=1, burst_spacing_s=-0.1), "non-negative"),
-            (dict(count=1, laps=0), "at least one lap"),
-            (dict(count=1, burst_start_s=-1), "non-negative"),
             (dict(count=1, perception="sonar"), "unknown perception"),
             (dict(count=1, perception=OraclePerception()), "unknown perception kind"),
         ],
@@ -71,11 +65,16 @@ class TestValidation:
     def test_recorder_excluded_from_equality(self):
         assert FleetSpec(count=1, recorder=object()) == FleetSpec(count=1)
 
-    def test_workers_is_not_a_field(self):
-        # Missions run in-process; there is no worker pool to size.
-        assert "workers" not in {f.name for f in fields(FleetSpec)}
-        with pytest.raises(TypeError, match="workers"):
-            FleetSpec(count=1, workers=2)
+    @pytest.mark.parametrize(
+        "name",
+        # Missions run in-process, so there is no worker pool to size;
+        # the guard-fleet workload shape went with the retired guards.
+        ["workers", "intruders", "burst_start_s", "burst_spacing_s", "laps"],
+    )
+    def test_retired_knob_is_not_a_field(self, name):
+        assert name not in {f.name for f in fields(FleetSpec)}
+        with pytest.raises(TypeError, match=name):
+            FleetSpec(count=1, **{name: 2})
 
 
 class TestCallingConvention:
@@ -95,10 +94,6 @@ class TestCallingConvention:
         with pytest.raises(TypeError, match="unexpected keyword"):
             build_fleet(count=4)
 
-    def test_surveillance_legacy_form_rejected(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            build_surveillance_fleet(4, laps=2)
-
 
 class TestCallingConventionErrors:
     def test_spec_plus_kwargs_rejected(self):
@@ -113,27 +108,20 @@ class TestCallingConventionErrors:
         with pytest.raises(TypeError, match="unexpected keyword"):
             build_fleet(1, shard_count=4)
 
-    def test_surveillance_rejects_trap_only_keyword(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            build_surveillance_fleet(1, backend="service")
-
 
 class TestSpecFieldRouting:
-    def test_drone_home_honoured_by_both_builders(self):
+    def test_drone_home_honoured(self):
         home = Vec2(-2.0, -1.0)
-        trap = build_fleet(
+        fleet = build_fleet(
             FleetSpec(count=1, config=SMALL, perception="oracle", drone_home=home)
         )
-        guard = build_surveillance_fleet(FleetSpec(count=1, drone_home=home))
         try:
-            assert trap.missions[0].drone.state.position.horizontal() == home
-            assert guard.missions[0].drone.state.position.horizontal() == home
+            assert fleet.missions[0].drone.state.position.horizontal() == home
         finally:
-            trap.close()
-            guard.close()
+            fleet.close()
 
-    def test_surveillance_honours_perception(self):
-        fleet = build_surveillance_fleet(FleetSpec(count=2, perception="oracle"))
+    def test_oracle_perception_reaches_every_executor(self):
+        fleet = build_fleet(FleetSpec(count=2, config=SMALL, perception="oracle"))
         try:
             for mission in fleet.missions:
                 assert isinstance(mission.perception, OraclePerception)

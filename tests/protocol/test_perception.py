@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry import Vec3
 from repro.human import MarshallingSign
-from repro.protocol import ObservationGeometry, OraclePerception, SaxPerception
+from repro.protocol import ObservationGeometry, OraclePerception
 
 
 class TestObservationGeometry:
@@ -52,33 +52,3 @@ class TestOraclePerception:
     def test_out_of_range_reads_none(self, standing_human_world):
         world, human = standing_human_world()
         assert OraclePerception().observe(Vec3(0, 30, 5), human) is None
-
-
-class TestSaxPerception:
-    @pytest.fixture
-    def perception(self, canonical_recognizer) -> SaxPerception:
-        # Shared session recogniser (tests/conftest.py); read-only here.
-        return SaxPerception(recognizer=canonical_recognizer)
-
-    def test_reads_sign_through_camera(self, perception, standing_human_world):
-        world, human = standing_human_world(sign=MarshallingSign.YES)
-        assert perception.observe(Vec3(0, 3, 5), human) is MarshallingSign.YES
-
-    def test_agrees_with_oracle_inside_envelope(self, perception, standing_human_world):
-        """The oracle is a calibrated stand-in: inside the envelope the
-        two perceptions agree on every sign."""
-        world, human = standing_human_world()
-        oracle = OraclePerception()
-        for sign in (MarshallingSign.ATTENTION, MarshallingSign.YES, MarshallingSign.NO):
-            human.show_sign(sign, world)
-            position = Vec3(0, 3, 5)
-            assert perception.observe(position, human) == oracle.observe(position, human)
-
-    def test_rejects_in_dead_angle_like_oracle(self, perception, standing_human_world):
-        import math
-
-        world, human = standing_human_world(sign=MarshallingSign.NO)
-        az = math.radians(85.0)
-        position = Vec3(3 * math.sin(az), 3 * math.cos(az), 5.0)
-        got = perception.observe(position, human)
-        assert got is not MarshallingSign.NO  # unreadable or misread, never trusted

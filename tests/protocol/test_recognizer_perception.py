@@ -37,6 +37,7 @@ class TestEnvelopeGate:
             Vec3(0, 3, 1.0),  # below altitude floor
             Vec3(0, 30, 5),  # beyond range
             Vec3(3 * math.sin(math.radians(40)), 3 * math.cos(math.radians(40)), 5.0),
+            Vec3(3 * math.sin(math.radians(85)), 3 * math.cos(math.radians(85)), 5.0),
         ],
     )
     def test_gated_geometry_reads_none_without_rendering(

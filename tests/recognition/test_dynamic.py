@@ -74,7 +74,6 @@ class TestRecognition:
             renderer_for(WAVE_OFF),
             duration_s=3.0 * WAVE_OFF.period_s,
             sample_hz=8.0,
-            camera=CAMERA,
             elevation_deg=ELEVATION,
         )
         assert result.recognised
@@ -86,7 +85,6 @@ class TestRecognition:
             renderer_for(MOVE_UPWARD),
             duration_s=3.0 * MOVE_UPWARD.period_s,
             sample_hz=8.0,
-            camera=CAMERA,
             elevation_deg=ELEVATION,
         )
         assert result.sign_name == "move_upward"
@@ -97,7 +95,7 @@ class TestRecognition:
             pose_for_sign(MarshallingSign.YES), CAMERA, SETTINGS
         )
         result = recognizer.observe_sequence(
-            static, duration_s=4.0, sample_hz=8.0, camera=CAMERA,
+            static, duration_s=4.0, sample_hz=8.0,
             elevation_deg=ELEVATION,
         )
         assert not result.recognised
@@ -109,7 +107,6 @@ class TestRecognition:
             renderer_for(WAVE_OFF),
             duration_s=1.1 * WAVE_OFF.period_s,
             sample_hz=8.0,
-            camera=CAMERA,
             elevation_deg=ELEVATION,
         )
         assert not result.recognised
@@ -129,7 +126,6 @@ class TestRecognition:
             flaky,
             duration_s=4.0 * WAVE_OFF.period_s,
             sample_hz=8.0,
-            camera=CAMERA,
             elevation_deg=ELEVATION,
         )
         assert result.sign_name == "wave_off"

@@ -144,18 +144,23 @@ class TestCli:
         assert flight_diff.main([str(a), str(b)]) == 2
         assert "unknown flight-record kind: 'service'" in capsys.readouterr().err
 
-    def test_bus_kind_exits_two(self, tmp_path, capsys):
-        # A surveillance-bus line from an older recording is refused too.
+    @pytest.mark.parametrize(
+        "kind,event", [("bus", "intruder_detected"), ("escalation", "escalation")]
+    )
+    def test_retired_event_kind_exits_two(self, tmp_path, capsys, kind, event):
+        # Surveillance-bus and guard-escalation lines from older
+        # recordings are refused too.
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         _write_recording(a)
         lines = read_lines(str(a))
-        bus = (
-            '{"data":{"detail":{},"kind":"intruder_detected","source":"guard_drone",'
-            '"t":"f64:0000000000000000"},"kind":"bus","node":"guard_00","seq":1,"tick":0,"v":2}'
+        retired = (
+            f'{{"data":{{"detail":{{}},"kind":"{event}","source":"guard_drone",'
+            f'"t":"f64:0000000000000000"}},"kind":"{kind}","node":"guard_00","seq":1,'
+            '"tick":0,"v":2}'
         )
-        b.write_text("\n".join([lines[0], bus, *lines[1:]]) + "\n")
+        b.write_text("\n".join([lines[0], retired, *lines[1:]]) + "\n")
         assert flight_diff.main([str(a), str(b)]) == 2
-        assert "unknown flight-record kind: 'bus'" in capsys.readouterr().err
+        assert f"unknown flight-record kind: {kind!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["{not json", '{"v":1}\n[1]', '{"kind":[1]}'])

@@ -75,8 +75,11 @@ class TestCodec:
         assert all(is_deterministic(kind) for kind in DETERMINISTIC_KINDS)
         assert not is_deterministic("service")
         assert not is_deterministic("bus")
+        assert not is_deterministic("escalation")
 
-    @pytest.mark.parametrize("kind", ["service", "ops", "bus", "telemetry", None, [1], {"a": 1}])
+    @pytest.mark.parametrize(
+        "kind", ["service", "ops", "bus", "telemetry", None, [1], {"a": 1}, "escalation"]
+    )
     def test_parse_line_rejects_unknown_kinds(self, kind):
         line = canonical_line(
             {"v": SCHEMA_VERSION, "seq": 3, "kind": kind, "tick": 7, "node": "batch_flush",
@@ -88,7 +91,7 @@ class TestCodec:
 
 class TestFlightRecorder:
     def test_unknown_kind_rejected(self):
-        for kind in ("telemetry", "service", "bus"):
+        for kind in ("telemetry", "service", "bus", "escalation"):
             with pytest.raises(ValueError, match="unknown flight-record kind"):
                 FlightRecorder().record(kind)
 

@@ -150,66 +150,61 @@ def _no_fleet(*args, **kwargs):
     raise AssertionError("a refused recording must not drive a fleet")
 
 
-def _recording_with_service_line(tmp_path: Path) -> Path:
-    """The oracle fixture with a schema-2 ``service`` record (the kind
-    recognition-service telemetry once used) spliced in after the
-    header."""
+#: Records of kinds no fleet writes, as older recordings carried them:
+#: recognition-service telemetry, the surveillance event bus (repeating
+#: a world-log event) and a guard drone's escalation.
+RETIRED_RECORDS = {
+    "service": {"v": 2, "seq": 0, "kind": "service", "tick": -1, "node": "batch_flush",
+                "data": {"size": 4}},
+    "bus": {"v": 2, "seq": 0, "kind": "bus", "tick": 3, "node": "guard_00",
+            "data": {"t": "f64:0000000000000000", "source": "guard_drone",
+                     "kind": "intruder_detected", "detail": {"human": "intruder_0"}}},
+    "escalation": {"v": 2, "seq": 0, "kind": "escalation", "tick": 3, "node": "guard_00",
+                   "data": {"t": "f64:0000000000000000", "source": "guard_drone",
+                            "kind": "escalation", "detail": {"human": "intruder_0"}}},
+}
+
+
+def _canonical(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _refused_recording(tmp_path: Path, case: str) -> tuple[Path, str]:
+    """The oracle fixture made unreplayable, and the refusal it must meet.
+
+    *case* is a :data:`RETIRED_RECORDS` kind, spliced in after the
+    header, or ``"surveillance"``: the header's recipe builder rewritten
+    to the retired guard-fleet builder.
+    """
     lines = read_lines(str(_fixture_path("fleet_oracle")))
-    service = json.dumps(
-        {"v": 2, "seq": 0, "kind": "service", "tick": -1, "node": "batch_flush",
-         "data": {"size": 4}},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    path = tmp_path / "service-line.jsonl"
-    path.write_text("\n".join([lines[0], service, *lines[1:]]) + "\n")
-    return path
+    if case == "surveillance":
+        header = json.loads(lines[0])
+        header["data"]["recipe"]["builder"] = case
+        lines = [_canonical(header), *lines[1:]]
+        refusal = "unknown recipe builder: 'surveillance'"
+    else:
+        lines = [lines[0], _canonical(RETIRED_RECORDS[case]), *lines[1:]]
+        refusal = f"unknown flight-record kind: {case!r}"
+    path = tmp_path / f"{case}.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path, refusal
 
 
-def test_reader_refuses_a_service_line(tmp_path):
-    path = _recording_with_service_line(tmp_path)
-    with pytest.raises(ValueError, match="unknown flight-record kind: 'service'"):
+@pytest.mark.parametrize("kind", sorted(RETIRED_RECORDS))
+def test_reader_refuses_a_retired_kind(tmp_path, kind):
+    path, refusal = _refused_recording(tmp_path, kind)
+    with pytest.raises(ValueError, match=refusal):
         load_events(str(path))
 
 
-def test_replay_refuses_a_service_line_before_driving_a_fleet(tmp_path, monkeypatch):
-    path = _recording_with_service_line(tmp_path)
+@pytest.mark.parametrize("case", [*sorted(RETIRED_RECORDS), "surveillance"])
+def test_replay_refuses_a_retired_record_before_driving_a_fleet(
+    tmp_path, monkeypatch, case
+):
+    path, refusal = _refused_recording(tmp_path, case)
     monkeypatch.setattr(replay_module, "build_fleet", _no_fleet)
     fresh = tmp_path / "fresh.jsonl"
-    with pytest.raises(ValueError, match="unknown flight-record kind: 'service'"):
-        replay(str(path), out=str(fresh))
-    assert not fresh.exists()
-    assert flight_record.main(["replay", str(path)]) == 2
-
-
-def _recording_with_bus_line(tmp_path: Path) -> Path:
-    """The oracle fixture with a schema-2 ``bus`` record (the kind the
-    surveillance event bus once wrote, repeating a world-log event)
-    spliced in after the header."""
-    lines = read_lines(str(_fixture_path("fleet_oracle")))
-    bus = json.dumps(
-        {"v": 2, "seq": 0, "kind": "bus", "tick": 3, "node": "guard_00",
-         "data": {"t": "f64:0000000000000000", "source": "guard_drone",
-                  "kind": "intruder_detected", "detail": {"human": "intruder_0"}}},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    path = tmp_path / "bus-line.jsonl"
-    path.write_text("\n".join([lines[0], bus, *lines[1:]]) + "\n")
-    return path
-
-
-def test_reader_refuses_a_bus_line(tmp_path):
-    path = _recording_with_bus_line(tmp_path)
-    with pytest.raises(ValueError, match="unknown flight-record kind: 'bus'"):
-        load_events(str(path))
-
-
-def test_replay_refuses_a_bus_line_before_driving_a_fleet(tmp_path, monkeypatch):
-    path = _recording_with_bus_line(tmp_path)
-    monkeypatch.setattr(replay_module, "build_fleet", _no_fleet)
-    fresh = tmp_path / "fresh.jsonl"
-    with pytest.raises(ValueError, match="unknown flight-record kind: 'bus'"):
+    with pytest.raises(ValueError, match=refusal):
         replay(str(path), out=str(fresh))
     assert not fresh.exists()
     assert flight_record.main(["replay", str(path)]) == 2

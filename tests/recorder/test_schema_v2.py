@@ -1,8 +1,9 @@
 """Schema 2: what a recording's lines may carry, checked line by line.
 
-Runs over both committed fixtures and two freshly recorded guard
-fleets (oracle and recogniser perception), so the shape is checked on
-every record kind a fleet writes, not only on the fixtures' recipes.
+Runs over both committed fixtures and two freshly recorded trap
+fleets (oracle and recogniser perception) on a recipe of their own, so
+the shape is checked on every record kind a fleet writes, not only on
+the fixtures' recipes.
 A ``tick`` record exists only for a tick that moved perception
 counters and carries nothing but those deltas; summed, they are the
 run's ``report`` perception totals.
@@ -21,22 +22,22 @@ from repro.recorder import (
     SCHEMA_VERSION,
     FlightRecorder,
     read_lines,
-    record_surveillance_run,
+    record_fleet_run,
 )
 from repro.simulation.scenarios import CALM, NOON
 
 RECORDINGS = Path(__file__).resolve().parents[1] / "data" / "recordings"
 COUNTERS = {"observations", "gated", "cache_hits", "frames_classified", "batch_calls"}
-SURVEILLANCE_CONFIG = OrchardConfig(
-    rows=2,
-    trees_per_row=2,
-    traps_per_row=0,
-    workers=1,
+FRESH_CONFIG = OrchardConfig(
+    rows=1,
+    trees_per_row=4,
+    traps_per_row=2,
+    workers=2,
     visitors=0,
     supervisor_present=False,
-    blocking_fraction=0.0,
+    blocking_fraction=1.0,
 )
-SOURCES = ("fleet_oracle", "fleet_recognizer", "guard_oracle", "guard_recognizer")
+SOURCES = ("fleet_oracle", "fleet_recognizer", "fresh_oracle", "fresh_recognizer")
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +45,18 @@ def recordings(tmp_path_factory):
     """Deterministic records of every source, parsed, by source name."""
     paths = {name: RECORDINGS / f"{name}.jsonl" for name in SOURCES[:2]}
     for perception in ("oracle", "recognizer"):
-        path = tmp_path_factory.mktemp("v2") / f"guard_{perception}.jsonl"
-        record_surveillance_run(
+        path = tmp_path_factory.mktemp("v2") / f"fresh_{perception}.jsonl"
+        record_fleet_run(
             str(path),
             count=2,
             base_seed=5,
-            config=SURVEILLANCE_CONFIG,
+            config=FRESH_CONFIG,
             perception=perception,
             winds=(CALM,),
             lightings=(NOON,),
+            negotiation_config=NegotiationConfig(observe_interval_s=0.1),
         )
-        paths[f"guard_{perception}"] = path
+        paths[f"fresh_{perception}"] = path
     parsed = {}
     for name, path in paths.items():
         lines = read_lines(str(path))

@@ -41,10 +41,10 @@ def _synthetic_recording(path: Path) -> None:
     ):
         recorder.record("tick", tick=tick, data={"perception": {core: deltas}})
     recorder.record(
-        "escalation",
+        "negotiation",
         tick=9,
         node="mission_01",
-        data={"t": 0.18, "source": "guard", "kind": "escalation", "detail": {}},
+        data={"t": 0.18, "source": "nego_1", "kind": "sign_observed", "detail": {}},
     )
     recorder.record(
         "world",
@@ -54,7 +54,7 @@ def _synthetic_recording(path: Path) -> None:
     )
     recorder.record(
         "report",
-        data={"ticks": 12, "sim_duration_s": 0.24, "missions": {}, "escalations": 1},
+        data={"ticks": 12, "sim_duration_s": 0.24, "missions": {}},
     )
     recorder.finalize()
 
@@ -77,7 +77,7 @@ def test_dashboard_renders_every_section(tmp_path):
     assert core_rows == [["core0", "3", "0", "2", "1", "1"], ["core1", "1", "1", "0", "0", "0"]]
     assert "verdicts: stop=1" in dashboard
     mission_row = next(line for line in lines if line.startswith("mission_01"))
-    assert "1" in mission_row.split()  # escalation count
+    assert mission_row.split()[1:] == ["sign_observed", "@", "t=0.18"]
     assert any("trap_read @ t=0.22" in line for line in lines)
     assert "report: 12 ticks" in dashboard
 
@@ -85,7 +85,7 @@ def test_dashboard_renders_every_section(tmp_path):
 def test_dashboard_of_unfinished_stream_says_recording(tmp_path):
     path = tmp_path / "run.jsonl"
     recorder = FlightRecorder(str(path))
-    recorder.write_header({"builder": "surveillance", "kwargs": {"count": 1}})
+    recorder.write_header({"builder": "fleet", "kwargs": {"count": 1}})
     recorder.record("tick", tick=0, data={"perception": {"core0": {"observations": 1}}})
     # no finalize: simulates tailing a live file
     dashboard = render_dashboard(load_events(str(path)))

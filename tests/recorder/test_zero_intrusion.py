@@ -5,13 +5,13 @@ with a :class:`~repro.recorder.FlightRecorder` attached — and the two
 runs must agree on every observable the rest of the suite treats as
 ground truth: the full per-mission world-log transcripts
 (:func:`~repro.mission.fleet.mission_transcript`), the
-:class:`~repro.mission.fleet.FleetReport` counters, the escalation
-stream and the perception statistics.  A recorder that promotes an
-LRU entry, consumes a log, or perturbs scheduling shows up here as a
-transcript diff.
+:class:`~repro.mission.fleet.FleetReport` counters and the perception
+statistics.  A recorder that promotes an LRU entry, consumes a log, or
+perturbs scheduling shows up here as a transcript diff.
 
-Seeds cover both perceptions of the trap-reading fleet plus the
-surveillance fleet (world-log escalations), at smoke sizes.
+Seeds cover both perceptions of one-mission trap-reading fleets, plus
+two-mission recognizer fleets whose missions share one perception
+core, at smoke sizes.
 """
 
 import random
@@ -20,7 +20,6 @@ import pytest
 
 from repro.mission.fleet import FleetSpec, build_fleet, mission_transcript
 from repro.mission.orchard import OrchardConfig
-from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder import FlightRecorder
 from repro.simulation.scenarios import CALM, NOON
@@ -34,22 +33,13 @@ SMOKE_CONFIG = OrchardConfig(
     supervisor_present=False,
     blocking_fraction=1.0,
 )
-SMOKE_SURVEILLANCE = OrchardConfig(
-    rows=2,
-    trees_per_row=2,
-    traps_per_row=0,
-    workers=1,
-    visitors=0,
-    supervisor_present=False,
-    blocking_fraction=0.0,
-)
 SMOKE_NEGOTIATION = NegotiationConfig(observe_interval_s=0.1)
 
-# >= 10 fuzzed runs total: 6 oracle + 2 recognizer trap-reading seeds
-# and 2 surveillance seeds, drawn reproducibly.
+# >= 10 fuzzed runs total: 6 oracle + 2 recognizer one-mission seeds
+# and 2 two-mission recognizer seeds, drawn reproducibly.
 ORACLE_SEEDS = sorted(random.Random(0xF11487).sample(range(10_000), 6))
 RECOGNIZER_SEEDS = (7, 4242)
-SURVEILLANCE_SEEDS = (5, 901)
+SHARED_CORE_SEEDS = (5, 901)
 
 
 def _report_summary(report) -> dict:
@@ -67,10 +57,6 @@ def _report_summary(report) -> dict:
             }
             for name, r in report.reports.items()
         },
-        "escalations": [
-            (event.time_s, event.source, event.kind)
-            for event in report.escalation_events
-        ],
         "perception": (
             (
                 stats.observations,
@@ -85,27 +71,20 @@ def _report_summary(report) -> dict:
     }
 
 
-def _escalation_stream(fleet) -> list:
-    return [
-        (mission.name, event.time_s, event.source, sorted(event.detail.items()))
-        for mission in fleet.missions
-        for event in mission.world.log
-        if event.kind == "escalation"
-    ]
-
-
 def _outcome(fleet) -> tuple:
     report = fleet.run()
     transcripts = {
         mission.name: mission_transcript(mission.world) for mission in fleet.missions
     }
-    return transcripts, _report_summary(report), _escalation_stream(fleet)
+    return transcripts, _report_summary(report)
 
 
-def _build_fleet(seed: int, perception: str, recorder: FlightRecorder | None):
+def _build_fleet(
+    seed: int, perception: str, recorder: FlightRecorder | None, count: int = 1
+):
     return build_fleet(
         FleetSpec(
-            count=1,
+            count=count,
             base_seed=seed,
             config=SMOKE_CONFIG,
             perception=perception,
@@ -117,27 +96,11 @@ def _build_fleet(seed: int, perception: str, recorder: FlightRecorder | None):
     )
 
 
-def _build_surveillance(seed: int, recorder: FlightRecorder | None):
-    return build_surveillance_fleet(
-        FleetSpec(
-            count=1,
-            base_seed=seed,
-            config=SMOKE_SURVEILLANCE,
-            intruders=2,
-            negotiation=SMOKE_NEGOTIATION,
-            winds=(CALM,),
-            lightings=(NOON,),
-            recorder=recorder,
-        )
-    )
-
-
 def _assert_intrusion_free(bare, recorded, recorder):
-    transcripts_bare, summary_bare, escalations_bare = bare
-    transcripts_rec, summary_rec, escalations_rec = recorded
+    transcripts_bare, summary_bare = bare
+    transcripts_rec, summary_rec = recorded
     assert transcripts_rec == transcripts_bare
     assert summary_rec == summary_bare
-    assert escalations_rec == escalations_bare
     assert recorder.finalized
     assert recorder.lines, "recorder captured nothing"
 
@@ -154,9 +117,9 @@ def test_fleet_run_is_unchanged_by_recording(seed, perception):
     _assert_intrusion_free(bare, recorded, recorder)
 
 
-@pytest.mark.parametrize("seed", SURVEILLANCE_SEEDS)
-def test_surveillance_run_is_unchanged_by_recording(seed):
-    bare = _outcome(_build_surveillance(seed, None))
+@pytest.mark.parametrize("seed", SHARED_CORE_SEEDS)
+def test_shared_core_fleet_run_is_unchanged_by_recording(seed):
+    bare = _outcome(_build_fleet(seed, "recognizer", None, count=2))
     recorder = FlightRecorder()
-    recorded = _outcome(_build_surveillance(seed, recorder))
+    recorded = _outcome(_build_fleet(seed, "recognizer", recorder, count=2))
     _assert_intrusion_free(bare, recorded, recorder)

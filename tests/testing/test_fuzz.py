@@ -1,9 +1,14 @@
 """The fuzz harness: invariants, shrinking, determinism, violation capture."""
 
+import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
+import repro.testing.fuzz as fuzz_module
+from repro.mission.executor import MissionPhase
+from repro.mission.fleet import FleetScheduler
 from repro.protocol.recognizer import RecognitionEnvelope
 from repro.simulation.longtail import (
     ConflictingSigner,
@@ -18,6 +23,7 @@ from repro.testing.fuzz import (
     case_bytes,
     case_filename,
     check_envelope_invariant,
+    check_fleet_invariants,
     check_window_invariants,
     execute_window,
     replay_case,
@@ -162,6 +168,125 @@ class TestBrokenInvariantCapture:
             violations.extend(check_window_invariants(scenario, fuzz_recognizers))
         names = {v.invariant for v in violations}
         assert "verdict_fold" in names
+
+
+class TestFleetCase:
+    """The orchard trap fleet case: seed 1 flies one DONE and one
+    ABORTED mission."""
+
+    def test_seed_passes_every_invariant(self):
+        assert check_fleet_invariants(1) == []
+
+    def test_nondeterministic_run_is_caught(self, monkeypatch):
+        original = fuzz_module.build_fleet
+        shift = itertools.count()
+        monkeypatch.setattr(
+            fuzz_module,
+            "build_fleet",
+            lambda spec: original(replace(spec, base_seed=spec.base_seed + next(shift))),
+        )
+        names = [v.invariant for v in check_fleet_invariants(1)]
+        assert names == ["transcript_determinism"]
+
+    def test_open_negotiation_on_a_done_mission_is_caught(self, monkeypatch):
+        original = FleetScheduler.run
+
+        def run_leaving_a_round_open(self, *args, **kwargs):
+            report = original(self, *args, **kwargs)
+            for mission in self.missions:
+                if mission.executor.phase is MissionPhase.DONE:
+                    mission.report.negotiations += 1
+            return report
+
+        monkeypatch.setattr(FleetScheduler, "run", run_leaving_a_round_open)
+        (violation,) = check_fleet_invariants(1)
+        assert violation.invariant == "negotiation_explicit"
+        assert "(DONE)" in violation.detail
+
+    @staticmethod
+    def _open_rounds_on_aborted_missions(monkeypatch, rounds):
+        """Leave *rounds* negotiations open on every ABORTED mission;
+        returns the list the aborted missions' names are collected in."""
+        original = FleetScheduler.run
+        aborted = []
+
+        def run_leaving_rounds_open(self, *args, **kwargs):
+            report = original(self, *args, **kwargs)
+            for mission in self.missions:
+                if mission.executor.phase is MissionPhase.ABORTED:
+                    mine = mission.report
+                    mine.negotiations = rounds + (
+                        mine.negotiations_granted
+                        + mine.negotiations_denied
+                        + mine.negotiations_failed
+                    )
+                    aborted.append(mission.name)
+            return report
+
+        monkeypatch.setattr(FleetScheduler, "run", run_leaving_rounds_open)
+        return aborted
+
+    def test_aborted_mission_may_leave_its_one_round_open(self, monkeypatch):
+        aborted = self._open_rounds_on_aborted_missions(monkeypatch, rounds=1)
+        assert check_fleet_invariants(1) == []
+        assert aborted
+
+    def test_aborted_mission_with_two_open_rounds_is_caught(self, monkeypatch):
+        aborted = self._open_rounds_on_aborted_missions(monkeypatch, rounds=2)
+        (violation,) = check_fleet_invariants(1)
+        assert violation.invariant == "negotiation_explicit"
+        (name,) = set(aborted)
+        assert f"mission={name} (ABORTED)" in violation.detail
+
+    def test_crash_in_the_second_run_is_reported_as_no_crash(self, monkeypatch):
+        original = FleetScheduler.run
+        calls = itertools.count()
+
+        def run_then_crash(self, *args, **kwargs):
+            if next(calls) == 1:
+                raise RuntimeError("stage loop broke")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FleetScheduler, "run", run_then_crash)
+        (violation,) = check_fleet_invariants(1)
+        assert violation.invariant == "no_crash"
+        assert violation.detail == "fleet seed=1: RuntimeError: stage loop broke"
+
+    def test_case_flies_a_blocked_orchard_with_recognizer_perception(self, monkeypatch):
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(fuzz_module, "build_fleet", capture)
+        for seed in (1, 2):
+            (violation,) = check_fleet_invariants(seed)
+            assert violation.invariant == "no_crash"
+        first, second = specs
+        assert first.base_seed != second.base_seed  # each seed flies its own fleet
+        for spec in specs:
+            assert spec.count == 2
+            assert spec.perception == "recognizer"
+            config = spec.config
+            assert (config.rows, config.trees_per_row, config.traps_per_row) == (1, 4, 2)
+            assert (config.workers, config.visitors) == (2, 0)
+            assert config.blocking_fraction == 1.0
+
+    def test_harness_collects_each_fleet_cases_violations(self, monkeypatch, fuzz_recognizers):
+        seeds = []
+
+        def check(seed):
+            seeds.append(seed)
+            return [fuzz_module.InvariantViolation(invariant="no_crash", detail=str(seed))]
+
+        monkeypatch.setattr(fuzz_module, "check_fleet_invariants", check)
+        report = FuzzHarness(
+            seed=3, iterations=0, fleet_cases=2, recognizers=fuzz_recognizers
+        ).run()
+        assert seeds == [3000, 3001]
+        assert [v.detail for v in report.fleet_violations] == ["3000", "3001"]
+        assert not report.ok
 
 
 class TestCaseSerialisation:
