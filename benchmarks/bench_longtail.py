@@ -21,7 +21,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.simulation.longtail import sample_longtail
+from repro.simulation.scenarios import sample_longtail
 from repro.testing.fuzz import Recognizers, execute_window
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"

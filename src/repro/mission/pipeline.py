@@ -276,7 +276,7 @@ class WorldStage(Stage):
 class PredictStage(Stage):
     """Collect every mission's predicted perception query for the tick.
 
-    Replicates the legacy prefetch exactly: only missions whose
+    Replicates the legacy lockstep loop exactly: only missions whose
     perception is a :class:`RecognizerPerception` contribute, in fleet
     order.  Any other perception resolves synchronously inside the
     ``mission`` stage.

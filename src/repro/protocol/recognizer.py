@@ -340,30 +340,14 @@ class RecognizerPerception:
             cache.move_to_end(query)
             core.cache_hits += 1
             return cache[query]
-        return self._resolve([query])[0]
-
-    def prefetch(self, queries: Sequence[ObservationQuery | None]) -> int:
-        """Resolve many queries through one batched recogniser pass.
-
-        Deduplicates, drops ``None`` entries and already-cached queries,
-        renders the misses and classifies them in a single
-        ``preprocess_frames`` + ``classify_batch`` call, filling the
-        cache so subsequent :meth:`observe` calls are pure lookups.
-        Returns the number of frames actually classified.
-        """
-        misses = self.pending_misses(queries)
-        if misses:
-            self._resolve(misses)
-        return len(misses)
-
-    def _resolve(self, misses: Sequence[ObservationQuery]) -> list[MarshallingSign | None]:
+        misses = [query]
         frames = self.render_batch(misses)
-        return self.match_batch(misses, self.preprocess_batch(misses, frames))
+        return self.match_batch(misses, self.preprocess_batch(misses, frames))[0]
 
     # -- fleet-stage seams --------------------------------------------------------------
     #
     # The fleet stage loop (repro.mission.pipeline) calls one seam per
-    # stage; observe() and prefetch() compose the very same seams, so
+    # stage; observe() composes the very same seams on a cache miss, so
     # the loop cannot diverge from the direct path.
 
     def pending_misses(

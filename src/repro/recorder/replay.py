@@ -6,7 +6,8 @@ keyword names the fleet builder took before the spec existed
 (``negotiation_config`` for
 :attr:`~repro.mission.spec.FleetSpec.negotiation`), with dataclass
 configs flattened to dicts and wind/lighting conditions reduced to
-their registered names.  That makes every
+their names in :data:`~repro.simulation.scenarios.WINDS` /
+:data:`~repro.simulation.scenarios.LIGHTINGS`.  That makes every
 recording replayable with no side channel: :func:`replay` reads the
 recipe back, re-drives a fresh fleet with a fresh recorder attached,
 and byte-compares the two deterministic streams
@@ -27,8 +28,7 @@ from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder.diffing import Divergence, checked_lines, first_divergence
 from repro.recorder.events import SCHEMA_VERSION, decode_value, parse_line
 from repro.recorder.recorder import FlightRecorder, read_lines
-from repro.simulation import longtail, scenarios
-from repro.simulation.scenarios import Lighting, WindCondition
+from repro.simulation.scenarios import LIGHTINGS, WINDS
 
 __all__ = [
     "ReplayResult",
@@ -57,18 +57,6 @@ _CONFIG_KEYS = frozenset({"config", "negotiation_config"})
 _CONDITION_KEYS = frozenset({"winds", "lightings"})
 
 
-def _condition_registries() -> tuple[dict[str, WindCondition], dict[str, Lighting]]:
-    winds: dict[str, WindCondition] = {}
-    lightings: dict[str, Lighting] = {}
-    for module in (scenarios, longtail):
-        for value in vars(module).values():
-            if isinstance(value, WindCondition):
-                winds[value.name] = value
-            elif isinstance(value, Lighting):
-                lightings[value.name] = value
-    return winds, lightings
-
-
 def _check_builder(builder) -> None:
     if builder != _BUILDER:
         raise ValueError(f"unknown recipe builder: {builder!r}")
@@ -91,7 +79,6 @@ def _encode_kwargs(kwargs: dict) -> dict:
 
 
 def _decode_kwargs(encoded: dict) -> dict:
-    winds, lightings = _condition_registries()
     decoded = {}
     for key, value in encoded.items():
         if key not in _RECIPE_KEYS:
@@ -101,7 +88,7 @@ def _decode_kwargs(encoded: dict) -> dict:
         elif key == "negotiation_config" and value is not None:
             decoded[key] = NegotiationConfig(**value)
         elif key in _CONDITION_KEYS:
-            registry = winds if key == "winds" else lightings
+            registry = WINDS if key == "winds" else LIGHTINGS
             try:
                 decoded[key] = tuple(registry[name] for name in value)
             except KeyError as exc:

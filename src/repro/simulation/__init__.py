@@ -1,8 +1,12 @@
-"""Drone simulator substrate.
+"""Drone simulator substrate and recognition scenarios.
 
 Fixed-step world with wind, battery, simplified multirotor dynamics,
 sensors and an event system — the stand-in for the paper's Yuneec H520
-test vehicle (see DESIGN.md, substitution table).
+test vehicle (see DESIGN.md, substitution table).  One
+:class:`~repro.simulation.scenarios.Scenario` type describes what a
+drone's camera sees of a signaller — a clean grid point, or one with
+up to five long-tail perturbation layers — and renders it as a
+deterministic observation window.
 """
 
 from repro.simulation.battery import HOVER_POWER_W, Battery, BatteryDepleted
@@ -15,18 +19,10 @@ from repro.simulation.scenarios import (
     OVERCAST,
     Lighting,
     Scenario,
-    ScenarioOutcome,
     WindCondition,
-    run_dynamic_matrix,
-    run_static_matrix,
-    scenario_matrix,
-)
-from repro.simulation.scenarios import fold_static_window
-from repro.simulation.longtail import (
     NIGHT,
     ConflictingSigner,
     FrameDropSpec,
-    LongTailScenario,
     MotionBlurSpec,
     OcclusionSpec,
     WalkDriftSpec,
@@ -53,16 +49,10 @@ __all__ = [
     "OVERCAST",
     "Lighting",
     "Scenario",
-    "ScenarioOutcome",
     "WindCondition",
-    "run_dynamic_matrix",
-    "run_static_matrix",
-    "scenario_matrix",
-    "fold_static_window",
     "NIGHT",
     "ConflictingSigner",
     "FrameDropSpec",
-    "LongTailScenario",
     "MotionBlurSpec",
     "OcclusionSpec",
     "WalkDriftSpec",

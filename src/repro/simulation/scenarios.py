@@ -1,21 +1,25 @@
-"""Scenario-matrix harness: persona × sign × viewpoint × wind × lighting.
+"""Recognition scenarios: who signs what, from where, under which conditions.
 
-The ROADMAP's north star asks the system to handle "as many scenarios
-as you can imagine"; this module makes that space *enumerable*.  A
-:class:`Scenario` fixes one point in the matrix — who is signalling
+A :class:`Scenario` fixes one observation setting — who is signalling
 (persona, with its posture sloppiness), what they signal (a static
 :class:`~repro.human.signs.MarshallingSign` or a periodic
 :class:`~repro.human.dynamic.DynamicSign`), from where the drone looks
 (altitude / distance / azimuth), how hard the wind sways the signaller,
-and the lighting (contrast + sensor noise).  :func:`scenario_matrix`
-enumerates the cross product, :meth:`Scenario.render_window` renders a
-deterministic observation window, and the two drivers
-(:func:`run_static_matrix`, :func:`run_dynamic_matrix`) push whole
-windows through the *batched* recognisers —
-:meth:`~repro.recognition.pipeline.SaxSignRecognizer.recognize_batch`
-and
-:meth:`~repro.recognition.dynamic.DynamicSignRecognizer.recognize_window`
-— so every scenario sweep doubles as a batch-vs-scalar parity surface.
+and the lighting (contrast + sensor noise) — plus up to five optional
+layers of the adversarial long tail: partial occlusion
+(:class:`OcclusionSpec`), a second person signing a conflicting intent
+(:class:`ConflictingSigner`), motion blur (:class:`MotionBlurSpec`),
+dropped frames (:class:`FrameDropSpec`) and a signaller who keeps
+walking (:class:`WalkDriftSpec`).  With no layer active a scenario is a
+clean grid point.
+
+Every axis is drawn from a small discrete grid ordered simplest-first
+(``AXIS_*``), which is what makes greedy shrinking
+(:mod:`repro.testing.fuzz`) terminate: :meth:`Scenario.complexity`
+strictly decreases on every simplification.  :func:`sample_longtail`
+draws a perturbed scenario from a seed; :func:`scenario_to_dict` /
+:func:`scenario_from_dict` give the JSON round-trip the regression
+corpus under ``tests/data/longtail/`` is stored in.
 
 Determinism
 -----------
@@ -23,28 +27,31 @@ Everything is a pure function of the scenario parameters and the frame
 timestamp: wind sway is a sinusoid (not the stochastic
 :class:`~repro.simulation.wind.WindModel`, which
 :meth:`WindCondition.wind_model` still exposes for flight-dynamics
-tests), renders are cached by exact pose phase, and the persona
-contributes its worst-case ``max_lean_deg`` rather than a sampled lean.
-Repeated poses therefore yield the *same* ``Image`` object, which the
-batched front-end's identity memoisation exploits — exactly the
-repeated-frame structure a periodic signal sampled commensurately with
-its period produces.
+tests), and the persona contributes its worst-case ``max_lean_deg``
+rather than a sampled lean.  Layers compose in a fixed order per
+frame: pose (drift) → scene (conflicting signer) → render → occlusion
+→ temporal blur → frame drops.  Repeated poses share one rendered
+``Image`` object, which the batched front-end's identity memoisation
+exploits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import random
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from repro.geometry.camera import PinholeCamera, observation_camera
+from repro.geometry.vec import Vec3
 from repro.human.dynamic import BUILTIN_DYNAMIC_SIGNS, DynamicSign
 from repro.human.persona import SUPERVISOR, VISITOR, WORKER, Persona
 from repro.human.pose import HumanPose, pose_for_sign
-from repro.human.render import RenderSettings, render_frame
+from repro.human.render import RenderSettings, render_scene
 from repro.human.signs import COMMUNICATIVE_SIGNS, MarshallingSign
-from repro.recognition.dynamic import DynamicSignRecognizer
-from repro.recognition.pipeline import SaxSignRecognizer, observation_elevation_deg
+from repro.recognition.pipeline import observation_elevation_deg
 from repro.simulation.wind import WindModel
 from repro.vision.image import Image
 
@@ -52,22 +59,39 @@ __all__ = [
     "Lighting",
     "WindCondition",
     "Scenario",
-    "ScenarioOutcome",
     "NOON",
     "OVERCAST",
     "DUSK",
+    "NIGHT",
     "CALM",
     "BREEZE",
     "GUSTY",
-    "DEFAULT_PERSONAS",
-    "DEFAULT_VIEWPOINTS",
-    "DEFAULT_AZIMUTHS_DEG",
     "DEFAULT_WINDS",
     "DEFAULT_LIGHTINGS",
-    "scenario_matrix",
-    "fold_static_window",
-    "run_static_matrix",
-    "run_dynamic_matrix",
+    "WINDS",
+    "LIGHTINGS",
+    "OcclusionSpec",
+    "ConflictingSigner",
+    "MotionBlurSpec",
+    "FrameDropSpec",
+    "WalkDriftSpec",
+    "occlude_frame",
+    "temporal_blur",
+    "apply_frame_drops",
+    "sample_longtail",
+    "scenario_to_dict",
+    "scenario_from_dict",
+    "AXIS_PERSONAS",
+    "AXIS_SIGNS",
+    "AXIS_VIEWPOINTS",
+    "AXIS_AZIMUTHS_DEG",
+    "AXIS_WINDS",
+    "AXIS_LIGHTINGS",
+    "AXIS_OCCLUSION_FRACTIONS",
+    "AXIS_CONFLICT_OFFSETS",
+    "AXIS_BLUR_TAPS",
+    "AXIS_DROP_PERIODS",
+    "AXIS_DRIFT_SPEEDS",
 ]
 
 # Degrees of signaller sway per m/s of wind, and its cap: a stiff
@@ -97,6 +121,9 @@ class Lighting:
 NOON = Lighting("noon", background_intensity=0.85, figure_intensity=0.15, noise_sigma=0.02)
 OVERCAST = Lighting("overcast", background_intensity=0.70, figure_intensity=0.22, noise_sigma=0.03)
 DUSK = Lighting("dusk", background_intensity=0.55, figure_intensity=0.18, noise_sigma=0.045)
+#: Below-dusk lighting: the contrast floor of the long tail.  It is not
+#: a fleet default; the long-tail sampler draws it beside the other three.
+NIGHT = Lighting("night", background_intensity=0.40, figure_intensity=0.12, noise_sigma=0.06)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,21 +170,182 @@ CALM = WindCondition("calm", speed_mps=0.0)
 BREEZE = WindCondition("breeze", speed_mps=3.0)
 GUSTY = WindCondition("gusty", speed_mps=7.0)
 
-DEFAULT_PERSONAS = (SUPERVISOR, WORKER, VISITOR)
-DEFAULT_VIEWPOINTS = ((3.0, 3.0), (5.0, 3.0))  # (altitude_m, distance_m)
-DEFAULT_AZIMUTHS_DEG = (0.0, 30.0)
 DEFAULT_WINDS = (CALM, BREEZE, GUSTY)
 DEFAULT_LIGHTINGS = (NOON, OVERCAST, DUSK)
+#: Every named condition by name: the scenario codec and recorded
+#: fleet recipes store conditions as these names.
+WINDS = {wind.name: wind for wind in DEFAULT_WINDS}
+LIGHTINGS = {lighting.name: lighting for lighting in (*DEFAULT_LIGHTINGS, NIGHT)}
+
+# -- perturbation specs ----------------------------------------------------------------
+
+_OCCLUSION_SIDES = ("left", "right", "top", "bottom")
+
+
+@dataclass(frozen=True, slots=True)
+class OcclusionSpec:
+    """A static occluder band injected post-render.
+
+    Models a branch, pole or vehicle edge between camera and signaller:
+    a band anchored to one frame *side* covering *fraction* of that
+    dimension, painted at *intensity* (dark by default, so a low
+    occluder can merge with the figure silhouette — the hard case).
+    """
+
+    side: str = "left"
+    fraction: float = 0.3
+    intensity: float = 0.08
+
+    def __post_init__(self) -> None:
+        if self.side not in _OCCLUSION_SIDES:
+            raise ValueError(f"side must be one of {_OCCLUSION_SIDES}")
+        if not 0.0 < self.fraction < 1.0:
+            raise ValueError("occlusion fraction must be in (0, 1)")
+        if not 0.0 <= self.intensity <= 1.0:
+            raise ValueError("occluder intensity must be in [0, 1]")
+
+
+@dataclass(frozen=True, slots=True)
+class ConflictingSigner:
+    """A second human signing a conflicting intent in-frame.
+
+    The impostor stands at a lateral/depth offset from the signaller,
+    faces the same way, and holds a *different* communicative sign —
+    the scene the recogniser must never fold into a confident wrong
+    verdict.
+    """
+
+    sign: MarshallingSign = MarshallingSign.NO
+    offset_x_m: float = 1.2
+    offset_y_m: float = 0.0
+    lean_deg: float = 0.0
+
+
+@dataclass(frozen=True, slots=True)
+class MotionBlurSpec:
+    """Temporal motion blur: each output frame is the mean of the last
+    *taps* rendered frames (camera shake / rolling integration)."""
+
+    taps: int = 3
+
+    def __post_init__(self) -> None:
+        if self.taps < 2:
+            raise ValueError("blur needs at least two taps")
+
+
+@dataclass(frozen=True, slots=True)
+class FrameDropSpec:
+    """Periodic dropped frames in the observation window.
+
+    Every *period*-th frame is lost; ``mode`` decides whether the link
+    freezes (the previous frame repeats — a stalling video feed) or the
+    sample disappears entirely (``"remove"``, shrinking the window).
+    """
+
+    period: int = 3
+    mode: str = "freeze"
+
+    def __post_init__(self) -> None:
+        if self.period < 2:
+            raise ValueError("drop period must be >= 2")
+        if self.mode not in ("freeze", "remove"):
+            raise ValueError("drop mode must be 'freeze' or 'remove'")
+
+
+@dataclass(frozen=True, slots=True)
+class WalkDriftSpec:
+    """Walk-while-signing drift: the signaller translates at
+    *speed_mps* along *heading_deg* (0° = +y, the facing convention)
+    while holding the sign, sliding out of the camera's centre."""
+
+    speed_mps: float = 0.5
+    heading_deg: float = 90.0
+
+    def __post_init__(self) -> None:
+        if self.speed_mps <= 0:
+            raise ValueError("drift speed must be positive")
+
+    def offset_at(self, time_s: float) -> tuple[float, float]:
+        """Ground-plane offset ``(dx, dy)`` at *time_s*."""
+        heading = math.radians(self.heading_deg)
+        return (
+            self.speed_mps * time_s * math.sin(heading),
+            self.speed_mps * time_s * math.cos(heading),
+        )
+
+
+# -- image/sequence operators ----------------------------------------------------------
+
+
+def occlude_frame(frame: Image, spec: OcclusionSpec) -> Image:
+    """Paint *spec*'s occluder band over *frame* (pure function)."""
+    pixels = frame.pixels.copy()
+    h, w = pixels.shape
+    if spec.side in ("left", "right"):
+        band = max(1, round(spec.fraction * w))
+        cols = slice(0, band) if spec.side == "left" else slice(w - band, w)
+        pixels[:, cols] = spec.intensity
+    else:
+        band = max(1, round(spec.fraction * h))
+        rows = slice(0, band) if spec.side == "top" else slice(h - band, h)
+        pixels[rows, :] = spec.intensity
+    return Image(pixels)
+
+
+def temporal_blur(frames: Sequence[Image], taps: int) -> list[Image]:
+    """Replace each frame with the mean of the trailing *taps* frames.
+
+    The window is clamped at the start of the sequence (frame 0 is
+    untouched, frame 1 averages two frames, …), so output length equals
+    input length and a window of identical frames is a no-op.
+    """
+    if taps < 2:
+        raise ValueError("blur needs at least two taps")
+    blurred: list[Image] = []
+    for k in range(len(frames)):
+        window = frames[max(0, k - taps + 1) : k + 1]
+        if all(f is window[0] for f in window):
+            blurred.append(window[0])
+            continue
+        blurred.append(Image(np.mean([f.pixels for f in window], axis=0)))
+    return blurred
+
+
+def apply_frame_drops(
+    frames: Sequence[Image], times: Sequence[float], spec: FrameDropSpec
+) -> tuple[list[Image], list[float]]:
+    """Apply *spec*'s periodic frame loss to a ``(frames, times)`` window.
+
+    In ``freeze`` mode a dropped frame is replaced by its predecessor
+    (timestamps keep ticking); in ``remove`` mode the sample vanishes
+    from both sequences.  Frame 0 is never dropped, so the window is
+    never empty.
+    """
+    kept_frames: list[Image] = []
+    kept_times: list[float] = []
+    for k, (frame, t) in enumerate(zip(frames, times)):
+        dropped = k > 0 and k % spec.period == spec.period - 1
+        if not dropped:
+            kept_frames.append(frame)
+            kept_times.append(t)
+        elif spec.mode == "freeze":
+            kept_frames.append(kept_frames[-1])
+            kept_times.append(t)
+    return kept_frames, kept_times
+
+
+# -- the scenario ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One point of the scenario matrix.
+    """One observation setting, optionally perturbed.
 
     ``sign`` is either a static :class:`~repro.human.signs.MarshallingSign`
-    or a :class:`~repro.human.dynamic.DynamicSign`; everything else
-    parameterises who signals it, from where it is observed and under
-    which conditions.
+    or a :class:`~repro.human.dynamic.DynamicSign`; the next six fields
+    parameterise who signals it, from where it is observed and under
+    which conditions, and the five optional specs layer the long tail
+    on top.
     """
 
     persona: Persona
@@ -167,6 +355,11 @@ class Scenario:
     azimuth_deg: float
     wind: WindCondition
     lighting: Lighting
+    occlusion: OcclusionSpec | None = None
+    conflict: ConflictingSigner | None = None
+    blur: MotionBlurSpec | None = None
+    drops: FrameDropSpec | None = None
+    drift: WalkDriftSpec | None = None
 
     @property
     def is_dynamic(self) -> bool:
@@ -175,21 +368,50 @@ class Scenario:
 
     @property
     def expected_label(self) -> str:
-        """The label a perfect recogniser should report."""
+        """The label a perfect recogniser should report (the signaller's
+        sign — a conflicting signer is adversarial noise, never the
+        expectation)."""
         return self.sign.name if self.is_dynamic else self.sign.value
 
     @property
+    def is_clean(self) -> bool:
+        """``True`` when no perturbation layer is active."""
+        return not any(
+            (self.occlusion, self.conflict, self.blur, self.drops, self.drift)
+        )
+
+    @property
+    def clean(self) -> Scenario:
+        """This scenario with every perturbation layer removed."""
+        return replace(
+            self, occlusion=None, conflict=None, blur=None, drops=None, drift=None
+        )
+
+    @property
     def name(self) -> str:
-        """Compact human-readable scenario id (used in test reports)."""
+        """Compact human-readable id: the grid point plus active layer tags."""
+        tags = []
+        if self.occlusion:
+            tags.append(f"occ:{self.occlusion.side}{self.occlusion.fraction:g}")
+        if self.conflict:
+            tags.append(f"conflict:{self.conflict.sign.value}")
+        if self.blur:
+            tags.append(f"blur:{self.blur.taps}")
+        if self.drops:
+            tags.append(f"drop:{self.drops.period}{self.drops.mode[0]}")
+        if self.drift:
+            tags.append(f"drift:{self.drift.speed_mps:g}mps")
+        suffix = "+" + "+".join(tags) if tags else ""
         return (
             f"{self.persona.training.value}/{self.expected_label}"
             f"@{self.altitude_m:g}m/{self.azimuth_deg:g}deg"
-            f"/{self.wind.name}/{self.lighting.name}"
+            f"/{self.wind.name}/{self.lighting.name}{suffix}"
         )
 
     @property
     def elevation_deg(self) -> float:
-        """The drone's observation elevation for this viewpoint."""
+        """The drone's nominal observation elevation (the perception
+        plans for the waypoint; drift does not update it)."""
         return observation_elevation_deg(self.altitude_m, self.distance_m)
 
     def camera(self) -> PinholeCamera:
@@ -201,15 +423,38 @@ class Scenario:
         return self.wind.lean_at(time_s, base_lean_deg=self.persona.max_lean_deg)
 
     def pose_at(self, time_s: float) -> HumanPose:
-        """The signaller's skeleton at *time_s*."""
+        """The (possibly drifting) signaller's skeleton at *time_s*."""
+        position = Vec3(0.0, 0.0, 0.0)
+        if self.drift is not None:
+            position = Vec3(*self.drift.offset_at(time_s), 0.0)
         lean = self.lean_at(time_s)
         if self.is_dynamic:
-            return self.sign.pose_at(time_s, lean_deg=lean)
-        return pose_for_sign(self.sign, lean_deg=lean)
+            return self.sign.pose_at(time_s, position=position, lean_deg=lean)
+        return pose_for_sign(self.sign, position=position, lean_deg=lean)
+
+    def scene_at(self, time_s: float) -> list[HumanPose]:
+        """All posed figures in frame at *time_s* (signaller first)."""
+        poses = [self.pose_at(time_s)]
+        if self.conflict is not None:
+            poses.append(
+                pose_for_sign(
+                    self.conflict.sign,
+                    position=Vec3(self.conflict.offset_x_m, self.conflict.offset_y_m, 0.0),
+                    lean_deg=self.conflict.lean_deg,
+                )
+            )
+        return poses
 
     def frame_at(self, time_s: float) -> Image:
-        """Render one observation frame at *time_s* (uncached)."""
-        return render_frame(self.pose_at(time_s), self.camera(), self.lighting.render_settings())
+        """Render one observation frame at *time_s*, occluded if the
+        scenario has an occluder (uncached; blur and drops act on the
+        whole window)."""
+        frame = render_scene(
+            self.scene_at(time_s), self.camera(), self.lighting.render_settings()
+        )
+        if self.occlusion is not None:
+            frame = occlude_frame(frame, self.occlusion)
+        return frame
 
     def pose_repeat_frames(self, sample_hz: float) -> int | None:
         """Samples after which the pose sequence repeats, or ``None``.
@@ -219,7 +464,8 @@ class Scenario:
         sways); when every active period is a whole number of samples,
         the sequence repeats after their least common multiple.  An
         incommensurate sample rate returns ``None`` — no repetition
-        inside any window.
+        inside any window.  Drift is not periodic, so a drifting
+        scenario's frames are never shared (:meth:`render_window`).
         """
         periods = []
         if self.is_dynamic:
@@ -239,188 +485,243 @@ class Scenario:
     ) -> tuple[list[Image], list[float]]:
         """Render a ``duration_s`` observation window sampled at *sample_hz*.
 
-        Returns ``(frames, times)``.  When the sample rate is
-        commensurate with the active periods
-        (:meth:`pose_repeat_frames`), repeating samples share one
-        rendered ``Image`` object — rendering is deterministic, so the
-        repeat is pixel-exact — which downstream batch recognisers
-        deduplicate by identity.
+        Returns ``(frames, times)``: one sample every ``1 / sample_hz``
+        seconds, ``duration_s * sample_hz`` of them (a product within
+        1e-9 of a whole number counts as that number).  Unless the
+        signaller drifts, samples whose pose repeats
+        (:meth:`pose_repeat_frames`) share one rendered ``Image`` object
+        — rendering is deterministic, so the repeat is pixel-exact —
+        which downstream batch recognisers deduplicate by identity.
+        Temporal blur, then frame drops, act on the rendered window.
         """
         if duration_s <= 0 or sample_hz <= 0:
             raise ValueError("duration and sample rate must be positive")
-        camera = self.camera()
-        settings = self.lighting.render_settings()
-        repeat = self.pose_repeat_frames(sample_hz)
-        times = [k / sample_hz for k in range(int(duration_s * sample_hz))]
+        repeat = None if self.drift is not None else self.pose_repeat_frames(sample_hz)
+        times = [k / sample_hz for k in range(int(duration_s * sample_hz + 1e-9))]
         cache: dict[int, Image] = {}
-        frames = []
+        frames: list[Image] = []
         for k, t in enumerate(times):
             key = k % repeat if repeat is not None else k
             frame = cache.get(key)
             if frame is None:
-                frame = cache[key] = render_frame(self.pose_at(t), camera, settings)
+                frame = cache[key] = self.frame_at(t)
             frames.append(frame)
+        if self.blur is not None:
+            frames = temporal_blur(frames, self.blur.taps)
+        if self.drops is not None:
+            frames, times = apply_frame_drops(frames, times, self.drops)
         return frames, times
 
+    def complexity(self) -> int:
+        """Integer size metric the greedy shrinker strictly decreases.
 
-@dataclass(frozen=True)
-class ScenarioOutcome:
-    """What a recogniser reported for one scenario window.
+        The sum of every axis's grid index plus, for each active
+        perturbation, one plus its parameter grid index — so removing a
+        layer, or stepping any axis toward its simplest value, always
+        lowers the score by at least one.
+        """
+        score = 0
+        score += _grid_index(AXIS_PERSONAS, self.persona)
+        score += _grid_index(AXIS_SIGNS, self.sign)
+        score += _grid_index(AXIS_VIEWPOINTS, (self.altitude_m, self.distance_m))
+        score += _grid_index(AXIS_AZIMUTHS_DEG, self.azimuth_deg)
+        score += _grid_index(AXIS_WINDS, self.wind)
+        score += _grid_index(AXIS_LIGHTINGS, self.lighting)
+        if self.occlusion is not None:
+            score += 1 + _grid_index(AXIS_OCCLUSION_FRACTIONS, self.occlusion.fraction)
+        if self.conflict is not None:
+            score += 1 + _grid_index(
+                AXIS_CONFLICT_OFFSETS,
+                (self.conflict.offset_x_m, self.conflict.offset_y_m),
+            )
+        if self.blur is not None:
+            score += 1 + _grid_index(AXIS_BLUR_TAPS, self.blur.taps)
+        if self.drops is not None:
+            score += 1 + _grid_index(AXIS_DROP_PERIODS, self.drops.period)
+        if self.drift is not None:
+            score += 1 + _grid_index(AXIS_DRIFT_SPEEDS, self.drift.speed_mps)
+        return score
 
-    ``safe`` is the paper's safety property: every readable frame (or
-    the decoded dynamic verdict) was either the expected sign or a
-    rejection — never a confident read of a *different* communicative
-    sign.
+
+def _grid_index(grid: tuple, value) -> int:
+    """Index of *value* in its axis grid (off-grid values rank last,
+    so hand-built scenarios still shrink toward the grid)."""
+    try:
+        return grid.index(value)
+    except ValueError:
+        return len(grid)
+
+
+# -- axis grids (ordered simplest-first; the shrinker walks left) ----------------------
+
+AXIS_PERSONAS = (SUPERVISOR, WORKER, VISITOR)
+AXIS_SIGNS = tuple(COMMUNICATIVE_SIGNS) + tuple(BUILTIN_DYNAMIC_SIGNS)
+AXIS_VIEWPOINTS = ((5.0, 3.0), (3.0, 3.0), (4.0, 8.0))
+AXIS_AZIMUTHS_DEG = (0.0, 15.0, 30.0, 45.0, 60.0)
+AXIS_WINDS = (CALM, BREEZE, GUSTY)
+AXIS_LIGHTINGS = (NOON, OVERCAST, DUSK, NIGHT)
+AXIS_OCCLUSION_FRACTIONS = (0.15, 0.3, 0.45)
+AXIS_CONFLICT_OFFSETS = ((1.2, 0.0), (-1.0, 0.3), (0.7, -0.5))
+AXIS_BLUR_TAPS = (2, 3, 4)
+AXIS_DROP_PERIODS = (4, 3, 2)  # longer period = milder loss
+AXIS_DRIFT_SPEEDS = (0.3, 0.6, 1.0)
+
+_CONFLICT_SIGNS = tuple(COMMUNICATIVE_SIGNS)
+_DRIFT_HEADINGS = (90.0, 270.0, 45.0)
+_DROP_MODES = ("freeze", "remove")
+
+
+# -- seeded sampling -------------------------------------------------------------------
+
+
+def sample_longtail(seed: int, index: int = 0) -> Scenario:
+    """Deterministically draw one perturbed scenario.
+
+    ``(seed, index)`` fully determines the draw (the fuzz harness uses
+    *index* as the iteration number).  Every axis comes from its
+    ``AXIS_*`` grid; each perturbation layer is independently active
+    with probability ~1/2, with at least one layer forced on — a clean
+    draw belongs to the grid, not the long tail.
     """
+    rng = random.Random(f"longtail:{seed}:{index}")
+    persona = rng.choice(AXIS_PERSONAS)
+    sign = rng.choice(AXIS_SIGNS)
+    azimuth = rng.choice(AXIS_AZIMUTHS_DEG)
+    wind = rng.choice(AXIS_WINDS)
+    lighting = rng.choice(AXIS_LIGHTINGS)
+    altitude, distance = rng.choice(AXIS_VIEWPOINTS)
+    expected = sign.name if isinstance(sign, DynamicSign) else sign.value
 
-    scenario: Scenario
-    observed: str | None
-    frame_labels: tuple[str | None, ...]
-    correct: bool
-    safe: bool
-
-
-def scenario_matrix(
-    personas: Sequence[Persona] = DEFAULT_PERSONAS,
-    signs: Sequence[MarshallingSign | DynamicSign] = tuple(COMMUNICATIVE_SIGNS)
-    + tuple(BUILTIN_DYNAMIC_SIGNS),
-    viewpoints: Sequence[tuple[float, float]] = DEFAULT_VIEWPOINTS,
-    azimuths_deg: Sequence[float] = DEFAULT_AZIMUTHS_DEG,
-    winds: Sequence[WindCondition] = DEFAULT_WINDS,
-    lightings: Sequence[Lighting] = DEFAULT_LIGHTINGS,
-) -> list[Scenario]:
-    """Enumerate the cross product of every axis as a scenario list.
-
-    All axes default to the full built-in matrix (540 scenarios); pass
-    narrower sequences to carve out a slice — tests and CI smoke runs
-    use small slices, the accuracy sweeps larger ones.
-    """
-    return [
-        Scenario(
-            persona=persona,
-            sign=sign,
-            altitude_m=altitude,
-            distance_m=distance,
-            azimuth_deg=azimuth,
-            wind=wind,
-            lighting=lighting,
+    occlusion = conflict = blur = drops = drift = None
+    if rng.random() < 0.5:
+        occlusion = OcclusionSpec(
+            side=rng.choice(_OCCLUSION_SIDES),
+            fraction=rng.choice(AXIS_OCCLUSION_FRACTIONS),
         )
-        for persona in personas
-        for sign in signs
-        for (altitude, distance) in viewpoints
-        for azimuth in azimuths_deg
-        for wind in winds
-        for lighting in lightings
-    ]
-
-
-def fold_static_window(scenario, labels: list[str | None]) -> ScenarioOutcome:
-    """Fold per-frame labels of one static-scenario window into an outcome.
-
-    *scenario* only needs an ``expected_label`` attribute, so both plain
-    :class:`Scenario` grid points and
-    :class:`~repro.simulation.longtail.LongTailScenario` perturbations
-    fold through the same rules: ``correct`` iff the majority readable
-    label equals the expectation, ``safe`` iff no readable frame claimed
-    a *different* communicative sign.
-    """
-    expected = scenario.expected_label
-    readable = [label for label in labels if label is not None]
-    observed = None
-    if readable:
-        # Majority label over the window; ties keep first occurrence.
-        counts: dict[str, int] = {}
-        for label in readable:
-            counts[label] = counts.get(label, 0) + 1
-        observed = max(counts, key=lambda label: counts[label])
-    communicative = {sign.value for sign in COMMUNICATIVE_SIGNS}
-    return ScenarioOutcome(
-        scenario=scenario,
-        observed=observed,
-        frame_labels=tuple(labels),
-        correct=observed == expected,
-        safe=all(
-            label == expected or label not in communicative for label in readable
-        ),
+    if rng.random() < 0.4:
+        impostor = rng.choice([s for s in _CONFLICT_SIGNS if s.value != expected])
+        offset_x, offset_y = rng.choice(AXIS_CONFLICT_OFFSETS)
+        conflict = ConflictingSigner(
+            sign=impostor, offset_x_m=offset_x, offset_y_m=offset_y
+        )
+    if rng.random() < 0.4:
+        blur = MotionBlurSpec(taps=rng.choice(AXIS_BLUR_TAPS))
+    if rng.random() < 0.4:
+        drops = FrameDropSpec(
+            period=rng.choice(AXIS_DROP_PERIODS), mode=rng.choice(_DROP_MODES)
+        )
+    if rng.random() < 0.4:
+        drift = WalkDriftSpec(
+            speed_mps=rng.choice(AXIS_DRIFT_SPEEDS),
+            heading_deg=rng.choice(_DRIFT_HEADINGS),
+        )
+    if not any((occlusion, conflict, blur, drops, drift)):
+        occlusion = OcclusionSpec(
+            side=rng.choice(_OCCLUSION_SIDES),
+            fraction=rng.choice(AXIS_OCCLUSION_FRACTIONS),
+        )
+    return Scenario(
+        persona=persona,
+        sign=sign,
+        altitude_m=altitude,
+        distance_m=distance,
+        azimuth_deg=azimuth,
+        wind=wind,
+        lighting=lighting,
+        occlusion=occlusion,
+        conflict=conflict,
+        blur=blur,
+        drops=drops,
+        drift=drift,
     )
 
 
-def run_static_matrix(
-    recognizer: SaxSignRecognizer,
-    scenarios: Sequence[Scenario],
-    duration_s: float = 1.0,
-    sample_hz: float = 4.0,
-) -> list[ScenarioOutcome]:
-    """Drive the *batched* static recogniser over static scenarios.
+# -- JSON round-trip -------------------------------------------------------------------
 
-    Every scenario's window is rendered, then **all** frames of all
-    scenarios flow through one
-    :meth:`~repro.recognition.pipeline.SaxSignRecognizer.recognize_batch`
-    call with per-frame elevations — the whole sweep is a single batch.
+_PERSONAS_BY_KEY = {
+    "supervisor": SUPERVISOR,
+    "worker": WORKER,
+    "visitor": VISITOR,
+}
+_PERSONA_KEYS = {id(p): key for key, p in _PERSONAS_BY_KEY.items()}
+_DYNAMIC_BY_NAME = {sign.name: sign for sign in BUILTIN_DYNAMIC_SIGNS}
+#: The perturbation layers: field name → spec type.
+_LAYERS = {
+    "occlusion": OcclusionSpec,
+    "conflict": ConflictingSigner,
+    "blur": MotionBlurSpec,
+    "drops": FrameDropSpec,
+    "drift": WalkDriftSpec,
+}
 
-    Raises
-    ------
-    ValueError
-        If any scenario in *scenarios* is dynamic.
+
+def _sign_to_dict(sign) -> dict:
+    if isinstance(sign, MarshallingSign):
+        return {"kind": "static", "name": sign.value}
+    return {"kind": "dynamic", "name": sign.name}
+
+
+def _sign_from_dict(data: dict):
+    if data["kind"] == "static":
+        return MarshallingSign(data["name"])
+    return _DYNAMIC_BY_NAME[data["name"]]
+
+
+def _layer_to_dict(spec) -> dict | None:
+    if spec is None:
+        return None
+    data = asdict(spec)
+    if isinstance(spec, ConflictingSigner):
+        data["sign"] = spec.sign.value
+    return data
+
+
+def _layer_from_dict(key: str, data: dict | None):
+    if not data:
+        return None
+    if key == "conflict":
+        data = {**data, "sign": MarshallingSign(data["sign"])}
+    return _LAYERS[key](**data)
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    """Serialise a scenario to JSON-ready primitives.
+
+    Only grid personas/winds/lightings and built-in signs serialise —
+    exactly the space :func:`sample_longtail` draws from, which is all
+    the regression corpus ever needs to hold.
     """
-    for scenario in scenarios:
-        if scenario.is_dynamic:
-            raise ValueError(f"dynamic scenario {scenario.name!r} in static sweep")
-    frames: list[Image] = []
-    elevations: list[float] = []
-    spans: list[tuple[Scenario, int, int]] = []
-    for scenario in scenarios:
-        window, _ = scenario.render_window(duration_s, sample_hz)
-        spans.append((scenario, len(frames), len(frames) + len(window)))
-        frames.extend(window)
-        elevations.extend([scenario.elevation_deg] * len(window))
-    results = recognizer.recognize_batch(frames, elevation_deg=elevations)
-    return [
-        fold_static_window(scenario, [r.label for r in results[start:stop]])
-        for scenario, start, stop in spans
-    ]
+    persona_key = _PERSONA_KEYS.get(id(scenario.persona))
+    if persona_key is None:
+        raise ValueError(f"persona {scenario.persona.name!r} is not a registry persona")
+    if scenario.wind.name not in WINDS:
+        raise ValueError(f"wind {scenario.wind.name!r} is not a registry wind")
+    if scenario.lighting.name not in LIGHTINGS:
+        raise ValueError(f"lighting {scenario.lighting.name!r} is not a registry lighting")
+    data: dict = {
+        "persona": persona_key,
+        "sign": _sign_to_dict(scenario.sign),
+        "viewpoint": [scenario.altitude_m, scenario.distance_m],
+        "azimuth_deg": scenario.azimuth_deg,
+        "wind": scenario.wind.name,
+        "lighting": scenario.lighting.name,
+    }
+    for key in _LAYERS:
+        data[key] = _layer_to_dict(getattr(scenario, key))
+    return data
 
 
-def run_dynamic_matrix(
-    recognizer: DynamicSignRecognizer,
-    scenarios: Sequence[Scenario],
-    periods: float = 3.0,
-    sample_hz: float = 10.0,
-) -> list[ScenarioOutcome]:
-    """Drive the batched dynamic engine over dynamic scenarios.
-
-    Each scenario's window (``periods`` signal periods at *sample_hz*)
-    goes through one
-    :meth:`~repro.recognition.dynamic.DynamicSignRecognizer.recognize_window`
-    call — the vectorised front-end plus one batched matcher pass per
-    window.
-
-    Raises
-    ------
-    ValueError
-        If any scenario in *scenarios* is static.
-    """
-    outcomes = []
-    for scenario in scenarios:
-        if not scenario.is_dynamic:
-            raise ValueError(f"static scenario {scenario.name!r} in dynamic sweep")
-        frames, times = scenario.render_window(
-            periods * scenario.sign.period_s, sample_hz
-        )
-        recognition = recognizer.recognize_window(
-            frames, times, elevation_deg=scenario.elevation_deg
-        )
-        expected = scenario.expected_label
-        observed = recognition.sign_name
-        outcomes.append(
-            ScenarioOutcome(
-                scenario=scenario,
-                observed=observed,
-                frame_labels=tuple(o.label for o in recognition.observations),
-                correct=observed == expected,
-                # recognize_window only ever reports enrolled sign names,
-                # so anything other than the expected sign is unsafe.
-                safe=observed in (None, expected),
-            )
-        )
-    return outcomes
+def scenario_from_dict(data: dict) -> Scenario:
+    """Rebuild a :class:`Scenario` from :func:`scenario_to_dict` output
+    (the regression-corpus loader)."""
+    altitude, distance = data["viewpoint"]
+    return Scenario(
+        persona=_PERSONAS_BY_KEY[data["persona"]],
+        sign=_sign_from_dict(data["sign"]),
+        altitude_m=float(altitude),
+        distance_m=float(distance),
+        azimuth_deg=float(data["azimuth_deg"]),
+        wind=WINDS[data["wind"]],
+        lighting=LIGHTINGS[data["lighting"]],
+        **{key: _layer_from_dict(key, data.get(key)) for key in _LAYERS},
+    )

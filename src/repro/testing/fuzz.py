@@ -2,10 +2,11 @@
 
 A dependency-free mini-Hypothesis specialised to this repo: scenarios
 are drawn from the seeded long-tail generator
-(:func:`~repro.simulation.longtail.sample_longtail`), executed through
-the *real* batched recognisers (and, for fleet cases, the full
-orchard trap fleet stage loop), and checked against the safety
-invariants the paper's protocol rests on:
+(:func:`~repro.simulation.scenarios.sample_longtail`), run through the
+*real* batched recognisers by :func:`execute_window` — the one window
+runner, which also folds a window's labels into its verdict — and
+checked against the safety invariants the paper's protocol rests on
+(fleet cases fly the full orchard trap fleet stage loop instead):
 
 ``verdict_fold``
     An outcome is never marked *correct* unless the independently
@@ -38,7 +39,7 @@ Any failing scenario is **shrunk** by greedy axis-by-axis minimisation
 step one axis toward its grid's simplest value, and a candidate is
 accepted only when it still fails with the *same* invariant.  Every
 acceptance strictly decreases the integer
-:meth:`~repro.simulation.longtail.LongTailScenario.complexity`, so
+:meth:`~repro.simulation.scenarios.Scenario.complexity`, so
 shrinking always terminates at a local minimum.  Minimised cases
 serialise to canonical JSON bytes (:func:`case_bytes`) — same seed,
 same bytes — which the nightly fuzz job uploads and the regression
@@ -65,7 +66,7 @@ from repro.mission.spec import FleetSpec
 from repro.protocol.recognizer import RecognizerPerception
 from repro.recognition.dynamic import DynamicSignRecognizer
 from repro.recognition.pipeline import SaxSignRecognizer
-from repro.simulation.longtail import (
+from repro.simulation.scenarios import (
     AXIS_AZIMUTHS_DEG,
     AXIS_BLUR_TAPS,
     AXIS_CONFLICT_OFFSETS,
@@ -77,12 +78,11 @@ from repro.simulation.longtail import (
     AXIS_SIGNS,
     AXIS_VIEWPOINTS,
     AXIS_WINDS,
-    LongTailScenario,
+    Scenario,
     sample_longtail,
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.simulation.scenarios import fold_static_window
 from repro.simulation.world import World
 
 __all__ = [
@@ -105,7 +105,7 @@ __all__ = [
     "replay_case",
 ]
 
-#: Static observation window: 1 s at 4 Hz (the scenario-matrix default).
+#: Static observation window: duration (s) and sample rate (Hz).
 STATIC_WINDOW = (1.0, 4.0)
 #: Dynamic window: signal periods and sample rate fed to the decoder.
 DYNAMIC_WINDOW = (2.0, 5.0)
@@ -119,7 +119,7 @@ class InvariantViolation:
 
     invariant: str
     detail: str
-    scenario: LongTailScenario | None = None
+    scenario: Scenario | None = None
 
 
 @dataclass(frozen=True)
@@ -182,20 +182,24 @@ def _window_signature(frames, times, labels) -> str:
     return digest.hexdigest()
 
 
-def execute_window(scenario: LongTailScenario, recognizers: Recognizers) -> WindowResult:
+def execute_window(scenario: Scenario, recognizers: Recognizers) -> WindowResult:
     """Render one scenario window and run it through the real stack.
 
     Static scenarios flow through one
     :meth:`~repro.recognition.pipeline.SaxSignRecognizer.recognize_batch`
-    call (the same batched kernels the fleet graph's match stage uses);
-    dynamic ones through
-    :meth:`~repro.recognition.dynamic.DynamicSignRecognizer.recognize_window`.
+    call (the same batched kernels the fleet graph's match stage uses)
+    and fold to the majority readable label (ties keep the first
+    occurrence); the window is ``safe`` when no readable frame claimed a
+    *different* communicative sign.  Dynamic ones go through
+    :meth:`~repro.recognition.dynamic.DynamicSignRecognizer.recognize_window`,
+    which only ever reports enrolled sign names, so any other verdict
+    than the expected sign is unsafe.
     """
     expected = scenario.expected_label
     if scenario.is_dynamic:
         periods, sample_hz = DYNAMIC_WINDOW
         frames, times = scenario.render_window(
-            periods * scenario.base.sign.period_s, sample_hz
+            periods * scenario.sign.period_s, sample_hz
         )
         recognition = recognizers.dynamic.recognize_window(
             frames, times, elevation_deg=scenario.elevation_deg
@@ -211,8 +215,16 @@ def execute_window(scenario: LongTailScenario, recognizers: Recognizers) -> Wind
             frames, elevation_deg=[scenario.elevation_deg] * len(frames)
         )
         labels = tuple(r.label for r in results)
-        outcome = fold_static_window(scenario, list(labels))
-        observed, correct, safe = outcome.observed, outcome.correct, outcome.safe
+        readable = [label for label in labels if label is not None]
+        counts: dict[str, int] = {}
+        for label in readable:
+            counts[label] = counts.get(label, 0) + 1
+        observed = max(counts, key=counts.__getitem__, default=None)
+        correct = observed == expected
+        safe = all(
+            label == expected or label not in _COMMUNICATIVE_LABELS
+            for label in readable
+        )
     return WindowResult(
         observed=observed,
         labels=labels,
@@ -225,7 +237,9 @@ def execute_window(scenario: LongTailScenario, recognizers: Recognizers) -> Wind
 
 def _independent_majority(labels) -> str | None:
     """Majority readable label, recomputed from scratch (ties keep the
-    first occurrence) — deliberately not shared with the fold code."""
+    first occurrence) — deliberately not shared with
+    :func:`execute_window`'s fold, so ``verdict_fold`` stays a real
+    check."""
     counts: dict[str, int] = {}
     for label in labels:
         if label is not None:
@@ -240,7 +254,7 @@ def _independent_majority(labels) -> str | None:
 
 
 def check_window_invariants(
-    scenario: LongTailScenario, recognizers: Recognizers
+    scenario: Scenario, recognizers: Recognizers
 ) -> list[InvariantViolation]:
     """Run one scenario window and check every window-level invariant."""
     try:
@@ -303,7 +317,7 @@ def check_window_invariants(
 
 
 def check_envelope_invariant(
-    scenario: LongTailScenario, recognizers: Recognizers
+    scenario: Scenario, recognizers: Recognizers
 ) -> list[InvariantViolation]:
     """Probe the trust envelope at this scenario's observation geometry.
 
@@ -312,26 +326,25 @@ def check_envelope_invariant(
     from its ``allows`` method — so a monkeypatched or disabled
     envelope check surfaces as ``envelope_rejection_explicit``.
     """
-    base = scenario.base
     perception = RecognizerPerception(
         recognizer=recognizers.static,
-        render_settings=base.lighting.render_settings(),
+        render_settings=scenario.lighting.render_settings(),
     )
-    sign = base.sign if isinstance(base.sign, MarshallingSign) else MarshallingSign.ATTENTION
+    sign = scenario.sign if isinstance(scenario.sign, MarshallingSign) else MarshallingSign.ATTENTION
     world = World()
     human = HumanAgent(name="probe_human", persona=WORKER)
     human.show_sign(sign, world)
-    theta = math.radians(base.azimuth_deg)
+    theta = math.radians(scenario.azimuth_deg)
     drone_position = Vec3(
-        base.distance_m * math.sin(theta),
-        base.distance_m * math.cos(theta),
-        base.altitude_m,
+        scenario.distance_m * math.sin(theta),
+        scenario.distance_m * math.cos(theta),
+        scenario.altitude_m,
     )
     envelope = perception.envelope
-    slant = math.hypot(base.distance_m, base.altitude_m)
+    slant = math.hypot(scenario.distance_m, scenario.altitude_m)
     expected_allow = (
-        base.altitude_m >= envelope.min_altitude_m
-        and base.azimuth_deg <= envelope.max_azimuth_deg
+        scenario.altitude_m >= envelope.min_altitude_m
+        and scenario.azimuth_deg <= envelope.max_azimuth_deg
         and slant <= envelope.max_range_m
     )
     gated_before = perception.stats.gated
@@ -342,8 +355,8 @@ def check_envelope_invariant(
             InvariantViolation(
                 invariant="envelope_rejection_explicit",
                 detail=(
-                    f"geometry outside envelope fields (alt={base.altitude_m}, "
-                    f"az={base.azimuth_deg}, slant={slant:.2f}) was not gated: "
+                    f"geometry outside envelope fields (alt={scenario.altitude_m}, "
+                    f"az={scenario.azimuth_deg}, slant={slant:.2f}) was not gated: "
                     f"observed={observed!r} gated_delta={gated_delta}"
                 ),
                 scenario=scenario,
@@ -355,7 +368,7 @@ def check_envelope_invariant(
                 invariant="envelope_rejection_explicit",
                 detail=(
                     f"geometry inside envelope fields was gated "
-                    f"(alt={base.altitude_m}, az={base.azimuth_deg}, slant={slant:.2f})"
+                    f"(alt={scenario.altitude_m}, az={scenario.azimuth_deg}, slant={slant:.2f})"
                 ),
                 scenario=scenario,
             )
@@ -459,16 +472,16 @@ def _step_down(grid: tuple, value):
     return grid[index - 1]
 
 
-def shrink_candidates(scenario: LongTailScenario) -> list[LongTailScenario]:
+def shrink_candidates(scenario: Scenario) -> list[Scenario]:
     """Strictly-simpler one-step variants of *scenario*, in fixed order.
 
     First each active perturbation layer is dropped entirely, then each
-    layer's main parameter steps one grid notch simpler, then each base
+    layer's main parameter steps one grid notch simpler, then each grid
     axis steps toward its grid's first value.  Every candidate has
-    strictly lower :meth:`~repro.simulation.longtail.LongTailScenario.complexity`,
+    strictly lower :meth:`~repro.simulation.scenarios.Scenario.complexity`,
     which is what guarantees greedy shrinking terminates.
     """
-    candidates: list[LongTailScenario] = []
+    candidates: list[Scenario] = []
     if scenario.occlusion is not None:
         candidates.append(replace(scenario, occlusion=None))
         fraction = _step_down(AXIS_OCCLUSION_FRACTIONS, scenario.occlusion.fraction)
@@ -510,34 +523,30 @@ def shrink_candidates(scenario: LongTailScenario) -> list[LongTailScenario]:
             candidates.append(
                 replace(scenario, drift=replace(scenario.drift, speed_mps=speed))
             )
-    base = scenario.base
-    persona = _step_down(AXIS_PERSONAS, base.persona)
+    persona = _step_down(AXIS_PERSONAS, scenario.persona)
     if persona is not None:
-        candidates.append(replace(scenario, base=replace(base, persona=persona)))
-    sign = _step_down(AXIS_SIGNS, base.sign)
+        candidates.append(replace(scenario, persona=persona))
+    sign = _step_down(AXIS_SIGNS, scenario.sign)
     if sign is not None:
-        candidates.append(replace(scenario, base=replace(base, sign=sign)))
-    viewpoint = _step_down(AXIS_VIEWPOINTS, (base.altitude_m, base.distance_m))
+        candidates.append(replace(scenario, sign=sign))
+    viewpoint = _step_down(AXIS_VIEWPOINTS, (scenario.altitude_m, scenario.distance_m))
     if viewpoint is not None:
         candidates.append(
-            replace(
-                scenario,
-                base=replace(base, altitude_m=viewpoint[0], distance_m=viewpoint[1]),
-            )
+            replace(scenario, altitude_m=viewpoint[0], distance_m=viewpoint[1])
         )
-    azimuth = _step_down(AXIS_AZIMUTHS_DEG, base.azimuth_deg)
+    azimuth = _step_down(AXIS_AZIMUTHS_DEG, scenario.azimuth_deg)
     if azimuth is not None:
-        candidates.append(replace(scenario, base=replace(base, azimuth_deg=azimuth)))
-    wind = _step_down(AXIS_WINDS, base.wind)
+        candidates.append(replace(scenario, azimuth_deg=azimuth))
+    wind = _step_down(AXIS_WINDS, scenario.wind)
     if wind is not None:
-        candidates.append(replace(scenario, base=replace(base, wind=wind)))
-    lighting = _step_down(AXIS_LIGHTINGS, base.lighting)
+        candidates.append(replace(scenario, wind=wind))
+    lighting = _step_down(AXIS_LIGHTINGS, scenario.lighting)
     if lighting is not None:
-        candidates.append(replace(scenario, base=replace(base, lighting=lighting)))
+        candidates.append(replace(scenario, lighting=lighting))
     return candidates
 
 
-def shrink_scenario(scenario: LongTailScenario, predicate) -> LongTailScenario:
+def shrink_scenario(scenario: Scenario, predicate) -> Scenario:
     """Greedily minimise *scenario* while ``predicate`` keeps failing.
 
     ``predicate(candidate)`` returns a failure name (any truthy string)
@@ -573,7 +582,7 @@ class MinimisedCase:
     kind: str  # "violation" (invariant breach) or "edge" (verdict delta)
     invariant: str
     detail: str
-    scenario: LongTailScenario
+    scenario: Scenario
     seed: int
     index: int
     expected_label: str
@@ -687,14 +696,14 @@ class FuzzHarness:
         self.recognizers = recognizers if recognizers is not None else Recognizers()
         self.invariant_checks = [check_window_invariants, check_envelope_invariant]
 
-    def _first_violation(self, scenario: LongTailScenario) -> InvariantViolation | None:
+    def _first_violation(self, scenario: Scenario) -> InvariantViolation | None:
         for check in self.invariant_checks:
             violations = check(scenario, self.recognizers)
             if violations:
                 return violations[0]
         return None
 
-    def _failure_name(self, scenario: LongTailScenario) -> str | None:
+    def _failure_name(self, scenario: Scenario) -> str | None:
         violation = self._first_violation(scenario)
         return violation.invariant if violation is not None else None
 
@@ -742,20 +751,19 @@ class FuzzHarness:
         """Shrink scenario *index* into an ``edge`` regression case.
 
         An *edge* scenario is one whose perturbations change the
-        recognition verdict relative to its clean base — the long-tail
-        regression surface worth pinning even when no invariant breaks.
-        Returns ``None`` when the perturbed verdict matches the clean
-        one (nothing to pin).  The shrink predicate preserves "verdict
-        differs from the clean base's verdict", so the minimised case
-        is the simplest perturbation that still flips this scenario.
+        recognition verdict relative to its
+        :attr:`~repro.simulation.scenarios.Scenario.clean` twin — the
+        long-tail regression surface worth pinning even when no
+        invariant breaks.  Returns ``None`` when the perturbed verdict
+        matches the clean one (nothing to pin).  The shrink predicate
+        preserves "verdict differs from the clean twin's verdict", so
+        the minimised case is the simplest perturbation that still
+        flips this scenario.
         """
         scenario = sample_longtail(self.seed, index)
-        clean = LongTailScenario(base=scenario.base)
 
-        def delta(candidate: LongTailScenario) -> str | None:
-            baseline = execute_window(
-                LongTailScenario(base=candidate.base), self.recognizers
-            )
+        def delta(candidate: Scenario) -> str | None:
+            baseline = execute_window(candidate.clean, self.recognizers)
             perturbed = execute_window(candidate, self.recognizers)
             return predicate_name if perturbed.observed != baseline.observed else None
 
@@ -763,7 +771,7 @@ class FuzzHarness:
             return None
         minimal = shrink_scenario(scenario, delta)
         result = execute_window(minimal, self.recognizers)
-        baseline = execute_window(LongTailScenario(base=minimal.base), self.recognizers)
+        baseline = execute_window(minimal.clean, self.recognizers)
         return MinimisedCase(
             kind="edge",
             invariant=predicate_name,

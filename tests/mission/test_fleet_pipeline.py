@@ -3,9 +3,10 @@
 The migration contract for the staged fleet tick: a loop-scheduled
 fleet must replay the old lockstep loop *byte-for-byte*.  The legacy
 loop is implemented literally in this module (worlds step, queries are
-grouped by perception core and prefetched, executors tick) and fuzzed
-against :class:`~repro.mission.fleet.FleetScheduler` over random
-scenario seeds; lifecycle tests pin the idempotent
+grouped by perception core and resolved in one batch per core,
+executors tick) and fuzzed against
+:class:`~repro.mission.fleet.FleetScheduler` over random scenario
+seeds; lifecycle tests pin the idempotent
 :meth:`~repro.mission.fleet.FleetScheduler.close`, the context
 manager, loud-but-clean stage failure at each of the seven stages,
 per-stage timing, and what the flight recorder sees of the loop.
@@ -41,7 +42,12 @@ LEGACY_TIMEOUT_TICKS = 400_000
 
 
 def run_legacy(missions):
-    """The pre-dataflow fleet loop, verbatim: the parity reference."""
+    """The pre-dataflow fleet loop: the parity reference.
+
+    Each perception core's grouped queries resolve in one batch through
+    ``pending_misses`` → ``render_batch`` → ``preprocess_batch`` →
+    ``match_batch``, the seams the old loop's batch call composed.
+    """
     for mission in missions:
         mission.executor.start(mission.world)
     for _ in range(LEGACY_TIMEOUT_TICKS):
@@ -66,7 +72,12 @@ def run_legacy(missions):
                 query
             )
         for perception, queries in grouped.values():
-            perception.prefetch(queries)
+            misses = perception.pending_misses(queries)
+            if misses:
+                frames = perception.render_batch(misses)
+                perception.match_batch(
+                    misses, perception.preprocess_batch(misses, frames)
+                )
         for mission in active:
             mission.executor.tick(mission.world)
     raise AssertionError("legacy fleet loop did not finish")

@@ -122,25 +122,35 @@ class TestMemoisation:
         assert len(small._core.cache) == 2
 
 
-class TestPrefetch:
-    def test_prefetch_answers_batch_in_one_call(self, perception, standing_human_world):
+class TestBatchSeams:
+    """The fleet stages' seams: lookup → render → preprocess → match."""
+
+    @staticmethod
+    def resolve(perception, queries):
+        """Run *queries* through the four seams; return the misses."""
+        misses = perception.pending_misses(queries)
+        if misses:
+            frames = perception.render_batch(misses)
+            perception.match_batch(misses, perception.preprocess_batch(misses, frames))
+        return misses
+
+    def test_misses_answer_in_one_batch_call(self, perception, standing_human_world):
         world, human = standing_human_world(sign=MarshallingSign.YES)
         positions = [Vec3(0.2 * k, 3, 5) for k in range(4)]
         queries = [perception.query(p, human) for p in positions]
         assert all(q is not None for q in queries)
-        classified = perception.prefetch(queries)
-        assert classified == 4
+        assert len(self.resolve(perception, queries)) == 4
         assert perception.stats.batch_calls == 1
         # Subsequent observations are pure cache lookups.
         for position in positions:
             assert perception.observe(position, human) is MarshallingSign.YES
         assert perception.stats.frames_classified == 4
 
-    def test_prefetch_dedupes_and_skips_cached(self, perception, standing_human_world):
+    def test_pending_misses_dedupe_and_skip_cached(self, perception, standing_human_world):
         world, human = standing_human_world(sign=MarshallingSign.NO)
         query = perception.query(CANONICAL, human)
-        assert perception.prefetch([query, query, None]) == 1
-        assert perception.prefetch([query]) == 0
+        assert self.resolve(perception, [query, query, None]) == [query]
+        assert self.resolve(perception, [query]) == []
 
 
 class TestLightingViews:

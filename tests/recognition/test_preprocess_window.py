@@ -26,8 +26,12 @@ from repro.human import (
 )
 from repro.recognition import preprocess
 from repro.recognition.preprocess import PreprocessSettings, preprocess_frame, preprocess_frames
-from repro.simulation.longtail import OcclusionSpec, occlude_frame, temporal_blur
-from repro.simulation.scenarios import DEFAULT_LIGHTINGS
+from repro.simulation.scenarios import (
+    DEFAULT_LIGHTINGS,
+    OcclusionSpec,
+    occlude_frame,
+    temporal_blur,
+)
 from repro.vision import BinaryImage, FrameProvenance, Image, gaussian_blur, paint_capsule
 from repro.vision.components import label_components_fast
 

@@ -1,15 +1,17 @@
-"""Long-tail scenario generator: operators, sampling, serialisation."""
+"""Long-tail scenario layers: operators, sampling, serialisation."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.human.persona import WORKER
+from repro.human.render import render_frame
 from repro.human.signs import MarshallingSign
 from repro.simulation import (
     NIGHT,
     ConflictingSigner,
     FrameDropSpec,
-    LongTailScenario,
     MotionBlurSpec,
     OcclusionSpec,
     WalkDriftSpec,
@@ -20,8 +22,7 @@ from repro.simulation import (
     scenario_to_dict,
     temporal_blur,
 )
-from repro.simulation.longtail import AXIS_LIGHTINGS, AXIS_SIGNS
-from repro.simulation.scenarios import CALM, NOON, Scenario
+from repro.simulation.scenarios import AXIS_LIGHTINGS, AXIS_SIGNS, CALM, NOON, Scenario
 
 
 def clean_base(sign=MarshallingSign.YES) -> Scenario:
@@ -102,35 +103,45 @@ class TestOperators:
 
 class TestLongTailScenario:
     def test_clean_render_matches_base_bit_for_bit(self):
+        # A clean window is render_frame of each sampled pose, byte for byte.
         base = clean_base()
-        wrapped = LongTailScenario(base=base)
-        assert wrapped.is_clean
-        base_frames, base_times = base.render_window(duration_s=1.0, sample_hz=4.0)
-        wrap_frames, wrap_times = wrapped.render_window(duration_s=1.0, sample_hz=4.0)
-        assert wrap_times == base_times
-        for ours, theirs in zip(wrap_frames, base_frames):
-            assert np.array_equal(ours.pixels, theirs.pixels)
+        assert base.is_clean
+        frames, times = base.render_window(duration_s=1.0, sample_hz=4.0)
+        assert times == [0.0, 0.25, 0.5, 0.75]
+        settings = NOON.render_settings()
+        for frame, t in zip(frames, times):
+            single = render_frame(base.pose_at(t), base.camera(), settings)
+            assert np.array_equal(frame.pixels, single.pixels)
+
+    def test_clean_drops_every_layer(self):
+        scenario = sample_longtail(7, 2)
+        assert not scenario.is_clean
+        clean = scenario.clean
+        assert clean.is_clean
+        assert clean == replace(
+            scenario, occlusion=None, conflict=None, blur=None, drops=None, drift=None
+        )
+        assert scenario.name.startswith(clean.name + "+")
+        assert clean.clean == clean
 
     def test_conflicting_signer_adds_second_figure(self):
         base = clean_base()
-        clean = render_one(LongTailScenario(base=base))
-        doubled = render_one(
-            LongTailScenario(base=base, conflict=ConflictingSigner())
-        )
+        clean = render_one(base)
+        doubled = render_one(replace(base, conflict=ConflictingSigner()))
         # Two bodies silhouette more pixels than one.
         assert (doubled.pixels < 0.5).sum() > (clean.pixels < 0.5).sum()
 
     def test_render_is_deterministic(self):
         scenario = sample_longtail(11, 3)
-        duration = 1.0 if not scenario.is_dynamic else 2.0 * scenario.base.sign.period_s
+        duration = 1.0 if not scenario.is_dynamic else 2.0 * scenario.sign.period_s
         frames_a, _ = scenario.render_window(duration, 4.0)
         frames_b, _ = scenario.render_window(duration, 4.0)
         for a, b in zip(frames_a, frames_b):
             assert np.array_equal(a.pixels, b.pixels)
 
     def test_name_tags_active_layers(self):
-        scenario = LongTailScenario(
-            base=clean_base(),
+        scenario = replace(
+            clean_base(),
             occlusion=OcclusionSpec(side="top", fraction=0.3),
             drops=FrameDropSpec(period=2, mode="freeze"),
         )
@@ -176,8 +187,6 @@ class TestSerialisation:
             scenario_from_dict(data)
 
     def test_non_registry_persona_rejected_on_dump(self):
-        from dataclasses import replace
-
         from repro.human import Persona, TrainingLevel
 
         rogue = Persona(
@@ -187,9 +196,6 @@ class TestSerialisation:
             delay_jitter_s=0.0, max_lean_deg=0.0,
             grants_space_probability=1.0,
         )
-        scenario = sample_longtail(21, 0)
-        rogue_scenario = LongTailScenario(
-            base=replace(scenario.base, persona=rogue)
-        )
+        rogue_scenario = replace(sample_longtail(21, 0), persona=rogue)
         with pytest.raises(ValueError):
             scenario_to_dict(rogue_scenario)

@@ -1,38 +1,44 @@
-"""Scenario-matrix harness: enumeration, rendering, and accuracy sweeps.
+"""Scenarios: window rendering, and accuracy sweeps across the axes.
 
-The sweeps here run narrow slices of the matrix (the full 540-scenario
-cross product takes minutes); the slices still cross every axis at
-least once, and the batch-vs-scalar parity check runs per frame on top
+The sweeps run narrow slices of the axis grids (the full cross product
+takes minutes); the slices still cross every persona, wind and
+lighting, and the batch-vs-scalar parity check runs per frame on top
 of the accuracy assertions.
 """
+
+import itertools
 
 import pytest
 
 from repro.human import MOVE_UPWARD, WAVE_OFF, MarshallingSign
-from repro.human.dynamic import BUILTIN_DYNAMIC_SIGNS
+from repro.human.dynamic import BUILTIN_DYNAMIC_SIGNS, DynamicSign
 from repro.human.persona import SUPERVISOR, VISITOR, WORKER
-from repro.recognition import DynamicSignRecognizer, SaxSignRecognizer
+from repro.recognition import DynamicSignRecognizer
 from repro.simulation.scenarios import (
+    AXIS_LIGHTINGS,
+    AXIS_PERSONAS,
+    AXIS_SIGNS,
+    AXIS_WINDS,
     BREEZE,
     CALM,
     DEFAULT_LIGHTINGS,
-    DEFAULT_PERSONAS,
     DEFAULT_WINDS,
     DUSK,
     GUSTY,
+    LIGHTINGS,
+    NIGHT,
     NOON,
     OVERCAST,
+    WINDS,
     Scenario,
-    run_dynamic_matrix,
-    run_static_matrix,
-    scenario_matrix,
 )
+from repro.testing.fuzz import Recognizers, execute_window
 
 
 @pytest.fixture
-def static_recognizer(canonical_recognizer) -> SaxSignRecognizer:
-    # Shared session recogniser (tests/conftest.py); read-only here.
-    return canonical_recognizer
+def recognizers(canonical_recognizer, enrolled_dynamic_recognizer) -> Recognizers:
+    # Shared session recognisers (tests/conftest.py); read-only here.
+    return Recognizers(static=canonical_recognizer, dynamic=enrolled_dynamic_recognizer)
 
 
 @pytest.fixture
@@ -41,32 +47,26 @@ def dynamic_recognizer(enrolled_dynamic_recognizer) -> DynamicSignRecognizer:
     return enrolled_dynamic_recognizer
 
 
-class TestMatrix:
-    def test_full_matrix_size(self):
-        # 3 personas x (3 static + 2 dynamic) signs x 2 viewpoints
-        # x 2 azimuths x 3 winds x 3 lightings
-        assert len(scenario_matrix()) == 3 * 5 * 2 * 2 * 3 * 3
-
-    def test_axes_are_narrowable(self):
-        slice_ = scenario_matrix(
-            personas=(SUPERVISOR,),
-            signs=(MarshallingSign.YES,),
-            viewpoints=((5.0, 3.0),),
-            azimuths_deg=(0.0,),
-            winds=(CALM, GUSTY),
-            lightings=(NOON,),
-        )
-        assert len(slice_) == 2
-        assert {s.wind.name for s in slice_} == {"calm", "gusty"}
-
+class TestScenario:
     def test_scenario_name_is_descriptive(self):
-        scenario = scenario_matrix(
-            personas=(VISITOR,), signs=(WAVE_OFF,), winds=(BREEZE,), lightings=(DUSK,)
-        )[0]
+        scenario = Scenario(VISITOR, WAVE_OFF, 5.0, 3.0, 0.0, BREEZE, DUSK)
         assert "wave_off" in scenario.name
         assert "breeze" in scenario.name
         assert "dusk" in scenario.name
         assert scenario.is_dynamic
+
+    def test_condition_registries_hold_every_named_condition(self):
+        assert WINDS == {"calm": CALM, "breeze": BREEZE, "gusty": GUSTY}
+        assert LIGHTINGS == {
+            "noon": NOON, "overcast": OVERCAST, "dusk": DUSK, "night": NIGHT
+        }
+        assert set(AXIS_WINDS) == set(WINDS.values())
+        assert set(AXIS_LIGHTINGS) == set(LIGHTINGS.values())
+
+    def test_builtin_dynamic_signs_are_on_the_sign_axis(self):
+        signs = {s.name for s in BUILTIN_DYNAMIC_SIGNS}
+        axis_signs = {s.name for s in AXIS_SIGNS if isinstance(s, DynamicSign)}
+        assert signs == axis_signs
 
 
 class TestRendering:
@@ -95,6 +95,23 @@ class TestRendering:
         # signal: 16 frames, sway: 24 frames at 10 Hz -> lcm 48
         assert scenario.pose_repeat_frames(10.0) == 48
 
+    def test_count_over_rate_window_keeps_every_sample(self):
+        # count / hz * hz lands one ulp under count for these pairs
+        # (29 frames at 25 Hz, 123 at 15 Hz, ...); the window must
+        # still hold all count samples.
+        scenario = Scenario(SUPERVISOR, MarshallingSign.YES, 5.0, 3.0, 0.0, CALM, NOON)
+        pairs = [
+            (count, float(hz))
+            for hz in (4, 5, 8, 10, 12, 15, 25, 30)
+            for count in range(1, 500)
+            if int(count / hz * hz) != count
+        ]
+        assert (29, 25.0) in pairs and (123, 15.0) in pairs
+        for count, hz in pairs:
+            frames, times = scenario.render_window(count / hz, hz)
+            assert len(frames) == len(times) == count, (count, hz)
+            assert times[-1] == (count - 1) / hz
+
     def test_wind_condition_maps_to_wind_model(self):
         model = GUSTY.wind_model(seed=7)
         assert model.mean_speed_mps == GUSTY.speed_mps
@@ -109,70 +126,48 @@ class TestRendering:
 
 
 class TestStaticSweep:
-    def test_accuracy_and_safety_across_axes(self, static_recognizer):
+    def test_accuracy_and_safety_across_axes(self, recognizers):
         # One static sign swept across every persona, wind and lighting.
-        scenarios = scenario_matrix(
-            signs=(MarshallingSign.NO,),
-            viewpoints=((5.0, 3.0),),
-            azimuths_deg=(0.0,),
-            personas=DEFAULT_PERSONAS,
-            winds=DEFAULT_WINDS,
-            lightings=DEFAULT_LIGHTINGS,
-        )
-        outcomes = run_static_matrix(static_recognizer, scenarios)
-        assert len(outcomes) == 27
-        assert all(outcome.safe for outcome in outcomes)
-        assert all(outcome.correct for outcome in outcomes)
+        scenarios = [
+            Scenario(persona, MarshallingSign.NO, 5.0, 3.0, 0.0, wind, lighting)
+            for persona, wind, lighting in itertools.product(
+                AXIS_PERSONAS, DEFAULT_WINDS, DEFAULT_LIGHTINGS
+            )
+        ]
+        results = [execute_window(scenario, recognizers) for scenario in scenarios]
+        assert len(results) == 27
+        assert all(result.safe for result in results)
+        assert all(result.correct for result in results)
 
-    def test_batch_equals_scalar_per_frame(self, static_recognizer):
-        scenarios = scenario_matrix(
-            personas=(WORKER,),
-            signs=(MarshallingSign.YES, MarshallingSign.ATTENTION),
-            viewpoints=((3.0, 3.0),),
-            azimuths_deg=(30.0,),
-            winds=(GUSTY,),
-            lightings=(DUSK,),
-        )
-        outcomes = run_static_matrix(static_recognizer, scenarios)
-        for outcome in outcomes:
-            frames, _ = outcome.scenario.render_window(1.0, 4.0)
+    def test_batch_equals_scalar_per_frame(self, recognizers):
+        for sign in (MarshallingSign.YES, MarshallingSign.ATTENTION):
+            scenario = Scenario(WORKER, sign, 3.0, 3.0, 30.0, GUSTY, DUSK)
+            result = execute_window(scenario, recognizers)
+            frames, _ = scenario.render_window(1.0, 4.0)
             scalar = [
-                static_recognizer.recognise(
-                    frame, elevation_deg=outcome.scenario.elevation_deg
+                recognizers.static.recognise(
+                    frame, elevation_deg=scenario.elevation_deg
                 ).label
                 for frame in frames
             ]
-            assert list(outcome.frame_labels) == scalar
-
-    def test_dynamic_scenarios_rejected(self, static_recognizer):
-        with pytest.raises(ValueError):
-            run_static_matrix(static_recognizer, scenario_matrix(signs=(WAVE_OFF,))[:1])
+            assert list(result.labels) == scalar
 
 
 class TestDynamicSweep:
     def test_accuracy_and_safety_across_axes(self, dynamic_recognizer):
-        scenarios = scenario_matrix(
-            signs=(WAVE_OFF,),
-            viewpoints=((5.0, 3.0),),
-            azimuths_deg=(0.0,),
-            personas=(SUPERVISOR, VISITOR),
-            winds=(CALM, GUSTY),
-            lightings=(NOON, DUSK),
-        )
-        outcomes = run_dynamic_matrix(dynamic_recognizer, scenarios)
-        assert len(outcomes) == 8
-        assert all(outcome.safe for outcome in outcomes)
-        assert all(outcome.correct for outcome in outcomes)
+        # Three signal periods at 10 Hz per window.
+        for persona, wind, lighting in itertools.product(
+            (SUPERVISOR, VISITOR), (CALM, GUSTY), (NOON, DUSK)
+        ):
+            scenario = Scenario(persona, WAVE_OFF, 5.0, 3.0, 0.0, wind, lighting)
+            frames, times = scenario.render_window(3.0 * WAVE_OFF.period_s, 10.0)
+            recognition = dynamic_recognizer.recognize_window(
+                frames, times, elevation_deg=scenario.elevation_deg
+            )
+            assert recognition.sign_name == scenario.expected_label, scenario.name
 
     def test_window_equals_scalar_reference(self, dynamic_recognizer):
-        scenario = scenario_matrix(
-            personas=(WORKER,),
-            signs=(MOVE_UPWARD,),
-            viewpoints=((3.0, 3.0),),
-            azimuths_deg=(30.0,),
-            winds=(BREEZE,),
-            lightings=(OVERCAST,),
-        )[0]
+        scenario = Scenario(WORKER, MOVE_UPWARD, 3.0, 3.0, 30.0, BREEZE, OVERCAST)
         frames, times = scenario.render_window(2.0 * MOVE_UPWARD.period_s, 10.0)
         observations = [
             dynamic_recognizer.classify_frame(frame, t, scenario.elevation_deg)
@@ -187,14 +182,3 @@ class TestDynamicSweep:
             scalar.sign_name,
             scalar.cycles_seen,
         )
-
-    def test_static_scenarios_rejected(self, dynamic_recognizer):
-        with pytest.raises(ValueError):
-            run_dynamic_matrix(
-                dynamic_recognizer, scenario_matrix(signs=(MarshallingSign.NO,))[:1]
-            )
-
-    def test_builtin_dynamic_signs_cover_matrix_default(self):
-        signs = {s.name for s in BUILTIN_DYNAMIC_SIGNS}
-        matrix_signs = {s.expected_label for s in scenario_matrix() if s.is_dynamic}
-        assert signs == matrix_signs

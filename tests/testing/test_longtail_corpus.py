@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.simulation.longtail import NIGHT, scenario_from_dict
+from repro.simulation.scenarios import NIGHT, scenario_from_dict
 from repro.testing.fuzz import execute_window, replay_case
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "data" / "longtail"
@@ -35,7 +35,7 @@ def test_corpus_covers_required_categories():
             covered.add("dropped_frame")
         if scenario.drift is not None:
             covered.add("walk_while_sign")
-        if scenario.base.lighting is NIGHT:
+        if scenario.lighting is NIGHT:
             covered.add("night")
     assert covered >= {
         "occlusion", "dual_signer", "dropped_frame", "night", "walk_while_sign"
