@@ -26,6 +26,16 @@ Measures frames/sec of the batched engine against the scalar loop on
   pixels as provenance-free images (each frame's window is the whole
   frame), with ``identical`` — every ``PreprocessResult`` byte-equal —
   asserted on every run.  Gate: ≥ 2×.
+* **single_frame**: one-frame recognition requests, the shape of every
+  request the fleets and the ``recognize-distinct`` workload send.  Each
+  of the distinct batch's scenes (its signs and spread of azimuths,
+  brought inside the recogniser's 25° trust envelope) is one request
+  through the ``RecognizerPerception`` seams (``query`` →
+  ``pending_misses`` → ``render_batch`` → ``preprocess_batch`` →
+  ``match_batch``, on an empty cache), against rendering the same query
+  and reading it with the scalar ``SaxSignRecognizer.recognise``.
+  ``verdicts_identical`` is asserted on every run, smoke runs included;
+  there is no speed gate.
 
 Set ``BENCH_SMOKE=1`` to run a tiny batch with the perf gates disabled
 (parity checks stay on) — the CI smoke job uses this so the script
@@ -43,9 +53,18 @@ import time
 from pathlib import Path
 
 from repro.geometry import observation_camera
-from repro.human import COMMUNICATIVE_SIGNS, RenderSettings, pose_for_sign, render_frame
+from repro.human import (
+    COMMUNICATIVE_SIGNS,
+    WORKER,
+    HumanAgent,
+    RenderSettings,
+    pose_for_sign,
+    render_frame,
+)
+from repro.protocol.recognizer import RecognizerPerception
 from repro.recognition.pipeline import observation_elevation_deg
 from repro.recognition.preprocess import PreprocessSettings, preprocess_frames
+from repro.simulation.world import World
 from repro.testing import reference
 from repro.vision import Image
 
@@ -186,6 +205,63 @@ def measure_preprocess(count: int = BATCH_SIZE) -> dict:
     }
 
 
+#: Widest azimuth of the single-frame requests: inside the recogniser's
+#: 25° trust envelope, so no request is gated.
+SINGLE_FRAME_MAX_AZIMUTH_DEG = 24.0
+
+
+def single_frame_requests(count: int = BATCH_SIZE) -> list:
+    """*count* pairwise-distinct one-frame requests ``(drone_position,
+    signaller)``: the distinct batch's signs, seen from 5 m up and 3 m
+    away at azimuths spread over the trust envelope."""
+    world = World()
+    requests = []
+    for i in range(count):
+        signaller = HumanAgent(f"signaller{i}", persona=WORKER)
+        signaller.show_sign(COMMUNICATIVE_SIGNS[i % len(COMMUNICATIVE_SIGNS)], world)
+        camera = observation_camera(5.0, 3.0, SINGLE_FRAME_MAX_AZIMUTH_DEG * i / count)
+        requests.append((camera.position, signaller))
+    return requests
+
+
+def serve_single_frames(recognizer, requests) -> list:
+    """Send *requests* one at a time through a fresh perception's seams;
+    returns the verdict of each."""
+    perception = RecognizerPerception(recognizer=recognizer).with_render_settings(SETTINGS)
+    verdicts = []
+    for drone, signaller in requests:
+        misses = perception.pending_misses([perception.query(drone, signaller)])
+        frames = perception.render_batch(misses)
+        verdicts += perception.match_batch(misses, perception.preprocess_batch(misses, frames))
+    return verdicts
+
+
+def scalar_single_frames(recognizer, requests) -> list:
+    """Render each request's query and read it with the scalar recogniser."""
+    perception = RecognizerPerception(recognizer=recognizer).with_render_settings(SETTINGS)
+    queries = [perception.query(drone, signaller) for drone, signaller in requests]
+    return [
+        recognizer.recognise(query.render(), elevation_deg=query.elevation_deg).sign
+        for query in queries
+    ]
+
+
+def measure_single_frame(recognizer, count: int = BATCH_SIZE) -> dict:
+    """One-frame seam requests vs the scalar recogniser on the same frames."""
+    requests = single_frame_requests(count)
+    verdicts = serve_single_frames(recognizer, requests)
+    assert len(verdicts) == count, "a single-frame request was gated or cached"
+    scalar_s = timed(lambda: scalar_single_frames(recognizer, requests))
+    seams_s = timed(lambda: serve_single_frames(recognizer, requests))
+    return {
+        "fps": fps(seams_s, count),
+        "scalar_fps": fps(scalar_s, count),
+        "speedup": scalar_s / seams_s,
+        "verdicts_identical": verdicts == scalar_single_frames(recognizer, requests),
+        "cpu_count": HOST["cpu_count"],
+    }
+
+
 def measure(recognizer) -> dict:
     frames = make_frames()
     distinct = make_distinct_frames()
@@ -213,6 +289,7 @@ def measure(recognizer) -> dict:
         "end_to_end_distinct": _end_to_end(recognizer, distinct),
         "render": measure_render(),
         "preprocess": measure_preprocess(),
+        "single_frame": measure_single_frame(recognizer),
     }
 
 
@@ -283,6 +360,16 @@ def test_preprocess_throughput(benchmark):
         assert stats["speedup"] >= PREPROCESS_SPEEDUP_GATE
 
 
+def test_single_frame_throughput(benchmark, recognizer):
+    """One-frame requests through the perception seams read every frame
+    as the scalar recogniser does."""
+    requests = single_frame_requests()
+    benchmark(serve_single_frames, recognizer, requests)
+    stats = measure_single_frame(recognizer)
+    assert stats["verdicts_identical"]
+    benchmark.extra_info["speedup_vs_scalar"] = round(stats["speedup"], 2)
+
+
 if __name__ == "__main__":
     from repro.recognition import SaxSignRecognizer
 
@@ -292,7 +379,7 @@ if __name__ == "__main__":
     artifact = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
     artifact.write_text(json.dumps(stats, indent=2) + "\n")
     m, e, d = stats["matcher"], stats["end_to_end"], stats["end_to_end_distinct"]
-    r, p = stats["render"], stats["preprocess"]
+    r, p, f = stats["render"], stats["preprocess"], stats["single_frame"]
     print(
         f"T-THRU ({BATCH_SIZE}-frame batch, {stats['enrolled_views']} views, "
         f"{HOST['cpu_count']} cores, Python {HOST['python']})"
@@ -319,7 +406,12 @@ if __name__ == "__main__":
         f"windowed ({p['speedup']:.2f}x, gate >= {PREPROCESS_SPEEDUP_GATE:.1f}x, "
         f"identical={p['identical']})"
     )
+    print(
+        f"  single frame:    {f['scalar_fps']:8.0f} fps scalar -> {f['fps']:8.0f} fps "
+        f"seams    ({f['speedup']:.2f}x, verdicts_identical={f['verdicts_identical']})"
+    )
     print(f"  wrote {artifact.name}")
+    assert f["verdicts_identical"], "one-frame seam requests drifted from the scalar recogniser"
     assert r["pixel_identical"], "render_frame drifted from the reference renderer"
     assert p["identical"], "windowed preprocess drifted from the whole-frame window"
     if SMOKE:

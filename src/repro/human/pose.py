@@ -19,10 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geometry.vec import Vec3
 from repro.human.signs import MarshallingSign
 
-__all__ = ["Bone", "BodyDimensions", "HumanPose", "ArmAngles", "pose_for_sign", "pose_with_arms"]
+__all__ = [
+    "Bone",
+    "BodyDimensions",
+    "HumanPose",
+    "ArmAngles",
+    "pose_for_sign",
+    "pose_with_arms",
+    "capsule_endpoints",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,6 +204,60 @@ def pose_for_sign(
     )
 
 
+def capsule_endpoints(
+    sign: MarshallingSign,
+    position: Vec3 = Vec3(0.0, 0.0, 0.0),
+    facing_deg: float = 0.0,
+    dimensions: BodyDimensions | None = None,
+    lean_deg: float = 0.0,
+) -> tuple[np.ndarray, list[float]]:
+    """The capsules of ``pose_for_sign(...)`` as plain arrays.
+
+    Returns ``(endpoints, radii)``: the ``(2K, 3)`` world endpoints of
+    the pose's K capsules (start and end of each, in
+    :meth:`HumanPose.all_capsules` order, the head last as a zero-length
+    capsule) and their K radii.  Every value equals the pose's own, but
+    no :class:`~repro.geometry.vec.Vec3` or :class:`Bone` is built —
+    what the renderer consumes, for callers that need no skeleton.
+    """
+    dims = dimensions if dimensions is not None else BodyDimensions()
+    joints = _joints(
+        _ARM_ANGLES_DEG[sign], position.x, position.y, position.z, facing_deg, dims, lean_deg
+    )
+    endpoints = np.array(joints, dtype=np.float64)[_CAPSULE_JOINTS]
+    return endpoints, [*_bone_radii(dims), dims.head_radius]
+
+
+# The skeleton's joints, in the order :func:`_joints` lists them, and
+# each bone's name and (start, end) joints; the head centre is last.
+(_PELVIS, _NECK, _CHEST_LEFT, _CHEST_RIGHT, _RIGHT_HIP, _RIGHT_KNEE, _RIGHT_ANKLE,
+ _LEFT_HIP, _LEFT_KNEE, _LEFT_ANKLE, _RIGHT_ELBOW, _RIGHT_WRIST, _LEFT_ELBOW,
+ _LEFT_WRIST, _HEAD) = range(15)
+_BONES = (
+    ("torso", _PELVIS, _NECK),
+    ("chest", _CHEST_LEFT, _CHEST_RIGHT),
+    ("right_thigh", _RIGHT_HIP, _RIGHT_KNEE),
+    ("right_shin", _RIGHT_KNEE, _RIGHT_ANKLE),
+    ("left_thigh", _LEFT_HIP, _LEFT_KNEE),
+    ("left_shin", _LEFT_KNEE, _LEFT_ANKLE),
+    ("right_upper_arm", _CHEST_RIGHT, _RIGHT_ELBOW),
+    ("right_forearm", _RIGHT_ELBOW, _RIGHT_WRIST),
+    ("left_upper_arm", _CHEST_LEFT, _LEFT_ELBOW),
+    ("left_forearm", _LEFT_ELBOW, _LEFT_WRIST),
+)
+#: Joint index of every capsule endpoint, in ``all_capsules`` order.
+_CAPSULE_JOINTS = np.array(
+    [joint for _, start, end in _BONES for joint in (start, end)] + [_HEAD, _HEAD]
+)
+_CAPSULE_JOINTS.setflags(write=False)
+
+
+def _bone_radii(dims: BodyDimensions) -> tuple[float, ...]:
+    """The radius of every bone, in ``_BONES`` order."""
+    torso, leg, arm = dims.torso_radius, dims.leg_radius, dims.arm_radius
+    return (torso, torso * 0.55, leg, leg * 0.8, leg, leg * 0.8, arm, arm * 0.9, arm, arm * 0.9)
+
+
 def _build_pose(
     arm_pairs: tuple[tuple[float, float], tuple[float, float]],
     position: Vec3,
@@ -203,82 +267,86 @@ def _build_pose(
     sign: MarshallingSign,
 ) -> HumanPose:
     dims = dimensions if dimensions is not None else BodyDimensions()
-    lateral = _lateral_axis(facing_deg)
-    lean = math.radians(lean_deg)
-    cos_lean, sin_lean = math.cos(lean), math.sin(lean)
-    px, py, pz = position.x, position.y, position.z
-    lx, ly, lz = lateral.x, lateral.y, lateral.z
-
-    def body_point(side_m: float, height_m: float) -> Vec3:
-        """Map (lateral, vertical) frontal-plane coords to world."""
-        leaned_side = side_m * cos_lean + height_m * sin_lean
-        leaned_up = height_m * cos_lean - side_m * sin_lean
-        # position + lateral * leaned_side + up * leaned_up, up = (0, 0, 1),
-        # one component at a time.
-        return Vec3(
-            px + lx * leaned_side + 0.0 * leaned_up,
-            py + ly * leaned_side + 0.0 * leaned_up,
-            pz + lz * leaned_side + 1.0 * leaned_up,
+    joints = [
+        Vec3(x, y, z)
+        for x, y, z in _joints(
+            arm_pairs, position.x, position.y, position.z, facing_deg, dims, lean_deg
         )
-
-    right_angles, left_angles = arm_pairs
-
-    bones: list[Bone] = []
-    # Torso: pelvis to neck, plus a chest bar across the shoulder line so
-    # the arm capsules are always connected to the trunk silhouette.
-    pelvis = body_point(0.0, dims.hip_height)
-    neck = body_point(0.0, dims.shoulder_height)
-    bones.append(Bone("torso", pelvis, neck, dims.torso_radius))
-    chest_left = body_point(-dims.shoulder_half_width, dims.shoulder_height)
-    chest_right = body_point(dims.shoulder_half_width, dims.shoulder_height)
-    bones.append(Bone("chest", chest_left, chest_right, dims.torso_radius * 0.55))
-
-    # Legs (slightly apart for a stable stance).
-    for side, label in ((+1.0, "right"), (-1.0, "left")):
-        hip = body_point(side * dims.hip_half_width, dims.hip_height)
-        knee = body_point(side * (dims.hip_half_width + 0.02), dims.hip_height - dims.thigh)
-        ankle = body_point(
-            side * (dims.hip_half_width + 0.04),
-            max(0.06, dims.hip_height - dims.thigh - dims.shin),
-        )
-        bones.append(Bone(f"{label}_thigh", hip, knee, dims.leg_radius))
-        bones.append(Bone(f"{label}_shin", knee, ankle, dims.leg_radius * 0.8))
-
-    # Arms.
-    for side, label, (upper_deg, fore_deg) in (
-        (+1.0, "right", right_angles),
-        (-1.0, "left", left_angles),
-    ):
-        shoulder = chest_right if side > 0 else chest_left
-        upper_rad = math.radians(upper_deg)
-        elbow_side = side * (dims.shoulder_half_width + dims.upper_arm * math.sin(upper_rad))
-        elbow_height = dims.shoulder_height - dims.upper_arm * math.cos(upper_rad)
-        elbow = body_point(elbow_side, elbow_height)
-        fore_rad = math.radians(fore_deg)
-        # Forearm angle measured in the same frontal-plane convention.
-        wrist_side = elbow_side + side * dims.forearm_and_hand * math.sin(fore_rad)
-        wrist_height = elbow_height - dims.forearm_and_hand * math.cos(fore_rad)
-        wrist = body_point(wrist_side, wrist_height)
-        bones.append(Bone(f"{label}_upper_arm", shoulder, elbow, dims.arm_radius))
-        bones.append(Bone(f"{label}_forearm", elbow, wrist, dims.arm_radius * 0.9))
-
-    head_centre = body_point(0.0, dims.head_centre_height)
+    ]
+    bones = tuple(
+        Bone(name, joints[start], joints[end], radius)
+        for (name, start, end), radius in zip(_BONES, _bone_radii(dims))
+    )
     return HumanPose(
-        bones=tuple(bones),
-        head_centre=head_centre,
+        bones=bones,
+        head_centre=joints[_HEAD],
         head_radius=dims.head_radius,
         sign=sign,
     )
 
 
-def _lateral_axis(facing_deg: float) -> Vec3:
-    """Unit vector pointing to the body's right in world coordinates.
-
-    Facing 0° means facing +y, so the body's right points along -x from
-    the observer's view — i.e. +x in world terms mirrors the observer's
-    left; we use the body's own right = world ``(cos, -sin)`` mapping.
-    """
+def _joints(
+    arm_pairs: tuple[tuple[float, float], tuple[float, float]],
+    px: float,
+    py: float,
+    pz: float,
+    facing_deg: float,
+    dims: BodyDimensions,
+    lean_deg: float,
+) -> list[tuple[float, float, float]]:
+    """The world ``(x, y, z)`` of every joint, in ``_BONES``' joint order."""
+    # The lateral axis: a unit vector to the body's right.  Facing 0°
+    # faces +y, so the body's right is world +x, which mirrors the
+    # observer's left.  The body faces (sin(yaw), cos(yaw)); its right
+    # is that rotated -90° about z: (cos(yaw), -sin(yaw), 0).
     yaw = math.radians(facing_deg)
-    # Body faces (sin(yaw), cos(yaw)); its right-hand lateral axis is the
-    # facing vector rotated -90° about z.
-    return Vec3(math.cos(yaw), -math.sin(yaw), 0.0)
+    lx, ly, lz = math.cos(yaw), -math.sin(yaw), 0.0
+    lean = math.radians(lean_deg)
+    cos_lean, sin_lean = math.cos(lean), math.sin(lean)
+
+    def body_point(side_m: float, height_m: float) -> tuple[float, float, float]:
+        """Map (lateral, vertical) frontal-plane coords to world."""
+        leaned_side = side_m * cos_lean + height_m * sin_lean
+        leaned_up = height_m * cos_lean - side_m * sin_lean
+        # position + lateral * leaned_side + up * leaned_up, up = (0, 0, 1),
+        # one component at a time.
+        return (
+            px + lx * leaned_side + 0.0 * leaned_up,
+            py + ly * leaned_side + 0.0 * leaned_up,
+            pz + lz * leaned_side + 1.0 * leaned_up,
+        )
+
+    # Torso: pelvis to neck, plus a chest bar across the shoulder line so
+    # the arm capsules are always connected to the trunk silhouette.
+    joints = [
+        body_point(0.0, dims.hip_height),
+        body_point(0.0, dims.shoulder_height),
+        body_point(-dims.shoulder_half_width, dims.shoulder_height),
+        body_point(dims.shoulder_half_width, dims.shoulder_height),
+    ]
+    # Legs (slightly apart for a stable stance): hip, knee, ankle.
+    for side in (+1.0, -1.0):
+        joints.append(body_point(side * dims.hip_half_width, dims.hip_height))
+        joints.append(
+            body_point(side * (dims.hip_half_width + 0.02), dims.hip_height - dims.thigh)
+        )
+        joints.append(
+            body_point(
+                side * (dims.hip_half_width + 0.04),
+                max(0.06, dims.hip_height - dims.thigh - dims.shin),
+            )
+        )
+    # Arms: elbow, wrist; each upper arm starts at its end of the chest bar.
+    for side, (upper_deg, fore_deg) in zip((+1.0, -1.0), arm_pairs):
+        upper_rad = math.radians(upper_deg)
+        elbow_side = side * (dims.shoulder_half_width + dims.upper_arm * math.sin(upper_rad))
+        elbow_height = dims.shoulder_height - dims.upper_arm * math.cos(upper_rad)
+        joints.append(body_point(elbow_side, elbow_height))
+        fore_rad = math.radians(fore_deg)
+        # Forearm angle measured in the same frontal-plane convention.
+        wrist_side = elbow_side + side * dims.forearm_and_hand * math.sin(fore_rad)
+        wrist_height = elbow_height - dims.forearm_and_hand * math.cos(fore_rad)
+        joints.append(body_point(wrist_side, wrist_height))
+    joints.append(body_point(0.0, dims.head_centre_height))
+    return joints
+

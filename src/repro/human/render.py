@@ -9,7 +9,12 @@ background) for the full recognition pipeline.
 
 A frame does work only where its figures are:
 
-* each pose's capsule endpoints go through one
+* a figure is its capsules as plain arrays — the ``(2K, 3)`` world
+  endpoints and K radii — which :func:`render_capsules` takes straight
+  from :func:`~repro.human.pose.capsule_endpoints` (no skeleton is
+  built for a recognition query's frame) and :func:`render_scene`
+  reads off its poses;
+* each figure's capsule endpoints go through one
   :meth:`~repro.geometry.camera.PinholeCamera.project_points` call, and
   all visible capsules of the scene are tested in one vectorised pass
   over their concatenated clipped windows
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +47,13 @@ from repro.human.pose import HumanPose
 from repro.vision.image import BinaryImage, FrameProvenance, Image
 from repro.vision.raster import capsule_pixels
 
-__all__ = ["RenderSettings", "render_silhouette", "render_frame", "render_scene"]
+__all__ = [
+    "RenderSettings",
+    "render_silhouette",
+    "render_frame",
+    "render_scene",
+    "render_capsules",
+]
 
 # Capsules with an endpoint at or nearer than this depth (metres) are
 # culled: they are behind or grazing the camera.
@@ -64,21 +76,27 @@ class RenderSettings:
             raise ValueError("noise sigma must be non-negative")
 
 
-def _pixel_capsules(
-    pose: HumanPose, camera: PinholeCamera
-) -> list[tuple[tuple[float, float], tuple[float, float], float]]:
-    """The ``((row, col), (row, col), radius)`` pixel capsules of *pose*
-    that lie in front of *camera*."""
-    focal = camera.intrinsics.focal_px
+def _pose_capsules(pose: HumanPose) -> tuple[np.ndarray, list[float]]:
+    """*pose*'s ``(2K, 3)`` capsule endpoints and K radii (the form
+    :func:`~repro.human.pose.capsule_endpoints` builds directly)."""
     capsules = pose.all_capsules()
     endpoints = np.array(
         [(p.x, p.y, p.z) for start, end, _ in capsules for p in (start, end)],
         dtype=np.float64,
     )
+    return endpoints, [radius for _, _, radius in capsules]
+
+
+def _pixel_capsules(
+    endpoints: np.ndarray, radii: Sequence[float], camera: PinholeCamera
+) -> list[tuple[tuple[float, float], tuple[float, float], float]]:
+    """The ``((row, col), (row, col), radius)`` pixel capsules of one
+    figure's world capsules that lie in front of *camera*."""
+    focal = camera.intrinsics.focal_px
     pixels, depths = camera.project_points(endpoints)
     pixels, depths = pixels.tolist(), depths.tolist()
     visible = []
-    for i, (_, _, radius) in enumerate(capsules):
+    for i, radius in enumerate(radii):
         d0, d1 = depths[2 * i], depths[2 * i + 1]
         if d0 <= _MIN_DEPTH_M or d1 <= _MIN_DEPTH_M:
             continue  # behind or grazing the camera
@@ -87,12 +105,19 @@ def _pixel_capsules(
     return visible
 
 
-def _scene_pixels(poses, camera: PinholeCamera) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """The flat indices of the scene's foreground pixels (repeats
-    allowed) and a ``(top, left, height, width)`` box containing all of
-    them (zero-sized when no capsule reached the frame)."""
+def _scene_pixels(
+    figures: Sequence[tuple[np.ndarray, Sequence[float]]], camera: PinholeCamera
+) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """The flat indices of the foreground pixels of *figures* (each its
+    ``(endpoints, radii)``; repeats allowed) and a ``(top, left, height,
+    width)`` box containing all of them (zero-sized when no capsule
+    reached the frame).  Each figure is projected on its own."""
     k = camera.intrinsics
-    capsules = [capsule for pose in poses for capsule in _pixel_capsules(pose, camera)]
+    capsules = [
+        capsule
+        for endpoints, radii in figures
+        for capsule in _pixel_capsules(endpoints, radii, camera)
+    ]
     painted, (top, left, bottom, right) = capsule_pixels((k.height, k.width), capsules)
     return painted, (top, left, max(0, bottom - top), max(0, right - left))
 
@@ -137,7 +162,7 @@ def render_silhouette(pose: HumanPose, camera: PinholeCamera) -> BinaryImage:
     """
     k = camera.intrinsics
     mask = np.zeros((k.height, k.width), dtype=bool)
-    mask.put(_scene_pixels([pose], camera)[0], True)
+    mask.put(_scene_pixels([_pose_capsules(pose)], camera)[0], True)
     return BinaryImage(mask)
 
 
@@ -167,16 +192,43 @@ def render_scene(
     :func:`render_frame` — the long-tail scenario engine uses the
     multi-pose form to place a second, conflicting signaller in-frame.
     """
-    cfg = settings if settings is not None else RenderSettings()
     if not poses:
         raise ValueError("need at least one pose to render")
+    return _render([_pose_capsules(pose) for pose in poses], camera, settings)
+
+
+def render_capsules(
+    endpoints: np.ndarray,
+    radii: Sequence[float],
+    camera: PinholeCamera,
+    settings: RenderSettings | None = None,
+) -> Image:
+    """Render one figure given as capsules, with no skeleton built.
+
+    *endpoints* and *radii* are what
+    :func:`~repro.human.pose.capsule_endpoints` returns; the frame is
+    bit-identical to :func:`render_frame` of the pose they describe.
+    """
+    return _render([(endpoints, radii)], camera, settings)
+
+
+def _render(
+    figures: Sequence[tuple[np.ndarray, Sequence[float]]],
+    camera: PinholeCamera,
+    settings: RenderSettings | None,
+) -> Image:
+    """The frame of *figures* (see :func:`_scene_pixels`)."""
+    cfg = settings if settings is not None else RenderSettings()
     k = camera.intrinsics
     shape = (k.height, k.width)
-    painted, box = _scene_pixels(poses, camera)
+    painted, box = _scene_pixels(figures, camera)
     backdrop = _Backdrop(cfg.background_intensity, cfg.noise_sigma, cfg.seed, shape)
     frame = backdrop.pixels().copy()
-    figure = np.full(painted.shape, cfg.figure_intensity, dtype=np.float64)
     if cfg.noise_sigma > 0:
-        figure += _noise_field(cfg.seed, cfg.noise_sigma, shape).take(painted)
+        # noise + intensity: the same sum as intensity + noise.
+        figure = _noise_field(cfg.seed, cfg.noise_sigma, shape).take(painted)
+        figure += cfg.figure_intensity
+    else:
+        figure = np.full(painted.shape, cfg.figure_intensity, dtype=np.float64)
     frame.put(painted, np.clip(figure, 0.0, 1.0, out=figure))
     return Image._over_backdrop(frame, FrameProvenance(backdrop, box))

@@ -39,15 +39,22 @@ class ObservationGeometry:
     @staticmethod
     def between(drone_position: Vec3, human: HumanAgent) -> "ObservationGeometry":
         """Compute the observation geometry for the current poses."""
-        offset = drone_position.horizontal() - human.position
-        distance = offset.norm()
+        return ObservationGeometry.at(drone_position.x, drone_position.y, drone_position.z, human)
+
+    @staticmethod
+    def at(x: float, y: float, z: float, human: HumanAgent) -> "ObservationGeometry":
+        """:meth:`between` for a drone at ``(x, y, z)``, without building
+        a vector."""
+        position = human.position
+        dx, dy = x - position.x, y - position.y
+        distance = math.hypot(dx, dy)
         if distance < 1e-9:
             bearing_deg = 0.0
         else:
-            bearing_deg = math.degrees(math.atan2(offset.x, offset.y)) % 360.0
+            bearing_deg = math.degrees(math.atan2(dx, dy)) % 360.0
         azimuth = abs(degrees_difference(bearing_deg, human.facing_deg))
         return ObservationGeometry(
-            altitude_m=drone_position.z,
+            altitude_m=z,
             horizontal_distance_m=distance,
             relative_azimuth_deg=azimuth,
         )

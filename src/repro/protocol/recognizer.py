@@ -52,8 +52,8 @@ from typing import Sequence
 from repro.geometry.camera import CameraIntrinsics, PinholeCamera
 from repro.geometry.vec import Vec3
 from repro.human.agent import HumanAgent
-from repro.human.pose import BodyDimensions, HumanPose, pose_for_sign
-from repro.human.render import RenderSettings, render_frame
+from repro.human.pose import BodyDimensions, HumanPose, capsule_endpoints, pose_for_sign
+from repro.human.render import RenderSettings, render_capsules
 from repro.human.signs import MarshallingSign
 from repro.protocol.perception import ObservationGeometry
 from repro.recognition.pipeline import (
@@ -200,8 +200,26 @@ class ObservationQuery:
         )
 
     def render(self) -> Image:
-        """Render the query's frame (deterministic)."""
-        return render_frame(self.pose(), self.camera(), self.settings)
+        """Render the query's frame (deterministic): ``render_frame`` of
+        :meth:`pose`, drawn from its capsules with no skeleton built."""
+        endpoints, radii = capsule_endpoints(
+            self.sign,
+            position=Vec3(self.human_x, self.human_y, 0.0),
+            facing_deg=self.facing_deg,
+            dimensions=self.dimensions,
+            lean_deg=self.lean_deg,
+        )
+        return render_capsules(endpoints, radii, self.camera(), self.settings)
+
+
+def _at_torso(x: float, y: float, z: float, human_x: float, human_y: float) -> bool:
+    """Whether a camera at ``(x, y, z)`` sits on the signaller's torso
+    centre (within 1e-6 m on every axis): a degenerate pose."""
+    return (
+        abs(x - human_x) <= 1e-6
+        and abs(y - human_y) <= 1e-6
+        and abs(z - TORSO_CENTRE_HEIGHT_M) <= 1e-6
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,14 +332,15 @@ class RecognizerPerception:
         recognition: geometry outside the trust envelope, or a
         degenerate camera pose — those observations read ``None``.
         """
-        torso = human.position3() + Vec3(0.0, 0.0, TORSO_CENTRE_HEIGHT_M)
-        if drone_position.is_close(torso, tol=1e-6):
+        position = human.position
+        hx, hy = position.x, position.y
+        if _at_torso(drone_position.x, drone_position.y, drone_position.z, hx, hy):
             return None
         query = ObservationQuery.build(drone_position, human, self.render_settings)
-        if query.camera_position.is_close(query.torso_target, tol=1e-6):
+        x, y, z = query.camera_x, query.camera_y, query.camera_z
+        if _at_torso(x, y, z, hx, hy):
             return None
-        geometry = ObservationGeometry.between(query.camera_position, human)
-        if not self.envelope.allows(geometry):
+        if not self.envelope.allows(ObservationGeometry.at(x, y, z, human)):
             return None
         return query
 

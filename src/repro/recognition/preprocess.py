@@ -44,7 +44,10 @@ an empty box.  Frames smaller than the blur radius + 2 on a side take
 the whole-frame window with the reference blur.  No setting selects
 the window; the frame's provenance alone decides, and the result is
 bit-identical either way.  The full-frame silhouette is written once,
-when the frame's component is known.
+when the frame's component is known, and adopted without a copy.  The
+trace yields a plain point array, rectified in place, and the one
+:class:`~repro.vision.contour.Contour` the result holds wraps it (the
+reference builds three: traced, rectified and resampled).
 
 Elevation rectification
 -----------------------
@@ -67,7 +70,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.vision.components import largest_component, largest_component_fast
-from repro.vision.contour import Contour, trace_outer_contour, trace_outer_contour_fast
+from repro.vision.contour import Contour, outer_contour_points, trace_outer_contour
 from repro.vision.filters import gaussian_blur, gaussian_blur_window, gaussian_kernel_1d
 from repro.vision.image import Backdrop, BinaryImage, Image
 from repro.vision.morphology import closing, closing_fast
@@ -101,6 +104,16 @@ def rectify_contour(contour: Contour, elevation_deg: float) -> Contour:
     mean_row = points[:, 0].mean()
     points[:, 0] = (points[:, 0] - mean_row) * scale + mean_row
     return Contour(points)
+
+
+def _rectify_rows(points: np.ndarray, elevation_deg: float) -> None:
+    """:func:`rectify_contour` in place on a writable ``(n, 2)`` point
+    array (the fast pre-processor's copy; the reference stays the
+    parity oracle)."""
+    elevation = min(abs(elevation_deg), MAX_RECTIFY_ELEVATION_DEG)
+    scale = 1.0 / math.cos(math.radians(elevation))
+    mean_row = points[:, 0].mean()
+    points[:, 0] = (points[:, 0] - mean_row) * scale + mean_row
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,14 +381,17 @@ def _trace(
     top, left, height, width = box
     mask = np.zeros(shape, dtype=bool)
     mask[top : top + height, left : left + width] = crop
-    silhouette = BinaryImage(mask)
+    silhouette = BinaryImage._adopt(mask)
     if area < cfg.min_component_area_px:
         return PreprocessResult(silhouette, None, None, reject_reason="silhouette too small")
-    contour = trace_outer_contour_fast(silhouette, bbox=box)
-    if contour is None or len(contour) < 8:
+    # The traced points are rectified in place and wrapped in the one
+    # Contour the result holds.
+    points = outer_contour_points(mask, bbox=box)
+    if points is None or len(points) < 8:
         return PreprocessResult(silhouette, None, None, reject_reason="degenerate contour")
     if elevation_deg is not None:
-        contour = rectify_contour(contour, elevation_deg)
+        _rectify_rows(points, elevation_deg)
+    contour = Contour(points)
     series = compute_signature(contour, cfg.signature_kind, cfg.signature_length)
     return PreprocessResult(silhouette, contour, series)
 

@@ -7,7 +7,9 @@ keyword names the fleet builder took before the spec existed
 :attr:`~repro.mission.spec.FleetSpec.negotiation`), with dataclass
 configs flattened to dicts and wind/lighting conditions reduced to
 their names in :data:`~repro.simulation.scenarios.WINDS` /
-:data:`~repro.simulation.scenarios.LIGHTINGS`.  That makes every
+:data:`~repro.simulation.scenarios.LIGHTINGS` (a condition that is not
+its registry entry is refused, since its name would decode to that
+entry).  That makes every
 recording replayable with no side channel: :func:`replay` reads the
 recipe back, re-drives a fresh fleet with a fresh recorder attached,
 and byte-compares the two deterministic streams
@@ -28,7 +30,7 @@ from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder.diffing import Divergence, checked_lines, first_divergence
 from repro.recorder.events import SCHEMA_VERSION, decode_value, parse_line
 from repro.recorder.recorder import FlightRecorder, read_lines
-from repro.simulation.scenarios import LIGHTINGS, WINDS
+from repro.simulation.scenarios import LIGHTINGS, WINDS, registry_name
 
 __all__ = [
     "ReplayResult",
@@ -70,7 +72,8 @@ def _encode_kwargs(kwargs: dict) -> dict:
         if key in _CONFIG_KEYS:
             encoded[key] = asdict(value) if value is not None else None
         elif key in _CONDITION_KEYS:
-            encoded[key] = [condition.name for condition in value]
+            registry, kind = (WINDS, "wind") if key == "winds" else (LIGHTINGS, "lighting")
+            encoded[key] = [registry_name(condition, registry, kind) for condition in value]
         elif isinstance(value, (bool, int, float, str)) or value is None:
             encoded[key] = value
         else:

@@ -14,14 +14,16 @@ channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.sax.encoder import SaxEncoder, SaxParameters, SaxWord
 from repro.sax.matching import (
-    _best_shift_euclidean_block,
-    _best_shift_mindist_block,
+    _mindist_references,
+    _mindist_surface,
+    _shift_surface,
     best_shift_euclidean,
     best_shift_mindist,
 )
@@ -43,22 +45,36 @@ class _ViewCache:
 
     Built lazily from the enrolled views (and invalidated by ``add`` /
     ``remove``): the z-normalised ``(V, n)`` view stack, the conjugated
-    rFFT of every row, per-row squared norms, and the ``(V, w)`` SAX
-    word index matrix (consumed by the batched MINDIST pre-filter).
-    Everything a query-side match needs from the references is paid
-    once per enrolment, not once per query.
+    rFFT of every row, per-row squared norms, the ``(V, w)`` SAX word
+    index matrix, and the MINDIST bound stage's reference operand — the
+    ``(V, w, w)`` index of every circular shift of every word into a
+    query's rows of the squared symbol-distance table.  Labels are
+    listed in enrolment order with each one's row range
+    (``label_slices``) and first row (``label_starts``, the per-label
+    minimum's ``np.minimum.reduceat`` offsets).  Everything a query-side match
+    needs from the references is paid once per enrolment, not once per
+    query.
     """
 
     length: int
-    row_labels: tuple[str, ...]
+    labels: tuple[str, ...]
     label_slices: tuple[tuple[str, int, int], ...]
+    label_starts: np.ndarray
     series: np.ndarray
     rfft_conj: np.ndarray
     sq_norms: np.ndarray
     word_indices: np.ndarray
+    bound_index: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("series", "rfft_conj", "sq_norms", "word_indices"):
+        for name in (
+            "label_starts",
+            "series",
+            "rfft_conj",
+            "sq_norms",
+            "word_indices",
+            "bound_index",
+        ):
             getattr(self, name).setflags(write=False)
 
 
@@ -263,7 +279,7 @@ class SignDatabase:
         Shared by the scalar and batched paths so the thresholding logic
         cannot drift between them.
         """
-        scored.sort(key=lambda pair: pair[0])
+        scored.sort(key=itemgetter(0))
         best_distance, best_label = scored[0]
         runner_distance, runner_label = scored[1] if len(scored) > 1 else (float("inf"), None)
         margin = runner_distance - best_distance
@@ -303,14 +319,19 @@ class SignDatabase:
             for label, views in self._entries.items():
                 slices.append((label, start, start + len(views)))
                 start += len(views)
+            word_indices = np.stack([e.word.indices() for e in rows])
             self._cache = _ViewCache(
                 length=lengths.pop(),
-                row_labels=tuple(e.label for e in rows),
+                labels=tuple(label for label, _, _ in slices),
                 label_slices=tuple(slices),
+                label_starts=np.array([lo for _, lo, _ in slices], dtype=np.intp),
                 series=series,
                 rfft_conj=np.conj(np.fft.rfft(series, axis=1)),
                 sq_norms=(series * series).sum(axis=1),
-                word_indices=np.stack([e.word.indices() for e in rows]),
+                word_indices=word_indices,
+                bound_index=_mindist_references(
+                    word_indices, self.encoder.parameters.alphabet_size
+                ),
             )
         self._cache_stale = False
         return self._cache
@@ -357,7 +378,13 @@ class SignDatabase:
 
         The scoring stage of :meth:`classify_batch` without the final
         accept/reject decision: one ``(distance, label)`` pair per
-        enrolled label (in enrolment order) per query.
+        enrolled label (in enrolment order) per query, the distances as
+        Python floats.  Every batch size, one query included, takes the
+        same path: everything reference-side comes from the view cache,
+        each label's score is one ``np.minimum.reduceat`` over its views
+        unless a MINDIST bound clears the prune gate, and each row is
+        converted to Python floats once.  Bit-identical to
+        :meth:`classify`'s scores.
         """
         if not self._entries:
             raise RuntimeError("sign database is empty")
@@ -388,13 +415,15 @@ class SignDatabase:
             if len(query) != n:
                 raise ValueError(
                     f"query length {len(query)} != reference length {n} "
-                    f"for {cache.row_labels[0]!r}"
+                    f"for {cache.labels[0]!r}"
                 )
 
         normalized = np.stack([z_normalize(q) for q in batch])
         alphabet_size = self.encoder.parameters.alphabet_size
         sqrt_n = np.sqrt(n)
+        bound_scale = np.sqrt(n / word_length)
         prune_gate = self.acceptance_threshold * 2.0
+        labels = cache.labels
         results: list[list[tuple[float, str]]] = []
         shift_step, remainder = divmod(n, word_length)
 
@@ -411,10 +440,8 @@ class SignDatabase:
             spectra = np.fft.rfft(chunk, axis=1)
             q_sq = (chunk * chunk).sum(axis=1)
             totals = q_sq[:, None] + cache.sq_norms[None, :]
-            distances, _, sq = _best_shift_euclidean_block(
-                spectra, cache.rfft_conj, totals, n
-            )
-            view_distances = distances / sqrt_n
+            sq = _shift_surface(spectra, cache.rfft_conj, totals, n)
+            view_distances = np.sqrt(sq.min(axis=2)) / sqrt_n
 
             # The scalar prune can only skip a view whose MINDIST bound
             # exceeds the gate.  MINDIST lower-bounds the Euclidean
@@ -430,46 +457,56 @@ class SignDatabase:
                 needs_bounds = (aligned > prune_gate - 1e-6).any(axis=1)
             else:
                 needs_bounds = np.ones(len(chunk), dtype=bool)
-            view_bounds: dict[int, np.ndarray] = {}
+            # Bounds (as float lists) of the rows where one clears the
+            # gate; every other row prunes nothing.
+            pruning: dict[int, list[float]] = {}
             selected = np.flatnonzero(needs_bounds)
             for sub in range(0, len(selected), _BOUND_CHUNK):
                 rows = selected[sub : sub + _BOUND_CHUNK]
-                block, _ = _best_shift_mindist_block(
-                    word_indices_for(start + rows),
-                    cache.word_indices,
-                    alphabet_size,
-                    n,
+                surface = _mindist_surface(
+                    word_indices_for(start + rows), cache.bound_index, alphabet_size
                 )
-                for local, bounds_row in zip(rows, block):
-                    view_bounds[int(local)] = bounds_row / sqrt_n
+                block = bound_scale * np.sqrt(surface.min(axis=2)) / sqrt_n
+                for local, prunes, bounds in zip(
+                    rows.tolist(), (block > prune_gate).any(axis=1).tolist(), block.tolist()
+                ):
+                    if prunes:
+                        pruning[local] = bounds
 
-            for local, row in enumerate(view_distances):
-                bounds = view_bounds.get(local)
-                scored: list[tuple[float, str]] = []
-                if bounds is None or not (bounds > prune_gate).any():
-                    # No bound clears the prune gate, so the scalar path
-                    # would skip nothing: the label score is the plain
-                    # minimum over its views.
-                    scored = [
-                        (row[lo:hi].min(), label)
-                        for label, lo, hi in cache.label_slices
-                    ]
-                else:
-                    for label, lo, hi in cache.label_slices:
-                        best_for_label = float("inf")
-                        for view in range(lo, hi):
-                            # Same skip rule as the scalar path, fed with
-                            # bit-identical bounds and exact distances.
-                            if (
-                                bounds[view] > prune_gate
-                                and bounds[view] > best_for_label
-                            ):
-                                continue
-                            best_for_label = min(best_for_label, row[view])
-                        scored.append((best_for_label, label))
-                results.append(scored)
+            # A label's score is the minimum over its views, unless a
+            # view's bound clears the gate: then the scalar path's skip
+            # rule is replayed view by view on the same floats.
+            minima = np.minimum.reduceat(view_distances, cache.label_starts, axis=1)
+            for local, label_minima in enumerate(minima.tolist()):
+                bounds = pruning.get(local)
+                if bounds is not None:
+                    label_minima = _pruned_minima(
+                        view_distances[local].tolist(), bounds, cache.label_slices, prune_gate
+                    )
+                results.append(list(zip(label_minima, labels)))
         return results
 
     def word_table(self) -> dict[str, str]:
         """Return ``label -> canonical-view SAX word`` (uniqueness checks)."""
         return {label: views[0].word.symbols for label, views in self._entries.items()}
+
+
+def _pruned_minima(
+    distances: list[float],
+    bounds: list[float],
+    label_slices: tuple[tuple[str, int, int], ...],
+    prune_gate: float,
+) -> list[float]:
+    """Per-label minima of one query's view *distances* under the scalar
+    path's skip rule, fed with bit-identical *bounds*: a view whose
+    bound clears *prune_gate* and the label's best so far is skipped."""
+    minima = []
+    for _, lo, hi in label_slices:
+        best_for_label = float("inf")
+        for view in range(lo, hi):
+            bound = bounds[view]
+            if bound > prune_gate and bound > best_for_label:
+                continue
+            best_for_label = min(best_for_label, distances[view])
+        minima.append(best_for_label)
+    return minima

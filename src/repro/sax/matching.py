@@ -82,16 +82,16 @@ class ShiftMatchBatch:
         )
 
 
-def _best_shift_euclidean_block(
+def _shift_surface(
     spectra: np.ndarray,
     ref_rfft_conj: np.ndarray,
     totals: np.ndarray,
     n: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Shared FFT core of the batched Euclidean matchers.
 
     Evaluates ``|q_b - rot(r_v, s)|^2 = totals[b, v] - 2 * xcorr`` for
-    every (query, view, shift) triple and minimises over shifts.
+    every (query, view, shift) triple.
 
     Parameters
     ----------
@@ -102,52 +102,64 @@ def _best_shift_euclidean_block(
     totals:
         ``(B, V)`` matrix of ``|q_b|^2 + |r_v|^2``.
 
-    Returns ``(distances, shifts, sq)`` where *distances* and *shifts*
-    are ``(B, V)`` and *sq* is the full ``(B, V, n)`` squared-distance
-    shift surface (clamped at zero) for callers that need per-shift
-    information.  Every element is bit-identical to the scalar
-    :func:`best_shift_euclidean` — same operations in the same order
+    Returns the ``(B, V, n)`` squared-distance shift surface, clamped
+    at zero.  Every element is bit-identical to the scalar
+    :func:`best_shift_euclidean`'s — same operations in the same order
     (broadcast multiply, not einsum: einsum's complex product is not
-    bit-identical to ``*``).
+    bit-identical to ``*``).  The square root of its minimum over the
+    shift axis is the best-shift distance (a minimum is exact, so it
+    equals the element at the argmin).
     """
     corr = np.fft.irfft(spectra[:, None, :] * ref_rfft_conj[None, :, :], n=n, axis=2)
-    sq = totals[:, :, None] - 2.0 * corr
+    corr *= 2.0
+    sq = np.subtract(totals[:, :, None], corr, out=corr)
     np.maximum(sq, 0.0, out=sq)
-    shifts = np.argmin(sq, axis=2)
-    distances = np.sqrt(np.take_along_axis(sq, shifts[:, :, None], axis=2)[..., 0])
-    return distances, shifts, sq
+    return sq
 
 
-def _best_shift_mindist_block(
-    query_indices: np.ndarray,
-    ref_indices: np.ndarray,
-    alphabet_size: int,
-    series_length: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _mindist_references(ref_indices: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Reference-side operand of :func:`_mindist_surface`.
+
+    Returns the ``(V, w, w)`` integer index whose element ``[v, s, j]``
+    is ``j * alphabet_size + np.roll(ref_indices[v], -s)[j]``: where the
+    pair (query symbol ``j``, rotated reference symbol ``j``) sits in a
+    query's ``(w, alphabet_size)`` block of squared-table rows.  It
+    depends only on the references, so an enrolment-time cache builds
+    it once.
+    """
+    w = ref_indices.shape[1]
+    rotated = ref_indices[:, _rotation_indices(w)]  # [v, s] == np.roll(ref[v], -s)
+    return rotated + np.arange(w) * alphabet_size
+
+
+@lru_cache(maxsize=32)
+def _squared_table(alphabet_size: int) -> np.ndarray:
+    """The read-only squared :func:`symbol_distance_table`."""
+    squared = symbol_distance_table(alphabet_size) ** 2
+    squared.setflags(write=False)
+    return squared
+
+
+def _mindist_surface(
+    query_indices: np.ndarray, references: np.ndarray, alphabet_size: int
+) -> np.ndarray:
     """Shared core of the batched MINDIST matchers.
 
-    Evaluates the MINDIST of every (query, reference) word pair at every
-    circular shift from ``(B, w)`` and ``(V, w)`` symbol-index matrices,
-    minimising over shifts.  Returns ``(distances, shifts)``, each
-    ``(B, V)``; every element is bit-identical to the scalar
-    :func:`best_shift_mindist`.
+    Evaluates the squared symbol-distance sum of every (query,
+    reference) word pair at every circular shift from the ``(B, w)``
+    query index matrix and the :func:`_mindist_references` operand.
+    Returns the ``(B, V, w)`` surface; ``sqrt(n / w) * sqrt`` of its
+    minimum over the shift axis is bit-identical to the scalar
+    :func:`best_shift_mindist` (the same squared table entries, summed
+    over the same contiguous axis).
 
     Memory note: materialises a ``(B, V, w, w)`` gather — callers chunk
     the query axis to keep it to a few megabytes.
     """
-    table = symbol_distance_table(alphabet_size)
-    w = query_indices.shape[1]
-    rolled = ref_indices[:, _rotation_indices(w)]  # (V, w, w)
-    # Flat-index take from the pre-squared table: the same elements the
-    # scalar path gathers and squares, fetched via one contiguous-table
-    # lookup (much faster than a broadcast fancy gather).
-    squared_table = np.ascontiguousarray(table**2).ravel()
-    flat = query_indices[:, None, None, :] * alphabet_size + rolled[None, :, :, :]
-    sq = squared_table.take(flat).sum(axis=3)  # (B, V, w)
-    shifts = np.argmin(sq, axis=2)
-    scale = np.sqrt(series_length / w)
-    distances = scale * np.sqrt(np.take_along_axis(sq, shifts[:, :, None], axis=2)[..., 0])
-    return distances, shifts
+    # Each query's squared-table rows, one per word position, then one
+    # gather of every (shift, position) pair from them.
+    rows = _squared_table(alphabet_size)[query_indices]  # (B, w, alphabet_size)
+    return np.take(rows.reshape(len(rows), -1), references, axis=1).sum(axis=3)
 
 
 @lru_cache(maxsize=32)
@@ -242,10 +254,15 @@ def best_shift_mindist_batch(
             if word_b.parameters != params:
                 raise ValueError("words were produced with different SAX parameters")
         ref_indices = np.stack([word_b.indices() for word_b in refs])
-    distances, shifts = _best_shift_mindist_block(
-        word_a.indices()[None, :], ref_indices, params.alphabet_size, series_length
-    )
-    return ShiftMatchBatch(distances=distances[0], shifts=shifts[0])
+    sq = _mindist_surface(
+        word_a.indices()[None, :],
+        _mindist_references(ref_indices, params.alphabet_size),
+        params.alphabet_size,
+    )[0]
+    shifts = np.argmin(sq, axis=1)
+    scale = np.sqrt(series_length / params.word_length)
+    distances = scale * np.sqrt(np.take_along_axis(sq, shifts[:, None], axis=1)[:, 0])
+    return ShiftMatchBatch(distances=distances, shifts=shifts)
 
 
 def best_shift_euclidean_batch(
@@ -305,10 +322,12 @@ def best_shift_euclidean_batch(
     if ref_sq_norms is None:
         ref_sq_norms = (refs * refs).sum(axis=1)
     q_sq = float((q * q).sum())
-    distances, shifts, _ = _best_shift_euclidean_block(
+    sq = _shift_surface(
         np.fft.rfft(q)[None, :], ref_rfft_conj, (q_sq + ref_sq_norms)[None, :], n
-    )
-    return ShiftMatchBatch(distances=distances[0], shifts=shifts[0])
+    )[0]
+    shifts = np.argmin(sq, axis=1)
+    distances = np.sqrt(np.take_along_axis(sq, shifts[:, None], axis=1)[:, 0])
+    return ShiftMatchBatch(distances=distances, shifts=shifts)
 
 
 def rotation_invariant_distance(

@@ -39,7 +39,12 @@ def z_normalize(series: np.ndarray, flat_std_threshold: float = FLAT_STD_THRESHO
         raise ValueError("expected a 1-D series")
     if len(values) == 0:
         raise ValueError("series must be non-empty")
-    std = float(values.std())
+    # ``(values - values.mean()) / values.std()`` with the mean and the
+    # centred series computed once: the same sums, divisions and square
+    # root as those two reductions perform.
+    n = len(values)
+    centred = values - values.sum() / n
+    std = float(np.sqrt((centred * centred).sum() / n))
     if std < flat_std_threshold:
         return np.zeros_like(values)
-    return (values - values.mean()) / std
+    return centred / std

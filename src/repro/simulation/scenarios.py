@@ -80,6 +80,7 @@ __all__ = [
     "apply_frame_drops",
     "sample_longtail",
     "scenario_to_dict",
+    "registry_name",
     "scenario_from_dict",
     "AXIS_PERSONAS",
     "AXIS_SIGNS",
@@ -684,6 +685,23 @@ def _layer_from_dict(key: str, data: dict | None):
     return _LAYERS[key](**data)
 
 
+def registry_name(condition, registry: dict, kind: str) -> str:
+    """The name a wind or lighting *condition* is stored under.
+
+    The codecs store a condition by its name alone, so only a condition
+    equal to its *registry* entry may be stored: a custom condition
+    that reuses a registry name would decode to that entry instead.
+
+    Raises
+    ------
+    ValueError
+        If *condition* is not the registry's entry under its name.
+    """
+    if registry.get(condition.name) != condition:
+        raise ValueError(f"{kind} {condition!r} is not a registry {kind}")
+    return condition.name
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialise a scenario to JSON-ready primitives.
 
@@ -694,17 +712,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     persona_key = _PERSONA_KEYS.get(id(scenario.persona))
     if persona_key is None:
         raise ValueError(f"persona {scenario.persona.name!r} is not a registry persona")
-    if scenario.wind.name not in WINDS:
-        raise ValueError(f"wind {scenario.wind.name!r} is not a registry wind")
-    if scenario.lighting.name not in LIGHTINGS:
-        raise ValueError(f"lighting {scenario.lighting.name!r} is not a registry lighting")
     data: dict = {
         "persona": persona_key,
         "sign": _sign_to_dict(scenario.sign),
         "viewpoint": [scenario.altitude_m, scenario.distance_m],
         "azimuth_deg": scenario.azimuth_deg,
-        "wind": scenario.wind.name,
-        "lighting": scenario.lighting.name,
+        "wind": registry_name(scenario.wind, WINDS, "wind"),
+        "lighting": registry_name(scenario.lighting, LIGHTINGS, "lighting"),
     }
     for key in _LAYERS:
         data[key] = _layer_to_dict(getattr(scenario, key))

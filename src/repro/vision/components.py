@@ -190,6 +190,11 @@ def largest_component(image: BinaryImage) -> ConnectedComponent | None:
     return components[0] if components else None
 
 
+#: The 8-connectivity structuring element, built once.
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+_EIGHT_CONNECTED.setflags(write=False)
+
+
 def largest_component_fast(
     pixels: np.ndarray,
 ) -> tuple[np.ndarray, int, tuple[int, int, int, int]] | None:
@@ -213,11 +218,11 @@ def largest_component_fast(
     row_any = pixels.any(axis=1)
     if not row_any.any():
         return None
-    top = int(np.argmax(row_any))
-    bottom = h - int(np.argmax(row_any[::-1]))
+    top = int(row_any.argmax())
+    bottom = h - int(row_any[::-1].argmax())
     col_any = pixels[top:bottom].any(axis=0)
-    left = int(np.argmax(col_any))
-    right = w - int(np.argmax(col_any[::-1]))
+    left = int(col_any.argmax())
+    right = w - int(col_any[::-1].argmax())
     box = (top, left, bottom - top, right - left)
     crop = pixels[top:bottom, left:right]
     try:
@@ -225,10 +230,10 @@ def largest_component_fast(
     except ImportError:  # pragma: no cover - scipy is installed in CI
         component = largest_component(BinaryImage(crop))
         return component.mask.pixels, component.area, box
-    labelled, count = ndimage.label(crop, structure=np.ones((3, 3), dtype=bool))
+    labelled, count = ndimage.label(crop, structure=_EIGHT_CONNECTED)
     if count == 1:
         return crop, int(np.count_nonzero(crop)), box
     # First label of the largest area: scan order breaks ties.
     areas = np.bincount(labelled.ravel())
-    best = 1 + int(np.argmax(areas[1:]))
+    best = 1 + int(areas[1:].argmax())
     return labelled == best, int(areas[best]), box

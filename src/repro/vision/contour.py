@@ -31,6 +31,7 @@ __all__ = [
     "Contour",
     "trace_outer_contour",
     "trace_outer_contour_fast",
+    "outer_contour_points",
     "resample_closed_curve",
 ]
 
@@ -240,7 +241,16 @@ def trace_outer_contour_fast(
         restricts the bounding-box scan to that window so callers that
         already located the silhouette skip the full-frame sweep.
     """
-    pixels = image.pixels
+    points = outer_contour_points(image.pixels, bbox)
+    return None if points is None else Contour(points)
+
+
+def outer_contour_points(
+    pixels: np.ndarray, bbox: tuple[int, int, int, int] | None = None
+) -> np.ndarray | None:
+    """:func:`trace_outer_contour_fast` of a boolean ``(H, W)`` array, as
+    the contour's writable ``(n, 2)`` ``float64`` points (``None`` when
+    it has none), with no :class:`Contour` built."""
     if bbox is None:
         region = pixels
         region_top = region_left = 0
@@ -252,11 +262,11 @@ def trace_outer_contour_fast(
         return None
     # The trace never leaves the foreground, so the byte-code scan only
     # needs the foreground bounding box; coordinates shift back at the end.
-    top = region_top + int(np.argmax(fg_rows))
-    bottom = region_top + len(fg_rows) - int(np.argmax(fg_rows[::-1]))
+    top = region_top + int(fg_rows.argmax())
+    bottom = region_top + len(fg_rows) - int(fg_rows[::-1].argmax())
     fg_cols = pixels[top:bottom, region_left : region_left + region.shape[1]].any(axis=0)
-    left = region_left + int(np.argmax(fg_cols))
-    right = region_left + len(fg_cols) - int(np.argmax(fg_cols[::-1]))
+    left = region_left + int(fg_cols.argmax())
+    right = region_left + len(fg_cols) - int(fg_cols[::-1].argmax())
     h, w = bottom - top, right - left
     window = pixels[top:bottom, left:right]
     # Positions are flat indices into the window in its one-pixel border
@@ -269,39 +279,37 @@ def trace_outer_contour_fast(
     # Same start as the reference's row-major nonzero: top-most row,
     # left-most foreground pixel within it (column 0 of the window by
     # construction only when that pixel sits on the bbox edge).
-    start = stride + 1 + int(np.argmax(window[0]))
+    start = stride + 1 + int(window[0].argmax())
     current = start
     backtrack = 0  # west, as in the reference trace
     boundary = [start]
     append = boundary.append
     moves_from_start: set[tuple[int, int]] = set()
 
+    if not codes[start]:
+        return None  # isolated pixel: no neighbours at all
+    # Only the start can be isolated (every later pixel was reached from
+    # a neighbour), so the walk needs no per-step None check.
     for _ in range(8 * h * w + 8):  # hard bound; each boundary pixel visited <= 8x
-        entry = transitions[codes[current] << 3 | backtrack]
-        if entry is None:
-            # Isolated pixel: no neighbours at all.
-            return None
-        direction, backtrack = entry
-        nxt = current + deltas[direction]
+        direction, backtrack = transitions[codes[current] << 3 | backtrack]
         if current == start:
-            move = (nxt, backtrack)
+            move = (current + deltas[direction], backtrack)
             if move in moves_from_start:
-                return _contour_from_flat(boundary, stride, top - 1, left - 1)
+                break
             moves_from_start.add(move)
-        current = nxt
-        append(nxt)
-    return _contour_from_flat(boundary, stride, top - 1, left - 1)
-
-
-def _contour_from_flat(boundary: list[int], width: int, top: int, left: int) -> Contour | None:
+        current += deltas[direction]
+        append(current)
     # Drop the duplicated closing point(s) at the start pixel.
-    while len(boundary) > 1 and boundary[-1] == boundary[0]:
+    while len(boundary) > 1 and boundary[-1] == start:
         boundary.pop()
     if len(boundary) < 3:
         return None
-    flat = np.array(boundary, dtype=np.int64)
-    points = np.stack([flat // width + top, flat % width + left], axis=1)
-    return Contour(points.astype(np.float64))
+    rows, cols = np.divmod(np.fromiter(boundary, np.intp, len(boundary)), stride)
+    rows += top - 1
+    cols += left - 1
+    points = np.empty((len(boundary), 2))
+    points[:, 0], points[:, 1] = rows, cols
+    return points
 
 
 def resample_closed_curve(points: np.ndarray, n_points: int) -> np.ndarray:
@@ -317,15 +325,23 @@ def resample_closed_curve(points: np.ndarray, n_points: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) array, got shape {pts.shape}")
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.diff(closed, axis=0)
+    n = len(pts)
+    if n == 0:
+        raise ValueError("need at least one point to resample")
+    closed = np.empty((n + 1, 2))
+    closed[:n] = pts
+    closed[n] = pts[0]
+    seg = closed[1:] - closed[:-1]
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    cumulative = np.concatenate([[0.0], np.cumsum(seg_len)])
+    cumulative = np.empty(n + 1)
+    cumulative[0] = 0.0
+    np.cumsum(seg_len, out=cumulative[1:])
     total = cumulative[-1]
     if total <= 0.0:
         # Degenerate curve (all points identical): replicate the point.
         return np.repeat(pts[:1], n_points, axis=0)
     targets = np.linspace(0.0, total, n_points, endpoint=False)
-    rows = np.interp(targets, cumulative, closed[:, 0])
-    cols = np.interp(targets, cumulative, closed[:, 1])
-    return np.stack([rows, cols], axis=1)
+    resampled = np.empty((n_points, 2))
+    resampled[:, 0] = np.interp(targets, cumulative, closed[:, 0])
+    resampled[:, 1] = np.interp(targets, cumulative, closed[:, 1])
+    return resampled

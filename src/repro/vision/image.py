@@ -196,6 +196,16 @@ class BinaryImage:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
+    @classmethod
+    def _adopt(cls, pixels: np.ndarray) -> "BinaryImage":
+        """A mask over *pixels* itself, with no copy: a fresh, non-empty
+        2-D ``bool`` array its caller never writes again (the fast
+        pre-processor's silhouette).  It is made read-only here."""
+        pixels.setflags(write=False)
+        image = object.__new__(cls)
+        object.__setattr__(image, "pixels", pixels)
+        return image
+
     @property
     def height(self) -> int:
         """Number of rows."""

@@ -93,22 +93,33 @@ def capsule_pixels(
             dr = dc = 0.0
             seg_len_sq = 1.0
         else:
-            r_lo, r_hi = min(r0, r1) - radius, max(r0, r1) + radius
-            c_lo, c_hi = min(c0, c1) - radius, max(c0, c1) + radius
-        row0, row1 = max(0, math.floor(r_lo)), min(h, math.ceil(r_hi) + 1)
-        col0, col1 = max(0, math.floor(c_lo)), min(w, math.ceil(c_hi) + 1)
+            # min() and max() as conditionals: the same picks, no calls.
+            r_lo = (r1 if r1 < r0 else r0) - radius
+            r_hi = (r1 if r1 > r0 else r0) + radius
+            c_lo = (c1 if c1 < c0 else c0) - radius
+            c_hi = (c1 if c1 > c0 else c0) + radius
+        row0, row1 = math.floor(r_lo), math.ceil(r_hi) + 1
+        col0, col1 = math.floor(c_lo), math.ceil(c_hi) + 1
+        row0, col0 = (row0 if row0 > 0 else 0), (col0 if col0 > 0 else 0)
+        row1, col1 = (row1 if row1 < h else h), (col1 if col1 < w else w)
         if row0 >= row1 or col0 >= col1:
             continue
         pieces.append(index[row0:row1, col0:col1].ravel())
         params.append((r0, c0, dr, dc, seg_len_sq, radius**2))
         areas.append((row1 - row0) * (col1 - col0))
-        top, left = min(top, row0), min(left, col0)
-        bottom, right = max(bottom, row1), max(right, col1)
+        if row0 < top:
+            top = row0
+        if col0 < left:
+            left = col0
+        if row1 > bottom:
+            bottom = row1
+        if col1 > right:
+            right = col1
     if not pieces:
         return np.empty(0, dtype=index.dtype), (top, left, bottom, right)
     flat = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-    r0, c0, dr, dc, seg_len_sq, radius_sq = np.repeat(
-        np.array(params, dtype=np.float64).T, areas, axis=1
+    r0, c0, dr, dc, seg_len_sq, radius_sq = (
+        np.array(params, dtype=np.float64).T.repeat(areas, axis=1)
     )
     # Each pixel's row and column, exactly: (index + 0.5) / w lies at
     # least 0.5 / w inside (row, row + 1), far beyond the rounding error

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.vision.contour import Contour
+from repro.vision.contour import Contour, resample_closed_curve
 
 __all__ = [
     "SignatureKind",
@@ -51,8 +51,9 @@ def centroid_distance_signature(contour: Contour, length: int = DEFAULT_SIGNATUR
     """
     if length < 3:
         raise ValueError("signature length must be >= 3")
-    pts = contour.resampled(length).points
-    centroid = pts.mean(axis=0)
+    pts = resample_closed_curve(contour.points, length)
+    # ``pts.mean(axis=0)``: the same column sums, divided by the count.
+    centroid = np.add.reduce(pts, axis=0) / len(pts)
     deltas = pts - centroid
     return np.hypot(deltas[:, 0], deltas[:, 1])
 

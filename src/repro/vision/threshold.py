@@ -116,7 +116,7 @@ def otsu_bins(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # would *drop* out-of-range values, so parity would break quietly).
     if indices.size and (int(indices.min()) < 0 or int(indices.max()) > OTSU_BINS):
         raise ValueError("intensities must lie in [0, 1]")
-    indices[indices == OTSU_BINS] -= 1
+    np.minimum(indices, OTSU_BINS - 1, out=indices)
     return np.bincount(indices.ravel(), minlength=OTSU_BINS), indices
 
 
@@ -135,19 +135,21 @@ def otsu_dark_bin(histogram: np.ndarray) -> int:
     if total == 0:
         return OTSU_BINS // 2 - 1
     weights = histogram / total
-    cum_weight = np.cumsum(weights)
-    cum_mean = np.cumsum(weights * _CENTRES)
+    cum_weight = weights.cumsum()
+    cum_mean = (weights * _CENTRES).cumsum()
     global_mean = cum_mean[-1]
 
     denom = cum_weight * (1.0 - cum_weight)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        variance = np.where(
-            denom > 1e-12,
-            (global_mean * cum_weight - cum_mean) ** 2 / np.maximum(denom, 1e-12),
-            0.0,
-        )
+    # The quotient is taken only where the divisor is above 1e-12 (there
+    # ``np.maximum(denom, 1e-12)`` is ``denom``) and is 0 elsewhere, so
+    # no floating-point error state needs silencing here.
+    variance = np.zeros_like(denom)
+    np.divide(
+        (global_mean * cum_weight - cum_mean) ** 2, denom, out=variance, where=denom > 1e-12
+    )
     peak = float(variance.max())
     if peak <= 0.0:
         return OTSU_BINS // 2 - 1
-    plateau = np.nonzero(variance >= peak * (1.0 - 1e-9))[0]
-    return int(round(float(plateau.mean())))
+    plateau = (variance >= peak * (1.0 - 1e-9)).nonzero()[0]
+    # The plateau's mean bin: an exact integer sum over its length.
+    return int(round(int(plateau.sum()) / len(plateau)))

@@ -139,6 +139,19 @@ def test_repo_baselines_compare_clean_with_themselves(tmp_path):
     ) == 0
 
 
+def test_flipped_single_frame_verdicts_fail(tmp_path, capsys):
+    """A copy of the committed throughput artifact whose one-frame
+    requests stopped reading what the scalar recogniser reads fails."""
+    committed = json.loads((ROOT / "BENCH_throughput.json").read_text())
+    assert committed["single_frame"]["verdicts_identical"] is True
+    broken = json.loads(json.dumps(committed))
+    broken["single_frame"]["verdicts_identical"] = False
+    write(tmp_path / "base", "BENCH_throughput.json", committed)
+    write(tmp_path / "fresh", "BENCH_throughput.json", broken)
+    assert run(tmp_path) == 1
+    assert "single_frame.verdicts_identical" in capsys.readouterr().out
+
+
 NODED = {
     "fleet_throughput": {"speedup": 5.2, "outcome_parity": True},
     "nodes": {

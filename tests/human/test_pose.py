@@ -1,9 +1,13 @@
 """Tests for the articulated signaller skeleton."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.geometry import Vec3
 from repro.human import BodyDimensions, MarshallingSign, pose_for_sign
+from repro.human.pose import capsule_endpoints
 
 
 def wrist_positions(pose):
@@ -108,3 +112,60 @@ class TestPlacementAndFacing:
         pose = pose_for_sign(MarshallingSign.IDLE)
         capsules = pose.all_capsules()
         assert len(capsules) == len(pose.bones) + 1
+
+
+class TestCapsuleEndpoints:
+    """``capsule_endpoints`` builds the renderer's arrays with no skeleton;
+    every value must equal the pose's own."""
+
+    @staticmethod
+    def pose_arrays(pose):
+        capsules = pose.all_capsules()
+        endpoints = np.array([(p.x, p.y, p.z) for s, e, _ in capsules for p in (s, e)])
+        return endpoints, [radius for _, _, radius in capsules]
+
+    def test_random_poses_match_pose_for_sign(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            sign = rng.choice(list(MarshallingSign))
+            args = dict(
+                position=Vec3(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-1, 1)),
+                facing_deg=rng.uniform(-400.0, 400.0),
+                dimensions=BodyDimensions(
+                    height=rng.uniform(1.4, 2.1),
+                    shoulder_half_width=rng.uniform(0.15, 0.27),
+                    arm_radius=rng.uniform(0.03, 0.08),
+                    head_radius=rng.uniform(0.0, 0.14),
+                ),
+                lean_deg=rng.uniform(-15.0, 15.0),
+            )
+            endpoints, radii = capsule_endpoints(sign, **args)
+            expected, expected_radii = self.pose_arrays(pose_for_sign(sign, **args))
+            assert endpoints.tobytes() == expected.tobytes()
+            assert radii == expected_radii
+
+    def test_defaults_match_pose_for_sign(self):
+        for sign in MarshallingSign:
+            endpoints, radii = capsule_endpoints(sign)
+            expected, expected_radii = self.pose_arrays(pose_for_sign(sign))
+            assert endpoints.tobytes() == expected.tobytes() and radii == expected_radii
+
+    def test_bone_radii_follow_body_dimensions(self):
+        dims = BodyDimensions(torso_radius=0.2, leg_radius=0.1, arm_radius=0.04, head_radius=0.12)
+        expected = {
+            "torso": 0.2,
+            "chest": 0.2 * 0.55,
+            "right_thigh": 0.1,
+            "right_shin": 0.1 * 0.8,
+            "left_thigh": 0.1,
+            "left_shin": 0.1 * 0.8,
+            "right_upper_arm": 0.04,
+            "right_forearm": 0.04 * 0.9,
+            "left_upper_arm": 0.04,
+            "left_forearm": 0.04 * 0.9,
+        }
+        pose = pose_for_sign(MarshallingSign.YES, dimensions=dims)
+        assert {bone.name: bone.radius for bone in pose.bones} == expected
+        assert [bone.name for bone in pose.bones] == list(expected)
+        _, radii = capsule_endpoints(MarshallingSign.YES, dimensions=dims)
+        assert radii == [*expected.values(), 0.12]

@@ -167,3 +167,57 @@ class TestLightingViews:
         dusk_view.observe(CANONICAL, human)
         assert perception.stats.frames_classified == 2  # no cross-lighting hit
 
+
+
+class TestQueryParity:
+    """The query path builds no vectors, skeleton or bones; what it
+    decides and renders must equal the object-built path."""
+
+    def test_render_is_render_frame_of_pose_and_camera(self, perception, standing_human_world):
+        from repro.human import render_frame
+
+        for sign in MarshallingSign:
+            world, human = standing_human_world(sign=sign)
+            for drone in (CANONICAL, Vec3(0.7, 2.9, 4.2), Vec3(-0.9, 3.3, 2.6)):
+                query = perception.query(drone, human)
+                frame = query.render()
+                expected = render_frame(query.pose(), query.camera(), query.settings)
+                assert frame.pixels.tobytes() == expected.pixels.tobytes()
+                assert frame.provenance == expected.provenance
+
+    @pytest.mark.parametrize("permissive", [False, True], ids=["default", "permissive"])
+    def test_gate_is_geometry_between_camera_and_human(
+        self, perception, standing_human_world, permissive
+    ):
+        """``query`` decides exactly as the vector-built checks do.  Under
+        an envelope that admits every geometry, the degenerate-pose checks
+        alone reject the drone on the torso."""
+        from repro.protocol.perception import ObservationGeometry
+        from repro.protocol.recognizer import ObservationQuery, RecognitionEnvelope
+
+        if permissive:
+            perception.envelope = RecognitionEnvelope(
+                min_altitude_m=0.0, max_azimuth_deg=180.0, max_range_m=1e9
+            )
+
+        def expected(drone, human):
+            torso = human.position3() + Vec3(0.0, 0.0, 1.1)
+            if drone.is_close(torso, tol=1e-6):
+                return None
+            query = ObservationQuery.build(drone, human, perception.render_settings)
+            if query.camera_position.is_close(query.torso_target, tol=1e-6):
+                return None
+            geometry = ObservationGeometry.between(query.camera_position, human)
+            return query if perception.envelope.allows(geometry) else None
+
+        world, human = standing_human_world(sign=MarshallingSign.YES)
+        decided = set()
+        for azimuth in range(0, 60, 3):
+            for altitude in (1.0, 1.1, 1.99, 2.0, 5.0, 11.9, 13.0):
+                rad = math.radians(azimuth)
+                for reach in (0.0, 0.02, 4.0, 12.0):
+                    drone = Vec3(reach * math.sin(rad), reach * math.cos(rad), altitude)
+                    query = perception.query(drone, human)
+                    assert query == expected(drone, human)
+                    decided.add(query is None)
+        assert decided == {True, False}

@@ -10,12 +10,15 @@ refused on both sides, before anything is written or flown.
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mission.orchard import OrchardConfig
 from repro.protocol.negotiation import NegotiationConfig
 from repro.protocol.perception import OraclePerception
 from repro.recorder import FlightRecorder, make_recipe, run_recipe
-from repro.simulation.scenarios import CALM, NOON
+from repro.recorder.replay import _decode_kwargs
+from repro.simulation.scenarios import CALM, LIGHTINGS, NOON, WINDS, Lighting, WindCondition
 
 SMALL = OrchardConfig(
     rows=1,
@@ -102,3 +105,38 @@ def test_run_recipe_refuses_an_unknown_condition_name():
 def test_a_perception_object_is_not_recordable():
     with pytest.raises(ValueError, match="recipe value for 'perception' is not recordable"):
         make_recipe("fleet", count=1, perception=OraclePerception())
+
+
+#: Wind and lighting conditions under registry names: the registry
+#: entries themselves and custom values that reuse their names.
+RECIPE_WINDS = st.one_of(
+    st.sampled_from(list(WINDS.values())),
+    st.builds(WindCondition, name=st.sampled_from(sorted(WINDS)), speed_mps=st.floats(0.0, 30.0)),
+)
+RECIPE_LIGHTINGS = st.one_of(
+    st.sampled_from(list(LIGHTINGS.values())),
+    st.builds(
+        Lighting,
+        name=st.sampled_from(sorted(LIGHTINGS)),
+        background_intensity=st.floats(0.3, 1.0),
+        figure_intensity=st.floats(0.0, 0.25),
+        noise_sigma=st.floats(0.0, 0.1),
+    ),
+)
+
+
+@given(winds=st.lists(RECIPE_WINDS, max_size=3), lightings=st.lists(RECIPE_LIGHTINGS, max_size=3))
+def test_recipe_conditions_round_trip_or_are_refused(winds, lightings):
+    """make_recipe → JSON → decoded kwargs gives back the conditions,
+    and a condition that only reuses a registry name is refused: its
+    name alone would replay the registry entry."""
+    kwargs = {"count": 2, "winds": tuple(winds), "lightings": tuple(lightings)}
+    registered = all(WINDS[w.name] == w for w in winds) and all(
+        LIGHTINGS[lighting.name] == lighting for lighting in lightings
+    )
+    if not registered:
+        with pytest.raises(ValueError, match="is not a registry"):
+            make_recipe("fleet", **kwargs)
+        return
+    recipe = json.loads(json.dumps(make_recipe("fleet", **kwargs)))
+    assert _decode_kwargs(recipe["kwargs"]) == kwargs

@@ -294,3 +294,102 @@ class TestReferenceMatrix:
         db.add("b", wave(1, n=64))
         with pytest.raises(ValueError):
             db.classify_batch([wave(1, n=128)])
+
+
+class TestBatchSizes:
+    """``score_batch``/``classify_batch`` against the scalar ``classify``
+    on one-, two- and 64-query batches: one code path for every batch
+    size, bit-identical to the reference."""
+
+    @staticmethod
+    def pruning_db() -> SignDatabase:
+        """Spiky labels under a tight gate, each a noisy view first and
+        its clean shape second: a query half a PAA segment off the clean
+        shape has a tiny exact distance to it but a large word-level
+        bound, so the scalar path skips that view and scores the noisy
+        one (see ``test_parity_when_prune_fires``)."""
+        rng = np.random.default_rng(7)
+        db = SignDatabase(acceptance_threshold=0.05)
+        for label in ("a", "b", "c"):
+            spiky = np.repeat(rng.choice([-1.0, 1.0], size=32), 4)
+            db.add(label, spiky + 0.35 * rng.normal(size=128), view="noisy")
+            db.add(label, spiky, view="clean")
+        return db
+
+    @staticmethod
+    def queries(db: SignDatabase, count: int) -> list[np.ndarray]:
+        rng = np.random.default_rng(count)
+        views = db.reference_matrix()
+        kinds = [
+            lambda: np.roll(views[1 + 2 * rng.integers(3)], 2),  # half a segment off
+            lambda: rng.normal(size=128),  # random
+            lambda: np.full(128, rng.uniform(-2.0, 2.0)),  # flat
+            lambda: views[rng.integers(len(views))].copy(),  # an enrolled view exactly
+        ]
+        return [kinds[i % len(kinds)]() for i in range(count)]
+
+    @pytest.mark.parametrize("count", [1, 2, 64])
+    def test_batches_match_scalar_classify(self, count, monkeypatch):
+        from repro.sax import database
+
+        bound_rows = []
+        surface = database._mindist_surface
+
+        def spy(query_indices, references, alphabet_size):
+            bound_rows.append(len(query_indices))
+            return surface(query_indices, references, alphabet_size)
+
+        monkeypatch.setattr(database, "_mindist_surface", spy)
+        db = self.pruning_db()
+        queries = self.queries(db, count)
+        expected = [db.classify(q) for q in queries]
+        assert db.classify_batch(queries) == expected
+        for query, scored, result in zip(queries, db.score_batch(queries), expected):
+            assert scored == db._score_scalar(query)
+            assert db._decide(list(scored)) == result
+        assert bound_rows, "the MINDIST bound stage never ran"
+
+    def test_skip_rule_changes_some_label_score(self):
+        """On these inputs the skip rule matters: some label's score is
+        not the plain minimum over its views, so a bound read from the
+        wrong view would show."""
+        from repro.sax.matching import best_shift_euclidean
+
+        db = self.pruning_db()
+        queries = self.queries(db, 64)
+        changed = 0
+        for query, scored in zip(queries, db.score_batch(queries)):
+            for distance, label in scored:
+                plain = min(
+                    best_shift_euclidean(query, entry.series).distance / np.sqrt(128)
+                    for entry in db.entries(label)
+                )
+                changed += distance != plain
+        assert changed
+
+    def test_exact_ties_keep_enrolment_order(self):
+        """Two labels with one identical view tie exactly; the first
+        enrolled wins the sort, and the tie leaves no margin."""
+        series = wave(2.0)
+        db = SignDatabase()
+        db.add("first", series)
+        db.add("second", series)
+        db.add("other", wave(5.0))
+        for batch in ([series], [series, np.roll(series, 9)], [series] * 64):
+            results = db.classify_batch(batch)
+            assert results == [db.classify(q) for q in batch]
+            assert results[0].runner_up_label == "first"
+            assert results[0].label is None  # zero margin: rejected
+
+    @pytest.mark.parametrize("count", [1, 2, 64])
+    def test_batches_match_after_add_and_remove(self, count):
+        db = self.pruning_db()
+        queries = self.queries(db, count)
+        db.classify_batch(queries)  # build the view cache
+        rng = np.random.default_rng(11)
+        db.add("d", np.repeat(rng.choice([-1.0, 1.0], size=32), 4))
+        assert db.classify_batch(queries) == [db.classify(q) for q in queries]
+        db.remove("a", view="noisy")
+        assert db.classify_batch(queries) == [db.classify(q) for q in queries]
+        db.remove("d")
+        assert db.classify_batch(queries) == [db.classify(q) for q in queries]

@@ -47,6 +47,21 @@ class TestZNormalize:
             assert out.std() == pytest.approx(1.0, rel=1e-6)
 
     @given(series_strategy)
+    def test_bit_identical_to_mean_and_std(self, series):
+        """One centring pass gives the bytes of ``(x - x.mean()) / x.std()``."""
+        std = float(series.std())
+        expected = np.zeros_like(series) if std < 1e-8 else (series - series.mean()) / std
+        assert z_normalize(series).tobytes() == expected.tobytes()
+
+    def test_bit_identical_on_long_and_flat_series(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 256, 1000, 20000):
+            for series in (rng.normal(size=n) * 1e3 + 5.0, np.full(n, 0.25)):
+                std = float(series.std())
+                expected = np.zeros_like(series) if std < 1e-8 else (series - series.mean()) / std
+                assert z_normalize(series).tobytes() == expected.tobytes()
+
+    @given(series_strategy)
     def test_idempotent(self, series):
         once = z_normalize(series)
         twice = z_normalize(once)

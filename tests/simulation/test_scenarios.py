@@ -7,8 +7,12 @@ of the accuracy assertions.
 """
 
 import itertools
+import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.human import MOVE_UPWARD, WAVE_OFF, MarshallingSign
 from repro.human.dynamic import BUILTIN_DYNAMIC_SIGNS, DynamicSign
@@ -30,9 +34,40 @@ from repro.simulation.scenarios import (
     NOON,
     OVERCAST,
     WINDS,
+    Lighting,
     Scenario,
+    WindCondition,
+    sample_longtail,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 from repro.testing.fuzz import Recognizers, execute_window
+
+#: Wind and lighting conditions under registry names: the registry
+#: entries themselves and custom values that reuse their names.
+CONDITION_WINDS = st.one_of(
+    st.sampled_from(list(WINDS.values())),
+    st.builds(
+        WindCondition,
+        name=st.sampled_from(sorted(WINDS)),
+        speed_mps=st.floats(0.0, 30.0),
+        sway_period_s=st.floats(0.5, 5.0),
+    ),
+)
+CONDITION_LIGHTINGS = st.one_of(
+    st.sampled_from(list(LIGHTINGS.values())),
+    st.builds(
+        Lighting,
+        name=st.sampled_from(sorted(LIGHTINGS)),
+        background_intensity=st.floats(0.3, 1.0),
+        figure_intensity=st.floats(0.0, 0.25),
+        noise_sigma=st.floats(0.0, 0.1),
+    ),
+)
+
+
+def is_registry_condition(condition, registry) -> bool:
+    return registry[condition.name] == condition
 
 
 @pytest.fixture
@@ -62,6 +97,28 @@ class TestScenario:
         }
         assert set(AXIS_WINDS) == set(WINDS.values())
         assert set(AXIS_LIGHTINGS) == set(LIGHTINGS.values())
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        index=st.integers(0, 19),
+        wind=CONDITION_WINDS,
+        lighting=CONDITION_LIGHTINGS,
+    )
+    def test_codec_round_trips_or_refuses_conditions(self, seed, index, wind, lighting):
+        """Scenario → dict → JSON → Scenario is the identity, and a
+        condition that only reuses a registry name is refused rather
+        than decoded to the registry entry."""
+        scenario = replace(sample_longtail(seed, index), wind=wind, lighting=lighting)
+        registered = is_registry_condition(wind, WINDS) and is_registry_condition(
+            lighting, LIGHTINGS
+        )
+        if not registered:
+            with pytest.raises(ValueError, match="is not a registry"):
+                scenario_to_dict(scenario)
+            return
+        data = json.loads(json.dumps(scenario_to_dict(scenario)))
+        assert scenario_from_dict(data) == scenario
 
     def test_builtin_dynamic_signs_are_on_the_sign_axis(self):
         signs = {s.name for s in BUILTIN_DYNAMIC_SIGNS}

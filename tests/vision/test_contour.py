@@ -134,6 +134,10 @@ class TestResample:
         with pytest.raises(ValueError):
             resample_closed_curve(square, 2)
 
+    def test_empty_curve_is_refused(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            resample_closed_curve(np.empty((0, 2)), 8)
+
     def test_contour_validation(self):
         with pytest.raises(ValueError):
             Contour(np.zeros((2, 2)))

@@ -11,7 +11,7 @@ the image border, and multiple components with tied areas.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.vision import filters
@@ -27,6 +27,7 @@ from repro.vision import (
     largest_component_fast,
     otsu_bins,
     otsu_dark_bin,
+    otsu_threshold,
     raster_disc,
     threshold_otsu,
     trace_outer_contour,
@@ -115,6 +116,23 @@ class TestOtsuBins:
 
     def test_empty_histogram_falls_back(self):
         assert otsu_dark_bin(np.zeros(256, dtype=np.int64)) == 127
+
+    @given(
+        st.dictionaries(st.integers(0, 255), st.integers(1, 5000), min_size=1, max_size=12)
+    )
+    @example({10: 1, 255: 5000})  # the peak's divisor is about 2e-4
+    def test_dark_bin_is_the_reference_split(self, counts):
+        """Sparse histograms (one bin, plateaus between clusters, empty
+        classes at both ends, a class of one pixel against thousands): the
+        dark bin is the bin whose upper edge ``otsu_threshold`` returns
+        for an image with those counts."""
+        histogram = np.zeros(256, dtype=np.int64)
+        for index, count in counts.items():
+            histogram[index] = count
+        centres = (np.arange(256) + 0.5) / 256
+        pixels = np.repeat(centres, histogram)[None, :]
+        threshold = otsu_threshold(Image(pixels))
+        assert otsu_dark_bin(histogram) == round(threshold * 256) - 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bin_edge_values(self, seed):
