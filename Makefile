@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-longtail bench-smoke perfbench flight-smoke fuzz check
+.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-longtail bench-smoke perfbench flight-smoke fuzz examples check
 
 # Everything the ruff gate covers — named explicitly so benchmarks/ and
 # scripts/ can never silently drop out of the lint surface.  Update when
@@ -136,5 +136,14 @@ FUZZ_SEED ?= 0
 FUZZ_ITERATIONS ?= 25
 fuzz:
 	$(PYTHON) scripts/run_fuzz.py --seed $(FUZZ_SEED) --iterations $(FUZZ_ITERATIONS)
+
+# Run every script in examples/ end to end (about 6 s in all); the
+# first one that exits non-zero fails the target.  Their stdout is
+# dropped, their errors are not.  CI runs this in the bench-smoke job.
+examples:
+	@for example in examples/*.py; do \
+		echo "examples: $$example"; \
+		$(PYTHON) $$example > /dev/null || exit 1; \
+	done
 
 check: lint docs-check test

@@ -6,21 +6,28 @@ completes, most traps are read, negotiated access resolves the human
 blockers, and no safety violations occur in nominal conditions.
 """
 
-from repro import CollaborativeEnvironment
-from repro.mission import OrchardConfig
+from repro.mission import FleetSpec, OrchardConfig, build_fleet
 
 
-def run_mission(seed: int):
-    env = CollaborativeEnvironment.build_orchard(
-        config=OrchardConfig(seed=seed, wind_mean_mps=1.0)
+def fly_mission(seed: int, wind_mean_mps: float = 1.0):
+    """Fly one oracle mission on orchard *seed* as a one-mission fleet."""
+    fleet = build_fleet(
+        FleetSpec(
+            count=1,
+            base_seed=seed,
+            config=OrchardConfig(wind_mean_mps=wind_mean_mps),
+            perception="oracle",
+            winds=(),
+            lightings=(),
+        )
     )
-    report = env.run_mission()
-    return env, report
+    report = fleet.run().reports["mission_00"]
+    return fleet.missions[0], report
 
 
 def test_full_mission(benchmark):
-    env, report = benchmark.pedantic(run_mission, args=(1,), rounds=1, iterations=1)
-    total_traps = len(env.orchard.traps)
+    mission, report = benchmark.pedantic(fly_mission, args=(1,), rounds=1, iterations=1)
+    total_traps = len(mission.orchard.traps)
     assert report.traps_read >= total_traps * 0.6
     assert report.traps_read + len(report.skipped_traps) <= total_traps
     assert report.safety_events == 0
@@ -43,23 +50,17 @@ def test_full_mission(benchmark):
 def test_mission_under_wind(benchmark):
     """The same mission with a stiffer breeze still completes safely."""
 
-    def windy():
-        env = CollaborativeEnvironment.build_orchard(
-            config=OrchardConfig(seed=2, wind_mean_mps=3.0)
-        )
-        return env, env.run_mission()
-
-    env, report = benchmark.pedantic(windy, rounds=1, iterations=1)
+    mission, report = benchmark.pedantic(fly_mission, args=(2, 3.0), rounds=1, iterations=1)
     assert report.traps_read >= 1
     benchmark.extra_info["duration_s"] = round(report.duration_s, 1)
 
 
 if __name__ == "__main__":
     for seed in (1, 2, 3):
-        env, report = run_mission(seed)
+        mission, report = fly_mission(seed)
         print(
             f"T-MISSION seed {seed}: read {report.traps_read}/"
-            f"{len(env.orchard.traps)} traps, "
+            f"{len(mission.orchard.traps)} traps, "
             f"negotiations {report.negotiations} "
             f"(granted {report.negotiations_granted}, denied "
             f"{report.negotiations_denied}, failed {report.negotiations_failed}), "

@@ -10,38 +10,47 @@ channel itself: a batch of sign observations read in one
 Run:  PYTHONPATH=src python examples/quickstart.py
 """
 
-from repro import CollaborativeEnvironment
 from repro.geometry import observation_camera
 from repro.human import COMMUNICATIVE_SIGNS, RenderSettings, pose_for_sign, render_frame
-from repro.mission import OrchardConfig, render_map
+from repro.mission import FleetSpec, OrchardConfig, build_fleet, render_map
 from repro.recognition import SaxSignRecognizer, observation_elevation_deg
 
 
 def main() -> None:
-    env = CollaborativeEnvironment.build_orchard(
-        config=OrchardConfig(
-            rows=3,
-            trees_per_row=6,
-            traps_per_row=2,
-            workers=2,
-            visitors=1,
-            blocking_fraction=0.6,
-            seed=7,
+    # One mission is a one-mission fleet; winds=() keeps the config's
+    # own wind and lightings=() the oracle's default view.
+    fleet = build_fleet(
+        FleetSpec(
+            count=1,
+            base_seed=7,
+            config=OrchardConfig(
+                rows=3,
+                trees_per_row=6,
+                traps_per_row=2,
+                workers=2,
+                visitors=1,
+                blocking_fraction=0.6,
+            ),
+            perception="oracle",
+            winds=(),
+            lightings=(),
         )
     )
-    print(f"orchard: {len(env.orchard.traps)} fly traps, "
-          f"{len(env.orchard.humans)} people, "
-          f"{len(env.world.obstacles)} trees")
-    print(render_map(env.orchard, env.drone))
+    mission = fleet.missions[0]
+    orchard, drone, world = mission.orchard, mission.drone, mission.world
+    print(f"orchard: {len(orchard.traps)} fly traps, "
+          f"{len(orchard.humans)} people, "
+          f"{len(world.obstacles)} trees")
+    print(render_map(orchard, drone))
     print("running mission ...")
-    report = env.run_mission()
+    report = fleet.run().reports[mission.name]
     print()
     print("after the mission (read traps now shown as *):")
-    print(render_map(env.orchard, env.drone))
+    print(render_map(orchard, drone))
 
     print()
     print("=== mission report ===")
-    print(f"traps read:            {report.traps_read}/{len(env.orchard.traps)}")
+    print(f"traps read:            {report.traps_read}/{len(orchard.traps)}")
     print(f"skipped traps:         {report.skipped_traps or 'none'}")
     print(f"spray recommendations: {report.spray_recommendations}")
     print(f"negotiations:          {report.negotiations} "
@@ -50,11 +59,11 @@ def main() -> None:
           f"failed {report.negotiations_failed})")
     print(f"mission time:          {report.duration_s:.0f} s simulated")
     print(f"safety events:         {report.safety_events}")
-    print(f"battery remaining:     {env.drone.battery.state_of_charge:.0%}")
+    print(f"battery remaining:     {drone.battery.state_of_charge:.0%}")
 
     print()
     print("=== negotiation transcript (protocol events) ===")
-    for event in env.log:
+    for event in world.log:
         if event.kind in ("protocol_state", "sign_observed", "sign_shown",
                           "negotiation_started"):
             print(f"  {event}")

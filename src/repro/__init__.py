@@ -10,9 +10,13 @@ negotiation protocol and the orchard mission layer).
 
 Quickstart
 ----------
->>> from repro import CollaborativeEnvironment
->>> env = CollaborativeEnvironment.build_orchard(seed=1)
->>> report = env.run_mission()
+One trap-reading mission is a one-mission fleet:
+
+>>> from repro.mission import FleetSpec, build_fleet
+>>> fleet = build_fleet(
+...     FleetSpec(count=1, base_seed=1, perception="oracle", winds=(), lightings=())
+... )
+>>> report = fleet.run().reports["mission_00"]
 >>> report.traps_read >= 1
 True
 
@@ -28,12 +32,11 @@ Subpackages
 ``repro.recognition`` the frame → SAX → sign pipeline and baselines
 ``repro.protocol``    the Figure-3 negotiation and the safety monitor
 ``repro.userstories`` requirements derivation and traceability
-``repro.mission``     orchard generation, route planning, execution
-``repro.core``        the :class:`CollaborativeEnvironment` facade
+``repro.mission``     orchard generation, route planning, execution, fleets
+``repro.recorder``    flight recorder, replay and diff
+``repro.testing``     reference implementations and the long-tail fuzz
 """
-
-from repro.core.environment import CollaborativeEnvironment
 
 __version__ = "1.0.0"
 
-__all__ = ["CollaborativeEnvironment", "__version__"]
+__all__ = ["__version__"]

@@ -14,7 +14,7 @@ from enum import Enum
 
 from repro.drone.agent import DroneAgent
 from repro.drone.patterns import CruisePattern, LandingPattern, TakeOffPattern
-from repro.geometry.vec import Vec2, Vec3
+from repro.geometry.vec import Vec2
 from repro.mission.flytrap import FlyTrap, TrapReading
 from repro.mission.orchard import Orchard
 from repro.mission.planner import plan_route
@@ -24,7 +24,7 @@ from repro.protocol.negotiation import (
     NegotiationState,
 )
 from repro.protocol.perception import OraclePerception, Perception
-from repro.protocol.safety import SafetyLimits, SafetyMonitor
+from repro.protocol.safety import SafetyMonitor
 
 __all__ = ["MissionPhase", "MissionReport", "MissionExecutor"]
 
@@ -75,23 +75,27 @@ class MissionReport:
 
 
 class MissionExecutor:
-    """Drives one drone through a trap-reading mission in an orchard."""
+    """Drives one drone through a trap-reading mission in an orchard.
+
+    The drone's position at construction is the mission's home.  The
+    executor is not a world entity: the fleet's ``mission`` stage
+    (:func:`~repro.mission.fleet.build_fleet`) steps it through
+    :meth:`tick` once per world step.
+    """
 
     def __init__(
         self,
         orchard: Orchard,
         drone: DroneAgent,
         perception: Perception | None = None,
-        home: Vec2 | None = None,
-        safety_limits: SafetyLimits | None = None,
         negotiation_config: NegotiationConfig | None = None,
     ) -> None:
         self.orchard = orchard
         self.drone = drone
         self.perception = perception if perception is not None else OraclePerception()
-        self.home = home if home is not None else drone.state.position.horizontal()
+        self.home = drone.state.position.horizontal()
         self.negotiation_config = negotiation_config
-        self.safety = SafetyMonitor(drone, safety_limits)
+        self.safety = SafetyMonitor(drone)
         self.phase = MissionPhase.IDLE
         self.report = MissionReport()
         self.name = f"mission_{drone.name}"
@@ -120,16 +124,6 @@ class MissionExecutor:
         self.drone.fly_pattern(TakeOffPattern(TRANSIT_ALTITUDE_M), world)
         self.phase = MissionPhase.TAKING_OFF
         world.record(self.name, "mission_started", traps=len(self._queue))
-
-    # -- world entity protocol ----------------------------------------------------------
-
-    def position3(self) -> Vec3:
-        """Entity protocol: co-located with the drone."""
-        return self.drone.state.position
-
-    def update(self, world, dt: float) -> None:
-        """World-entity driver: delegates to the :meth:`tick` step API."""
-        self.tick(world)
 
     # -- step API ---------------------------------------------------------------------
 

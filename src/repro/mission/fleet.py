@@ -1,13 +1,9 @@
-"""Fleet-scale mission engine: many missions, one batched perception.
+"""Fleet-scale mission engine: every mission, one batched perception.
 
-The single-mission path
-(:meth:`~repro.core.environment.CollaborativeEnvironment.run_mission`)
-registers the executor as a world entity and loops ``world.step()`` —
-one drone, one orchard, perception answered synchronously inside the
-loop.  A fleet of N such missions run that way costs N sequential
-per-frame recognitions.  This module restructures the mission layer as
-a *schedulable loop* instead: the fleet tick calls seven stages in
-order (:mod:`repro.mission.pipeline`) —
+This is the one mission runner: a single mission is a one-mission
+fleet (``build_fleet(FleetSpec(count=1, ...))``), and no executor is
+ever a world entity.  The mission layer is a *schedulable loop*: the
+fleet tick calls seven stages in order (:mod:`repro.mission.pipeline`) —
 
 ``world → predict → lookup → render → preprocess → match → mission``
 
@@ -23,11 +19,10 @@ a thin driver over that loop: one scheduler tick is one loop tick.
 
 Because the prefetched answers are bit-identical to what a synchronous
 call would compute (same pose, same quantised camera, same batched
-kernels) and the loop's schedule is
-execution-order-identical to the old lockstep loop, a fleet run
-replays each mission *exactly* as a sequential run would —
-``benchmarks/bench_fleet.py`` asserts this and gates the throughput
-win, and the golden mission transcripts pin it byte-for-byte.  The
+kernels) and every mission steps in the same order within a tick, a
+fleet run replays each mission *exactly* as a one-mission fleet of it
+would — ``benchmarks/bench_fleet.py`` asserts this and gates the
+throughput win, and the golden mission transcripts pin it byte-for-byte.  The
 loop adds per-stage timing (``FleetReport.graph_stats``) on top.
 
 Scenario diversity comes from :mod:`repro.simulation.scenarios`: each

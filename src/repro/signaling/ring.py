@@ -91,7 +91,7 @@ class AllRoundLightRing:
     >>> ring = AllRoundLightRing()
     >>> ring.set_navigation(course_deg=0.0)
     >>> ring.snapshot().count(LightColor.WHITE)
-    4
+    3
     >>> ring.trigger_safety()
     >>> ring.snapshot().glyphs()
     'RRRRRRRRRR'

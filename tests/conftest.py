@@ -2,8 +2,8 @@
 
 The expensive artefacts nearly every suite re-built for itself — the
 canonically-enrolled recognisers, rendered sign frames at the paper's
-observation geometry, deterministic personas and small clean orchard
-worlds — live here once, session-scoped.  Suites alias them under their
+observation geometry, deterministic personas and a signalling human's
+world — live here once.  Suites alias them under their
 historical local names (``recognizer = canonical_recognizer``) so test
 bodies stay unchanged.
 
@@ -13,7 +13,6 @@ their own instances; the shared recognisers are read-only by contract.
 
 import pytest
 
-from repro.drone import DroneAgent
 from repro.geometry import Vec2, observation_camera
 from repro.human import (
     MOVE_UPWARD,
@@ -26,7 +25,6 @@ from repro.human import (
     pose_for_sign,
     render_frame,
 )
-from repro.mission import MissionExecutor, OrchardConfig, generate_orchard
 from repro.recognition import DynamicSignRecognizer, SaxSignRecognizer
 from repro.simulation import World
 
@@ -122,34 +120,5 @@ def standing_human_world():
         world.add_entity(human)
         human.show_sign(sign, world)
         return world, human
-
-    return build
-
-
-@pytest.fixture
-def mission_world():
-    """Factory: a small orchard world with a drone and mission executor.
-
-    ``mission_world(config, perception=..., persona=...)`` returns
-    ``(orchard, drone, executor)`` with the executor registered as a
-    world entity — the setup the mission suites repeat.  A *persona*
-    overrides every human's behaviour (deterministic protocol tests).
-    """
-
-    def build(config: OrchardConfig, perception=None, persona=None, negotiation_config=None):
-        orchard = generate_orchard(config)
-        if persona is not None:
-            for human in orchard.humans:
-                human.persona = persona
-        drone = DroneAgent("drone", position=Vec2(-6, -4))
-        orchard.world.add_entity(drone)
-        executor = MissionExecutor(
-            orchard,
-            drone,
-            perception=perception,
-            negotiation_config=negotiation_config,
-        )
-        orchard.world.add_entity(executor)
-        return orchard, drone, executor
 
     return build

@@ -1,25 +1,21 @@
-"""Integration tests for the mission executor."""
+"""Integration tests for the mission executor, each flown as a one-mission fleet."""
 
 import pytest
 
-from repro.drone import DroneAgent
 from repro.geometry import Vec2
-from repro.mission import (
-    MissionExecutor,
-    MissionPhase,
-    OrchardConfig,
-    generate_orchard,
-)
-from repro.protocol import OraclePerception
+from repro.mission import FleetSpec, MissionPhase, OrchardConfig, build_fleet
 
 
 def build_mission(config: OrchardConfig):
-    orchard = generate_orchard(config)
-    drone = DroneAgent("drone", position=Vec2(-6, -4))
-    orchard.world.add_entity(drone)
-    executor = MissionExecutor(orchard, drone, perception=OraclePerception())
-    orchard.world.add_entity(executor)
-    return orchard, drone, executor
+    """A one-mission oracle fleet on *config*, exactly as configured."""
+    fleet = build_fleet(
+        FleetSpec(
+            count=1, base_seed=config.seed, config=config, perception="oracle",
+            winds=(), lightings=(),
+        )
+    )
+    mission = fleet.missions[0]
+    return fleet, mission.orchard, mission.drone, mission.executor
 
 
 class TestUnblockedMission:
@@ -28,9 +24,8 @@ class TestUnblockedMission:
             rows=2, trees_per_row=4, traps_per_row=1, workers=0, visitors=0,
             supervisor_present=False, wind_mean_mps=0.0, seed=3,
         )
-        orchard, drone, executor = build_mission(config)
-        executor.start(orchard.world)
-        assert orchard.world.run_until(lambda w: executor.finished, timeout_s=900)
+        fleet, orchard, drone, executor = build_mission(config)
+        fleet.run(timeout_s=900)
         assert executor.phase is MissionPhase.DONE
         assert executor.report.traps_read == 2
         assert executor.report.negotiations == 0
@@ -41,16 +36,15 @@ class TestUnblockedMission:
             rows=1, trees_per_row=4, traps_per_row=1, workers=0, visitors=0,
             supervisor_present=False, wind_mean_mps=0.0, seed=3,
         )
-        orchard, drone, executor = build_mission(config)
-        executor.start(orchard.world)
-        assert orchard.world.run_until(lambda w: executor.finished, timeout_s=600)
+        fleet, orchard, drone, executor = build_mission(config)
+        fleet.run(timeout_s=600)
         assert drone.state.on_ground
         assert drone.state.position.horizontal().distance_to(Vec2(-6, -4)) < 1.0
 
     def test_cannot_start_twice(self):
         config = OrchardConfig(workers=0, visitors=0, supervisor_present=False, seed=1)
-        orchard, drone, executor = build_mission(config)
-        executor.start(orchard.world)
+        fleet, orchard, drone, executor = build_mission(config)
+        fleet.start()
         with pytest.raises(RuntimeError):
             executor.start(orchard.world)
 
@@ -61,9 +55,8 @@ class TestBlockedMission:
             rows=2, trees_per_row=4, traps_per_row=1, workers=2, visitors=0,
             blocking_fraction=1.0, wind_mean_mps=0.0, seed=7,
         )
-        orchard, drone, executor = build_mission(config)
-        executor.start(orchard.world)
-        assert orchard.world.run_until(lambda w: executor.finished, timeout_s=1800)
+        fleet, orchard, drone, executor = build_mission(config)
+        fleet.run(timeout_s=1800)
         assert executor.report.negotiations >= 1
 
     def test_denied_trap_deferred_then_skipped(self):
@@ -73,7 +66,7 @@ class TestBlockedMission:
             supervisor_present=False, blocking_fraction=1.0, wind_mean_mps=0.0,
             seed=2,
         )
-        orchard, drone, executor = build_mission(config)
+        fleet, orchard, drone, executor = build_mission(config)
         # Make the blocking human always deny.
         from repro.human import Persona, TrainingLevel
 
@@ -90,17 +83,15 @@ class TestBlockedMission:
         )
         for human in orchard.humans:
             human.persona = denier
-        executor.start(orchard.world)
-        assert orchard.world.run_until(lambda w: executor.finished, timeout_s=1800)
+        fleet.run(timeout_s=1800)
         if executor.report.negotiations_denied >= 2:
             assert executor.report.skipped_traps
         assert executor.report.traps_read + len(executor.report.skipped_traps) == 1
 
     def test_mission_report_consistency(self):
         config = OrchardConfig(seed=1, wind_mean_mps=0.5)
-        orchard, drone, executor = build_mission(config)
-        executor.start(orchard.world)
-        assert orchard.world.run_until(lambda w: executor.finished, timeout_s=1800)
+        fleet, orchard, drone, executor = build_mission(config)
+        fleet.run(timeout_s=1800)
         report = executor.report
         assert report.negotiations == (
             report.negotiations_granted

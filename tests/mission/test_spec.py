@@ -5,7 +5,7 @@ pre-spec keyword forms raise ``TypeError``.
 """
 
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -117,6 +117,27 @@ class TestSpecFieldRouting:
         )
         try:
             assert fleet.missions[0].drone.state.position.horizontal() == home
+        finally:
+            fleet.close()
+
+    def test_without_winds_each_orchard_keeps_the_config_but_its_seed(self):
+        """With ``winds=()`` mission ``i`` flies ``replace(config,
+        seed=base_seed + i)``: every other field, wind mean included,
+        is the config's own."""
+        config = OrchardConfig(
+            rows=2, trees_per_row=3, traps_per_row=1, workers=1, visitors=0,
+            supervisor_present=False, blocking_fraction=0.25, wind_mean_mps=0.5, seed=99,
+        )
+        fleet = build_fleet(
+            FleetSpec(
+                count=3, base_seed=9, config=config, perception="oracle",
+                winds=(), lightings=(),
+            )
+        )
+        try:
+            assert [m.orchard.config for m in fleet.missions] == [
+                replace(config, seed=9 + i) for i in range(3)
+            ]
         finally:
             fleet.close()
 

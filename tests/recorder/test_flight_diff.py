@@ -11,11 +11,13 @@ covers truncation (length divergence) and the CLI exit-code contract
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.recorder import FlightRecorder, first_divergence, read_lines
+from repro.mission.orchard import OrchardConfig
+from repro.recorder import FlightRecorder, first_divergence, read_lines, record_fleet_run
 from repro.recorder.events import canonical_line, decode_value, encode_value
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -91,6 +93,30 @@ def test_injected_field_change_is_named_exactly(tmp_path):
     assert "mission_00" in described
     assert "tick=37" in described
     assert "data.detail.distance_m" in described
+
+
+def test_recipe_mismatch_is_named_before_any_event(tmp_path):
+    """Two recordings of one fleet whose recipes differ only in a field
+    that changes no event: the differ names the header's recipe field,
+    not a later event (the end record's digest covers the header)."""
+    config = OrchardConfig(
+        rows=1, trees_per_row=2, traps_per_row=1, workers=0, visitors=0,
+        supervisor_present=False, wind_mean_mps=0.0, blocking_fraction=0.0,
+    )
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    common = dict(count=1, perception="oracle", winds=(), lightings=())
+    record_fleet_run(str(a), config=config, **common)
+    record_fleet_run(str(b), config=replace(config, blocking_fraction=1.0), **common)
+    lines_a, lines_b = read_lines(str(a)), read_lines(str(b))
+    assert lines_a[1:-1] == lines_b[1:-1]  # every event between header and end
+    divergence = first_divergence(lines_a, lines_b)
+    assert divergence is not None
+    assert (divergence.index, divergence.kind) == (0, "header")
+    assert divergence.path == "data.recipe.kwargs.config.blocking_fraction"
+    assert (divergence.value_a, divergence.value_b) == (0.0, 1.0)
+    assert divergence.describe().startswith(
+        "event 0 kind=header: field data.recipe.kwargs.config.blocking_fraction"
+    )
 
 
 def test_truncated_recording_reports_length_divergence(tmp_path):

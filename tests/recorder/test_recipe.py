@@ -8,12 +8,14 @@ refused on both sides, before anything is written or flown.
 """
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mission.orchard import OrchardConfig
+from repro.mission.spec import FLEET_PERCEPTIONS, FleetSpec
 from repro.protocol.negotiation import NegotiationConfig
 from repro.protocol.perception import OraclePerception
 from repro.recorder import FlightRecorder, make_recipe, run_recipe
@@ -140,3 +142,63 @@ def test_recipe_conditions_round_trip_or_are_refused(winds, lightings):
         return
     recipe = json.loads(json.dumps(make_recipe("fleet", **kwargs)))
     assert _decode_kwargs(recipe["kwargs"]) == kwargs
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+RECIPE_CONFIGS = st.builds(
+    OrchardConfig,
+    rows=st.integers(1, 6),
+    trees_per_row=st.integers(2, 10),
+    row_spacing_m=st.floats(0.5, 10.0, **FINITE),
+    tree_spacing_m=st.floats(0.5, 10.0, **FINITE),
+    traps_per_row=st.integers(0, 4),
+    workers=st.integers(0, 4),
+    visitors=st.integers(0, 3),
+    supervisor_present=st.booleans(),
+    blocking_fraction=st.floats(0.0, 1.0, **FINITE),
+    wind_mean_mps=st.floats(0.0, 20.0, **FINITE),
+    seed=st.integers(0, 2**31),
+)
+RECIPE_NEGOTIATIONS = st.builds(
+    NegotiationConfig,
+    approach_distance_m=st.floats(0.5, 10.0, **FINITE),
+    observe_interval_s=st.floats(0.05, 2.0, **FINITE),
+    max_poke_retries=st.integers(0, 4),
+)
+RECIPE_KWARGS = st.fixed_dictionaries(
+    {"count": st.integers(1, 16)},
+    optional={
+        "base_seed": st.integers(0, 2**31),
+        "config": st.none() | RECIPE_CONFIGS,
+        "perception": st.sampled_from(FLEET_PERCEPTIONS),
+        "winds": st.lists(st.sampled_from(list(WINDS.values())), max_size=3).map(tuple),
+        "lightings": st.lists(st.sampled_from(list(LIGHTINGS.values())), max_size=3).map(tuple),
+        "negotiation_config": st.none() | RECIPE_NEGOTIATIONS,
+    },
+)
+
+
+class _Built(Exception):
+    """Raised by the build_fleet spy so nothing flies."""
+
+
+@given(kwargs=RECIPE_KWARGS)
+def test_run_recipe_builds_the_recorded_spec(kwargs):
+    """The FleetSpec run_recipe hands to build_fleet, after a JSON round
+    trip of the recipe, equals FleetSpec of the recorded kwargs."""
+    recipe = json.loads(json.dumps(make_recipe("fleet", **kwargs)))
+    specs = []
+
+    def spy(spec):
+        specs.append(spec)
+        raise _Built
+
+    recorder = FlightRecorder()
+    with mock.patch("repro.recorder.replay.build_fleet", spy), pytest.raises(_Built):
+        run_recipe(recipe, recorder)
+    expected = dict(kwargs)
+    if "negotiation_config" in expected:
+        expected["negotiation"] = expected.pop("negotiation_config")
+    [spec] = specs
+    assert spec == FleetSpec(**expected)
+    assert spec.recorder is recorder
