@@ -36,6 +36,14 @@ Measures frames/sec of the batched engine against the scalar loop on
   and reading it with the scalar ``SaxSignRecognizer.recognise``.
   ``verdicts_identical`` is asserted on every run, smoke runs included;
   there is no speed gate.
+* **footprint**: a fresh Python process imports the recogniser, enrols
+  the canonical views and classifies one rendered frame through the
+  batched front end; it records its ``peak_rss_mb``, the ``import_s``
+  of the packages it uses, ``cpu_count`` and ``scipy_loaded`` (whether
+  any ``scipy`` module got imported on the way).  The runtime path
+  needs numpy alone, so ``scripts/compare_bench.py`` fails an artifact
+  whose ``scipy_loaded`` is true; the memory and import time are
+  informational.
 
 Set ``BENCH_SMOKE=1`` to run a tiny batch with the perf gates disabled
 (parity checks stay on) — the CI smoke job uses this so the script
@@ -49,8 +57,12 @@ Run as a script to write the ``BENCH_throughput.json`` artifact::
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
+
+import repro
 
 from repro.geometry import observation_camera
 from repro.human import (
@@ -262,6 +274,47 @@ def measure_single_frame(recognizer, count: int = BATCH_SIZE) -> dict:
     }
 
 
+#: What the footprint probe runs in a fresh interpreter: import the
+#: recogniser, enrol it and classify one frame, then report on itself.
+FOOTPRINT_PROBE = """
+import json, os, resource, sys, time
+start = time.perf_counter()
+from repro.geometry import observation_camera
+from repro.human import COMMUNICATIVE_SIGNS, RenderSettings, pose_for_sign, render_frame
+from repro.recognition import SaxSignRecognizer, observation_elevation_deg
+import_s = time.perf_counter() - start
+recognizer = SaxSignRecognizer()
+recognizer.enroll_canonical_views()
+camera = observation_camera(5.0, 3.0, 0.0)
+frame = render_frame(pose_for_sign(COMMUNICATIVE_SIGNS[0]), camera, RenderSettings(noise_sigma=0.02))
+recognizer.recognize_batch([frame], elevation_deg=observation_elevation_deg(5.0, 3.0))
+# VmHWM is this process's own high-water mark; ru_maxrss (KiB on Linux)
+# can carry over the launching process's peak across exec.
+peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        peak_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({
+    "peak_rss_mb": peak_kib * 1024 / 1e6,
+    "import_s": import_s,
+    "cpu_count": os.cpu_count() or 1,
+    "scipy_loaded": any(name.split(".")[0] == "scipy" for name in sys.modules),
+}))
+"""
+
+
+def measure_footprint() -> dict:
+    """Run :data:`FOOTPRINT_PROBE` in a fresh interpreter and return
+    its report."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(probe.stdout.splitlines()[-1])
+
+
 def measure(recognizer) -> dict:
     frames = make_frames()
     distinct = make_distinct_frames()
@@ -290,6 +343,7 @@ def measure(recognizer) -> dict:
         "render": measure_render(),
         "preprocess": measure_preprocess(),
         "single_frame": measure_single_frame(recognizer),
+        "footprint": measure_footprint(),
     }
 
 
@@ -380,6 +434,7 @@ if __name__ == "__main__":
     artifact.write_text(json.dumps(stats, indent=2) + "\n")
     m, e, d = stats["matcher"], stats["end_to_end"], stats["end_to_end_distinct"]
     r, p, f = stats["render"], stats["preprocess"], stats["single_frame"]
+    fp = stats["footprint"]
     print(
         f"T-THRU ({BATCH_SIZE}-frame batch, {stats['enrolled_views']} views, "
         f"{HOST['cpu_count']} cores, Python {HOST['python']})"
@@ -409,6 +464,10 @@ if __name__ == "__main__":
     print(
         f"  single frame:    {f['scalar_fps']:8.0f} fps scalar -> {f['fps']:8.0f} fps "
         f"seams    ({f['speedup']:.2f}x, verdicts_identical={f['verdicts_identical']})"
+    )
+    print(
+        f"  footprint:       {fp['peak_rss_mb']:8.1f} MB peak, {fp['import_s']:.3f} s imports, "
+        f"scipy_loaded={fp['scipy_loaded']}"
     )
     print(f"  wrote {artifact.name}")
     assert f["verdicts_identical"], "one-frame seam requests drifted from the scalar recogniser"

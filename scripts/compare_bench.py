@@ -18,6 +18,13 @@ nightly run) and
   every other boolean in that section ``true`` — smoke runs and
   under-provisioned hosts write ``gate_enforced: false`` and are
   exempt;
+* **fails when the runtime loaded SciPy**: any ``scipy_loaded`` leaf
+  that is ``true`` in the fresh artifact (the ``footprint`` section of
+  ``bench_throughput.py``, recorded by a fresh process that classifies
+  one frame) fails, and so does a fresh artifact that lost a
+  ``scipy_loaded`` leaf its baseline records.  The library's runtime
+  path needs numpy alone; unlike memory or timings this holds on any
+  host;
 * **fails on lost pipeline stages**: every dataflow node named in a
   baseline artifact's ``nodes.nodes`` section (the per-stage metrics
   ``bench_fleet.py`` rolls up from the fleet pipeline graph) must still
@@ -106,6 +113,15 @@ def slo_violations(artifact: dict, path=()) -> list[str]:
     return violations
 
 
+def scipy_loaded_leaves(artifact: dict) -> dict[str, object]:
+    """All ``scipy_loaded`` leaves of *artifact*, keyed by dotted path."""
+    return {
+        ".".join(path): value
+        for path, value in walk_leaves(artifact)
+        if path and path[-1] == "scipy_loaded"
+    }
+
+
 def node_metrics(artifact: dict) -> dict[str, dict]:
     """The per-node stage metrics of *artifact* (empty when absent)."""
     nodes = artifact.get("nodes")
@@ -131,6 +147,19 @@ def compare_artifact(name: str, baseline: dict, fresh: dict) -> list[str]:
             regressions.append(
                 f"{name}: parity regression — '{path}' was true in the "
                 f"baseline, got {fresh_parity[path]!r}"
+            )
+    fresh_scipy = scipy_loaded_leaves(fresh)
+    for path in scipy_loaded_leaves(baseline):
+        if path not in fresh_scipy:
+            regressions.append(
+                f"{name}: '{path}' is recorded in the baseline but missing "
+                f"from the fresh artifact"
+            )
+    for path, value in fresh_scipy.items():
+        if value is not False:
+            regressions.append(
+                f"{name}: runtime dependency — '{path}' is {value!r}: the "
+                f"run imported SciPy, which the library must not need"
             )
     fresh_nodes = node_metrics(fresh)
     for node_name in node_metrics(baseline):

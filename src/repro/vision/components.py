@@ -1,13 +1,17 @@
 """Connected-component labelling for binary images.
 
-Two-pass union-find labelling with 8-connectivity.  The recognition
-pre-processor keeps only the largest component: the signaller's
-silhouette, discarding stray foreground (leaves, other objects).
+The recognition pre-processor keeps only the largest 8-connected
+component: the signaller's silhouette, discarding stray foreground
+(leaves, other objects).
 
-:func:`largest_component_fast` is the pre-processor's labeller: it
-labels only the foreground's bounding box of a raw boolean array and
-returns the largest component on that box, which is all the contour
-trace needs.
+:func:`label_components` is the readable two-pass union-find over
+pixels, kept as the test oracle.  :func:`label_components_fast` and
+:func:`largest_component_fast` label row runs instead: one union-find
+node per horizontal run of foreground, linked to the runs it touches in
+the row above, on numpy alone.  :func:`largest_component_fast` is the
+pre-processor's labeller: it returns the largest component of a raw
+boolean array over the foreground's bounding box, which is all the
+contour trace needs.
 """
 
 from __future__ import annotations
@@ -141,23 +145,99 @@ def label_components(image: BinaryImage, min_area: int = 1) -> list[ConnectedCom
     return components
 
 
-def label_components_fast(image: BinaryImage, min_area: int = 1) -> list[ConnectedComponent]:
-    """Label 8-connected components using SciPy, largest first.
+def _row_runs(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The foreground runs of a boolean ``(H, W)`` array in scan order.
 
-    Behaviourally identical to :func:`label_components` (a property test
-    asserts agreement) but vectorised; the recognition pipeline uses this
-    to stay within its real-time budget.  Falls back to the pure-Python
-    reference when SciPy is unavailable.
+    Returns ``(rows, starts, ends)``, one entry per maximal horizontal
+    run of foreground, ``ends`` exclusive.  With one background column
+    padded on each side of every row, the flattened array changes value
+    exactly at each run's start and end, alternately.
+    """
+    h, w = pixels.shape
+    stride = w + 2
+    padded = np.zeros((h, stride), dtype=bool)
+    padded[:, 1:-1] = pixels
+    flat = padded.ravel()
+    rows, cols = np.divmod((flat[1:] != flat[:-1]).nonzero()[0], stride)
+    return rows[::2], cols[::2], cols[1::2]
+
+
+def _link_runs(
+    rows: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int
+) -> tuple[list[int], int]:
+    """Union-find the runs into 8-connected components.
+
+    Returns ``(parent, count)``: a union-find forest over the runs in
+    which every parent precedes its child, each root is its component's
+    first run in scan order, and *count* is the number of components.
+    Two runs are 8-adjacent when they sit in neighbouring rows and their
+    column spans, each grown by one, overlap; for each run the adjacent
+    runs of the row above are one slice ``[lo, hi)`` of the runs, found
+    by two binary searches over ``row * stride + column`` keys.  A run
+    starts out hanging off the first of them, so only runs that touch
+    two or more runs above need a union.
+    """
+    stride = width + 2
+    key = rows * stride
+    above = key - stride
+    # First run above with end >= start; past the last with start <= end.
+    lo = np.searchsorted(key + ends, above + starts, side="left")
+    hi = np.searchsorted(key + starts, above + ends, side="right")
+    linked = hi > lo
+    parent = np.where(linked, lo, np.arange(len(lo))).tolist()
+    count = len(parent) - int(np.count_nonzero(linked))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for run in np.flatnonzero(hi - lo > 1).tolist():
+        first, stop = int(lo[run]), int(hi[run])
+        root = find(first)
+        for other in range(first + 1, stop):
+            other = find(other)
+            if other != root:
+                count -= 1
+                root, other = min(root, other), max(root, other)
+                parent[other] = root
+    return parent, count
+
+
+def _component_numbers(parent: list[int]) -> np.ndarray:
+    """Each run's component, numbered ``0..k-1`` in scan order.
+
+    Parents precede their children, so one forward pass resolves every
+    run to its root (its component's first run), in place.
+    """
+    for run, up in enumerate(parent):
+        parent[run] = parent[up]
+    resolved = np.array(parent, dtype=np.intp)
+    numbers = np.cumsum(resolved == np.arange(len(parent))) - 1
+    return numbers[resolved]
+
+
+def label_components_fast(image: BinaryImage, min_area: int = 1) -> list[ConnectedComponent]:
+    """Label 8-connected components on row runs, largest first.
+
+    Returns the same components as :func:`label_components` (a property
+    test asserts agreement) with labels numbered ``1..k`` in scan order
+    of each component's first pixel; equal areas keep that order.  It
+    labels the image's row runs (see :func:`_link_runs`) instead of
+    its pixels, so it needs numpy alone; the scalar
+    :func:`~repro.recognition.preprocess.preprocess_frame` reference
+    labels through it.
     """
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
-    try:
-        from scipy import ndimage
-    except ImportError:  # pragma: no cover - scipy is installed in CI
-        return label_components(image, min_area=min_area)
-
-    structure = np.ones((3, 3), dtype=bool)
-    labelled, count = ndimage.label(image.pixels, structure=structure)
+    pixels = image.pixels
+    rows, starts, ends = _row_runs(pixels)
+    parent, count = _link_runs(rows, starts, ends, pixels.shape[1])
+    numbers = _component_numbers(parent)
+    labelled = np.zeros(pixels.shape, dtype=np.int32)
+    # Boolean assignment fills the foreground in raster order, the order
+    # of the runs.
+    labelled[pixels] = np.repeat(numbers + 1, ends - starts)
     components: list[ConnectedComponent] = []
     for lbl in range(1, count + 1):
         mask = labelled == lbl
@@ -190,11 +270,6 @@ def largest_component(image: BinaryImage) -> ConnectedComponent | None:
     return components[0] if components else None
 
 
-#: The 8-connectivity structuring element, built once.
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-_EIGHT_CONNECTED.setflags(write=False)
-
-
 def largest_component_fast(
     pixels: np.ndarray,
 ) -> tuple[np.ndarray, int, tuple[int, int, int, int]] | None:
@@ -209,31 +284,31 @@ def largest_component_fast(
     box is also a valid search hint for
     :func:`~repro.vision.contour.trace_outer_contour_fast`.
 
-    Scans columns only within the foreground rows and labels the box in
-    place, with no full-size label array; when the box holds one
-    component (the usual silhouette) its foreground is the mask.  Falls
-    back to :func:`largest_component` when SciPy is unavailable.
+    Works on the array's row runs, which also give the box, and builds
+    no label array: when the runs form one component (the usual
+    silhouette) the box's foreground is the mask; otherwise the largest
+    component's runs are painted into a fresh crop.
     """
-    h, w = pixels.shape
-    row_any = pixels.any(axis=1)
-    if not row_any.any():
+    rows, starts, ends = _row_runs(pixels)
+    if not len(rows):
         return None
-    top = int(row_any.argmax())
-    bottom = h - int(row_any[::-1].argmax())
-    col_any = pixels[top:bottom].any(axis=0)
-    left = int(col_any.argmax())
-    right = w - int(col_any[::-1].argmax())
+    top, bottom = int(rows[0]), int(rows[-1]) + 1
+    left, right = int(starts.min()), int(ends.max())
     box = (top, left, bottom - top, right - left)
-    crop = pixels[top:bottom, left:right]
-    try:
-        from scipy import ndimage
-    except ImportError:  # pragma: no cover - scipy is installed in CI
-        component = largest_component(BinaryImage(crop))
-        return component.mask.pixels, component.area, box
-    labelled, count = ndimage.label(crop, structure=_EIGHT_CONNECTED)
+    parent, count = _link_runs(rows, starts, ends, pixels.shape[1])
+    lengths = ends - starts
     if count == 1:
-        return crop, int(np.count_nonzero(crop)), box
-    # First label of the largest area: scan order breaks ties.
-    areas = np.bincount(labelled.ravel())
-    best = 1 + int(areas[1:].argmax())
-    return labelled == best, int(areas[best]), box
+        return pixels[top:bottom, left:right], int(lengths.sum()), box
+    # First component of the largest area: scan order breaks ties.
+    numbers = _component_numbers(parent)
+    areas = np.bincount(numbers, weights=lengths)
+    best = int(areas.argmax())
+    keep = numbers == best
+    # +1 at each kept run's start and -1 at its end; a running sum
+    # along the row is 1 exactly inside the runs.
+    edges = np.zeros((bottom - top, right - left + 1), dtype=np.int8)
+    kept_rows = rows[keep] - top
+    edges[kept_rows, starts[keep] - left] = 1
+    edges[kept_rows, ends[keep] - left] = -1
+    crop = edges.cumsum(axis=1, dtype=np.int8)[:, :-1].astype(bool)
+    return crop, int(areas[best]), box

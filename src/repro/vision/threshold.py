@@ -109,15 +109,32 @@ def otsu_bins(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``i / OTSU_BINS`` is exact: ``trunc(v * OTSU_BINS)`` already places
     ``v`` in ``[edges[i], edges[i+1])`` and none of numpy's one-ULP edge
     corrections can fire (only ``v == 1`` moves down into the last bin).
+
+    Raises ``ValueError`` for an intensity whose bin falls outside
+    ``0..OTSU_BINS``, i.e. one at least a bin width outside ``[0, 1]``.
     """
-    indices = (pixels * OTSU_BINS).astype(np.intp)
-    # Scalar Otsu consumes validated Image pixels; raw arrays get a
-    # cheap loud check instead of silently mis-binning (np.histogram
-    # would *drop* out-of-range values, so parity would break quietly).
-    if indices.size and (int(indices.min()) < 0 or int(indices.max()) > OTSU_BINS):
+    scaled = pixels * OTSU_BINS
+    # Scalar Otsu consumes validated Image pixels; raw arrays get a loud
+    # check instead of silently mis-binning (np.histogram would *drop*
+    # out-of-range values, so parity would break quietly).  bincount
+    # refuses negative bins itself and grows past OTSU_BINS + 1 for bins
+    # above the top one; capping them at OTSU_BINS + 1 first keeps that
+    # growth to one slot however large the intensity.
+    np.minimum(scaled, OTSU_BINS + 1, out=scaled)
+    # intp, not a narrower type: bincount counts intp indices and would
+    # copy any other type into intp first.
+    indices = scaled.astype(np.intp)
+    try:
+        histogram = np.bincount(indices.ravel(), minlength=OTSU_BINS + 1)
+    except ValueError:
+        raise ValueError("intensities must lie in [0, 1]") from None
+    if len(histogram) > OTSU_BINS + 1:
         raise ValueError("intensities must lie in [0, 1]")
-    np.minimum(indices, OTSU_BINS - 1, out=indices)
-    return np.bincount(indices.ravel(), minlength=OTSU_BINS), indices
+    if histogram[OTSU_BINS]:
+        # Intensity 1 belongs in the last bin, as np.histogram puts it.
+        histogram[OTSU_BINS - 1] += histogram[OTSU_BINS]
+        np.minimum(indices, OTSU_BINS - 1, out=indices)
+    return histogram[:OTSU_BINS], indices
 
 
 def otsu_dark_bin(histogram: np.ndarray) -> int:

@@ -152,6 +152,48 @@ def test_flipped_single_frame_verdicts_fail(tmp_path, capsys):
     assert "single_frame.verdicts_identical" in capsys.readouterr().out
 
 
+def test_committed_throughput_artifact_records_no_scipy(tmp_path):
+    """The committed footprint section says the runtime path loaded no
+    SciPy, and a copy claiming it did fails the gate."""
+    committed = json.loads((ROOT / "BENCH_throughput.json").read_text())
+    assert committed["footprint"]["scipy_loaded"] is False
+    loaded = json.loads(json.dumps(committed))
+    loaded["footprint"]["scipy_loaded"] = True
+    write(tmp_path / "base", "BENCH_throughput.json", committed)
+    write(tmp_path / "fresh", "BENCH_throughput.json", loaded)
+    assert run(tmp_path) == 1
+
+
+FOOTPRINT = {"footprint": {"peak_rss_mb": 43.4, "import_s": 0.28, "scipy_loaded": False}}
+
+
+def test_scipy_loaded_fails_whatever_the_baseline_says(tmp_path, capsys):
+    """A fresh run that imported SciPy fails, even against a baseline
+    that did too: the check is about the fresh run, on any host."""
+    loaded = json.loads(json.dumps(FOOTPRINT))
+    loaded["footprint"]["scipy_loaded"] = True
+    write(tmp_path / "base", "BENCH_x.json", loaded)
+    write(tmp_path / "fresh", "BENCH_x.json", loaded)
+    assert run(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "runtime dependency" in out and "footprint.scipy_loaded" in out
+
+
+def test_lost_scipy_loaded_field_fails(tmp_path, capsys):
+    write(tmp_path / "base", "BENCH_x.json", FOOTPRINT)
+    write(tmp_path / "fresh", "BENCH_x.json", {"footprint": {"peak_rss_mb": 43.4}})
+    assert run(tmp_path) == 1
+    assert "missing from the fresh artifact" in capsys.readouterr().out
+
+
+def test_footprint_numbers_are_informational(tmp_path):
+    write(tmp_path / "base", "BENCH_x.json", FOOTPRINT)
+    heavier = json.loads(json.dumps(FOOTPRINT))
+    heavier["footprint"]["peak_rss_mb"] = 90.0
+    write(tmp_path / "fresh", "BENCH_x.json", heavier)
+    assert run(tmp_path) == 0
+
+
 NODED = {
     "fleet_throughput": {"speedup": 5.2, "outcome_parity": True},
     "nodes": {

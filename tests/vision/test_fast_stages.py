@@ -152,6 +152,25 @@ class TestOtsuBins:
         with pytest.raises(ValueError):
             otsu_bins(pixels)
 
+    @pytest.mark.parametrize("value", [-1e6, -2.0, -1 / 256, 1 + 1 / 256, 2.0, 1e300, np.inf])
+    @pytest.mark.parametrize("corner", [(0, 0), (-1, -1)])
+    def test_out_of_range_error_fires_on_both_sides(self, value, corner):
+        # Below 0 and above 1, at the first and the last pixel: a bin
+        # outside 0..OTSU_BINS raises instead of being counted (and a
+        # huge intensity raises without a histogram of its size).
+        pixels = random_gray(5)
+        pixels[corner] = value
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            otsu_bins(pixels)
+
+    def test_top_edge_folds_into_the_last_bin(self):
+        # Intensity 1 is the one in-range value whose raw bin is
+        # OTSU_BINS; it lands in the last bin as np.histogram puts it.
+        pixels = np.array([[1.0, 1.0, 255.5 / 256, 0.0]])
+        histogram, bins = otsu_bins(pixels)
+        assert bins.tolist() == [[255, 255, 255, 0]]
+        assert histogram[255] == 3 and histogram[0] == 1 and histogram.sum() == 4
+
 
 class TestClosingFastParity:
     @pytest.mark.parametrize("seed", range(5))
