@@ -32,10 +32,9 @@ lint:
 		echo "lint: ruff not installed; skipped (CI runs it)"; \
 	fi
 
-# Fail if any public function/class/method in repro.vision,
-# repro.recognition, repro.sax, repro.simulation, repro.mission,
-# repro.protocol, repro.recorder or repro.testing lacks a docstring
-# (see docs/ARCHITECTURE.md).
+# Fail if any public function/class/method in any repro subpackage
+# (the script walks repro, so a new package is covered) lacks a
+# docstring (see docs/ARCHITECTURE.md).
 docs-check:
 	$(PYTHON) scripts/check_docstrings.py
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Docs gate: the public API of ``repro.vision``, ``repro.recognition``,
-``repro.sax``, ``repro.simulation``, ``repro.mission``,
-``repro.protocol``, ``repro.recorder`` and ``repro.testing`` must be
+"""Docs gate: the public API of every ``repro`` subpackage (``drone``,
+``geometry``, ``human``, ``mission``, ``protocol``, ``recognition``,
+``recorder``, ``sax``, ``signaling``, ``simulation``, ``testing``,
+``userstories`` and ``vision``, found by walking ``repro``) must be
 documented.
 
 Checks, for every module in the covered packages:
@@ -27,16 +28,16 @@ import inspect
 import pkgutil
 import sys
 
-DEFAULT_PACKAGES = (
-    "repro.vision",
-    "repro.recognition",
-    "repro.sax",
-    "repro.simulation",
-    "repro.mission",
-    "repro.protocol",
-    "repro.recorder",
-    "repro.testing",
-)
+
+def default_packages() -> tuple[str, ...]:
+    """Every subpackage of ``repro``, in name order."""
+    import repro
+
+    return tuple(
+        info.name
+        for info in pkgutil.iter_modules(repro.__path__, "repro.")
+        if info.ispkg
+    )
 
 
 def iter_modules(package_name: str):
@@ -96,7 +97,7 @@ def check_package(package_name: str) -> list[str]:
 
 def main(argv: list[str]) -> int:
     """CLI entry point; returns the process exit code."""
-    packages = tuple(argv) or DEFAULT_PACKAGES
+    packages = tuple(argv) or default_packages()
     problems = []
     for package_name in packages:
         problems.extend(check_package(package_name))

@@ -28,7 +28,6 @@ from repro.geometry.vec import Vec2, Vec3
 from repro.signaling.ring import AllRoundLightRing, RingMode
 from repro.simulation.battery import Battery, BatteryDepleted
 from repro.simulation.body import BodyState, MultirotorBody
-from repro.simulation.sensors import CameraMount, StateEstimator
 
 __all__ = ["DroneAgent", "PatternExecution"]
 
@@ -95,8 +94,6 @@ class DroneAgent:
         self.follower = WaypointFollower(navigation)
         self.ring = AllRoundLightRing()
         self.battery = battery if battery is not None else Battery()
-        self.estimator = StateEstimator.perfect()
-        self.camera = CameraMount()
         self.modes = FlightModeMachine()
         self._queue: list[PatternExecution] = []
         self._trajectory: list[TrajectorySample] = []

@@ -119,6 +119,7 @@ class TakeOffPattern(FlightPattern):
         object.__setattr__(self, "kind", PatternKind.TAKE_OFF)
 
     def compile(self, start: Vec3, heading_deg: float) -> list[PatternStep]:
+        """Lift off vertically to flying height, then hold briefly."""
         return [
             PatternStep(
                 label="lift_off",
@@ -142,6 +143,7 @@ class CruisePattern(FlightPattern):
         object.__setattr__(self, "kind", PatternKind.CRUISE)
 
     def compile(self, start: Vec3, heading_deg: float) -> list[PatternStep]:
+        """Correct the height if needed, then fly straight to the destination."""
         goal = Vec3(self.destination.x, self.destination.y, self.flying_height_m)
         steps = []
         if abs(start.z - self.flying_height_m) > 0.3:
@@ -166,6 +168,7 @@ class LandingPattern(FlightPattern):
         object.__setattr__(self, "kind", PatternKind.LANDING)
 
     def compile(self, start: Vec3, heading_deg: float) -> list[PatternStep]:
+        """Descend, settle, then stop the rotors and put the lights out."""
         return [
             # Figure 2, step 1: reduce altitude until landed...
             PatternStep(label="descend", target=start.with_z(0.0)),
@@ -201,6 +204,7 @@ class PokePattern(FlightPattern):
         object.__setattr__(self, "kind", PatternKind.POKE)
 
     def compile(self, start: Vec3, heading_deg: float) -> list[PatternStep]:
+        """Dart towards the collaborator and back, ``repeats`` times."""
         offset = self.toward - start.horizontal()
         distance = offset.norm()
         if distance < 1e-6:
@@ -234,6 +238,7 @@ class NodPattern(FlightPattern):
         object.__setattr__(self, "kind", PatternKind.NOD)
 
     def compile(self, start: Vec3, heading_deg: float) -> list[PatternStep]:
+        """Dip and rise ``repeats`` times, then hold."""
         steps: list[PatternStep] = []
         tight = 0.15
         for k in range(self.repeats):
@@ -266,6 +271,7 @@ class TurnPattern(FlightPattern):
         object.__setattr__(self, "kind", PatternKind.TURN)
 
     def compile(self, start: Vec3, heading_deg: float) -> list[PatternStep]:
+        """Yaw left and right of *heading_deg* ``repeats`` times, then centre."""
         steps: list[PatternStep] = []
         for k in range(self.repeats):
             steps.append(
@@ -311,6 +317,7 @@ class RectanglePattern(FlightPattern):
         object.__setattr__(self, "kind", PatternKind.RECTANGLE)
 
     def compile(self, start: Vec3, heading_deg: float) -> list[PatternStep]:
+        """Fly the corners clockwise around *start* ``laps`` times, then return."""
         # Rectangle corners in the heading frame, flown clockwise,
         # centred on the start position.
         half_w, half_d = self.width_m / 2.0, self.depth_m / 2.0

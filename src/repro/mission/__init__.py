@@ -16,7 +16,7 @@ from repro.mission.fleet import (
 from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.mission.flytrap import FlyTrap, TrapReading
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
-from repro.mission.pipeline import FleetTick, build_fleet_graph
+from repro.mission.pipeline import FleetTick
 from repro.mission.planner import RoutePlan, plan_route, tour_length
 from repro.mission.visualize import MapStyle, render_map, render_mission_summary
 
@@ -31,7 +31,6 @@ __all__ = [
     "FleetScheduler",
     "FleetTick",
     "build_fleet",
-    "build_fleet_graph",
     "mission_transcript",
     "MissionExecutor",
     "MissionPhase",

@@ -15,7 +15,10 @@ preprocessed and matched by **one** batched recogniser pass, and every
 executor then steps
 (:meth:`~repro.mission.executor.MissionExecutor.tick`), its ``observe``
 calls answered from the just-filled cache.  :class:`FleetScheduler` is
-a thin driver over that loop: one scheduler tick is one loop tick.
+a thin driver over that loop: one scheduler tick is one loop tick while
+a mission flies.  The scheduler owns the tick count and the fleet's
+lifecycle (started, closed, failed); it shares the one set of missions
+still flying with the loop's ``world`` and ``mission`` stages.
 
 Because the prefetched answers are bit-identical to what a synchronous
 call would compute (same pose, same quantised camera, same batched
@@ -41,7 +44,7 @@ from typing import Any, Sequence
 from repro.drone.agent import DroneAgent
 from repro.mission.executor import MissionExecutor, MissionReport
 from repro.mission.orchard import Orchard, OrchardConfig, generate_orchard
-from repro.mission.pipeline import LoopStats, StageLoop, build_fleet_graph
+from repro.mission.pipeline import ActiveSet, LoopStats, NodeFailure, StageLoop, fleet_stages
 from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import PerceptionStats, RecognizerPerception
@@ -126,11 +129,11 @@ class FleetScheduler:
     All mission worlds must share one fixed time step, and the
     missions' :class:`~repro.protocol.recognizer.RecognizerPerception`\\ s
     must all be views of one core.  The scheduler wires them into the
-    seven-stage fleet loop
-    (:func:`~repro.mission.pipeline.build_fleet_graph`) and drives one
-    loop tick per fleet tick — worlds step, queries are predicted, every
-    mission's perception query for the tick resolves through a single
-    batched recogniser pass, and the executors step.
+    seven-stage fleet loop (:func:`~repro.mission.pipeline.fleet_stages`)
+    and drives one loop tick per fleet tick — worlds step, queries are
+    predicted, every mission's perception query for the tick resolves
+    through a single batched recogniser pass, and the executors step.
+    A tick with no mission flying runs no stage and counts nothing.
 
     Parameters
     ----------
@@ -146,7 +149,7 @@ class FleetScheduler:
         byte-identical with or without it.
 
     The scheduler is a context manager: ``with`` guarantees
-    :meth:`close` (loop released, recording sealed) even when a stage
+    :meth:`close` (further ticks refused, recording sealed) even when a stage
     raises mid-tick.
     """
 
@@ -179,12 +182,14 @@ class FleetScheduler:
             self._tap = FleetRecorderTap(
                 recorder, self.missions, recognizers[0] if recognizers else None
             )
-        self._graph = build_fleet_graph(self.missions)
-        # The world stage owns the one set of missions still flying.
-        self._world = self._graph.nodes[0]
+        # The one set of missions still flying, shared with the loop's
+        # world and mission stages.
+        self._active = ActiveSet(self.missions)
+        self._graph = StageLoop(fleet_stages(self._active))
         self._ticks = 0
         self._started = False
         self._closed = False
+        self._failed: NodeFailure | None = None
 
     # -- properties -------------------------------------------------------------------
 
@@ -201,12 +206,12 @@ class FleetScheduler:
     @property
     def finished(self) -> bool:
         """``True`` once every mission is done or aborted."""
-        return not self._world.settle()
+        return not self._active.settle()
 
     @property
     def active_missions(self) -> list[FleetMission]:
         """Missions still flying."""
-        return list(self._world.settle())
+        return list(self._active.settle())
 
     @property
     def graph(self) -> StageLoop:
@@ -237,23 +242,35 @@ class FleetScheduler:
         (drones, humans, traps, wind), then all missions' predicted
         perception queries are batch-resolved through the recognition
         stages, then every executor steps.  Returns the number of
-        still-active missions.
+        still-active missions.  Once none is left, a tick returns 0 and
+        changes nothing: no stage runs, and the clock stays put.
 
         A stage raising mid-tick fails loudly
         (:class:`~repro.mission.pipeline.NodeFailure`, naming the stage
-        and tick) after the fleet has closed.
+        and tick) after the fleet has closed; ticking a failed, closed or
+        unstarted fleet raises ``RuntimeError``.
         """
-        if not self._started:
+        if self._closed or not self._started:
+            if self._failed is not None:
+                raise RuntimeError(f"fleet already failed: {self._failed}") from self._failed
+            if self._closed:
+                raise RuntimeError("fleet is closed")
             raise RuntimeError("call start() before tick()")
+        if not self._active.missions:
+            return 0
         try:
-            token = self._graph.tick()
+            token = self._graph.tick(self._ticks)
+        except NodeFailure as failure:
+            self._failed = failure
+            self.close()
+            raise
         except BaseException:
             self.close()
             raise
         if self._tap is not None:
             self._tap.on_tick(self._ticks, token)
         self._ticks += 1
-        return len(self._world.active)
+        return len(self._active.missions)
 
     def run(self, timeout_s: float = DEFAULT_FLEET_TIMEOUT_S) -> FleetReport:
         """Run the fleet to completion and return the fleet report.
@@ -269,7 +286,7 @@ class FleetScheduler:
                 self.start()
             deadline = self.now_s + timeout_s
             # tick() returns how many missions still fly.
-            flying = len(self._world.settle())
+            flying = len(self._active.settle())
             while flying:
                 if self.now_s >= deadline:
                     stuck = [m.name for m in self.active_missions]
@@ -282,7 +299,7 @@ class FleetScheduler:
             self.close()
 
     def close(self) -> None:
-        """Close the stage loop and seal the recording.  Idempotent.
+        """Refuse further ticks and seal the recording.  Idempotent.
 
         Counters stay readable after close — :meth:`report` still
         includes the final stage stats.
@@ -290,7 +307,6 @@ class FleetScheduler:
         if self._closed:
             return
         self._closed = True
-        self._graph.close()
         if self.recorder is not None:
             self.recorder.finalize()
 
@@ -314,7 +330,7 @@ class FleetScheduler:
             ticks=self._ticks,
             sim_duration_s=self.now_s,
             perception_stats=stats,
-            graph_stats=self._graph.stats(),
+            graph_stats=self._graph.stats(self._ticks),
             recording_path=self.recorder.path if self.recorder is not None else None,
         )
         if self._tap is not None:

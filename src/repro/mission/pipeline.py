@@ -1,24 +1,24 @@
 """The fleet tick as a timed loop over seven stages.
 
-This module decomposes what used to be the lockstep body of
-``FleetScheduler.tick()`` — step worlds, predict queries, prefetch,
-step executors — into seven named :class:`Stage`\\ s that
-:meth:`StageLoop.tick` calls in order, each stage's output token passed
-straight to the next stage as its argument:
+One fleet tick — step worlds, predict queries, prefetch, step
+executors — is seven named :class:`Stage`\\ s that :meth:`StageLoop.tick`
+calls in order, each stage's output token passed straight to the next
+stage as its argument:
 
 ```
 world → predict → lookup → render → preprocess → match → mission
 ```
 
-One :class:`FleetTick` token flows the whole loop per tick.  It carries
-the tick's active missions and the fleet's one perception core's work
-for the tick: ``predict`` appends each mission's predicted observation
-query in fleet order, ``lookup`` dedupes and drops cache hits,
-``render`` / ``preprocess`` / ``match`` run the three stages of the
-batched recognition pass (the seams on
+Each stage is a plain function over one :class:`FleetTick` token.  The
+token carries the tick's active missions and the fleet's one perception
+core's work for the tick: ``predict`` appends each mission's predicted
+observation query in fleet order, ``lookup`` dedupes and drops cache
+hits, ``render`` / ``preprocess`` / ``match`` run the three stages of
+the batched recognition pass (the seams on
 :class:`~repro.protocol.recognizer.RecognizerPerception`), and
 ``mission`` steps every executor with its ``observe()`` answered from
-the just-filled cache.
+the just-filled cache.  The ``world`` and ``mission`` stages share the
+fleet's one :class:`ActiveSet` with the scheduler.
 
 **Parity contract.**  The loop is execution-order-identical to the
 legacy lockstep loop: worlds step before any query is predicted, every
@@ -27,30 +27,29 @@ order at every stage — so a fleet *replays* the legacy scheduler
 byte-for-byte (golden mission transcripts and ``bench_fleet.py``
 outcome parity are the enforced contract).  What the loop adds is
 per-stage timing (:meth:`StageLoop.stats`, surfaced as
-``FleetReport.graph_stats``).
+``FleetReport.graph_stats``).  The tick count and the fleet's
+lifecycle belong to :class:`~repro.mission.fleet.FleetScheduler`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from repro.protocol.recognizer import ObservationQuery, RecognizerPerception
 
-if TYPE_CHECKING:  # pragma: no cover — typing only
-    from repro.mission.fleet import FleetMission
-
 __all__ = [
     "FLEET_STAGES",
+    "ActiveSet",
     "FleetTick",
     "LoopStats",
     "NodeFailure",
     "Stage",
     "StageLoop",
     "StageStats",
-    "build_fleet_graph",
-    "still_flying",
+    "fleet_stages",
 ]
 
 #: The loop's stages in call order (also the metrics ordering).
@@ -118,108 +117,95 @@ class LoopStats:
 
 
 class Stage:
-    """One named stage of a :class:`StageLoop`.
+    """One named stage of a :class:`StageLoop`: a ``process`` function
+    from the previous stage's token to this stage's.
 
-    Subclasses implement :meth:`process`.  The loop times each call and
-    keeps the totals on the stage: ``calls``, ``busy_s`` (time inside
-    ``process``) and ``max_tick_s`` (the slowest call).
+    ``process`` lives on the instance, so a tracer can wrap it there.
+    The loop times each call and keeps the totals on the stage:
+    ``calls``, ``busy_s`` (time inside ``process``) and ``max_tick_s``
+    (the slowest call).
     """
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, process: Callable) -> None:
         self.name = name
+        self.process = process
         self.calls = 0
         self.busy_s = 0.0
         self.max_tick_s = 0.0
-
-    def process(self, token):
-        """Map the previous stage's output token to this stage's."""
-        raise NotImplementedError
 
     def stats(self) -> StageStats:
         """Snapshot this stage's timing."""
         return StageStats(self.name, self.calls, self.busy_s, self.max_tick_s)
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"
+        return f"<Stage {self.name!r}>"
 
 
 class StageLoop:
     """Calls its stages in order, once per tick.
 
     The first stage gets ``None``; every later stage gets the token its
-    predecessor returned.  A stage that returns ``None`` ends the tick,
-    so nothing after it runs.  ``nodes`` and each stage's ``process``
-    are looked up on every tick, so a tracer can wrap them on the
-    instance.  :meth:`tick` returns what the last stage called
-    returned, so a reader inspects a tick once, after it ends.
+    predecessor returned.  ``nodes`` and each stage's ``process`` are
+    looked up on every tick, so a tracer can wrap them on the instance.
+    :meth:`tick` returns what the last stage returned, so a reader
+    inspects a tick once, after it ends.
     """
 
     def __init__(self, stages: Sequence[Stage]) -> None:
         self.nodes = tuple(stages)
-        self._ticks = 0
-        self._closed = False
-        self._failed: NodeFailure | None = None
 
-    @property
-    def ticks(self) -> int:
-        """Completed ticks."""
-        return self._ticks
-
-    @property
-    def closed(self) -> bool:
-        """``True`` once :meth:`close` has run (or a stage failed)."""
-        return self._closed
-
-    def tick(self):
+    def tick(self, number: int):
         """Call every stage once, in order; return the last output.
 
-        A stage exception closes the loop and re-raises as
-        :class:`NodeFailure`; ticking a closed or failed loop raises
-        ``RuntimeError``.
+        A stage exception re-raises as :class:`NodeFailure`, naming the
+        stage and tick *number*; the stages after it do not run.
         """
-        if self._failed is not None:
-            raise RuntimeError(f"fleet loop already failed: {self._failed}") from self._failed
-        if self._closed:
-            raise RuntimeError("fleet loop is closed")
-        tick, clock = self._ticks, time.perf_counter
+        clock = time.perf_counter
         token = None
         for stage in self.nodes:
             started = clock()
             try:
                 token = stage.process(token)
             except Exception as exc:
-                self._failed = NodeFailure(stage.name, tick, exc)
-                self._closed = True
-                raise self._failed from exc
+                raise NodeFailure(stage.name, number, exc) from exc
             elapsed = clock() - started
             stage.calls += 1
             stage.busy_s += elapsed
             if elapsed > stage.max_tick_s:
                 stage.max_tick_s = elapsed
-            if token is None:
-                break
-        self._ticks = tick + 1
         return token
 
-    def close(self) -> None:
-        """Refuse further ticks.  Idempotent; stats stay readable."""
-        self._closed = True
-
-    def stats(self) -> LoopStats:
-        """Per-stage timing."""
-        return LoopStats(self._ticks, tuple(stage.stats() for stage in self.nodes))
+    def stats(self, ticks: int) -> LoopStats:
+        """Per-stage timing after *ticks* completed ticks."""
+        return LoopStats(ticks, tuple(stage.stats() for stage in self.nodes))
 
 
-def still_flying(missions: tuple) -> tuple:
-    """*missions* without the finished ones, in order.
+class ActiveSet:
+    """The fleet's missions still flying, in fleet order.
 
-    Returns *missions* itself while none has finished.  A mission never
-    un-finishes, so callers keep the result and re-check only that.
+    :meth:`settle` drops the finished ones.  The ``mission`` stage
+    settles the set at the end of every tick, after the executors step;
+    a mission finished between ticks (an external abort) leaves it when
+    the set is next settled.
     """
-    for mission in missions:
-        if mission.finished:
-            return tuple(m for m in missions if not m.finished)
-    return missions
+
+    __slots__ = ("missions",)
+
+    def __init__(self, missions: Sequence) -> None:
+        self.missions = tuple(missions)
+
+    def settle(self) -> tuple:
+        """Drop finished missions from :attr:`missions` and return it.
+
+        Keeps the tuple itself while none has finished; a mission never
+        un-finishes, so only the survivors are re-checked next time.
+        """
+        missions = self.missions
+        for mission in missions:
+            if mission.finished:
+                missions = self.missions = tuple(m for m in missions if not m.finished)
+                break
+        return missions
 
 
 @dataclass
@@ -241,142 +227,94 @@ class FleetTick:
     pres: list = field(default_factory=list)
 
 
-class WorldStage(Stage):
-    """First stage: advance every active mission's world one step.
+def step_worlds(active: ActiveSet, token: None) -> FleetTick:
+    """``world``: advance every active mission's world one step; start
+    the tick's token with the missions active at the top of the tick."""
+    missions = active.missions
+    for mission in missions:
+        mission.world.step()
+    return FleetTick(missions)
 
-    Returns one :class:`FleetTick` carrying the missions that were
-    active at the top of the tick (``None`` once the fleet is finished).
 
-    Owns the fleet's one active set, :attr:`active`: the missions still
-    flying.  :class:`MissionStage` settles it once at the end of every
-    tick, after the executors step, and the scheduler reads it from
-    there; a mission finished between ticks (an external abort) leaves
-    it when the set is next settled.
+def predict(tick: FleetTick) -> FleetTick:
+    """``predict``: collect every mission's predicted perception query.
+
+    Only missions whose perception is a :class:`RecognizerPerception`
+    contribute, in fleet order; any other perception resolves
+    synchronously inside the ``mission`` stage.
     """
-
-    def __init__(self, name: str, missions: Sequence) -> None:
-        super().__init__(name)
-        self.active = tuple(missions)
-
-    def process(self, token) -> FleetTick | None:
-        """Step active worlds; return this tick's token."""
-        active = self.active
-        if not active:
-            return None
-        for mission in active:
-            mission.world.step()
-        return FleetTick(active)
-
-    def settle(self) -> tuple:
-        """Drop finished missions from :attr:`active` and return it."""
-        self.active = still_flying(self.active)
-        return self.active
+    queries = tick.queries
+    for mission in tick.missions:
+        perception = mission.perception
+        if not isinstance(perception, RecognizerPerception):
+            continue
+        pending = mission.executor.pending_observation(mission.world)
+        if pending is None:
+            continue
+        position, human = pending
+        query = perception.query(position, human)
+        if query is None:
+            continue
+        tick.perception = perception
+        queries.append(query)
+    return tick
 
 
-class PredictStage(Stage):
-    """Collect every mission's predicted perception query for the tick.
-
-    Replicates the legacy lockstep loop exactly: only missions whose
-    perception is a :class:`RecognizerPerception` contribute, in fleet
-    order.  Any other perception resolves synchronously inside the
-    ``mission`` stage.
-    """
-
-    def process(self, tick: FleetTick) -> FleetTick:
-        """Predict this tick's observation queries."""
-        queries = tick.queries
-        for mission in tick.missions:
-            perception = mission.perception
-            if not isinstance(perception, RecognizerPerception):
-                continue
-            pending = mission.executor.pending_observation(mission.world)
-            if pending is None:
-                continue
-            position, human = pending
-            query = perception.query(position, human)
-            if query is None:
-                continue
-            tick.perception = perception
-            queries.append(query)
-        return tick
+def lookup(tick: FleetTick) -> FleetTick:
+    """``lookup``: reduce the tick's queries to deduplicated cache misses."""
+    if tick.queries:
+        tick.misses = tick.perception.pending_misses(tick.queries)
+    return tick
 
 
-class LookupStage(Stage):
-    """Reduce the tick's queries to deduplicated cache misses."""
-
-    def process(self, tick: FleetTick) -> FleetTick:
-        """Filter the tick's queries down to their cache misses."""
-        if tick.queries:
-            tick.misses = tick.perception.pending_misses(tick.queries)
-        return tick
+def render(tick: FleetTick) -> FleetTick:
+    """``render``: render every missed query's frame."""
+    if tick.misses:
+        tick.frames = tick.perception.render_batch(tick.misses)
+    return tick
 
 
-class RenderStage(Stage):
-    """Render every missed query's frame."""
-
-    def process(self, tick: FleetTick) -> FleetTick:
-        """Render this tick's cache-missed queries."""
-        if tick.misses:
-            tick.frames = tick.perception.render_batch(tick.misses)
-        return tick
+def preprocess(tick: FleetTick) -> FleetTick:
+    """``preprocess``: batched vision front-end over the rendered frames."""
+    if tick.misses:
+        tick.pres = tick.perception.preprocess_batch(tick.misses, tick.frames)
+    return tick
 
 
-class PreprocessStage(Stage):
-    """Batched vision front-end over the rendered frames."""
-
-    def process(self, tick: FleetTick) -> FleetTick:
-        """Preprocess this tick's rendered frames."""
-        if tick.misses:
-            tick.pres = tick.perception.preprocess_batch(tick.misses, tick.frames)
-        return tick
+def match(tick: FleetTick) -> FleetTick:
+    """``match``: batched SAX match and result-cache fill."""
+    if tick.misses:
+        tick.perception.match_batch(tick.misses, tick.pres)
+    return tick
 
 
-class MatchStage(Stage):
-    """Batched SAX match + result-cache fill."""
-
-    def process(self, tick: FleetTick) -> FleetTick:
-        """Match this tick's preprocessed queries into the cache."""
-        if tick.misses:
-            tick.perception.match_batch(tick.misses, tick.pres)
-        return tick
-
-
-class MissionStage(Stage):
-    """Last stage: step every active mission's executor, then settle
-    the *world* stage's active set.
+def step_executors(active: ActiveSet, tick: FleetTick) -> FleetTick:
+    """``mission``: step every executor carried by the tick, then
+    settle *active*.
 
     Runs strictly after ``match``, so every ``observe()`` this tick
     issues is answered from the just-filled result cache — the property
     that makes the loop replay the legacy lockstep loop exactly.
     """
-
-    def __init__(self, name: str, world: WorldStage) -> None:
-        super().__init__(name)
-        self._world = world
-
-    def process(self, tick: FleetTick) -> FleetTick:
-        """Step every executor carried by this tick."""
-        for mission in tick.missions:
-            mission.executor.tick(mission.world)
-        self._world.settle()
-        return tick
+    for mission in tick.missions:
+        mission.executor.tick(mission.world)
+    active.settle()
+    return tick
 
 
-def build_fleet_graph(missions: Sequence["FleetMission"]) -> StageLoop:
-    """Build the seven-stage fleet loop over *missions*.
+def fleet_stages(active: ActiveSet) -> tuple[Stage, ...]:
+    """The seven fleet stages, named after :data:`FLEET_STAGES`, whose
+    ``world`` and ``mission`` stages share *active*.
 
-    Returns the :class:`StageLoop` whose stages are named after
-    :data:`FLEET_STAGES` — the byte-identical-transcript schedule the
-    :class:`~repro.mission.fleet.FleetScheduler` drives.
+    The shared set is bound with :func:`functools.partial`, so a fleet
+    holds no reference cycle and is freed as soon as it is dropped.
     """
-    world = WorldStage("world", missions)
-    stages = [
-        world,
-        PredictStage("predict"),
-        LookupStage("lookup"),
-        RenderStage("render"),
-        PreprocessStage("preprocess"),
-        MatchStage("match"),
-        MissionStage("mission", world),
-    ]
-    return StageLoop(stages)
+    return (
+        Stage("world", partial(step_worlds, active)),
+        Stage("predict", predict),
+        Stage("lookup", lookup),
+        Stage("render", render),
+        Stage("preprocess", preprocess),
+        Stage("match", match),
+        Stage("mission", partial(step_executors, active)),
+    )

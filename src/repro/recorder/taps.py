@@ -114,7 +114,7 @@ class FleetRecorderTap:
         perception counters moved.  Flushes once if anything was written.
         """
         record = self._recorder.record
-        misses = token.misses if token is not None else ()
+        misses = token.misses
         for query in misses:
             payload = _query_payload(query)
             record(

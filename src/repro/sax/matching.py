@@ -13,8 +13,10 @@ Two matchers are provided:
 * :func:`best_shift_mindist` — on SAX words, using the MINDIST lower
   bound per shift; cheap because words are short.
 
-:func:`rotation_invariant_distance` combines them: prune shifts by
-MINDIST first, confirm the survivors with the Euclidean distance.
+:func:`rotation_invariant_distance` is the exact best-shift Euclidean
+distance.  The word-level best-shift MINDIST does not lower-bound it,
+so MINDIST can only gate which reference views get the exact match
+(:meth:`repro.sax.database.SignDatabase.classify`), never replace it.
 
 Batched variants — :func:`best_shift_euclidean_batch` and
 :func:`best_shift_mindist_batch` — score one query against a whole
@@ -35,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.sax.distance import symbol_distance_table
-from repro.sax.encoder import SaxEncoder, SaxWord
+from repro.sax.encoder import SaxWord
 from repro.sax.normalize import z_normalize
 
 __all__ = [
@@ -333,23 +335,7 @@ def best_shift_euclidean_batch(
 def rotation_invariant_distance(
     series_a: np.ndarray,
     series_b: np.ndarray,
-    encoder: SaxEncoder | None = None,
 ) -> float:
-    """Return the rotation-invariant distance between two shape series.
-
-    When an *encoder* is given, SAX MINDIST serves as a sanity prune: if
-    even the best word-level shift exceeds the exact best Euclidean shift
-    something is inconsistent, so the exact value is always returned; the
-    function exists to keep one call-site for both stages and is the
-    measure used by the classifier.
-    """
-    exact = best_shift_euclidean(series_a, series_b)
-    if encoder is not None:
-        word_a = encoder.encode(np.asarray(series_a, dtype=np.float64))
-        word_b = encoder.encode(np.asarray(series_b, dtype=np.float64))
-        lower = best_shift_mindist(word_a, word_b, len(np.asarray(series_a)))
-        # MINDIST over best shifts lower-bounds the best-shift Euclidean
-        # distance; assert softly by clamping (covered by property tests).
-        if lower.distance > exact.distance + 1e-6:
-            return exact.distance
-    return exact.distance
+    """Return the rotation-invariant distance between two shape series:
+    their Euclidean distance at the best circular shift."""
+    return best_shift_euclidean(series_a, series_b).distance

@@ -1,7 +1,7 @@
 """Drone simulator substrate and recognition scenarios.
 
-Fixed-step world with wind, battery, simplified multirotor dynamics,
-sensors and an event system — the stand-in for the paper's Yuneec H520
+Fixed-step world with wind, battery, simplified multirotor dynamics
+and an event system — the stand-in for the paper's Yuneec H520
 test vehicle (see DESIGN.md, substitution table).  One
 :class:`~repro.simulation.scenarios.Scenario` type describes what a
 drone's camera sees of a signaller — a clean grid point, or one with
@@ -36,7 +36,6 @@ from repro.simulation.scenarios import (
 from repro.simulation.body import BodyLimits, BodyState, MultirotorBody
 from repro.simulation.clock import SimClock
 from repro.simulation.events import EventLog, EventQueue, SimEvent
-from repro.simulation.sensors import CameraMount, StateEstimator
 from repro.simulation.wind import CalmWind, GustEpisode, WindModel
 from repro.simulation.world import Entity, StaticObstacle, World
 
@@ -72,8 +71,6 @@ __all__ = [
     "EventLog",
     "EventQueue",
     "SimEvent",
-    "CameraMount",
-    "StateEstimator",
     "CalmWind",
     "GustEpisode",
     "WindModel",

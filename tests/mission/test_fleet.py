@@ -148,20 +148,23 @@ class TestSchedulerLifecycle:
 
 
     def test_tick_count_active_missions_and_finished_agree(self):
-        """One active set: the world stage's, settled at the end of each
-        tick.  With no query between ticks, tick()'s count must still
-        equal a direct scan; on the first tick after a mission finishes
-        and on the last tick, active_missions and finished agree too."""
+        """One active set: shared by the world and mission stages,
+        settled at the end of each tick.  With no query between ticks,
+        tick()'s count must still equal a direct scan; on the first tick
+        after a mission finishes and on the last tick, active_missions
+        and finished agree too."""
         fleet = build_fleet(FleetSpec(count=3, config=SMALL, perception="oracle"))
         fleet.start()
-        world = fleet.graph.nodes[0]
+        world, mission = fleet.graph.nodes[0], fleet.graph.nodes[-1]
+        (active,) = world.process.args
+        assert mission.process.args[0] is active
         flying, checked = len(fleet.missions), []
         while flying:
             before = sum(not m.finished for m in fleet.missions)
             flying = fleet.tick()
             still = [m for m in fleet.missions if not m.finished]
             assert flying == len(still)
-            assert world.active == tuple(still)
+            assert active.missions == tuple(still)
             if len(still) < before:
                 assert fleet.active_missions == still
                 assert fleet.finished == (not still)

@@ -9,7 +9,8 @@ executors tick) and fuzzed against
 seeds; lifecycle tests pin the idempotent
 :meth:`~repro.mission.fleet.FleetScheduler.close`, the context
 manager, loud-but-clean stage failure at each of the seven stages,
-per-stage timing, and what the flight recorder sees of the loop.
+that ticking a finished fleet changes nothing, per-stage timing, and
+what the flight recorder sees of the loop.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 
 from repro.mission import OrchardConfig
 from repro.mission.fleet import FleetScheduler, FleetSpec, build_fleet, mission_transcript
-from repro.mission.pipeline import FLEET_STAGES, NodeFailure, build_fleet_graph
+from repro.mission.pipeline import FLEET_STAGES, ActiveSet, NodeFailure, fleet_stages
 from repro.protocol import NegotiationConfig
 from repro.protocol.recognizer import RecognizerPerception
 from repro.recorder import FlightRecorder
@@ -136,10 +137,12 @@ class TestGraphShape:
         names = [node.name for node in fleet.graph.nodes]
         assert names == list(FLEET_STAGES)
 
-    def test_build_fleet_graph_validates(self):
-        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        loop = build_fleet_graph(fleet.missions)
-        assert [n.name for n in loop.nodes] == list(FLEET_STAGES)
+    def test_fleet_stages_share_one_active_set(self):
+        active = ActiveSet(())
+        stages = fleet_stages(active)
+        assert [s.name for s in stages] == list(FLEET_STAGES)
+        world, mission = stages[0], stages[-1]
+        assert world.process.args == mission.process.args == (active,)
 
     def test_report_carries_per_node_metrics(self):
         fleet = build_fleet(
@@ -201,7 +204,6 @@ class TestLifecycle:
         with FleetScheduler(fleet.missions, recorder=recorder) as scheduler:
             pass
         assert scheduler.closed
-        assert scheduler.graph.closed
         assert recorder.finalized
 
     def test_node_raising_mid_tick_fails_loudly_and_releases(self):
@@ -214,7 +216,6 @@ class TestLifecycle:
         with pytest.raises(NodeFailure, match="stage 'mission' failed"):
             scheduler.tick()
         assert scheduler.closed
-        assert scheduler.graph.closed
         assert recorder.finalized
 
     @pytest.mark.parametrize("stage", FLEET_STAGES)
@@ -229,7 +230,6 @@ class TestLifecycle:
             scheduler.tick()
         assert (failure.value.stage, failure.value.tick) == (stage, 3)
         assert scheduler.closed
-        assert scheduler.graph.closed
         assert recorder.finalized
         assert scheduler.ticks == 3
 
@@ -275,7 +275,41 @@ class TestLifecycle:
         )
         fleet.run()
         assert fleet.closed
-        assert fleet.graph.closed
+
+    def test_ticking_an_unstarted_fleet_raises(self):
+        fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
+        with pytest.raises(RuntimeError, match="start"):
+            fleet.tick()
+        assert fleet.ticks == 0
+
+    def test_ticking_a_finished_fleet_changes_nothing(self):
+        recorder = FlightRecorder()
+        fleet = build_fleet(
+            FleetSpec(
+                count=1,
+                config=SMALL,
+                perception="oracle",
+                negotiation=FAST_NEGOTIATION,
+                recorder=recorder,
+            )
+        )
+        fleet.start()
+        while fleet.tick():
+            pass
+        world = fleet.missions[0].world
+        ticks, now_s, clock_s = fleet.ticks, fleet.now_s, world.now_s
+        assert now_s == pytest.approx(clock_s)
+        stats, lines = fleet.report().graph_stats, len(recorder.lines)
+        for _ in range(5):
+            assert fleet.tick() == 0
+        assert (fleet.ticks, fleet.now_s, world.now_s) == (ticks, now_s, clock_s)
+        report = fleet.report()
+        assert report.sim_duration_s == now_s
+        assert [(n.calls, n.busy_s, n.max_tick_s) for n in report.graph_stats.nodes] == [
+            (n.calls, n.busy_s, n.max_tick_s) for n in stats.nodes
+        ]
+        # The recorder wrote nothing for the extra ticks.
+        assert len(recorder.lines) == lines
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +336,7 @@ class TestStageMetrics:
         stats = {n.name: n for n in report.graph_stats.nodes}[stage]
         # The fleet never outlives its missions, so every stage runs
         # once per tick.
-        assert stats.calls == report.ticks == fleet.graph.ticks
+        assert stats.calls == report.ticks == fleet.ticks
         assert stats.busy_s > 0.0
         assert 0.0 < stats.max_tick_s <= stats.busy_s
         assert stats.mean_tick_s == pytest.approx(stats.busy_s / stats.calls)
@@ -330,7 +364,7 @@ class TestStageHandOff:
     def test_every_stage_hands_on_the_world_stage_token(self, stage):
         fleet = build_fleet(FleetSpec(count=2, config=SMALL, perception="oracle"))
         fleet.start()
-        loop = build_fleet_graph(fleet.missions)
+        loop = fleet.graph
         calls = []
         for node in loop.nodes:
 
@@ -340,9 +374,9 @@ class TestStageHandOff:
                 return output
 
             node.process = wrapped
-        for _ in range(5):
+        for number in range(5):
             calls.clear()
-            returned = loop.tick()
+            returned = loop.tick(number)
             assert [name for name, _ in calls] == list(FLEET_STAGES)
             handed = calls[0][1]
             assert handed.missions == tuple(fleet.missions)
@@ -354,8 +388,8 @@ class TestStageHandOff:
 class TestPatchableLookups:
     """``fleet.graph.tick`` and each stage's ``process`` are looked up on
     every tick, so a wrapper set on the instance mid-run takes effect and
-    deleting it restores the class method (how the traced benchmark
-    times the loop)."""
+    setting the original back (or, for ``tick``, deleting the wrapper)
+    restores it (how the traced benchmark times the loop)."""
 
     @pytest.mark.parametrize("stage", FLEET_STAGES)
     def test_stage_process_is_looked_up_every_tick(self, stage):
@@ -373,7 +407,7 @@ class TestPatchableLookups:
         node.process = wrapped
         scheduler.tick()
         scheduler.tick()
-        del node.process
+        node.process = original
         scheduler.tick()
         # the world stage is first, so it always gets None
         assert calls == ([True, True] if stage == "world" else [False, False])
@@ -386,9 +420,9 @@ class TestPatchableLookups:
         original = loop.tick
         calls = []
 
-        def wrapped():
-            calls.append(loop.ticks)
-            return original()
+        def wrapped(number):
+            calls.append(number)
+            return original(number)
 
         loop.tick = wrapped
         scheduler.tick()
@@ -396,7 +430,7 @@ class TestPatchableLookups:
         del loop.tick
         scheduler.tick()
         assert calls == [0, 1]
-        assert loop.ticks == scheduler.ticks == 3
+        assert scheduler.ticks == 3
 
 
 class TestFailureSealsTheRecording:

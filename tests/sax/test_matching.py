@@ -112,8 +112,9 @@ class TestRotationInvariantDistance:
             0.0, abs=1e-9
         )
 
-    def test_with_encoder_prune(self):
-        enc = SaxEncoder(SaxParameters(word_length=16, alphabet_size=6))
+    def test_is_the_exact_best_shift_distance(self):
         a = np.sin(np.linspace(0, 2 * np.pi, 64, endpoint=False))
         b = np.roll(a, 11) + 0.01
-        assert rotation_invariant_distance(a, b, encoder=enc) < 0.5
+        distance = rotation_invariant_distance(a, b)
+        assert distance == best_shift_euclidean(a, b).distance
+        assert distance < 0.5
