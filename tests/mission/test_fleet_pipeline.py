@@ -276,6 +276,56 @@ class TestLifecycle:
         fleet.run()
         assert fleet.closed
 
+    def test_starting_twice_raises(self):
+        scheduler, recorder = _started_scheduler()
+        launched = len(recorder.lines)
+        with pytest.raises(RuntimeError, match="fleet already started"):
+            scheduler.start()
+        # The second start launched nothing and recorded nothing.
+        assert len(recorder.lines) == launched
+        assert scheduler.tick() == 1
+        assert scheduler.ticks == 1
+
+    def test_report_is_readable_after_close(self):
+        scheduler, _ = _started_scheduler()
+        for _ in range(3):
+            scheduler.tick()
+        scheduler.close()
+        report = scheduler.report()
+        assert report.ticks == report.graph_stats.ticks == 3
+        assert report.sim_duration_s == pytest.approx(3 * scheduler.time_step_s)
+        assert [n.calls for n in report.graph_stats.nodes] == [3] * len(FLEET_STAGES)
+
+    @pytest.mark.parametrize("stage", FLEET_STAGES)
+    def test_a_failed_tick_counts_only_the_stages_before_the_failure(self, stage):
+        scheduler, _ = _started_scheduler()
+        for _ in range(2):
+            scheduler.tick()
+        _break(scheduler, stage)
+        with pytest.raises(NodeFailure):
+            scheduler.tick()
+        report = scheduler.report()
+        assert report.ticks == 2
+        failed_at = FLEET_STAGES.index(stage)
+        assert [n.calls for n in report.graph_stats.nodes] == [
+            3 if i < failed_at else 2 for i in range(len(FLEET_STAGES))
+        ]
+
+    def test_an_interrupted_fleet_refuses_ticks_as_closed(self):
+        scheduler, _ = _started_scheduler()
+        node = scheduler.graph.nodes[FLEET_STAGES.index("world")]
+
+        def interrupt(token):
+            raise KeyboardInterrupt
+
+        node.process = interrupt
+        with pytest.raises(KeyboardInterrupt):
+            scheduler.tick()
+        # An interrupt is not a stage failure: the fleet is closed, not failed.
+        with pytest.raises(RuntimeError, match="closed"):
+            scheduler.tick()
+        assert scheduler.ticks == 0
+
     def test_ticking_an_unstarted_fleet_raises(self):
         fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
         with pytest.raises(RuntimeError, match="start"):
