@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-longtail bench-smoke perfbench flight-smoke fuzz examples check
+.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-longtail bench-smoke paper perfbench flight-smoke fuzz examples check
 
 # Everything the ruff gate covers — named explicitly so benchmarks/ and
 # scripts/ can never silently drop out of the lint surface.  Update when
@@ -86,6 +86,30 @@ bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_dynamic_batch.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_fleet.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_longtail.py
+
+# The paper-claim reproductions (R1-R4, Figures 1-4) and the
+# beyond-the-paper evaluations (ablations, baselines, dynamic signs,
+# personas, the orchard mission) listed in docs/BENCHMARKS.md, run
+# under pytest so each asserts its shape claim (under a minute in all).
+# The T-THRU/T-DYN/T-FLEET/long-tail artifact benches run in
+# bench-smoke instead.  CI runs this in the bench-smoke job.
+PAPER_BENCHES = \
+	benchmarks/bench_altitude_envelope.py \
+	benchmarks/bench_dead_angle.py \
+	benchmarks/bench_latency.py \
+	benchmarks/bench_sign_uniqueness.py \
+	benchmarks/bench_fig1_led_ring.py \
+	benchmarks/bench_fig2_landing_pattern.py \
+	benchmarks/bench_fig3_negotiation.py \
+	benchmarks/bench_fig4_no_sign_series.py \
+	benchmarks/bench_ablation_sax_params.py \
+	benchmarks/bench_ablation_signature.py \
+	benchmarks/bench_baselines.py \
+	benchmarks/bench_dynamic_signs.py \
+	benchmarks/bench_personas.py \
+	benchmarks/bench_mission.py
+paper:
+	$(PYTHON) -m pytest -q $(PAPER_BENCHES)
 
 # The repository benchmark declared in BENCHMARK.json (perfbench/):
 # both workloads untraced (end-to-end metrics), then traced (per-layer

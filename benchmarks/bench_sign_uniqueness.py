@@ -53,7 +53,7 @@ def test_interclass_distances_dominate(benchmark, recognizer):
 
 def test_word_level_separation(benchmark, recognizer):
     """Even at the coarse SAX-word level (MINDIST), the three canonical
-    words separate — the string database alone can prune."""
+    words separate — the string database alone tells them apart."""
 
     def min_word_distance():
         labels = recognizer.database.labels

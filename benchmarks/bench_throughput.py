@@ -5,7 +5,7 @@ Measures frames/sec of the batched engine against the scalar loop on
 
 * **matcher**: ``SignDatabase.classify_batch`` (one broadcast FFT pass
   over the enrolment-time reference cache) vs a loop of ``classify``
-  (per-pair FFTs with a MINDIST pre-filter).  Gate: ≥ 5×.
+  (one exact FFT match per (query, view) pair).  Gate: ≥ 5×.
 * **end-to-end**: ``SaxSignRecognizer.recognize_batch`` vs a loop of
   ``recognise`` on the standard benchmark batch (15 distinct sign/azimuth
   views cycled to 64 frames, as enrolment sweeps and view grids produce).

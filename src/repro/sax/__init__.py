@@ -21,7 +21,6 @@ from repro.sax.matching import (
     best_shift_euclidean,
     best_shift_euclidean_batch,
     best_shift_mindist,
-    best_shift_mindist_batch,
     rotation_invariant_distance,
 )
 from repro.sax.normalize import is_constant, z_normalize
@@ -52,7 +51,6 @@ __all__ = [
     "best_shift_euclidean",
     "best_shift_euclidean_batch",
     "best_shift_mindist",
-    "best_shift_mindist_batch",
     "rotation_invariant_distance",
     "is_constant",
     "z_normalize",

@@ -5,10 +5,10 @@ against a database of strings and hence can be used quite effectively to
 identify features in images."  The database stores, per sign label, the
 canonical reference series (taken at 0° relative azimuth, per Section
 IV) and its SAX word; classification is nearest-neighbour under the
-rotation-invariant distance with a MINDIST pre-filter and an acceptance
-threshold — an unknown shape too far from every reference is rejected
-rather than misread, which is the safe behaviour for a safety-relevant
-channel.
+exact rotation-invariant distance, every reference view scored, with an
+acceptance threshold — an unknown shape too far from every reference is
+rejected rather than misread, which is the safe behaviour for a
+safety-relevant channel.
 """
 
 from __future__ import annotations
@@ -20,23 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.sax.encoder import SaxEncoder, SaxParameters, SaxWord
-from repro.sax.matching import (
-    _mindist_references,
-    _mindist_surface,
-    _shift_surface,
-    best_shift_euclidean,
-    best_shift_mindist,
-)
+from repro.sax.matching import _shift_surface, best_shift_euclidean
 from repro.sax.normalize import z_normalize
-from repro.sax.paa import paa
 
 __all__ = ["SignEntry", "MatchResult", "SignDatabase"]
 
 # Queries scored per vectorised block in classify_batch; bounds the
 # (chunk, V, n) correlation tensor to a few megabytes.
 _BATCH_CHUNK = 128
-# Sub-chunk for the MINDIST bound stage, whose gather is (chunk, V, w, w).
-_BOUND_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -45,36 +36,22 @@ class _ViewCache:
 
     Built lazily from the enrolled views (and invalidated by ``add`` /
     ``remove``): the z-normalised ``(V, n)`` view stack, the conjugated
-    rFFT of every row, per-row squared norms, the ``(V, w)`` SAX word
-    index matrix, and the MINDIST bound stage's reference operand — the
-    ``(V, w, w)`` index of every circular shift of every word into a
-    query's rows of the squared symbol-distance table.  Labels are
-    listed in enrolment order with each one's row range
-    (``label_slices``) and first row (``label_starts``, the per-label
-    minimum's ``np.minimum.reduceat`` offsets).  Everything a query-side match
-    needs from the references is paid once per enrolment, not once per
-    query.
+    rFFT of every row and per-row squared norms.  Labels are listed in
+    enrolment order with each one's first row (``label_starts``, the
+    per-label minimum's ``np.minimum.reduceat`` offsets).  Everything a
+    query-side match needs from the references is paid once per
+    enrolment, not once per query.
     """
 
     length: int
     labels: tuple[str, ...]
-    label_slices: tuple[tuple[str, int, int], ...]
     label_starts: np.ndarray
     series: np.ndarray
     rfft_conj: np.ndarray
     sq_norms: np.ndarray
-    word_indices: np.ndarray
-    bound_index: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in (
-            "label_starts",
-            "series",
-            "rfft_conj",
-            "sq_norms",
-            "word_indices",
-            "bound_index",
-        ):
+        for name in ("label_starts", "series", "rfft_conj", "sq_norms"):
             getattr(self, name).setflags(write=False)
 
 
@@ -236,11 +213,11 @@ class SignDatabase:
         and clear the runner-up label by the margin threshold; otherwise
         ``label=None`` (rejected).
 
-        This is the scalar reference implementation — one FFT match per
-        (query, view) pair with a MINDIST pre-filter.  The batched
-        engine (:meth:`classify_batch`) produces bit-identical results
-        from the precomputed view cache; parity between the two is
-        enforced by ``tests/sax/test_database_batch.py``.
+        This is the scalar reference implementation — one exact FFT
+        match per (query, view) pair; a label scores the minimum over its
+        views.  The batched engine (:meth:`classify_batch`) produces
+        bit-identical results from the precomputed view cache; parity
+        between the two is enforced by ``tests/sax/test_database_batch.py``.
         """
         if not self._entries:
             raise RuntimeError("sign database is empty")
@@ -251,8 +228,8 @@ class SignDatabase:
         query = np.asarray(series, dtype=np.float64)
         if query.ndim != 1:
             raise ValueError("expected a 1-D series")
+        self._check_word_length(query)
 
-        query_word = self.encoder.encode(query)
         n = len(query)
         sqrt_n = np.sqrt(n)
         scored: list[tuple[float, str]] = []
@@ -263,15 +240,18 @@ class SignDatabase:
                     raise ValueError(
                         f"query length {n} != reference length {len(ref.series)} for {label!r}"
                     )
-                # Cheap lower bound first; skip the exact match when the
-                # bound already exceeds any useful distance.
-                bound = best_shift_mindist(query_word, ref.word, n).distance / sqrt_n
-                if bound > self.acceptance_threshold * 2.0 and bound > best_for_label:
-                    continue
                 exact = best_shift_euclidean(query, ref.series).distance / sqrt_n
                 best_for_label = min(best_for_label, exact)
             scored.append((best_for_label, label))
         return scored
+
+    def _check_word_length(self, query: np.ndarray) -> None:
+        """Refuse a query shorter than the SAX word length, as ``add`` does."""
+        word_length = self.encoder.parameters.word_length
+        if len(query) < word_length:
+            raise ValueError(
+                f"series of length {len(query)} shorter than word length {word_length}"
+            )
 
     def _decide(self, scored: list[tuple[float, str]]) -> MatchResult:
         """Turn per-label distances into an accept/reject decision.
@@ -314,24 +294,14 @@ class SignDatabase:
             self._cache = None
         else:
             series = np.stack([z_normalize(e.series) for e in rows])
-            slices: list[tuple[str, int, int]] = []
-            start = 0
-            for label, views in self._entries.items():
-                slices.append((label, start, start + len(views)))
-                start += len(views)
-            word_indices = np.stack([e.word.indices() for e in rows])
+            view_counts = [len(views) for views in self._entries.values()]
             self._cache = _ViewCache(
                 length=lengths.pop(),
-                labels=tuple(label for label, _, _ in slices),
-                label_slices=tuple(slices),
-                label_starts=np.array([lo for _, lo, _ in slices], dtype=np.intp),
+                labels=tuple(self._entries),
+                label_starts=np.cumsum([0] + view_counts[:-1], dtype=np.intp),
                 series=series,
                 rfft_conj=np.conj(np.fft.rfft(series, axis=1)),
                 sq_norms=(series * series).sum(axis=1),
-                word_indices=word_indices,
-                bound_index=_mindist_references(
-                    word_indices, self.encoder.parameters.alphabet_size
-                ),
             )
         self._cache_stale = False
         return self._cache
@@ -361,12 +331,8 @@ class SignDatabase:
         Accepts a ``(B, n)`` array or a sequence of 1-D series.  All
         circular-shift distances of every query against every enrolled
         view are computed in a single broadcast FFT pass over the
-        precomputed reference cache, and the scalar path's MINDIST
-        prune decisions are replayed exactly from the cached word-index
-        matrix (best-shift MINDIST at word granularity does *not*
-        lower-bound the fine-grained Euclidean distance, so the prune
-        can change which views a label scores with — it must be
-        replicated, not skipped).  Results are therefore bit-identical
+        precomputed reference cache, and each label scores the minimum
+        over its views, as in the scalar path.  Results are bit-identical
         to calling :meth:`classify` per query.
         """
         return [self._decide(scored) for scored in self.score_batch(queries)]
@@ -381,10 +347,9 @@ class SignDatabase:
         enrolled label (in enrolment order) per query, the distances as
         Python floats.  Every batch size, one query included, takes the
         same path: everything reference-side comes from the view cache,
-        each label's score is one ``np.minimum.reduceat`` over its views
-        unless a MINDIST bound clears the prune gate, and each row is
-        converted to Python floats once.  Bit-identical to
-        :meth:`classify`'s scores.
+        each label's score is one ``np.minimum.reduceat`` over its views,
+        and each row is converted to Python floats once.  Bit-identical
+        to :meth:`classify`'s scores.
         """
         if not self._entries:
             raise RuntimeError("sign database is empty")
@@ -404,14 +369,8 @@ class SignDatabase:
             return [self._score_scalar(q) for q in batch]
 
         n = cache.length
-        word_length = self.encoder.parameters.word_length
         for query in batch:
-            if len(query) < word_length:
-                # Same error the scalar path's encoder raises.
-                raise ValueError(
-                    f"series of length {len(query)} shorter than word length "
-                    f"{word_length}"
-                )
+            self._check_word_length(query)
             if len(query) != n:
                 raise ValueError(
                     f"query length {len(query)} != reference length {n} "
@@ -419,22 +378,8 @@ class SignDatabase:
                 )
 
         normalized = np.stack([z_normalize(q) for q in batch])
-        alphabet_size = self.encoder.parameters.alphabet_size
         sqrt_n = np.sqrt(n)
-        bound_scale = np.sqrt(n / word_length)
-        prune_gate = self.acceptance_threshold * 2.0
-        labels = cache.labels
         results: list[list[tuple[float, str]]] = []
-        shift_step, remainder = divmod(n, word_length)
-
-        # Queries are SAX-encoded only where needed: the words feed only
-        # the MINDIST bound stage, which the aligned-shift cap skips for
-        # most queries.  ``normalized`` already holds each query's
-        # z-normalised series, so its symbol indices are the encoder's
-        # PAA and breakpoint search, with no word built in between.
-        def word_indices_for(row_indices: np.ndarray) -> np.ndarray:
-            reduced = np.stack([paa(normalized[i], word_length) for i in row_indices])
-            return self.encoder.indices_from_paa(reduced)
         for start in range(0, len(batch), _BATCH_CHUNK):
             chunk = normalized[start : start + _BATCH_CHUNK]
             spectra = np.fft.rfft(chunk, axis=1)
@@ -442,71 +387,11 @@ class SignDatabase:
             totals = q_sq[:, None] + cache.sq_norms[None, :]
             sq = _shift_surface(spectra, cache.rfft_conj, totals, n)
             view_distances = np.sqrt(sq.min(axis=2)) / sqrt_n
-
-            # The scalar prune can only skip a view whose MINDIST bound
-            # exceeds the gate.  MINDIST lower-bounds the Euclidean
-            # distance at every *word-aligned* shift (whole-segment
-            # rotations commute with PAA when w divides n), so the best
-            # word-aligned distance — read straight off the already-
-            # computed shift surface — caps the bound.  Rows capped
-            # below the gate provably cannot prune; true bounds are
-            # computed only for the rest (with a 1e-6 safety margin for
-            # floating-point slack in the lower-bound property).
-            if remainder == 0:
-                aligned = np.sqrt(sq[:, :, ::shift_step].min(axis=2)) / sqrt_n
-                needs_bounds = (aligned > prune_gate - 1e-6).any(axis=1)
-            else:
-                needs_bounds = np.ones(len(chunk), dtype=bool)
-            # Bounds (as float lists) of the rows where one clears the
-            # gate; every other row prunes nothing.
-            pruning: dict[int, list[float]] = {}
-            selected = np.flatnonzero(needs_bounds)
-            for sub in range(0, len(selected), _BOUND_CHUNK):
-                rows = selected[sub : sub + _BOUND_CHUNK]
-                surface = _mindist_surface(
-                    word_indices_for(start + rows), cache.bound_index, alphabet_size
-                )
-                block = bound_scale * np.sqrt(surface.min(axis=2)) / sqrt_n
-                for local, prunes, bounds in zip(
-                    rows.tolist(), (block > prune_gate).any(axis=1).tolist(), block.tolist()
-                ):
-                    if prunes:
-                        pruning[local] = bounds
-
-            # A label's score is the minimum over its views, unless a
-            # view's bound clears the gate: then the scalar path's skip
-            # rule is replayed view by view on the same floats.
             minima = np.minimum.reduceat(view_distances, cache.label_starts, axis=1)
-            for local, label_minima in enumerate(minima.tolist()):
-                bounds = pruning.get(local)
-                if bounds is not None:
-                    label_minima = _pruned_minima(
-                        view_distances[local].tolist(), bounds, cache.label_slices, prune_gate
-                    )
-                results.append(list(zip(label_minima, labels)))
+            results.extend(list(zip(row, cache.labels)) for row in minima.tolist())
         return results
 
     def word_table(self) -> dict[str, str]:
         """Return ``label -> canonical-view SAX word`` (uniqueness checks)."""
         return {label: views[0].word.symbols for label, views in self._entries.items()}
 
-
-def _pruned_minima(
-    distances: list[float],
-    bounds: list[float],
-    label_slices: tuple[tuple[str, int, int], ...],
-    prune_gate: float,
-) -> list[float]:
-    """Per-label minima of one query's view *distances* under the scalar
-    path's skip rule, fed with bit-identical *bounds*: a view whose
-    bound clears *prune_gate* and the label's best so far is skipped."""
-    minima = []
-    for _, lo, hi in label_slices:
-        best_for_label = float("inf")
-        for view in range(lo, hi):
-            bound = bounds[view]
-            if bound > prune_gate and bound > best_for_label:
-                continue
-            best_for_label = min(best_for_label, distances[view])
-        minima.append(best_for_label)
-    return minima

@@ -2,8 +2,9 @@
 
 ``MINDIST`` is the classic SAX lower bound on the Euclidean distance of
 the original (z-normalised) series: two words whose MINDIST is large
-cannot come from similar series, which lets the matcher prune without
-touching raw data.  The lower-bounding property is verified by a
+cannot come from similar series, so words can be told apart without
+touching raw data (the word-uniqueness check of
+``benchmarks/bench_sign_uniqueness.py``).  The lower-bounding property is verified by a
 hypothesis test in ``tests/sax/test_distance.py``.
 """
 

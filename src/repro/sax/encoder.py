@@ -125,16 +125,11 @@ class SaxEncoder:
         reduced = paa(normalized, self.parameters.word_length)
         return self.word_from_paa(reduced)
 
-    def indices_from_paa(self, reduced: np.ndarray) -> np.ndarray:
-        """Symbol indices of PAA-reduced (normalised) series, any shape:
-        what :meth:`word_from_paa` spells, without building the word."""
-        return np.searchsorted(self._breakpoints, reduced, side="right")
-
     def word_from_paa(self, reduced: np.ndarray) -> SaxWord:
         """Discretise an already-PAA-reduced (normalised) series."""
         if len(reduced) != self.parameters.word_length:
             raise ValueError("PAA series length does not match word length")
-        indices = self.indices_from_paa(reduced)
+        indices = np.searchsorted(self._breakpoints, reduced, side="right")
         symbols = "".join(_ALPHABET[i] for i in indices)
         return SaxWord(symbols, self.parameters)
 

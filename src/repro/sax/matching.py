@@ -14,25 +14,25 @@ Two matchers are provided:
   bound per shift; cheap because words are short.
 
 :func:`rotation_invariant_distance` is the exact best-shift Euclidean
-distance.  The word-level best-shift MINDIST does not lower-bound it,
-so MINDIST can only gate which reference views get the exact match
-(:meth:`repro.sax.database.SignDatabase.classify`), never replace it.
+distance, and the sign database
+(:meth:`repro.sax.database.SignDatabase.classify`) scores every
+reference view with it.  The word-level best-shift MINDIST does not
+lower-bound it (it bounds only the word-aligned shifts), so it serves
+the SAX word-uniqueness check, not classification.
 
-Batched variants — :func:`best_shift_euclidean_batch` and
-:func:`best_shift_mindist_batch` — score one query against a whole
-``(V, n)`` stack of reference views in a single vectorised FFT /
-einsum pass, and accept precomputed reference transforms so an
+The batched variant :func:`best_shift_euclidean_batch` scores one query
+against a whole ``(V, n)`` stack of reference views in a single
+vectorised FFT pass, and accepts precomputed reference transforms so an
 enrolment-time cache (see :class:`repro.sax.database.SignDatabase`)
-pays the reference-side FFTs once instead of per query.  The batched
-kernels are arithmetically identical to the scalar ones: same
-operations, same order, bit-identical results.
+pays the reference-side FFTs once instead of per query.  It is
+arithmetically identical to the scalar matcher: same operations, same
+order, bit-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "best_shift_euclidean",
     "best_shift_euclidean_batch",
     "best_shift_mindist",
-    "best_shift_mindist_batch",
     "rotation_invariant_distance",
 ]
 
@@ -119,51 +118,6 @@ def _shift_surface(
     return sq
 
 
-def _mindist_references(ref_indices: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Reference-side operand of :func:`_mindist_surface`.
-
-    Returns the ``(V, w, w)`` integer index whose element ``[v, s, j]``
-    is ``j * alphabet_size + np.roll(ref_indices[v], -s)[j]``: where the
-    pair (query symbol ``j``, rotated reference symbol ``j``) sits in a
-    query's ``(w, alphabet_size)`` block of squared-table rows.  It
-    depends only on the references, so an enrolment-time cache builds
-    it once.
-    """
-    w = ref_indices.shape[1]
-    rotated = ref_indices[:, _rotation_indices(w)]  # [v, s] == np.roll(ref[v], -s)
-    return rotated + np.arange(w) * alphabet_size
-
-
-@lru_cache(maxsize=32)
-def _squared_table(alphabet_size: int) -> np.ndarray:
-    """The read-only squared :func:`symbol_distance_table`."""
-    squared = symbol_distance_table(alphabet_size) ** 2
-    squared.setflags(write=False)
-    return squared
-
-
-def _mindist_surface(
-    query_indices: np.ndarray, references: np.ndarray, alphabet_size: int
-) -> np.ndarray:
-    """Shared core of the batched MINDIST matchers.
-
-    Evaluates the squared symbol-distance sum of every (query,
-    reference) word pair at every circular shift from the ``(B, w)``
-    query index matrix and the :func:`_mindist_references` operand.
-    Returns the ``(B, V, w)`` surface; ``sqrt(n / w) * sqrt`` of its
-    minimum over the shift axis is bit-identical to the scalar
-    :func:`best_shift_mindist` (the same squared table entries, summed
-    over the same contiguous axis).
-
-    Memory note: materialises a ``(B, V, w, w)`` gather — callers chunk
-    the query axis to keep it to a few megabytes.
-    """
-    # Each query's squared-table rows, one per word position, then one
-    # gather of every (shift, position) pair from them.
-    rows = _squared_table(alphabet_size)[query_indices]  # (B, w, alphabet_size)
-    return np.take(rows.reshape(len(rows), -1), references, axis=1).sum(axis=3)
-
-
 @lru_cache(maxsize=32)
 def _rotation_indices(word_length: int) -> np.ndarray:
     """Return the ``(w, w)`` index matrix of all circular shifts.
@@ -221,50 +175,6 @@ def best_shift_mindist(word_a: SaxWord, word_b: SaxWord, series_length: int) -> 
     sq = (table[ia[None, :], rolled] ** 2).sum(axis=1)
     best = int(np.argmin(sq))
     return ShiftMatch(distance=float(scale * np.sqrt(sq[best])), shift=best)
-
-
-def best_shift_mindist_batch(
-    word_a: SaxWord,
-    refs: Sequence[SaxWord] | np.ndarray,
-    series_length: int,
-) -> ShiftMatchBatch:
-    """Return the best-shift MINDIST of *word_a* against many words at once.
-
-    Parameters
-    ----------
-    refs:
-        Either a sequence of :class:`SaxWord` (parameters must match
-        *word_a*) or an already-stacked ``(V, w)`` integer index matrix
-        as produced by :meth:`SaxWord.indices` — the form the database
-        caches at enrolment.
-    series_length:
-        Length ``n`` of the original series (MINDIST scaling).
-
-    Element ``v`` of the result is bit-identical to
-    ``best_shift_mindist(word_a, refs[v], series_length)``.
-    """
-    params = word_a.parameters
-    if isinstance(refs, np.ndarray):
-        ref_indices = np.asarray(refs)
-        if ref_indices.ndim != 2 or ref_indices.shape[1] != params.word_length:
-            raise ValueError(
-                f"reference index matrix must be (V, {params.word_length}), "
-                f"got {ref_indices.shape}"
-            )
-    else:
-        for word_b in refs:
-            if word_b.parameters != params:
-                raise ValueError("words were produced with different SAX parameters")
-        ref_indices = np.stack([word_b.indices() for word_b in refs])
-    sq = _mindist_surface(
-        word_a.indices()[None, :],
-        _mindist_references(ref_indices, params.alphabet_size),
-        params.alphabet_size,
-    )[0]
-    shifts = np.argmin(sq, axis=1)
-    scale = np.sqrt(series_length / params.word_length)
-    distances = scale * np.sqrt(np.take_along_axis(sq, shifts[:, None], axis=1)[:, 0])
-    return ShiftMatchBatch(distances=distances, shifts=shifts)
 
 
 def best_shift_euclidean_batch(

@@ -2,14 +2,17 @@
 
 ``classify_batch`` scores every query against the precomputed reference
 cache in one vectorised FFT pass; it must return *bit-identical*
-``MatchResult``s to the scalar ``classify`` path, and the cache must
-stay coherent through ``add``/``remove`` mutations.
+``MatchResult``s to the scalar ``classify`` path, both must score each
+label as the exact minimum over its views, and the cache must stay
+coherent through ``add``/``remove`` mutations.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sax import SaxParameters, SignDatabase, paa, z_normalize
+from repro.sax import SaxParameters, SignDatabase, best_shift_euclidean
 
 
 def wave(freq: float, n: int = 128, phase: float = 0.0) -> np.ndarray:
@@ -24,6 +27,35 @@ def build_db() -> SignDatabase:
     db.add("mid", wave(2.5))
     db.add("fast", wave(5))
     return db
+
+
+def exact_scores(db: SignDatabase, query: np.ndarray) -> list[tuple[float, str]]:
+    """Each label's score by definition: the minimum exact best-shift
+    distance over its views, per sample."""
+    sqrt_n = np.sqrt(len(query))
+    scores = []
+    for label in db.labels:
+        distances = [
+            best_shift_euclidean(query, view.series).distance / sqrt_n
+            for view in db.entries(label)
+        ]
+        scores.append((min(distances), label))
+    return scores
+
+
+def assert_exact(db: SignDatabase, queries: list[np.ndarray]) -> None:
+    """Scalar and batched scores both equal :func:`exact_scores` as floats,
+    and the batched verdicts equal the scalar ones."""
+    for query, scored in zip(queries, db.score_batch(queries)):
+        expected = exact_scores(db, query)
+        assert db._score_scalar(query) == expected
+        assert scored == expected
+    assert db.classify_batch(queries) == [db.classify(q) for q in queries]
+
+
+def spiky(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A square wave of random +-1 runs of four samples."""
+    return np.repeat(rng.choice([-1.0, 1.0], size=-(-n // 4)), 4)[:n]
 
 
 def query_set() -> list[np.ndarray]:
@@ -60,87 +92,59 @@ class TestClassifyBatchParity:
         assert not result.accepted
         assert result.runner_up_label in ("slow", "mid", "fast")
 
-    def test_parity_when_prune_fires(self):
-        """The scalar MINDIST prune can *change* a label's distance:
-        word-granularity best-shift MINDIST does not lower-bound the
-        fine-grained Euclidean distance (a half-segment shift has a tiny
-        exact distance but a large word-level bound), so a view can be
-        skipped whose exact distance would have won.  classify_batch
-        must replay those skip decisions, not compute the plain minimum
-        (regression: it used to, and diverged on >50% of these)."""
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            db = SignDatabase(acceptance_threshold=0.05)
-            spiky = np.repeat(rng.choice([-1.0, 1.0], size=32), 4)
-            db.add("x", spiky + 0.35 * rng.normal(size=128), view="v1")
-            db.add("x", spiky, view="v2")
-            db.add("y", rng.normal(size=128))
-            query = np.roll(spiky, 2)  # half-PAA-segment shift of v2
-            assert db.classify_batch([query])[0] == db.classify(query)
-
-    def test_parity_with_aggressive_prune_and_indivisible_word(self):
-        """When the word length does not divide the series length, the
-        aligned-shift shortcut is unavailable and every query takes the
-        full bound-replay path; parity must still hold bitwise."""
-        rng = np.random.default_rng(1)
-        db = SignDatabase(
-            SaxParameters(word_length=24, alphabet_size=5), acceptance_threshold=0.05
-        )
-        def spiky(n=100):
-            return np.repeat(rng.choice([-1.0, 1.0], size=25), 4)[:n]
-        for label in ("a", "b"):
-            for view in range(3):
-                db.add(label, spiky() + 0.3 * rng.normal(size=100), view=f"v{view}")
-        queries = [
-            np.roll(spiky(), int(rng.integers(0, 100))) + 0.1 * rng.normal(size=100)
-            for _ in range(25)
-        ]
-        for query, result in zip(queries, db.classify_batch(queries)):
-            assert result == db.classify(query)
-
     @pytest.mark.parametrize(
         ("word_length", "alphabet_size"),
         [(8, 3), (8, 10), (12, 2), (16, 4), (16, 26), (20, 6), (24, 5), (32, 6), (36, 12)],
     )
-    def test_bound_stage_parity_across_sax_parameters(
-        self, word_length, alphabet_size, monkeypatch
-    ):
-        """The batched bound stage takes each query's symbol indices
-        straight from its z-normalised series, where the scalar path
-        encodes a word.  Across word lengths that divide the series
-        length and ones that do not, and alphabets from binary to 26
-        symbols, the indices and the verdicts stay bit-identical."""
+    def test_exact_reference_across_sax_parameters(self, word_length, alphabet_size):
+        """Across word lengths that divide the series length and ones
+        that do not, and alphabets from binary to 26 symbols, every
+        label scores the exact minimum over its views under a tight
+        acceptance threshold, on both paths."""
         rng = np.random.default_rng(word_length * 100 + alphabet_size)
         n = 96
         db = SignDatabase(
             SaxParameters(word_length=word_length, alphabet_size=alphabet_size),
             acceptance_threshold=0.05,
         )
-        def spiky():
-            return np.repeat(rng.choice([-1.0, 1.0], size=n // 4), 4)
         for label in ("a", "b", "c"):
             for view in range(2):
-                db.add(label, spiky() + 0.3 * rng.normal(size=n), view=f"v{view}")
+                db.add(label, spiky(rng, n) + 0.3 * rng.normal(size=n), view=f"v{view}")
         queries = [
-            np.roll(spiky(), int(rng.integers(0, n))) + 0.1 * rng.normal(size=n)
+            np.roll(spiky(rng, n), int(rng.integers(0, n))) + 0.1 * rng.normal(size=n)
             for _ in range(20)
         ]
-        for query in queries + [np.full(n, 0.5)]:
-            reduced = paa(z_normalize(query), word_length)
-            assert (
-                db.encoder.indices_from_paa(reduced).tolist()
-                == db.encoder.encode(query).indices().tolist()
-            )
+        assert_exact(db, queries + [np.full(n, 0.5)])
 
-        searched = []
-        indices_from_paa = db.encoder.indices_from_paa
-        def counting(reduced):
-            searched.append(len(reduced))
-            return indices_from_paa(reduced)
-        monkeypatch.setattr(db.encoder, "indices_from_paa", counting)
-        for query, result in zip(queries, db.classify_batch(queries)):
-            assert result == db.classify(query)
-        assert searched, "the MINDIST bound stage never ran"
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([96, 100, 128]),
+        word_length=st.sampled_from([8, 16, 24, 32]),
+        alphabet_size=st.integers(3, 12),
+        shift=st.integers(1, 3),
+    )
+    def test_exact_reference_property(self, seed, n, word_length, alphabet_size, shift):
+        """A query a fraction of a PAA segment off a clean spiky view has
+        a tiny exact distance to it but a large word-level MINDIST: under
+        ``acceptance_threshold=0.05`` that view still scores, and each
+        label's score is the exact minimum over its views."""
+        rng = np.random.default_rng(seed)
+        db = SignDatabase(
+            SaxParameters(word_length=word_length, alphabet_size=alphabet_size),
+            acceptance_threshold=0.05,
+        )
+        for label in ("x", "y"):
+            clean = spiky(rng, n)
+            db.add(label, clean + 0.35 * rng.normal(size=n), view="noisy")
+            db.add(label, clean, view="clean")
+        views = db.reference_matrix()
+        queries = [
+            np.roll(views[1], shift),
+            np.roll(views[3], -shift) + 0.01 * rng.normal(size=n),
+            rng.normal(size=n),
+        ]
+        assert_exact(db, queries)
 
     def test_large_batch_spans_chunks(self):
         """Batches larger than the internal chunk size stay bit-identical."""
@@ -302,18 +306,15 @@ class TestBatchSizes:
     size, bit-identical to the reference."""
 
     @staticmethod
-    def pruning_db() -> SignDatabase:
-        """Spiky labels under a tight gate, each a noisy view first and
-        its clean shape second: a query half a PAA segment off the clean
-        shape has a tiny exact distance to it but a large word-level
-        bound, so the scalar path skips that view and scores the noisy
-        one (see ``test_parity_when_prune_fires``)."""
+    def spiky_db() -> SignDatabase:
+        """Spiky labels under a tight acceptance threshold, each a noisy
+        view first and its clean shape second."""
         rng = np.random.default_rng(7)
         db = SignDatabase(acceptance_threshold=0.05)
         for label in ("a", "b", "c"):
-            spiky = np.repeat(rng.choice([-1.0, 1.0], size=32), 4)
-            db.add(label, spiky + 0.35 * rng.normal(size=128), view="noisy")
-            db.add(label, spiky, view="clean")
+            clean = spiky(rng, 128)
+            db.add(label, clean + 0.35 * rng.normal(size=128), view="noisy")
+            db.add(label, clean, view="clean")
         return db
 
     @staticmethod
@@ -329,43 +330,14 @@ class TestBatchSizes:
         return [kinds[i % len(kinds)]() for i in range(count)]
 
     @pytest.mark.parametrize("count", [1, 2, 64])
-    def test_batches_match_scalar_classify(self, count, monkeypatch):
-        from repro.sax import database
-
-        bound_rows = []
-        surface = database._mindist_surface
-
-        def spy(query_indices, references, alphabet_size):
-            bound_rows.append(len(query_indices))
-            return surface(query_indices, references, alphabet_size)
-
-        monkeypatch.setattr(database, "_mindist_surface", spy)
-        db = self.pruning_db()
+    def test_batches_match_scalar_classify(self, count):
+        db = self.spiky_db()
         queries = self.queries(db, count)
         expected = [db.classify(q) for q in queries]
         assert db.classify_batch(queries) == expected
         for query, scored, result in zip(queries, db.score_batch(queries), expected):
-            assert scored == db._score_scalar(query)
+            assert scored == db._score_scalar(query) == exact_scores(db, query)
             assert db._decide(list(scored)) == result
-        assert bound_rows, "the MINDIST bound stage never ran"
-
-    def test_skip_rule_changes_some_label_score(self):
-        """On these inputs the skip rule matters: some label's score is
-        not the plain minimum over its views, so a bound read from the
-        wrong view would show."""
-        from repro.sax.matching import best_shift_euclidean
-
-        db = self.pruning_db()
-        queries = self.queries(db, 64)
-        changed = 0
-        for query, scored in zip(queries, db.score_batch(queries)):
-            for distance, label in scored:
-                plain = min(
-                    best_shift_euclidean(query, entry.series).distance / np.sqrt(128)
-                    for entry in db.entries(label)
-                )
-                changed += distance != plain
-        assert changed
 
     def test_exact_ties_keep_enrolment_order(self):
         """Two labels with one identical view tie exactly; the first
@@ -383,11 +355,11 @@ class TestBatchSizes:
 
     @pytest.mark.parametrize("count", [1, 2, 64])
     def test_batches_match_after_add_and_remove(self, count):
-        db = self.pruning_db()
+        db = self.spiky_db()
         queries = self.queries(db, count)
         db.classify_batch(queries)  # build the view cache
         rng = np.random.default_rng(11)
-        db.add("d", np.repeat(rng.choice([-1.0, 1.0], size=32), 4))
+        db.add("d", spiky(rng, 128))
         assert db.classify_batch(queries) == [db.classify(q) for q in queries]
         db.remove("a", view="noisy")
         assert db.classify_batch(queries) == [db.classify(q) for q in queries]

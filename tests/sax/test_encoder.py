@@ -146,16 +146,17 @@ class TestSaxEncoder:
         assert encoder.word_from_paa(reduced).symbols == encoder.encode(series).symbols
 
 
-class TestIndicesFromPaa:
-    """``indices_from_paa`` is the symbol search ``word_from_paa`` spells
-    out; the batched MINDIST bound stage uses it without the word."""
+class TestWordFromPaaBreakpoints:
+    """``word_from_paa`` spells each PAA value as the number of
+    breakpoints at or below it: a value on a breakpoint takes the upper
+    symbol."""
 
     @pytest.mark.parametrize("alphabet_size", range(MIN_ALPHABET, MAX_ALPHABET + 1))
-    def test_matches_the_spelled_word(self, alphabet_size):
+    def test_symbols_count_breakpoints_at_or_below(self, alphabet_size):
         rng = np.random.default_rng(alphabet_size)
         breakpoints = gaussian_breakpoints(alphabet_size)
-        # Values on, just below and just above every breakpoint (a value
-        # on a breakpoint takes the upper symbol), plus random draws.
+        # Values on, just below and just above every breakpoint, plus
+        # random draws.
         edges = np.concatenate(
             [breakpoints, np.nextafter(breakpoints, -np.inf), np.nextafter(breakpoints, np.inf)]
         )
@@ -165,15 +166,9 @@ class TestIndicesFromPaa:
         values = values[: len(values) - len(values) % word_length]
         encoder = SaxEncoder(SaxParameters(word_length=word_length, alphabet_size=alphabet_size))
         for reduced in values.reshape(-1, word_length):
-            indices = encoder.indices_from_paa(reduced)
-            assert indices.tolist() == encoder.word_from_paa(reduced).indices().tolist()
-        on_breakpoints = encoder.indices_from_paa(breakpoints)
-        assert on_breakpoints.tolist() == list(range(1, alphabet_size))
-
-    def test_keeps_any_shape(self):
-        encoder = SaxEncoder(SaxParameters(word_length=4, alphabet_size=5))
-        reduced = np.random.default_rng(0).normal(size=(3, 2, 4))
-        indices = encoder.indices_from_paa(reduced)
-        assert indices.shape == reduced.shape
-        for row in reduced.reshape(-1, 4):
-            assert encoder.indices_from_paa(row).tolist() == encoder.word_from_paa(row).indices().tolist()
+            expected = [int((breakpoints <= value).sum()) for value in reduced]
+            assert encoder.word_from_paa(reduced).indices().tolist() == expected
+        on_breakpoints = SaxEncoder(
+            SaxParameters(word_length=alphabet_size - 1, alphabet_size=alphabet_size)
+        ).word_from_paa(breakpoints)
+        assert on_breakpoints.indices().tolist() == list(range(1, alphabet_size))

@@ -96,13 +96,17 @@ class TestBestShiftMindist:
 
     @settings(max_examples=30, deadline=None)
     @given(series_strategy, series_strategy)
-    def test_lower_bounds_best_shift_euclidean(self, a, b):
-        """Word-level best-shift MINDIST lower-bounds the exact
-        best-shift distance (shifts at word granularity are a subset)."""
+    def test_lower_bounds_best_aligned_shift_euclidean(self, a, b):
+        """Word-level best-shift MINDIST lower-bounds the exact distance
+        at the best *word-aligned* shift (whole PAA segments, 64/16
+        samples each).  It does not lower-bound the best-shift distance
+        over every sample shift: a shift of part of a segment can bring
+        the series close while their words stay far apart."""
         enc = self.encoder()
         bound = best_shift_mindist(enc.encode(a), enc.encode(b), 64).distance
-        exact = best_shift_euclidean(a, b).distance
-        assert bound <= exact + 1e-6
+        za, zb = z_normalize(a), z_normalize(b)
+        aligned = min(euclidean_distance(za, np.roll(zb, -s * (64 // 16))) for s in range(16))
+        assert bound <= aligned + 1e-9
 
 
 class TestRotationInvariantDistance:

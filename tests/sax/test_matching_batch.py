@@ -12,13 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.sax import (
-    SaxEncoder,
-    SaxParameters,
     ShiftMatchBatch,
     best_shift_euclidean,
     best_shift_euclidean_batch,
-    best_shift_mindist,
-    best_shift_mindist_batch,
     z_normalize,
 )
 
@@ -89,53 +85,6 @@ class TestBestShiftEuclideanBatch:
             best_shift_euclidean_batch(np.zeros(8), np.zeros(8))
         with pytest.raises(ValueError):
             best_shift_euclidean_batch(np.zeros(8), np.zeros((3, 9)))
-
-
-class TestBestShiftMindistBatch:
-    def encoder(self):
-        return SaxEncoder(SaxParameters(word_length=16, alphabet_size=6))
-
-    def test_bit_identical_to_scalar(self):
-        rng = np.random.default_rng(2)
-        enc = self.encoder()
-        query_word = enc.encode(rng.normal(size=64))
-        words = [enc.encode(rng.normal(size=64)) for _ in range(9)]
-        batch = best_shift_mindist_batch(query_word, words, 64)
-        for v, word in enumerate(words):
-            assert batch[v] == best_shift_mindist(query_word, word, 64)
-
-    def test_index_matrix_form_identical(self):
-        """The precomputed (V, w) index-matrix form (what the database
-        caches) equals the SaxWord-sequence form bitwise."""
-        rng = np.random.default_rng(3)
-        enc = self.encoder()
-        query_word = enc.encode(rng.normal(size=64))
-        words = [enc.encode(rng.normal(size=64)) for _ in range(6)]
-        from_words = best_shift_mindist_batch(query_word, words, 64)
-        matrix = np.stack([w.indices() for w in words])
-        from_matrix = best_shift_mindist_batch(query_word, matrix, 64)
-        assert np.array_equal(from_words.distances, from_matrix.distances)
-        assert np.array_equal(from_words.shifts, from_matrix.shifts)
-
-    def test_rotated_words_all_match(self):
-        enc = self.encoder()
-        base = np.sin(np.linspace(0, 2 * np.pi, 64, endpoint=False))
-        word = enc.encode(base)
-        rotations = [word.rotated(s) for s in (1, 5, 11)]
-        batch = best_shift_mindist_batch(word, rotations, 64)
-        assert np.allclose(batch.distances, 0.0, atol=1e-9)
-
-    def test_incompatible_parameters(self):
-        a = SaxEncoder(SaxParameters(8, 6)).encode(np.arange(64.0))
-        b = SaxEncoder(SaxParameters(8, 4)).encode(np.arange(64.0))
-        with pytest.raises(ValueError):
-            best_shift_mindist_batch(a, [b], 64)
-
-    def test_bad_index_matrix_shape(self):
-        enc = self.encoder()
-        word = enc.encode(np.arange(64.0))
-        with pytest.raises(ValueError):
-            best_shift_mindist_batch(word, np.zeros((3, 5), dtype=np.uint8), 64)
 
 
 class TestShiftMatchBatch:

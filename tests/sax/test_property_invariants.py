@@ -7,10 +7,10 @@ property-testing framework, no flakes):
 * z-normalisation is invariant under positive affine maps of the input;
 * the word-level MINDIST at an *aligned* shift (whole PAA segments)
   never exceeds the Euclidean distance between the correspondingly
-  shifted z-normalised series — the SAX lower-bound property that makes
-  MINDIST a sound prune;
-* the batched matchers are element-for-element identical to their
-  scalar references on arbitrary random inputs.
+  shifted z-normalised series — the SAX lower-bound property (it holds
+  for aligned shifts only, not for every sample shift);
+* the batched Euclidean matcher is element-for-element identical to its
+  scalar reference on arbitrary random inputs.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.sax.matching import (
     best_shift_euclidean,
     best_shift_euclidean_batch,
     best_shift_mindist,
-    best_shift_mindist_batch,
 )
 from repro.sax.normalize import z_normalize
 
@@ -122,18 +121,5 @@ class TestBatchScalarParityFuzz:
             batch = best_shift_euclidean_batch(query, refs)
             for v in range(views):
                 scalar = best_shift_euclidean(query, refs[v])
-                assert batch[v].distance == scalar.distance
-                assert batch[v].shift == scalar.shift
-
-    def test_mindist_batch_matches_scalar(self):
-        for rng, w, seg, alpha in random_cases(seed=302):
-            n = w * seg
-            encoder = SaxEncoder(SaxParameters(word_length=w, alphabet_size=alpha))
-            views = int(rng.integers(1, 7))
-            query = encoder.encode(random_series(rng, n))
-            refs = [encoder.encode(random_series(rng, n)) for _ in range(views)]
-            batch = best_shift_mindist_batch(query, refs, n)
-            for v in range(views):
-                scalar = best_shift_mindist(query, refs[v], n)
                 assert batch[v].distance == scalar.distance
                 assert batch[v].shift == scalar.shift
