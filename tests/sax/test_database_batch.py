@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sax import SaxParameters, SignDatabase, best_shift_euclidean
+from repro.sax import SaxParameters, SignDatabase, best_shift_euclidean, best_shift_mindist
 
 
 def wave(freq: float, n: int = 128, phase: float = 0.0) -> np.ndarray:
@@ -91,6 +91,35 @@ class TestClassifyBatchParity:
         assert result.label is None
         assert not result.accepted
         assert result.runner_up_label in ("slow", "mid", "fast")
+
+    def test_exact_on_half_segment_shifts(self):
+        """A query half a PAA segment off a clean spiky view has a tiny
+        exact distance to it but a large word-level MINDIST; that view
+        still scores, on both paths, under a tight acceptance threshold."""
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            db = SignDatabase(acceptance_threshold=0.05)
+            clean = spiky(rng, 128)
+            db.add("x", clean + 0.35 * rng.normal(size=128), view="v1")
+            db.add("x", clean, view="v2")
+            db.add("y", rng.normal(size=128))
+            assert_exact(db, [np.roll(clean, 2)])
+
+    def test_exact_with_indivisible_word(self):
+        """A word length that does not divide the series length leaves
+        the scores exact on both paths."""
+        rng = np.random.default_rng(1)
+        db = SignDatabase(
+            SaxParameters(word_length=24, alphabet_size=5), acceptance_threshold=0.05
+        )
+        for label in ("a", "b"):
+            for view in range(3):
+                db.add(label, spiky(rng, 100) + 0.3 * rng.normal(size=100), view=f"v{view}")
+        queries = [
+            np.roll(spiky(rng, 100), int(rng.integers(0, 100))) + 0.1 * rng.normal(size=100)
+            for _ in range(25)
+        ]
+        assert_exact(db, queries)
 
     @pytest.mark.parametrize(
         ("word_length", "alphabet_size"),
@@ -179,6 +208,15 @@ class TestClassifyBatchParity:
         db.add("sign", wave(1))
         with pytest.raises(ValueError):
             db.classify_batch([np.arange(8.0)])
+
+    @pytest.mark.parametrize("method", ["classify", "score_batch"])
+    def test_too_short_series_raises_on_every_path(self, method):
+        """The scalar and batched paths share one word-length check."""
+        db = SignDatabase(SaxParameters(word_length=32))
+        db.add("sign", np.arange(8.0).repeat(4))
+        query = np.arange(8.0)
+        with pytest.raises(ValueError, match="shorter than word length 32"):
+            getattr(db, method)(query if method == "classify" else [query])
 
 
 class TestMutationCacheCoherence:
@@ -338,6 +376,23 @@ class TestBatchSizes:
         for query, scored, result in zip(queries, db.score_batch(queries), expected):
             assert scored == db._score_scalar(query) == exact_scores(db, query)
             assert db._decide(list(scored)) == result
+
+    def test_some_winning_view_has_far_words(self):
+        """On these inputs some label's best view has a word-level
+        best-shift MINDIST above its exact distance, so a MINDIST skip
+        rule in front of the exact scores would change them."""
+        db = self.spiky_db()
+        encode = db.encoder.encode
+        far = 0
+        for query in self.queries(db, 64):
+            for label in db.labels:
+                exact, view = min(
+                    (best_shift_euclidean(query, view.series).distance, i)
+                    for i, view in enumerate(db.entries(label))
+                )
+                word = encode(db.entries(label)[view].series)
+                far += best_shift_mindist(encode(query), word, len(query)).distance > exact
+        assert far
 
     def test_exact_ties_keep_enrolment_order(self):
         """Two labels with one identical view tie exactly; the first

@@ -145,6 +145,13 @@ class TestSaxEncoder:
         reduced = encoder.paa_of(series)
         assert encoder.word_from_paa(reduced).symbols == encoder.encode(series).symbols
 
+    def test_word_from_paa_rejects_wrong_length(self):
+        encoder = SaxEncoder(SaxParameters(word_length=8, alphabet_size=6))
+        with pytest.raises(ValueError, match="does not match word length"):
+            encoder.word_from_paa(np.zeros(7))
+        with pytest.raises(ValueError, match="does not match word length"):
+            encoder.word_from_paa(np.zeros((2, 8)))
+
 
 class TestWordFromPaaBreakpoints:
     """``word_from_paa`` spells each PAA value as the number of

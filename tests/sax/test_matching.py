@@ -88,11 +88,39 @@ class TestBestShiftMindist:
         match = best_shift_mindist(word, rotated, 64)
         assert match.distance == pytest.approx(0.0, abs=1e-9)
 
+    def test_every_rotation_matches_at_its_shift(self):
+        enc = self.encoder()
+        word = enc.encode(np.random.default_rng(4).normal(size=64).cumsum())
+        for shift in range(16):
+            match = best_shift_mindist(word.rotated(shift), word, 64)
+            assert match.distance == 0.0
+            assert match.shift == shift
+
+    def test_scales_with_series_length(self):
+        """MINDIST scales by sqrt(n / w): one word pair read as a series
+        four times longer is twice as far apart."""
+        enc = self.encoder()
+        rng = np.random.default_rng(5)
+        a, b = enc.encode(rng.normal(size=64)), enc.encode(rng.normal(size=64))
+        short, long = best_shift_mindist(a, b, 64), best_shift_mindist(a, b, 256)
+        assert short.distance > 0.0
+        assert long.distance == pytest.approx(2.0 * short.distance, rel=1e-12)
+        assert long.shift == short.shift
+
     def test_incompatible_parameters(self):
         a = SaxEncoder(SaxParameters(8, 6)).encode(np.arange(64.0))
         b = SaxEncoder(SaxParameters(8, 4)).encode(np.arange(64.0))
         with pytest.raises(ValueError):
             best_shift_mindist(a, b, 64)
+
+    @settings(max_examples=30, deadline=None)
+    @given(series_strategy, series_strategy)
+    def test_symmetric_distance(self, a, b):
+        """Swapping the words mirrors the best shift, not the distance."""
+        enc = self.encoder()
+        wa, wb = enc.encode(a), enc.encode(b)
+        ab, ba = best_shift_mindist(wa, wb, 64), best_shift_mindist(wb, wa, 64)
+        assert ab.distance == pytest.approx(ba.distance, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(series_strategy, series_strategy)

@@ -110,6 +110,19 @@ class TestMindistLowerBound:
             )
             assert best_word <= best_aligned + 1e-9
 
+    def test_best_shift_mindist_is_min_over_word_rotations(self):
+        """Best-shift MINDIST equals the least MINDIST over every
+        rotation of the second word, at that rotation."""
+        for rng, w, seg, alpha in random_cases(seed=204):
+            n = w * seg
+            encoder = SaxEncoder(SaxParameters(word_length=w, alphabet_size=alpha))
+            word_a = encoder.encode(random_series(rng, n))
+            word_b = encoder.encode(random_series(rng, n))
+            per_shift = [mindist(word_a, word_b.rotated(s), n) for s in range(w)]
+            best = best_shift_mindist(word_a, word_b, n)
+            assert best.distance == pytest.approx(min(per_shift), abs=1e-12)
+            assert per_shift[best.shift] == pytest.approx(best.distance, abs=1e-12)
+
 
 class TestBatchScalarParityFuzz:
     def test_euclidean_batch_matches_scalar(self):
