@@ -4,17 +4,15 @@ Ties the simulator substrate together: a :class:`DroneAgent` lives in
 the :class:`~repro.simulation.world.World`, executes queued flight
 patterns step by step, keeps the all-round ring consistent with its
 motion (navigation colours while translating, danger on faults, dark
-after shutdown — Figures 1 and 2), books battery energy, and records its
-trajectory for the pattern classifier.
+after shutdown — Figures 1 and 2), and books battery energy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.drone.navigation import NavigationConfig, WaypointFollower
-from repro.drone.pattern_classifier import TrajectorySample
 from repro.drone.patterns import (
     FlightPattern,
     LandingPattern,
@@ -23,7 +21,6 @@ from repro.drone.patterns import (
     PatternStep,
 )
 from repro.drone.state_machine import DroneMode, FlightModeMachine
-from repro.geometry.rotation import wrap_degrees
 from repro.geometry.vec import Vec2, Vec3
 from repro.signaling.ring import AllRoundLightRing, RingMode
 from repro.simulation.battery import Battery, BatteryDepleted
@@ -42,12 +39,11 @@ _PARKED, _COMMUNICATING = DroneMode.PARKED, DroneMode.COMMUNICATING
 _RING_NAVIGATION = RingMode.NAVIGATION
 
 # Flight mode each pattern is flown in (communicative patterns: the
-# rest), keyed by the kind's name: a str key hashes in C, an Enum member
-# through Enum.__hash__ in Python.
+# rest).
 _PATTERN_MODES = {
-    PatternKind.TAKE_OFF._name_: DroneMode.TAKING_OFF,
-    PatternKind.CRUISE._name_: DroneMode.CRUISING,
-    PatternKind.LANDING._name_: DroneMode.LANDING,
+    PatternKind.TAKE_OFF: DroneMode.TAKING_OFF,
+    PatternKind.CRUISE: DroneMode.CRUISING,
+    PatternKind.LANDING: DroneMode.LANDING,
 }
 
 
@@ -61,6 +57,12 @@ class PatternExecution:
     hold_remaining_s: float = 0.0
     started_at_s: float = 0.0
     finished: bool = False
+    #: The flight mode the pattern is flown in, looked up once here
+    #: rather than on every tick.
+    flight_mode: DroneMode = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.flight_mode = _PATTERN_MODES.get(self.pattern.kind, _COMMUNICATING)
 
     @property
     def current_step(self) -> PatternStep | None:
@@ -96,8 +98,6 @@ class DroneAgent:
         self.battery = battery if battery is not None else Battery()
         self.modes = FlightModeMachine()
         self._queue: list[PatternExecution] = []
-        self._trajectory: list[TrajectorySample] = []
-        self._record_trajectory = False
         self._emergency_reason: str | None = None
 
     # -- state views ---------------------------------------------------------------
@@ -185,54 +185,38 @@ class DroneAgent:
             self._queue.append(execution)
         world.record(self.name, "emergency", reason=reason)
 
-    def start_trajectory_recording(self) -> None:
-        """Begin recording (time, pose) samples for pattern classification."""
-        self._trajectory = []
-        self._record_trajectory = True
-
-    def stop_trajectory_recording(self) -> list[TrajectorySample]:
-        """Stop recording and return the samples."""
-        self._record_trajectory = False
-        return list(self._trajectory)
-
     # -- world entity protocol ---------------------------------------------------------
 
     def update(self, world, dt: float) -> None:
         """Advance one tick: pattern steps, control loops, lights, energy."""
-        state = self.body.state
+        body = self.body
+        state = body.state
         if self._queue:
             self._advance_pattern(world, dt, state)
         # Only a pattern step starts or stops the rotors, so one read
         # guards both control and energy.
         rotors_on = state.rotors_on
         if rotors_on:
-            self.body.command_velocity(self.follower.velocity_command(state, dt))
-        self.body.step(dt, wind_velocity=world.wind.velocity_at(world.now_s))
+            body.command_velocity(self.follower.velocity_command(state, dt))
+        body.step(dt, world.wind.velocity_at(world.now_s))
         self._update_lights(state)
         if rotors_on:
             self._book_energy(world, state, dt)
-        if self._record_trajectory:
-            self._trajectory.append(
-                TrajectorySample(
-                    time_s=world.now_s,
-                    x=state.position.x,
-                    y=state.position.y,
-                    z=state.position.z,
-                    heading_deg=state.heading_deg,
-                )
-            )
 
     # -- internals ----------------------------------------------------------------------
 
     def _advance_pattern(self, world, dt: float, state: BodyState) -> None:
         execution = self._queue[0]
-        step = execution.current_step
-        if step is None:
+        # current_step, written out.
+        steps, index = execution.steps, execution.index
+        if index >= len(steps):
             self._finish_pattern(world, execution)
             return
+        step = steps[index]
 
         # Mode follows the pattern being flown.
-        self._sync_mode(execution.pattern, world)
+        if self.modes.mode is not execution.flight_mode:
+            self._sync_mode(execution, world)
 
         target, follower = step.target, self.follower
         if target is not None and target is not follower.target:
@@ -301,16 +285,14 @@ class DroneAgent:
                 self.modes.transition(DroneMode.HOVERING, world.now_s)
         world.record(self.name, "pattern_done", pattern=kind.value)
 
-    def _sync_mode(self, pattern: FlightPattern, world) -> None:
+    def _sync_mode(self, execution: PatternExecution, world) -> None:
+        """Move to the execution's flight mode; called only when the
+        current mode differs from it."""
         modes = self.modes
         if modes.in_emergency:
             return
-        mode = modes.mode
-        kind = pattern.kind
-        target = _PATTERN_MODES.get(kind._name_, _COMMUNICATING)
-        if mode is target:
-            return
-        if mode is _PARKED and kind is PatternKind.TAKE_OFF:
+        target = execution.flight_mode
+        if modes.mode is _PARKED and execution.pattern.kind is PatternKind.TAKE_OFF:
             self.body.start_rotors()
             modes.transition(DroneMode.TAKING_OFF, world.now_s)
         elif modes.can_transition(target):
@@ -327,7 +309,8 @@ class DroneAgent:
             return
         # One ring update per tick: the heading rides along with the
         # course, or alone while hovering on the course already shown.
-        # The course is BodyState.course_deg, written out.
+        # The course is BodyState.course_deg, written out; the ring
+        # wraps it to [0, 360).
         heading = state.heading_deg
         velocity = state.velocity
         vx, vy = velocity.x, velocity.y
@@ -337,19 +320,18 @@ class DroneAgent:
                 # danger default): show the navigation pattern on the
                 # current heading so the drone is never dark or
                 # misleading in flight.
-                ring.set_navigation(heading, heading_deg=heading)
+                ring.set_navigation(heading, heading)
             else:
                 ring.set_heading(heading)
         else:
-            course = wrap_degrees(90.0 - math.degrees(math.atan2(vy, vx)))
-            ring.set_navigation(course, heading_deg=heading)
+            ring.set_navigation(90.0 - math.degrees(math.atan2(vy, vx)), heading)
 
     def _book_energy(self, world, state: BodyState, dt: float) -> None:
         try:
-            self.battery.flight_draw(state.velocity.norm(), dt, payload_w=_PAYLOAD_W)
+            low = self.battery.flight_draw(state.velocity.norm(), dt, _PAYLOAD_W)
         except BatteryDepleted:
             self.trigger_emergency(world, reason="battery depleted")
             return
-        if self.battery.low and not self.modes.in_emergency:
+        if low and not self.modes.in_emergency:
             if self.modes.mode not in (DroneMode.LANDING, DroneMode.PARKED):
                 self.trigger_emergency(world, reason="battery low")

@@ -92,6 +92,8 @@ class WaypointFollower:
         """``True`` when the body is at the target, slow enough to dwell."""
         if self._target is None:
             return False
-        close = state.position.distance_to(self._target) <= self.config.arrival_radius_m
-        slow = state.velocity.norm() <= self.config.arrival_speed_mps
-        return close and slow
+        config = self.config
+        return (
+            state.position.distance_to(self._target) <= config.arrival_radius_m
+            and state.velocity.norm() <= config.arrival_speed_mps
+        )

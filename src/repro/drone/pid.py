@@ -67,25 +67,26 @@ class PidController:
         gains, limit = self.gains, self.output_limit
         proportional = gains.kp * error
 
-        derivative = 0.0
         previous = self._previous_error
+        self._previous_error = error
         if previous is not None and gains.kd > 0:
             derivative = gains.kd * (error - previous) / dt
-        self._previous_error = error
+        else:
+            derivative = 0.0
 
         # Conditional integration: only integrate when not saturated in
         # the direction that would deepen saturation.  The clamps below
         # are max(-bound, min(bound, value)) written out, in that order.
         integral = self._integral
-        unsaturated = proportional + integral + derivative
-        saturating_up = unsaturated >= limit and error > 0
-        saturating_down = unsaturated <= -limit and error < 0
-        if gains.ki > 0 and not (saturating_up or saturating_down):
-            bound = self.integral_limit
-            integral += gains.ki * error * dt
-            integral = integral if integral < bound else bound
-            integral = integral if integral > -bound else -bound
-            self._integral = integral
+        if gains.ki > 0:
+            unsaturated = proportional + integral + derivative
+            saturating_up = unsaturated >= limit and error > 0
+            if not (saturating_up or (unsaturated <= -limit and error < 0)):
+                bound = self.integral_limit
+                integral += gains.ki * error * dt
+                integral = integral if integral < bound else bound
+                integral = integral if integral > -bound else -bound
+                self._integral = integral
 
         output = proportional + integral + derivative
         output = output if output < limit else limit

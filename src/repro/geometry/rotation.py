@@ -39,6 +39,10 @@ def wrap_angle(angle_rad: float) -> float:
 
 def wrap_degrees(angle_deg: float) -> float:
     """Wrap an angle in degrees to ``[0, 360)``."""
+    # fmod returns an angle already in [0, 360) unchanged (signed zero
+    # too), and headings and courses mostly are: skip it for them.
+    if 0.0 <= angle_deg < 360.0:
+        return angle_deg
     wrapped = math.fmod(angle_deg, 360.0)
     if wrapped < 0.0:
         wrapped += 360.0

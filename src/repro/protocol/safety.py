@@ -112,13 +112,16 @@ class SafetyMonitor:
         # Hardware: enough LEDs dead that signalling is unreliable.  The
         # failed count over the LED count, not 1 - healthy_fraction():
         # 1 - 0.7 reads 0.30000000000000004 and would trip at the limit.
+        # With none failed the fraction is 0.0, never over the limit.
         ring = drone.ring
-        failed_fraction = [led.failed for led in ring.leds].count(True) / ring.led_count
-        if failed_fraction > limits.max_led_failure_fraction:
-            return SafetyViolation(
-                rule="led_failure",
-                detail=f"{failed_fraction:.0%} of ring LEDs failed",
-            )
+        failed = ring.failed_count()
+        if failed:
+            failed_fraction = failed / ring.led_count
+            if failed_fraction > limits.max_led_failure_fraction:
+                return SafetyViolation(
+                    rule="led_failure",
+                    detail=f"{failed_fraction:.0%} of ring LEDs failed",
+                )
 
         # Wind above the operational limit.
         wind_speed = world.wind.velocity_at(world.now_s).norm()
@@ -133,9 +136,7 @@ class SafetyMonitor:
         position = state.position
         if position.z < limits.safe_overflight_altitude_m:
             here = position.horizontal()
-            for entity in world.iter_entities():
-                if not isinstance(entity, HumanAgent):
-                    continue
+            for entity in world.entities_of(HumanAgent):
                 if entity.name in self._waived:
                     continue
                 separation = here.distance_to(entity.position)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.signaling.color import LightColor, Rgb
 
-__all__ = ["TriColourLed", "LedFault"]
+__all__ = ["TriColourLed", "LedFault", "LedWrites"]
 
 # Electrical model constants for a small indicator-class RGB LED.
 FULL_DRIVE_MILLIWATTS = 60.0
@@ -21,6 +21,22 @@ FULL_DRIVE_MILLIWATTS = 60.0
 
 class LedFault(Exception):
     """Raised when commanding an LED that has been failed by injection."""
+
+
+class LedWrites:
+    """A count of the attribute writes made to a group of LEDs.
+
+    Every :class:`TriColourLed` bumps the counter it was given on each
+    attribute write, so whoever shares the counter (the ring) knows that
+    no LED of the group changed since it last looked by comparing one
+    integer, instead of re-reading every LED's colour, brightness and
+    failure flag.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
 
 
 @dataclass
@@ -38,18 +54,32 @@ class TriColourLed:
     failed:
         Set by :meth:`inject_failure`; a failed LED reads OFF and raises
         on command, letting tests exercise the safety monitor's reaction.
+    writes:
+        The :class:`LedWrites` counter every attribute write bumps (a
+        fresh one unless given); a ring shares one with all its LEDs.
     """
 
     index: int
     color: LightColor = LightColor.OFF
     brightness: float = 1.0
     failed: bool = field(default=False, repr=False)
+    # None only until __post_init__: the writes __init__ makes before it
+    # read the class default and count nowhere.
+    writes: LedWrites | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("LED index must be non-negative")
         if not 0.0 <= self.brightness <= 1.0:
             raise ValueError("brightness must be in [0, 1]")
+        if self.writes is None:
+            self.writes = LedWrites()
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        writes = self.writes
+        if writes is not None:
+            writes.count += 1
 
     def set(self, color: LightColor, brightness: float = 1.0) -> None:
         """Command the LED to a colour and drive level.

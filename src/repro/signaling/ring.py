@@ -21,7 +21,7 @@ from enum import Enum, auto
 
 from repro.geometry.rotation import TWO_PI, degrees_difference, wrap_degrees
 from repro.signaling.color import LightColor
-from repro.signaling.led import TriColourLed
+from repro.signaling.led import LedWrites, TriColourLed
 
 __all__ = ["RingMode", "RingSnapshot", "AllRoundLightRing", "NAV_SIDE_ARC_DEG"]
 
@@ -100,21 +100,39 @@ class AllRoundLightRing:
     def __init__(self, led_count: int = DEFAULT_LED_COUNT, danger_is_default: bool = True) -> None:
         if led_count < 3:
             raise ValueError("the ring needs at least three LEDs")
-        self.leds = [TriColourLed(index=i) for i in range(led_count)]
+        # One write counter for every LED on the ring; see _apply.
+        self._writes = LedWrites()
+        self._leds = tuple(TriColourLed(index=i, writes=self._writes) for i in range(led_count))
         self._bearings_deg = tuple(360.0 * i / led_count for i in range(led_count))
         self._mode = RingMode.DANGER if danger_is_default else RingMode.OFF
         self._course_deg = 0.0
         self._heading_deg = 0.0
         # What the LEDs were last driven for: (mode, course relative to
-        # the body, per-LED state, and the open interval of relative
-        # courses showing the same colours); see _apply.
+        # the body, the LED write count after driving them, and the open
+        # interval of relative courses showing the same colours); see
+        # _apply.
         self._driven: tuple | None = None
+        # (LED write count, failed LEDs) of the last failed_count().
+        self._failed: tuple[int, int] = (-1, 0)
         self._apply()
+
+    @property
+    def leds(self) -> tuple[TriColourLed, ...]:
+        """The ring's LEDs, LED 0 first."""
+        return self._leds
+
+    @leds.setter
+    def leds(self, leds) -> None:
+        # The new LEDs report their writes to this ring's counter, and
+        # handing them over counts as writes: the next update recomputes.
+        self._leds = tuple(leds)
+        for led in self._leds:
+            led.writes = self._writes
 
     @property
     def led_count(self) -> int:
         """Number of LEDs on the ring."""
-        return len(self.leds)
+        return len(self._leds)
 
     @property
     def mode(self) -> RingMode:
@@ -147,7 +165,7 @@ class AllRoundLightRing:
         """
         if heading_deg is not None:
             self._heading_deg = wrap_degrees(heading_deg)
-        self._mode = RingMode.NAVIGATION
+        self._mode = _NAVIGATION
         self._course_deg = wrap_degrees(course_deg)
         self._apply()
 
@@ -200,36 +218,27 @@ class AllRoundLightRing:
     def _apply(self) -> None:
         """Drive every LED according to the current mode.
 
-        A no-op when the mode and every LED's state (its colour, or
-        ``None`` once failed) are what the LEDs were last driven for,
-        every working LED still shows the full brightness the mode
-        drives (OFF drives none), and, in NAVIGATION, the course
+        A no-op when the mode is the one last driven, no LED attribute
+        was written since (the ring's :class:`LedWrites` count is the one
+        it read after driving them), and, in NAVIGATION, the course
         relative to the body is the one last driven or lies inside the
         open interval around it where no working LED changes arc.  A
-        hovering or steadily flying drone holds its lights for free,
-        while a failed, repaired, recoloured or dimmed LED forces a
+        hovering or steadily flying drone holds its lights for the price
+        of a few comparisons, while any write to an LED — failed,
+        repaired, recoloured, dimmed, or a new ``leds`` — forces a
         recompute.
         """
         mode = self._mode
-        leds = self.leds
         relative = self._course_deg - self._heading_deg if mode is _NAVIGATION else None
         driven = self._driven
         if (
             driven is not None
             and driven[0] is mode
+            and driven[2] == self._writes.count
             and (driven[1] == relative or driven[3] < relative < driven[4])
-            and len(driven[2]) == len(leds)
         ):
-            full = mode is not _OFF_MODE
-            for led, state in zip(leds, driven[2]):
-                if led.failed:
-                    if state is not None:
-                        break
-                elif led.color is not state or (full and led.brightness != 1.0):
-                    break
-            else:
-                return
-        states = [None if led.failed else led.color for led in leds]
+            return
+        leds = self._leds
         low = high = relative
         if mode is _NAVIGATION:
             # Colour arcs aligned with the course over ground: each LED's
@@ -242,8 +251,8 @@ class AllRoundLightRing:
             # (``above``); the white tail arc spans the ±180 wrap.
             fmod, radians, degrees, pi = math.fmod, math.radians, math.degrees, math.pi
             rise = fall = math.inf
-            for index, bearing in enumerate(self._bearings_deg):
-                if states[index] is None:
+            for led, bearing in zip(leds, self._bearings_deg):
+                if led.failed:
                     continue
                 wrapped = fmod(radians(bearing - relative) + pi, TWO_PI)
                 if wrapped <= 0.0:
@@ -265,8 +274,7 @@ class AllRoundLightRing:
                     rise = below
                 if above < fall:
                     fall = above
-                led = leds[index]
-                led.color = states[index] = color
+                led.color = color
                 led.brightness = 1.0
             # The margin keeps the interval clear of any course whose
             # rounded delta could land on the far side of an edge.
@@ -274,14 +282,24 @@ class AllRoundLightRing:
             high = relative + rise - _ARC_MARGIN_DEG
         else:
             color = _MODE_COLORS[mode]
-            for index, led in enumerate(leds):
-                if states[index] is not None:
-                    led.color = states[index] = color
+            for led in leds:
+                if not led.failed:
+                    led.color = color
                     if color is not _OFF:
                         led.brightness = 1.0
-        self._driven = (mode, relative, states, low, high)
+        self._driven = (mode, relative, self._writes.count, low, high)
+
+    def failed_count(self) -> int:
+        """Return the number of failed LEDs.
+
+        Counted again only after some LED attribute was written.
+        """
+        writes = self._writes.count
+        counted = self._failed
+        if counted[0] != writes:
+            counted = self._failed = (writes, [led.failed for led in self._leds].count(True))
+        return counted[1]
 
     def healthy_fraction(self) -> float:
         """Return the fraction of LEDs that have not failed."""
-        working = [led.failed for led in self.leds].count(False)
-        return working / self.led_count
+        return (self.led_count - self.failed_count()) / self.led_count

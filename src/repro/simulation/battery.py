@@ -66,8 +66,8 @@ class Battery:
         """``True`` when no usable energy remains."""
         return self.remaining_wh <= 0.0
 
-    def draw(self, power_w: float, duration_s: float) -> None:
-        """Draw *power_w* for *duration_s*.
+    def draw(self, power_w: float, duration_s: float) -> bool:
+        """Draw *power_w* for *duration_s*; return :attr:`low` after it.
 
         Raises
         ------
@@ -78,19 +78,27 @@ class Battery:
         if power_w < 0 or duration_s < 0:
             raise ValueError("power and duration must be non-negative")
         energy_wh = power_w * duration_s / 3600.0
-        if energy_wh > self.remaining_wh:
-            self._used_wh = self.capacity_wh
+        # remaining_wh and low, written out: max(0.0, x) as a conditional
+        # (the same value for NaN and -0.0), one attribute read each.
+        capacity, used = self.capacity_wh, self._used_wh
+        remaining = capacity - used
+        if energy_wh > (remaining if remaining > 0.0 else 0.0):
+            self._used_wh = capacity
             raise BatteryDepleted(
                 f"requested {energy_wh:.2f} Wh with {self.remaining_wh:.2f} Wh remaining"
             )
-        self._used_wh += energy_wh
+        used = self._used_wh = used + energy_wh
+        remaining = capacity - used
+        return (remaining if remaining > 0.0 else 0.0) / capacity <= self.reserve_fraction
 
-    def flight_draw(self, speed_mps: float, duration_s: float, payload_w: float = 0.0) -> None:
-        """Draw the power for flying at *speed_mps* plus *payload_w*."""
+    def flight_draw(self, speed_mps: float, duration_s: float, payload_w: float = 0.0) -> bool:
+        """Draw the power for flying at *speed_mps* plus *payload_w*;
+        return :attr:`low` after the draw."""
         if speed_mps < 0:
             raise ValueError("speed must be non-negative")
-        power = HOVER_POWER_W + TRANSLATION_POWER_PER_MPS_W * speed_mps + payload_w
-        self.draw(power, duration_s)
+        return self.draw(
+            HOVER_POWER_W + TRANSLATION_POWER_PER_MPS_W * speed_mps + payload_w, duration_s
+        )
 
     def endurance_estimate_s(self, speed_mps: float = 0.0, payload_w: float = 0.0) -> float:
         """Return remaining flight time at the given operating point."""

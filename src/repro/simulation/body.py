@@ -99,14 +99,18 @@ class MultirotorBody:
     def command_velocity(self, velocity: Vec3) -> None:
         """Set the desired velocity (clamped to the envelope)."""
         limits = self.limits
-        x, y = velocity.x, velocity.y
+        x, y, z = velocity.x, velocity.y, velocity.z
         h_speed = math.hypot(x, y)
+        limit = limits.max_vertical_speed_mps
         if h_speed > limits.max_horizontal_speed_mps:
             scale = limits.max_horizontal_speed_mps / h_speed
             x, y = x * scale, y * scale
+        elif -limit < z < limit:
+            # Inside the envelope the clamped command has the same
+            # components: keep the (immutable) vector itself.
+            self._commanded_velocity = velocity
+            return
         # max(-limit, min(limit, z)), written out.
-        limit = limits.max_vertical_speed_mps
-        z = velocity.z
         z = z if z < limit else limit
         self._commanded_velocity = Vec3(x, y, z if z > -limit else -limit)
 
@@ -140,7 +144,9 @@ class MultirotorBody:
         wind_feedthrough = 0.3
         limits = self.limits
         command, velocity = self._commanded_velocity, state.velocity
-        alpha = min(1.0, dt / limits.velocity_time_constant_s)
+        # min(1.0, ...), written out.
+        alpha = dt / limits.velocity_time_constant_s
+        alpha = alpha if alpha < 1.0 else 1.0
         dx = (command.x + wind_velocity.x * wind_feedthrough - velocity.x) * alpha
         dy = (command.y + wind_velocity.y * wind_feedthrough - velocity.y) * alpha
         dz = (command.z + wind_velocity.z * wind_feedthrough - velocity.z) * alpha

@@ -43,8 +43,8 @@ class SimClock:
 
     def tick(self) -> float:
         """Advance one step; returns the new time."""
-        self._ticks += 1
-        return self.now_s
+        ticks = self._ticks = self._ticks + 1
+        return ticks * self.time_step_s  # now_s, written out
 
     def advance(self, duration_s: float) -> int:
         """Advance by at least *duration_s*; returns ticks consumed."""

@@ -68,7 +68,11 @@ class WindModel:
     correlation_time_s: float = 5.0
     seed: int = 0
     _rng: random.Random = field(init=False, repr=False)
-    _fluctuation: Vec3 = field(init=False, repr=False)
+    # The Gauss-Markov fluctuation's components: three floats, not a
+    # Vec3 rebuilt every update.
+    _fluctuation_x: float = field(init=False, repr=False)
+    _fluctuation_y: float = field(init=False, repr=False)
+    _fluctuation_z: float = field(init=False, repr=False)
     _gusts: list[GustEpisode] = field(init=False, repr=False)
     _next_gust_s: float = field(init=False, repr=False)
     _last_update_s: float = field(init=False, repr=False)
@@ -83,7 +87,7 @@ class WindModel:
         if self.correlation_time_s <= 0:
             raise ValueError("correlation time must be positive")
         self._rng = random.Random(self.seed)
-        self._fluctuation = Vec3()
+        self._fluctuation_x = self._fluctuation_y = self._fluctuation_z = 0.0
         self._gusts = []
         self._next_gust_s = self._draw_gust_interval()
         self._last_update_s = 0.0
@@ -114,7 +118,9 @@ class WindModel:
             return
         # Gauss-Markov: exponential decorrelation towards zero mean.
         alpha = math.exp(-dt / self.correlation_time_s)
-        noise_scale = self.turbulence * math.sqrt(max(0.0, 1.0 - alpha * alpha))
+        # max(0.0, 1.0 - alpha * alpha), written out.
+        variance = 1.0 - alpha * alpha
+        noise_scale = self.turbulence * math.sqrt(variance if variance > 0.0 else 0.0)
         # Three rng.gauss(0.0, 1.0) draws, written out: Box-Muller makes
         # a pair per two uniforms and parks the second in gauss_next,
         # which the first draw takes when set and the third leaves set
@@ -137,11 +143,10 @@ class WindModel:
             second = math.cos(x2pi) * g2rad
             third = math.sin(x2pi) * g2rad
             rng.gauss_next = None
-        fluctuation = self._fluctuation
-        self._fluctuation = Vec3(
-            alpha * fluctuation.x + noise_scale * (0.0 + first * 1.0),
-            alpha * fluctuation.y + noise_scale * (0.0 + second * 1.0),
-            0.3 * (alpha * fluctuation.z + noise_scale * (0.0 + third * 1.0)),
+        self._fluctuation_x = alpha * self._fluctuation_x + noise_scale * (0.0 + first * 1.0)
+        self._fluctuation_y = alpha * self._fluctuation_y + noise_scale * (0.0 + second * 1.0)
+        self._fluctuation_z = 0.3 * (
+            alpha * self._fluctuation_z + noise_scale * (0.0 + third * 1.0)
         )
         # Spawn gust episodes by a Poisson process.
         while self._next_gust_s <= now_s:
@@ -158,9 +163,11 @@ class WindModel:
                 )
             )
             self._next_gust_s += self._draw_gust_interval()
-        # Forget fully decayed gusts.
-        if self._gusts:
-            self._gusts = [g for g in self._gusts if now_s - g.start_s < 6.0 * g.tau_s]
+        # Forget fully decayed gusts.  They start in the order they are
+        # appended and share one tau, so the decayed ones are a prefix.
+        gusts = self._gusts
+        while gusts and not now_s - gusts[0].start_s < 6.0 * gusts[0].tau_s:
+            del gusts[0]
         self._last_update_s = now_s
         self._memo = None
 
@@ -173,10 +180,10 @@ class WindModel:
         memo = self._memo
         if memo is not None and memo[0] == now_s:
             return memo[1]
-        mean, fluctuation = self._mean, self._fluctuation
-        x = mean.x + fluctuation.x
-        y = mean.y + fluctuation.y
-        z = mean.z + fluctuation.z
+        mean = self._mean
+        x = mean.x + self._fluctuation_x
+        y = mean.y + self._fluctuation_y
+        z = mean.z + self._fluctuation_z
         for gust in self._gusts:
             gust_velocity = gust.velocity_at(now_s)
             x += gust_velocity.x

@@ -75,6 +75,7 @@ class World:
         self.log = EventLog()
         self._entities: dict[str, Entity] = {}
         self._stepped: tuple[Entity, ...] = ()  # _entities' values, for step()
+        self._by_kind: dict[type, tuple] = {}  # entities_of answers
         self._obstacles: list[StaticObstacle] = []
 
     @property
@@ -91,6 +92,16 @@ class World:
         """Iterate the registered entities (insertion order) without
         copying them; no entity may be added while iterating."""
         return iter(self._entities.values())
+
+    def entities_of(self, kind: type) -> tuple:
+        """The registered entities that are instances of *kind*
+        (insertion order), found once per kind between additions."""
+        found = self._by_kind.get(kind)
+        if found is None:
+            found = self._by_kind[kind] = tuple(
+                entity for entity in self._stepped if isinstance(entity, kind)
+            )
+        return found
 
     @property
     def obstacles(self) -> list[StaticObstacle]:
@@ -109,6 +120,7 @@ class World:
             raise ValueError(f"duplicate entity name: {entity.name!r}")
         self._entities[entity.name] = entity
         self._stepped = tuple(self._entities.values())
+        self._by_kind.clear()
 
     def add_obstacle(self, obstacle: StaticObstacle) -> None:
         """Register a static obstacle."""

@@ -21,12 +21,36 @@ from repro.geometry import Vec2
 from repro.simulation import World, WindModel
 
 
-def fly_and_classify(world: World, drone: DroneAgent, pattern) -> PatternKind | None:
-    drone.start_trajectory_recording()
+def fly_recorded(
+    world: World, drone: DroneAgent, pattern, timeout_s: float
+) -> tuple[bool, list[TrajectorySample]]:
+    """Fly *pattern* as ``world.run_until(drone idle)`` does, sampling
+    the drone's pose after every world step; returns whether it finished
+    and the samples.  Nothing after the drone's update in a step moves
+    it, so these are the poses its update leaves."""
     drone.fly_pattern(pattern, world)
-    finished = world.run_until(lambda w: drone.is_idle, timeout_s=120)
+    samples = []
+    deadline = world.now_s + timeout_s
+    while world.now_s < deadline and not drone.is_idle:
+        world.step()
+        state = drone.state
+        position = state.position
+        samples.append(
+            TrajectorySample(
+                time_s=world.now_s,
+                x=position.x,
+                y=position.y,
+                z=position.z,
+                heading_deg=state.heading_deg,
+            )
+        )
+    return drone.is_idle, samples
+
+
+def fly_and_classify(world: World, drone: DroneAgent, pattern) -> PatternKind | None:
+    finished, samples = fly_recorded(world, drone, pattern, timeout_s=120)
     assert finished, f"pattern {pattern.kind} did not finish"
-    return classify_trajectory(drone.stop_trajectory_recording())
+    return classify_trajectory(samples)
 
 
 def airborne_drone(world: World) -> DroneAgent:
@@ -56,10 +80,8 @@ class TestCalmConditions:
         world = World()
         drone = DroneAgent("drone")
         world.add_entity(drone)
-        drone.start_trajectory_recording()
-        drone.fly_pattern(TakeOffPattern(5.0), world)
-        world.run_until(lambda w: drone.is_idle, timeout_s=30)
-        assert classify_trajectory(drone.stop_trajectory_recording()) is PatternKind.TAKE_OFF
+        _, samples = fly_recorded(world, drone, TakeOffPattern(5.0), timeout_s=30)
+        assert classify_trajectory(samples) is PatternKind.TAKE_OFF
 
     def test_cruise_and_landing_classified(self):
         world = World()
