@@ -141,3 +141,47 @@ class TestMonitorBehaviour:
             SafetyLimits(min_horizontal_separation_m=0.0)
         with pytest.raises(ValueError):
             SafetyLimits(max_led_failure_fraction=1.0)
+
+
+class TestLedFailureThreshold:
+    """``led_failure`` fires above 30% failed LEDs: at 4 of 10, not 3."""
+
+    def airborne(self):
+        from repro.drone import DroneAgent
+        from repro.drone.state_machine import DroneMode
+        from repro.geometry import Vec3
+        from repro.protocol import SafetyMonitor
+        from repro.simulation import World
+
+        world = World()
+        drone = DroneAgent("drone")
+        world.add_entity(drone)
+        drone.body.start_rotors()
+        drone.modes.mode = DroneMode.HOVERING
+        drone.body.state.position = Vec3(0.0, 0.0, 10.0)
+        return world, drone, SafetyMonitor(drone)
+
+    def rule(self, monitor, world):
+        violation = monitor._first_violation(world)
+        return None if violation is None else violation.rule
+
+    def test_three_failed_do_not_fire_and_four_do(self):
+        world, drone, monitor = self.airborne()
+        for index in range(3):
+            drone.ring.leds[index].inject_failure()
+        assert self.rule(monitor, world) is None
+        drone.ring.leds[3].inject_failure()
+        assert self.rule(monitor, world) == "led_failure"
+
+    def test_failures_and_repairs_mid_flight(self):
+        world, drone, monitor = self.airborne()
+        for index in range(4):
+            drone.ring.leds[index].inject_failure()
+        world.step()
+        assert self.rule(monitor, world) == "led_failure"
+        drone.ring.leds[0].repair()
+        world.step()
+        assert self.rule(monitor, world) is None
+        drone.ring.leds[9].inject_failure()
+        world.step()
+        assert self.rule(monitor, world) == "led_failure"
