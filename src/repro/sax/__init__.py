@@ -17,11 +17,8 @@ from repro.sax.distance import (
 from repro.sax.encoder import SaxEncoder, SaxParameters, SaxWord
 from repro.sax.matching import (
     ShiftMatch,
-    ShiftMatchBatch,
     best_shift_euclidean,
-    best_shift_euclidean_batch,
     best_shift_mindist,
-    rotation_invariant_distance,
 )
 from repro.sax.normalize import is_constant, z_normalize
 from repro.sax.paa import paa, paa_inverse
@@ -47,11 +44,8 @@ __all__ = [
     "SaxParameters",
     "SaxWord",
     "ShiftMatch",
-    "ShiftMatchBatch",
     "best_shift_euclidean",
-    "best_shift_euclidean_batch",
     "best_shift_mindist",
-    "rotation_invariant_distance",
     "is_constant",
     "z_normalize",
     "paa",

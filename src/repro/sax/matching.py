@@ -13,20 +13,16 @@ Two matchers are provided:
 * :func:`best_shift_mindist` — on SAX words, using the MINDIST lower
   bound per shift; cheap because words are short.
 
-:func:`rotation_invariant_distance` is the exact best-shift Euclidean
+The exact best-shift Euclidean distance is the rotation-invariant
 distance, and the sign database
 (:meth:`repro.sax.database.SignDatabase.classify`) scores every
 reference view with it.  The word-level best-shift MINDIST does not
 lower-bound it (it bounds only the word-aligned shifts), so it serves
 the SAX word-uniqueness check, not classification.
 
-The batched variant :func:`best_shift_euclidean_batch` scores one query
-against a whole ``(V, n)`` stack of reference views in a single
-vectorised FFT pass, and accepts precomputed reference transforms so an
-enrolment-time cache (see :class:`repro.sax.database.SignDatabase`)
-pays the reference-side FFTs once instead of per query.  It is
-arithmetically identical to the scalar matcher: same operations, same
-order, bit-identical results.
+The sign database's batched engine scores queries against its view
+stack through :func:`_shift_surface`, bit-identical to the scalar
+matcher: same operations, same order.
 """
 
 from __future__ import annotations
@@ -42,11 +38,8 @@ from repro.sax.normalize import z_normalize
 
 __all__ = [
     "ShiftMatch",
-    "ShiftMatchBatch",
     "best_shift_euclidean",
-    "best_shift_euclidean_batch",
     "best_shift_mindist",
-    "rotation_invariant_distance",
 ]
 
 
@@ -56,31 +49,6 @@ class ShiftMatch:
 
     distance: float
     shift: int
-
-
-@dataclass(frozen=True, slots=True)
-class ShiftMatchBatch:
-    """Circular-shift matches of one query against a stack of references.
-
-    ``distances[v]`` / ``shifts[v]`` are the best-shift distance and
-    shift against reference view ``v`` — element ``v`` equals the
-    :class:`ShiftMatch` the scalar matcher returns for that pair.
-    """
-
-    distances: np.ndarray
-    shifts: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.distances.shape != self.shifts.shape:
-            raise ValueError("distances and shifts must have the same shape")
-
-    def __len__(self) -> int:
-        return len(self.distances)
-
-    def __getitem__(self, index: int) -> ShiftMatch:
-        return ShiftMatch(
-            distance=float(self.distances[index]), shift=int(self.shifts[index])
-        )
 
 
 def _shift_surface(
@@ -175,77 +143,3 @@ def best_shift_mindist(word_a: SaxWord, word_b: SaxWord, series_length: int) -> 
     sq = (table[ia[None, :], rolled] ** 2).sum(axis=1)
     best = int(np.argmin(sq))
     return ShiftMatch(distance=float(scale * np.sqrt(sq[best])), shift=best)
-
-
-def best_shift_euclidean_batch(
-    query: np.ndarray,
-    refs: np.ndarray,
-    *,
-    ref_rfft_conj: np.ndarray | None = None,
-    ref_sq_norms: np.ndarray | None = None,
-    normalized: bool = False,
-) -> ShiftMatchBatch:
-    """Return the best circular-shift Euclidean match against a view stack.
-
-    Computes every shift distance against every reference row in one
-    vectorised FFT/einsum pass::
-
-        |q - rot(r_v, s)|^2 = |q|^2 + |r_v|^2 - 2 * xcorr(q, r_v)[s]
-
-    Parameters
-    ----------
-    query:
-        The ``(n,)`` query series.
-    refs:
-        ``(V, n)`` stack of reference series (one view per row).
-    ref_rfft_conj:
-        Optional precomputed ``conj(rfft(refs, axis=1))`` of the
-        *z-normalised* rows — the quantity an enrolment cache stores so
-        reference FFTs are paid once, not per query.
-    ref_sq_norms:
-        Optional precomputed per-row squared norms of the z-normalised
-        rows.
-    normalized:
-        When ``True``, *query* and *refs* are assumed z-normalised
-        already (they always are when the precomputed transforms are
-        supplied from a cache).
-
-    Element ``v`` of the result is bit-identical to
-    ``best_shift_euclidean(query, refs[v])``.
-    """
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError("expected a 1-D query series")
-    refs = np.asarray(refs, dtype=np.float64)
-    if refs.ndim != 2:
-        raise ValueError("expected a (V, n) reference matrix")
-    if refs.shape[1] != len(q):
-        raise ValueError(f"length mismatch: {q.shape} vs {refs.shape[1:]}")
-    if refs.shape[0] == 0:
-        return ShiftMatchBatch(
-            distances=np.empty(0, dtype=np.float64), shifts=np.empty(0, dtype=np.intp)
-        )
-    if not normalized:
-        q = z_normalize(q)
-        refs = np.stack([z_normalize(row) for row in refs])
-    n = len(q)
-    if ref_rfft_conj is None:
-        ref_rfft_conj = np.conj(np.fft.rfft(refs, axis=1))
-    if ref_sq_norms is None:
-        ref_sq_norms = (refs * refs).sum(axis=1)
-    q_sq = float((q * q).sum())
-    sq = _shift_surface(
-        np.fft.rfft(q)[None, :], ref_rfft_conj, (q_sq + ref_sq_norms)[None, :], n
-    )[0]
-    shifts = np.argmin(sq, axis=1)
-    distances = np.sqrt(np.take_along_axis(sq, shifts[:, None], axis=1)[:, 0])
-    return ShiftMatchBatch(distances=distances, shifts=shifts)
-
-
-def rotation_invariant_distance(
-    series_a: np.ndarray,
-    series_b: np.ndarray,
-) -> float:
-    """Return the rotation-invariant distance between two shape series:
-    their Euclidean distance at the best circular shift."""
-    return best_shift_euclidean(series_a, series_b).distance

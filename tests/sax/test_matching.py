@@ -12,7 +12,6 @@ from repro.sax import (
     best_shift_euclidean,
     best_shift_mindist,
     euclidean_distance,
-    rotation_invariant_distance,
     z_normalize,
 )
 
@@ -135,18 +134,3 @@ class TestBestShiftMindist:
         za, zb = z_normalize(a), z_normalize(b)
         aligned = min(euclidean_distance(za, np.roll(zb, -s * (64 // 16))) for s in range(16))
         assert bound <= aligned + 1e-9
-
-
-class TestRotationInvariantDistance:
-    def test_zero_for_rotations(self):
-        series = np.sin(np.linspace(0, 2 * np.pi, 64, endpoint=False))
-        assert rotation_invariant_distance(np.roll(series, 9), series) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_is_the_exact_best_shift_distance(self):
-        a = np.sin(np.linspace(0, 2 * np.pi, 64, endpoint=False))
-        b = np.roll(a, 11) + 0.01
-        distance = rotation_invariant_distance(a, b)
-        assert distance == best_shift_euclidean(a, b).distance
-        assert distance < 0.5

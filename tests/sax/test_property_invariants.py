@@ -20,7 +20,6 @@ from repro.sax.distance import euclidean_distance, mindist
 from repro.sax.encoder import SaxEncoder, SaxParameters
 from repro.sax.matching import (
     best_shift_euclidean,
-    best_shift_euclidean_batch,
     best_shift_mindist,
 )
 from repro.sax.normalize import z_normalize
@@ -122,17 +121,3 @@ class TestMindistLowerBound:
             best = best_shift_mindist(word_a, word_b, n)
             assert best.distance == pytest.approx(min(per_shift), abs=1e-12)
             assert per_shift[best.shift] == pytest.approx(best.distance, abs=1e-12)
-
-
-class TestBatchScalarParityFuzz:
-    def test_euclidean_batch_matches_scalar(self):
-        for rng, w, seg, _ in random_cases(seed=301):
-            n = w * seg
-            views = int(rng.integers(1, 7))
-            query = random_series(rng, n)
-            refs = np.stack([random_series(rng, n) for _ in range(views)])
-            batch = best_shift_euclidean_batch(query, refs)
-            for v in range(views):
-                scalar = best_shift_euclidean(query, refs[v])
-                assert batch[v].distance == scalar.distance
-                assert batch[v].shift == scalar.shift
