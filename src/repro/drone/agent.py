@@ -198,10 +198,44 @@ class DroneAgent:
         rotors_on = state.rotors_on
         if rotors_on:
             body.command_velocity(self.follower.velocity_command(state, dt))
-        body.step(dt, world.wind.velocity_at(world.now_s))
-        self._update_lights(state)
+        body.step(dt, world.wind.velocity_at(world.clock.now_s))
+        velocity = state.velocity
+        # Lights: all red in an emergency, dark once parked with the
+        # rotors off, otherwise one ring update per tick: the heading
+        # rides along with the course, or alone while hovering on the
+        # course already shown.
+        ring, modes = self.ring, self.modes
+        if modes.in_emergency:
+            ring.trigger_safety()
+        elif modes.mode is _PARKED and not state.rotors_on:
+            if ring.mode is not RingMode.OFF:
+                ring.extinguish()
+        else:
+            # The course is BodyState.course_deg, written out; the ring
+            # wraps it to [0, 360).
+            heading = state.heading_deg
+            vx, vy = velocity.x, velocity.y
+            if math.hypot(vx, vy) < 0.1:
+                if ring.mode is not _RING_NAVIGATION:
+                    # Rotors on but hovering (or just cleared the
+                    # power-on danger default): show the navigation
+                    # pattern on the current heading so the drone is
+                    # never dark or misleading in flight.
+                    ring.set_navigation(heading, heading)
+                else:
+                    ring.set_heading(heading)
+            else:
+                ring.set_navigation(90.0 - math.degrees(math.atan2(vy, vx)), heading)
         if rotors_on:
-            self._book_energy(world, state, dt)
+            # Book the tick's energy at the body's speed.
+            try:
+                low = self.battery.flight_draw(velocity.norm(), dt, _PAYLOAD_W)
+            except BatteryDepleted:
+                self.trigger_emergency(world, reason="battery depleted")
+                return
+            if low and not modes.in_emergency:
+                if modes.mode not in (DroneMode.LANDING, DroneMode.PARKED):
+                    self.trigger_emergency(world, reason="battery low")
 
     # -- internals ----------------------------------------------------------------------
 
@@ -298,40 +332,3 @@ class DroneAgent:
         elif modes.can_transition(target):
             modes.transition(target, world.now_s)
 
-    def _update_lights(self, state: BodyState) -> None:
-        ring, modes = self.ring, self.modes
-        if modes.in_emergency:
-            ring.trigger_safety()
-            return
-        if modes.mode is _PARKED and not state.rotors_on:
-            if ring.mode is not RingMode.OFF:
-                ring.extinguish()
-            return
-        # One ring update per tick: the heading rides along with the
-        # course, or alone while hovering on the course already shown.
-        # The course is BodyState.course_deg, written out; the ring
-        # wraps it to [0, 360).
-        heading = state.heading_deg
-        velocity = state.velocity
-        vx, vy = velocity.x, velocity.y
-        if math.hypot(vx, vy) < 0.1:
-            if ring.mode is not _RING_NAVIGATION:
-                # Rotors on but hovering (or just cleared the power-on
-                # danger default): show the navigation pattern on the
-                # current heading so the drone is never dark or
-                # misleading in flight.
-                ring.set_navigation(heading, heading)
-            else:
-                ring.set_heading(heading)
-        else:
-            ring.set_navigation(90.0 - math.degrees(math.atan2(vy, vx)), heading)
-
-    def _book_energy(self, world, state: BodyState, dt: float) -> None:
-        try:
-            low = self.battery.flight_draw(state.velocity.norm(), dt, _PAYLOAD_W)
-        except BatteryDepleted:
-            self.trigger_emergency(world, reason="battery depleted")
-            return
-        if low and not self.modes.in_emergency:
-            if self.modes.mode not in (DroneMode.LANDING, DroneMode.PARKED):
-                self.trigger_emergency(world, reason="battery low")

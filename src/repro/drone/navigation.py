@@ -46,24 +46,21 @@ class WaypointFollower:
         self._pid_x = PidController(self.config.horizontal_gains, output_limit=limit_h)
         self._pid_y = PidController(self.config.horizontal_gains, output_limit=limit_h)
         self._pid_z = PidController(self.config.vertical_gains, output_limit=limit_v)
-        self._target: Vec3 | None = None
-
-    @property
-    def target(self) -> Vec3 | None:
-        """Current target waypoint."""
-        return self._target
+        #: Current target waypoint (``None`` while hovering), a plain
+        #: attribute that :meth:`set_target` and :meth:`clear` write.
+        self.target: Vec3 | None = None
 
     def set_target(self, target: Vec3) -> None:
         """Select a new waypoint (resets the loops if it moved)."""
-        if self._target is None or not self._target.is_close(target, tol=1e-9):
+        if self.target is None or not self.target.is_close(target, tol=1e-9):
             self._pid_x.reset()
             self._pid_y.reset()
             self._pid_z.reset()
-        self._target = target
+        self.target = target
 
     def clear(self) -> None:
         """Drop the target (the caller should command hover)."""
-        self._target = None
+        self.target = None
         self._pid_x.reset()
         self._pid_y.reset()
         self._pid_z.reset()
@@ -73,9 +70,10 @@ class WaypointFollower:
 
         With no target set, returns a zero command (hover).
         """
-        if self._target is None:
+        target = self.target
+        if target is None:
             return Vec3()
-        target, position = self._target, state.position
+        position = state.position
         vx = self._pid_x.update(target.x - position.x, dt)
         vy = self._pid_y.update(target.y - position.y, dt)
         vz = self._pid_z.update(target.z - position.z, dt)
@@ -90,10 +88,11 @@ class WaypointFollower:
 
     def arrived(self, state: BodyState) -> bool:
         """``True`` when the body is at the target, slow enough to dwell."""
-        if self._target is None:
+        target = self.target
+        if target is None:
             return False
         config = self.config
         return (
-            state.position.distance_to(self._target) <= config.arrival_radius_m
+            state.position.distance_to(target) <= config.arrival_radius_m
             and state.velocity.norm() <= config.arrival_speed_mps
         )

@@ -38,7 +38,7 @@ wiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from repro.drone.agent import DroneAgent
@@ -49,6 +49,7 @@ from repro.mission.spec import DEFAULT_DRONE_HOME, FleetSpec
 from repro.protocol.perception import OraclePerception, Perception
 from repro.protocol.recognizer import PerceptionStats, RecognizerPerception
 from repro.simulation.scenarios import Lighting, WindCondition
+from repro.simulation.world import World
 
 __all__ = [
     "DEFAULT_DRONE_HOME",
@@ -74,11 +75,12 @@ class FleetMission:
     perception: Perception
     wind: WindCondition | None = None
     lighting: Lighting | None = None
+    #: The mission's simulation world (``orchard.world``), a plain
+    #: attribute: three fleet stages read it every tick.
+    world: World = field(init=False, repr=False, compare=False)
 
-    @property
-    def world(self):
-        """The mission's simulation world."""
-        return self.orchard.world
+    def __post_init__(self) -> None:
+        self.world = self.orchard.world
 
     @property
     def finished(self) -> bool:

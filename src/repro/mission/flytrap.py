@@ -6,6 +6,11 @@ Obst- und Weinbau pest-monitoring work [9]).  A trap accumulates catches
 by a Poisson process whose rate depends on local pest pressure; reading
 a trap requires hovering within a capture radius, and the mission goal
 is reading every due trap.
+
+A trap in a world is not stepped: it follows the world clock and, when
+its catch count is read or written, replays the ticks it missed — the
+same additions and the same draws, in the same order, as a trap
+stepped every tick.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ class FlyTrap:
     position:
         Ground-plane position of the trap.
     pest_pressure:
-        Mean catches accumulating per simulated hour.
+        Mean catches accumulating per simulated hour.  A trap in a world
+        applies it to missed ticks when it catches up, so it is fixed
+        once the trap joins one.
     spray_threshold:
         Catch count at which spraying is recommended.
     """
@@ -52,7 +59,6 @@ class FlyTrap:
     pest_pressure: float = 4.0
     spray_threshold: int = 12
     seed: int = 0
-    catch_count: int = field(default=0, init=False)
     last_read_s: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
@@ -62,18 +68,51 @@ class FlyTrap:
             raise ValueError("spray threshold must be >= 1")
         self._rng = random.Random(self.seed)
         self._accumulator = 0.0
+        self._catches = 0
+        # The clock the trap follows, and its ticks when last caught up.
+        self._clock, self._synced_ticks = None, 0
+
+    @property
+    def catch_count(self) -> int:
+        """Catches so far, caught up with the clock the trap follows."""
+        self._catch_up()
+        return self._catches
+
+    @catch_count.setter
+    def catch_count(self, value: int) -> None:
+        self._catch_up()
+        self._catches = value
 
     # -- world entity protocol ---------------------------------------------------
 
+    def follow_clock(self, clock) -> None:
+        """World entity protocol: catch up from *clock* when read,
+        instead of being stepped."""
+        self._catch_up()
+        self._clock, self._synced_ticks = clock, clock.ticks
+
     def update(self, world, dt: float) -> None:
         """Accumulate catches by a thinned Poisson process."""
-        self._accumulator += self.pest_pressure * dt / 3600.0
-        while self._accumulator >= 1.0:
-            # Each accumulated unit is one expected catch; realise it
-            # stochastically to keep counts integral and noisy.
-            self._accumulator -= 1.0
-            if self._rng.random() < 0.9:
-                self.catch_count += 1
+        self._catch_up()
+        self._accumulate(dt, 1)
+
+    def _catch_up(self) -> None:
+        clock = self._clock
+        if clock is not None and clock.ticks != self._synced_ticks:
+            self._accumulate(clock.time_step_s, clock.ticks - self._synced_ticks)
+            self._synced_ticks = clock.ticks
+
+    def _accumulate(self, dt: float, ticks: int) -> None:
+        gain, accumulator = self.pest_pressure * dt / 3600.0, self._accumulator
+        for _ in range(ticks):
+            accumulator += gain
+            while accumulator >= 1.0:
+                # Each accumulated unit is one expected catch; realise it
+                # stochastically to keep counts integral and noisy.
+                accumulator -= 1.0
+                if self._rng.random() < 0.9:
+                    self._catches += 1
+        self._accumulator = accumulator
 
     def position3(self) -> Vec3:
         """Trap position at hanging height."""

@@ -124,7 +124,7 @@ class SafetyMonitor:
                 )
 
         # Wind above the operational limit.
-        wind_speed = world.wind.velocity_at(world.now_s).norm()
+        wind_speed = world.wind.velocity_at(world.clock.now_s).norm()
         if wind_speed > limits.max_wind_speed_mps:
             return SafetyViolation(
                 rule="wind_limit",

@@ -82,10 +82,12 @@ class Battery:
         # (the same value for NaN and -0.0), one attribute read each.
         capacity, used = self.capacity_wh, self._used_wh
         remaining = capacity - used
-        if energy_wh > (remaining if remaining > 0.0 else 0.0):
+        remaining = remaining if remaining > 0.0 else 0.0
+        if energy_wh > remaining:
             self._used_wh = capacity
+            # The energy that was left when the draw was asked for.
             raise BatteryDepleted(
-                f"requested {energy_wh:.2f} Wh with {self.remaining_wh:.2f} Wh remaining"
+                f"requested {energy_wh:.2f} Wh with {remaining:.2f} Wh remaining"
             )
         used = self._used_wh = used + energy_wh
         remaining = capacity - used

@@ -30,21 +30,21 @@ class SimClock:
     def __post_init__(self) -> None:
         if self.time_step_s <= 0:
             raise ValueError("time step must be positive")
+        #: Current simulation time in seconds (``ticks * time_step_s``),
+        #: a plain attribute that :meth:`tick` and :meth:`advance` keep:
+        #: every entity reads it every tick.
+        self.now_s = self._ticks * self.time_step_s
 
     @property
     def ticks(self) -> int:
         """Number of completed ticks."""
         return self._ticks
 
-    @property
-    def now_s(self) -> float:
-        """Current simulation time in seconds."""
-        return self._ticks * self.time_step_s
-
     def tick(self) -> float:
         """Advance one step; returns the new time."""
         ticks = self._ticks = self._ticks + 1
-        return ticks * self.time_step_s  # now_s, written out
+        now = self.now_s = ticks * self.time_step_s
+        return now
 
     def advance(self, duration_s: float) -> int:
         """Advance by at least *duration_s*; returns ticks consumed."""
@@ -52,6 +52,7 @@ class SimClock:
             raise ValueError("duration must be non-negative")
         steps = int(round(duration_s / self.time_step_s))
         self._ticks += steps
+        self.now_s = self._ticks * self.time_step_s
         return steps
 
     def ticks_for(self, duration_s: float) -> int:

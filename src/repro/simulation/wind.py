@@ -77,7 +77,8 @@ class WindModel:
     _next_gust_s: float = field(init=False, repr=False)
     _last_update_s: float = field(init=False, repr=False)
     _mean: Vec3 = field(init=False, repr=False)
-    _memo: tuple[float, Vec3] | None = field(init=False, repr=False)
+    # The total wind at _last_update_s, built by update().
+    _velocity: Vec3 = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mean_speed_mps < 0 or self.turbulence < 0 or self.gust_speed_mps < 0:
@@ -92,8 +93,7 @@ class WindModel:
         self._next_gust_s = self._draw_gust_interval()
         self._last_update_s = 0.0
         self._mean = self.mean_velocity()
-        # (time, velocity) of the last velocity_at answer; update() clears it.
-        self._memo = None
+        self._velocity = self._total_at(0.0)
 
     def _draw_gust_interval(self) -> float:
         if self.gust_rate_per_min <= 0:
@@ -143,9 +143,9 @@ class WindModel:
             second = math.cos(x2pi) * g2rad
             third = math.sin(x2pi) * g2rad
             rng.gauss_next = None
-        self._fluctuation_x = alpha * self._fluctuation_x + noise_scale * (0.0 + first * 1.0)
-        self._fluctuation_y = alpha * self._fluctuation_y + noise_scale * (0.0 + second * 1.0)
-        self._fluctuation_z = 0.3 * (
+        fx = self._fluctuation_x = alpha * self._fluctuation_x + noise_scale * (0.0 + first * 1.0)
+        fy = self._fluctuation_y = alpha * self._fluctuation_y + noise_scale * (0.0 + second * 1.0)
+        fz = self._fluctuation_z = 0.3 * (
             alpha * self._fluctuation_z + noise_scale * (0.0 + third * 1.0)
         )
         # Spawn gust episodes by a Poisson process.
@@ -169,17 +169,26 @@ class WindModel:
         while gusts and not now_s - gusts[0].start_s < 6.0 * gusts[0].tau_s:
             del gusts[0]
         self._last_update_s = now_s
-        self._memo = None
+        if gusts:
+            self._velocity = self._total_at(now_s)
+        else:
+            # _total_at with no gust, written out.
+            mean = self._mean
+            self._velocity = Vec3(mean.x + fx, mean.y + fy, mean.z + fz)
 
     def velocity_at(self, now_s: float) -> Vec3:
         """Return the total wind velocity at *now_s* (after :meth:`update`).
 
-        Answered once per time between updates: the drone and its safety
-        monitor both ask for the current tick's wind.
+        The last update's time is answered with the velocity that update
+        built: the drone and its safety monitor both ask for the current
+        tick's wind.
         """
-        memo = self._memo
-        if memo is not None and memo[0] == now_s:
-            return memo[1]
+        if now_s == self._last_update_s:
+            return self._velocity
+        return self._total_at(now_s)
+
+    def _total_at(self, now_s: float) -> Vec3:
+        """Mean wind plus fluctuation plus every gust at *now_s*."""
         mean = self._mean
         x = mean.x + self._fluctuation_x
         y = mean.y + self._fluctuation_y
@@ -189,9 +198,7 @@ class WindModel:
             x += gust_velocity.x
             y += gust_velocity.y
             z += gust_velocity.z
-        velocity = Vec3(x, y, z)
-        self._memo = (now_s, velocity)
-        return velocity
+        return Vec3(x, y, z)
 
     @property
     def active_gust_count(self) -> int:

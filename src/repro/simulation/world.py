@@ -21,7 +21,12 @@ __all__ = ["Entity", "StaticObstacle", "World"]
 
 @runtime_checkable
 class Entity(Protocol):
-    """Anything the world steps each tick."""
+    """Anything the world steps each tick.
+
+    An entity whose state follows from the clock alone may define
+    ``follow_clock(clock)`` instead: the world calls it once, on adding
+    the entity, and never steps it; it catches up when read.
+    """
 
     name: str
 
@@ -74,7 +79,7 @@ class World:
         self.events = EventQueue()
         self.log = EventLog()
         self._entities: dict[str, Entity] = {}
-        self._stepped: tuple[Entity, ...] = ()  # _entities' values, for step()
+        self._stepped: tuple[Entity, ...] = ()  # what step() updates
         self._by_kind: dict[type, tuple] = {}  # entities_of answers
         self._obstacles: list[StaticObstacle] = []
 
@@ -99,7 +104,7 @@ class World:
         found = self._by_kind.get(kind)
         if found is None:
             found = self._by_kind[kind] = tuple(
-                entity for entity in self._stepped if isinstance(entity, kind)
+                entity for entity in self._entities.values() if isinstance(entity, kind)
             )
         return found
 
@@ -119,7 +124,11 @@ class World:
         if entity.name in self._entities:
             raise ValueError(f"duplicate entity name: {entity.name!r}")
         self._entities[entity.name] = entity
-        self._stepped = tuple(self._entities.values())
+        follow_clock = getattr(entity, "follow_clock", None)
+        if follow_clock is not None:
+            follow_clock(self.clock)
+        else:
+            self._stepped += (entity,)
         self._by_kind.clear()
 
     def add_obstacle(self, obstacle: StaticObstacle) -> None:
@@ -146,8 +155,9 @@ class World:
 
     def step(self) -> float:
         """Advance the world by one clock tick; returns the new time."""
-        dt = self.clock.time_step_s
-        now = self.clock.tick()
+        clock = self.clock
+        dt = clock.time_step_s
+        now = clock.tick()
         self.wind.update(now)
         self.events.run_due(now)
         for entity in self._stepped:

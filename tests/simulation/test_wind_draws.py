@@ -62,7 +62,6 @@ class GaussCallWind(WindModel):
         if self._gusts:
             self._gusts = [g for g in self._gusts if now_s - g.start_s < 6.0 * g.tau_s]
         self._last_update_s = now_s
-        self._memo = None
 
 
 def bits(vector):

@@ -1,9 +1,10 @@
-"""WindModel's velocity memo is exact.
+"""WindModel's update-built velocity is exact.
 
-``WindModel.velocity_at`` memoises its answer for one time until the
-next update.  It must reproduce the unmemoised model bit for bit: the
-reference below is the model as it read before the memo, driven with
-its own generator of the same seed.
+``WindModel.update`` builds the tick's velocity, which ``velocity_at``
+returns for the last update's time.  The model must reproduce the plain
+formula bit for bit, over every step length a 50 Hz clock takes and
+over irregular steps: the reference below computes the velocity on
+every query, driven with its own generator of the same seed.
 """
 
 import math
@@ -24,7 +25,7 @@ PARAMS = dict(
 
 
 class UncachedWind:
-    """WindModel.update / velocity_at with no memo."""
+    """WindModel.update / velocity_at with nothing kept between calls."""
 
     def __init__(self, mean_speed_mps, direction_deg, turbulence, gust_rate_per_min,
                  gust_speed_mps, correlation_time_s, seed):
@@ -81,21 +82,42 @@ def bits(vector):
     return tuple(component.hex() for component in vector)
 
 
+def first_ticks_of_each_step_length(ticks=200_000):
+    """The first tick at which each distinct 50 Hz step length
+    ``k * 0.02 - (k - 1) * 0.02`` occurs, over *ticks* ticks."""
+    first = {}
+    for k in range(1, ticks + 1):
+        first.setdefault(k * 0.02 - (k - 1) * 0.02, k)
+    return sorted(first.values())
+
+
 def update_times():
-    """50 Hz for a while, then 20 Hz, then irregular steps: the step
-    length changes mid-run."""
-    times = [k * 0.02 for k in range(1, 1501)]
+    """A 50 Hz clock's times, first contiguous, then around the first
+    occurrence of every other step length it takes; then 20 Hz; then
+    irregular steps, repeated times among them."""
+    ticks = list(range(1, 1501))
+    for k in first_ticks_of_each_step_length():
+        ticks += [t for t in range(k - 2, k + 3) if t > ticks[-1]]
+    times = [k * 0.02 for k in ticks]
     start = times[-1]
     times += [start + k * 0.05 for k in range(1, 601)]
     rng = random.Random(3)
     now = times[-1]
-    for _ in range(400):
-        now += rng.choice((0.01, 0.02, 0.03, 0.1))
+    for _ in range(600):
+        now += rng.choice((0.0, 0.01, 0.02, 0.03, 0.1, rng.uniform(0.001, 0.5)))
         times.append(now)
     return times
 
 
-def test_memoised_wind_matches_the_unmemoised_formula():
+def test_the_run_meets_every_step_length_of_a_50_hz_clock():
+    times = [0.0, *update_times()]  # a model starts at time 0
+    lengths = {later - earlier for earlier, later in zip(times, times[1:])}
+    steps = {k * 0.02 - (k - 1) * 0.02 for k in first_ticks_of_each_step_length()}
+    assert len(steps) == 19
+    assert steps <= lengths
+
+
+def test_wind_matches_the_plain_formula():
     model, reference = WindModel(**PARAMS), UncachedWind(**PARAMS)
     spawned = expired = 0
     previous_gusts = 0
@@ -111,30 +133,31 @@ def test_memoised_wind_matches_the_unmemoised_formula():
         expired += model.active_gust_count < previous_gusts
         previous_gusts = model.active_gust_count
     assert spawned > 5 and expired > 5, "the run must spawn and expire gusts"
+    assert model._rng.getstate() == reference.rng.getstate()
 
 
-def test_velocity_at_another_time_is_never_served_from_the_memo():
+def test_velocity_at_another_time_is_computed_afresh():
     model, reference = WindModel(**PARAMS), UncachedWind(**PARAMS)
     checked = 0
-    for now in update_times()[:1200]:
+    for now in update_times():
         model.update(now)
         reference.update(now)
         current = bits(model.velocity_at(now))
         for other in (now - 0.5, now - 3.0, now + 0.25):
             # Earlier times reach back before young gusts started (their
-            # zero branch); each must be computed, not the memoised tick.
+            # zero branch); each must be computed, not the tick's wind.
             assert bits(model.velocity_at(other)) == bits(reference.velocity_at(other))
             checked += model.active_gust_count > 0
         assert bits(model.velocity_at(now)) == current
     assert checked > 100
 
 
-def test_update_clears_the_memo():
+def test_update_replaces_the_tick_velocity():
     model = WindModel(**PARAMS)
     model.update(0.02)
     before = model.velocity_at(0.04)
     model.update(0.04)
-    # Same query time, new state: answered afresh, not from the memo.
+    # Same query time, new state: the new tick's wind, not the earlier answer.
     reference = UncachedWind(**PARAMS)
     reference.update(0.02)
     reference.update(0.04)
